@@ -8,9 +8,13 @@ reduced mode grid, the dispersion
 
 and the per-pair excitation eps_k(t) = 2 sin^2(theta_k) sin^2(omega_k t)
 give every observable as a sum over modes, at any N.  The particle-number
-distribution is the Poisson binomial of the pair occupations eps_k/2,
-evaluated by convolution (never by configuration enumeration), and its rate
-uses leave-one-out distributions rebuilt by fresh convolution.
+distribution is the Poisson binomial p(z) = prod_k (1 - q_k + q_k z) of the
+pair occupations q_k = eps_k/2, and its rate is pdot(z) = (z - 1) S(z) with
+S(z) = sum_k qdot_k prod_{j != k} (1 - q_j + q_j z).  One forward recursion
+over modes, S <- S (1 - q_k + q_k z) + qdot_k P and then P <- P (1 - q_k + q_k z),
+builds both for a block of times at once, O(N^2) per time and never by
+configuration enumeration.  A discrete Fourier transform would be cheaper, but
+its ~1e-16 absolute error is amplified by pdot^2 / p where p is small.
 
 The default mode grid k = (2m+1) pi / N pairs all modes and describes the
 even-fermion-parity sector that contains the initial vacuum; it reproduces
@@ -28,6 +32,9 @@ from .errors import ValidationError
 from .models import ModelSpec
 
 PAIR_PROBABILITY_FLOOR = 1e-12
+# Times per block of the batched grid evaluations; bounds the (levels x times)
+# work arrays to about 10 MB each at N = 10^4.
+TIME_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -57,12 +64,20 @@ class PairDistribution:
     p_dot: np.ndarray
 
     def __post_init__(self):
-        if abs(self.p.sum() - 1.0) > 1e-10:
-            raise ValidationError(f"pair distribution sums to {self.p.sum()!r}")
-        if abs(self.p_dot.sum()) > 1e-9:
-            raise ValidationError(f"pair distribution rates sum to {self.p_dot.sum()!r}")
-        if self.p.min() < -1e-12:
-            raise ValidationError(f"negative probability {self.p.min():.3e}")
+        _check_distributions(self.p[:, None], self.p_dot[:, None])
+
+
+def _check_distributions(p: np.ndarray, p_dot: np.ndarray) -> None:
+    """Raise unless each column of p is a distribution and of p_dot a conserving rate."""
+    total, rate = p.sum(axis=0), p_dot.sum(axis=0)
+    worst = np.argmax(np.abs(total - 1.0))  # argmax picks a NaN first
+    if not abs(total[worst] - 1.0) <= 1e-10:
+        raise ValidationError(f"pair distribution sums to {total[worst]!r}")
+    worst = np.argmax(np.abs(rate))
+    if not abs(rate[worst]) <= 1e-9:
+        raise ValidationError(f"pair distribution rates sum to {rate[worst]!r}")
+    if p.min() < -1e-12:
+        raise ValidationError(f"negative probability {p.min():.3e}")
 
 
 def dispersion(spec: ModelSpec) -> ModeSet:
@@ -86,8 +101,8 @@ def dispersion(spec: ModelSpec) -> ModeSet:
     return ModeSet(k=k, omega=omega, sin_theta=sin_theta)
 
 
-def pair_excitations(modes: ModeSet, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair energy eps_k(t) in [0, 2] and its time derivative."""
+def pair_excitations(modes: ModeSet, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair energy eps_k(t) in [0, 2] and its time derivative; t may be a (T, 1) column."""
     eps = 2.0 * modes.sin_theta**2 * np.sin(modes.omega * t) ** 2
     eps_dot = 2.0 * modes.sin_theta**2 * modes.omega * np.sin(2.0 * modes.omega * t)
     return eps, eps_dot
@@ -103,67 +118,71 @@ def analytic_observables(modes: ModeSet, t: float) -> tuple[float, float, float,
 
 
 def observables_on_grid(
-    modes: ModeSet, times: np.ndarray, chunk: int = 256
+    modes: ModeSet, times: np.ndarray, chunk: int = TIME_CHUNK
 ) -> dict[str, np.ndarray]:
     """Vectorized E, P, var(H_B) series over a time grid (chunked in time)."""
     times = np.asarray(times, dtype=float)
     energy = np.empty_like(times)
     pw = np.empty_like(times)
     var_battery = np.empty_like(times)
-    st2 = modes.sin_theta**2
     for lo in range(0, len(times), chunk):
-        block = times[lo : lo + chunk, None]
-        phase = modes.omega[None, :] * block
-        eps = 2.0 * st2[None, :] * np.sin(phase) ** 2
-        eps_dot = 2.0 * (st2 * modes.omega)[None, :] * np.sin(2.0 * phase)
+        eps, eps_dot = pair_excitations(modes, times[lo : lo + chunk, None])
         energy[lo : lo + chunk] = eps.sum(axis=1)
         pw[lo : lo + chunk] = eps_dot.sum(axis=1)
         var_battery[lo : lo + chunk] = (eps * (2.0 - eps)).sum(axis=1)
     return {"energy": energy, "power": pw, "var_battery": var_battery}
 
 
-def _convolve_bernoulli(dist: np.ndarray, q: float) -> np.ndarray:
-    out = np.zeros(len(dist) + 1)
-    out[:-1] = dist * (1.0 - q)
-    out[1:] += dist * q
-    return out
+def _pair_distributions(modes: ModeSet, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked p_l and pdot_l as (levels x times) arrays by the module docstring's recursion."""
+    eps, eps_dot = pair_excitations(modes, times[:, None])
+    q, q_dot = eps.T / 2.0, eps_dot.T / 2.0
+    r = 1.0 - q
+    p = np.zeros((modes.n_modes + 1, len(times)))
+    p[0] = 1.0
+    s, rate, work = np.zeros_like(p), np.empty_like(p), np.empty_like(p)
+    for c in range(modes.n_modes):
+        np.multiply(p[: c + 1], q_dot[c], out=rate[: c + 1])
+        for x in (s, p):  # row c of S is still zero
+            np.multiply(x[: c + 1], q[c], out=work[: c + 1])
+            x[: c + 1] *= r[c]
+            x[1 : c + 2] += work[: c + 1]
+        s[: c + 1] += rate[: c + 1]
+    p_dot = -s
+    p_dot[1:] += s[:-1]
+    _check_distributions(p, p_dot)
+    return p, p_dot
 
 
 def pair_distribution(modes: ModeSet, t: float) -> PairDistribution:
     """Poisson-binomial particle-number distribution and its analytic rate.
 
     Each mode contributes an independent pair with occupation probability
-    eps_k/2; l counts particles, so l = 2 * (occupied pairs).  The rate is
-    pdot_l = sum_k (epsdot_k / 2) [p^(not k)_{l-2} - p^(not k)_l], with each
-    leave-one-out distribution built by convolving the prefix and suffix
-    distributions around mode k.
+    q_k = eps_k/2; l counts particles, so l = 2 * (occupied pairs).  The
+    forward recursion of the module docstring gives p_l and pdot_l; this is
+    its one-time case, the batched one feeds ``fisher_energy_series``.
     """
-    eps, eps_dot = pair_excitations(modes, t)
-    q = eps / 2.0
-    q_dot = eps_dot / 2.0
-    n_modes = modes.n_modes
-    prefix = [np.array([1.0])]
-    for qk in q:
-        prefix.append(_convolve_bernoulli(prefix[-1], qk))
-    suffix = [np.array([1.0])]
-    for qk in q[::-1]:
-        suffix.append(_convolve_bernoulli(suffix[-1], qk))
-    suffix.reverse()  # suffix[i] = distribution of modes i..end
-    p = prefix[-1]
-    p_dot = np.zeros(n_modes + 1)
-    for k in range(n_modes):
-        excl = np.convolve(prefix[k], suffix[k + 1])
-        p_dot[1:] += q_dot[k] * excl
-        p_dot[:-1] -= q_dot[k] * excl
-    return PairDistribution(l_values=2 * np.arange(n_modes + 1), p=p, p_dot=p_dot)
+    p, p_dot = _pair_distributions(modes, np.array([float(t)]))
+    return PairDistribution(2 * np.arange(modes.n_modes + 1), p[:, 0], p_dot[:, 0])
+
+
+def _fisher(p: np.ndarray, p_dot: np.ndarray) -> np.ndarray:
+    """sum_l pdot_l^2 / p_l along axis 0 over levels above the floor."""
+    keep = p > PAIR_PROBABILITY_FLOOR
+    return (np.where(keep, p_dot, 0.0) ** 2 / np.where(keep, p, 1.0)).sum(axis=0)
 
 
 def fisher_energy_analytic(dist: PairDistribution) -> float:
     """sum_l pdot_l^2 / p_l over occupation levels above the floor."""
-    mask = dist.p > PAIR_PROBABILITY_FLOOR
-    return float((dist.p_dot[mask] ** 2 / dist.p[mask]).sum())
+    return float(_fisher(dist.p, dist.p_dot))
 
 
 def fisher_energy_series(modes: ModeSet, times: np.ndarray) -> np.ndarray:
-    """Fisher information in energy space at each grid time."""
-    return np.array([fisher_energy_analytic(pair_distribution(modes, t)) for t in times])
+    """Fisher information in energy space at each grid time (chunked in time)."""
+    times = np.asarray(times, dtype=float)
+    out = np.empty_like(times)
+    for lo in range(0, len(times), TIME_CHUNK):
+        out[lo : lo + TIME_CHUNK] = _fisher(
+            *_pair_distributions(modes, times[lo : lo + TIME_CHUNK])
+        )
+    return out

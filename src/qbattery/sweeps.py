@@ -7,17 +7,16 @@ large for dense diagonalization are evaluated through the free-fermion path.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
 from .freefermion import (
+    analytic_observables,
     dispersion,
     fisher_energy_series,
     observables_on_grid,
-    pair_excitations,
 )
 from .models import MAX_QUBITS_CHAIN, ModelSpec, power_law_couplings
 from .observables import battery_entanglement_entropy, time_average
@@ -104,47 +103,54 @@ def _window(times: np.ndarray, t_f: float) -> int:
     return max(int(np.searchsorted(times, t_f, side="right")), 2)
 
 
-def trajectory_quantities(traj: Trajectory, peak: PeakResult | None = None) -> dict[str, float]:
-    """All sweep quantities derivable from one dense trajectory."""
-    peak = peak or find_tf(traj)
-    stop = _window(traj.times, peak.t_f)
-    dt = traj.dt
-    avg_var = time_average(traj.var_battery[:stop], dt)
-    avg_fisher = time_average(traj.fisher_energy[:stop], dt)
-    avg_var_charger = time_average(traj.var_charger[:stop], dt)
+def _window_quantities(
+    times: np.ndarray, peak: PeakResult, energy: np.ndarray, var_battery: np.ndarray,
+    fisher: np.ndarray, avg_var_charger: float, initial_var_charger: float,
+) -> dict[str, float]:
+    """Sweep quantities from series on a uniform time grid and its energy peak;
+    averages run over the window [0, t_f], which is all ``fisher`` must cover."""
+    stop = _window(times, peak.t_f)
+    dt = float(times[1] - times[0])
+    avg_var = time_average(var_battery[:stop], dt)
+    avg_fisher = time_average(fisher[:stop], dt)
     avg_power = peak.energy_max / peak.t_f if peak.t_f > 0 else 0.0
-    out = {
+    idx = int(np.argmin(np.abs(times - peak.t_f)))
+    e_final = energy[idx]
+    rel_std = np.sqrt(max(var_battery[idx], 0.0)) / e_final if e_final > 1e-12 else np.nan
+    return {
         "energy_at_tf": peak.energy_max,
         "avg_power": avg_power,
         "avg_var_battery": avg_var,
         "avg_fisher_energy": avg_fisher,
-        "rel_final_std": _rel_final_std(traj, peak),
+        "rel_final_std": float(rel_std),
         "cos_theta_timeavg": _guarded_ratio(avg_power, avg_var * avg_fisher),
         "cos_theta_timeavg_heis": _guarded_ratio(avg_power, avg_var * 4.0 * avg_var_charger),
-        "initial_var_charger": float(traj.var_charger[0]),
+        "initial_var_charger": initial_var_charger,
         "t_f": peak.t_f,
         "t_f_at_boundary": float(peak.at_boundary),
     }
-    if traj.spec.family == "dicke":
-        idx = min(stop - 1, traj.n_steps - 1)
-        out["final_battery_entropy"] = float(
-            battery_entanglement_entropy(traj.state_at(idx))
-        )
-    return out
-
-
-def _rel_final_std(traj: Trajectory, peak: PeakResult) -> float:
-    idx = int(np.argmin(np.abs(traj.times - peak.t_f)))
-    e_final = traj.energy[idx]
-    if e_final <= 1e-12:
-        return float("nan")
-    return float(np.sqrt(max(traj.var_battery[idx], 0.0)) / e_final)
 
 
 def _guarded_ratio(numerator: float, denom_sq: float) -> float:
     if denom_sq < 1e-24:
         return float("nan")
     return float(numerator / np.sqrt(denom_sq))
+
+
+def trajectory_quantities(traj: Trajectory, peak: PeakResult | None = None) -> dict[str, float]:
+    """All sweep quantities derivable from one dense trajectory."""
+    peak = peak or find_tf(traj)
+    stop = _window(traj.times, peak.t_f)
+    out = _window_quantities(
+        traj.times, peak, traj.energy, traj.var_battery, traj.fisher_energy,
+        time_average(traj.var_charger[:stop], traj.dt), float(traj.var_charger[0]),
+    )
+    if traj.spec.family == "dicke":
+        idx = min(stop - 1, traj.n_steps - 1)
+        out["final_battery_entropy"] = float(
+            battery_entanglement_entropy(traj.state_at(idx))
+        )
+    return out
 
 
 def chain_analytic_quantities(
@@ -155,33 +161,12 @@ def chain_analytic_quantities(
     times = time_grid(spec, lam_t_max, steps)
     series = observables_on_grid(modes, times)
 
-    def energy_at(t: float) -> float:
-        eps, _ = pair_excitations(modes, t)
-        return float(eps.sum())
-
-    peak = find_peak_time(times, series["energy"], energy_at)
-    stop = _window(times, peak.t_f)
-    dt = float(times[1] - times[0])
-    fisher = fisher_energy_series(modes, times[:stop])
-    avg_var = time_average(series["var_battery"][:stop], dt)
-    avg_fisher = time_average(fisher, dt)
-    avg_power = peak.energy_max / peak.t_f if peak.t_f > 0 else 0.0
-    idx = int(np.argmin(np.abs(times - peak.t_f)))
-    e_final = series["energy"][idx]
-    return {
-        "energy_at_tf": peak.energy_max,
-        "avg_power": avg_power,
-        "avg_var_battery": avg_var,
-        "avg_fisher_energy": avg_fisher,
-        "rel_final_std": float(np.sqrt(max(series["var_battery"][idx], 0.0)) / e_final)
-        if e_final > 1e-12
-        else float("nan"),
-        "cos_theta_timeavg": _guarded_ratio(avg_power, avg_var * avg_fisher),
-        "cos_theta_timeavg_heis": _guarded_ratio(avg_power, avg_var * 4.0 * modes.var_charger),
-        "initial_var_charger": modes.var_charger,
-        "t_f": peak.t_f,
-        "t_f_at_boundary": float(peak.at_boundary),
-    }
+    peak = find_peak_time(times, series["energy"], lambda t: analytic_observables(modes, t)[0])
+    fisher = fisher_energy_series(modes, times[: _window(times, peak.t_f)])
+    return _window_quantities(
+        times, peak, series["energy"], series["var_battery"], fisher,
+        modes.var_charger, modes.var_charger,
+    )
 
 
 def quantities_for(
@@ -208,12 +193,12 @@ def sweep_scaling(
     lam_t_max: float | None = None,
     steps: int = DEFAULT_STEPS,
     path: str = "auto",
-    max_workers: int | None = None,
 ) -> tuple[ScalingResult, list[dict[str, float]]]:
     """Evaluate one quantity over an N sweep and fit its scaling exponent.
 
     Returns the fit plus the full per-N quantity dictionaries (one CSV row
-    each).  Sweep entries are independent and evaluated concurrently.
+    each).  Sweep entries are evaluated one after another; the dense ones
+    already spread over the BLAS threads.
     """
     n_values = [int(n) for n in n_values]
     if len(n_values) < 4:
@@ -222,13 +207,7 @@ def sweep_scaling(
         raise ValidationError("sweep N values must be strictly increasing")
     if quantity not in SWEEP_QUANTITIES:
         raise ValidationError(f"unknown sweep quantity {quantity!r}")
-
-    def evaluate(n: int) -> dict[str, float]:
-        spec_n = _respecify(base_spec, n)
-        return quantities_for(spec_n, lam_t_max, steps, path)
-
-    with ThreadPoolExecutor(max_workers=max_workers or min(4, len(n_values))) as pool:
-        rows = list(pool.map(evaluate, n_values))
+    rows = [quantities_for(_respecify(base_spec, n), lam_t_max, steps, path) for n in n_values]
     values = [row[quantity] for row in rows]
     result = fit_exponent(n_values, values, quantity)
     return result, rows

@@ -15,13 +15,20 @@ from qbattery import (
     pair_distribution,
 )
 from qbattery.freefermion import (
+    PAIR_PROBABILITY_FLOOR,
+    TIME_CHUNK,
+    ModeSet,
     fisher_energy_series,
     observables_on_grid,
     pair_excitations,
 )
 from qbattery.verification import chain_oracle_comparison
 
-from oracles import poisson_binomial_enumerated, poisson_binomial_rate_enumerated
+from oracles import (
+    poisson_binomial_enumerated,
+    poisson_binomial_leave_one_out,
+    poisson_binomial_rate_enumerated,
+)
 
 
 class TestDispersion:
@@ -145,13 +152,47 @@ class TestAnalyticFisher:
         assert fisher_energy_analytic(dist) == pytest.approx(closed, rel=1e-12)
 
     def test_series_evaluation(self):
+        # Longer than one time block: the blocks must agree with single times.
         modes = dispersion(chain_spec("xy_nn", 8))
-        times = np.linspace(0.0, 4.0, 9)
+        times = np.linspace(0.0, 4.0, TIME_CHUNK + 9)
         series = fisher_energy_series(modes, times)
-        for i in (1, 4, 8):
-            assert series[i] == pytest.approx(
-                fisher_energy_analytic(pair_distribution(modes, float(times[i]))), rel=1e-12
-            )
+        single = [fisher_energy_analytic(pair_distribution(modes, float(t))) for t in times]
+        np.testing.assert_allclose(series, single, rtol=1e-12, atol=0.0)
+
+
+class TestForwardRecursion:
+    @pytest.mark.parametrize("n", [20, 200, 400])
+    @pytest.mark.parametrize("variant", ["xx_nn", "xy_nn", "xy_pow"])
+    def test_matches_leave_one_out_oracle(self, variant, n):
+        modes = dispersion(chain_spec(variant, n))
+        times = np.linspace(0.3, 9.7, 5)
+        expected = []
+        for t in times:
+            eps, eps_dot = pair_excitations(modes, float(t))
+            p, p_dot = poisson_binomial_leave_one_out(eps / 2, eps_dot / 2)
+            keep = p > PAIR_PROBABILITY_FLOOR
+            expected.append((p_dot[keep] ** 2 / p[keep]).sum())
+        dist = pair_distribution(modes, float(times[-1]))
+        assert np.abs(dist.p - p).max() <= 1e-12 * np.abs(p).max()
+        assert np.abs(dist.p_dot - p_dot).max() <= 1e-12 * np.abs(p_dot).max()
+        np.testing.assert_allclose(fisher_energy_series(modes, times), expected, rtol=1e-12)
+
+    def test_unphysical_pairing_rejected_in_every_block(self):
+        # |sin theta| > 1 pushes the pair occupation above 1 near omega t = pi/2,
+        # which leaves a negative probability; that time sits in the second block.
+        modes = ModeSet(k=np.array([0.3]), omega=np.array([1.0]), sin_theta=np.array([1.01]))
+        times = np.linspace(0.0, 1.0, TIME_CHUNK)
+        assert np.all(np.isfinite(fisher_energy_series(modes, times)))
+        with pytest.raises(ValidationError):
+            fisher_energy_series(modes, np.append(times, np.pi / 2))
+
+    def test_large_chain_obeys_dephasing_bound(self):
+        # I_E <= 4 var(H_C): the energy-space Fisher information never exceeds
+        # the quantum Fisher information of the charging unitary.
+        modes = dispersion(chain_spec("xy_nn", 10_000))
+        fisher = fisher_energy_series(modes, np.array([1.3, 3.7, 6.1]))
+        assert np.all(np.isfinite(fisher)) and np.all(fisher > 0)
+        assert np.all(fisher <= 4.0 * modes.var_charger)
 
 
 class TestDenseEquivalence:
