@@ -5,8 +5,9 @@ The central chain, checked at every trajectory step, is
     P(t)^2 <= var(H_B) * I_E <= (producibility cap) * I_E
 
 together with the Heisenberg comparison P^2 <= 4 var(H_B) var(H_C) and the
-dephasing relation I_E <= 4 var(H_C).  Inequality checks use relative
-tolerance 1e-8 against the right-hand side with an absolute floor of 1e-12.
+dephasing relation I_E <= 4 var(H_C).  Every inequality check in the package
+applies one rule, ``within_tolerance``: lhs <= rhs (1 + 1e-8) + 1e-12.  The
+scalar reports here are the reference for the series certifier in ``verification``.
 """
 
 from __future__ import annotations
@@ -40,35 +41,43 @@ class BoundReport:
         return self.lhs / self.rhs
 
 
+def within_tolerance(lhs, rhs):
+    """The tolerance rule, elementwise on scalars or arrays; NaN fails it."""
+    return lhs <= rhs * (1 + RELATIVE_TOL) + ABSOLUTE_FLOOR
+
+
 def check_inequality(t: float, lhs: float, rhs: float, label: str = "") -> BoundReport:
-    ok = lhs <= rhs * (1 + RELATIVE_TOL) + ABSOLUTE_FLOOR
-    return BoundReport(t=t, lhs=lhs, rhs=rhs, satisfied=bool(ok), label=label)
+    ok = bool(within_tolerance(lhs, rhs))
+    return BoundReport(t=t, lhs=lhs, rhs=rhs, satisfied=ok, label=label)
 
 
-def moment_rate_bound(
-    t: float,
-    level_energies: np.ndarray,
-    p: np.ndarray,
-    p_dot: np.ndarray,
-    m: int,
-    population_floor: float = 0.0,
-) -> BoundReport:
+def moment_rate_bound(t: float, level_energies: np.ndarray, p: np.ndarray, p_dot: np.ndarray, m: int) -> BoundReport:
     """Rate bound for the m-th moment of a levelled observable.
 
     lhs = (d<O^m>/dt)^2 = (sum_k O_k^m pdot_k)^2, rhs = var(O^m) * I_O with
-    var(O^m) = <O^2m> - <O^m>^2 and I_O = sum_k pdot_k^2 / p_k, all evaluated
-    on the same level structure.  The Fisher factor keeps every occupied
-    level (strict p > floor, default all); truncating it weakens the rhs and
-    can break saturated checks.
+    the centered var(O^m) = sum_k p_k (O_k^m - <O^m>)^2 (the raw <O^2m> -
+    <O^m>^2 cancels near a saturated peak) and I_O = sum_k pdot_k^2 / p_k,
+    all evaluated on the same level structure.  The Fisher factor keeps every
+    occupied level (p > 0); truncating it weakens the rhs and can break
+    saturated checks.
     """
     if m < 1:
         raise ValidationError("moment order m must be >= 1")
     powers = level_energies**m
-    rate = float(powers @ p_dot)
-    var_m = float(p @ powers**2 - (p @ powers) ** 2)
-    mask = p > population_floor
-    fisher = float((p_dot[mask] ** 2 / p[mask]).sum())
-    return check_inequality(t, rate**2, var_m * fisher, label=f"moment_rate_m{m}")
+    rate = np.sum(powers * p_dot)
+    var_m = np.sum(p * (powers - np.sum(p * powers)) ** 2)
+    fisher = np.sum(np.divide(p_dot**2, p, out=np.zeros_like(p), where=p > 0.0))
+    return check_inequality(t, float(rate**2), float(var_m * fisher), label=f"moment_rate_m{m}")
+
+
+def moment_rate_series(level_energies: np.ndarray, p: np.ndarray, p_dot: np.ndarray, m: int):
+    """(lhs, rhs) of ``moment_rate_bound`` at every step.  ``p`` and ``p_dot``
+    are C-contiguous (T, L), so each row sums in the scalar function's order."""
+    powers = level_energies**m
+    rate = np.sum(powers * p_dot, axis=1)
+    var_m = np.sum(p * (powers - np.sum(p * powers, axis=1)[:, None]) ** 2, axis=1)
+    fisher = np.sum(np.divide(p_dot**2, p, out=np.zeros_like(p), where=p > 0.0), axis=1)
+    return rate**2, var_m * fisher
 
 
 def fisher_power_bound(t: float, power_value: float, var_battery: float, fisher: float) -> BoundReport:
@@ -115,6 +124,19 @@ def witness_entangled_block_size(var_battery: float, n_cells: int) -> int:
     return n_cells
 
 
+def witness_block_sizes(var_battery: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """``witness_entangled_block_size`` and its producibility cap at every step, by one
+    comparison against the N caps; raises as the scalar does on the first bad variance."""
+    var = np.asarray(var_battery, dtype=float)
+    bad = (var < 0) | (var > n_cells**2 / 4.0 * (1 + WITNESS_PHYSICAL_SLACK))
+    if bad.any():
+        witness_entangled_block_size(float(var[np.argmax(bad)]), n_cells)
+    caps = np.array([producibility_variance_cap(n_cells, k) for k in range(1, n_cells + 1)])
+    admitted = var[:, None] <= caps * (1 + WITNESS_SLACK)
+    k = np.where(admitted.any(axis=1), admitted.argmax(axis=1) + 1, n_cells)
+    return k, caps[k - 1]
+
+
 def entanglement_power_bound(n_cells: int, k: int, fisher: float) -> float:
     """Cap on P^2 for a state with at most k-qubit entanglement.
 
@@ -122,14 +144,6 @@ def entanglement_power_bound(n_cells: int, k: int, fisher: float) -> float:
     (k N / 4) * I_E.
     """
     return producibility_variance_cap(n_cells, k) * fisher
-
-
-def entanglement_power_report(
-    t: float, power_value: float, n_cells: int, k: int, fisher: float
-) -> BoundReport:
-    return check_inequality(
-        t, power_value**2, entanglement_power_bound(n_cells, k, fisher), label="entanglement_power"
-    )
 
 
 def dephasing_fisher_report(t: float, fisher_energy: float, var_charger: float) -> BoundReport:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import ABSOLUTE_FLOOR, within_tolerance
 from .errors import ValidationError
 from .linalg import LEVEL_REL_TOL, HermitianOperator, eigendecompose
 
@@ -170,17 +171,15 @@ def capacity_at_entropy(op: HermitianOperator, s_bits: float) -> float:
 
 
 def energy_amplitude_check(
-    stored_energy_series: np.ndarray,
-    battery: HermitianOperator,
-    initial_energy: float,
-    rel_tol: float = 1e-8,
+    stored_energy_series: np.ndarray, battery: HermitianOperator, initial_energy: float
 ) -> EnergyAmplitudeReport:
     """Check a pure-state trajectory against the zero-entropy diagram caps.
 
     ``stored_energy_series`` is E(t) relative to the initial state, whose
     absolute battery energy is ``initial_energy``.  The storage cap is
-    E_top - E(0), the extraction cap E(0) - E_bottom, and the reported
-    fraction is the stored maximum over the storage cap.
+    E_top - E(0), the extraction cap E(0) - E_bottom, both checked under
+    ``bounds.within_tolerance``, and the reported fraction is the stored
+    maximum over the storage cap.
     """
     battery = eigendecompose(battery)
     series = np.asarray(stored_energy_series, dtype=float)
@@ -188,11 +187,8 @@ def energy_amplitude_check(
     extracted_max = float(-series.min(initial=0.0))
     storage_cap = float(battery.eigenvalues[-1] - initial_energy)
     extraction_cap = float(initial_energy - battery.eigenvalues[0])
-    ok = (
-        stored_max <= storage_cap * (1 + rel_tol) + 1e-12
-        and extracted_max <= extraction_cap * (1 + rel_tol) + 1e-12
-    )
-    fraction = stored_max / storage_cap if storage_cap > 1e-12 else float("nan")
+    ok = within_tolerance(stored_max, storage_cap) and within_tolerance(extracted_max, extraction_cap)
+    fraction = stored_max / storage_cap if storage_cap > ABSOLUTE_FLOOR else float("nan")
     return EnergyAmplitudeReport(
         stored_max=stored_max,
         storage_cap=storage_cap,

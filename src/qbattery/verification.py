@@ -1,7 +1,7 @@
-"""Certification of trajectories against every implemented inequality, the
-closed-form benchmark table for the three reference chargers, and the
-numerical oracle cross-checks behind the ``validate`` command.
-"""
+"""Certification of trajectories against every implemented inequality, one
+column-wise certifier for in-memory runs and emitted CSVs, the closed-form
+benchmark table for the three reference chargers, and the numerical oracle
+cross-checks behind the ``validate`` command."""
 
 from __future__ import annotations
 
@@ -31,34 +31,88 @@ class Violation:
     rhs: float
 
 
+# Every inequality as (lhs, rhs) over named trajectory columns; in memory I_E
+# is the untruncated Fisher sum.  The CSV path has no rates or N, so it cannot
+# re-check the moment-rate or producibility bounds, and its I_E column is
+# floored (a lower bound), so it checks the power bounds from the emitted
+# ratio columns, with rhs = P^2 / ratio.
+INEQUALITIES = {
+    "fisher_power": lambda c: (c["P"] ** 2, c["var_HB"] * c["I_E"]),
+    "fisher_power_ratio": lambda c: (c["P"] ** 2, c["P"] ** 2 / c["bound_ratio_cor1"]),
+    "moment_rate_m1": lambda c: bounds.moment_rate_series(c["levels"], c["p"], c["p_dot"], 1),
+    "moment_rate_m2": lambda c: bounds.moment_rate_series(c["levels"], c["p"], c["p_dot"], 2),
+    "heisenberg_power": lambda c: (c["P"] ** 2, 4.0 * c["var_HB"] * c["var_HC"]),
+    "heisenberg_ratio": lambda c: (c["P"] ** 2, c["P"] ** 2 / c["bound_ratio_heis"]),
+    "dephasing_fisher": lambda c: (c["I_E"], 4.0 * c["var_HC"]),
+    "fisher_vs_state": lambda c: (c["I_E"], c["I_Q"]),
+    "entanglement_power": lambda c: (c["P"] ** 2, c["producibility_cap"] * c["I_E"]),
+    "cos_theta_range": lambda c: (np.abs(c["cos_theta_P"]), np.full_like(c["t"], 1.0 + 1e-6)),
+}
+MEMORY_BOUNDS = ("fisher_power", "moment_rate_m1", "moment_rate_m2", "heisenberg_power",
+                 "dephasing_fisher", "fisher_vs_state", "entanglement_power")
+CSV_BOUNDS = ("fisher_power_ratio", "heisenberg_ratio", "heisenberg_power",
+              "dephasing_fisher", "fisher_vs_state", "cos_theta_range")
+
+
 @dataclass
 class CertificationReport:
-    """Outcome of checking one trajectory against all inequalities."""
+    """Outcome of checking trajectory columns: per inequality its violated steps
+    (``masks``), its check and violation counts and its worst ratio, the largest
+    finite lhs / rhs with rhs >= ABSOLUTE_FLOOR or 0 (``per_bound``).  The
+    amplitude and witness are known only in memory."""
 
     n_steps: int
     n_checks: int
-    violations: list[Violation]
-    amplitude: EnergyAmplitudeReport
-    max_ratio_fisher_power: float
-    max_ratio_heisenberg: float
-    witness_block_max: int
+    violations: list[Violation]  # ordered by step, then by inequality
+    masks: dict[str, np.ndarray]
+    per_bound: dict[str, dict]
+    amplitude: EnergyAmplitudeReport | None = None
+    witness_block_max: int | None = None
 
     @property
     def ok(self) -> bool:
-        return not self.violations and self.amplitude.satisfied
+        return not self.violations and (self.amplitude is None or self.amplitude.satisfied)
+
+    @property
+    def max_ratio_fisher_power(self) -> float:
+        return self.per_bound["fisher_power"]["worst_ratio"]
+
+    @property
+    def max_ratio_heisenberg(self) -> float:
+        return self.per_bound["heisenberg_power"]["worst_ratio"]
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "n_steps": self.n_steps,
-            "n_checks": self.n_checks,
-            "violations": [asdict(v) for v in self.violations],
-            "stored_fraction": self.amplitude.stored_fraction,
-            "amplitude_satisfied": self.amplitude.satisfied,
-            "max_ratio_fisher_power": self.max_ratio_fisher_power,
-            "max_ratio_heisenberg": self.max_ratio_heisenberg,
-            "witness_block_max": self.witness_block_max,
-        }
+        out = {"ok": self.ok, "n_steps": self.n_steps, "n_checks": self.n_checks,
+               "violations": [asdict(v) for v in self.violations], "bounds": self.per_bound}
+        if self.amplitude is not None:
+            out.update(stored_fraction=self.amplitude.stored_fraction,
+                       amplitude_satisfied=self.amplitude.satisfied,
+                       max_ratio_fisher_power=self.max_ratio_fisher_power,
+                       max_ratio_heisenberg=self.max_ratio_heisenberg,
+                       witness_block_max=self.witness_block_max)
+        return out
+
+
+def certify_series(
+    columns: dict[str, np.ndarray], labels: tuple[str, ...], undefined_fails: bool
+) -> CertificationReport:
+    """Check each labelled inequality at every step under bounds.within_tolerance.
+    A NaN on either side is a violation with ``undefined_fails`` (computed
+    series), else a skipped, uncounted step (an empty CSV field)."""
+    t = columns["t"]
+    masks, per_bound, found = {}, {}, []
+    for j, label in enumerate(labels):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lhs, rhs = INEQUALITIES[label](columns)
+        defined = np.ones(len(t), bool) if undefined_fails else ~(np.isnan(lhs) | np.isnan(rhs))
+        masks[label] = bad = defined & ~bounds.within_tolerance(lhs, rhs)
+        found += [(i, j, Violation(label, float(t[i]), float(lhs[i]), float(rhs[i])))
+                  for i in np.flatnonzero(bad)]
+        ratios = lhs[rhs >= bounds.ABSOLUTE_FLOOR] / rhs[rhs >= bounds.ABSOLUTE_FLOOR]
+        worst = float(ratios[np.isfinite(ratios)].max(initial=0.0))
+        per_bound[label] = {"checks": int(defined.sum()), "violations": int(bad.sum()), "worst_ratio": worst}
+    n_checks = sum(b["checks"] for b in per_bound.values())
+    return CertificationReport(len(t), n_checks, [v for *_, v in sorted(found)], masks, per_bound)
 
 
 def certify_trajectory(traj: Trajectory) -> CertificationReport:
@@ -67,60 +121,20 @@ def certify_trajectory(traj: Trajectory) -> CertificationReport:
     Per step: the power bound P^2 <= var(H_B) I_E, the moment-rate bounds for
     m = 1 and m = 2, the Heisenberg comparison, the dephasing relation
     I_E <= 4 var(H_C), I_E <= I_Q, and the producibility power cap with the
-    block size certified from the same state's variance.  The stored-energy
-    amplitude is checked against the zero-entropy diagram caps once.
+    block size certified from the same state's variance, all as whole columns.
+    The stored-energy amplitude is checked against the diagram caps once.
     """
-    n = traj.spec.n_cells
-    energies = traj.levels.energies
-    violations: list[Violation] = []
-    n_checks = 0
-    max_ratio_cor1 = 0.0
-    max_ratio_heis = 0.0
-    witness_max = 1
-
-    def record(report: bounds.BoundReport):
-        nonlocal n_checks
-        n_checks += 1
-        if not report.satisfied:
-            violations.append(
-                Violation(report.label, report.t, report.lhs, report.rhs)
-            )
-
-    for i in range(traj.n_steps):
-        t = float(traj.times[i])
-        p = traj.populations[:, i]
-        p_dot = traj.population_rates[:, i]
-        pw = float(traj.power[i])
-        var_b = float(traj.var_battery[i])
-        var_c = float(traj.var_charger[i])
-        fisher = float(traj.fisher_energy_full[i])
-
-        cor1 = bounds.fisher_power_bound(t, pw, var_b, fisher)
-        record(cor1)
-        if np.isfinite(cor1.ratio):
-            max_ratio_cor1 = max(max_ratio_cor1, cor1.ratio)
-        record(bounds.moment_rate_bound(t, energies, p, p_dot, 1))
-        record(bounds.moment_rate_bound(t, energies, p, p_dot, 2))
-        heis = bounds.heisenberg_power_bound(t, pw, var_b, var_c)
-        record(heis)
-        if np.isfinite(heis.ratio):
-            max_ratio_heis = max(max_ratio_heis, heis.ratio)
-        record(bounds.dephasing_fisher_report(t, fisher, var_c))
-        record(bounds.check_inequality(t, fisher, float(traj.fisher_state[i]), "fisher_vs_state"))
-        k = bounds.witness_entangled_block_size(var_b, n)
-        witness_max = max(witness_max, k)
-        record(bounds.entanglement_power_report(t, pw, n, k, fisher))
-
-    amplitude = energy_amplitude_check(traj.energy, traj.battery, traj.initial_energy)
-    return CertificationReport(
-        n_steps=traj.n_steps,
-        n_checks=n_checks,
-        violations=violations,
-        amplitude=amplitude,
-        max_ratio_fisher_power=max_ratio_cor1,
-        max_ratio_heisenberg=max_ratio_heis,
-        witness_block_max=witness_max,
-    )
+    k, cap = bounds.witness_block_sizes(traj.var_battery, traj.spec.n_cells)
+    columns = {
+        "t": traj.times, "P": traj.power, "var_HB": traj.var_battery, "var_HC": traj.var_charger,
+        "I_E": traj.fisher_energy_full, "I_Q": traj.fisher_state, "producibility_cap": cap,
+        "levels": traj.levels.energies, "p": np.ascontiguousarray(traj.populations.T),
+        "p_dot": np.ascontiguousarray(traj.population_rates.T),
+    }
+    report = certify_series(columns, MEMORY_BOUNDS, undefined_fails=True)
+    report.amplitude = energy_amplitude_check(traj.energy, traj.battery, traj.initial_energy)
+    report.witness_block_max = int(k.max())
+    return report
 
 
 # ---------------------------------------------------------------------------

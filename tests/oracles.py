@@ -87,3 +87,35 @@ def shannon_bits(p: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
     p = p[p > 0]
     return float(-(p * np.log2(p)).sum())
+
+
+def certify_stepwise(traj):
+    """The in-memory inequality set, one scalar ``bounds`` report per step and
+    inequality, in a plain loop: the reference for the series certifier.
+
+    Returns the reports of every step and the witness block size of every step.
+    """
+    from qbattery import bounds
+
+    n = traj.spec.n_cells
+    energies = traj.levels.energies
+    reports, ks = [], []
+    for i in range(traj.n_steps):
+        t = float(traj.times[i])
+        p, p_dot = traj.populations[:, i], traj.population_rates[:, i]
+        pw, var_b = float(traj.power[i]), float(traj.var_battery[i])
+        var_c, fisher = float(traj.var_charger[i]), float(traj.fisher_energy_full[i])
+        k = bounds.witness_entangled_block_size(var_b, n)
+        ks.append(k)
+        reports += [
+            bounds.fisher_power_bound(t, pw, var_b, fisher),
+            bounds.moment_rate_bound(t, energies, p, p_dot, 1),
+            bounds.moment_rate_bound(t, energies, p, p_dot, 2),
+            bounds.heisenberg_power_bound(t, pw, var_b, var_c),
+            bounds.dephasing_fisher_report(t, fisher, var_c),
+            bounds.check_inequality(t, fisher, float(traj.fisher_state[i]), "fisher_vs_state"),
+            bounds.check_inequality(
+                t, pw**2, bounds.entanglement_power_bound(n, k, fisher), "entanglement_power"
+            ),
+        ]
+    return reports, ks

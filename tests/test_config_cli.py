@@ -129,7 +129,39 @@ class TestCli:
         assert ",p_0," in header + ","
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["certification_ok"] is True
+        assert set(summary) == {
+            "model", "N", "lam", "t_f", "t_f_at_boundary", "E_max", "stored_fraction",
+            "witness_block_max", "max_ratio_fisher_power", "max_ratio_heisenberg",
+            "certification_ok", "n_violations",
+        }
         assert self.run("certify", str(csv_path)) == 0
+
+    def test_certify_payload_reports_each_bound(self, tmp_path, capsys):
+        self.run("simulate", self.scenario(tmp_path))
+        capsys.readouterr()
+        assert self.run("certify", str(tmp_path / "out" / "trajectory.csv")) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is True and payload["n_steps"] == 120
+        assert sorted(payload["bounds"]) == sorted([
+            "fisher_power_ratio", "heisenberg_ratio", "heisenberg_power",
+            "dephasing_fisher", "fisher_vs_state", "cos_theta_range",
+        ])
+        assert payload["n_checks"] == sum(b["checks"] for b in payload["bounds"].values())
+        assert payload["bounds"]["heisenberg_power"]["checks"] == 120
+        assert payload["bounds"]["fisher_power_ratio"]["worst_ratio"] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "name,lam", [("hybrid_n8", 0.9739910333096159), ("parallel_n8", 0.9268728488224802)]
+    )
+    def test_saturated_chargers_certify_at_rescaled_coupling(self, tmp_path, name, lam):
+        # Near the energy peak both sides of the power bound vanish; the CSV
+        # path once flagged ratio 1.0000000122 at rhs ~ 6e-6 (hybrid) and the
+        # in-memory path a raw-variance moment_rate_m2 excess (parallel).
+        raw = json.loads(Path(f"configs/{name}.json").read_text())
+        raw["model"]["lam"] = lam
+        raw["outputs"] = {"directory": str(tmp_path / "out")}
+        assert self.run("simulate", write_json(tmp_path / "scenario.json", raw)) == 0
+        assert self.run("certify", str(tmp_path / "out" / "trajectory.csv")) == 0
 
     def test_certify_flags_corruption(self, tmp_path, capsys):
         cfg = self.scenario(tmp_path)
