@@ -8,6 +8,7 @@ instead of silently falling back to defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -216,13 +217,25 @@ def parse_capacity(raw: dict) -> CapacityConfig:
     )
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} overflows to {value}")
+    return value
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
 def load_json(path: str | Path) -> dict:
+    """Parse a config file; NaN, Infinity and overflowing numbers are rejected."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_float=_finite_float, parse_constant=_reject_constant)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError or a non-finite number
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 

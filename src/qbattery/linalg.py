@@ -57,6 +57,16 @@ class Basis:
         return (self.n_cells + 1) * (self.n_max + 1)
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{what} has non-finite entries")
+
+
+def _is_diagonal(mat: np.ndarray) -> bool:
+    """Exactly diagonal test in one pass with no dense temporary."""
+    return np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """Dense Hermitian matrix with an optional cached eigendecomposition.
@@ -80,7 +90,16 @@ class HermitianOperator:
             raise ValidationError(
                 f"matrix dim {mat.shape[0]} does not match basis dim {self.basis.dim}"
             )
-        dev = np.abs(mat - mat.conj().T).max()
+        if _is_diagonal(mat):
+            # Off-diagonal entries are exact zeros (NaN counts as nonzero).  A
+            # diagonal matrix is Hermitian iff its diagonal is real; this is
+            # |mat - mat^H| without the two dense temporaries.
+            diag = np.diagonal(mat)
+            _require_finite(diag, "matrix")
+            dev = 2.0 * np.abs(diag.imag).max()
+        else:
+            _require_finite(mat, "matrix")
+            dev = np.abs(mat - mat.conj().T).max()
         if dev > HERMITICITY_ATOL:
             raise ValidationError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         if (self.eigenvalues is None) != (self.eigenvectors is None):
@@ -116,6 +135,7 @@ class StateVector:
             raise ValidationError(
                 f"state dim {amp.shape[0]} does not match basis dim {self.basis.dim}"
             )
+        _require_finite(amp, "state")
         nrm = np.vdot(amp, amp).real
         if abs(nrm - 1.0) > NORM_ATOL:
             raise ValidationError(f"state norm^2 = {nrm!r} deviates from 1")
@@ -145,6 +165,7 @@ class DensityMatrix:
             raise ValidationError(
                 f"matrix dim {mat.shape[0]} does not match basis dim {self.basis.dim}"
             )
+        _require_finite(mat, "density matrix")
         if np.abs(mat - mat.conj().T).max() > HERMITICITY_ATOL:
             raise ValidationError("density matrix is not Hermitian")
         tr = np.trace(mat).real
@@ -195,23 +216,37 @@ class LevelStructure:
         ]
 
 
-def _diagonal_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Exactly diagonal input: sort the diagonal and permute identity columns.
-    # Keeps model spectra (integer ladders) exact instead of LAPACK-approximate.
-    diag = np.real(np.diagonal(mat))
-    order = np.argsort(diag, kind="stable")
-    vecs = np.zeros(mat.shape, dtype=complex)
-    vecs[order, np.arange(mat.shape[0])] = 1.0
-    return diag[order], vecs
+def _diagonal_order(mat: np.ndarray) -> np.ndarray:
+    return np.argsort(np.real(np.diagonal(mat)), kind="stable")
+
+
+def diagonal_order(op: HermitianOperator) -> np.ndarray:
+    """Stable ascending order of an exactly diagonal operator's diagonal.
+
+    :func:`eigendecompose` gives such an operator the eigenvalues
+    ``diag[order]`` and the unit eigenvectors ``e_order[k]``, so
+    ``eigenvectors.conj().T @ x`` equals the row gather ``x[order]`` bit for
+    bit.
+    """
+    if not _is_diagonal(op.matrix):
+        raise ValidationError("operator is not exactly diagonal")
+    return _diagonal_order(op.matrix)
 
 
 def eigendecompose(op: HermitianOperator) -> HermitianOperator:
-    """Return a copy of ``op`` with ascending eigenvalues and orthonormal columns."""
+    """Return a copy of ``op`` with ascending eigenvalues and orthonormal columns.
+
+    An exactly diagonal matrix is sorted instead of handed to LAPACK, which
+    keeps model spectra (integer ladders) exact.
+    """
     if op.has_eig:
         return op
     mat = op.matrix
-    if np.count_nonzero(mat - np.diag(np.diagonal(mat))) == 0:
-        vals, vecs = _diagonal_eig(mat)
+    if _is_diagonal(mat):
+        order = _diagonal_order(mat)
+        vals = np.real(np.diagonal(mat))[order]
+        vecs = np.zeros(mat.shape, dtype=complex)
+        vecs[order, np.arange(mat.shape[0])] = 1.0
     else:
         vals, vecs = np.linalg.eigh(mat)
     return replace(op, eigenvalues=vals, eigenvectors=vecs)

@@ -10,7 +10,6 @@ ordering (sigma_z = diag(-1, +1)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -118,9 +117,21 @@ def chain_spec(variant: str, n_cells: int, momentum_sector: str = "antiperiodic_
     )
 
 
-def _site_operator(n_cells: int, factors: dict[int, np.ndarray]) -> np.ndarray:
-    ops = [factors.get(site, IDENTITY_2) for site in range(n_cells)]
-    return reduce(np.kron, ops)
+def _site_values(n_cells: int, site: int) -> np.ndarray:
+    """Occupation (0 ground, 1 excited) of one cell for every basis index.
+
+    Cell j is bit N-1-j of the index, the order of a Kronecker product
+    whose first factor is cell 0.
+    """
+    return (np.arange(2**n_cells) >> (n_cells - 1 - site)) & 1
+
+
+def _place_flips(mat: np.ndarray, n_cells: int, cells, values) -> None:
+    """Add ``values`` at <idx ^ mask| . |idx> for every basis index idx, where
+    ``mask`` flips the bits of ``cells``."""
+    mask = sum(1 << (n_cells - 1 - site) for site in set(cells))
+    idx = np.arange(mat.shape[0])
+    mat[idx ^ mask, idx] += values
 
 
 def build_battery(n_cells: int) -> HermitianOperator:
@@ -137,20 +148,26 @@ def build_battery(n_cells: int) -> HermitianOperator:
 
 def excitation_counts(n_cells: int) -> np.ndarray:
     """Number of excited cells for each computational basis index."""
-    idx = np.arange(2**n_cells, dtype=np.uint64)
     counts = np.zeros(2**n_cells, dtype=float)
-    for bit in range(n_cells):
-        counts += (idx >> np.uint64(bit)) & np.uint64(1)
+    for site in range(n_cells):
+        counts += _site_values(n_cells, site)
     return counts
 
 
 def battery_cell_terms(n_cells: int) -> list[np.ndarray]:
     """The N single-cell terms of the battery Hamiltonian as full-dim matrices."""
-    return [0.5 * _site_operator(n_cells, {j: SIGMA_Z}) for j in range(n_cells)]
+    return [
+        np.diag(np.where(_site_values(n_cells, j) == 1, 0.5, -0.5).astype(complex))
+        for j in range(n_cells)
+    ]
 
 
 def build_charger_paradigmatic(spec: ModelSpec) -> HermitianOperator:
-    """Parallel, global, or hybrid product-of-sigma_x charger."""
+    """Parallel, global, or hybrid product-of-sigma_x charger.
+
+    Each product of sigma_x over a set of cells flips those cells' bits, so
+    it is a permutation matrix with entry 1 at <idx ^ mask| . |idx>.
+    """
     if spec.family not in PARADIGMATIC_FAMILIES:
         raise ValidationError(f"{spec.family!r} is not a paradigmatic family")
     n = spec.n_cells
@@ -158,17 +175,16 @@ def build_charger_paradigmatic(spec: ModelSpec) -> HermitianOperator:
         raise CapacityLimitError(
             f"qubit-chain charger capped at N = {MAX_QUBITS_BATTERY}; got N = {n}"
         )
-    basis = Basis("qubit_chain", n)
     if spec.family == "parallel":
-        mat = sum(_site_operator(n, {j: SIGMA_X}) for j in range(n))
+        blocks = [[j] for j in range(n)]
     elif spec.family == "global":
-        mat = _site_operator(n, {j: SIGMA_X for j in range(n)})
+        blocks = [range(n)]
     else:
-        mat = sum(
-            _site_operator(n, {block * spec.r + i: SIGMA_X for i in range(spec.r)})
-            for block in range(spec.q)
-        )
-    return HermitianOperator(spec.lam * mat, basis)
+        blocks = [range(block * spec.r, (block + 1) * spec.r) for block in range(spec.q)]
+    mat = np.zeros((2**n, 2**n), dtype=complex)
+    for cells in blocks:
+        _place_flips(mat, n, cells, spec.lam)
+    return HermitianOperator(mat, Basis("qubit_chain", n))
 
 
 def build_jw_chain(spec: ModelSpec) -> HermitianOperator:
@@ -176,7 +192,11 @@ def build_jw_chain(spec: ModelSpec) -> HermitianOperator:
 
     H = H_B + (1/2) sum_{j, m} [(lambda_m + gamma_m) X_j Z...Z X_{j+m}
                                + (lambda_m - gamma_m) Y_j Z...Z Y_{j+m}]
-    with site indices mod N.
+    with site indices mod N.  Both products flip the bits of sites j and
+    j+m; the Z string contributes (-1)^(ground cells on the string), and
+    Y_j Y_{j+m} equals -X_j X_{j+m} where the two flipped bits are equal and
+    +X_j X_{j+m} where they differ.  Terms are added in the order (m, j, XX,
+    YY), so entries that several terms share sum in a fixed order.
     """
     if spec.family != "jw_chain":
         raise ValidationError("build_jw_chain needs a jw_chain spec")
@@ -187,16 +207,18 @@ def build_jw_chain(spec: ModelSpec) -> HermitianOperator:
         )
     if len(spec.lambdas) >= n:
         raise ValidationError("coupling range m must stay below N")
-    mat = build_battery(n).matrix.copy()
+    mat = np.diag((excitation_counts(n) - n / 2).astype(complex))
+    occupation = [_site_values(n, site) for site in range(n)]
     for m, (lam_m, gam_m) in enumerate(zip(spec.lambdas, spec.gammas), start=1):
         if lam_m == 0.0 and gam_m == 0.0:
             continue
         for j in range(n):
-            string = {(j + step) % n: SIGMA_Z for step in range(1, m)}
-            xx = {**string, j: SIGMA_X, (j + m) % n: SIGMA_X}
-            yy = {**string, j: SIGMA_Y, (j + m) % n: SIGMA_Y}
-            mat = mat + 0.5 * (lam_m + gam_m) * _site_operator(n, xx)
-            mat = mat + 0.5 * (lam_m - gam_m) * _site_operator(n, yy)
+            k = (j + m) % n
+            ground_on_string = sum(1 - occupation[(j + step) % n] for step in range(1, m))
+            sign = np.where(ground_on_string % 2 == 0, 1.0, -1.0)
+            yy_sign = np.where(occupation[j] == occupation[k], -1.0, 1.0)
+            _place_flips(mat, n, (j, k), 0.5 * (lam_m + gam_m) * sign)
+            _place_flips(mat, n, (j, k), 0.5 * (lam_m - gam_m) * sign * yy_sign)
     return HermitianOperator(mat, Basis("qubit_chain", n))
 
 

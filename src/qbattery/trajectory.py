@@ -19,6 +19,7 @@ from .linalg import (
     HermitianOperator,
     LevelStructure,
     StateVector,
+    diagonal_order,
     eigendecompose,
     evolve,
     evolve_batch,
@@ -58,6 +59,7 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (dim, T), column per grid time
     battery: HermitianOperator
+    battery_order: np.ndarray  # battery eigenbasis as a row gather: V_B^H x == x[battery_order]
     charger: HermitianOperator
     levels: LevelStructure
     psi0: StateVector
@@ -115,7 +117,7 @@ class Trajectory:
     def stored_energy_at(self, t: float) -> float:
         """Exact stored energy at an arbitrary (off-grid) time."""
         psi = evolve(self.charger, self.psi0, t)
-        overlaps = self.battery.eigenvectors.conj().T @ psi.amplitudes
+        overlaps = psi.amplitudes[self.battery_order]
         return float(np.abs(overlaps) ** 2 @ self.battery.eigenvalues - self.initial_energy)
 
 
@@ -144,8 +146,11 @@ def _run_fixed(spec: ModelSpec, times: np.ndarray, level_rel_tol: float, n_max: 
     psi0 = initial_state(spec, n_max)
     states = evolve_batch(charger, psi0, times)
 
-    overlaps = battery.eigenvectors.conj().T @ states
-    driven = battery.eigenvectors.conj().T @ (charger.matrix @ states)
+    # Every battery is diagonal in its own basis: its eigenbasis is a row
+    # gather in eigenvalue order, not a permutation-matrix product.
+    order = diagonal_order(battery)
+    overlaps = states[order]
+    driven = (charger.matrix @ states)[order]
     starts = levels.starts[:-1]
     populations = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
     rates = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
@@ -157,9 +162,10 @@ def _run_fixed(spec: ModelSpec, times: np.ndarray, level_rel_tol: float, n_max: 
     power = e_levels @ rates
     var_battery = e_levels**2 @ populations - energy_abs**2
 
-    charger_weights = np.abs(charger.eigenvectors.conj().T @ states) ** 2
+    # H_C is conserved, so its eigenbasis weights are those of psi0 at all times.
+    charger_weights = np.abs(charger.eigenvectors.conj().T @ psi0.amplitudes) ** 2
     mean_c = charger.eigenvalues @ charger_weights
-    var_charger = charger.eigenvalues**2 @ charger_weights - mean_c**2
+    var_charger = np.full(len(times), charger_weights @ (charger.eigenvalues - mean_c) ** 2)
 
     masked = np.where(populations > POPULATION_FLOOR, populations, np.inf)
     fisher_energy = (rates**2 / masked).sum(axis=0)
@@ -181,6 +187,7 @@ def _run_fixed(spec: ModelSpec, times: np.ndarray, level_rel_tol: float, n_max: 
         times=times,
         states=states,
         battery=battery,
+        battery_order=order,
         charger=charger,
         levels=levels,
         psi0=psi0,
@@ -190,7 +197,7 @@ def _run_fixed(spec: ModelSpec, times: np.ndarray, level_rel_tol: float, n_max: 
         energy=energy,
         power=power,
         var_battery=np.maximum(var_battery, 0.0),
-        var_charger=np.maximum(var_charger, 0.0),
+        var_charger=var_charger,
         fisher_energy=fisher_energy,
         fisher_energy_full=fisher_energy_full,
         fisher_state=fisher_state,

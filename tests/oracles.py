@@ -6,10 +6,48 @@ analytic rates, so the oracle shares no code path with what it checks.
 """
 
 import itertools
+from functools import reduce
 
 import numpy as np
 
-from qbattery import Basis, DensityMatrix
+from qbattery import Basis, DensityMatrix, evolve
+from qbattery.models import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+
+
+def site_operator(n_cells: int, factors: dict[int, np.ndarray]) -> np.ndarray:
+    """Kronecker product over the chain, cell 0 first, identity where unset."""
+    ops = [factors.get(site, IDENTITY_2) for site in range(n_cells)]
+    return reduce(np.kron, ops)
+
+
+def paradigmatic_charger_kron(family: str, n_cells: int, lam: float, q=None, r=None) -> np.ndarray:
+    """Parallel, global or hybrid charger summed from sigma_x Kronecker chains."""
+    n = n_cells
+    if family == "parallel":
+        mat = sum(site_operator(n, {j: SIGMA_X}) for j in range(n))
+    elif family == "global":
+        mat = site_operator(n, {j: SIGMA_X for j in range(n)})
+    else:
+        mat = sum(
+            site_operator(n, {block * r + i: SIGMA_X for i in range(r)}) for block in range(q)
+        )
+    return lam * mat
+
+
+def jw_chain_kron(n_cells: int, lambdas, gammas) -> np.ndarray:
+    """Periodic string-coupled chain summed term by term from Pauli Kronecker chains."""
+    n = n_cells
+    mat = sum(0.5 * site_operator(n, {j: SIGMA_Z}) for j in range(n))
+    for m, (lam_m, gam_m) in enumerate(zip(lambdas, gammas), start=1):
+        if lam_m == 0.0 and gam_m == 0.0:
+            continue
+        for j in range(n):
+            string = {(j + step) % n: SIGMA_Z for step in range(1, m)}
+            xx = {**string, j: SIGMA_X, (j + m) % n: SIGMA_X}
+            yy = {**string, j: SIGMA_Y, (j + m) % n: SIGMA_Y}
+            mat = mat + 0.5 * (lam_m + gam_m) * site_operator(n, xx)
+            mat = mat + 0.5 * (lam_m - gam_m) * site_operator(n, yy)
+    return mat
 
 
 def poisson_binomial_enumerated(q: np.ndarray) -> np.ndarray:
@@ -119,3 +157,29 @@ def certify_stepwise(traj):
             ),
         ]
     return reports, ks
+
+
+def permutation_run_path(traj):
+    """Populations, rates and charger variance of a trajectory's states, with
+    the battery eigenbasis applied as a permutation-matrix product and the
+    charger weights taken afresh at every time (the raw second moment minus
+    the squared mean): the reference for the row gather and the conserved
+    psi0 weights of ``trajectory``.
+    """
+    battery, charger, states = traj.battery, traj.charger, traj.states
+    overlaps = battery.eigenvectors.conj().T @ states
+    driven = battery.eigenvectors.conj().T @ (charger.matrix @ states)
+    starts = traj.levels.starts[:-1]
+    populations = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
+    rates = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
+    weights = np.abs(charger.eigenvectors.conj().T @ states) ** 2
+    mean_c = charger.eigenvalues @ weights
+    var_charger = charger.eigenvalues**2 @ weights - mean_c**2
+    return populations, rates, var_charger
+
+
+def stored_energy_by_permutation(traj, t: float) -> float:
+    """Off-grid stored energy with the battery eigenbasis as a matrix product."""
+    psi = evolve(traj.charger, traj.psi0, t)
+    overlaps = traj.battery.eigenvectors.conj().T @ psi.amplitudes
+    return float(np.abs(overlaps) ** 2 @ traj.battery.eigenvalues - traj.initial_energy)

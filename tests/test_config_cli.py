@@ -187,6 +187,14 @@ class TestCli:
         cfg = write_json(tmp_path / "bad.json", {"model": {"family": "nope", "N": 2}})
         assert self.run("simulate", cfg) == 2
 
+    @pytest.mark.parametrize("lam", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, lam):
+        # Written as text: json.dumps cannot produce the overflowing literal 1e400.
+        cfg = tmp_path / "nonfinite.json"
+        cfg.write_text('{"model": {"family": "lmg", "N": 6, "lam": %s}}' % lam)
+        assert self.run("simulate", str(cfg)) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
     def test_model_limit_exit_code(self, tmp_path):
         cfg = self.scenario(tmp_path, model={"family": "parallel", "N": 20})
         assert self.run("simulate", cfg) == 2

@@ -234,6 +234,21 @@ class TestTypeInvariants:
         with pytest.raises(ValidationError):
             DensityMatrix(np.eye(2, dtype=complex), B2)
 
+    def test_diagonal_with_imaginary_entry_is_not_hermitian(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            op2(np.diag([1, 1j]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            op2(np.diag([bad, 1.0]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            op2(np.array([[0.0, bad], [np.conj(bad), 0.0]]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            StateVector(np.array([bad, 0.0]), B2)
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityMatrix(np.diag([bad, 0.0]).astype(complex), B2)
+
     def test_basis_dims(self):
         assert Basis("qubit_chain", 3).dim == 8
         assert Basis("collective_spin", 5).dim == 6

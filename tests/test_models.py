@@ -19,13 +19,16 @@ from qbattery import (
 )
 from qbattery.freefermion import dispersion
 from qbattery.models import (
+    CHAIN_VARIANTS,
     SIGMA_X,
-    _site_operator,
+    SIGMA_Z,
     battery_cell_terms,
     cyclic_shift,
     collective_spin_operators,
     power_law_couplings,
 )
+
+from oracles import jw_chain_kron, paradigmatic_charger_kron, site_operator
 
 
 def hermitian_deviation(mat):
@@ -52,6 +55,42 @@ class TestBattery:
     def test_cell_terms_sum_to_battery(self):
         total = sum(battery_cell_terms(3))
         assert np.allclose(total, build_battery(3).matrix)
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_cell_terms_match_kron(self, n):
+        for j, term in enumerate(battery_cell_terms(n)):
+            assert np.array_equal(term, 0.5 * site_operator(n, {j: SIGMA_Z}))
+
+
+class TestBitBuildersMatchKron:
+    """The bit-built qubit operators equal the Kronecker-chain sums entry for entry."""
+
+    @pytest.mark.parametrize("variant", CHAIN_VARIANTS)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_chain_variants(self, variant, n):
+        spec = chain_spec(variant, n)
+        built = build_jw_chain(spec).matrix
+        assert np.array_equal(built, jw_chain_kron(n, spec.lambdas, spec.gammas))
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("m_max", [1, 2, 3])
+    def test_custom_chain_with_pairing(self, n, m_max):
+        # lambda != gamma keeps the XX and YY terms apart; ranges up to 3 on
+        # short rings make strings wrap round and pairs coincide (m and N - m).
+        lambdas = tuple(0.9 - 0.35 * m for m in range(m_max))
+        gammas = tuple(0.4 + 0.25 * m for m in range(m_max))
+        spec = ModelSpec(family="jw_chain", n_cells=n, lam=1.0, lambdas=lambdas, gammas=gammas)
+        assert np.array_equal(build_jw_chain(spec).matrix, jw_chain_kron(n, lambdas, gammas))
+
+    @pytest.mark.parametrize(
+        "family,n,q,r",
+        [("parallel", 1, None, None), ("parallel", 6, None, None), ("global", 6, None, None),
+         ("hybrid", 6, 3, 2), ("hybrid", 6, 2, 3)],
+    )
+    def test_paradigmatic(self, family, n, q, r):
+        spec = ModelSpec(family=family, n_cells=n, lam=0.83, q=q, r=r)
+        expected = paradigmatic_charger_kron(family, n, 0.83, q, r)
+        assert np.array_equal(build_charger_paradigmatic(spec).matrix, expected)
 
 
 class TestParadigmaticChargers:
@@ -103,7 +142,7 @@ class TestChain:
         built = build_jw_chain(spec).matrix
         expected = build_battery(n).matrix.copy()
         for j in range(n):
-            expected += _site_operator(n, {j: SIGMA_X, (j + 1) % n: SIGMA_X})
+            expected += site_operator(n, {j: SIGMA_X, (j + 1) % n: SIGMA_X})
         assert np.abs(built - expected).max() < 1e-12
 
     def test_zero_pairing_commutes_with_battery(self):

@@ -6,6 +6,8 @@ import pytest
 from qbattery import ModelSpec, ValidationError, chain_spec, find_tf, run_trajectory
 from qbattery.trajectory import DEFAULT_LAM_T_MAX, find_peak_time, time_grid
 
+from oracles import permutation_run_path, stored_energy_by_permutation
+
 
 class TestTimeGrid:
     def test_units_of_inverse_coupling(self):
@@ -61,6 +63,28 @@ class TestRunTrajectory:
         traj = run_trajectory(ModelSpec(family="parallel", n_cells=4), steps=60)
         t = 0.3137
         assert traj.stored_energy_at(t) == pytest.approx(4 * math.sin(t) ** 2, abs=1e-10)
+
+
+RUN_PATH_SPECS = [
+    ModelSpec(family="parallel", n_cells=5, lam=0.9),
+    ModelSpec(family="global", n_cells=5),
+    ModelSpec(family="hybrid", n_cells=6, q=2, r=3),
+    chain_spec("xy_pow", 8),
+    ModelSpec(family="lmg", n_cells=12, lam=5.0, gamma=0.3),
+    ModelSpec(family="dicke", n_cells=4, lam=0.05),
+]
+
+
+@pytest.mark.parametrize("spec", RUN_PATH_SPECS, ids=lambda s: s.family)
+def test_run_path_matches_permutation_products(spec):
+    traj = run_trajectory(spec, steps=150)
+    populations, rates, var_charger = permutation_run_path(traj)
+    assert np.array_equal(traj.populations, populations)
+    assert np.array_equal(traj.population_rates, rates)
+    assert np.abs(traj.var_charger - var_charger).max() <= 1e-10 * np.abs(var_charger).max()
+    assert np.array_equal(traj.fisher_state, 4.0 * traj.var_charger)
+    for t in (0.0, 0.3137 * traj.times[-1], 0.771 * traj.times[-1]):
+        assert traj.stored_energy_at(t) == stored_energy_by_permutation(traj, t)
 
 
 class TestFockTruncation:
