@@ -26,7 +26,7 @@ def main() -> int:
     failures = 0
     for name in SCENARIOS:
         cfg = load_scenario(CONFIG_DIR / f"{name}.json")
-        traj = run_trajectory(cfg.spec, cfg.lam_t_max, cfg.steps, cfg.level_rel_tol)
+        traj = run_trajectory(cfg.spec, cfg.lam_t_max, cfg.steps)
         peak = find_tf(traj)
         report = certify_trajectory(traj)
         out_dir = root / name

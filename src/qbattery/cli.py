@@ -41,18 +41,10 @@ EXIT_VIOLATION = 3
 EXIT_VALIDATION = 4
 
 
-def _apply_overrides(spec, args):
-    if getattr(args, "no_normalization", False):
-        if spec.family != "dicke":
-            raise ConfigError("--no-normalization applies only to the cavity model")
-        spec = replace(spec, normalize_coupling=False)
-    return spec
-
-
 def cmd_simulate(args) -> int:
     cfg = load_scenario(args.config)
-    spec = _apply_overrides(cfg.spec, args)
-    traj = run_trajectory(spec, cfg.lam_t_max, cfg.steps, cfg.level_rel_tol)
+    spec = cfg.spec
+    traj = run_trajectory(spec, cfg.lam_t_max, cfg.steps)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out_dir / "trajectory.csv", "populations" in cfg.series)
@@ -88,7 +80,7 @@ def cmd_sweep(args) -> int:
     cfg = load_scenario(args.config)
     if cfg.sweep is None:
         raise ConfigError("sweep command needs a 'sweep' section in the config")
-    spec = _apply_overrides(cfg.spec, args)
+    spec = cfg.spec
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.sweep.parameter == "gamma":
@@ -182,10 +174,20 @@ def cmd_table1(args) -> int:
 
 
 def _read_trajectory_csv(path: str) -> dict[str, np.ndarray]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        header = handle.readline().rstrip("\r\n").split(",")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            header = handle.readline().rstrip("\r\n").split(",")
+            rows = handle.readlines()
+        if not rows:
+            raise ConfigError(f"{path}: trajectory CSV has no data rows")
         # An empty field is an undefined value.
-        data = np.loadtxt(handle, delimiter=",", ndmin=2, converters=lambda s: float(s or "nan"))
+        data = np.loadtxt(rows, delimiter=",", ndmin=2, converters=lambda s: float(s or "nan"))
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read trajectory CSV ({exc.strerror})") from exc
+    except ValueError as exc:  # a ragged row, a non-numeric field or bad bytes
+        raise ConfigError(f"{path}: malformed trajectory CSV ({exc})") from exc
+    if data.shape[1] != len(header):
+        raise ConfigError(f"{path}: rows have {data.shape[1]} fields, the header {len(header)}")
     missing = [c for c in TRAJECTORY_COLUMNS if c not in header]
     if missing:
         raise ConfigError(f"{path}: missing trajectory columns {missing}")
@@ -215,13 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one trajectory and emit CSV + summary JSON")
     p.add_argument("config", help="scenario JSON file")
-    p.add_argument("--no-normalization", action="store_true",
-                   help="drop the 1/sqrt(N) cavity coupling normalization")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="run an N or gamma sweep with a scaling fit")
     p.add_argument("config", help="scenario JSON file with a sweep section")
-    p.add_argument("--no-normalization", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("capacity", help="emit the energy-entropy diagram and entropy targets")

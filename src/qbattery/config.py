@@ -32,8 +32,6 @@ class ScenarioConfig:
     steps: int = DEFAULT_STEPS
     output_dir: str = "out"
     series: tuple[str, ...] = ()
-    seed: int = 0
-    level_rel_tol: float = 1e-9
     sweep: SweepConfig | None = None
 
     def __post_init__(self):
@@ -71,7 +69,20 @@ def _typed(value, types, path: str):
     return value
 
 
+# Model keys each family takes besides family, N and lam.
+FAMILY_KEYS = {
+    "parallel": (),
+    "global": (),
+    "hybrid": ("q", "r"),
+    "jw_chain": ("variant", "lambdas", "gammas", "momentum_sector"),
+    "lmg": ("gamma",),
+    "dicke": ("n_max", "normalize_coupling"),
+}
+OUTPUT_SERIES = ("populations",)
+
+
 def parse_model(raw: dict, path: str = "model") -> ModelSpec:
+    given = raw
     raw = _require(
         raw,
         path,
@@ -92,6 +103,10 @@ def parse_model(raw: dict, path: str = "model") -> ModelSpec:
     family = _typed(raw["family"], str, f"{path}.family")
     if family not in FAMILIES:
         raise ConfigError(f"{path}.family: unknown family {family!r} (expected one of {FAMILIES})")
+    foreign = sorted(set(given) - {"family", "N", "lam"} - set(FAMILY_KEYS[family]))
+    if foreign:
+        keys = ", ".join(f"{path}.{key}" for key in foreign)
+        raise ConfigError(f"{keys}: not a key of the {family} family")
     n = _typed(raw["N"], int, f"{path}.N")
     lam = float(_typed(raw["lam"], (int, float), f"{path}.lam"))
     try:
@@ -129,7 +144,9 @@ def parse_model(raw: dict, path: str = "model") -> ModelSpec:
                 n_cells=n,
                 lam=lam,
                 n_max=raw["n_max"],
-                normalize_coupling=bool(raw["normalize_coupling"]),
+                normalize_coupling=_typed(
+                    raw["normalize_coupling"], bool, f"{path}.normalize_coupling"
+                ),
             )
         return ModelSpec(family=family, n_cells=n, lam=lam)
     except ConfigError:
@@ -147,8 +164,6 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             "time": {},
             "sweep": None,
             "outputs": {},
-            "seed": 0,
-            "tolerances": {},
         },
     )
     spec = parse_model(raw["model"])
@@ -158,9 +173,10 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     outputs = _require(
         raw["outputs"], "outputs", required={}, optional={"directory": "out", "series": []}
     )
-    tolerances = _require(
-        raw["tolerances"], "tolerances", required={}, optional={"level_rel_tol": 1e-9}
-    )
+    series = tuple(outputs["series"])
+    unknown = [name for name in series if name not in OUTPUT_SERIES]
+    if unknown:
+        raise ConfigError(f"outputs.series: unknown series {unknown} (expected any of {OUTPUT_SERIES})")
     sweep = None
     if raw["sweep"] is not None:
         sweep_raw = _require(
@@ -175,6 +191,8 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
                 raise ConfigError("sweep.values: N list must be strictly increasing")
         elif sweep_raw["parameter"] != "gamma":
             raise ConfigError(f"sweep.parameter: expected 'N' or 'gamma', got {sweep_raw['parameter']!r}")
+        elif spec.family != "lmg":
+            raise ConfigError(f"sweep.parameter: 'gamma' is an lmg parameter, not a {spec.family} one")
         sweep = SweepConfig(
             parameter=sweep_raw["parameter"],
             values=values,
@@ -189,9 +207,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         lam_t_max=lam_t_max,
         steps=_typed(time_cfg["steps"], int, "time.steps"),
         output_dir=_typed(outputs["directory"], str, "outputs.directory"),
-        series=tuple(outputs["series"]),
-        seed=_typed(raw["seed"], int, "seed"),
-        level_rel_tol=float(_typed(tolerances["level_rel_tol"], (int, float), "tolerances.level_rel_tol")),
+        series=series,
         sweep=sweep,
     )
 

@@ -199,7 +199,6 @@ class LevelStructure:
 
     energies: np.ndarray
     starts: np.ndarray
-    operator: HermitianOperator
 
     @property
     def n_levels(self) -> int:
@@ -216,23 +215,6 @@ class LevelStructure:
         ]
 
 
-def _diagonal_order(mat: np.ndarray) -> np.ndarray:
-    return np.argsort(np.real(np.diagonal(mat)), kind="stable")
-
-
-def diagonal_order(op: HermitianOperator) -> np.ndarray:
-    """Stable ascending order of an exactly diagonal operator's diagonal.
-
-    :func:`eigendecompose` gives such an operator the eigenvalues
-    ``diag[order]`` and the unit eigenvectors ``e_order[k]``, so
-    ``eigenvectors.conj().T @ x`` equals the row gather ``x[order]`` bit for
-    bit.
-    """
-    if not _is_diagonal(op.matrix):
-        raise ValidationError("operator is not exactly diagonal")
-    return _diagonal_order(op.matrix)
-
-
 def eigendecompose(op: HermitianOperator) -> HermitianOperator:
     """Return a copy of ``op`` with ascending eigenvalues and orthonormal columns.
 
@@ -243,8 +225,9 @@ def eigendecompose(op: HermitianOperator) -> HermitianOperator:
         return op
     mat = op.matrix
     if _is_diagonal(mat):
-        order = _diagonal_order(mat)
-        vals = np.real(np.diagonal(mat))[order]
+        diag = np.real(np.diagonal(mat))
+        order = np.argsort(diag, kind="stable")
+        vals = diag[order]
         vecs = np.zeros(mat.shape, dtype=complex)
         vecs[order, np.arange(mat.shape[0])] = 1.0
     else:
@@ -313,7 +296,7 @@ def group_levels(op: HermitianOperator, rel_tol: float = LEVEL_REL_TOL) -> Level
     breaks = np.flatnonzero(np.diff(vals) > gap) + 1
     starts = np.concatenate(([0], breaks, [len(vals)]))
     energies = np.array([vals[a:b].mean() for a, b in zip(starts[:-1], starts[1:])])
-    return LevelStructure(energies=energies, starts=starts, operator=op)
+    return LevelStructure(energies=energies, starts=starts)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, basis: Basis | None = None) -> HermitianOperator:

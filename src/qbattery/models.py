@@ -73,11 +73,7 @@ class ModelSpec:
                 raise ValidationError("coupling range M must satisfy M <= N-1")
             if self.momentum_sector not in ("antiperiodic_grid", "periodic_grid"):
                 raise ValidationError(f"unknown momentum sector {self.momentum_sector!r}")
-        if self.family == "dicke" and self.n_max is not None and self.n_max < self.n_cells + 2:
-            raise ValidationError(
-                f"dicke n_max = {self.n_max} leaves no headroom above the initial "
-                f"Fock level; need n_max >= N+2 = {self.n_cells + 2}"
-            )
+        model_basis(self)  # rejects a Fock cutoff without headroom
 
 
 def default_power_law_range(n_cells: int) -> int:
@@ -134,24 +130,47 @@ def _place_flips(mat: np.ndarray, n_cells: int, cells, values) -> None:
     mat[idx ^ mask, idx] += values
 
 
+def model_basis(spec: ModelSpec, n_max: int | None = None) -> Basis:
+    """The basis a model family runs in.  The cavity's Fock cutoff is
+    ``n_max``, else ``spec.n_max``, else 2N+8, with headroom above N."""
+    n = spec.n_cells
+    if spec.family == "lmg":
+        return Basis("collective_spin", n)
+    if spec.family != "dicke":
+        return Basis("qubit_chain", n)
+    if n_max is None:
+        n_max = spec.n_max if spec.n_max is not None else 2 * n + 8
+    if n_max < n + 2:
+        raise ValidationError(
+            f"dicke n_max = {n_max} leaves no headroom above the initial "
+            f"Fock level; need n_max >= N+2 = {n + 2}"
+        )
+    return Basis("spin_fock", n, n_max)
+
+
+def excitation_counts(basis: Basis) -> np.ndarray:
+    """Excited cells w of each basis index: the set bits of a qubit-chain
+    index, m + N/2 of a collective spin, the spin index of a spin-Fock one."""
+    idx = np.arange(basis.dim)
+    if basis.kind == "qubit_chain":
+        return sum((idx >> site) & 1 for site in range(basis.n_cells))
+    return idx if basis.kind == "collective_spin" else idx // (basis.n_max + 1)
+
+
+def _ladder(basis: Basis) -> np.ndarray:
+    """Diagonal of the battery H_B = sum_i h_i: w - N/2 at each basis index."""
+    return (excitation_counts(basis) - basis.n_cells / 2).astype(complex)
+
+
 def build_battery(n_cells: int) -> HermitianOperator:
-    """Sum of single-cell energies, diagonal with spectrum {w - N/2}."""
+    """Qubit-chain battery, diagonal with spectrum {w - N/2}."""
     if not 1 <= n_cells <= MAX_QUBITS_BATTERY:
         raise CapacityLimitError(
             f"qubit-chain battery capped at N = {MAX_QUBITS_BATTERY} "
             f"(dense dim 2^N = {2**MAX_QUBITS_BATTERY}); got N = {n_cells}"
         )
     basis = Basis("qubit_chain", n_cells)
-    diag = excitation_counts(n_cells) - n_cells / 2
-    return HermitianOperator(np.diag(diag.astype(complex)), basis)
-
-
-def excitation_counts(n_cells: int) -> np.ndarray:
-    """Number of excited cells for each computational basis index."""
-    counts = np.zeros(2**n_cells, dtype=float)
-    for site in range(n_cells):
-        counts += _site_values(n_cells, site)
-    return counts
+    return HermitianOperator(np.diag(_ladder(basis)), basis)
 
 
 def battery_cell_terms(n_cells: int) -> list[np.ndarray]:
@@ -207,7 +226,7 @@ def build_jw_chain(spec: ModelSpec) -> HermitianOperator:
         )
     if len(spec.lambdas) >= n:
         raise ValidationError("coupling range m must stay below N")
-    mat = np.diag((excitation_counts(n) - n / 2).astype(complex))
+    mat = np.diag(_ladder(Basis("qubit_chain", n)))
     occupation = [_site_values(n, site) for site in range(n)]
     for m, (lam_m, gam_m) in enumerate(zip(spec.lambdas, spec.gammas), start=1):
         if lam_m == 0.0 and gam_m == 0.0:
@@ -245,8 +264,8 @@ def collective_spin_operators(n_cells: int) -> dict[str, np.ndarray]:
     return {"jz": jz, "jp": jp, "jm": jp.conj().T}
 
 
-def build_lmg(spec: ModelSpec) -> tuple[HermitianOperator, HermitianOperator]:
-    """Infinite-range collective charger and its battery observable J_z.
+def build_lmg(spec: ModelSpec) -> HermitianOperator:
+    """Infinite-range collective charger.
 
     H = (lam / 2N) [(1+gamma)(J+J- + J-J+ - N) + (1-gamma)(J+^2 + J-^2)] + J_z
     in the (N+1)-dimensional maximal-spin sector (the initial state lives
@@ -261,8 +280,7 @@ def build_lmg(spec: ModelSpec) -> tuple[HermitianOperator, HermitianOperator]:
     mixing = jp @ jm + jm @ jp - n * eye
     pairing = jp @ jp + jm @ jm
     mat = spec.lam / (2 * n) * ((1 + spec.gamma) * mixing + (1 - spec.gamma) * pairing) + jz
-    basis = Basis("collective_spin", n)
-    return HermitianOperator(mat, basis), HermitianOperator(jz, basis)
+    return HermitianOperator(mat, model_basis(spec))
 
 
 def fock_annihilation(n_max: int) -> np.ndarray:
@@ -272,24 +290,18 @@ def fock_annihilation(n_max: int) -> np.ndarray:
     return a
 
 
-def build_dicke(spec: ModelSpec, n_max: int | None = None) -> tuple[HermitianOperator, HermitianOperator]:
-    """Collective spin coupled to one truncated cavity mode, and J_z x I.
+def build_dicke(spec: ModelSpec, n_max: int | None = None) -> HermitianOperator:
+    """Collective spin coupled to one truncated cavity mode.
 
     H = J_z + a^dag a + (2 lam / sqrt(N)) J_x (a^dag + a); with
     normalize_coupling False the 1/sqrt(N) factor is dropped.  The photon
-    space is truncated at n_max (a^dag |n_max> = 0).
+    space is truncated at the cutoff n_max of :func:`model_basis`.
     """
     if spec.family != "dicke":
         raise ValidationError("build_dicke needs a dicke spec")
     n = spec.n_cells
-    n_max = n_max if n_max is not None else spec.n_max
-    if n_max is None:
-        n_max = 2 * n + 8
-    if n_max < n + 2:
-        raise ValidationError(
-            f"dicke n_max = {n_max} leaves no headroom above the initial "
-            f"Fock level; need n_max >= N+2 = {n + 2}"
-        )
+    basis = model_basis(spec, n_max)
+    n_max = basis.n_max
     ops = collective_spin_operators(n)
     jx = (ops["jp"] + ops["jm"]) / 2
     a = fock_annihilation(n_max)
@@ -302,17 +314,17 @@ def build_dicke(spec: ModelSpec, n_max: int | None = None) -> tuple[HermitianOpe
         + np.kron(eye_spin, number)
         + coupling * np.kron(jx, a + a.conj().T)
     )
-    basis = Basis("spin_fock", n, n_max)
-    return HermitianOperator(mat, basis), HermitianOperator(np.kron(ops["jz"], eye_fock), basis)
+    return HermitianOperator(mat, basis)
 
 
 def build_battery_for(spec: ModelSpec, n_max: int | None = None) -> HermitianOperator:
-    """The battery observable of a model family in its own basis."""
-    if spec.family in PARADIGMATIC_FAMILIES or spec.family == "jw_chain":
+    """The battery H_B of a model family in its own basis: the excitation
+    ladder diag(w - N/2) (J_z for the collective spin, J_z x I with the
+    cavity)."""
+    basis = model_basis(spec, n_max)
+    if basis.kind == "qubit_chain":
         return build_battery(spec.n_cells)
-    if spec.family == "lmg":
-        return build_lmg(spec)[1]
-    return build_dicke(spec, n_max)[1]
+    return HermitianOperator(np.diag(_ladder(basis)), basis)
 
 
 def build_charger_for(spec: ModelSpec, n_max: int | None = None) -> HermitianOperator:
@@ -322,25 +334,16 @@ def build_charger_for(spec: ModelSpec, n_max: int | None = None) -> HermitianOpe
     if spec.family == "jw_chain":
         return build_jw_chain(spec)
     if spec.family == "lmg":
-        return build_lmg(spec)[0]
-    return build_dicke(spec, n_max)[0]
+        return build_lmg(spec)
+    return build_dicke(spec, n_max)
 
 
 def initial_state(spec: ModelSpec, n_max: int | None = None) -> StateVector:
     """Battery ground state; for the cavity model, spins down with N photons."""
-    n = spec.n_cells
-    if spec.family in PARADIGMATIC_FAMILIES or spec.family == "jw_chain":
-        basis = Basis("qubit_chain", n)
-        index = 0
-    elif spec.family == "lmg":
-        basis = Basis("collective_spin", n)
-        index = 0
-    else:
-        n_max = n_max if n_max is not None else (spec.n_max if spec.n_max is not None else 2 * n + 8)
-        basis = Basis("spin_fock", n, n_max)
-        index = n  # spin index 0 (m = -j), photon number N
+    basis = model_basis(spec, n_max)
     amp = np.zeros(basis.dim, dtype=complex)
-    amp[index] = 1.0
+    # Spin index 0 (m = -j) with photon number N, else basis index 0.
+    amp[spec.n_cells if basis.kind == "spin_fock" else 0] = 1.0
     return StateVector(amp, basis)
 
 

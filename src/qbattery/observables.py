@@ -19,9 +19,9 @@ from .linalg import (
     Basis,
     DensityMatrix,
     HermitianOperator,
-    LevelStructure,
     StateVector,
     eigendecompose,
+    group_levels,
     von_neumann_entropy,
 )
 
@@ -103,18 +103,20 @@ def variance(psi: StateVector, op: HermitianOperator, m: int = 1) -> float:
 
 
 def populations_and_rates(
-    psi: StateVector, levels: LevelStructure, charger: HermitianOperator, t: float = 0.0
+    psi: StateVector, battery: HermitianOperator, charger: HermitianOperator, t: float = 0.0
 ) -> PopulationRecord:
-    """Level occupations p_k = <psi|P_k|psi> and analytic rates.
+    """Occupations p_k = <psi|P_k|psi> of the battery's degenerate levels
+    (:func:`group_levels` of its spectrum) and their analytic rates.
 
     For unitary dynamics generated by ``charger`` the rate is
     pdot_k = 2 Im <psi|P_k H_C|psi>; no finite differences are involved.
     """
-    op = levels.operator
-    if op.basis != psi.basis or charger.basis != psi.basis:
-        raise ValidationError("levels, charger, and state bases do not match")
-    overlaps = op.eigenvectors.conj().T @ psi.amplitudes
-    driven = op.eigenvectors.conj().T @ (charger.matrix @ psi.amplitudes)
+    if battery.basis != psi.basis or charger.basis != psi.basis:
+        raise ValidationError("battery, charger, and state bases do not match")
+    battery = eigendecompose(battery)
+    levels = group_levels(battery)
+    overlaps = battery.eigenvectors.conj().T @ psi.amplitudes
+    driven = battery.eigenvectors.conj().T @ (charger.matrix @ psi.amplitudes)
     p = np.add.reduceat(np.abs(overlaps) ** 2, levels.starts[:-1])
     p_dot = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, levels.starts[:-1])
     return PopulationRecord(t=t, p=p, p_dot=p_dot)

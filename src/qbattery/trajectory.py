@@ -19,17 +19,17 @@ from .linalg import (
     HermitianOperator,
     LevelStructure,
     StateVector,
-    diagonal_order,
     eigendecompose,
     evolve,
     evolve_batch,
-    group_levels,
 )
 from .models import (
     ModelSpec,
     build_battery_for,
     build_charger_for,
+    excitation_counts,
     initial_state,
+    model_basis,
 )
 from .observables import (
     POPULATION_FLOOR,
@@ -59,7 +59,7 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (dim, T), column per grid time
     battery: HermitianOperator
-    battery_order: np.ndarray  # battery eigenbasis as a row gather: V_B^H x == x[battery_order]
+    battery_order: np.ndarray  # basis indices in stable ladder order, level by level
     charger: HermitianOperator
     levels: LevelStructure
     psi0: StateVector
@@ -118,7 +118,8 @@ class Trajectory:
         """Exact stored energy at an arbitrary (off-grid) time."""
         psi = evolve(self.charger, self.psi0, t)
         overlaps = psi.amplitudes[self.battery_order]
-        return float(np.abs(overlaps) ** 2 @ self.battery.eigenvalues - self.initial_energy)
+        energies = np.repeat(self.levels.energies, self.levels.multiplicities)
+        return float(np.abs(overlaps) ** 2 @ energies - self.initial_energy)
 
 
 def time_grid(spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFAULT_STEPS) -> np.ndarray:
@@ -139,16 +140,22 @@ def _fock_edge_population(states: np.ndarray, n_cells: int, n_max: int) -> float
     return float(edge.sum(axis=(0, 1)).max())
 
 
-def _run_fixed(spec: ModelSpec, times: np.ndarray, level_rel_tol: float, n_max: int | None) -> Trajectory:
-    battery = eigendecompose(build_battery_for(spec, n_max))
+def _run_fixed(spec: ModelSpec, times: np.ndarray, n_max: int | None) -> Trajectory:
+    battery = build_battery_for(spec, n_max)
     charger = eigendecompose(build_charger_for(spec, n_max))
-    levels = group_levels(battery, level_rel_tol)
     psi0 = initial_state(spec, n_max)
     states = evolve_batch(charger, psi0, times)
 
-    # Every battery is diagonal in its own basis: its eigenbasis is a row
-    # gather in eigenvalue order, not a permutation-matrix product.
-    order = diagonal_order(battery)
+    # The battery is an excitation ladder: level k, at energy k - N/2, holds
+    # the basis states with k excited cells.  Its eigenbasis is a row gather
+    # of the basis in stable level order, not a permutation-matrix product.
+    n = spec.n_cells
+    counts = excitation_counts(battery.basis)
+    order = np.argsort(counts, kind="stable")
+    levels = LevelStructure(
+        energies=np.arange(n + 1) - n / 2,
+        starts=np.concatenate(([0], np.cumsum(np.bincount(counts, minlength=n + 1)))),
+    )
     overlaps = states[order]
     driven = (charger.matrix @ states)[order]
     starts = levels.starts[:-1]
@@ -207,25 +214,23 @@ def _run_fixed(spec: ModelSpec, times: np.ndarray, level_rel_tol: float, n_max: 
 
 
 def run_trajectory(
-    spec: ModelSpec,
-    lam_t_max: float | None = None,
-    steps: int = DEFAULT_STEPS,
-    level_rel_tol: float = 1e-9,
+    spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFAULT_STEPS
 ) -> Trajectory:
     """Charge from the model's initial state over a uniform grid.
 
     For the cavity model with no explicit n_max, the Fock cutoff starts at
-    2N+8 and doubles until the population within one level of the cutoff
-    stays below 1e-8 over the whole window.
+    the default of :func:`models.model_basis` and doubles until the
+    population within one level of the cutoff stays below 1e-8 over the
+    whole window.
     """
     times = time_grid(spec, lam_t_max, steps)
     if spec.family != "dicke":
-        return _run_fixed(spec, times, level_rel_tol, None)
+        return _run_fixed(spec, times, None)
 
     auto = spec.n_max is None
-    n_max = spec.n_max if spec.n_max is not None else 2 * spec.n_cells + 8
+    n_max = model_basis(spec).n_max
     for _ in range(MAX_FOCK_DOUBLINGS + 1):
-        traj = _run_fixed(spec, times, level_rel_tol, n_max)
+        traj = _run_fixed(spec, times, n_max)
         leak = _fock_edge_population(traj.states, spec.n_cells, n_max)
         traj.fock_edge_population = leak
         if leak < FOCK_LEAK_TOL or not auto:

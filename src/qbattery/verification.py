@@ -252,6 +252,7 @@ def _verify_one_model(spec, rng, rel_tol, n_times, report: TableReport):
 
     traj = run_trajectory(spec, steps=400)
     charger = traj.charger
+    battery = eigendecompose(traj.battery)
     add("charger_norm", expected["charger_norm"], charger.norm())
     add("var_charger_t0", expected["var_charger"], traj.var_charger[0])
 
@@ -268,10 +269,10 @@ def _verify_one_model(spec, rng, rel_tol, n_times, report: TableReport):
     for t in times:
         psi = evolve(charger, traj.psi0, t)
         p_exc = math.sin(lam * t) ** 2
-        rec = observables.populations_and_rates(psi, traj.levels, charger, t)
+        rec = observables.populations_and_rates(psi, battery, charger, t)
         measured = {
-            "energy": observables.stored_energy(psi, traj.battery, traj.psi0),
-            "var_battery": observables.variance(psi, traj.battery),
+            "energy": observables.stored_energy(psi, battery, traj.psi0),
+            "var_battery": observables.variance(psi, battery),
             "fisher_energy": observables.fisher_energy(rec),
         }
         expected_t = {
@@ -282,7 +283,7 @@ def _verify_one_model(spec, rng, rel_tol, n_times, report: TableReport):
         _, corr = observables.variance_decomposition(psi, cell_terms)
         measured["corr"] = corr
         expected_t["corr"] = expected["corr_prefactor"] * p_exc * (1 - p_exc)
-        pw = observables.power(psi, traj.battery, charger)
+        pw = observables.power(psi, battery, charger)
         measured["power_ratio"] = pw**2 / (
             measured["var_battery"] * measured["fisher_energy"]
         )
@@ -298,7 +299,7 @@ def _verify_one_model(spec, rng, rel_tol, n_times, report: TableReport):
 
     # Entanglement witness at the half-charged point, where the blocks are GHZ.
     psi_half = evolve(charger, traj.psi0, math.pi / (4 * lam))
-    var_half = observables.variance(psi_half, traj.battery)
+    var_half = observables.variance(psi_half, battery)
     k = bounds.witness_entangled_block_size(var_half, n)
     add("witness_block", expected["witness_block"], k, tol=0.0)
 
@@ -413,13 +414,13 @@ def run_oracle_checks(seed: int = 1) -> list[OracleCheck]:
         t = float(t)
         recs = [
             observables.populations_and_rates(
-                evolve(traj.charger, traj.psi0, t + s * h), traj.levels, traj.charger
+                evolve(traj.charger, traj.psi0, t + s * h), traj.battery, traj.charger
             )
             for s in (-1, 1)
         ]
         fd = (recs[1].p - recs[0].p) / (2 * h)
         exact = observables.populations_and_rates(
-            evolve(traj.charger, traj.psi0, t), traj.levels, traj.charger
+            evolve(traj.charger, traj.psi0, t), traj.battery, traj.charger
         ).p_dot
         dev = max(dev, np.abs(fd - exact).max())
     checks.append(OracleCheck("population_rate_vs_finite_difference", dev < 1e-7, f"max dev {dev:.2e}"))

@@ -10,7 +10,7 @@ from functools import reduce
 
 import numpy as np
 
-from qbattery import Basis, DensityMatrix, evolve
+from qbattery import Basis, DensityMatrix, eigendecompose, evolve, group_levels
 from qbattery.models import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
@@ -166,10 +166,10 @@ def permutation_run_path(traj):
     the squared mean): the reference for the row gather and the conserved
     psi0 weights of ``trajectory``.
     """
-    battery, charger, states = traj.battery, traj.charger, traj.states
+    battery, charger, states = eigendecompose(traj.battery), traj.charger, traj.states
     overlaps = battery.eigenvectors.conj().T @ states
     driven = battery.eigenvectors.conj().T @ (charger.matrix @ states)
-    starts = traj.levels.starts[:-1]
+    starts = group_levels(battery).starts[:-1]
     populations = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
     rates = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
     weights = np.abs(charger.eigenvectors.conj().T @ states) ** 2
@@ -181,5 +181,6 @@ def permutation_run_path(traj):
 def stored_energy_by_permutation(traj, t: float) -> float:
     """Off-grid stored energy with the battery eigenbasis as a matrix product."""
     psi = evolve(traj.charger, traj.psi0, t)
-    overlaps = traj.battery.eigenvectors.conj().T @ psi.amplitudes
-    return float(np.abs(overlaps) ** 2 @ traj.battery.eigenvalues - traj.initial_energy)
+    battery = eigendecompose(traj.battery)
+    overlaps = battery.eigenvectors.conj().T @ psi.amplitudes
+    return float(np.abs(overlaps) ** 2 @ battery.eigenvalues - traj.initial_energy)

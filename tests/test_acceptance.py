@@ -63,7 +63,7 @@ def test_criterion_2_certification_of_shipped_scenarios():
     total_checks = 0
     for path in paths:
         cfg = load_scenario(path)
-        traj = run_trajectory(cfg.spec, cfg.lam_t_max, cfg.steps, cfg.level_rel_tol)
+        traj = run_trajectory(cfg.spec, cfg.lam_t_max, cfg.steps)
         assert traj.n_steps == 2000
         rep = certify_trajectory(traj)
         assert rep.ok, f"{path}: {rep.violations[:3]}"

@@ -16,7 +16,6 @@ from qbattery import (
     evolve,
     fisher_energy,
     ghz_state,
-    group_levels,
     initial_state,
     moment_rate_bound,
     populations_and_rates,
@@ -98,9 +97,8 @@ class TestPowerBounds:
         spec = ModelSpec(family="hybrid", n_cells=4, lam=1.0, q=2, r=2)
         charger = eigendecompose(build_charger_paradigmatic(spec))
         battery = eigendecompose(build_battery(4))
-        levels = group_levels(battery)
         psi = evolve(charger, initial_state(spec), math.pi / 4)
-        rec = populations_and_rates(psi, levels, charger)
+        rec = populations_and_rates(psi, battery, charger)
         fisher = fisher_energy(rec)
         p_val = power(psi, battery, charger)
         cap = entanglement_power_bound(4, 2, fisher)

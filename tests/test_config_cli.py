@@ -22,7 +22,7 @@ class TestSchema:
     def test_minimal_scenario(self):
         cfg = parse_scenario(MINIMAL)
         assert cfg.spec.family == "parallel"
-        assert cfg.steps == 2000 and cfg.seed == 0
+        assert cfg.steps == 2000
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown keys.*extra"):
@@ -74,6 +74,46 @@ class TestSchema:
             parse_scenario(
                 {**MINIMAL, "sweep": {"values": [1], "quantity": "x", "parameter": "beta"}}
             )
+
+    @pytest.mark.parametrize(
+        "model,key",
+        [
+            ({"family": "parallel", "N": 4, "gamma": 0.5}, "model.gamma"),
+            ({"family": "parallel", "N": 4, "q": 3}, "model.q"),
+            ({"family": "global", "N": 4, "n_max": 50}, "model.n_max"),
+            ({"family": "hybrid", "N": 4, "q": 2, "r": 2, "variant": "xx_nn"}, "model.variant"),
+            ({"family": "jw_chain", "N": 8, "variant": "xx_nn", "gamma": 0.5}, "model.gamma"),
+            ({"family": "lmg", "N": 4, "normalize_coupling": False}, "model.normalize_coupling"),
+            ({"family": "dicke", "N": 4, "gamma": 0.5}, "model.gamma"),
+        ],
+    )
+    def test_foreign_family_key(self, model, key):
+        with pytest.raises(ConfigError, match=f"{key}: not a key of the {model['family']} family"):
+            parse_model(model)
+
+    def test_normalize_coupling_is_a_bool(self):
+        spec = parse_model({"family": "dicke", "N": 4, "normalize_coupling": False})
+        assert spec.normalize_coupling is False
+        for value in ("false", 0, 1):
+            with pytest.raises(ConfigError, match="model.normalize_coupling: expected bool"):
+                parse_model({"family": "dicke", "N": 4, "normalize_coupling": value})
+
+    def test_output_series_names(self):
+        cfg = parse_scenario({**MINIMAL, "outputs": {"series": ["populations"]}})
+        assert cfg.series == ("populations",)
+        with pytest.raises(ConfigError, match="outputs.series.*populatoins"):
+            parse_scenario({**MINIMAL, "outputs": {"series": ["populatoins"]}})
+
+    def test_gamma_sweep_needs_lmg(self):
+        sweep = {"parameter": "gamma", "values": [0.0, 0.5], "quantity": "energy_at_tf"}
+        assert parse_scenario({"model": {"family": "lmg", "N": 4}, "sweep": sweep}).sweep
+        with pytest.raises(ConfigError, match="sweep.parameter.*parallel"):
+            parse_scenario({**MINIMAL, "sweep": sweep})
+
+    @pytest.mark.parametrize("key,value", [("seed", 0), ("tolerances", {"level_rel_tol": 1e-9})])
+    def test_removed_keys_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"unknown keys.*{key}"):
+            parse_scenario({**MINIMAL, key: value})
 
     def test_capacity_config(self):
         cfg = parse_capacity(
@@ -241,6 +281,51 @@ class TestCli:
         assert summary["capacity_S0"] == 3.0
         target = summary["entropy_targets"]["1.5"]
         assert target["E_min"] == pytest.approx(-target["E_max"], abs=1e-9)
+
+    def test_foreign_family_key_exit_code(self, tmp_path, capsys):
+        model = {"family": "parallel", "N": 3, "gamma": 0.5, "q": 3, "n_max": 50}
+        assert self.run("simulate", self.scenario(tmp_path, model=model)) == 2
+        assert "model.gamma, model.n_max, model.q" in capsys.readouterr().err
+
+    def test_no_normalization_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            self.run("simulate", self.scenario(tmp_path), "--no-normalization")
+        assert exc.value.code == 2
+
+    def simulated_csv(self, tmp_path) -> Path:
+        assert self.run("simulate", self.scenario(tmp_path)) == 0
+        return tmp_path / "out" / "trajectory.csv"
+
+    def assert_certify_config_error(self, path, capsys, message):
+        assert self.run("certify", str(path)) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}: " in err and message in err
+
+    def test_certify_missing_file(self, tmp_path, capsys):
+        self.assert_certify_config_error(tmp_path / "absent.csv", capsys, "cannot read")
+
+    def test_certify_ragged_row(self, tmp_path, capsys):
+        csv_path = self.simulated_csv(tmp_path)
+        lines = csv_path.read_text().splitlines()
+        lines[5] = ",".join(lines[5].split(",")[:4])
+        csv_path.write_text("\n".join(lines) + "\n")
+        self.assert_certify_config_error(csv_path, capsys, "malformed")
+        # Every row short of the header is ragged too.
+        short = [lines[0]] + [",".join(line.split(",")[:4]) for line in lines[1:]]
+        csv_path.write_text("\n".join(short) + "\n")
+        self.assert_certify_config_error(csv_path, capsys, "rows have 4 fields")
+
+    def test_certify_non_numeric_field(self, tmp_path, capsys):
+        csv_path = self.simulated_csv(tmp_path)
+        lines = csv_path.read_text().splitlines()
+        lines[5] = "abc," + lines[5].split(",", 1)[1]
+        csv_path.write_text("\n".join(lines) + "\n")
+        self.assert_certify_config_error(csv_path, capsys, "malformed")
+
+    def test_certify_header_only(self, tmp_path, capsys):
+        csv_path = self.simulated_csv(tmp_path)
+        csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")
+        self.assert_certify_config_error(csv_path, capsys, "no data rows")
 
     def test_missing_command_column(self, tmp_path):
         bad = tmp_path / "partial.csv"

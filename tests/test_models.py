@@ -18,13 +18,17 @@ from qbattery import (
     variance,
 )
 from qbattery.freefermion import dispersion
+from qbattery.linalg import Basis
 from qbattery.models import (
     CHAIN_VARIANTS,
     SIGMA_X,
     SIGMA_Z,
     battery_cell_terms,
+    build_battery_for,
     cyclic_shift,
     collective_spin_operators,
+    excitation_counts,
+    model_basis,
     power_law_couplings,
 )
 
@@ -192,12 +196,12 @@ class TestChain:
 
 class TestCollective:
     def test_jz_spectrum(self):
-        _, battery = build_lmg(ModelSpec(family="lmg", n_cells=7, lam=1.0))
+        battery = build_battery_for(ModelSpec(family="lmg", n_cells=7, lam=1.0))
         assert np.allclose(np.diagonal(battery.matrix).real, np.arange(-3.5, 4.0))
 
     def test_no_charging_at_unit_anisotropy(self):
         spec = ModelSpec(family="lmg", n_cells=6, lam=2.0, gamma=1.0)
-        charger, battery = build_lmg(spec)
+        charger, battery = build_lmg(spec), build_battery_for(spec)
         charger = eigendecompose(charger)
         psi0 = initial_state(spec)
         e0 = np.vdot(psi0.amplitudes, battery.matrix @ psi0.amplitudes).real
@@ -209,7 +213,7 @@ class TestCollective:
     def test_charger_variance_large_size_limit(self):
         lam, gamma, n = 1.0, -1.0, 200
         spec = ModelSpec(family="lmg", n_cells=n, lam=lam, gamma=gamma)
-        charger, _ = build_lmg(spec)
+        charger = build_lmg(spec)
         var = variance(initial_state(spec), charger)
         limit = lam**2 / 2 * (1 - gamma) ** 2
         assert abs(var - limit) < 5 * limit / n  # O(1/N) corrections
@@ -224,7 +228,7 @@ class TestCavity:
     def test_coupling_matrix_element(self):
         n, n_max, lam = 4, 10, 0.6
         spec = ModelSpec(family="dicke", n_cells=n, lam=lam)
-        charger, _ = build_dicke(spec, n_max)
+        charger = build_dicke(spec, n_max)
         j = n / 2
         m_idx, m = 1, -1.0  # |j, m=-1> at spin index 1
         n_ph = 5
@@ -235,7 +239,7 @@ class TestCavity:
 
     def test_decoupled_spectrum(self):
         spec = ModelSpec(family="dicke", n_cells=1, lam=0.0)
-        charger, _ = build_dicke(spec, 5)
+        charger = build_dicke(spec, 5)
         vals = np.sort(np.linalg.eigvalsh(charger.matrix))
         expected = np.sort([m + k for m in (-0.5, 0.5) for k in range(6)])
         assert np.allclose(vals, expected, atol=1e-12)
@@ -248,7 +252,7 @@ class TestCavity:
         ratios = []
         for n in (2, 4, 8, 12):
             spec = ModelSpec(family="dicke", n_cells=n, lam=lam)
-            charger, _ = build_dicke(spec)
+            charger = build_dicke(spec)
             var = variance(initial_state(spec), charger)
             ratios.append(var / (2 * lam**2 * (2 * n + 1)))
         assert np.std(ratios) < 1e-9 * np.mean(ratios)
@@ -257,10 +261,10 @@ class TestCavity:
         lam, n = 0.2, 3
         base = variance(
             initial_state(ModelSpec(family="dicke", n_cells=n, lam=lam)),
-            build_dicke(ModelSpec(family="dicke", n_cells=n, lam=lam))[0],
+            build_dicke(ModelSpec(family="dicke", n_cells=n, lam=lam)),
         )
         spec = ModelSpec(family="dicke", n_cells=n, lam=lam, normalize_coupling=False)
-        unnorm = variance(initial_state(spec), build_dicke(spec)[0])
+        unnorm = variance(initial_state(spec), build_dicke(spec))
         assert unnorm == pytest.approx(n * base, rel=1e-10)
 
     def test_fock_headroom_required(self):
@@ -268,6 +272,36 @@ class TestCavity:
             ModelSpec(family="dicke", n_cells=4, n_max=5)
         with pytest.raises(ValidationError):
             build_dicke(ModelSpec(family="dicke", n_cells=4), n_max=5)
+
+
+class TestExcitationLadder:
+    def test_qubit_counts_are_set_bits(self):
+        counts = excitation_counts(Basis("qubit_chain", 5))
+        assert list(counts) == [bin(idx).count("1") for idx in range(32)]
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_collective_battery_is_jz(self, n):
+        battery = build_battery_for(ModelSpec(family="lmg", n_cells=n))
+        assert np.array_equal(battery.matrix, collective_spin_operators(n)["jz"])
+
+    @pytest.mark.parametrize("n,n_max", [(1, 3), (3, 7), (4, None)])
+    def test_cavity_battery_is_jz_times_identity(self, n, n_max):
+        spec = ModelSpec(family="dicke", n_cells=n)
+        battery = build_battery_for(spec, n_max)
+        n_fock = (n_max if n_max is not None else 2 * n + 8) + 1
+        expected = np.kron(collective_spin_operators(n)["jz"], np.eye(n_fock))
+        assert np.array_equal(battery.matrix, expected)
+        assert battery.basis == build_dicke(spec, n_max).basis == initial_state(spec, n_max).basis
+
+    def test_basis_resolution(self):
+        assert model_basis(ModelSpec(family="global", n_cells=3)) == Basis("qubit_chain", 3)
+        assert model_basis(ModelSpec(family="lmg", n_cells=3)) == Basis("collective_spin", 3)
+        dicke = ModelSpec(family="dicke", n_cells=3)
+        assert model_basis(dicke) == Basis("spin_fock", 3, 14)
+        assert model_basis(ModelSpec(family="dicke", n_cells=3, n_max=6)).n_max == 6
+        assert model_basis(dicke, 9).n_max == 9
+        with pytest.raises(ValidationError, match="headroom"):
+            model_basis(dicke, 4)
 
 
 class TestInitialStates:
@@ -302,8 +336,8 @@ class TestStateHelpers:
         (lambda s: build_battery(s.n_cells), ModelSpec(family="parallel", n_cells=5)),
         (build_charger_paradigmatic, ModelSpec(family="hybrid", n_cells=6, q=3, r=2)),
         (build_jw_chain, chain_spec("xx_pow", 8)),
-        (lambda s: build_lmg(s)[0], ModelSpec(family="lmg", n_cells=9, lam=3.0, gamma=0.3)),
-        (lambda s: build_dicke(s)[0], ModelSpec(family="dicke", n_cells=3, lam=0.4)),
+        (lambda s: build_lmg(s), ModelSpec(family="lmg", n_cells=9, lam=3.0, gamma=0.3)),
+        (lambda s: build_dicke(s), ModelSpec(family="dicke", n_cells=3, lam=0.4)),
     ],
 )
 def test_all_builders_hermitian(builder, spec):

@@ -22,7 +22,6 @@ from qbattery import (
     fisher_energy,
     fubini_study,
     ghz_state,
-    group_levels,
     initial_state,
     kl_divergence,
     populations_and_rates,
@@ -133,9 +132,8 @@ class TestPopulations:
     def test_global_two_level_structure(self):
         n = 6
         _, charger, battery, psi0 = paradigmatic("global", n)
-        levels = group_levels(battery)
         for t in (0.2, 0.9, 1.4):
-            rec = populations_and_rates(evolve(charger, psi0, t), levels, charger, t)
+            rec = populations_and_rates(evolve(charger, psi0, t), battery, charger, t)
             assert rec.p[0] == pytest.approx(math.cos(t) ** 2, abs=1e-12)
             assert rec.p[-1] == pytest.approx(math.sin(t) ** 2, abs=1e-12)
             assert np.abs(rec.p[1:-1]).max() < 1e-12
@@ -146,13 +144,13 @@ class TestPopulations:
         h = 1e-6
         for t in (0.11, 0.47, 0.92):
             plus = populations_and_rates(
-                evolve(traj.charger, traj.psi0, t + h), traj.levels, traj.charger
+                evolve(traj.charger, traj.psi0, t + h), traj.battery, traj.charger
             ).p
             minus = populations_and_rates(
-                evolve(traj.charger, traj.psi0, t - h), traj.levels, traj.charger
+                evolve(traj.charger, traj.psi0, t - h), traj.battery, traj.charger
             ).p
             exact = populations_and_rates(
-                evolve(traj.charger, traj.psi0, t), traj.levels, traj.charger
+                evolve(traj.charger, traj.psi0, t), traj.battery, traj.charger
             ).p_dot
             assert np.abs((plus - minus) / (2 * h) - exact).max() < 1e-7
 
@@ -166,15 +164,13 @@ class TestFisherEnergy:
     def test_parallel_constant(self):
         n, lam = 5, 1.2
         _, charger, battery, psi0 = paradigmatic("parallel", n, lam)
-        levels = group_levels(battery)
         for t in (0.2, 0.5, 1.0):
-            rec = populations_and_rates(evolve(charger, psi0, t), levels, charger, t)
+            rec = populations_and_rates(evolve(charger, psi0, t), battery, charger, t)
             assert fisher_energy(rec) == pytest.approx(4 * n * lam**2, rel=1e-9)
 
     def test_global_constant(self):
         _, charger, battery, psi0 = paradigmatic("global", 4, lam=0.8)
-        levels = group_levels(battery)
-        rec = populations_and_rates(evolve(charger, psi0, 0.5), levels, charger)
+        rec = populations_and_rates(evolve(charger, psi0, 0.5), battery, charger)
         assert fisher_energy(rec) == pytest.approx(4 * 0.8**2, rel=1e-9)
 
     def test_commuting_charger_freezes_distribution(self):

@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from qbattery import ModelSpec, ValidationError, chain_spec, find_tf, run_trajectory
+from qbattery import (
+    ModelSpec,
+    ValidationError,
+    chain_spec,
+    eigendecompose,
+    find_tf,
+    group_levels,
+    models,
+    run_trajectory,
+)
 from qbattery.trajectory import DEFAULT_LAM_T_MAX, find_peak_time, time_grid
 
 from oracles import permutation_run_path, stored_energy_by_permutation
@@ -85,6 +94,60 @@ def test_run_path_matches_permutation_products(spec):
     assert np.array_equal(traj.fisher_state, 4.0 * traj.var_charger)
     for t in (0.0, 0.3137 * traj.times[-1], 0.771 * traj.times[-1]):
         assert traj.stored_energy_at(t) == stored_energy_by_permutation(traj, t)
+
+
+LADDER_SPECS = [
+    ModelSpec(family="parallel", n_cells=5),
+    ModelSpec(family="hybrid", n_cells=6, q=2, r=3),
+    chain_spec("xx_nn", 6),
+    ModelSpec(family="lmg", n_cells=7, lam=5.0),
+    ModelSpec(family="lmg", n_cells=8, lam=5.0, gamma=0.3),
+    ModelSpec(family="dicke", n_cells=3, lam=0.3),
+    ModelSpec(family="dicke", n_cells=3, lam=0.3, n_max=7),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", LADDER_SPECS, ids=lambda s: f"{s.family}-N{s.n_cells}-nmax{s.n_max}"
+)
+def test_ladder_levels_match_battery_spectrum(spec):
+    traj = run_trajectory(spec, steps=20)
+    battery = eigendecompose(traj.battery)
+    levels = group_levels(battery)
+    assert np.array_equal(traj.levels.energies, levels.energies)
+    assert np.array_equal(traj.levels.starts, levels.starts)
+    # A diagonal operator's k-th eigenvector is the unit vector at order[k].
+    assert np.array_equal(traj.battery_order, np.argmax(np.abs(battery.eigenvectors), axis=0))
+    stable = np.argsort(np.diagonal(battery.matrix).real, kind="stable")
+    assert np.array_equal(traj.battery_order, stable)
+
+
+@pytest.mark.parametrize(
+    "spec,builder",
+    [
+        (ModelSpec(family="lmg", n_cells=7, lam=5.0), "build_lmg"),
+        (ModelSpec(family="dicke", n_cells=3, lam=0.3, n_max=7), "build_dicke"),
+        (ModelSpec(family="dicke", n_cells=3, lam=0.3), "build_dicke"),
+    ],
+    ids=["lmg", "dicke-explicit", "dicke-auto"],
+)
+def test_charger_built_once_per_cutoff(spec, builder, monkeypatch):
+    calls = []
+    original = getattr(models, builder)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(models, builder, counting)
+    traj = run_trajectory(spec, steps=50)
+    if spec.family == "lmg" or spec.n_max is not None:
+        assert len(calls) == 1
+        return
+    # The automatic cutoff builds one charger per cutoff tried: 2N+8, then doublings.
+    cutoffs = [args[1] for args in calls]
+    assert cutoffs == [14 * 2**k for k in range(len(cutoffs))]
+    assert len(cutoffs) > 1 and cutoffs[-1] == traj.n_max_used
 
 
 class TestFockTruncation:

@@ -176,7 +176,7 @@ class TestCsvRecertification:
         assert len(paths) == 11, paths
         for path in paths:
             cfg = load_scenario(path)
-            traj = run_trajectory(cfg.spec, cfg.lam_t_max, 300, cfg.level_rel_tol)
+            traj = run_trajectory(cfg.spec, cfg.lam_t_max, 300)
             if corruption == "power_x2":
                 traj.power = 2.0 * traj.power
             memory = certify_trajectory(traj)
