@@ -171,22 +171,22 @@ def capacity_at_entropy(op: HermitianOperator, s_bits: float) -> float:
 
 
 def energy_amplitude_check(
-    stored_energy_series: np.ndarray, battery: HermitianOperator, initial_energy: float
+    stored_energy_series: np.ndarray, level_energies: np.ndarray, initial_energy: float
 ) -> EnergyAmplitudeReport:
     """Check a pure-state trajectory against the zero-entropy diagram caps.
 
     ``stored_energy_series`` is E(t) relative to the initial state, whose
-    absolute battery energy is ``initial_energy``.  The storage cap is
-    E_top - E(0), the extraction cap E(0) - E_bottom, both checked under
-    ``bounds.within_tolerance``, and the reported fraction is the stored
-    maximum over the storage cap.
+    absolute battery energy is ``initial_energy``; ``level_energies`` are the
+    battery's ascending levels (the ladder k - N/2 of a run).  The storage
+    cap is E_top - E(0), the extraction cap E(0) - E_bottom, both checked
+    under ``bounds.within_tolerance``, and the reported fraction is the
+    stored maximum over the storage cap.
     """
-    battery = eigendecompose(battery)
     series = np.asarray(stored_energy_series, dtype=float)
     stored_max = float(series.max(initial=0.0))
     extracted_max = float(-series.min(initial=0.0))
-    storage_cap = float(battery.eigenvalues[-1] - initial_energy)
-    extraction_cap = float(initial_energy - battery.eigenvalues[0])
+    storage_cap = float(level_energies[-1] - initial_energy)
+    extraction_cap = float(initial_energy - level_energies[0])
     ok = within_tolerance(stored_max, storage_cap) and within_tolerance(extracted_max, extraction_cap)
     fraction = stored_max / storage_cap if storage_cap > ABSOLUTE_FLOOR else float("nan")
     return EnergyAmplitudeReport(

@@ -173,15 +173,26 @@ def cmd_table1(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_VALIDATION
 
 
+def _undefined_as_nan(body: str) -> list[str]:
+    """The lines of a CSV body with "nan" in every empty (undefined) field,
+    so that ``np.loadtxt`` parses them in C with no per-field converter."""
+    text = "\n" + "\n".join(body.splitlines()) + "\n"
+    # A field is bounded by commas or line breaks.  replace() skips
+    # overlapping matches, so the second ",," pass fills the runs the first
+    # one left every other field of.
+    text = text.replace(",,", ",nan,").replace(",,", ",nan,")
+    text = text.replace("\n,", "\nnan,").replace(",\n", ",nan\n")
+    return text[1:-1].split("\n")
+
+
 def _read_trajectory_csv(path: str) -> dict[str, np.ndarray]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             header = handle.readline().rstrip("\r\n").split(",")
-            rows = handle.readlines()
-        if not rows:
+            body = handle.read()
+        if not body:
             raise ConfigError(f"{path}: trajectory CSV has no data rows")
-        # An empty field is an undefined value.
-        data = np.loadtxt(rows, delimiter=",", ndmin=2, converters=lambda s: float(s or "nan"))
+        data = np.loadtxt(_undefined_as_nan(body), delimiter=",", ndmin=2)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read trajectory CSV ({exc.strerror})") from exc
     except ValueError as exc:  # a ragged row, a non-numeric field or bad bytes

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .models import CHAIN_VARIANTS, FAMILIES, ModelSpec, chain_spec
+from .models import CHAIN_VARIANTS, FAMILIES, FAMILY_FIELDS, ModelSpec, chain_spec
 from .trajectory import DEFAULT_STEPS
 
 
@@ -69,15 +69,6 @@ def _typed(value, types, path: str):
     return value
 
 
-# Model keys each family takes besides family, N and lam.
-FAMILY_KEYS = {
-    "parallel": (),
-    "global": (),
-    "hybrid": ("q", "r"),
-    "jw_chain": ("variant", "lambdas", "gammas", "momentum_sector"),
-    "lmg": ("gamma",),
-    "dicke": ("n_max", "normalize_coupling"),
-}
 OUTPUT_SERIES = ("populations",)
 
 
@@ -103,7 +94,12 @@ def parse_model(raw: dict, path: str = "model") -> ModelSpec:
     family = _typed(raw["family"], str, f"{path}.family")
     if family not in FAMILIES:
         raise ConfigError(f"{path}.family: unknown family {family!r} (expected one of {FAMILIES})")
-    foreign = sorted(set(given) - {"family", "N", "lam"} - set(FAMILY_KEYS[family]))
+    # Model keys are ModelSpec fields, but N names n_cells and a chain's
+    # variant stands for its couplings.
+    own = {"family", "N", "lam", *FAMILY_FIELDS[family]}
+    if family == "jw_chain":
+        own.add("variant")
+    foreign = sorted(set(given) - own)
     if foreign:
         keys = ", ".join(f"{path}.{key}" for key in foreign)
         raise ConfigError(f"{keys}: not a key of the {family} family")

@@ -8,7 +8,8 @@ integrator tolerance enters the bound checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +22,7 @@ TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 LEVEL_REL_TOL = 1e-9
+HERMITICITY_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,16 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} has non-finite entries")
 
 
+def _hermiticity_deviation(mat: np.ndarray) -> float:
+    """max |mat - mat^H| without the two dense temporaries: each block of
+    rows, from the diagonal on, against the matching block of columns."""
+    dev = 0.0
+    for a in range(0, mat.shape[0], HERMITICITY_BLOCK):
+        b = a + HERMITICITY_BLOCK
+        dev = max(dev, float(np.abs(mat[a:b, a:] - mat[a:, a:b].T.conj()).max()))
+    return dev
+
+
 def _is_diagonal(mat: np.ndarray) -> bool:
     """Exactly diagonal test in one pass with no dense temporary."""
     return np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
@@ -92,14 +104,13 @@ class HermitianOperator:
             )
         if _is_diagonal(mat):
             # Off-diagonal entries are exact zeros (NaN counts as nonzero).  A
-            # diagonal matrix is Hermitian iff its diagonal is real; this is
-            # |mat - mat^H| without the two dense temporaries.
+            # diagonal matrix is Hermitian iff its diagonal is real.
             diag = np.diagonal(mat)
             _require_finite(diag, "matrix")
             dev = 2.0 * np.abs(diag.imag).max()
         else:
             _require_finite(mat, "matrix")
-            dev = np.abs(mat - mat.conj().T).max()
+            dev = _hermiticity_deviation(mat)
         if dev > HERMITICITY_ATOL:
             raise ValidationError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         if (self.eigenvalues is None) != (self.eigenvectors is None):
@@ -166,7 +177,7 @@ class DensityMatrix:
                 f"matrix dim {mat.shape[0]} does not match basis dim {self.basis.dim}"
             )
         _require_finite(mat, "density matrix")
-        if np.abs(mat - mat.conj().T).max() > HERMITICITY_ATOL:
+        if _hermiticity_deviation(mat) > HERMITICITY_ATOL:
             raise ValidationError("density matrix is not Hermitian")
         tr = np.trace(mat).real
         if abs(tr - 1.0) > TRACE_ATOL:
@@ -232,7 +243,12 @@ def eigendecompose(op: HermitianOperator) -> HermitianOperator:
         vecs[order, np.arange(mat.shape[0])] = 1.0
     else:
         vals, vecs = np.linalg.eigh(mat)
-    return replace(op, eigenvalues=vals, eigenvectors=vecs)
+    # A shallow copy skips __post_init__: op's matrix was validated when op
+    # was made, and the copy shares it.
+    out = copy.copy(op)
+    object.__setattr__(out, "eigenvalues", vals)
+    object.__setattr__(out, "eigenvectors", vecs)
+    return out
 
 
 def evolve(hamiltonian: HermitianOperator, psi0: StateVector, t: float) -> StateVector:

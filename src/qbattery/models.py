@@ -9,7 +9,7 @@ ordering (sigma_z = diag(-1, +1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,7 +25,17 @@ SIGMA_Y = np.array([[0, 1j], [-1j, 0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 PARADIGMATIC_FAMILIES = ("parallel", "global", "hybrid")
-FAMILIES = PARADIGMATIC_FAMILIES + ("jw_chain", "lmg", "dicke")
+# The fields each family takes besides family, n_cells and lam.  Every
+# other field must keep its default.
+FAMILY_FIELDS = {
+    "parallel": (),
+    "global": (),
+    "hybrid": ("q", "r"),
+    "jw_chain": ("lambdas", "gammas", "momentum_sector"),
+    "lmg": ("gamma",),
+    "dicke": ("n_max", "normalize_coupling"),
+}
+FAMILIES = tuple(FAMILY_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -57,6 +67,13 @@ class ModelSpec:
             raise ValidationError("n_cells must be >= 1")
         object.__setattr__(self, "lambdas", tuple(float(x) for x in self.lambdas))
         object.__setattr__(self, "gammas", tuple(float(x) for x in self.gammas))
+        own = ("family", "n_cells", "lam") + FAMILY_FIELDS[self.family]
+        foreign = [
+            f.name for f in fields(self)
+            if f.name not in own and getattr(self, f.name) != f.default
+        ]
+        if foreign:
+            raise ValidationError(f"{self.family} model takes no {', '.join(foreign)}")
         if self.family == "hybrid":
             if self.q is None or self.r is None or self.q < 1 or self.r < 1:
                 raise ValidationError("hybrid model needs block counts q, r >= 1")

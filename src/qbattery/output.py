@@ -8,7 +8,6 @@ values, so identical configs reproduce byte-identical outputs.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -31,19 +30,37 @@ TRAJECTORY_COLUMNS = (
 )
 
 
-def format_value(x) -> str:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    if isinstance(x, str):
-        return x
-    return format(float(x), ".17g")
-
-
 def write_csv(path: str | Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Write a header line and the rows, the whole block in one ``%`` call.
+
+    ``rows`` is a 2-D float array or a sequence of equal-length rows.  A
+    column that holds str cells is written as ``str(cell)``; every other
+    cell is a number written as ``'%.17g' % float(x)``, and NaN or None as an
+    empty field.
+    """
+    if isinstance(rows, np.ndarray):
+        numbers, text_columns, texts = rows, (), ()
+    else:
+        rows = [list(row) for row in rows]
+        text_columns = sorted(
+            {j for row in rows for j, cell in enumerate(row) if isinstance(cell, str)}
+        )
+        texts = tuple(row[j] for row in rows for j in text_columns)
+        for row in rows:
+            for j in text_columns[::-1]:
+                del row[j]
+        width = len(rows[0]) if rows else 0
+        numbers = np.array(rows, dtype=float).reshape(len(rows), width)
+    n_fields = numbers.shape[1] + len(text_columns)
+    # A text column is a "%%s" slot that the numeric pass turns into "%s".
+    fields = ["%%s" if j in text_columns else "%.17g" for j in range(n_fields)]
+    block = (",".join(fields) + "\n") * len(numbers) % tuple(numbers.ravel().tolist())
+    # '%.17g' writes NaN of either sign as "nan", a text no other number
+    # contains, so every "nan" is one whole undefined field.
+    block = block.replace("nan", "")
+    if text_columns:
+        block %= texts
+    Path(path).write_text(",".join(header) + "\n" + block, encoding="utf-8", newline="\n")
 
 
 def _guarded_ratio(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -54,13 +71,13 @@ def _guarded_ratio(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def trajectory_rows(traj: Trajectory, include_populations: bool = False):
-    """Column header and row iterator for the trajectory CSV schema."""
+    """Column header and (T, columns) value block of the trajectory CSV schema."""
     header = list(TRAJECTORY_COLUMNS)
     # Ratio columns come from the untruncated Fisher sum (the certification
     # arithmetic); the I_E column itself is the floored observable.
     ratio_cor1 = _guarded_ratio(traj.power**2, traj.var_battery * traj.fisher_energy_full)
     ratio_heis = _guarded_ratio(traj.power**2, 4.0 * traj.var_battery * traj.var_charger)
-    columns = [
+    columns = np.stack([
         traj.times,
         traj.energy,
         traj.power,
@@ -71,11 +88,11 @@ def trajectory_rows(traj: Trajectory, include_populations: bool = False):
         traj.cos_theta,
         ratio_cor1,
         ratio_heis,
-    ]
+    ])
     if include_populations:
         header += [f"p_{k}" for k in range(traj.levels.n_levels)]
-        columns += [traj.populations[k] for k in range(traj.levels.n_levels)]
-    return header, zip(*columns)
+        columns = np.concatenate([columns, traj.populations])
+    return header, columns.T
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path, include_populations: bool = False) -> None:
@@ -121,5 +138,5 @@ def write_scaling_outputs(
 
 
 def write_diagram_csv(points: list[DiagramPoint], path: str | Path) -> None:
-    rows = [[p.beta, p.energy, p.entropy_bits] for p in points]
+    rows = np.array([[p.beta, p.energy, p.entropy_bits] for p in points]).reshape(-1, 3)
     write_csv(path, ["beta", "E", "S_bits"], rows)

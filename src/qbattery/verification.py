@@ -132,7 +132,9 @@ def certify_trajectory(traj: Trajectory) -> CertificationReport:
         "p_dot": np.ascontiguousarray(traj.population_rates.T),
     }
     report = certify_series(columns, MEMORY_BOUNDS, undefined_fails=True)
-    report.amplitude = energy_amplitude_check(traj.energy, traj.battery, traj.initial_energy)
+    report.amplitude = energy_amplitude_check(
+        traj.energy, traj.levels.energies, traj.initial_energy
+    )
     report.witness_block_max = int(k.max())
     return report
 

@@ -6,7 +6,9 @@ analytic rates, so the oracle shares no code path with what it checks.
 """
 
 import itertools
+import math
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 
@@ -184,3 +186,50 @@ def stored_energy_by_permutation(traj, t: float) -> float:
     battery = eigendecompose(traj.battery)
     overlaps = battery.eigenvectors.conj().T @ psi.amplitudes
     return float(np.abs(overlaps) ** 2 @ battery.eigenvalues - traj.initial_energy)
+
+
+def format_value(x) -> str:
+    """One CSV cell, formatted on its own: the per-value writer's rule."""
+    if x is None or (isinstance(x, float) and math.isnan(x)):
+        return ""
+    if isinstance(x, str):
+        return x
+    return format(float(x), ".17g")
+
+
+def write_csv_per_value(path, header, rows) -> None:
+    """The CSV writer that formats and joins one value at a time: the
+    reference for the block-formatted ``output.write_csv``."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format_value(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def read_csv_with_converter(path) -> dict:
+    """Trajectory CSV columns parsed with a Python converter per field (an
+    empty field is NaN): the reference for the converter-free reader."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        header = handle.readline().rstrip("\r\n").split(",")
+        rows = handle.readlines()
+    data = np.loadtxt(rows, delimiter=",", ndmin=2, converters=lambda s: float(s or "nan"))
+    return dict(zip(header, data.T))
+
+
+def run_trajectory_doubling(spec, lam_t_max=None, steps=2000):
+    """The automatic Fock cutoff with no screen: the full run at 2N+8 and at
+    each doubling until the edge leak is below tolerance.  The reference
+    for the screened cutoff choice of ``run_trajectory``."""
+    from qbattery import models, trajectory
+
+    times = trajectory.time_grid(spec, lam_t_max, steps)
+    n_max = models.model_basis(spec).n_max
+    for _ in range(trajectory.MAX_FOCK_DOUBLINGS + 1):
+        charger = eigendecompose(models.build_charger_for(spec, n_max))
+        traj = trajectory._run_fixed(spec, times, charger, models.initial_state(spec, n_max))
+        leak = trajectory._fock_edge_population(traj.states, spec.n_cells, n_max)
+        traj.fock_edge_population = leak
+        if leak < trajectory.FOCK_LEAK_TOL:
+            return traj
+        n_max *= 2
+    raise AssertionError("Fock cutoff did not converge")

@@ -182,7 +182,7 @@ class TestEnergyAmplitude:
     def test_paradigmatic_full_fraction(self):
         spec = ModelSpec(family="parallel", n_cells=4, lam=1.0)
         traj = run_trajectory(spec, steps=800)
-        report = energy_amplitude_check(traj.energy, traj.battery, traj.initial_energy)
+        report = energy_amplitude_check(traj.energy, traj.levels.energies, traj.initial_energy)
         assert report.satisfied
         assert report.stored_fraction == pytest.approx(1.0, abs=1e-4)
         exact_peak = traj.stored_energy_at(math.pi / 2)
@@ -191,7 +191,7 @@ class TestEnergyAmplitude:
     def test_frozen_chain_stores_nothing(self):
         spec = ModelSpec(family="jw_chain", n_cells=4, lambdas=(0.8,), gammas=(0.0,))
         traj = run_trajectory(spec, steps=50)
-        report = energy_amplitude_check(traj.energy, traj.battery, traj.initial_energy)
+        report = energy_amplitude_check(traj.energy, traj.levels.energies, traj.initial_energy)
         assert report.satisfied
         assert abs(report.stored_fraction) < 1e-12
 

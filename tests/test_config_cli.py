@@ -7,7 +7,7 @@ import pytest
 from qbattery import ConfigError
 from qbattery.cli import main
 from qbattery.config import load_scenario, parse_capacity, parse_model, parse_scenario
-from qbattery.output import format_value
+from qbattery.output import write_csv
 
 
 def write_json(path: Path, payload) -> str:
@@ -136,13 +136,15 @@ class TestSchema:
 
 
 class TestFormatting:
-    def test_full_precision_roundtrip(self):
-        for x in (math.pi, 1 / 3, 1e-17, -2.5):
-            assert float(format_value(x)) == x
+    def test_full_precision_roundtrip(self, tmp_path):
+        values = (math.pi, 1 / 3, 1e-17, -2.5)
+        write_csv(tmp_path / "out.csv", ["x"], [[x] for x in values])
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert tuple(float(line) for line in lines[1:]) == values
 
-    def test_missing_values_are_empty(self):
-        assert format_value(float("nan")) == ""
-        assert format_value(None) == ""
+    def test_missing_values_are_empty(self, tmp_path):
+        write_csv(tmp_path / "out.csv", ["x", "y"], [[float("nan"), None]])
+        assert (tmp_path / "out.csv").read_text() == "x,y\n,\n"
 
 
 class TestCli:
@@ -215,7 +217,7 @@ class TestCli:
         for line in lines[1:]:
             cells = line.split(",")
             if cells[p_col]:
-                cells[p_col] = format_value(2.0 * float(cells[p_col]))
+                cells[p_col] = format(2.0 * float(cells[p_col]), ".17g")
             doctored.append(",".join(cells))
         csv_path.write_text("\n".join(doctored) + "\n")
         assert self.run("certify", str(csv_path)) == 3

@@ -15,6 +15,7 @@ from qbattery import (
     partial_trace_cavity,
     von_neumann_entropy,
 )
+from qbattery import linalg
 from qbattery.linalg import evolve_batch, random_hermitian
 from qbattery.models import build_battery
 
@@ -62,6 +63,18 @@ class TestEigendecompose:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             HermitianOperator(np.array([[0, 1], [0, 0]], dtype=complex), B2)
+
+    def test_copy_is_not_validated_again(self, monkeypatch):
+        op = random_hermitian(6, np.random.default_rng(3))
+        calls = []
+        original = linalg._hermiticity_deviation
+        monkeypatch.setattr(
+            linalg, "_hermiticity_deviation", lambda mat: calls.append(mat) or original(mat)
+        )
+        out = eigendecompose(op)
+        assert calls == []
+        assert out.matrix is op.matrix and out.basis == op.basis
+        assert out.has_eig and not op.has_eig
 
 
 class TestEvolve:
@@ -248,6 +261,15 @@ class TestTypeInvariants:
             StateVector(np.array([bad, 0.0]), B2)
         with pytest.raises(ValidationError, match="non-finite"):
             DensityMatrix(np.diag([bad, 0.0]).astype(complex), B2)
+
+    @pytest.mark.parametrize("i,j", [(3, 150), (150, 3), (70, 70), (199, 0), (64, 127), (63, 64)])
+    def test_blocked_hermiticity_check_sees_every_entry(self, i, j):
+        # 200 rows span four row blocks; the reported deviation is the dense one.
+        mat = random_hermitian(200, np.random.default_rng(5)).matrix.copy()
+        mat[i, j] += 1e-9j if i == j else 1e-9
+        dense = np.abs(mat - mat.conj().T).max()
+        with pytest.raises(ValidationError, match=f"max deviation {dense:.3e}"):
+            HermitianOperator(mat, Basis("collective_spin", 199))
 
     def test_basis_dims(self):
         assert Basis("qubit_chain", 3).dim == 8

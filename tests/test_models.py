@@ -97,6 +97,28 @@ class TestBitBuildersMatchKron:
         assert np.array_equal(build_charger_paradigmatic(spec).matrix, expected)
 
 
+class TestFamilyFields:
+    @pytest.mark.parametrize(
+        "family,own,foreign",
+        [
+            ("parallel", {}, {"q": 3, "gamma": 0.5}),
+            ("global", {}, {"n_max": 20}),
+            ("hybrid", {"q": 2, "r": 2}, {"lambdas": (1.0,), "gammas": (1.0,)}),
+            ("jw_chain", {"lambdas": (1.0,), "gammas": (1.0,)}, {"gamma": 0.0}),
+            ("lmg", {"gamma": 0.5}, {"normalize_coupling": False}),
+            ("dicke", {"n_max": 20}, {"momentum_sector": "periodic_grid"}),
+        ],
+    )
+    def test_foreign_fields_rejected(self, family, own, foreign):
+        ModelSpec(family=family, n_cells=4, **own)
+        with pytest.raises(ValidationError, match=f"{family} model takes no {', '.join(foreign)}"):
+            ModelSpec(family=family, n_cells=4, **own, **foreign)
+
+    def test_defaults_are_not_foreign(self):
+        spec = ModelSpec(family="parallel", n_cells=4, gamma=-1.0, n_max=None, lambdas=[])
+        assert spec.lambdas == ()
+
+
 class TestParadigmaticChargers:
     def test_parallel_ground_state_moments(self):
         lam, n = 0.7, 5

@@ -13,9 +13,12 @@ from qbattery import (
     models,
     run_trajectory,
 )
+from qbattery import trajectory
+from qbattery.config import load_scenario
+from qbattery.output import write_trajectory_csv
 from qbattery.trajectory import DEFAULT_LAM_T_MAX, find_peak_time, time_grid
 
-from oracles import permutation_run_path, stored_energy_by_permutation
+from oracles import permutation_run_path, run_trajectory_doubling, stored_energy_by_permutation
 
 
 class TestTimeGrid:
@@ -161,6 +164,47 @@ class TestFockTruncation:
         assert traj.n_max_used == 9
         assert traj.states.shape[0] == 4 * 10
 
+    @pytest.mark.parametrize(
+        "make_spec,steps,n_max_used",
+        [
+            (lambda: load_scenario("configs/dicke_n8_strong.json").spec, 2000, 48),
+            (lambda: ModelSpec(family="dicke", n_cells=2, lam=1.0), 200, 48),  # doubles twice
+        ],
+        ids=["dicke_n8_strong", "doubles-twice"],
+    )
+    def test_screen_picks_the_doubling_cutoff(self, tmp_path, make_spec, steps, n_max_used):
+        spec = make_spec()
+        traj = run_trajectory(spec, steps=steps)
+        oracle = run_trajectory_doubling(spec, steps=steps)
+        assert traj.n_max_used == oracle.n_max_used == n_max_used
+        assert traj.fock_edge_population == oracle.fock_edge_population
+        assert traj.states.tobytes() == oracle.states.tobytes()
+        write_trajectory_csv(traj, tmp_path / "screened.csv", include_populations=True)
+        write_trajectory_csv(oracle, tmp_path / "oracle.csv", include_populations=True)
+        assert (tmp_path / "screened.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_screen_that_misses_the_leak_still_doubles(self, monkeypatch):
+        # A sub-grid of t = 0 alone sees no leak, so every cutoff passes the
+        # screen; the full-grid check must still reject 12 and 24.
+        spec = ModelSpec(family="dicke", n_cells=2, lam=1.0)
+        monkeypatch.setattr(trajectory, "_screen_times", lambda times: times[:1])
+        built = []
+        original = models.build_dicke
+        monkeypatch.setattr(
+            models, "build_dicke", lambda *args: built.append(args[1]) or original(*args)
+        )
+        traj = run_trajectory(spec, steps=200)
+        assert built == [12, 24, 48]
+        assert traj.n_max_used == 48 and traj.fock_edge_population < trajectory.FOCK_LEAK_TOL
+        oracle = run_trajectory_doubling(spec, steps=200)
+        assert traj.states.tobytes() == oracle.states.tobytes()
+
+    def test_screen_is_a_subset_ending_on_the_last_time(self):
+        times = time_grid(ModelSpec(family="dicke", n_cells=2), steps=2000)
+        screen = trajectory._screen_times(times)
+        assert screen[-1] == times[-1]
+        assert np.isin(screen, times).all() and len(screen) == 200
+
     def test_entropy_series_shape(self):
         traj = run_trajectory(ModelSpec(family="dicke", n_cells=2, lam=0.3), steps=40)
         series = traj.battery_entropy_series()
@@ -203,8 +247,6 @@ class TestPeakSearch:
 
 class TestDeterminism:
     def test_identical_runs_are_bitwise_equal(self, tmp_path):
-        from qbattery.output import write_trajectory_csv
-
         paths = []
         for tag in ("a", "b"):
             traj = run_trajectory(ModelSpec(family="dicke", n_cells=3, lam=0.5), steps=120)
