@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Emit the energy-entropy diagram of an N-cell battery with entropy targets.
 
+The diagram is computed on the register's N + 1 binomial levels, so any N
+runs in milliseconds.
+
 Usage: python scripts/energy_entropy_diagram.py [N] [output_dir]
 """
 
@@ -10,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qbattery import build_battery, capacity_at_entropy, eigendecompose, solve_beta_for_entropy
+from qbattery import capacity_at_entropy, register_spectrum, solve_beta_for_entropy
 from qbattery.capacity import thermal_curve
 from qbattery.output import write_csv, write_diagram_csv
 
@@ -19,7 +22,7 @@ def main() -> int:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 8
     out = Path(sys.argv[2]) if len(sys.argv) > 2 else Path("results/diagram")
     out.mkdir(parents=True, exist_ok=True)
-    battery = eigendecompose(build_battery(n))
+    battery = register_spectrum(n)
     pos = np.logspace(-3, math.log10(20.0), 300)
     betas = np.concatenate([-pos[::-1], [0.0], pos])
     write_diagram_csv(thermal_curve(battery, betas), out / "diagram.csv")

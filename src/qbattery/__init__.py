@@ -55,9 +55,9 @@ from .models import (
     chain_spec,
     ghz_state,
     initial_state,
+    register_spectrum,
 )
 from .observables import (
-    ObservableRecord,
     PopulationRecord,
     battery_entanglement_entropy,
     bures_angle,

@@ -145,7 +145,3 @@ def entanglement_power_bound(n_cells: int, k: int, fisher: float) -> float:
     """
     return producibility_variance_cap(n_cells, k) * fisher
 
-
-def dephasing_fisher_report(t: float, fisher_energy: float, var_charger: float) -> BoundReport:
-    """I_E <= 4 var(H_C): energy-space speed never exceeds state-space speed."""
-    return check_inequality(t, fisher_energy, 4.0 * var_charger, label="dephasing_fisher")

@@ -1,6 +1,14 @@
 """Energy-entropy diagram: thermal boundary, entropy-constrained energy
 extrema, and the storable/extractable energy caps they imply.
 
+The diagram depends on the battery's level spectrum alone: the ascending
+level energies E_k and the natural log of each level's multiplicity g_k.
+Every function takes such an (energies, log multiplicities) pair, as
+``models.register_spectrum`` gives for N cells, or a HermitianOperator,
+reduced once per call to its degenerate levels by ``linalg.group_levels``.
+Level weights stay in log space, log P_k = log g_k - beta E_k - log Z, so
+binomial multiplicities beyond float range cost nothing.
+
 Entropies on the diagram are in bits; ``beta`` is the physical inverse
 temperature of the Gibbs weight exp(-beta E), so the boundary slope satisfies
 dS_bits/dE = beta / ln 2.  Negative beta points describe population-inverted
@@ -16,12 +24,16 @@ import numpy as np
 
 from .bounds import ABSOLUTE_FLOOR, within_tolerance
 from .errors import ValidationError
-from .linalg import LEVEL_REL_TOL, HermitianOperator, eigendecompose
+from .linalg import HermitianOperator, eigendecompose, group_levels
 
 BISECTION_RESIDUAL = 1e-10
 BETA_BRACKET_LOW = 1e-12
 BETA_BRACKET_HIGH = 1e4
 BETA_BRACKET_CAP = 1e16
+# Entropies this close to a bound, relative to log2(dim) and at least 1e-12
+# bits, count as on it: at N = 10^4 cells one ulp of log2(dim) is 1.8e-12.
+ENTROPY_RTOL = 1e-12
+LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -45,68 +57,85 @@ class EnergyAmplitudeReport:
     satisfied: bool
 
 
-def _extreme_group(eigenvalues: np.ndarray, top: bool, rel_tol: float) -> np.ndarray:
-    span = float(eigenvalues[-1] - eigenvalues[0])
-    gap = rel_tol * span
-    if top:
-        return np.flatnonzero(eigenvalues >= eigenvalues[-1] - gap)
-    return np.flatnonzero(eigenvalues <= eigenvalues[0] + gap)
+def _level_spectrum(battery) -> tuple[np.ndarray, np.ndarray]:
+    """(level energies, log multiplicities) of a battery given as that pair
+    or as an operator."""
+    if isinstance(battery, HermitianOperator):
+        levels = group_levels(eigendecompose(battery))
+        return levels.energies, np.log(levels.multiplicities)
+    energies, log_multiplicities = battery
+    return np.asarray(energies, dtype=float), np.asarray(log_multiplicities, dtype=float)
 
 
-def gibbs(eigenvalues: np.ndarray, beta: float, rel_tol: float = LEVEL_REL_TOL) -> np.ndarray:
-    """Thermal occupation p_i proportional to exp(-beta E_i), overflow-safe.
-
-    beta = +inf / -inf yield the uniform mixture over the (degenerate)
-    ground / top level.
-    """
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
+def _gibbs(spectrum, beta: float) -> tuple[np.ndarray, int, float]:
+    """Thermal level weights P_k = g_k exp(-beta E_k) / Z, the heaviest level
+    m and ln(Z / w_m).  The exponents are taken relative to level m, so they
+    stay small wherever the weight is and the rounding of the large ln g_k
+    and beta E_k does not reach P_k.  beta = +inf / -inf put all the weight
+    on the ground / top level."""
+    energies, log_multiplicities = spectrum
     if math.isinf(beta):
-        group = _extreme_group(eigenvalues, top=beta < 0, rel_tol=rel_tol)
-        p = np.zeros_like(eigenvalues)
-        p[group] = 1.0 / len(group)
-        return p
-    weights = -beta * eigenvalues
-    weights -= weights.max()
-    p = np.exp(weights)
-    return p / p.sum()
+        m = len(energies) - 1 if beta < 0 else 0
+        p = np.zeros(len(energies))
+        p[m] = 1.0
+        return p, m, 0.0
+    m = int(np.argmax(log_multiplicities - beta * energies))
+    # ln(w_k / w_m) <= 0, with equality at m: the sum lies in [1, levels].
+    w = np.exp((log_multiplicities - log_multiplicities[m]) - beta * (energies - energies[m]))
+    z = w.sum()
+    return w / z, m, math.log(z)
 
 
-def _entropy_bits(p: np.ndarray) -> float:
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+def gibbs(battery, beta: float) -> np.ndarray:
+    """Thermal level weights P_k = g_k exp(-beta E_k) / Z, each shared evenly
+    by the g_k states of its level."""
+    return _gibbs(_level_spectrum(battery), beta)[0]
 
 
-def thermal_point(eigenvalues: np.ndarray, beta: float) -> DiagramPoint:
-    p = gibbs(eigenvalues, beta)
-    return DiagramPoint(
-        energy=float(p @ eigenvalues), entropy_bits=_entropy_bits(p), beta=beta
-    )
+def _entropy_range(spectrum) -> tuple[float, float]:
+    """The entropy of the maximally mixed state, log2 of the summed
+    multiplicities, and the slack of ENTROPY_RTOL around it."""
+    top = spectrum[1].max()
+    s_max = (top + math.log(np.exp(spectrum[1] - top).sum())) / LN2
+    return s_max, ENTROPY_RTOL * max(s_max, 1.0)
 
 
-def thermal_curve(op: HermitianOperator, betas: np.ndarray) -> list[DiagramPoint]:
+def thermal_point(spectrum, beta: float) -> DiagramPoint:
+    """Energy and entropy of the Gibbs state of a level spectrum at one beta.
+
+    S = -sum_k P_k ln(P_k / g_k) = ln g_m + ln(Z / w_m) + beta <E - E_m> in
+    nats, a sum of terms of the size of S itself.
+    """
+    energies, log_multiplicities = spectrum
+    p, m, log_z = _gibbs(spectrum, beta)
+    offset = float(p @ (energies - energies[m]))
+    spread = 0.0 if math.isinf(beta) else beta * offset
+    entropy = (log_multiplicities[m] + log_z + spread) / LN2
+    return DiagramPoint(energy=float(p @ energies), entropy_bits=float(entropy), beta=beta)
+
+
+def thermal_curve(battery, betas: np.ndarray) -> list[DiagramPoint]:
     """Thermal boundary points for each beta in the grid."""
-    op = eigendecompose(op)
-    return [thermal_point(op.eigenvalues, float(b)) for b in betas]
+    spectrum = _level_spectrum(battery)
+    return [thermal_point(spectrum, float(b)) for b in betas]
 
 
-def _solve_positive_branch(eigenvalues: np.ndarray, s_target: float) -> DiagramPoint:
+def _solve_positive_branch(spectrum, s_target: float) -> DiagramPoint:
     """Bisect beta >= 0 so that S(beta) hits the target entropy (bits)."""
-    dim = len(eigenvalues)
-    s_max = math.log2(dim)
-    ground = _extreme_group(eigenvalues, top=False, rel_tol=LEVEL_REL_TOL)
-    s_floor = math.log2(len(ground))
-    if s_target > s_max + 1e-12:
+    s_max, slack = _entropy_range(spectrum)
+    s_floor = spectrum[1][0] / LN2
+    if s_target > s_max + slack:
         raise ValidationError(f"target entropy {s_target} exceeds log2(dim) = {s_max}")
-    if s_target < s_floor - 1e-12:
+    if s_target < s_floor - slack:
         raise ValidationError(
             f"target entropy {s_target} lies below the ground-level entropy "
-            f"log2({len(ground)}) = {s_floor}; unreachable on the thermal branch"
+            f"log2({math.exp(spectrum[1][0]):.6g}) = {s_floor}; unreachable on the thermal branch"
         )
-    if abs(s_target - s_max) <= 1e-12:
-        return thermal_point(eigenvalues, 0.0)
+    if abs(s_target - s_max) <= slack:
+        return thermal_point(spectrum, 0.0)
 
     def entropy_at(beta: float) -> float:
-        return _entropy_bits(gibbs(eigenvalues, beta))
+        return thermal_point(spectrum, beta).entropy_bits
 
     lo, hi = BETA_BRACKET_LOW, BETA_BRACKET_HIGH
     while entropy_at(hi) > s_target + BISECTION_RESIDUAL:
@@ -117,7 +146,7 @@ def _solve_positive_branch(eigenvalues: np.ndarray, s_target: float) -> DiagramP
             )
     if entropy_at(lo) < s_target - BISECTION_RESIDUAL:
         # Target sits between beta = 0 and the smallest bracket value.
-        return thermal_point(eigenvalues, lo)
+        return thermal_point(spectrum, lo)
     beta = lo
     for _ in range(200):
         beta = 0.5 * (lo + hi)
@@ -128,7 +157,7 @@ def _solve_positive_branch(eigenvalues: np.ndarray, s_target: float) -> DiagramP
             lo = beta
         else:
             hi = beta
-    point = thermal_point(eigenvalues, beta)
+    point = thermal_point(spectrum, beta)
     if abs(point.entropy_bits - s_target) > BISECTION_RESIDUAL:
         raise ValidationError(
             f"bisection stalled at |S - target| = {abs(point.entropy_bits - s_target):.2e}"
@@ -136,19 +165,20 @@ def _solve_positive_branch(eigenvalues: np.ndarray, s_target: float) -> DiagramP
     return point
 
 
-def solve_beta_for_entropy(
-    op: HermitianOperator, s_target_bits: float, branch: str
-) -> DiagramPoint:
+def solve_beta_for_entropy(battery, s_target_bits: float, branch: str) -> DiagramPoint:
     """Thermal state with the requested entropy on one branch of the boundary.
 
     branch "positive_beta" returns the energy-minimizing (completely passive)
     point, "negative_beta" the energy-maximizing (completely active) one.
     """
-    op = eigendecompose(op)
+    spectrum = _level_spectrum(battery)
     if branch == "positive_beta":
-        return _solve_positive_branch(op.eigenvalues, s_target_bits)
+        return _solve_positive_branch(spectrum, s_target_bits)
     if branch == "negative_beta":
-        mirrored = _solve_positive_branch(-op.eigenvalues[::-1], s_target_bits)
+        energies, log_multiplicities = spectrum
+        mirrored = _solve_positive_branch(
+            (-energies[::-1], log_multiplicities[::-1]), s_target_bits
+        )
         return DiagramPoint(
             energy=-mirrored.energy,
             entropy_bits=mirrored.entropy_bits,
@@ -157,16 +187,16 @@ def solve_beta_for_entropy(
     raise ValidationError(f"unknown branch {branch!r}")
 
 
-def capacity_at_entropy(op: HermitianOperator, s_bits: float) -> float:
+def capacity_at_entropy(battery, s_bits: float) -> float:
     """Energetic amplitude E_max(S) - E_min(S) at fixed entropy."""
-    op = eigendecompose(op)
-    s_max = math.log2(op.dim)
-    if not -1e-12 <= s_bits <= s_max + 1e-12:
+    spectrum = _level_spectrum(battery)
+    s_max, slack = _entropy_range(spectrum)
+    if not -slack <= s_bits <= s_max + slack:
         raise ValidationError(f"entropy {s_bits} outside [0, log2(dim) = {s_max}]")
     if s_bits <= 0.0:
-        return float(op.eigenvalues[-1] - op.eigenvalues[0])
-    high = solve_beta_for_entropy(op, s_bits, "negative_beta")
-    low = solve_beta_for_entropy(op, s_bits, "positive_beta")
+        return float(spectrum[0][-1] - spectrum[0][0])
+    high = solve_beta_for_entropy(spectrum, s_bits, "negative_beta")
+    low = solve_beta_for_entropy(spectrum, s_bits, "positive_beta")
     return high.energy - low.energy
 
 

@@ -19,8 +19,11 @@ import numpy as np
 from .capacity import capacity_at_entropy, solve_beta_for_entropy, thermal_curve
 from .config import load_capacity, load_scenario
 from .errors import ConfigError, QBatteryError
-from .linalg import eigendecompose
-from .models import build_battery_for
+from .models import register_spectrum
+# No command uses these two; they are kept only for the benchmark tracer,
+# which patches qbattery.cli.build_battery_for and qbattery.cli.eigendecompose.
+from .linalg import eigendecompose  # noqa: F401
+from .models import build_battery_for  # noqa: F401
 from .output import (
     TRAJECTORY_COLUMNS,
     write_csv,
@@ -111,7 +114,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_capacity(args) -> int:
     cfg = load_capacity(args.config)
-    battery = eigendecompose(build_battery_for(cfg.spec))
+    # Every family charges the same N non-interacting cells, so the diagram
+    # is the register's level spectrum whatever the charger, at any N.
+    n = cfg.spec.n_cells
+    try:  # capacity.json records dim = 2^N exactly: fail before the work, not after
+        str(2**n)
+    except ValueError as exc:  # longer than sys.get_int_max_str_digits()
+        raise ConfigError(f"model.N = {n}: dim = 2^N cannot be written exactly ({exc})") from exc
+    battery = register_spectrum(n)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     pos = np.logspace(-3, math.log10(cfg.beta_max_abs), cfg.points_per_branch)
@@ -129,9 +139,9 @@ def cmd_capacity(args) -> int:
             "capacity": capacity_at_entropy(battery, s_bits),
         }
     summary = {
-        "N": cfg.spec.n_cells,
-        "dim": battery.dim,
-        "capacity_S0": float(battery.eigenvalues[-1] - battery.eigenvalues[0]),
+        "N": n,
+        "dim": 2**n,
+        "capacity_S0": float(n),  # the spectral range N/2 - (-N/2)
         "entropy_targets": targets,
     }
     write_json(out_dir / "capacity.json", summary)

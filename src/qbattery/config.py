@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -73,23 +73,15 @@ OUTPUT_SERIES = ("populations",)
 
 
 def parse_model(raw: dict, path: str = "model") -> ModelSpec:
-    given = raw
-    raw = _require(
+    """A ModelSpec from the model section: each family's own keys of
+    ``models.FAMILY_FIELDS`` go to ModelSpec as given, so its defaults hold
+    for the keys left out."""
+    family_keys = {key for keys in FAMILY_FIELDS.values() for key in keys}
+    _require(
         raw,
         path,
         required={"family": None, "N": None},
-        optional={
-            "lam": 1.0,
-            "q": None,
-            "r": None,
-            "variant": None,
-            "lambdas": None,
-            "gammas": None,
-            "momentum_sector": "antiperiodic_grid",
-            "gamma": -1.0,
-            "n_max": None,
-            "normalize_coupling": True,
-        },
+        optional=dict.fromkeys({"lam", "variant", *family_keys}),
     )
     family = _typed(raw["family"], str, f"{path}.family")
     if family not in FAMILIES:
@@ -99,54 +91,30 @@ def parse_model(raw: dict, path: str = "model") -> ModelSpec:
     own = {"family", "N", "lam", *FAMILY_FIELDS[family]}
     if family == "jw_chain":
         own.add("variant")
-    foreign = sorted(set(given) - own)
+    foreign = sorted(set(raw) - own)
     if foreign:
         keys = ", ".join(f"{path}.{key}" for key in foreign)
         raise ConfigError(f"{keys}: not a key of the {family} family")
     n = _typed(raw["N"], int, f"{path}.N")
-    lam = float(_typed(raw["lam"], (int, float), f"{path}.lam"))
+    given = {key: raw[key] for key in FAMILY_FIELDS[family] if key in raw}
+    if "lam" in raw:
+        given["lam"] = float(_typed(raw["lam"], (int, float), f"{path}.lam"))
+    if "normalize_coupling" in given:
+        _typed(given["normalize_coupling"], bool, f"{path}.normalize_coupling")
+    variant = raw.get("variant")
+    if variant is not None:
+        if _typed(variant, str, f"{path}.variant") not in CHAIN_VARIANTS:
+            raise ConfigError(
+                f"{path}.variant: unknown variant {variant!r} (expected one of {CHAIN_VARIANTS})"
+            )
+        if "lambdas" in given or "gammas" in given:
+            raise ConfigError(f"{path}: give either variant or explicit couplings, not both")
+    elif family == "jw_chain" and not {"lambdas", "gammas"} <= set(given):
+        raise ConfigError(f"{path}: jw_chain needs a variant or lambdas+gammas lists")
     try:
-        if family == "jw_chain":
-            if raw["variant"] is not None:
-                variant = _typed(raw["variant"], str, f"{path}.variant")
-                if variant not in CHAIN_VARIANTS:
-                    raise ConfigError(
-                        f"{path}.variant: unknown variant {variant!r} (expected one of {CHAIN_VARIANTS})"
-                    )
-                if raw["lambdas"] is not None or raw["gammas"] is not None:
-                    raise ConfigError(f"{path}: give either variant or explicit couplings, not both")
-                spec = chain_spec(variant, n, raw["momentum_sector"])
-                return spec if lam == 1.0 else ModelSpec(
-                    family="jw_chain", n_cells=n, lam=lam, lambdas=spec.lambdas,
-                    gammas=spec.gammas, momentum_sector=spec.momentum_sector,
-                )
-            if raw["lambdas"] is None or raw["gammas"] is None:
-                raise ConfigError(f"{path}: jw_chain needs a variant or lambdas+gammas lists")
-            return ModelSpec(
-                family="jw_chain",
-                n_cells=n,
-                lam=lam,
-                lambdas=tuple(raw["lambdas"]),
-                gammas=tuple(raw["gammas"]),
-                momentum_sector=raw["momentum_sector"],
-            )
-        if family == "hybrid":
-            return ModelSpec(family="hybrid", n_cells=n, lam=lam, q=raw["q"], r=raw["r"])
-        if family == "lmg":
-            return ModelSpec(family="lmg", n_cells=n, lam=lam, gamma=float(raw["gamma"]))
-        if family == "dicke":
-            return ModelSpec(
-                family="dicke",
-                n_cells=n,
-                lam=lam,
-                n_max=raw["n_max"],
-                normalize_coupling=_typed(
-                    raw["normalize_coupling"], bool, f"{path}.normalize_coupling"
-                ),
-            )
-        return ModelSpec(family=family, n_cells=n, lam=lam)
-    except ConfigError:
-        raise
+        if variant is not None:
+            return replace(chain_spec(variant, n), **given)
+        return ModelSpec(family=family, n_cells=n, **given)
     except Exception as exc:  # model invariant violations carry the config path
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -16,10 +16,9 @@ builds both for a block of times at once, O(N^2) per time and never by
 configuration enumeration.  A discrete Fourier transform would be cheaper, but
 its ~1e-16 absolute error is amplified by pdot^2 / p where p is small.
 
-The default mode grid k = (2m+1) pi / N pairs all modes and describes the
+The mode grid k = (2m+1) pi / N pairs all modes and describes the
 even-fermion-parity sector that contains the initial vacuum; it reproduces
-dense diagonalization to machine precision.  The grid k = 2 pi m / N is kept
-for comparison (it leaves k = 0 and k = pi unpaired, which are dropped).
+dense diagonalization to machine precision.
 """
 
 from __future__ import annotations
@@ -87,10 +86,7 @@ def dispersion(spec: ModelSpec) -> ModeSet:
     n = spec.n_cells
     if n % 2 != 0:
         raise ValidationError(f"analytic chain solver requires even N, got {n}")
-    if spec.momentum_sector == "antiperiodic_grid":
-        k = (2 * np.arange(n // 2) + 1) * np.pi / n
-    else:
-        k = 2 * np.pi * np.arange(1, n // 2) / n
+    k = (2 * np.arange(n // 2) + 1) * np.pi / n
     m = np.arange(1, len(spec.lambdas) + 1)
     cos_part = 0.5 - np.cos(np.outer(k, m)) @ np.asarray(spec.lambdas)
     sin_part = np.sin(np.outer(k, m)) @ np.asarray(spec.gammas)

@@ -219,12 +219,6 @@ class LevelStructure:
     def multiplicities(self) -> np.ndarray:
         return np.diff(self.starts)
 
-    def groups(self) -> list[np.ndarray]:
-        return [
-            np.arange(self.starts[k], self.starts[k + 1])
-            for k in range(self.n_levels)
-        ]
-
 
 def eigendecompose(op: HermitianOperator) -> HermitianOperator:
     """Return a copy of ``op`` with ascending eigenvalues and orthonormal columns.

@@ -9,6 +9,7 @@ ordering (sigma_z = diag(-1, +1)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -31,7 +32,7 @@ FAMILY_FIELDS = {
     "parallel": (),
     "global": (),
     "hybrid": ("q", "r"),
-    "jw_chain": ("lambdas", "gammas", "momentum_sector"),
+    "jw_chain": ("lambdas", "gammas"),
     "lmg": ("gamma",),
     "dicke": ("n_max", "normalize_coupling"),
 }
@@ -55,7 +56,6 @@ class ModelSpec:
     r: int | None = None
     lambdas: tuple[float, ...] = ()
     gammas: tuple[float, ...] = ()
-    momentum_sector: str = "antiperiodic_grid"
     gamma: float = -1.0
     n_max: int | None = None
     normalize_coupling: bool = True
@@ -67,6 +67,7 @@ class ModelSpec:
             raise ValidationError("n_cells must be >= 1")
         object.__setattr__(self, "lambdas", tuple(float(x) for x in self.lambdas))
         object.__setattr__(self, "gammas", tuple(float(x) for x in self.gammas))
+        object.__setattr__(self, "gamma", float(self.gamma))
         own = ("family", "n_cells", "lam") + FAMILY_FIELDS[self.family]
         foreign = [
             f.name for f in fields(self)
@@ -88,8 +89,6 @@ class ModelSpec:
                 raise ValidationError("jw_chain needs at least one coupling")
             if len(self.lambdas) > self.n_cells - 1:
                 raise ValidationError("coupling range M must satisfy M <= N-1")
-            if self.momentum_sector not in ("antiperiodic_grid", "periodic_grid"):
-                raise ValidationError(f"unknown momentum sector {self.momentum_sector!r}")
         model_basis(self)  # rejects a Fock cutoff without headroom
 
 
@@ -109,7 +108,7 @@ def power_law_couplings(n_cells: int, kind: str) -> tuple[tuple[float, ...], tup
 CHAIN_VARIANTS = ("xx_nn", "xy_nn", "xx_pow", "xy_pow")
 
 
-def chain_spec(variant: str, n_cells: int, momentum_sector: str = "antiperiodic_grid") -> ModelSpec:
+def chain_spec(variant: str, n_cells: int) -> ModelSpec:
     """Named chain coupling choices: nearest-neighbor (gamma_1 = 1) or
     power law (gamma_m = m^-2), each with lambda_m = gamma_m ("xx") or 0 ("xy")."""
     if variant not in CHAIN_VARIANTS:
@@ -120,14 +119,7 @@ def chain_spec(variant: str, n_cells: int, momentum_sector: str = "antiperiodic_
         lambdas = (1.0,) if kind == "xx" else (0.0,)
     else:
         lambdas, gammas = power_law_couplings(n_cells, kind)
-    return ModelSpec(
-        family="jw_chain",
-        n_cells=n_cells,
-        lam=1.0,
-        lambdas=lambdas,
-        gammas=gammas,
-        momentum_sector=momentum_sector,
-    )
+    return ModelSpec(family="jw_chain", n_cells=n_cells, lambdas=lambdas, gammas=gammas)
 
 
 def _site_values(n_cells: int, site: int) -> np.ndarray:
@@ -177,6 +169,20 @@ def excitation_counts(basis: Basis) -> np.ndarray:
 def _ladder(basis: Basis) -> np.ndarray:
     """Diagonal of the battery H_B = sum_i h_i: w - N/2 at each basis index."""
     return (excitation_counts(basis) - basis.n_cells / 2).astype(complex)
+
+
+def register_spectrum(n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level spectrum of the N-cell battery H_B = sum_i h_i, in O(N): the
+    ascending energies k - N/2 and the natural log of each level's
+    multiplicity C(N, k), kept as a log because C(N, N/2) overflows a float
+    beyond N ~ 1000."""
+    if n_cells < 1:
+        raise ValidationError("n_cells must be >= 1")
+    log_factorial = np.array([math.lgamma(j + 1) for j in range(n_cells + 1)])
+    return (
+        np.arange(n_cells + 1) - n_cells / 2,
+        log_factorial[-1] - log_factorial - log_factorial[::-1],
+    )
 
 
 def build_battery(n_cells: int) -> HermitianOperator:
@@ -256,18 +262,6 @@ def build_jw_chain(spec: ModelSpec) -> HermitianOperator:
             _place_flips(mat, n, (j, k), 0.5 * (lam_m + gam_m) * sign)
             _place_flips(mat, n, (j, k), 0.5 * (lam_m - gam_m) * sign * yy_sign)
     return HermitianOperator(mat, Basis("qubit_chain", n))
-
-
-def cyclic_shift(n_cells: int) -> np.ndarray:
-    """Permutation matrix of the one-site translation j -> j+1 (mod N)."""
-    dim = 2**n_cells
-    perm = np.zeros((dim, dim))
-    for idx in range(dim):
-        bits = [(idx >> (n_cells - 1 - s)) & 1 for s in range(n_cells)]
-        shifted = [bits[-1]] + bits[:-1]
-        new = sum(b << (n_cells - 1 - s) for s, b in enumerate(shifted))
-        perm[new, idx] = 1.0
-    return perm
 
 
 def collective_spin_operators(n_cells: int) -> dict[str, np.ndarray]:

@@ -47,28 +47,6 @@ class PopulationRecord:
             raise ValidationError(f"negative population {self.p.min():.3e}")
 
 
-@dataclass(frozen=True)
-class ObservableRecord:
-    """All scalar observables of one trajectory step."""
-
-    t: float
-    energy: float
-    power: float
-    var_battery: float
-    var_charger: float
-    fisher_energy: float
-    fisher_state: float
-    cos_theta: float  # NaN marks an undefined (0/0-guarded) ratio
-
-    def __post_init__(self):
-        values = (self.energy, self.power, self.var_battery, self.var_charger,
-                  self.fisher_energy, self.fisher_state)
-        if not all(np.isfinite(v) for v in values):
-            raise ValidationError("non-finite observable value")
-        if min(self.var_battery, self.var_charger) < -1e-10:
-            raise ValidationError("negative variance")
-
-
 def expectation(psi: StateVector, op: HermitianOperator) -> float:
     if op.basis != psi.basis:
         raise ValidationError("operator and state bases do not match")

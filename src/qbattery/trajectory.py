@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,12 +32,7 @@ from .models import (
     initial_state,
     model_basis,
 )
-from .observables import (
-    POPULATION_FLOOR,
-    ObservableRecord,
-    PopulationRecord,
-    battery_entanglement_entropy,
-)
+from .observables import POPULATION_FLOOR
 
 DEFAULT_STEPS = 2000
 DEFAULT_LAM_T_MAX = {
@@ -59,7 +55,6 @@ class Trajectory:
     spec: ModelSpec
     times: np.ndarray
     states: np.ndarray  # (dim, T), column per grid time
-    battery: HermitianOperator
     battery_order: np.ndarray  # basis indices in stable ladder order, level by level
     charger: HermitianOperator
     levels: LevelStructure
@@ -90,30 +85,11 @@ class Trajectory:
     def state_at(self, index: int) -> StateVector:
         return StateVector(self.states[:, index], self.psi0.basis)
 
-    def population_record(self, index: int) -> PopulationRecord:
-        return PopulationRecord(
-            t=float(self.times[index]),
-            p=self.populations[:, index],
-            p_dot=self.population_rates[:, index],
-        )
-
-    def observable_record(self, index: int) -> ObservableRecord:
-        return ObservableRecord(
-            t=float(self.times[index]),
-            energy=float(self.energy[index]),
-            power=float(self.power[index]),
-            var_battery=float(self.var_battery[index]),
-            var_charger=float(self.var_charger[index]),
-            fisher_energy=float(self.fisher_energy[index]),
-            fisher_state=float(self.fisher_state[index]),
-            cos_theta=float(self.cos_theta[index]),
-        )
-
-    def battery_entropy_series(self) -> np.ndarray:
-        """Normalized battery-cavity entanglement entropy (spin-Fock runs only)."""
-        return np.array(
-            [battery_entanglement_entropy(self.state_at(i)) for i in range(self.n_steps)]
-        )
+    @cached_property
+    def battery(self) -> HermitianOperator:
+        """The dense battery in the run's basis, built on first use; no step
+        of the run reads it, only the independent oracles do."""
+        return build_battery_for(self.spec, self.n_max_used)
 
     def stored_energy_at(self, t: float) -> float:
         """Exact stored energy at an arbitrary (off-grid) time."""
@@ -146,14 +122,13 @@ def _run_fixed(
 ) -> Trajectory:
     """The run on the grid under an eigendecomposed charger, in its basis."""
     n_max = charger.basis.n_max
-    battery = build_battery_for(spec, n_max)
     states = evolve_batch(charger, psi0, times)
 
     # The battery is an excitation ladder: level k, at energy k - N/2, holds
     # the basis states with k excited cells.  Its eigenbasis is a row gather
     # of the basis in stable level order, not a permutation-matrix product.
     n = spec.n_cells
-    counts = excitation_counts(battery.basis)
+    counts = excitation_counts(charger.basis)
     order = np.argsort(counts, kind="stable")
     levels = LevelStructure(
         energies=np.arange(n + 1) - n / 2,
@@ -196,7 +171,6 @@ def _run_fixed(
         spec=spec,
         times=times,
         states=states,
-        battery=battery,
         battery_order=order,
         charger=charger,
         levels=levels,

@@ -152,7 +152,7 @@ def certify_stepwise(traj):
             bounds.moment_rate_bound(t, energies, p, p_dot, 1),
             bounds.moment_rate_bound(t, energies, p, p_dot, 2),
             bounds.heisenberg_power_bound(t, pw, var_b, var_c),
-            bounds.dephasing_fisher_report(t, fisher, var_c),
+            dephasing_fisher_report(t, fisher, var_c),
             bounds.check_inequality(t, fisher, float(traj.fisher_state[i]), "fisher_vs_state"),
             bounds.check_inequality(
                 t, pw**2, bounds.entanglement_power_bound(n, k, fisher), "entanglement_power"
@@ -233,3 +233,40 @@ def run_trajectory_doubling(spec, lam_t_max=None, steps=2000):
             return traj
         n_max *= 2
     raise AssertionError("Fock cutoff did not converge")
+
+
+def cyclic_shift(n_cells: int) -> np.ndarray:
+    """Permutation matrix of the one-site translation j -> j+1 (mod N)."""
+    dim = 2**n_cells
+    perm = np.zeros((dim, dim))
+    for idx in range(dim):
+        bits = [(idx >> (n_cells - 1 - s)) & 1 for s in range(n_cells)]
+        shifted = [bits[-1]] + bits[:-1]
+        new = sum(b << (n_cells - 1 - s) for s, b in enumerate(shifted))
+        perm[new, idx] = 1.0
+    return perm
+
+
+def dephasing_fisher_report(t: float, fisher_energy: float, var_charger: float):
+    """I_E <= 4 var(H_C) as one scalar report: energy-space speed never
+    exceeds state-space speed."""
+    from qbattery import bounds
+
+    return bounds.check_inequality(t, fisher_energy, 4.0 * var_charger, label="dephasing_fisher")
+
+
+def binary_entropy_inverse(s: float) -> float:
+    """The p in [0, 1/2] with h2(p) = s bits, by bisection."""
+    lo, hi = 0.0, 0.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        h2 = -mid * math.log2(mid) - (1 - mid) * math.log2(1 - mid) if mid > 0 else 0.0
+        lo, hi = (mid, hi) if h2 < s else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def register_capacity_closed_form(n_cells: int, s_bits: float) -> float:
+    """C_N(S) = N (1 - 2 h2^-1(S / N)) of N identical cells: their Gibbs
+    states are products, each cell excited with the probability p whose
+    binary entropy is S / N, so E_max - E_min = N (1/2 - p) - N (p - 1/2)."""
+    return n_cells * (1.0 - 2.0 * binary_entropy_inverse(s_bits / n_cells))

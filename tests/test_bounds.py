@@ -26,11 +26,12 @@ from qbattery import (
 )
 from qbattery.bounds import (
     check_inequality,
-    dephasing_fisher_report,
     fisher_power_bound,
     heisenberg_power_bound,
 )
 from qbattery.trajectory import run_trajectory
+
+from oracles import dephasing_fisher_report
 
 
 class TestProducibilityCap:

@@ -15,6 +15,7 @@ from qbattery import (
     eigendecompose,
     energy_amplitude_check,
     gibbs,
+    register_spectrum,
     solve_beta_for_entropy,
     thermal_curve,
 )
@@ -24,49 +25,68 @@ from qbattery.models import ModelSpec
 from qbattery.sweeps import chain_analytic_quantities
 from qbattery.trajectory import run_trajectory
 
-from oracles import haar_orthonormal_columns, shannon_bits
+from oracles import haar_orthonormal_columns, register_capacity_closed_form, shannon_bits
 
 
 def binary_entropy(p):
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
+def spectrum(energies, multiplicities):
+    return np.array(energies, dtype=float), np.log(np.array(multiplicities, dtype=float))
+
+
 class TestGibbs:
     def test_infinite_temperature_is_uniform(self):
-        p = gibbs(np.array([-1.0, 0.0, 0.0, 1.0]), 0.0)
-        assert np.allclose(p, 0.25)
+        # Every state carries 1/4, so level k carries g_k / 4.
+        p = gibbs(spectrum([-1.0, 0.0, 1.0], [1, 2, 1]), 0.0)
+        assert np.allclose(p, [0.25, 0.5, 0.25])
 
     def test_zero_temperature_limits(self):
-        vals = np.array([-1.0, 0.0, 0.0, 1.0])
-        assert np.allclose(gibbs(vals, math.inf), [1, 0, 0, 0])
-        assert np.allclose(gibbs(vals, -math.inf), [0, 0, 0, 1])
+        levels = spectrum([-1.0, 0.0, 1.0], [1, 2, 1])
+        assert np.array_equal(gibbs(levels, math.inf), [1, 0, 0])
+        assert np.array_equal(gibbs(levels, -math.inf), [0, 0, 1])
 
     def test_degenerate_ground_limit(self):
-        vals = np.array([-1.0, -1.0, 3.0])
-        assert np.allclose(gibbs(vals, math.inf), [0.5, 0.5, 0.0])
+        # The whole weight sits on the two-fold ground level, one bit of entropy.
+        levels = spectrum([-1.0, 3.0], [2, 1])
+        assert np.array_equal(gibbs(levels, math.inf), [1.0, 0.0])
+        assert thermal_point(levels, math.inf).entropy_bits == 1.0
 
     def test_overflow_safety(self):
-        p = gibbs(np.array([-1e4, 0.0, 1e4]), 5.0)
+        p = gibbs(spectrum([-1e4, 0.0, 1e4], [1, 1, 1]), 5.0)
         assert np.isfinite(p).all() and abs(p.sum() - 1) < 1e-12
         assert p[0] == pytest.approx(1.0)
 
+    def test_multiplicities_beyond_float_range(self):
+        # C(2000, 1000) overflows a float; at beta = 0 the level weights are
+        # the binomial distribution C(N, k) / 2^N.
+        n = 2000
+        p = gibbs(register_spectrum(n), 0.0)
+        pmf = [math.comb(n, k) / 2**n for k in range(n + 1)]
+        assert np.abs(p - pmf).max() < 1e-12 and abs(p.sum() - 1) < 1e-12
+
+    def test_operator_reduced_to_its_levels(self):
+        op = build_battery(3)
+        for beta in (0.0, 0.7, -2.0, math.inf):
+            assert np.allclose(gibbs(op, beta), gibbs(register_spectrum(3), beta), atol=1e-15)
+
     @given(st.floats(min_value=-50, max_value=50))
     def test_normalization(self, beta):
-        p = gibbs(np.linspace(-3, 3, 7), beta)
+        p = gibbs(spectrum(np.linspace(-3, 3, 7), [1, 6, 15, 20, 15, 6, 1]), beta)
         assert abs(p.sum() - 1) < 1e-12 and (p >= 0).all()
 
 
 class TestThermalCurve:
     def test_single_qubit_closed_form(self):
-        op = eigendecompose(build_battery(1))
+        levels = register_spectrum(1)
         for beta in (0.3, 1.7, -2.4):
-            point = thermal_point(op.eigenvalues, beta)
+            point = thermal_point(levels, beta)
             assert point.energy == pytest.approx(-0.5 * math.tanh(beta / 2), abs=1e-12)
 
     def test_infinite_temperature_point(self):
-        op = eigendecompose(build_battery(3))
-        point = thermal_point(op.eigenvalues, 0.0)
-        assert point.energy == pytest.approx(float(op.eigenvalues.mean()))
+        point = thermal_point(register_spectrum(3), 0.0)
+        assert point.energy == pytest.approx(0.0, abs=1e-15)
         assert point.entropy_bits == pytest.approx(3.0)
 
     def test_product_additivity(self):
@@ -76,6 +96,14 @@ class TestThermalCurve:
         for s, t in zip(single, triple):
             assert t.energy == pytest.approx(3 * s.energy, abs=1e-10)
             assert t.entropy_bits == pytest.approx(3 * s.entropy_bits, abs=1e-10)
+
+    def test_register_spectrum_matches_dense_battery(self):
+        betas = np.concatenate([-np.logspace(-3, 1.3, 50)[::-1], [0.0], np.logspace(-3, 1.3, 50)])
+        dense = thermal_curve(build_battery(8), betas)
+        register = thermal_curve(register_spectrum(8), betas)
+        for a, b in zip(dense, register):
+            assert a.beta == b.beta
+            assert abs(a.energy - b.energy) < 1e-12 and abs(a.entropy_bits - b.entropy_bits) < 1e-12
 
     def test_energy_monotone_in_beta(self):
         rng = np.random.default_rng(21)
@@ -176,6 +204,29 @@ class TestCapacity:
             low = solve_beta_for_entropy(op, s_bits, "positive_beta")
             high = solve_beta_for_entropy(op, s_bits, "negative_beta")
             assert low.energy - 1e-6 <= energy <= high.energy + 1e-6
+
+
+def assert_closed_form_capacity(battery, n):
+    for s_bits in (0.5, 1.0, 3.0, 0.25 * n, 0.5 * n, 0.9 * n):
+        expected = register_capacity_closed_form(n, s_bits)
+        assert capacity_at_entropy(battery, s_bits) == pytest.approx(expected, rel=1e-9)
+
+
+class TestRegisterClosedForm:
+    """C_N(S) = N (1 - 2 h2^-1(S / N)) for N identical cells."""
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_operator_path(self, n):
+        assert_closed_form_capacity(eigendecompose(build_battery(n)), n)
+
+    @pytest.mark.parametrize("n", [100, 1000, 10**4])
+    def test_register_spectrum(self, n):
+        assert_closed_form_capacity(register_spectrum(n), n)
+
+    def test_capacity_beyond_the_dense_cap(self):
+        levels = register_spectrum(10**4)
+        assert capacity_at_entropy(levels, 0.0) == 10**4
+        assert abs(capacity_at_entropy(levels, 10**4)) < 1e-6
 
 
 class TestEnergyAmplitude:

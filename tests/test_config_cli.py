@@ -1,10 +1,11 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from qbattery import ConfigError
+from qbattery import ConfigError, ModelSpec
 from qbattery.cli import main
 from qbattery.config import load_scenario, parse_capacity, parse_model, parse_scenario
 from qbattery.output import write_csv
@@ -114,6 +115,14 @@ class TestSchema:
     def test_removed_keys_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"unknown keys.*{key}"):
             parse_scenario({**MINIMAL, key: value})
+
+    def test_model_defaults_come_from_model_spec(self):
+        assert parse_model({"family": "lmg", "N": 4}) == ModelSpec(family="lmg", n_cells=4)
+        assert parse_model({"family": "dicke", "N": 4}) == ModelSpec(family="dicke", n_cells=4)
+        spec = parse_model({"family": "jw_chain", "N": 8, "variant": "xy_nn", "lam": 2})
+        assert spec == ModelSpec(
+            family="jw_chain", n_cells=8, lam=2.0, lambdas=(0.0,), gammas=(1.0,)
+        )
 
     def test_capacity_config(self):
         cfg = parse_capacity(
@@ -283,6 +292,53 @@ class TestCli:
         assert summary["capacity_S0"] == 3.0
         target = summary["entropy_targets"]["1.5"]
         assert target["E_min"] == pytest.approx(-target["E_max"], abs=1e-9)
+
+    def capacity_config(self, tmp_path, name, model, targets):
+        return write_json(
+            tmp_path / f"{name}.json",
+            {
+                "model": model,
+                "entropy_targets_bits": targets,
+                "outputs": {"directory": str(tmp_path / name)},
+            },
+        )
+
+    def test_capacity_diagram_is_the_register_for_every_family(self, tmp_path):
+        # The battery is the same four cells whatever charges them.
+        models = {
+            "parallel": {"family": "parallel", "N": 4},
+            "lmg": {"family": "lmg", "N": 4, "lam": 5.0},
+            "dicke": {"family": "dicke", "N": 4, "lam": 0.3},
+        }
+        outputs = []
+        for name, model in models.items():
+            assert self.run("capacity", self.capacity_config(tmp_path, name, model, [1.0, 2.5])) == 0
+            outputs.append([(tmp_path / name / f).read_bytes() for f in ("capacity.json", "diagram.csv")])
+        assert outputs[0] == outputs[1] == outputs[2]
+        summary = json.loads(outputs[0][0])
+        assert summary["dim"] == 16 and summary["capacity_S0"] == 4.0
+
+    def test_capacity_at_large_n(self, tmp_path):
+        model = {"family": "parallel", "N": 1000}
+        assert self.run("capacity", self.capacity_config(tmp_path, "big", model, [1.0, 500.0])) == 0
+        summary = json.loads((tmp_path / "big" / "capacity.json").read_text())
+        assert summary["capacity_S0"] == 1000.0 and summary["dim"] == 2**1000
+        assert 0.0 < summary["entropy_targets"]["500"]["capacity"] < 1000.0
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer-to-string limit"
+    )
+    def test_capacity_dim_beyond_printable_integers(self, tmp_path, capsys):
+        # Python writes integers of at most 4300 digits by default; 2^15000 has 4516.
+        model = {"family": "parallel", "N": 15000}
+        assert self.run("capacity", self.capacity_config(tmp_path, "huge", model, [1.0])) == 2
+        assert "dim = 2^N cannot be written exactly" in capsys.readouterr().err
+        assert not (tmp_path / "huge").exists()
+
+    def test_momentum_sector_exit_code(self, tmp_path, capsys):
+        model = {"family": "jw_chain", "N": 8, "variant": "xx_nn", "momentum_sector": "antiperiodic_grid"}
+        assert self.run("simulate", self.scenario(tmp_path, model=model)) == 2
+        assert "unknown keys ['momentum_sector']" in capsys.readouterr().err
 
     def test_foreign_family_key_exit_code(self, tmp_path, capsys):
         model = {"family": "parallel", "N": 3, "gamma": 0.5, "q": 3, "n_max": 50}

@@ -33,12 +33,13 @@ from oracles import (
 
 class TestDispersion:
     def test_nearest_neighbor_sample_point(self):
-        # k = pi/2 lives on the periodic grid at N = 4; substitute into the
-        # dispersion: omega = 2 sqrt(1/4 + 1), sin theta = 2 / omega.
-        modes = dispersion(chain_spec("xx_nn", 4, momentum_sector="periodic_grid"))
-        assert modes.k[0] == pytest.approx(math.pi / 2)
-        assert modes.omega[0] == pytest.approx(2.236068, abs=1e-6)
-        assert modes.sin_theta[0] == pytest.approx(0.894427, abs=1e-6)
+        # k = pi/4 is the first antiperiodic mode at N = 4; substitute into
+        # the dispersion: omega = 2 sqrt((1/2 - cos k)^2 + sin^2 k)
+        # = sqrt(5 - 2 sqrt 2), sin theta = 2 sin k / omega = sqrt 2 / omega.
+        modes = dispersion(chain_spec("xx_nn", 4))
+        assert modes.k[0] == pytest.approx(math.pi / 4)
+        assert modes.omega[0] == pytest.approx(1.473626, abs=1e-6)
+        assert modes.sin_theta[0] == pytest.approx(0.959683, abs=1e-6)
 
     def test_no_pairing_means_flat_angle(self):
         spec = ModelSpec(family="jw_chain", n_cells=8, lambdas=(0.5, 0.2), gammas=(0.0, 0.0))
@@ -48,11 +49,6 @@ class TestDispersion:
     def test_grid_sizes(self):
         spec = chain_spec("xx_nn", 10)
         assert dispersion(spec).n_modes == 5
-        periodic = ModelSpec(
-            family="jw_chain", n_cells=10, lambdas=(1.0,), gammas=(1.0,),
-            momentum_sector="periodic_grid",
-        )
-        assert dispersion(periodic).n_modes == 4  # k = 0 and pi are unpaired
 
     def test_rejects_odd_sizes(self):
         with pytest.raises(ValidationError):

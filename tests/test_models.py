@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from qbattery import (
     eigendecompose,
     evolve,
     ghz_state,
+    group_levels,
     initial_state,
     variance,
 )
@@ -25,14 +28,14 @@ from qbattery.models import (
     SIGMA_Z,
     battery_cell_terms,
     build_battery_for,
-    cyclic_shift,
     collective_spin_operators,
     excitation_counts,
     model_basis,
     power_law_couplings,
+    register_spectrum,
 )
 
-from oracles import jw_chain_kron, paradigmatic_charger_kron, site_operator
+from oracles import cyclic_shift, jw_chain_kron, paradigmatic_charger_kron, site_operator
 
 
 def hermitian_deviation(mat):
@@ -55,6 +58,24 @@ class TestBattery:
     def test_size_cap_names_limit(self):
         with pytest.raises(CapacityLimitError, match="14"):
             build_battery(15)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_register_spectrum_is_the_grouped_battery(self, n):
+        energies, log_multiplicities = register_spectrum(n)
+        levels = group_levels(eigendecompose(build_battery(n)))
+        assert np.array_equal(energies, levels.energies)
+        assert np.allclose(np.exp(log_multiplicities), levels.multiplicities, rtol=1e-12, atol=0)
+
+    def test_register_spectrum_beyond_float_multiplicities(self):
+        energies, log_multiplicities = register_spectrum(2000)
+        assert energies[0] == -1000.0 and energies[-1] == 1000.0 and len(energies) == 2001
+        assert log_multiplicities[0] == 0.0 and log_multiplicities[-1] == 0.0
+        # C(2000, 1000) ~ 2^1995 overflows a float; its log does not.  The
+        # log-factorial differences lose about eps * log(2000!) ~ 3e-12.
+        for k in (1, 7, 1000):
+            assert log_multiplicities[k] == pytest.approx(math.log(math.comb(2000, k)), abs=1e-10)
+        with pytest.raises(ValidationError):
+            register_spectrum(0)
 
     def test_cell_terms_sum_to_battery(self):
         total = sum(battery_cell_terms(3))
@@ -106,7 +127,7 @@ class TestFamilyFields:
             ("hybrid", {"q": 2, "r": 2}, {"lambdas": (1.0,), "gammas": (1.0,)}),
             ("jw_chain", {"lambdas": (1.0,), "gammas": (1.0,)}, {"gamma": 0.0}),
             ("lmg", {"gamma": 0.5}, {"normalize_coupling": False}),
-            ("dicke", {"n_max": 20}, {"momentum_sector": "periodic_grid"}),
+            ("dicke", {"n_max": 20}, {"gammas": (0.5,)}),
         ],
     )
     def test_foreign_fields_rejected(self, family, own, foreign):

@@ -14,9 +14,11 @@ from qbattery import (
     run_trajectory,
 )
 from qbattery import trajectory
+from qbattery.observables import battery_entanglement_entropy, populations_and_rates
 from qbattery.config import load_scenario
 from qbattery.output import write_trajectory_csv
 from qbattery.trajectory import DEFAULT_LAM_T_MAX, find_peak_time, time_grid
+from qbattery.verification import certify_trajectory
 
 from oracles import permutation_run_path, run_trajectory_doubling, stored_energy_by_permutation
 
@@ -66,10 +68,12 @@ class TestRunTrajectory:
 
     def test_record_accessors(self):
         traj = run_trajectory(ModelSpec(family="parallel", n_cells=3), steps=50)
-        obs = traj.observable_record(20)
-        pops = traj.population_record(20)
-        assert obs.t == pytest.approx(float(traj.times[20]))
-        assert pops.p.sum() == pytest.approx(1.0, abs=1e-9)
+        psi = traj.state_at(20)
+        record = populations_and_rates(psi, traj.battery, traj.charger, float(traj.times[20]))
+        assert record.t == float(traj.times[20])
+        assert np.abs(record.p - traj.populations[:, 20]).max() < 1e-12
+        assert np.abs(record.p_dot - traj.population_rates[:, 20]).max() < 1e-12
+        assert traj.populations[:, 20].sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_exact_offgrid_energy(self):
         traj = run_trajectory(ModelSpec(family="parallel", n_cells=4), steps=60)
@@ -85,6 +89,19 @@ RUN_PATH_SPECS = [
     ModelSpec(family="lmg", n_cells=12, lam=5.0, gamma=0.3),
     ModelSpec(family="dicke", n_cells=4, lam=0.05),
 ]
+
+
+@pytest.mark.parametrize("spec", RUN_PATH_SPECS, ids=lambda s: s.family)
+def test_run_path_builds_no_battery(spec, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run path built the dense battery")
+
+    monkeypatch.setattr(trajectory, "build_battery_for", refuse)
+    traj = run_trajectory(spec, steps=150)
+    assert certify_trajectory(traj).ok
+    assert find_tf(traj).energy_max >= traj.energy.max()
+    with pytest.raises(AssertionError, match="dense battery"):
+        traj.battery
 
 
 @pytest.mark.parametrize("spec", RUN_PATH_SPECS, ids=lambda s: s.family)
@@ -207,7 +224,7 @@ class TestFockTruncation:
 
     def test_entropy_series_shape(self):
         traj = run_trajectory(ModelSpec(family="dicke", n_cells=2, lam=0.3), steps=40)
-        series = traj.battery_entropy_series()
+        series = np.array([battery_entanglement_entropy(traj.state_at(i)) for i in range(40)])
         assert series.shape == (40,)
         assert series[0] == pytest.approx(0.0, abs=1e-9)
         assert series.min() >= -1e-12 and series.max() <= 1 + 1e-9
