@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Run every shipped charging scenario, emit trajectory CSVs, and certify.
 
+Each scenario's summary.json holds the fields of ``qbattery simulate``'s
+summary plus the scenario name.
+
 Usage: python scripts/run_certification_suite.py [output_root]
 """
 
 import sys
 from pathlib import Path
 
+from qbattery.cli import simulation_summary
 from qbattery.config import load_scenario
 from qbattery.output import write_json, write_trajectory_csv
 from qbattery.trajectory import find_tf, run_trajectory
@@ -32,16 +36,8 @@ def main() -> int:
         out_dir = root / name
         out_dir.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(traj, out_dir / "trajectory.csv", "populations" in cfg.series)
-        write_json(out_dir / "summary.json", {
-            "scenario": name,
-            "t_f": peak.t_f,
-            "E_max": peak.energy_max,
-            "stored_fraction": report.amplitude.stored_fraction,
-            "witness_block_max": report.witness_block_max,
-            "max_ratio_fisher_power": report.max_ratio_fisher_power,
-            "max_ratio_heisenberg": report.max_ratio_heisenberg,
-            "n_violations": len(report.violations),
-        })
+        write_json(out_dir / "summary.json",
+                   {"scenario": name, **simulation_summary(traj, peak, report)})
         status = "ok " if report.ok else "VIOLATED"
         failures += not report.ok
         print(f"{status} {name:18s} E_max={peak.energy_max:9.4f} "

@@ -6,8 +6,9 @@ The central chain, checked at every trajectory step, is
 
 together with the Heisenberg comparison P^2 <= 4 var(H_B) var(H_C) and the
 dephasing relation I_E <= 4 var(H_C).  Every inequality check in the package
-applies one rule, ``within_tolerance``: lhs <= rhs (1 + 1e-8) + 1e-12.  The
-scalar reports here are the reference for the series certifier in ``verification``.
+applies one rule, ``within_tolerance``: lhs <= rhs (1 + 1e-8) + 1e-12, and every
+ratio lhs / rhs one guard, ``bound_ratio``.  The scalar reports here are the
+reference for the series certifier in ``verification``.
 """
 
 from __future__ import annotations
@@ -36,14 +37,21 @@ class BoundReport:
 
     @property
     def ratio(self) -> float:
-        if self.rhs < ABSOLUTE_FLOOR:
-            return float("nan")
-        return self.lhs / self.rhs
+        return bound_ratio(self.lhs, self.rhs)
 
 
 def within_tolerance(lhs, rhs):
     """The tolerance rule, elementwise on scalars or arrays; NaN fails it."""
     return lhs <= rhs * (1 + RELATIVE_TOL) + ABSOLUTE_FLOOR
+
+
+def bound_ratio(lhs, rhs):
+    """lhs / rhs, elementwise on scalars or arrays; NaN where rhs <= ABSOLUTE_FLOOR."""
+    lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float))
+    out = np.full(rhs.shape, np.nan)
+    defined = rhs > ABSOLUTE_FLOOR
+    out[defined] = lhs[defined] / rhs[defined]
+    return out if out.ndim else float(out)
 
 
 def check_inequality(t: float, lhs: float, rhs: float, label: str = "") -> BoundReport:

@@ -5,7 +5,8 @@ The diagram depends on the battery's level spectrum alone: the ascending
 level energies E_k and the natural log of each level's multiplicity g_k.
 Every function takes such an (energies, log multiplicities) pair, as
 ``models.register_spectrum`` gives for N cells, or a HermitianOperator,
-reduced once per call to its degenerate levels by ``linalg.group_levels``.
+reduced once per call to its degenerate levels by ``linalg.group_levels``
+from its eigenvalues alone.
 Level weights stay in log space, log P_k = log g_k - beta E_k - log Z, so
 binomial multiplicities beyond float range cost nothing.
 
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ABSOLUTE_FLOOR, within_tolerance
+from .bounds import bound_ratio, within_tolerance
 from .errors import ValidationError
-from .linalg import HermitianOperator, eigendecompose, group_levels
+from .linalg import HermitianOperator, ascending_eigenvalues, group_levels
 
 BISECTION_RESIDUAL = 1e-10
 BETA_BRACKET_LOW = 1e-12
@@ -61,7 +62,7 @@ def _level_spectrum(battery) -> tuple[np.ndarray, np.ndarray]:
     """(level energies, log multiplicities) of a battery given as that pair
     or as an operator."""
     if isinstance(battery, HermitianOperator):
-        levels = group_levels(eigendecompose(battery))
+        levels = group_levels(ascending_eigenvalues(battery))
         return levels.energies, np.log(levels.multiplicities)
     energies, log_multiplicities = battery
     return np.asarray(energies, dtype=float), np.asarray(log_multiplicities, dtype=float)
@@ -218,12 +219,11 @@ def energy_amplitude_check(
     storage_cap = float(level_energies[-1] - initial_energy)
     extraction_cap = float(initial_energy - level_energies[0])
     ok = within_tolerance(stored_max, storage_cap) and within_tolerance(extracted_max, extraction_cap)
-    fraction = stored_max / storage_cap if storage_cap > ABSOLUTE_FLOOR else float("nan")
     return EnergyAmplitudeReport(
         stored_max=stored_max,
         storage_cap=storage_cap,
         extracted_max=extracted_max,
         extraction_cap=extraction_cap,
-        stored_fraction=fraction,
+        stored_fraction=bound_ratio(stored_max, storage_cap),
         satisfied=bool(ok),
     )

@@ -33,9 +33,10 @@ from .output import (
     write_trajectory_csv,
 )
 from .sweeps import quantities_for, sweep_scaling
-from .trajectory import find_tf, run_trajectory
+from .trajectory import PeakResult, Trajectory, find_tf, run_trajectory
 from .verification import (
-    CSV_BOUNDS, certify_series, certify_trajectory, run_oracle_checks, verify_benchmark_table,
+    CSV_BOUNDS, CertificationReport, certify_series, certify_trajectory, run_oracle_checks,
+    verify_benchmark_table,
 )
 
 EXIT_OK = 0
@@ -44,15 +45,10 @@ EXIT_VIOLATION = 3
 EXIT_VALIDATION = 4
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_scenario(args.config)
-    spec = cfg.spec
-    traj = run_trajectory(spec, cfg.lam_t_max, cfg.steps)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj, out_dir / "trajectory.csv", "populations" in cfg.series)
-    peak = find_tf(traj)
-    report = certify_trajectory(traj)
+def simulation_summary(traj: Trajectory, peak: PeakResult, report: CertificationReport) -> dict:
+    """The fields of ``simulate``'s summary.json for a run, its energy peak
+    and its certification."""
+    spec = traj.spec
     summary = {
         "model": spec.family,
         "N": spec.n_cells,
@@ -68,10 +64,21 @@ def cmd_simulate(args) -> int:
         "n_violations": len(report.violations),
     }
     if spec.family == "dicke":
-        summary["n_max_used"] = traj.n_max_used
+        summary["n_max_used"] = spec.n_max
         summary["fock_edge_population"] = traj.fock_edge_population
         summary["initial_var_charger"] = float(traj.var_charger[0])
-    write_json(out_dir / "summary.json", summary)
+    return summary
+
+
+def cmd_simulate(args) -> int:
+    cfg = load_scenario(args.config)
+    traj = run_trajectory(cfg.spec, cfg.lam_t_max, cfg.steps)
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(traj, out_dir / "trajectory.csv", "populations" in cfg.series)
+    peak = find_tf(traj)
+    report = certify_trajectory(traj)
+    write_json(out_dir / "summary.json", simulation_summary(traj, peak, report))
     print(f"wrote {out_dir / 'trajectory.csv'} and summary.json ({traj.n_steps} steps)")
     if not report.ok:
         print(f"certification found {len(report.violations)} violation(s)", file=sys.stderr)
@@ -100,7 +107,7 @@ def cmd_sweep(args) -> int:
         )
         print(f"wrote {out_dir / 'gamma_scan.csv'} ({len(rows)} points)")
         return EXIT_OK
-    n_values = [int(v) for v in cfg.sweep.values]
+    n_values = list(cfg.sweep.values)
     result, rows = sweep_scaling(
         spec, n_values, cfg.sweep.quantity, cfg.lam_t_max, cfg.steps, cfg.sweep.path
     )

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .models import CHAIN_VARIANTS, FAMILIES, FAMILY_FIELDS, ModelSpec, chain_spec
+from .sweeps import SWEEP_QUANTITIES
 from .trajectory import DEFAULT_STEPS
 
 
@@ -67,6 +68,11 @@ def _typed(value, types, path: str):
         names = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
         raise ConfigError(f"{path}: expected {names}, got {type(value).__name__}")
     return value
+
+
+def _typed_list(value, types, path: str) -> tuple:
+    """A JSON list whose every element has one of ``types``, as a tuple."""
+    return tuple(_typed(x, types, f"{path}[{i}]") for i, x in enumerate(_typed(value, list, path)))
 
 
 OUTPUT_SERIES = ("populations",)
@@ -137,7 +143,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     outputs = _require(
         raw["outputs"], "outputs", required={}, optional={"directory": "out", "series": []}
     )
-    series = tuple(outputs["series"])
+    series = _typed_list(outputs["series"], str, "outputs.series")
     unknown = [name for name in series if name not in OUTPUT_SERIES]
     if unknown:
         raise ConfigError(f"outputs.series: unknown series {unknown} (expected any of {OUTPUT_SERIES})")
@@ -149,14 +155,21 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             required={"values": None, "quantity": None},
             optional={"parameter": "N", "path": "auto"},
         )
-        values = tuple(sweep_raw["values"])
         if sweep_raw["parameter"] == "N":
-            if list(values) != sorted(set(int(v) for v in values)):
+            values = _typed_list(sweep_raw["values"], int, "sweep.values")
+            if list(values) != sorted(set(values)):
                 raise ConfigError("sweep.values: N list must be strictly increasing")
         elif sweep_raw["parameter"] != "gamma":
             raise ConfigError(f"sweep.parameter: expected 'N' or 'gamma', got {sweep_raw['parameter']!r}")
         elif spec.family != "lmg":
             raise ConfigError(f"sweep.parameter: 'gamma' is an lmg parameter, not a {spec.family} one")
+        else:
+            values = _typed_list(sweep_raw["values"], (int, float), "sweep.values")
+        if sweep_raw["quantity"] not in SWEEP_QUANTITIES:
+            raise ConfigError(
+                f"sweep.quantity: unknown quantity {sweep_raw['quantity']!r} "
+                f"(expected one of {SWEEP_QUANTITIES})"
+            )
         sweep = SweepConfig(
             parameter=sweep_raw["parameter"],
             values=values,
@@ -188,11 +201,18 @@ def parse_capacity(raw: dict) -> CapacityConfig:
         raw["beta"], "beta", required={}, optional={"max_abs": 20.0, "points_per_branch": 200}
     )
     outputs = _require(raw["outputs"], "outputs", required={}, optional={"directory": "out"})
+    beta_max_abs = float(_typed(beta["max_abs"], (int, float), "beta.max_abs"))
+    if not beta_max_abs > 0:
+        raise ConfigError(f"beta.max_abs: must be positive, got {beta_max_abs}")
+    points_per_branch = _typed(beta["points_per_branch"], int, "beta.points_per_branch")
+    if points_per_branch < 1:
+        raise ConfigError(f"beta.points_per_branch: must be >= 1, got {points_per_branch}")
+    targets = _typed_list(raw["entropy_targets_bits"], (int, float), "entropy_targets_bits")
     return CapacityConfig(
         spec=spec,
-        beta_max_abs=float(_typed(beta["max_abs"], (int, float), "beta.max_abs")),
-        points_per_branch=_typed(beta["points_per_branch"], int, "beta.points_per_branch"),
-        entropy_targets_bits=tuple(float(s) for s in raw["entropy_targets_bits"]),
+        beta_max_abs=beta_max_abs,
+        points_per_branch=points_per_branch,
+        entropy_targets_bits=tuple(float(s) for s in targets),
         output_dir=_typed(outputs["directory"], str, "outputs.directory"),
     )
 

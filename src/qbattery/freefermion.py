@@ -113,19 +113,17 @@ def analytic_observables(modes: ModeSet, t: float) -> tuple[float, float, float,
     return energy, pw, var_battery, modes.var_charger
 
 
-def observables_on_grid(
-    modes: ModeSet, times: np.ndarray, chunk: int = TIME_CHUNK
-) -> dict[str, np.ndarray]:
+def observables_on_grid(modes: ModeSet, times: np.ndarray) -> dict[str, np.ndarray]:
     """Vectorized E, P, var(H_B) series over a time grid (chunked in time)."""
     times = np.asarray(times, dtype=float)
     energy = np.empty_like(times)
     pw = np.empty_like(times)
     var_battery = np.empty_like(times)
-    for lo in range(0, len(times), chunk):
-        eps, eps_dot = pair_excitations(modes, times[lo : lo + chunk, None])
-        energy[lo : lo + chunk] = eps.sum(axis=1)
-        pw[lo : lo + chunk] = eps_dot.sum(axis=1)
-        var_battery[lo : lo + chunk] = (eps * (2.0 - eps)).sum(axis=1)
+    for lo in range(0, len(times), TIME_CHUNK):
+        eps, eps_dot = pair_excitations(modes, times[lo : lo + TIME_CHUNK, None])
+        energy[lo : lo + TIME_CHUNK] = eps.sum(axis=1)
+        pw[lo : lo + TIME_CHUNK] = eps_dot.sum(axis=1)
+        var_battery[lo : lo + TIME_CHUNK] = (eps * (2.0 - eps)).sum(axis=1)
     return {"energy": energy, "power": pw, "var_battery": var_battery}
 
 

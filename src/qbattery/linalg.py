@@ -92,6 +92,7 @@ class HermitianOperator:
     basis: Basis
     eigenvalues: np.ndarray | None = None
     eigenvectors: np.ndarray | None = None
+    _diagonal: bool = field(init=False, repr=False)  # exactly diagonal, found at validation
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -102,7 +103,8 @@ class HermitianOperator:
             raise ValidationError(
                 f"matrix dim {mat.shape[0]} does not match basis dim {self.basis.dim}"
             )
-        if _is_diagonal(mat):
+        object.__setattr__(self, "_diagonal", _is_diagonal(mat))
+        if self._diagonal:
             # Off-diagonal entries are exact zeros (NaN counts as nonzero).  A
             # diagonal matrix is Hermitian iff its diagonal is real.
             diag = np.diagonal(mat)
@@ -229,7 +231,7 @@ def eigendecompose(op: HermitianOperator) -> HermitianOperator:
     if op.has_eig:
         return op
     mat = op.matrix
-    if _is_diagonal(mat):
+    if op._diagonal:
         diag = np.real(np.diagonal(mat))
         order = np.argsort(diag, kind="stable")
         vals = diag[order]
@@ -245,24 +247,26 @@ def eigendecompose(op: HermitianOperator) -> HermitianOperator:
     return out
 
 
-def evolve(hamiltonian: HermitianOperator, psi0: StateVector, t: float) -> StateVector:
-    """Propagate ``psi0`` for time ``t`` under ``exp(-i H t)`` (hbar = 1).
+def ascending_eigenvalues(op: HermitianOperator) -> np.ndarray:
+    """The eigenvalues of :func:`eigendecompose` without its eigenvector
+    matrix: the cached ones, the stable-sorted real diagonal of an exactly
+    diagonal matrix, or LAPACK's eigenvalue-only solver."""
+    if op.has_eig:
+        return op.eigenvalues
+    if op._diagonal:
+        return np.sort(np.real(np.diagonal(op.matrix)), kind="stable")
+    return np.linalg.eigvalsh(op.matrix)
 
-    The Hamiltonian must carry its eigendecomposition; propagation is exact
-    spectral: V exp(-i L t) V^dag psi0.
-    """
-    if not hamiltonian.has_eig:
-        raise ValidationError("evolve requires an eigendecomposed Hamiltonian")
-    if hamiltonian.dim != psi0.dim or hamiltonian.basis != psi0.basis:
-        raise ValidationError("Hamiltonian and state bases do not match")
-    vecs = hamiltonian.eigenvectors
-    phases = np.exp(-1j * hamiltonian.eigenvalues * t)
-    amp = vecs @ (phases * (vecs.conj().T @ psi0.amplitudes))
-    return StateVector(amp, psi0.basis)
+
+def evolve(hamiltonian: HermitianOperator, psi0: StateVector, t: float) -> StateVector:
+    """Propagate ``psi0`` for time ``t`` under ``exp(-i H t)`` (hbar = 1): the
+    single column of :func:`evolve_batch` at ``t``."""
+    return StateVector(evolve_batch(hamiltonian, psi0, np.array([t]))[:, 0], psi0.basis)
 
 
 def evolve_batch(hamiltonian: HermitianOperator, psi0: StateVector, times: np.ndarray) -> np.ndarray:
-    """States at all ``times`` as columns of a (dim, T) array (one BLAS call)."""
+    """States at all ``times`` as columns of a (dim, T) array, in one BLAS call: exact
+    spectral propagation V exp(-i L t) V^dag psi0 under an eigendecomposed Hamiltonian."""
     if not hamiltonian.has_eig:
         raise ValidationError("evolve_batch requires an eigendecomposed Hamiltonian")
     if hamiltonian.basis != psi0.basis:
@@ -291,16 +295,15 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-(probs * np.log2(probs)).sum())
 
 
-def group_levels(op: HermitianOperator, rel_tol: float = LEVEL_REL_TOL) -> LevelStructure:
-    """Merge eigenvalues into degenerate levels.
+def group_levels(eigenvalues: np.ndarray, rel_tol: float = LEVEL_REL_TOL) -> LevelStructure:
+    """Merge ascending eigenvalues into degenerate levels.
 
     Consecutive eigenvalues are merged whenever their gap is at most
     ``rel_tol`` times the spectral range; each level carries the group-mean
-    energy and the contiguous slice of eigenvector columns.
+    energy and the contiguous slice of its members (eigenvector columns of
+    an eigendecomposed operator).
     """
-    if not op.has_eig:
-        raise ValidationError("group_levels requires an eigendecomposed operator")
-    vals = op.eigenvalues
+    vals = np.asarray(eigenvalues, dtype=float)
     span = float(vals[-1] - vals[0])
     gap = rel_tol * span
     breaks = np.flatnonzero(np.diff(vals) > gap) + 1

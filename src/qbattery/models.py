@@ -46,7 +46,7 @@ class ModelSpec:
     lam is the charging frequency (hbar = 1); family-specific fields are the
     hybrid block layout (q blocks of r consecutive cells, q*r = N), the chain
     coupling lists lambdas/gammas indexed by range m = 1..M, the collective
-    anisotropy gamma, and the Fock cutoff n_max (None = automatic).
+    anisotropy gamma, and the Fock cutoff n_max (None = automatic, see run_trajectory).
     """
 
     family: str
@@ -139,16 +139,15 @@ def _place_flips(mat: np.ndarray, n_cells: int, cells, values) -> None:
     mat[idx ^ mask, idx] += values
 
 
-def model_basis(spec: ModelSpec, n_max: int | None = None) -> Basis:
+def model_basis(spec: ModelSpec) -> Basis:
     """The basis a model family runs in.  The cavity's Fock cutoff is
-    ``n_max``, else ``spec.n_max``, else 2N+8, with headroom above N."""
+    ``spec.n_max``, else 2N+8, with headroom above N."""
     n = spec.n_cells
     if spec.family == "lmg":
         return Basis("collective_spin", n)
     if spec.family != "dicke":
         return Basis("qubit_chain", n)
-    if n_max is None:
-        n_max = spec.n_max if spec.n_max is not None else 2 * n + 8
+    n_max = spec.n_max if spec.n_max is not None else 2 * n + 8
     if n_max < n + 2:
         raise ValidationError(
             f"dicke n_max = {n_max} leaves no headroom above the initial "
@@ -301,7 +300,7 @@ def fock_annihilation(n_max: int) -> np.ndarray:
     return a
 
 
-def build_dicke(spec: ModelSpec, n_max: int | None = None) -> HermitianOperator:
+def build_dicke(spec: ModelSpec) -> HermitianOperator:
     """Collective spin coupled to one truncated cavity mode.
 
     H = J_z + a^dag a + (2 lam / sqrt(N)) J_x (a^dag + a); with
@@ -311,7 +310,7 @@ def build_dicke(spec: ModelSpec, n_max: int | None = None) -> HermitianOperator:
     if spec.family != "dicke":
         raise ValidationError("build_dicke needs a dicke spec")
     n = spec.n_cells
-    basis = model_basis(spec, n_max)
+    basis = model_basis(spec)
     n_max = basis.n_max
     ops = collective_spin_operators(n)
     jx = (ops["jp"] + ops["jm"]) / 2
@@ -328,17 +327,17 @@ def build_dicke(spec: ModelSpec, n_max: int | None = None) -> HermitianOperator:
     return HermitianOperator(mat, basis)
 
 
-def build_battery_for(spec: ModelSpec, n_max: int | None = None) -> HermitianOperator:
+def build_battery_for(spec: ModelSpec) -> HermitianOperator:
     """The battery H_B of a model family in its own basis: the excitation
     ladder diag(w - N/2) (J_z for the collective spin, J_z x I with the
     cavity)."""
-    basis = model_basis(spec, n_max)
+    basis = model_basis(spec)
     if basis.kind == "qubit_chain":
         return build_battery(spec.n_cells)
     return HermitianOperator(np.diag(_ladder(basis)), basis)
 
 
-def build_charger_for(spec: ModelSpec, n_max: int | None = None) -> HermitianOperator:
+def build_charger_for(spec: ModelSpec) -> HermitianOperator:
     """The charging Hamiltonian of a model family in its own basis."""
     if spec.family in PARADIGMATIC_FAMILIES:
         return build_charger_paradigmatic(spec)
@@ -346,12 +345,12 @@ def build_charger_for(spec: ModelSpec, n_max: int | None = None) -> HermitianOpe
         return build_jw_chain(spec)
     if spec.family == "lmg":
         return build_lmg(spec)
-    return build_dicke(spec, n_max)
+    return build_dicke(spec)
 
 
-def initial_state(spec: ModelSpec, n_max: int | None = None) -> StateVector:
+def initial_state(spec: ModelSpec) -> StateVector:
     """Battery ground state; for the cavity model, spins down with N photons."""
-    basis = model_basis(spec, n_max)
+    basis = model_basis(spec)
     amp = np.zeros(basis.dim, dtype=complex)
     # Spin index 0 (m = -j) with photon number N, else basis index 0.
     amp[spec.n_cells if basis.kind == "spin_fock" else 0] = 1.0

@@ -92,7 +92,7 @@ def populations_and_rates(
     if battery.basis != psi.basis or charger.basis != psi.basis:
         raise ValidationError("battery, charger, and state bases do not match")
     battery = eigendecompose(battery)
-    levels = group_levels(battery)
+    levels = group_levels(battery.eigenvalues)
     overlaps = battery.eigenvectors.conj().T @ psi.amplitudes
     driven = battery.eigenvectors.conj().T @ (charger.matrix @ psi.amplitudes)
     p = np.add.reduceat(np.abs(overlaps) ** 2, levels.starts[:-1])
@@ -186,13 +186,16 @@ def variance_decomposition(
     return local, correlation
 
 
-def cos_theta_power(power_value: float, var_battery: float, fisher: float) -> float:
-    """Saturation ratio P / sqrt(var(H_B) * I_E); NaN when the denominator
-    falls below the guard floor (emitted as a missing value downstream)."""
-    denom_sq = var_battery * fisher
-    if denom_sq < COS_THETA_DENOM_FLOOR**2:
-        return float("nan")
-    return float(power_value / np.sqrt(denom_sq))
+def cos_theta_power(power_value, var_battery, fisher):
+    """Saturation angle P / sqrt(var(H_B) * I_E), elementwise on scalars or arrays; NaN
+    where var(H_B) * I_E <= COS_THETA_DENOM_FLOOR**2 (a missing value downstream)."""
+    power_value, denom_sq = np.broadcast_arrays(
+        np.asarray(power_value, dtype=float), np.multiply(var_battery, fisher)
+    )
+    out = np.full(denom_sq.shape, np.nan)
+    defined = denom_sq > COS_THETA_DENOM_FLOOR**2
+    out[defined] = power_value[defined] / np.sqrt(denom_sq[defined])
+    return out if out.ndim else float(out)
 
 
 def time_average(series: np.ndarray, dt: float) -> float:

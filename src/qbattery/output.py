@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bounds import bound_ratio
 from .capacity import DiagramPoint
 from .sweeps import ScalingResult
 from .trajectory import Trajectory
@@ -63,20 +64,13 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
     Path(path).write_text(",".join(header) + "\n" + block, encoding="utf-8", newline="\n")
 
 
-def _guarded_ratio(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    out = np.full_like(lhs, np.nan, dtype=float)
-    ok = rhs > 1e-12
-    out[ok] = lhs[ok] / rhs[ok]
-    return out
-
-
 def trajectory_rows(traj: Trajectory, include_populations: bool = False):
     """Column header and (T, columns) value block of the trajectory CSV schema."""
     header = list(TRAJECTORY_COLUMNS)
     # Ratio columns come from the untruncated Fisher sum (the certification
     # arithmetic); the I_E column itself is the floored observable.
-    ratio_cor1 = _guarded_ratio(traj.power**2, traj.var_battery * traj.fisher_energy_full)
-    ratio_heis = _guarded_ratio(traj.power**2, 4.0 * traj.var_battery * traj.var_charger)
+    ratio_cor1 = bound_ratio(traj.power**2, traj.var_battery * traj.fisher_energy_full)
+    ratio_heis = bound_ratio(traj.power**2, 4.0 * traj.var_battery * traj.var_charger)
     columns = np.stack([
         traj.times,
         traj.energy,

@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .bounds import bound_ratio
 from .errors import ValidationError
 from .freefermion import (
     analytic_observables,
@@ -19,7 +20,7 @@ from .freefermion import (
     observables_on_grid,
 )
 from .models import MAX_QUBITS_CHAIN, ModelSpec, power_law_couplings
-from .observables import battery_entanglement_entropy, time_average
+from .observables import battery_entanglement_entropy, cos_theta_power, time_average
 from .trajectory import (
     DEFAULT_STEPS,
     PeakResult,
@@ -115,26 +116,18 @@ def _window_quantities(
     avg_fisher = time_average(fisher[:stop], dt)
     avg_power = peak.energy_max / peak.t_f if peak.t_f > 0 else 0.0
     idx = int(np.argmin(np.abs(times - peak.t_f)))
-    e_final = energy[idx]
-    rel_std = np.sqrt(max(var_battery[idx], 0.0)) / e_final if e_final > 1e-12 else np.nan
     return {
         "energy_at_tf": peak.energy_max,
         "avg_power": avg_power,
         "avg_var_battery": avg_var,
         "avg_fisher_energy": avg_fisher,
-        "rel_final_std": float(rel_std),
-        "cos_theta_timeavg": _guarded_ratio(avg_power, avg_var * avg_fisher),
-        "cos_theta_timeavg_heis": _guarded_ratio(avg_power, avg_var * 4.0 * avg_var_charger),
+        "rel_final_std": bound_ratio(np.sqrt(max(var_battery[idx], 0.0)), energy[idx]),
+        "cos_theta_timeavg": cos_theta_power(avg_power, avg_var, avg_fisher),
+        "cos_theta_timeavg_heis": cos_theta_power(avg_power, avg_var * 4.0, avg_var_charger),
         "initial_var_charger": initial_var_charger,
         "t_f": peak.t_f,
         "t_f_at_boundary": float(peak.at_boundary),
     }
-
-
-def _guarded_ratio(numerator: float, denom_sq: float) -> float:
-    if denom_sq < 1e-24:
-        return float("nan")
-    return float(numerator / np.sqrt(denom_sq))
 
 
 def trajectory_quantities(traj: Trajectory, peak: PeakResult | None = None) -> dict[str, float]:

@@ -10,13 +10,14 @@ arithmetic path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
 from .linalg import (
+    Basis,
     HermitianOperator,
     LevelStructure,
     StateVector,
@@ -32,7 +33,7 @@ from .models import (
     initial_state,
     model_basis,
 )
-from .observables import POPULATION_FLOOR
+from .observables import POPULATION_FLOOR, cos_theta_power
 
 DEFAULT_STEPS = 2000
 DEFAULT_LAM_T_MAX = {
@@ -50,7 +51,8 @@ FOCK_SCREEN_STRIDE = 10
 
 @dataclass
 class Trajectory:
-    """Uniform-grid charging run with per-step derived series."""
+    """Uniform-grid charging run with per-step derived series; ``spec`` is the
+    spec that ran, with the Fock cutoff a cavity run used."""
 
     spec: ModelSpec
     times: np.ndarray
@@ -70,7 +72,6 @@ class Trajectory:
     fisher_energy_full: np.ndarray  # untruncated, used by bound certification
     fisher_state: np.ndarray
     cos_theta: np.ndarray
-    n_max_used: int | None = None
     fock_edge_population: float = 0.0
     meta: dict = field(default_factory=dict)
 
@@ -89,7 +90,7 @@ class Trajectory:
     def battery(self) -> HermitianOperator:
         """The dense battery in the run's basis, built on first use; no step
         of the run reads it, only the independent oracles do."""
-        return build_battery_for(self.spec, self.n_max_used)
+        return build_battery_for(self.spec)
 
     def stored_energy_at(self, t: float) -> float:
         """Exact stored energy at an arbitrary (off-grid) time."""
@@ -103,6 +104,8 @@ def time_grid(spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFA
     """Uniform grid over [0, t_max] with t_max given in units of 1/lam."""
     if steps < 2:
         raise ValidationError("time grid needs at least 2 steps")
+    if not spec.lam > 0:
+        raise ValidationError(f"the charging frequency lam must be positive, got {spec.lam}")
     if lam_t_max is None:
         lam_t_max = DEFAULT_LAM_T_MAX[spec.family]
     if lam_t_max <= 0:
@@ -110,10 +113,9 @@ def time_grid(spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFA
     return np.linspace(0.0, lam_t_max / spec.lam, steps)
 
 
-def _fock_edge_population(states: np.ndarray, n_cells: int, n_max: int) -> float:
-    n_fock = n_max + 1
-    blocks = states.reshape(n_cells + 1, n_fock, -1)
-    edge = np.abs(blocks[:, n_max - 1 :, :]) ** 2
+def _fock_edge_population(states: np.ndarray, basis: Basis) -> float:
+    blocks = states.reshape(basis.n_cells + 1, basis.n_max + 1, -1)
+    edge = np.abs(blocks[:, basis.n_max - 1 :, :]) ** 2
     return float(edge.sum(axis=(0, 1)).max())
 
 
@@ -121,7 +123,6 @@ def _run_fixed(
     spec: ModelSpec, times: np.ndarray, charger: HermitianOperator, psi0: StateVector
 ) -> Trajectory:
     """The run on the grid under an eigendecomposed charger, in its basis."""
-    n_max = charger.basis.n_max
     states = evolve_batch(charger, psi0, times)
 
     # The battery is an excitation ladder: level k, at energy k - N/2, holds
@@ -162,11 +163,6 @@ def _run_fixed(
     fisher_energy_full = (rates**2 / unfloored).sum(axis=0)
     fisher_state = 4.0 * var_charger  # pure-state trajectories
 
-    denom = var_battery * fisher_energy
-    cos_theta = np.full_like(energy, np.nan)
-    defined = denom > POPULATION_FLOOR**2
-    cos_theta[defined] = power[defined] / np.sqrt(denom[defined])
-
     return Trajectory(
         spec=spec,
         times=times,
@@ -185,14 +181,13 @@ def _run_fixed(
         fisher_energy=fisher_energy,
         fisher_energy_full=fisher_energy_full,
         fisher_state=fisher_state,
-        cos_theta=cos_theta,
-        n_max_used=n_max,
+        cos_theta=cos_theta_power(power, var_battery, fisher_energy),
     )
 
 
-def _charger_and_state(spec: ModelSpec, n_max: int | None = None):
-    """The eigendecomposed charger and the initial state at a Fock cutoff."""
-    return eigendecompose(build_charger_for(spec, n_max)), initial_state(spec, n_max)
+def _charger_and_state(spec: ModelSpec):
+    """The eigendecomposed charger and the initial state of a spec."""
+    return eigendecompose(build_charger_for(spec)), initial_state(spec)
 
 
 def _screen_times(times: np.ndarray) -> np.ndarray:
@@ -208,26 +203,27 @@ def run_trajectory(
     For the cavity model with no explicit n_max, the Fock cutoff starts at
     the default of :func:`models.model_basis` and doubles until the
     population within one level of the cutoff stays below 1e-8 over the
-    whole window.  Each cutoff is screened first on a strided subset of the
-    grid: the subset's leak is at most the whole grid's, so a cutoff that
-    fails the screen would fail the full run too, and only a cutoff that
-    passes it is run (and checked) on the whole grid.
+    whole window; each cutoff runs as the spec with that n_max, and the one
+    that converges is the trajectory's spec.  Each cutoff is screened first
+    on a strided subset of the grid: the subset's leak is at most the whole
+    grid's, so a cutoff that fails the screen would fail the full run too,
+    and only a cutoff that passes it is run (and checked) on the whole grid.
     """
     times = time_grid(spec, lam_t_max, steps)
-    n = spec.n_cells
     if spec.family != "dicke" or spec.n_max is not None:
         traj = _run_fixed(spec, times, *_charger_and_state(spec))
         if spec.family == "dicke":
-            traj.fock_edge_population = _fock_edge_population(traj.states, n, spec.n_max)
+            traj.fock_edge_population = _fock_edge_population(traj.states, traj.psi0.basis)
         return traj
 
     screen = _screen_times(times)
     n_max = model_basis(spec).n_max
     for _ in range(MAX_FOCK_DOUBLINGS + 1):
-        charger, psi0 = _charger_and_state(spec, n_max)
-        if _fock_edge_population(evolve_batch(charger, psi0, screen), n, n_max) < FOCK_LEAK_TOL:
-            traj = _run_fixed(spec, times, charger, psi0)
-            traj.fock_edge_population = _fock_edge_population(traj.states, n, n_max)
+        cutoff = replace(spec, n_max=n_max)
+        charger, psi0 = _charger_and_state(cutoff)
+        if _fock_edge_population(evolve_batch(charger, psi0, screen), psi0.basis) < FOCK_LEAK_TOL:
+            traj = _run_fixed(cutoff, times, charger, psi0)
+            traj.fock_edge_population = _fock_edge_population(traj.states, psi0.basis)
             if traj.fock_edge_population < FOCK_LEAK_TOL:
                 return traj
         n_max *= 2

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import bounds, freefermion, observables
 from .capacity import EnergyAmplitudeReport, energy_amplitude_check
-from .linalg import StateVector, eigendecompose, evolve
+from .linalg import RECONSTRUCTION_ATOL, StateVector, eigendecompose, evolve
 from .models import (
     CHAIN_VARIANTS,
     ModelSpec,
@@ -58,7 +58,7 @@ CSV_BOUNDS = ("fisher_power_ratio", "heisenberg_ratio", "heisenberg_power",
 class CertificationReport:
     """Outcome of checking trajectory columns: per inequality its violated steps
     (``masks``), its check and violation counts and its worst ratio, the largest
-    finite lhs / rhs with rhs >= ABSOLUTE_FLOOR or 0 (``per_bound``).  The
+    finite ``bounds.bound_ratio`` or 0 (``per_bound``).  The
     amplitude and witness are known only in memory."""
 
     n_steps: int
@@ -108,7 +108,7 @@ def certify_series(
         masks[label] = bad = defined & ~bounds.within_tolerance(lhs, rhs)
         found += [(i, j, Violation(label, float(t[i]), float(lhs[i]), float(rhs[i])))
                   for i in np.flatnonzero(bad)]
-        ratios = lhs[rhs >= bounds.ABSOLUTE_FLOOR] / rhs[rhs >= bounds.ABSOLUTE_FLOOR]
+        ratios = bounds.bound_ratio(lhs, rhs)
         worst = float(ratios[np.isfinite(ratios)].max(initial=0.0))
         per_bound[label] = {"checks": int(defined.sum()), "violations": int(bad.sum()), "worst_ratio": worst}
     n_checks = sum(b["checks"] for b in per_bound.values())
@@ -389,7 +389,8 @@ def run_oracle_checks(seed: int = 1) -> list[OracleCheck]:
     op = eigendecompose(random_hermitian(6, rng))
     recon = (op.eigenvectors * op.eigenvalues) @ op.eigenvectors.conj().T
     dev = np.abs(recon - op.matrix).max()
-    checks.append(OracleCheck("eigendecomposition_reconstruction", dev < 1e-10, f"max dev {dev:.2e}"))
+    ok = dev < RECONSTRUCTION_ATOL
+    checks.append(OracleCheck("eigendecomposition_reconstruction", ok, f"max dev {dev:.2e}"))
 
     amp = rng.normal(size=6) + 1j * rng.normal(size=6)
     amp /= np.linalg.norm(amp)

@@ -7,6 +7,7 @@ analytic rates, so the oracle shares no code path with what it checks.
 
 import itertools
 import math
+from dataclasses import replace
 from functools import reduce
 from pathlib import Path
 
@@ -171,7 +172,7 @@ def permutation_run_path(traj):
     battery, charger, states = eigendecompose(traj.battery), traj.charger, traj.states
     overlaps = battery.eigenvectors.conj().T @ states
     driven = battery.eigenvectors.conj().T @ (charger.matrix @ states)
-    starts = group_levels(battery).starts[:-1]
+    starts = group_levels(battery.eigenvalues).starts[:-1]
     populations = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
     rates = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
     weights = np.abs(charger.eigenvectors.conj().T @ states) ** 2
@@ -225,9 +226,10 @@ def run_trajectory_doubling(spec, lam_t_max=None, steps=2000):
     times = trajectory.time_grid(spec, lam_t_max, steps)
     n_max = models.model_basis(spec).n_max
     for _ in range(trajectory.MAX_FOCK_DOUBLINGS + 1):
-        charger = eigendecompose(models.build_charger_for(spec, n_max))
-        traj = trajectory._run_fixed(spec, times, charger, models.initial_state(spec, n_max))
-        leak = trajectory._fock_edge_population(traj.states, spec.n_cells, n_max)
+        cutoff = replace(spec, n_max=n_max)
+        charger = eigendecompose(models.build_charger_for(cutoff))
+        traj = trajectory._run_fixed(cutoff, times, charger, models.initial_state(cutoff))
+        leak = trajectory._fock_edge_population(traj.states, traj.psi0.basis)
         traj.fock_edge_population = leak
         if leak < trajectory.FOCK_LEAK_TOL:
             return traj

@@ -25,6 +25,8 @@ from qbattery import (
     witness_entangled_block_size,
 )
 from qbattery.bounds import (
+    ABSOLUTE_FLOOR,
+    bound_ratio,
     check_inequality,
     fisher_power_bound,
     heisenberg_power_bound,
@@ -205,3 +207,9 @@ class TestInequalityReporting:
     def test_ratio_guard(self):
         report = check_inequality(0.0, 0.0, 0.0)
         assert math.isnan(report.ratio)
+
+    def test_rhs_at_the_floor_is_undefined(self):
+        assert math.isnan(check_inequality(0.0, 0.5e-12, ABSOLUTE_FLOOR).ratio)
+        assert check_inequality(0.0, 1e-12, 2 * ABSOLUTE_FLOOR).ratio == 0.5
+        ratios = bound_ratio(np.array([0.5e-12, 1e-12]), np.array([ABSOLUTE_FLOOR, 2 * ABSOLUTE_FLOOR]))
+        assert math.isnan(ratios[0]) and ratios[1] == 0.5

@@ -19,6 +19,7 @@ from qbattery import (
     solve_beta_for_entropy,
     thermal_curve,
 )
+from qbattery import capacity, linalg
 from qbattery.capacity import thermal_point
 from qbattery.linalg import random_hermitian
 from qbattery.models import ModelSpec
@@ -210,6 +211,26 @@ def assert_closed_form_capacity(battery, n):
     for s_bits in (0.5, 1.0, 3.0, 0.25 * n, 0.5 * n, 0.9 * n):
         expected = register_capacity_closed_form(n, s_bits)
         assert capacity_at_entropy(battery, s_bits) == pytest.approx(expected, rel=1e-9)
+
+
+class TestEigenvaluesOnly:
+    def test_operator_battery_builds_no_eigenvectors(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigenvector matrix was built")
+
+        monkeypatch.setattr(linalg, "eigendecompose", refuse)
+        # Also any binding of the name that the capacity module might import.
+        monkeypatch.setattr(capacity, "eigendecompose", refuse, raising=False)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        expected = register_capacity_closed_form(12, 1.0)
+        assert capacity_at_entropy(build_battery(12), 1.0) == pytest.approx(expected, rel=1e-9)
+
+    def test_dense_operator_levels_from_eigvalsh(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        op = random_hermitian(6, rng)
+        want = capacity_at_entropy(eigendecompose(op), 1.0)
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("eigh called"))
+        assert capacity_at_entropy(op, 1.0) == pytest.approx(want, rel=1e-9)
 
 
 class TestRegisterClosedForm:

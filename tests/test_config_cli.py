@@ -246,6 +246,64 @@ class TestCli:
         assert self.run("simulate", str(cfg)) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", [0, -1])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_nonpositive_charging_frequency_exit_code(self, tmp_path, capsys, command, lam):
+        cfg = self.scenario(
+            tmp_path,
+            model={"family": "parallel", "N": 2, "lam": lam},
+            sweep={"values": [2, 3, 4, 5], "quantity": "avg_power"},
+        )
+        assert self.run(command, cfg) == 2
+        assert "lam must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,payload,key",
+        [
+            ("capacity", {"entropy_targets_bits": ["a"]}, "entropy_targets_bits[0]: expected"),
+            ("capacity", {"entropy_targets_bits": "12"}, "entropy_targets_bits: expected list"),
+            ("capacity", {"beta": {"max_abs": -5}}, "beta.max_abs: must be positive"),
+            ("capacity", {"beta": {"points_per_branch": 0}}, "beta.points_per_branch: must be >= 1"),
+            (
+                "sweep",
+                {"sweep": {"values": [2, "3", 4, 5], "quantity": "avg_power"}},
+                "sweep.values[1]: expected int",
+            ),
+            (
+                "sweep",
+                {
+                    "model": {"family": "lmg", "N": 4},
+                    "sweep": {"parameter": "gamma", "values": [0.0, "x"], "quantity": "avg_power"},
+                },
+                "sweep.values[1]: expected int/float",
+            ),
+            (
+                "sweep",
+                {
+                    "model": {"family": "lmg", "N": 4},
+                    "sweep": {"parameter": "gamma", "values": [0.0, 0.5], "quantity": "nonsense"},
+                },
+                "sweep.quantity: unknown quantity 'nonsense'",
+            ),
+            (
+                "sweep",
+                {"sweep": {"values": [2, 3, 4, 5], "quantity": "nonsense"}},
+                "sweep.quantity: unknown quantity 'nonsense'",
+            ),
+        ],
+        ids=[
+            "target-not-a-number", "targets-not-a-list", "beta-max-negative",
+            "beta-no-points", "n-sweep-value-text", "gamma-sweep-value-text",
+            "gamma-sweep-quantity", "n-sweep-quantity",
+        ],
+    )
+    def test_bad_config_value_exit_code(self, tmp_path, capsys, command, payload, key):
+        base = {"model": {"family": "parallel", "N": 2}, "outputs": {"directory": str(tmp_path / "o")}}
+        cfg = write_json(tmp_path / "bad.json", {**base, **payload})
+        assert self.run(command, cfg) == 2
+        assert f"config error: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_model_limit_exit_code(self, tmp_path):
         cfg = self.scenario(tmp_path, model={"family": "parallel", "N": 20})
         assert self.run("simulate", cfg) == 2

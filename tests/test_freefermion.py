@@ -14,6 +14,7 @@ from qbattery import (
     fisher_energy_analytic,
     pair_distribution,
 )
+from qbattery import freefermion
 from qbattery.freefermion import (
     PAIR_PROBABILITY_FLOOR,
     TIME_CHUNK,
@@ -89,10 +90,11 @@ class TestPairExcitations:
         _, _, var_b, _ = analytic_observables(modes, t)
         assert var_b >= -1e-12
 
-    def test_grid_evaluation_matches_scalar(self):
+    def test_grid_evaluation_matches_scalar(self, monkeypatch):
+        monkeypatch.setattr(freefermion, "TIME_CHUNK", 16)
         modes = dispersion(chain_spec("xy_pow", 16))
         times = np.linspace(0, 8, 57)
-        series = observables_on_grid(modes, times, chunk=16)
+        series = observables_on_grid(modes, times)
         for i in (0, 13, 56):
             energy, pw, var_b, _ = analytic_observables(modes, float(times[i]))
             assert series["energy"][i] == pytest.approx(energy, abs=1e-12)

@@ -211,19 +211,19 @@ class TestEntropy:
 
 class TestGroupLevels:
     def test_two_qubit_battery(self):
-        levels = group_levels(eigendecompose(build_battery(2)))
+        levels = group_levels(eigendecompose(build_battery(2)).eigenvalues)
         assert np.allclose(levels.energies, [-1, 0, 1])
         assert list(levels.multiplicities) == [1, 2, 1]
 
     def test_three_qubit_battery(self):
-        levels = group_levels(eigendecompose(build_battery(3)))
+        levels = group_levels(eigendecompose(build_battery(3)).eigenvalues)
         assert list(levels.multiplicities) == [1, 3, 3, 1]
 
     def test_tolerance_merging(self):
         op = eigendecompose(
             HermitianOperator(np.diag([0.0, 1e-12, 1.0]).astype(complex), Basis("collective_spin", 2))
         )
-        levels = group_levels(op, rel_tol=1e-9)
+        levels = group_levels(op.eigenvalues, rel_tol=1e-9)
         assert levels.n_levels == 2
         assert list(levels.multiplicities) == [2, 1]
 
@@ -231,7 +231,7 @@ class TestGroupLevels:
     def test_level_completeness(self, dim, seed):
         rng = np.random.default_rng(seed)
         op = eigendecompose(random_hermitian(dim, rng))
-        levels = group_levels(op)
+        levels = group_levels(op.eigenvalues)
         assert int(levels.multiplicities.sum()) == dim
         assert levels.starts[0] == 0 and levels.starts[-1] == dim
         assert np.all(levels.multiplicities > 0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ class TestBattery:
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_register_spectrum_is_the_grouped_battery(self, n):
         energies, log_multiplicities = register_spectrum(n)
-        levels = group_levels(eigendecompose(build_battery(n)))
+        levels = group_levels(eigendecompose(build_battery(n)).eigenvalues)
         assert np.array_equal(energies, levels.energies)
         assert np.allclose(np.exp(log_multiplicities), levels.multiplicities, rtol=1e-12, atol=0)
 
@@ -270,8 +271,8 @@ class TestCollective:
 class TestCavity:
     def test_coupling_matrix_element(self):
         n, n_max, lam = 4, 10, 0.6
-        spec = ModelSpec(family="dicke", n_cells=n, lam=lam)
-        charger = build_dicke(spec, n_max)
+        spec = ModelSpec(family="dicke", n_cells=n, lam=lam, n_max=n_max)
+        charger = build_dicke(spec)
         j = n / 2
         m_idx, m = 1, -1.0  # |j, m=-1> at spin index 1
         n_ph = 5
@@ -281,8 +282,8 @@ class TestCavity:
         assert charger.matrix[row, col] == pytest.approx(expected, rel=1e-12)
 
     def test_decoupled_spectrum(self):
-        spec = ModelSpec(family="dicke", n_cells=1, lam=0.0)
-        charger = build_dicke(spec, 5)
+        spec = ModelSpec(family="dicke", n_cells=1, lam=0.0, n_max=5)
+        charger = build_dicke(spec)
         vals = np.sort(np.linalg.eigvalsh(charger.matrix))
         expected = np.sort([m + k for m in (-0.5, 0.5) for k in range(6)])
         assert np.allclose(vals, expected, atol=1e-12)
@@ -314,7 +315,7 @@ class TestCavity:
         with pytest.raises(ValidationError):
             ModelSpec(family="dicke", n_cells=4, n_max=5)
         with pytest.raises(ValidationError):
-            build_dicke(ModelSpec(family="dicke", n_cells=4), n_max=5)
+            build_dicke(replace(ModelSpec(family="dicke", n_cells=4), n_max=5))
 
 
 class TestExcitationLadder:
@@ -329,12 +330,12 @@ class TestExcitationLadder:
 
     @pytest.mark.parametrize("n,n_max", [(1, 3), (3, 7), (4, None)])
     def test_cavity_battery_is_jz_times_identity(self, n, n_max):
-        spec = ModelSpec(family="dicke", n_cells=n)
-        battery = build_battery_for(spec, n_max)
+        spec = ModelSpec(family="dicke", n_cells=n, n_max=n_max)
+        battery = build_battery_for(spec)
         n_fock = (n_max if n_max is not None else 2 * n + 8) + 1
         expected = np.kron(collective_spin_operators(n)["jz"], np.eye(n_fock))
         assert np.array_equal(battery.matrix, expected)
-        assert battery.basis == build_dicke(spec, n_max).basis == initial_state(spec, n_max).basis
+        assert battery.basis == build_dicke(spec).basis == initial_state(spec).basis
 
     def test_basis_resolution(self):
         assert model_basis(ModelSpec(family="global", n_cells=3)) == Basis("qubit_chain", 3)
@@ -342,9 +343,9 @@ class TestExcitationLadder:
         dicke = ModelSpec(family="dicke", n_cells=3)
         assert model_basis(dicke) == Basis("spin_fock", 3, 14)
         assert model_basis(ModelSpec(family="dicke", n_cells=3, n_max=6)).n_max == 6
-        assert model_basis(dicke, 9).n_max == 9
+        assert model_basis(replace(dicke, n_max=9)).n_max == 9
         with pytest.raises(ValidationError, match="headroom"):
-            model_basis(dicke, 4)
+            model_basis(replace(dicke, n_max=4))
 
 
 class TestInitialStates:

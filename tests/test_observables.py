@@ -34,7 +34,7 @@ from qbattery import (
     variance_decomposition,
 )
 from qbattery.models import battery_cell_terms
-from qbattery.observables import reduced_battery_state
+from qbattery.observables import COS_THETA_DENOM_FLOOR, reduced_battery_state
 from qbattery.trajectory import find_tf, run_trajectory
 
 from oracles import random_density_matrix
@@ -306,6 +306,13 @@ class TestSaturationRatio:
     def test_undefined_marker(self):
         assert math.isnan(cos_theta_power(0.0, 0.0, 0.0))
         assert cos_theta_power(1.0, 1.0, 4.0) == pytest.approx(0.5)
+
+    def test_denominator_at_the_floor_is_undefined(self):
+        floor_sq = COS_THETA_DENOM_FLOOR**2
+        assert math.isnan(cos_theta_power(1e-13, 1.0, floor_sq))
+        assert cos_theta_power(1e-13, 1.0, 2 * floor_sq) == pytest.approx(1e-13 / math.sqrt(2) / 1e-12)
+        series = cos_theta_power(np.array([1e-13, 1e-13]), np.array([1.0, 2.0]), floor_sq)
+        assert math.isnan(series[0]) and series[1] == pytest.approx(1e-13 / math.sqrt(2) / 1e-12)
 
     def test_range_when_defined(self):
         traj = run_trajectory(ModelSpec(family="dicke", n_cells=4, lam=0.5), steps=400)

@@ -1,12 +1,15 @@
 """The block-formatted CSV writer and the converter-free trajectory reader
 against the per-value references in ``oracles``."""
 
+import copy
 import glob
 import math
 
 import numpy as np
 import pytest
 
+from qbattery import ModelSpec
+from qbattery.bounds import ABSOLUTE_FLOOR
 from qbattery.cli import _read_trajectory_csv
 from qbattery.config import load_scenario
 from qbattery.output import TRAJECTORY_COLUMNS, trajectory_rows, write_csv
@@ -64,6 +67,17 @@ class TestWriter:
         assert_same_bytes(tmp_path, ["variant", "N", "a", "b", "c", "d"], rows)
         rows = [[1.5, "mid", None, "last"], [math.nan, "x,y", 2, "z"]]
         assert_same_bytes(tmp_path, ["a", "b", "c", "d"], rows)
+
+    def test_ratio_columns_undefined_at_the_floor(self):
+        traj = copy.copy(run_trajectory(ModelSpec(family="parallel", n_cells=2), steps=2))
+        traj.power = np.array([1e-7, 1e-7])
+        traj.var_battery = np.ones(2)
+        traj.fisher_energy_full = np.array([ABSOLUTE_FLOOR, 2 * ABSOLUTE_FLOOR])
+        traj.var_charger = traj.fisher_energy_full / 4
+        header, block = trajectory_rows(traj)
+        for column in ("bound_ratio_cor1", "bound_ratio_heis"):
+            ratios = block[:, header.index(column)]
+            assert math.isnan(ratios[0]) and ratios[1] == pytest.approx(1e-14 / (2 * ABSOLUTE_FLOOR))
 
     def test_empty_tables(self, tmp_path):
         assert_same_bytes(tmp_path, ["N"], [])

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from qbattery import ModelSpec, ValidationError, chain_spec, fit_exponent, sweep_scaling
+from qbattery.observables import COS_THETA_DENOM_FLOOR
 from qbattery.sweeps import (
+    _window_quantities,
     chain_analytic_quantities,
     quantities_for,
     trajectory_quantities,
 )
-from qbattery.trajectory import run_trajectory
+from qbattery.trajectory import PeakResult, run_trajectory
 
 
 class TestExponentFit:
@@ -78,6 +80,24 @@ class TestSweep:
 
 
 class TestQuantities:
+    def test_ratio_denominator_at_the_floor_is_undefined(self):
+        # One unit-step window [0, 1] of constant series: the averages are
+        # the constants, so each ratio's var * I product is exactly the floor.
+        floor_sq = COS_THETA_DENOM_FLOOR**2
+        times = np.array([0.0, 1.0, 2.0])
+        peak = PeakResult(t_f=1.0, energy_max=1.0, at_boundary=False)
+        out = _window_quantities(
+            times, peak, np.array([0.0, 1.0, 0.5]), np.ones(3), np.full(3, floor_sq),
+            floor_sq / 4, floor_sq / 4,
+        )
+        assert out["avg_var_battery"] == 1.0 and out["avg_fisher_energy"] == floor_sq
+        assert np.isnan(out["cos_theta_timeavg"]) and np.isnan(out["cos_theta_timeavg_heis"])
+        out = _window_quantities(
+            times, peak, np.array([0.0, 1.0, 0.5]), np.ones(3), np.full(3, 4 * floor_sq),
+            floor_sq, floor_sq,
+        )
+        assert out["cos_theta_timeavg"] == out["cos_theta_timeavg_heis"] == pytest.approx(0.5e12)
+
     def test_trajectory_quantities_consistency(self):
         traj = run_trajectory(ModelSpec(family="parallel", n_cells=4), steps=400)
         out = trajectory_quantities(traj)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,14 @@ class TestTimeGrid:
     def test_needs_two_points(self):
         with pytest.raises(ValidationError):
             time_grid(ModelSpec(family="parallel", n_cells=2), 1.0, 1)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_needs_positive_charging_frequency(self, lam):
+        # The spec itself admits lam = 0 (a decoupled charger); a grid in
+        # units of 1/lam does not.
+        spec = ModelSpec(family="parallel", n_cells=2, lam=lam)
+        with pytest.raises(ValidationError, match="lam must be positive"):
+            time_grid(spec, 1.0, 10)
 
 
 class TestRunTrajectory:
@@ -133,7 +142,7 @@ LADDER_SPECS = [
 def test_ladder_levels_match_battery_spectrum(spec):
     traj = run_trajectory(spec, steps=20)
     battery = eigendecompose(traj.battery)
-    levels = group_levels(battery)
+    levels = group_levels(battery.eigenvalues)
     assert np.array_equal(traj.levels.energies, levels.energies)
     assert np.array_equal(traj.levels.starts, levels.starts)
     # A diagonal operator's k-th eigenvector is the unit vector at order[k].
@@ -165,20 +174,20 @@ def test_charger_built_once_per_cutoff(spec, builder, monkeypatch):
         assert len(calls) == 1
         return
     # The automatic cutoff builds one charger per cutoff tried: 2N+8, then doublings.
-    cutoffs = [args[1] for args in calls]
+    cutoffs = [args[0].n_max for args in calls]
     assert cutoffs == [14 * 2**k for k in range(len(cutoffs))]
-    assert len(cutoffs) > 1 and cutoffs[-1] == traj.n_max_used
+    assert len(cutoffs) > 1 and cutoffs[-1] == traj.spec.n_max
 
 
 class TestFockTruncation:
     def test_auto_cutoff_converges(self):
         traj = run_trajectory(ModelSpec(family="dicke", n_cells=4, lam=0.5), steps=200)
-        assert traj.n_max_used >= 2 * 4 + 8
+        assert traj.spec.n_max >= 2 * 4 + 8
         assert traj.fock_edge_population < 1e-8
 
     def test_explicit_cutoff_respected(self):
         traj = run_trajectory(ModelSpec(family="dicke", n_cells=3, lam=0.2, n_max=9), steps=100)
-        assert traj.n_max_used == 9
+        assert traj.spec.n_max == 9
         assert traj.states.shape[0] == 4 * 10
 
     @pytest.mark.parametrize(
@@ -193,12 +202,27 @@ class TestFockTruncation:
         spec = make_spec()
         traj = run_trajectory(spec, steps=steps)
         oracle = run_trajectory_doubling(spec, steps=steps)
-        assert traj.n_max_used == oracle.n_max_used == n_max_used
+        assert traj.spec.n_max == oracle.spec.n_max == n_max_used
         assert traj.fock_edge_population == oracle.fock_edge_population
         assert traj.states.tobytes() == oracle.states.tobytes()
         write_trajectory_csv(traj, tmp_path / "screened.csv", include_populations=True)
         write_trajectory_csv(oracle, tmp_path / "oracle.csv", include_populations=True)
         assert (tmp_path / "screened.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "make_spec,steps",
+        [
+            (lambda: load_scenario("configs/dicke_n8_strong.json").spec, 2000),  # 24 -> 48
+            (lambda: ModelSpec(family="dicke", n_cells=2, lam=1.0), 200),  # 12 -> 24 -> 48
+        ],
+        ids=["dicke_n8_strong", "doubles-twice"],
+    )
+    def test_run_spec_carries_the_cutoff(self, make_spec, steps):
+        spec = make_spec()
+        traj = run_trajectory(spec, steps=steps)
+        assert spec.n_max is None and traj.spec == replace(spec, n_max=48)
+        assert traj.spec.n_max == traj.charger.basis.n_max
+        assert traj.battery.basis == traj.charger.basis == traj.psi0.basis
 
     def test_screen_that_misses_the_leak_still_doubles(self, monkeypatch):
         # A sub-grid of t = 0 alone sees no leak, so every cutoff passes the
@@ -208,11 +232,11 @@ class TestFockTruncation:
         built = []
         original = models.build_dicke
         monkeypatch.setattr(
-            models, "build_dicke", lambda *args: built.append(args[1]) or original(*args)
+            models, "build_dicke", lambda *args: built.append(args[0].n_max) or original(*args)
         )
         traj = run_trajectory(spec, steps=200)
         assert built == [12, 24, 48]
-        assert traj.n_max_used == 48 and traj.fock_edge_population < trajectory.FOCK_LEAK_TOL
+        assert traj.spec.n_max == 48 and traj.fock_edge_population < trajectory.FOCK_LEAK_TOL
         oracle = run_trajectory_doubling(spec, steps=200)
         assert traj.states.tobytes() == oracle.states.tobytes()
 

@@ -15,7 +15,7 @@ from qbattery import (
     verify_benchmark_table,
     witness_entangled_block_size,
 )
-from qbattery.bounds import producibility_variance_cap, witness_block_sizes
+from qbattery.bounds import ABSOLUTE_FLOOR, producibility_variance_cap, witness_block_sizes
 from qbattery.cli import _read_trajectory_csv
 from qbattery.config import load_scenario
 from qbattery.output import write_trajectory_csv
@@ -146,6 +146,20 @@ class TestSeriesCertifier:
         assert {v.label for v in report.violations if v.t == traj.times[7]} == {
             "fisher_power", "heisenberg_power", "entanglement_power"
         }
+
+    def test_worst_ratio_skips_rhs_at_the_floor(self):
+        # Step 0 has rhs = 4 var_HB var_HC exactly at the floor and lhs / rhs
+        # = 1.5, within tolerance; only step 1's 0.5 is a defined ratio.
+        columns = {
+            "t": np.array([0.0, 1.0]),
+            "P": np.sqrt([1.5e-12, 0.5]),
+            "var_HB": np.ones(2),
+            "var_HC": np.array([ABSOLUTE_FLOOR / 4, 0.25]),
+        }
+        assert 4.0 * columns["var_HB"][0] * columns["var_HC"][0] == ABSOLUTE_FLOOR
+        report = certify_series(columns, ("heisenberg_power",), undefined_fails=True)
+        assert report.ok and report.n_checks == 2
+        assert report.per_bound["heisenberg_power"]["worst_ratio"] == pytest.approx(0.5, rel=1e-15)
 
     def test_witness_series_matches_scalar(self):
         for n in (1, 2, 5, 8, 12):
