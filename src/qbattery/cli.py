@@ -192,14 +192,13 @@ def cmd_table1(args) -> int:
 
 def _undefined_as_nan(body: str) -> list[str]:
     """The lines of a CSV body with "nan" in every empty (undefined) field,
-    so that ``np.loadtxt`` parses them in C with no per-field converter."""
-    text = "\n" + "\n".join(body.splitlines()) + "\n"
-    # A field is bounded by commas or line breaks.  replace() skips
-    # overlapping matches, so the second ",," pass fills the runs the first
-    # one left every other field of.
-    text = text.replace(",,", ",nan,").replace(",,", ",nan,")
-    text = text.replace("\n,", "\nnan,").replace(",\n", ",nan\n")
-    return text[1:-1].split("\n")
+    so that ``np.loadtxt`` parses them in C with no per-field converter.
+    One pass over the lines; only a line with an empty field is rebuilt."""
+    lines = body.splitlines()
+    for i, line in enumerate(lines):
+        if ",," in line or line[:1] == "," or line[-1:] == ",":
+            lines[i] = ",".join(field or "nan" for field in line.split(","))
+    return lines
 
 
 def _read_trajectory_csv(path: str) -> dict[str, np.ndarray]:

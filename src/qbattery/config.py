@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .models import CHAIN_VARIANTS, FAMILIES, FAMILY_FIELDS, ModelSpec, chain_spec
-from .sweeps import SWEEP_QUANTITIES
+from .sweeps import SWEEP_PATHS, SWEEP_QUANTITIES
 from .trajectory import DEFAULT_STEPS
 
 
@@ -76,6 +76,9 @@ def _typed_list(value, types, path: str) -> tuple:
 
 
 OUTPUT_SERIES = ("populations",)
+# JSON types of the family keys of models.FAMILY_FIELDS; the list keys hold numbers.
+KEY_TYPES = {"q": int, "r": int, "gamma": (int, float), "n_max": int, "normalize_coupling": bool}
+LIST_KEYS = ("lambdas", "gammas")
 
 
 def parse_model(raw: dict, path: str = "model") -> ModelSpec:
@@ -103,10 +106,13 @@ def parse_model(raw: dict, path: str = "model") -> ModelSpec:
         raise ConfigError(f"{keys}: not a key of the {family} family")
     n = _typed(raw["N"], int, f"{path}.N")
     given = {key: raw[key] for key in FAMILY_FIELDS[family] if key in raw}
+    for key, value in given.items():
+        if key in LIST_KEYS:
+            given[key] = _typed_list(value, (int, float), f"{path}.{key}")
+        elif not (key == "n_max" and value is None):  # null: the automatic cutoff
+            _typed(value, KEY_TYPES[key], f"{path}.{key}")
     if "lam" in raw:
         given["lam"] = float(_typed(raw["lam"], (int, float), f"{path}.lam"))
-    if "normalize_coupling" in given:
-        _typed(given["normalize_coupling"], bool, f"{path}.normalize_coupling")
     variant = raw.get("variant")
     if variant is not None:
         if _typed(variant, str, f"{path}.variant") not in CHAIN_VARIANTS:
@@ -165,6 +171,12 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             raise ConfigError(f"sweep.parameter: 'gamma' is an lmg parameter, not a {spec.family} one")
         else:
             values = _typed_list(sweep_raw["values"], (int, float), "sweep.values")
+        if sweep_raw["path"] not in SWEEP_PATHS:
+            raise ConfigError(
+                f"sweep.path: unknown evaluation path {sweep_raw['path']!r} (expected one of {SWEEP_PATHS})"
+            )
+        if sweep_raw["path"] == "analytic" and spec.family != "jw_chain":
+            raise ConfigError(f"sweep.path: 'analytic' exists only for jw_chain, not {spec.family}")
         if sweep_raw["quantity"] not in SWEEP_QUANTITIES:
             raise ConfigError(
                 f"sweep.quantity: unknown quantity {sweep_raw['quantity']!r} "

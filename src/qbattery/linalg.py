@@ -1,4 +1,5 @@
-"""Dense complex Hermitian linear algebra and exact unitary propagation.
+"""Hermitian linear algebra (dense complex matrices, or the real diagonal of
+a diagonal operator) and exact unitary propagation.
 
 Everything downstream (model builders, observables, bound checks) runs on the
 three value types defined here.  All propagation is spectral: a Hamiltonian is
@@ -74,57 +75,85 @@ def _hermiticity_deviation(mat: np.ndarray) -> float:
     return dev
 
 
-def _is_diagonal(mat: np.ndarray) -> bool:
-    """Exactly diagonal test in one pass with no dense temporary."""
-    return np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
-
-
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Dense Hermitian matrix with an optional cached eigendecomposition.
+    """Hermitian operator over a labeled basis with an optional cached
+    eigendecomposition.
 
-    When present, ``eigenvalues`` are ascending and ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns.  Instances are immutable;
-    :func:`eigendecompose` returns a new instance with the cache filled.
+    ``values`` is the dense (dim, dim) matrix, or a (dim,) vector for an
+    exactly diagonal operator: its real diagonal, kept as float64 and nothing
+    more.  ``matrix`` is the dense matrix either way; for a diagonal operator
+    it is built anew on each access, for code that asks for the dense form.
+
+    When present, ``eigenvalues`` are ascending.  A dense operator's
+    ``eigenvectors`` holds the matching orthonormal eigenvectors as columns; a
+    diagonal operator's ``order`` holds the basis index of each eigenvalue
+    (the stable sort of its diagonal), its k-th eigenvector being the unit
+    vector at ``order[k]``.  Instances are immutable; :func:`eigendecompose`
+    returns a new instance with the cache filled.
     """
 
-    matrix: np.ndarray
+    values: np.ndarray
     basis: Basis
     eigenvalues: np.ndarray | None = None
     eigenvectors: np.ndarray | None = None
-    _diagonal: bool = field(init=False, repr=False)  # exactly diagonal, found at validation
+    order: np.ndarray | None = None
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"operator matrix must be square, got {mat.shape}")
-        if mat.shape[0] != self.basis.dim:
-            raise ValidationError(
-                f"matrix dim {mat.shape[0]} does not match basis dim {self.basis.dim}"
-            )
-        object.__setattr__(self, "_diagonal", _is_diagonal(mat))
-        if self._diagonal:
-            # Off-diagonal entries are exact zeros (NaN counts as nonzero).  A
-            # diagonal matrix is Hermitian iff its diagonal is real.
-            diag = np.diagonal(mat)
-            _require_finite(diag, "matrix")
-            dev = 2.0 * np.abs(diag.imag).max()
+        values = np.asarray(self.values)
+        if values.ndim == 1:
+            _require_finite(values, "diagonal")
+            dev = 2.0 * np.abs(values.imag).max(initial=0.0)
+            values = np.ascontiguousarray(values.real, dtype=float)
+        elif values.ndim == 2 and values.shape[0] == values.shape[1]:
+            values = np.asarray(values, dtype=complex)
+            _require_finite(values, "matrix")
+            dev = _hermiticity_deviation(values)
         else:
-            _require_finite(mat, "matrix")
-            dev = _hermiticity_deviation(mat)
+            raise ValidationError(f"operator matrix must be square, got {values.shape}")
+        if values.shape[0] != self.basis.dim:
+            raise ValidationError(
+                f"matrix dim {values.shape[0]} does not match basis dim {self.basis.dim}"
+            )
         if dev > HERMITICITY_ATOL:
             raise ValidationError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-        if (self.eigenvalues is None) != (self.eigenvectors is None):
-            raise ValidationError("eigenvalues and eigenvectors must be set together")
+        object.__setattr__(self, "values", values)
+        basis_of_eigenvalues = self.order if self.is_diagonal else self.eigenvectors
+        if (self.eigenvalues is None) != (basis_of_eigenvalues is None):
+            raise ValidationError("eigenvalues and their eigenbasis must be set together")
+
+    @property
+    def is_diagonal(self) -> bool:
+        return self.values.ndim == 1
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense complex matrix; a diagonal operator builds it on each call."""
+        return np.diag(self.values.astype(complex)) if self.is_diagonal else self.values
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.values.shape[0]
 
     @property
     def has_eig(self) -> bool:
         return self.eigenvalues is not None
+
+    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
+        """The operator applied to a vector; a diagonal one scales each entry."""
+        if self.is_diagonal:
+            return self.values * amplitudes
+        return self.values @ amplitudes
+
+    def to_eigenbasis(self, amplitudes: np.ndarray) -> np.ndarray:
+        """V^dag applied to a vector or to the columns of an array: the
+        amplitudes on the eigenvectors, in eigenvalue order.  A diagonal
+        operator gathers the rows in its eigenvalue order."""
+        if not self.has_eig:
+            raise ValidationError("the eigenbasis needs an eigendecomposed operator")
+        if self.is_diagonal:
+            return amplitudes[self.order]
+        return self.eigenvectors.conj().T @ amplitudes
 
     def norm(self) -> float:
         """Operator norm (largest singular value; max |eigenvalue| here)."""
@@ -223,58 +252,61 @@ class LevelStructure:
 
 
 def eigendecompose(op: HermitianOperator) -> HermitianOperator:
-    """Return a copy of ``op`` with ascending eigenvalues and orthonormal columns.
+    """Return a copy of ``op`` with ascending eigenvalues and their eigenbasis.
 
-    An exactly diagonal matrix is sorted instead of handed to LAPACK, which
-    keeps model spectra (integer ladders) exact.
+    A diagonal operator's diagonal is stable-sorted instead of handed to
+    LAPACK, which keeps model spectra (integer ladders) exact, and its
+    eigenbasis is the sort order, not a permutation matrix.
     """
     if op.has_eig:
         return op
-    mat = op.matrix
-    if op._diagonal:
-        diag = np.real(np.diagonal(mat))
-        order = np.argsort(diag, kind="stable")
-        vals = diag[order]
-        vecs = np.zeros(mat.shape, dtype=complex)
-        vecs[order, np.arange(mat.shape[0])] = 1.0
-    else:
-        vals, vecs = np.linalg.eigh(mat)
-    # A shallow copy skips __post_init__: op's matrix was validated when op
-    # was made, and the copy shares it.
+    # A shallow copy skips __post_init__: op's values were validated when op
+    # was made, and the copy shares them.
     out = copy.copy(op)
-    object.__setattr__(out, "eigenvalues", vals)
-    object.__setattr__(out, "eigenvectors", vecs)
+    if op.is_diagonal:
+        order = np.argsort(op.values, kind="stable")
+        object.__setattr__(out, "eigenvalues", op.values[order])
+        object.__setattr__(out, "order", order)
+    else:
+        vals, vecs = np.linalg.eigh(op.values)
+        object.__setattr__(out, "eigenvalues", vals)
+        object.__setattr__(out, "eigenvectors", vecs)
     return out
 
 
 def ascending_eigenvalues(op: HermitianOperator) -> np.ndarray:
-    """The eigenvalues of :func:`eigendecompose` without its eigenvector
-    matrix: the cached ones, the stable-sorted real diagonal of an exactly
-    diagonal matrix, or LAPACK's eigenvalue-only solver."""
+    """The eigenvalues of :func:`eigendecompose` without its eigenbasis: the
+    cached ones, the stable-sorted diagonal of a diagonal operator, or
+    LAPACK's eigenvalue-only solver."""
     if op.has_eig:
         return op.eigenvalues
-    if op._diagonal:
-        return np.sort(np.real(np.diagonal(op.matrix)), kind="stable")
-    return np.linalg.eigvalsh(op.matrix)
+    if op.is_diagonal:
+        return np.sort(op.values, kind="stable")
+    return np.linalg.eigvalsh(op.values)
 
 
 def evolve(hamiltonian: HermitianOperator, psi0: StateVector, t: float) -> StateVector:
     """Propagate ``psi0`` for time ``t`` under ``exp(-i H t)`` (hbar = 1): the
     single column of :func:`evolve_batch` at ``t``."""
-    return StateVector(evolve_batch(hamiltonian, psi0, np.array([t]))[:, 0], psi0.basis)
-
-
-def evolve_batch(hamiltonian: HermitianOperator, psi0: StateVector, times: np.ndarray) -> np.ndarray:
-    """States at all ``times`` as columns of a (dim, T) array, in one BLAS call: exact
-    spectral propagation V exp(-i L t) V^dag psi0 under an eigendecomposed Hamiltonian."""
-    if not hamiltonian.has_eig:
-        raise ValidationError("evolve_batch requires an eigendecomposed Hamiltonian")
     if hamiltonian.basis != psi0.basis:
         raise ValidationError("Hamiltonian and state bases do not match")
-    vecs = hamiltonian.eigenvectors
-    coeff = vecs.conj().T @ psi0.amplitudes
-    phases = np.exp(-1j * np.outer(hamiltonian.eigenvalues, np.asarray(times)))
-    return vecs @ (phases * coeff[:, None])
+    coeff = hamiltonian.to_eigenbasis(psi0.amplitudes)
+    return StateVector(evolve_batch(hamiltonian, coeff, np.array([t]))[:, 0], psi0.basis)
+
+
+def evolve_batch(hamiltonian: HermitianOperator, coeff: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """States at all ``times`` as columns of a (dim, T) array, by exact spectral
+    propagation V exp(-i L t) coeff under an eigendecomposed Hamiltonian, in
+    one BLAS call.  ``coeff`` = V^dag psi0 is ``hamiltonian.to_eigenbasis`` of
+    the initial amplitudes, which a run computes once for all its time grids."""
+    if not hamiltonian.has_eig:
+        raise ValidationError("evolve_batch requires an eigendecomposed Hamiltonian")
+    phased = np.exp(-1j * np.outer(hamiltonian.eigenvalues, np.asarray(times))) * coeff[:, None]
+    if hamiltonian.is_diagonal:
+        states = np.empty_like(phased)
+        states[hamiltonian.order] = phased
+        return states
+    return hamiltonian.eigenvectors @ phased
 
 
 def partial_trace_cavity(rho: DensityMatrix) -> DensityMatrix:

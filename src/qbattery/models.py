@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapacityLimitError, ValidationError
 from .linalg import Basis, HermitianOperator, StateVector
 
-MAX_QUBITS_BATTERY = 14
+MAX_QUBITS_CHARGER = 14
 MAX_QUBITS_CHAIN = 12
 
 SIGMA_Z = np.diag([-1.0 + 0j, 1.0 + 0j])
@@ -167,7 +167,7 @@ def excitation_counts(basis: Basis) -> np.ndarray:
 
 def _ladder(basis: Basis) -> np.ndarray:
     """Diagonal of the battery H_B = sum_i h_i: w - N/2 at each basis index."""
-    return (excitation_counts(basis) - basis.n_cells / 2).astype(complex)
+    return excitation_counts(basis) - basis.n_cells / 2
 
 
 def register_spectrum(n_cells: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,22 +185,16 @@ def register_spectrum(n_cells: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_battery(n_cells: int) -> HermitianOperator:
-    """Qubit-chain battery, diagonal with spectrum {w - N/2}."""
-    if not 1 <= n_cells <= MAX_QUBITS_BATTERY:
-        raise CapacityLimitError(
-            f"qubit-chain battery capped at N = {MAX_QUBITS_BATTERY} "
-            f"(dense dim 2^N = {2**MAX_QUBITS_BATTERY}); got N = {n_cells}"
-        )
+    """Qubit-chain battery, diagonal with spectrum {w - N/2}: a vector of
+    2^N floats, no dense matrix."""
     basis = Basis("qubit_chain", n_cells)
-    return HermitianOperator(np.diag(_ladder(basis)), basis)
+    return HermitianOperator(_ladder(basis), basis)
 
 
 def battery_cell_terms(n_cells: int) -> list[np.ndarray]:
-    """The N single-cell terms of the battery Hamiltonian as full-dim matrices."""
-    return [
-        np.diag(np.where(_site_values(n_cells, j) == 1, 0.5, -0.5).astype(complex))
-        for j in range(n_cells)
-    ]
+    """The N single-cell terms of the battery Hamiltonian, each diagonal in
+    the qubit-chain basis, as their diagonals: -1/2 or +1/2 at each index."""
+    return [np.where(_site_values(n_cells, j) == 1, 0.5, -0.5) for j in range(n_cells)]
 
 
 def build_charger_paradigmatic(spec: ModelSpec) -> HermitianOperator:
@@ -212,9 +206,10 @@ def build_charger_paradigmatic(spec: ModelSpec) -> HermitianOperator:
     if spec.family not in PARADIGMATIC_FAMILIES:
         raise ValidationError(f"{spec.family!r} is not a paradigmatic family")
     n = spec.n_cells
-    if not 1 <= n <= MAX_QUBITS_BATTERY:
+    if not 1 <= n <= MAX_QUBITS_CHARGER:
         raise CapacityLimitError(
-            f"qubit-chain charger capped at N = {MAX_QUBITS_BATTERY}; got N = {n}"
+            f"dense qubit-chain charger capped at N = {MAX_QUBITS_CHARGER} "
+            f"(dim 2^N = {2**MAX_QUBITS_CHARGER}); got N = {n}"
         )
     if spec.family == "parallel":
         blocks = [[j] for j in range(n)]
@@ -248,7 +243,7 @@ def build_jw_chain(spec: ModelSpec) -> HermitianOperator:
         )
     if len(spec.lambdas) >= n:
         raise ValidationError("coupling range m must stay below N")
-    mat = np.diag(_ladder(Basis("qubit_chain", n)))
+    mat = np.diag(_ladder(Basis("qubit_chain", n)).astype(complex))
     occupation = [_site_values(n, site) for site in range(n)]
     for m, (lam_m, gam_m) in enumerate(zip(spec.lambdas, spec.gammas), start=1):
         if lam_m == 0.0 and gam_m == 0.0:
@@ -330,11 +325,9 @@ def build_dicke(spec: ModelSpec) -> HermitianOperator:
 def build_battery_for(spec: ModelSpec) -> HermitianOperator:
     """The battery H_B of a model family in its own basis: the excitation
     ladder diag(w - N/2) (J_z for the collective spin, J_z x I with the
-    cavity)."""
+    cavity), held as its diagonal."""
     basis = model_basis(spec)
-    if basis.kind == "qubit_chain":
-        return build_battery(spec.n_cells)
-    return HermitianOperator(np.diag(_ladder(basis)), basis)
+    return HermitianOperator(_ladder(basis), basis)
 
 
 def build_charger_for(spec: ModelSpec) -> HermitianOperator:

@@ -50,7 +50,7 @@ class PopulationRecord:
 def expectation(psi: StateVector, op: HermitianOperator) -> float:
     if op.basis != psi.basis:
         raise ValidationError("operator and state bases do not match")
-    return float(np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes).real)
+    return float(np.vdot(psi.amplitudes, op.apply(psi.amplitudes)).real)
 
 
 def stored_energy(psi: StateVector, battery: HermitianOperator, psi0: StateVector) -> float:
@@ -62,8 +62,8 @@ def power(psi: StateVector, battery: HermitianOperator, charger: HermitianOperat
     """Instantaneous d<H_B>/dt = i<[H_C, H_B]> under the charging dynamics."""
     if battery.basis != psi.basis or charger.basis != psi.basis:
         raise ValidationError("operator and state bases do not match")
-    b_psi = battery.matrix @ psi.amplitudes
-    c_psi = charger.matrix @ psi.amplitudes
+    b_psi = battery.apply(psi.amplitudes)
+    c_psi = charger.apply(psi.amplitudes)
     return float(2.0 * np.vdot(b_psi, c_psi).imag)
 
 
@@ -74,7 +74,7 @@ def variance(psi: StateVector, op: HermitianOperator, m: int = 1) -> float:
     op = eigendecompose(op)
     if op.basis != psi.basis:
         raise ValidationError("operator and state bases do not match")
-    weights = np.abs(op.eigenvectors.conj().T @ psi.amplitudes) ** 2
+    weights = np.abs(op.to_eigenbasis(psi.amplitudes)) ** 2
     mean_m = float(weights @ op.eigenvalues**m)
     mean_2m = float(weights @ op.eigenvalues ** (2 * m))
     return mean_2m - mean_m**2
@@ -93,8 +93,8 @@ def populations_and_rates(
         raise ValidationError("battery, charger, and state bases do not match")
     battery = eigendecompose(battery)
     levels = group_levels(battery.eigenvalues)
-    overlaps = battery.eigenvectors.conj().T @ psi.amplitudes
-    driven = battery.eigenvectors.conj().T @ (charger.matrix @ psi.amplitudes)
+    overlaps = battery.to_eigenbasis(psi.amplitudes)
+    driven = battery.to_eigenbasis(charger.apply(psi.amplitudes))
     p = np.add.reduceat(np.abs(overlaps) ** 2, levels.starts[:-1])
     p_dot = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, levels.starts[:-1])
     return PopulationRecord(t=t, p=p, p_dot=p_dot)
@@ -172,12 +172,13 @@ def variance_decomposition(
 ) -> tuple[float, float]:
     """Split the battery variance into single-cell and cross-cell parts.
 
-    Returns (local, correlation) with local = sum_i (<h_i^2> - <h_i>^2) and
-    correlation = sum_{i != j} (<h_i h_j> - <h_i><h_j>); the two add up to
-    the full variance of sum_i h_i.
+    ``cell_terms`` are the diagonals of the commuting single-cell terms h_i
+    (``models.battery_cell_terms``).  Returns (local, correlation) with
+    local = sum_i (<h_i^2> - <h_i>^2) and correlation = sum_{i != j}
+    (<h_i h_j> - <h_i><h_j>); the two add up to the full variance of sum_i h_i.
     """
     amp = psi.amplitudes
-    driven = np.stack([h @ amp for h in cell_terms])  # (N, dim)
+    driven = np.stack(cell_terms) * amp  # (N, dim)
     means = (driven @ amp.conj()).real
     cross = (driven.conj() @ driven.T).real  # <h_i h_j>, real for commuting h_i
     local = float(np.diag(cross).sum() - (means**2).sum())

@@ -31,6 +31,7 @@ from .trajectory import (
     time_grid,
 )
 
+SWEEP_PATHS = ("auto", "dense", "analytic")
 SWEEP_QUANTITIES = (
     "energy_at_tf",
     "avg_power",
@@ -169,7 +170,7 @@ def quantities_for(
     path: str = "auto",
 ) -> dict[str, float]:
     """Dispatch between dense and analytic evaluation of the sweep quantities."""
-    if path not in ("auto", "dense", "analytic"):
+    if path not in SWEEP_PATHS:
         raise ValidationError(f"unknown evaluation path {path!r}")
     if spec.family == "jw_chain":
         if path == "analytic" or (path == "auto" and spec.n_cells > MAX_QUBITS_CHAIN):

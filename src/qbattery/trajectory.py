@@ -22,7 +22,6 @@ from .linalg import (
     LevelStructure,
     StateVector,
     eigendecompose,
-    evolve,
     evolve_batch,
 )
 from .models import (
@@ -61,6 +60,7 @@ class Trajectory:
     charger: HermitianOperator
     levels: LevelStructure
     psi0: StateVector
+    charger_amplitudes: np.ndarray  # V^dag psi0 on the charger eigenvectors, taken once
     initial_energy: float  # absolute <H_B> at t = 0
     populations: np.ndarray  # (L, T)
     population_rates: np.ndarray  # (L, T)
@@ -88,14 +88,14 @@ class Trajectory:
 
     @cached_property
     def battery(self) -> HermitianOperator:
-        """The dense battery in the run's basis, built on first use; no step
-        of the run reads it, only the independent oracles do."""
+        """The battery in the run's basis, built on first use; no step of the
+        run reads it, only the independent oracles do."""
         return build_battery_for(self.spec)
 
     def stored_energy_at(self, t: float) -> float:
         """Exact stored energy at an arbitrary (off-grid) time."""
-        psi = evolve(self.charger, self.psi0, t)
-        overlaps = psi.amplitudes[self.battery_order]
+        psi = evolve_batch(self.charger, self.charger_amplitudes, np.array([t]))[:, 0]
+        overlaps = psi[self.battery_order]
         energies = np.repeat(self.levels.energies, self.levels.multiplicities)
         return float(np.abs(overlaps) ** 2 @ energies - self.initial_energy)
 
@@ -120,10 +120,12 @@ def _fock_edge_population(states: np.ndarray, basis: Basis) -> float:
 
 
 def _run_fixed(
-    spec: ModelSpec, times: np.ndarray, charger: HermitianOperator, psi0: StateVector
+    spec: ModelSpec, times: np.ndarray, charger: HermitianOperator, psi0: StateVector,
+    amplitudes: np.ndarray,
 ) -> Trajectory:
-    """The run on the grid under an eigendecomposed charger, in its basis."""
-    states = evolve_batch(charger, psi0, times)
+    """The run on the grid under an eigendecomposed charger, in its basis,
+    from psi0's ``amplitudes`` on the charger eigenvectors."""
+    states = evolve_batch(charger, amplitudes, times)
 
     # The battery is an excitation ladder: level k, at energy k - N/2, holds
     # the basis states with k excited cells.  Its eigenbasis is a row gather
@@ -149,7 +151,7 @@ def _run_fixed(
     var_battery = e_levels**2 @ populations - energy_abs**2
 
     # H_C is conserved, so its eigenbasis weights are those of psi0 at all times.
-    charger_weights = np.abs(charger.eigenvectors.conj().T @ psi0.amplitudes) ** 2
+    charger_weights = np.abs(amplitudes) ** 2
     mean_c = charger.eigenvalues @ charger_weights
     var_charger = np.full(len(times), charger_weights @ (charger.eigenvalues - mean_c) ** 2)
 
@@ -171,6 +173,7 @@ def _run_fixed(
         charger=charger,
         levels=levels,
         psi0=psi0,
+        charger_amplitudes=amplitudes,
         initial_energy=initial_energy,
         populations=populations,
         population_rates=rates,
@@ -186,8 +189,10 @@ def _run_fixed(
 
 
 def _charger_and_state(spec: ModelSpec):
-    """The eigendecomposed charger and the initial state of a spec."""
-    return eigendecompose(build_charger_for(spec)), initial_state(spec)
+    """The eigendecomposed charger, the initial state and its amplitudes on
+    the charger eigenvectors, for a spec."""
+    charger, psi0 = eigendecompose(build_charger_for(spec)), initial_state(spec)
+    return charger, psi0, charger.to_eigenbasis(psi0.amplitudes)
 
 
 def _screen_times(times: np.ndarray) -> np.ndarray:
@@ -217,19 +222,18 @@ def run_trajectory(
         return traj
 
     screen = _screen_times(times)
-    n_max = model_basis(spec).n_max
-    for _ in range(MAX_FOCK_DOUBLINGS + 1):
+    cutoffs = [model_basis(spec).n_max * 2**k for k in range(MAX_FOCK_DOUBLINGS + 1)]
+    for n_max in cutoffs:
         cutoff = replace(spec, n_max=n_max)
-        charger, psi0 = _charger_and_state(cutoff)
-        if _fock_edge_population(evolve_batch(charger, psi0, screen), psi0.basis) < FOCK_LEAK_TOL:
-            traj = _run_fixed(cutoff, times, charger, psi0)
+        charger, psi0, amplitudes = _charger_and_state(cutoff)
+        if _fock_edge_population(evolve_batch(charger, amplitudes, screen), psi0.basis) < FOCK_LEAK_TOL:
+            traj = _run_fixed(cutoff, times, charger, psi0, amplitudes)
             traj.fock_edge_population = _fock_edge_population(traj.states, psi0.basis)
             if traj.fock_edge_population < FOCK_LEAK_TOL:
                 return traj
-        n_max *= 2
     raise ValidationError(
         f"Fock cutoff did not converge below leakage {FOCK_LEAK_TOL} "
-        f"after {MAX_FOCK_DOUBLINGS} doublings (last n_max = {n_max})"
+        f"after {MAX_FOCK_DOUBLINGS} doublings (tried n_max = {', '.join(map(str, cutoffs))})"
     )
 
 

@@ -162,6 +162,14 @@ def certify_stepwise(traj):
     return reports, ks
 
 
+def permutation_matrix(order) -> np.ndarray:
+    """The eigenvectors of a diagonal operator as dense columns: column k is
+    the unit vector at basis index order[k]."""
+    vecs = np.zeros((len(order), len(order)), dtype=complex)
+    vecs[order, np.arange(len(order))] = 1.0
+    return vecs
+
+
 def permutation_run_path(traj):
     """Populations, rates and charger variance of a trajectory's states, with
     the battery eigenbasis applied as a permutation-matrix product and the
@@ -170,8 +178,9 @@ def permutation_run_path(traj):
     psi0 weights of ``trajectory``.
     """
     battery, charger, states = eigendecompose(traj.battery), traj.charger, traj.states
-    overlaps = battery.eigenvectors.conj().T @ states
-    driven = battery.eigenvectors.conj().T @ (charger.matrix @ states)
+    vecs = permutation_matrix(battery.order)
+    overlaps = vecs.conj().T @ states
+    driven = vecs.conj().T @ (charger.matrix @ states)
     starts = group_levels(battery.eigenvalues).starts[:-1]
     populations = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
     rates = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
@@ -181,11 +190,38 @@ def permutation_run_path(traj):
     return populations, rates, var_charger
 
 
+def dense_battery_observables(psi, battery, charger, m: int = 2) -> dict:
+    """Energy, power, variances of H_B and H_B^m, and level populations and
+    rates of ``psi``, with the battery as the dense matrix ``np.diag`` of its
+    diagonal, powers by ``matrix_power`` and levels from LAPACK's ``eigh``:
+    the reference for the observables of a diagonal operator, which apply
+    its diagonal as a vector."""
+    mat = np.diag(battery.values).astype(complex)
+    amp = psi.amplitudes
+    b_psi, c_psi = mat @ amp, charger.matrix @ amp
+
+    def var_of(op):
+        op_psi = op @ amp
+        return np.vdot(op_psi, op_psi).real - np.vdot(amp, op_psi).real ** 2
+
+    vals, vecs = np.linalg.eigh(mat)
+    starts = group_levels(vals).starts[:-1]
+    overlaps, driven = vecs.conj().T @ amp, vecs.conj().T @ c_psi
+    return {
+        "energy": np.vdot(amp, b_psi).real,
+        "power": 2.0 * np.vdot(b_psi, c_psi).imag,
+        "variance": var_of(mat),
+        "variance_m": var_of(np.linalg.matrix_power(mat, m)),
+        "p": np.add.reduceat(np.abs(overlaps) ** 2, starts),
+        "p_dot": 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts),
+    }
+
+
 def stored_energy_by_permutation(traj, t: float) -> float:
     """Off-grid stored energy with the battery eigenbasis as a matrix product."""
     psi = evolve(traj.charger, traj.psi0, t)
     battery = eigendecompose(traj.battery)
-    overlaps = battery.eigenvectors.conj().T @ psi.amplitudes
+    overlaps = permutation_matrix(battery.order).conj().T @ psi.amplitudes
     return float(np.abs(overlaps) ** 2 @ battery.eigenvalues - traj.initial_energy)
 
 
@@ -227,8 +263,9 @@ def run_trajectory_doubling(spec, lam_t_max=None, steps=2000):
     n_max = models.model_basis(spec).n_max
     for _ in range(trajectory.MAX_FOCK_DOUBLINGS + 1):
         cutoff = replace(spec, n_max=n_max)
-        charger = eigendecompose(models.build_charger_for(cutoff))
-        traj = trajectory._run_fixed(cutoff, times, charger, models.initial_state(cutoff))
+        charger, psi0 = eigendecompose(models.build_charger_for(cutoff)), models.initial_state(cutoff)
+        amplitudes = charger.eigenvectors.conj().T @ psi0.amplitudes
+        traj = trajectory._run_fixed(cutoff, times, charger, psi0, amplitudes)
         leak = trajectory._fock_edge_population(traj.states, traj.psi0.basis)
         traj.fock_edge_population = leak
         if leak < trajectory.FOCK_LEAK_TOL:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,20 @@ class TestEigenvaluesOnly:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         expected = register_capacity_closed_form(12, 1.0)
         assert capacity_at_entropy(build_battery(12), 1.0) == pytest.approx(expected, rel=1e-9)
+
+    def test_diagonal_battery_allocates_vectors_only(self):
+        # N = 16: a dense complex battery would hold dim^2 * 16 bytes = 68.7 GB.
+        n, dim = 16, 2**16
+        tracemalloc.start()
+        try:
+            op = eigendecompose(build_battery(n))
+            value = capacity_at_entropy(op, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.is_diagonal and op.eigenvectors is None and op.order.shape == (dim,)
+        assert value == pytest.approx(register_capacity_closed_form(n, 3.0), rel=1e-9)
+        assert peak < 16 * dim * 8  # a handful of dim-long vectors, ~2 MB
 
     def test_dense_operator_levels_from_eigvalsh(self, monkeypatch):
         rng = np.random.default_rng(5)

@@ -290,11 +290,53 @@ class TestCli:
                 {"sweep": {"values": [2, 3, 4, 5], "quantity": "nonsense"}},
                 "sweep.quantity: unknown quantity 'nonsense'",
             ),
+            (
+                "sweep",
+                {"sweep": {"values": [2, 3, 4, 5], "quantity": "avg_power", "path": "nonsense"}},
+                "sweep.path: unknown evaluation path 'nonsense'",
+            ),
+            (
+                "sweep",
+                {"sweep": {"values": [2, 3, 4, 5], "quantity": "avg_power", "path": "analytic"}},
+                "sweep.path: 'analytic' exists only for jw_chain",
+            ),
+            (
+                "simulate",
+                {"model": {"family": "jw_chain", "N": 4, "lambdas": "ab", "gammas": [1.0]}},
+                "model.lambdas: expected list",
+            ),
+            (
+                "simulate",
+                {"model": {"family": "jw_chain", "N": 4, "lambdas": [1.0], "gammas": 2}},
+                "model.gammas: expected list",
+            ),
+            (
+                "simulate",
+                {"model": {"family": "jw_chain", "N": 4, "lambdas": [1.0], "gammas": ["x"]}},
+                "model.gammas[0]: expected int/float",
+            ),
+            (
+                "simulate",
+                {"model": {"family": "lmg", "N": 4, "gamma": "ab"}},
+                "model.gamma: expected int/float",
+            ),
+            (
+                "simulate",
+                {"model": {"family": "hybrid", "N": 4, "q": "2", "r": 2}},
+                "model.q: expected int",
+            ),
+            (
+                "simulate",
+                {"model": {"family": "dicke", "N": 2, "n_max": 12.5}},
+                "model.n_max: expected int",
+            ),
         ],
         ids=[
             "target-not-a-number", "targets-not-a-list", "beta-max-negative",
             "beta-no-points", "n-sweep-value-text", "gamma-sweep-value-text",
-            "gamma-sweep-quantity", "n-sweep-quantity",
+            "gamma-sweep-quantity", "n-sweep-quantity", "sweep-path", "sweep-analytic-path",
+            "lambdas-text", "gammas-number", "gammas-entry-text", "gamma-text", "q-text",
+            "n-max-float",
         ],
     )
     def test_bad_config_value_exit_code(self, tmp_path, capsys, command, payload, key):

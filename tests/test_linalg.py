@@ -77,6 +77,38 @@ class TestEigendecompose:
         assert out.has_eig and not op.has_eig
 
 
+class TestDiagonalOperator:
+    def test_holds_only_the_real_diagonal(self):
+        op = HermitianOperator(np.array([0.5 + 0j, -0.5, 1.5]), Basis("collective_spin", 2))
+        assert op.is_diagonal and op.values.dtype == np.float64 and op.values.shape == (3,)
+        assert op.dim == 3
+        assert np.array_equal(op.matrix, np.diag([0.5, -0.5, 1.5]).astype(complex))
+
+    def test_validation(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            HermitianOperator(np.array([1.0, 1j]), B2)
+        with pytest.raises(ValidationError, match="non-finite"):
+            HermitianOperator(np.array([np.nan, 1.0]), B2)
+        with pytest.raises(ValidationError, match="does not match basis dim"):
+            HermitianOperator(np.array([1.0, 2.0, 3.0]), B2)
+
+    def test_eigenbasis_is_the_stable_sort_order(self):
+        op = eigendecompose(HermitianOperator(np.array([0.5, -0.5, 0.5, -0.5]), Basis("collective_spin", 3)))
+        assert np.array_equal(op.eigenvalues, [-0.5, -0.5, 0.5, 0.5])
+        assert np.array_equal(op.order, [1, 3, 0, 2]) and op.eigenvectors is None
+        amp = np.array([1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(op.to_eigenbasis(amp), [2.0, 4.0, 1.0, 3.0])
+        assert op.norm() == 0.5
+
+    def test_evolution_matches_the_dense_matrix(self):
+        basis = Basis("collective_spin", 3)
+        diag = np.array([0.3, -1.2, 0.3, 2.0])
+        op, dense = (eigendecompose(HermitianOperator(v, basis)) for v in (diag, np.diag(diag)))
+        psi0 = state([1.0, 2.0j, -1.0, 0.5], basis)
+        for t in (0.0, 0.7, 3.1):
+            assert np.abs(evolve(op, psi0, t).amplitudes - evolve(dense, psi0, t).amplitudes).max() < 1e-12
+
+
 class TestEvolve:
     def test_rabi_rotation(self):
         lam, t = 0.8, 0.6
@@ -139,7 +171,7 @@ class TestEvolve:
         op = eigendecompose(random_hermitian(6, rng))
         psi0 = state(rng.normal(size=6) + 1j * rng.normal(size=6), op.basis)
         times = np.linspace(0, 3, 7)
-        batch = evolve_batch(op, psi0, times)
+        batch = evolve_batch(op, op.to_eigenbasis(psi0.amplitudes), times)
         for i, t in enumerate(times):
             assert np.abs(batch[:, i] - evolve(op, psi0, float(t)).amplitudes).max() < 1e-12
 

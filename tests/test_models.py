@@ -56,9 +56,11 @@ class TestBattery:
         op = eigendecompose(build_battery(n))
         assert op.eigenvalues[-1] - op.eigenvalues[0] == pytest.approx(n, abs=0)
 
-    def test_size_cap_names_limit(self):
-        with pytest.raises(CapacityLimitError, match="14"):
-            build_battery(15)
+    def test_no_dense_size_cap(self):
+        # Beyond the dense charger cap the battery is still a 2^N vector.
+        op = build_battery(16)
+        assert op.is_diagonal and op.values.shape == (2**16,)
+        assert op.values[0] == -8.0 and op.values[-1] == 8.0
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_register_spectrum_is_the_grouped_battery(self, n):
@@ -80,12 +82,12 @@ class TestBattery:
 
     def test_cell_terms_sum_to_battery(self):
         total = sum(battery_cell_terms(3))
-        assert np.allclose(total, build_battery(3).matrix)
+        assert np.allclose(np.diag(total), build_battery(3).matrix)
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_cell_terms_match_kron(self, n):
         for j, term in enumerate(battery_cell_terms(n)):
-            assert np.array_equal(term, 0.5 * site_operator(n, {j: SIGMA_Z}))
+            assert np.array_equal(np.diag(term), 0.5 * site_operator(n, {j: SIGMA_Z}))
 
 
 class TestBitBuildersMatchKron:
@@ -161,6 +163,11 @@ class TestParadigmaticChargers:
         assert variance(initial_state(spec), build_charger_paradigmatic(spec)) == pytest.approx(
             2.0, rel=1e-12
         )
+
+    def test_size_cap_names_limit(self):
+        for family, kw in (("parallel", {}), ("hybrid", {"q": 5, "r": 3})):
+            with pytest.raises(CapacityLimitError, match="charger capped at N = 14"):
+                build_charger_paradigmatic(ModelSpec(family=family, n_cells=15, **kw))
 
     def test_hybrid_layout_validated(self):
         with pytest.raises(ValidationError):

@@ -34,10 +34,10 @@ from qbattery import (
     variance_decomposition,
 )
 from qbattery.models import battery_cell_terms
-from qbattery.observables import COS_THETA_DENOM_FLOOR, reduced_battery_state
+from qbattery.observables import COS_THETA_DENOM_FLOOR, expectation, reduced_battery_state
 from qbattery.trajectory import find_tf, run_trajectory
 
-from oracles import random_density_matrix
+from oracles import dense_battery_observables, random_density_matrix
 
 B2 = Basis("collective_spin", 1)
 SX2 = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex), B2)
@@ -158,6 +158,30 @@ class TestPopulations:
         traj = run_trajectory(chain_spec("xy_pow", 8), steps=200)
         assert np.abs(traj.populations.sum(axis=0) - 1).max() < 1e-9
         assert np.abs(traj.population_rates.sum(axis=0)).max() < 1e-8
+
+
+DIAGONAL_ORACLE_SPECS = [
+    ModelSpec(family="parallel", n_cells=6, lam=0.8),
+    ModelSpec(family="lmg", n_cells=10, lam=5.0, gamma=0.3),
+    ModelSpec(family="dicke", n_cells=3, lam=0.4, n_max=9),
+]
+
+
+@pytest.mark.parametrize("spec", DIAGONAL_ORACLE_SPECS, ids=lambda s: s.family)
+def test_diagonal_battery_observables_match_dense_reference(spec):
+    traj = run_trajectory(spec, steps=50)
+    battery = eigendecompose(traj.battery)
+    assert battery.is_diagonal and battery.eigenvectors is None
+    for t in (0.0, 0.37 * traj.times[-1], 0.81 * traj.times[-1]):
+        psi = evolve(traj.charger, traj.psi0, t)
+        ref = dense_battery_observables(psi, battery, traj.charger)
+        rec = populations_and_rates(psi, battery, traj.charger, t)
+        assert expectation(psi, battery) == pytest.approx(ref["energy"], abs=1e-12)
+        assert power(psi, battery, traj.charger) == pytest.approx(ref["power"], abs=1e-12)
+        assert variance(psi, battery) == pytest.approx(ref["variance"], abs=1e-12)
+        assert variance(psi, battery, m=2) == pytest.approx(ref["variance_m"], rel=1e-12, abs=1e-12)
+        assert np.abs(rec.p - ref["p"]).max() <= 1e-12
+        assert np.abs(rec.p_dot - ref["p_dot"]).max() <= 1e-12
 
 
 class TestFisherEnergy:

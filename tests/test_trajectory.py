@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qbattery import (
+    HermitianOperator,
     ModelSpec,
     ValidationError,
     chain_spec,
@@ -89,6 +90,20 @@ class TestRunTrajectory:
         t = 0.3137
         assert traj.stored_energy_at(t) == pytest.approx(4 * math.sin(t) ** 2, abs=1e-10)
 
+    def test_charger_amplitudes_taken_once_per_run(self, monkeypatch):
+        calls = []
+        original = HermitianOperator.to_eigenbasis
+        monkeypatch.setattr(
+            HermitianOperator, "to_eigenbasis", lambda op, amp: calls.append(op) or original(op, amp)
+        )
+        traj = run_trajectory(ModelSpec(family="lmg", n_cells=6, lam=5.0), steps=200)
+        find_tf(traj)
+        assert len(calls) == 1
+        charger = traj.charger
+        assert np.array_equal(
+            traj.charger_amplitudes, charger.eigenvectors.conj().T @ traj.psi0.amplitudes
+        )
+
 
 RUN_PATH_SPECS = [
     ModelSpec(family="parallel", n_cells=5, lam=0.9),
@@ -146,7 +161,7 @@ def test_ladder_levels_match_battery_spectrum(spec):
     assert np.array_equal(traj.levels.energies, levels.energies)
     assert np.array_equal(traj.levels.starts, levels.starts)
     # A diagonal operator's k-th eigenvector is the unit vector at order[k].
-    assert np.array_equal(traj.battery_order, np.argmax(np.abs(battery.eigenvectors), axis=0))
+    assert np.array_equal(traj.battery_order, battery.order)
     stable = np.argsort(np.diagonal(battery.matrix).real, kind="stable")
     assert np.array_equal(traj.battery_order, stable)
 
@@ -239,6 +254,17 @@ class TestFockTruncation:
         assert traj.spec.n_max == 48 and traj.fock_edge_population < trajectory.FOCK_LEAK_TOL
         oracle = run_trajectory_doubling(spec, steps=200)
         assert traj.states.tobytes() == oracle.states.tobytes()
+
+    def test_non_convergence_names_the_cutoffs_tried(self, monkeypatch):
+        monkeypatch.setattr(trajectory, "FOCK_LEAK_TOL", 0.0)  # no cutoff can pass
+        built = []
+        original = models.build_dicke
+        monkeypatch.setattr(
+            models, "build_dicke", lambda *args: built.append(args[0].n_max) or original(*args)
+        )
+        with pytest.raises(ValidationError, match=r"\(tried n_max = 12, 24, 48, 96, 192\)$"):
+            run_trajectory(ModelSpec(family="dicke", n_cells=2, lam=0.3), steps=40)
+        assert built == [12, 24, 48, 96, 192]
 
     def test_screen_is_a_subset_ending_on_the_last_time(self):
         times = time_grid(ModelSpec(family="dicke", n_cells=2), steps=2000)
