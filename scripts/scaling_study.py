@@ -15,16 +15,17 @@ from pathlib import Path
 
 from qbattery import ModelSpec, chain_spec, fit_exponent
 from qbattery.output import write_csv, write_json, write_scaling_outputs
-from qbattery.sweeps import chain_analytic_quantities, quantities_for, sweep_scaling
+from qbattery.sweeps import sweep, sweep_scaling
 
 OUT = Path("results/scaling")
 
 
 def chain_saturation():
+    ns = [20, 36, 50, 76, 100, 140, 200]
     rows = []
     for variant in ("xx_nn", "xy_nn", "xx_pow", "xy_pow"):
-        for n in (20, 36, 50, 76, 100, 140, 200):
-            q = chain_analytic_quantities(chain_spec(variant, n), steps=800)
+        spec = chain_spec(variant, ns[0])
+        for n, q in zip(ns, sweep(spec, "N", ns, steps=800, path="analytic")):
             rows.append([variant, n, q["cos_theta_timeavg"], q["cos_theta_timeavg_heis"],
                          q["energy_at_tf"] / n, q["rel_final_std"]])
             print(f"chain {variant:7s} N={n:3d} ratio={rows[-1][2]:.4f} "
@@ -67,13 +68,12 @@ def cavity_scalings():
 
 def anisotropy_scan():
     gammas = [x / 10 for x in range(-10, 11, 2)]
-    rows = []
-    for gamma in gammas:
-        spec = ModelSpec(family="lmg", n_cells=50, lam=5.0, gamma=gamma)
-        q = quantities_for(spec, lam_t_max=6.0, steps=1200)
-        rows.append([gamma, q["energy_at_tf"], q["avg_power"]])
+    spec = ModelSpec(family="lmg", n_cells=50, lam=5.0)
+    rows = sweep(spec, "gamma", gammas, lam_t_max=6.0, steps=1200)
+    for gamma, q in zip(gammas, rows):
         print(f"gamma={gamma:+.1f} E(t_f)={q['energy_at_tf']:8.3f} <P>={q['avg_power']:8.3f}")
-    write_csv(OUT / "lmg_gamma_scan.csv", ["gamma", "energy_at_tf", "avg_power"], rows)
+    write_csv(OUT / "lmg_gamma_scan.csv", ["gamma", "energy_at_tf", "avg_power"],
+              [[gamma, q["energy_at_tf"], q["avg_power"]] for gamma, q in zip(gammas, rows)])
 
 
 def main() -> int:

@@ -28,7 +28,6 @@ from .errors import CapacityLimitError, ConfigError, QBatteryError, ValidationEr
 from .freefermion import (
     ModeSet,
     PairDistribution,
-    analytic_observables,
     dispersion,
     fisher_energy_analytic,
     pair_distribution,

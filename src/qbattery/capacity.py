@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import bound_ratio, within_tolerance
 from .errors import ValidationError
-from .linalg import HermitianOperator, ascending_eigenvalues, group_levels
+from .linalg import HermitianOperator, eigendecompose, group_levels
 
 BISECTION_RESIDUAL = 1e-10
 BETA_BRACKET_LOW = 1e-12
@@ -62,7 +62,7 @@ def _level_spectrum(battery) -> tuple[np.ndarray, np.ndarray]:
     """(level energies, log multiplicities) of a battery given as that pair
     or as an operator."""
     if isinstance(battery, HermitianOperator):
-        levels = group_levels(ascending_eigenvalues(battery))
+        levels = group_levels(eigendecompose(battery).eigenvalues)
         return levels.energies, np.log(levels.multiplicities)
     energies, log_multiplicities = battery
     return np.asarray(energies, dtype=float), np.asarray(log_multiplicities, dtype=float)

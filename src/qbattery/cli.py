@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +25,13 @@ from .linalg import eigendecompose  # noqa: F401
 from .models import build_battery_for  # noqa: F401
 from .output import (
     TRAJECTORY_COLUMNS,
-    write_csv,
     write_diagram_csv,
     write_json,
     write_scaling_outputs,
+    write_sweep_csv,
     write_trajectory_csv,
 )
-from .sweeps import quantities_for, sweep_scaling
+from .sweeps import fit_exponent, sweep
 from .trajectory import PeakResult, Trajectory, find_tf, run_trajectory
 from .verification import (
     CSV_BOUNDS, CertificationReport, certify_series, certify_trajectory, run_oracle_checks,
@@ -87,34 +86,22 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_scenario(args.config)
+    cfg = load_scenario(args.config)  # checks every sweep rule before any point runs
     if cfg.sweep is None:
         raise ConfigError("sweep command needs a 'sweep' section in the config")
-    spec = cfg.spec
-    out_dir = Path(cfg.output_dir)
+    parameter, values, quantity = cfg.sweep.parameter, list(cfg.sweep.values), cfg.sweep.quantity
+    rows = sweep(cfg.spec, parameter, values, cfg.lam_t_max, cfg.steps, cfg.sweep.path)
+    fit = fit_exponent(values, [row[quantity] for row in rows], quantity) if parameter == "N" else None
+    out_dir = Path(cfg.output_dir)  # made only once every row and the fit exist
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.sweep.parameter == "gamma":
-        rows = []
-        for gamma in cfg.sweep.values:
-            spec_g = replace(spec, gamma=float(gamma))
-            row = quantities_for(spec_g, cfg.lam_t_max, cfg.steps, cfg.sweep.path)
-            rows.append((gamma, row))
-        keys = sorted(rows[0][1])
-        write_csv(
-            out_dir / "gamma_scan.csv",
-            ["gamma"] + keys,
-            [[g] + [row.get(k) for k in keys] for g, row in rows],
-        )
+    if fit is None:
+        write_sweep_csv(out_dir / "gamma_scan.csv", "gamma", values, rows)
         print(f"wrote {out_dir / 'gamma_scan.csv'} ({len(rows)} points)")
         return EXIT_OK
-    n_values = list(cfg.sweep.values)
-    result, rows = sweep_scaling(
-        spec, n_values, cfg.sweep.quantity, cfg.lam_t_max, cfg.steps, cfg.sweep.path
-    )
-    write_scaling_outputs(result, n_values, rows, out_dir)
+    write_scaling_outputs(fit, values, rows, out_dir)
     print(
-        f"{cfg.sweep.quantity}: exponent {result.exponent:.4f} "
-        f"(residual {result.residual:.2e}, excluded {list(result.excluded)})"
+        f"{quantity}: exponent {fit.exponent:.4f} "
+        f"(residual {fit.residual:.2e}, excluded {list(fit.excluded)})"
     )
     return EXIT_OK
 

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .models import CHAIN_VARIANTS, FAMILIES, FAMILY_FIELDS, ModelSpec, chain_spec
-from .sweeps import SWEEP_PATHS, SWEEP_QUANTITIES
+from .sweeps import check_sweep
 from .trajectory import DEFAULT_STEPS
 
 
@@ -64,8 +64,11 @@ def _require(mapping: dict, path: str, required: dict, optional: dict) -> dict:
 
 
 def _typed(value, types, path: str):
-    if not isinstance(value, types):
-        names = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
+    """``value`` if it has one of ``types``; a JSON true/false is a bool only,
+    never an int or a number."""
+    types = types if isinstance(types, tuple) else (types,)
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        names = "/".join(t.__name__ for t in types)
         raise ConfigError(f"{path}: expected {names}, got {type(value).__name__}")
     return value
 
@@ -161,27 +164,13 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             required={"values": None, "quantity": None},
             optional={"parameter": "N", "path": "auto"},
         )
-        if sweep_raw["parameter"] == "N":
-            values = _typed_list(sweep_raw["values"], int, "sweep.values")
-            if list(values) != sorted(set(values)):
-                raise ConfigError("sweep.values: N list must be strictly increasing")
-        elif sweep_raw["parameter"] != "gamma":
-            raise ConfigError(f"sweep.parameter: expected 'N' or 'gamma', got {sweep_raw['parameter']!r}")
-        elif spec.family != "lmg":
-            raise ConfigError(f"sweep.parameter: 'gamma' is an lmg parameter, not a {spec.family} one")
-        else:
-            values = _typed_list(sweep_raw["values"], (int, float), "sweep.values")
-        if sweep_raw["path"] not in SWEEP_PATHS:
-            raise ConfigError(
-                f"sweep.path: unknown evaluation path {sweep_raw['path']!r} (expected one of {SWEEP_PATHS})"
-            )
-        if sweep_raw["path"] == "analytic" and spec.family != "jw_chain":
-            raise ConfigError(f"sweep.path: 'analytic' exists only for jw_chain, not {spec.family}")
-        if sweep_raw["quantity"] not in SWEEP_QUANTITIES:
-            raise ConfigError(
-                f"sweep.quantity: unknown quantity {sweep_raw['quantity']!r} "
-                f"(expected one of {SWEEP_QUANTITIES})"
-            )
+        values = _typed_list(
+            sweep_raw["values"], int if sweep_raw["parameter"] == "N" else (int, float), "sweep.values"
+        )
+        try:
+            check_sweep(spec, sweep_raw["parameter"], values, sweep_raw["quantity"], sweep_raw["path"])
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
         sweep = SweepConfig(
             parameter=sweep_raw["parameter"],
             values=values,

@@ -104,15 +104,6 @@ def pair_excitations(modes: ModeSet, t: float | np.ndarray) -> tuple[np.ndarray,
     return eps, eps_dot
 
 
-def analytic_observables(modes: ModeSet, t: float) -> tuple[float, float, float, float]:
-    """(stored energy, power, battery variance, charger variance) at time t."""
-    eps, eps_dot = pair_excitations(modes, t)
-    energy = float(eps.sum())
-    pw = float(eps_dot.sum())
-    var_battery = float((eps * (2.0 - eps)).sum())
-    return energy, pw, var_battery, modes.var_charger
-
-
 def observables_on_grid(modes: ModeSet, times: np.ndarray) -> dict[str, np.ndarray]:
     """Vectorized E, P, var(H_B) series over a time grid (chunked in time)."""
     times = np.asarray(times, dtype=float)

@@ -274,17 +274,6 @@ def eigendecompose(op: HermitianOperator) -> HermitianOperator:
     return out
 
 
-def ascending_eigenvalues(op: HermitianOperator) -> np.ndarray:
-    """The eigenvalues of :func:`eigendecompose` without its eigenbasis: the
-    cached ones, the stable-sorted diagonal of a diagonal operator, or
-    LAPACK's eigenvalue-only solver."""
-    if op.has_eig:
-        return op.eigenvalues
-    if op.is_diagonal:
-        return np.sort(op.values, kind="stable")
-    return np.linalg.eigvalsh(op.values)
-
-
 def evolve(hamiltonian: HermitianOperator, psi0: StateVector, t: float) -> StateVector:
     """Propagate ``psi0`` for time ``t`` under ``exp(-i H t)`` (hbar = 1): the
     single column of :func:`evolve_batch` at ``t``."""

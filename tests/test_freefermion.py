@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qbattery import (
     ModelSpec,
     ValidationError,
-    analytic_observables,
     chain_spec,
     dispersion,
     fisher_energy_analytic,
@@ -23,6 +22,7 @@ from qbattery.freefermion import (
     observables_on_grid,
     pair_excitations,
 )
+from qbattery.trajectory import run_trajectory
 from qbattery.verification import chain_oracle_comparison
 
 from oracles import (
@@ -74,21 +74,23 @@ class TestDispersion:
 class TestPairExcitations:
     def test_initial_instant(self):
         modes = dispersion(chain_spec("xy_nn", 8))
-        energy, pw, var_b, _ = analytic_observables(modes, 0.0)
-        assert energy == 0.0 and pw == 0.0 and var_b == 0.0
+        series = observables_on_grid(modes, np.array([0.0]))
+        assert series["energy"][0] == series["power"][0] == series["var_battery"][0] == 0.0
 
     def test_charger_variance_conserved(self):
-        modes = dispersion(chain_spec("xx_pow", 12))
-        references = [analytic_observables(modes, t)[3] for t in (0.0, 1.3, 4.7)]
-        assert np.ptp(references) == 0.0
+        # The dense run's charger variance is the same at every time and is
+        # the modes' sum of sin^2(theta) omega^2.
+        spec = chain_spec("xx_pow", 8)
+        traj = run_trajectory(spec, lam_t_max=5.0, steps=4)
+        assert np.ptp(traj.var_charger) == 0.0
+        assert traj.var_charger[0] == pytest.approx(dispersion(spec).var_charger, rel=1e-12)
 
     @given(st.floats(min_value=0, max_value=50))
     def test_pair_energy_range(self, t):
         modes = dispersion(chain_spec("xx_nn", 10))
         eps, _ = pair_excitations(modes, t)
         assert np.all(eps >= 0) and np.all(eps <= 2)
-        _, _, var_b, _ = analytic_observables(modes, t)
-        assert var_b >= -1e-12
+        assert observables_on_grid(modes, np.array([t]))["var_battery"][0] >= -1e-12
 
     def test_grid_evaluation_matches_scalar(self, monkeypatch):
         monkeypatch.setattr(freefermion, "TIME_CHUNK", 16)
@@ -96,10 +98,13 @@ class TestPairExcitations:
         times = np.linspace(0, 8, 57)
         series = observables_on_grid(modes, times)
         for i in (0, 13, 56):
-            energy, pw, var_b, _ = analytic_observables(modes, float(times[i]))
-            assert series["energy"][i] == pytest.approx(energy, abs=1e-12)
-            assert series["power"][i] == pytest.approx(pw, abs=1e-12)
-            assert series["var_battery"][i] == pytest.approx(var_b, abs=1e-12)
+            eps, eps_dot = pair_excitations(modes, float(times[i]))
+            assert series["energy"][i] == pytest.approx(eps.sum(), abs=1e-12)
+            assert series["power"][i] == pytest.approx(eps_dot.sum(), abs=1e-12)
+            assert series["var_battery"][i] == pytest.approx((eps * (2.0 - eps)).sum(), abs=1e-12)
+            one = observables_on_grid(modes, times[i : i + 1])
+            for key, column in series.items():
+                assert one[key][0] == pytest.approx(column[i], abs=1e-12)
 
 
 class TestPairDistribution:

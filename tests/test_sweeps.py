@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from qbattery import ModelSpec, ValidationError, chain_spec, fit_exponent, sweep_scaling
+from qbattery import ConfigError, ModelSpec, ValidationError, chain_spec, fit_exponent, sweep_scaling
+from qbattery import sweeps
+from qbattery.config import parse_scenario
 from qbattery.observables import COS_THETA_DENOM_FLOOR
 from qbattery.sweeps import (
     _window_quantities,
     chain_analytic_quantities,
+    check_sweep,
     quantities_for,
     trajectory_quantities,
 )
@@ -77,6 +80,83 @@ class TestSweep:
         )
         with pytest.raises(ValidationError):
             sweep_scaling(spec, [8, 10, 12, 14], "avg_power", steps=100)
+
+
+PARALLEL = {"family": "parallel", "N": 2}
+CUSTOM_CHAIN = {"family": "jw_chain", "N": 8, "lambdas": [0.3, 0.9], "gammas": [1.0, 0.1]}
+
+
+class TestSweepRules:
+    """Each sweep rule is one check: the config and the API raise one text."""
+
+    @pytest.mark.parametrize(
+        "model,sweep,text",
+        [
+            (PARALLEL, {"values": [2, 4, 4, 8], "quantity": "avg_power"}, "strictly increasing"),
+            (PARALLEL, {"values": [2, 4, 6], "quantity": "avg_power"}, "at least 4 values"),
+            (PARALLEL, {"values": [2, 4, 6, 8], "quantity": "nonsense"}, "unknown quantity"),
+            (
+                PARALLEL,
+                {"values": [2, 4, 6, 8], "quantity": "avg_power", "path": "nonsense"},
+                "unknown evaluation path",
+            ),
+            (
+                PARALLEL,
+                {"values": [2, 4, 6, 8], "quantity": "avg_power", "path": "analytic"},
+                "exists only for jw_chain",
+            ),
+            (
+                {"family": "hybrid", "N": 4, "q": 2, "r": 2},
+                {"values": [4, 6, 8, 9], "quantity": "avg_power"},
+                "N = 9: hybrid block size r = 2 does not divide N",
+            ),
+            (CUSTOM_CHAIN, {"values": [8, 10, 12, 14], "quantity": "avg_power"}, "custom couplings"),
+        ],
+        ids=["increasing", "four-values", "quantity", "path", "analytic-path", "hybrid", "chain"],
+    )
+    def test_n_sweep_rule_text_is_shared(self, monkeypatch, model, sweep, text):
+        monkeypatch.setattr(sweeps, "quantities_for", lambda *a: pytest.fail("a point ran"))
+        with pytest.raises(ConfigError) as from_config:
+            parse_scenario({"model": model, "sweep": sweep})
+        spec = parse_scenario({"model": model}).spec
+        with pytest.raises(ValidationError) as from_api:
+            sweep_scaling(spec, sweep["values"], sweep["quantity"], path=sweep.get("path", "auto"))
+        assert text in str(from_config.value)
+        assert str(from_config.value) == str(from_api.value)
+
+    @pytest.mark.parametrize(
+        "model,sweep,text",
+        [
+            (PARALLEL, {"parameter": "beta", "values": [1], "quantity": "avg_power"}, "expected 'N'"),
+            (
+                PARALLEL,
+                {"parameter": "gamma", "values": [0.5], "quantity": "avg_power"},
+                "is an lmg parameter",
+            ),
+            (
+                {"family": "lmg", "N": 4},
+                {"parameter": "gamma", "values": [], "quantity": "avg_power"},
+                "at least one value",
+            ),
+        ],
+        ids=["parameter", "gamma-family", "gamma-empty"],
+    )
+    def test_parameter_rule_text_is_shared(self, model, sweep, text):
+        with pytest.raises(ConfigError) as from_config:
+            parse_scenario({"model": model, "sweep": sweep})
+        spec = parse_scenario({"model": model}).spec
+        with pytest.raises(ValidationError) as from_api:
+            check_sweep(spec, sweep["parameter"], sweep["values"], sweep["quantity"], "auto")
+        assert text in str(from_config.value)
+        assert str(from_config.value) == str(from_api.value)
+
+    def test_gamma_sweep_sets_the_anisotropy(self):
+        spec = ModelSpec(family="lmg", n_cells=6, lam=5.0)
+        rows = sweeps.sweep(spec, "gamma", [-1.0, 0], lam_t_max=2.0, steps=200)
+        for gamma, row in zip([-1.0, 0.0], rows):
+            want = quantities_for(ModelSpec(family="lmg", n_cells=6, lam=5.0, gamma=gamma),
+                                  lam_t_max=2.0, steps=200)
+            assert row == want
 
 
 class TestQuantities:
