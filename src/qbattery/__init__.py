@@ -25,13 +25,7 @@ from .capacity import (
     thermal_curve,
 )
 from .errors import CapacityLimitError, ConfigError, QBatteryError, ValidationError
-from .freefermion import (
-    ModeSet,
-    PairDistribution,
-    dispersion,
-    fisher_energy_analytic,
-    pair_distribution,
-)
+from .freefermion import ModeSet, dispersion
 from .linalg import (
     Basis,
     DensityMatrix,
@@ -59,17 +53,13 @@ from .models import (
 from .observables import (
     PopulationRecord,
     battery_entanglement_entropy,
-    bures_angle,
     cos_theta_power,
     fisher_energy,
-    fubini_study,
-    kl_divergence,
     populations_and_rates,
     power,
     qfi,
     stored_energy,
     time_average,
-    trajectory_length,
     variance,
     variance_decomposition,
 )

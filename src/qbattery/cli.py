@@ -116,11 +116,9 @@ def cmd_capacity(args) -> int:
     except ValueError as exc:  # longer than sys.get_int_max_str_digits()
         raise ConfigError(f"model.N = {n}: dim = 2^N cannot be written exactly ({exc})") from exc
     battery = register_spectrum(n)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     pos = np.logspace(-3, math.log10(cfg.beta_max_abs), cfg.points_per_branch)
     betas = np.concatenate([-pos[::-1], [0.0], pos])
-    write_diagram_csv(thermal_curve(battery, betas), out_dir / "diagram.csv")
+    curve = thermal_curve(battery, betas)
     targets = {}
     for s_bits in cfg.entropy_targets_bits:
         low = solve_beta_for_entropy(battery, s_bits, "positive_beta")
@@ -138,6 +136,9 @@ def cmd_capacity(args) -> int:
         "capacity_S0": float(n),  # the spectral range N/2 - (-N/2)
         "entropy_targets": targets,
     }
+    out_dir = Path(cfg.output_dir)  # made only once the curve and every target exist
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_diagram_csv(curve, out_dir / "diagram.csv")
     write_json(out_dir / "capacity.json", summary)
     print(f"wrote {out_dir / 'diagram.csv'} and capacity.json")
     return EXIT_OK

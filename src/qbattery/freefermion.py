@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .models import ModelSpec
+from .observables import POPULATION_FLOOR, fisher_sum
 
-PAIR_PROBABILITY_FLOOR = 1e-12
 # Times per block of the batched grid evaluations; bounds the (levels x times)
 # work arrays to about 10 MB each at N = 10^4.
 TIME_CHUNK = 256
@@ -62,9 +62,6 @@ class PairDistribution:
     p: np.ndarray
     p_dot: np.ndarray
 
-    def __post_init__(self):
-        _check_distributions(self.p[:, None], self.p_dot[:, None])
-
 
 def _check_distributions(p: np.ndarray, p_dot: np.ndarray) -> None:
     """Raise unless each column of p is a distribution and of p_dot a conserving rate."""
@@ -79,13 +76,18 @@ def _check_distributions(p: np.ndarray, p_dot: np.ndarray) -> None:
         raise ValidationError(f"negative probability {p.min():.3e}")
 
 
+def check_even_chain(n_cells: int) -> None:
+    """Raise ValidationError unless N is even, the mode grid's one size rule."""
+    if n_cells % 2 != 0:
+        raise ValidationError(f"analytic chain solver requires even N, got {n_cells}")
+
+
 def dispersion(spec: ModelSpec) -> ModeSet:
     """Mode grid, omega_k, and sin(theta_k) for a chain spec (even N only)."""
     if spec.family != "jw_chain":
         raise ValidationError("dispersion needs a jw_chain spec")
     n = spec.n_cells
-    if n % 2 != 0:
-        raise ValidationError(f"analytic chain solver requires even N, got {n}")
+    check_even_chain(n)
     k = (2 * np.arange(n // 2) + 1) * np.pi / n
     m = np.arange(1, len(spec.lambdas) + 1)
     cos_part = 0.5 - np.cos(np.outer(k, m)) @ np.asarray(spec.lambdas)
@@ -118,7 +120,7 @@ def observables_on_grid(modes: ModeSet, times: np.ndarray) -> dict[str, np.ndarr
     return {"energy": energy, "power": pw, "var_battery": var_battery}
 
 
-def _pair_distributions(modes: ModeSet, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pair_distributions(modes: ModeSet, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Checked p_l and pdot_l as (levels x times) arrays by the module docstring's recursion."""
     eps, eps_dot = pair_excitations(modes, times[:, None])
     q, q_dot = eps.T / 2.0, eps_dot.T / 2.0
@@ -139,27 +141,19 @@ def _pair_distributions(modes: ModeSet, times: np.ndarray) -> tuple[np.ndarray, 
     return p, p_dot
 
 
+# No run path uses the one-time pair below; it is kept only for the
+# benchmark's ladder check (benchmark/workloads.py), which calls
+# pair_distribution and fisher_energy_analytic at single times.
 def pair_distribution(modes: ModeSet, t: float) -> PairDistribution:
-    """Poisson-binomial particle-number distribution and its analytic rate.
-
-    Each mode contributes an independent pair with occupation probability
-    q_k = eps_k/2; l counts particles, so l = 2 * (occupied pairs).  The
-    forward recursion of the module docstring gives p_l and pdot_l; this is
-    its one-time case, the batched one feeds ``fisher_energy_series``.
-    """
-    p, p_dot = _pair_distributions(modes, np.array([float(t)]))
+    """The checked p_l and pdot_l of :func:`pair_distributions` at one time;
+    l counts particles, so l = 2 * (occupied pairs)."""
+    p, p_dot = pair_distributions(modes, np.array([float(t)]))
     return PairDistribution(2 * np.arange(modes.n_modes + 1), p[:, 0], p_dot[:, 0])
 
 
-def _fisher(p: np.ndarray, p_dot: np.ndarray) -> np.ndarray:
-    """sum_l pdot_l^2 / p_l along axis 0 over levels above the floor."""
-    keep = p > PAIR_PROBABILITY_FLOOR
-    return (np.where(keep, p_dot, 0.0) ** 2 / np.where(keep, p, 1.0)).sum(axis=0)
-
-
 def fisher_energy_analytic(dist: PairDistribution) -> float:
-    """sum_l pdot_l^2 / p_l over occupation levels above the floor."""
-    return float(_fisher(dist.p, dist.p_dot))
+    """sum_l pdot_l^2 / p_l over occupation levels above the population floor."""
+    return float(fisher_sum(dist.p, dist.p_dot, POPULATION_FLOOR))
 
 
 def fisher_energy_series(modes: ModeSet, times: np.ndarray) -> np.ndarray:
@@ -167,7 +161,6 @@ def fisher_energy_series(modes: ModeSet, times: np.ndarray) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     out = np.empty_like(times)
     for lo in range(0, len(times), TIME_CHUNK):
-        out[lo : lo + TIME_CHUNK] = _fisher(
-            *_pair_distributions(modes, times[lo : lo + TIME_CHUNK])
-        )
+        p, p_dot = pair_distributions(modes, times[lo : lo + TIME_CHUNK])
+        out[lo : lo + TIME_CHUNK] = fisher_sum(p, p_dot, POPULATION_FLOOR)
     return out

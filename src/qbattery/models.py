@@ -3,8 +3,7 @@
 Qubit-chain conventions: local basis index 0 is the cell ground state, so the
 single-cell energy is ``diag(-1/2, +1/2)`` and the battery Hamiltonian is
 diagonal with eigenvalue ``w - N/2`` on a basis state with ``w`` excited
-cells.  The Pauli triple below is the standard algebra written in that
-ordering (sigma_z = diag(-1, +1)).
+cells.  In that ordering sigma_z = diag(-1, +1).
 """
 
 from __future__ import annotations
@@ -19,11 +18,6 @@ from .linalg import Basis, HermitianOperator, StateVector
 
 MAX_QUBITS_CHARGER = 14
 MAX_QUBITS_CHAIN = 12
-
-SIGMA_Z = np.diag([-1.0 + 0j, 1.0 + 0j])
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, 1j], [-1j, 0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 PARADIGMATIC_FAMILIES = ("parallel", "global", "hybrid")
 # The fields each family takes besides family, n_cells and lam.  Every
@@ -197,6 +191,23 @@ def battery_cell_terms(n_cells: int) -> list[np.ndarray]:
     return [np.where(_site_values(n_cells, j) == 1, 0.5, -0.5) for j in range(n_cells)]
 
 
+def check_charger_size(n_cells: int) -> None:
+    """Raise CapacityLimitError unless a dense paradigmatic charger of N cells fits."""
+    if not 1 <= n_cells <= MAX_QUBITS_CHARGER:
+        raise CapacityLimitError(
+            f"dense qubit-chain charger capped at N = {MAX_QUBITS_CHARGER} "
+            f"(dim 2^N = {2**MAX_QUBITS_CHARGER}); got N = {n_cells}"
+        )
+
+
+def check_chain_size(n_cells: int) -> None:
+    """Raise CapacityLimitError unless a dense string-coupled chain of N cells fits."""
+    if not 2 <= n_cells <= MAX_QUBITS_CHAIN:
+        raise CapacityLimitError(
+            f"dense chain diagonalization capped at N = {MAX_QUBITS_CHAIN}; got N = {n_cells}"
+        )
+
+
 def build_charger_paradigmatic(spec: ModelSpec) -> HermitianOperator:
     """Parallel, global, or hybrid product-of-sigma_x charger.
 
@@ -206,11 +217,7 @@ def build_charger_paradigmatic(spec: ModelSpec) -> HermitianOperator:
     if spec.family not in PARADIGMATIC_FAMILIES:
         raise ValidationError(f"{spec.family!r} is not a paradigmatic family")
     n = spec.n_cells
-    if not 1 <= n <= MAX_QUBITS_CHARGER:
-        raise CapacityLimitError(
-            f"dense qubit-chain charger capped at N = {MAX_QUBITS_CHARGER} "
-            f"(dim 2^N = {2**MAX_QUBITS_CHARGER}); got N = {n}"
-        )
+    check_charger_size(n)
     if spec.family == "parallel":
         blocks = [[j] for j in range(n)]
     elif spec.family == "global":
@@ -237,10 +244,7 @@ def build_jw_chain(spec: ModelSpec) -> HermitianOperator:
     if spec.family != "jw_chain":
         raise ValidationError("build_jw_chain needs a jw_chain spec")
     n = spec.n_cells
-    if not 2 <= n <= MAX_QUBITS_CHAIN:
-        raise CapacityLimitError(
-            f"dense chain diagonalization capped at N = {MAX_QUBITS_CHAIN}; got N = {n}"
-        )
+    check_chain_size(n)
     if len(spec.lambdas) >= n:
         raise ValidationError("coupling range m must stay below N")
     mat = np.diag(_ladder(Basis("qubit_chain", n)).astype(complex))

@@ -1,11 +1,12 @@
 """Per-state measurements: energy, power, variances, populations, Fisher
 information in the battery-energy eigenspace, state-space Fisher information,
-distances, and the local/correlation variance split.
+and the local/correlation variance split.
 
 Fisher information in energy space uses the natural-log form
 ``sum_k pdot_k^2 / p_k``, the one for which the power bound chain
-``P^2 <= var(H_B) * I_E <= 4 var(H_B) var(H_C)`` is an exact inequality.
-Entropies and the Kullback-Leibler divergence are reported in bits.
+``P^2 <= var(H_B) * I_E <= 4 var(H_B) var(H_C)`` is an exact inequality;
+:func:`fisher_sum` is that series on whole (levels x times) grids.
+Entropies are reported in bits.
 """
 
 from __future__ import annotations
@@ -100,6 +101,13 @@ def populations_and_rates(
     return PopulationRecord(t=t, p=p, p_dot=p_dot)
 
 
+def fisher_sum(p: np.ndarray, p_dot: np.ndarray, floor: float) -> np.ndarray:
+    """sum_k pdot_k^2 / p_k along axis 0 (the levels) over the levels with
+    p_k > floor; an excluded level adds +0.0."""
+    keep = p > floor
+    return (np.where(keep, p_dot, 0.0) ** 2 / np.where(keep, p, 1.0)).sum(axis=0)
+
+
 def fisher_energy(record: PopulationRecord) -> float:
     """sum_k pdot_k^2 / p_k over levels with p_k above the population floor."""
     mask = record.p > POPULATION_FLOOR
@@ -125,46 +133,6 @@ def qfi(rho: DensityMatrix, drive: HermitianOperator) -> float:
     weight[mask] = pdiff[mask] ** 2 / psum[mask]
     np.fill_diagonal(weight, 0.0)
     return float(2.0 * (weight * np.abs(h_eig) ** 2).sum())
-
-
-def bures_angle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """arccos of the Uhlmann fidelity, in [0, pi/2]."""
-    if rho.basis != sigma.basis:
-        raise ValidationError("state bases do not match")
-    probs, vecs = np.linalg.eigh(rho.matrix)
-    sqrt_rho = (vecs * np.sqrt(np.clip(probs, 0.0, None))) @ vecs.conj().T
-    inner = sqrt_rho @ sigma.matrix @ sqrt_rho
-    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    fidelity = np.clip(np.sqrt(vals).sum(), 0.0, 1.0)
-    return float(np.arccos(fidelity))
-
-
-def fubini_study(psi: StateVector, phi: StateVector) -> float:
-    """arccos |<phi|psi>| for pure states."""
-    if psi.basis != phi.basis:
-        raise ValidationError("state bases do not match")
-    overlap = min(abs(np.vdot(phi.amplitudes, psi.amplitudes)), 1.0)
-    return float(np.arccos(overlap))
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """Relative entropy sum_k p_k log2(p_k / q_k) in bits."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValidationError("distributions must have equal length")
-    support = p > 0
-    if np.any(q[support] <= 0):
-        raise ValidationError("q vanishes on the support of p")
-    return float((p[support] * np.log2(p[support] / q[support])).sum())
-
-
-def trajectory_length(speeds: np.ndarray, dt: float) -> float:
-    """Path length: trapezoidal integral of a sampled speed series."""
-    speeds = np.asarray(speeds, dtype=float)
-    if speeds.size < 2:
-        raise ValidationError("need at least two speed samples")
-    return float(np.trapezoid(speeds, dx=dt))
 
 
 def variance_decomposition(

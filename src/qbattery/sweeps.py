@@ -12,9 +12,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import bound_ratio
-from .errors import ValidationError
-from .freefermion import dispersion, fisher_energy_series, observables_on_grid
-from .models import MAX_QUBITS_CHAIN, ModelSpec, power_law_couplings
+from .errors import CapacityLimitError, ValidationError
+from .freefermion import check_even_chain, dispersion, fisher_energy_series, observables_on_grid
+from .models import (
+    MAX_QUBITS_CHAIN,
+    PARADIGMATIC_FAMILIES,
+    ModelSpec,
+    check_chain_size,
+    check_charger_size,
+    power_law_couplings,
+)
 from .observables import battery_entanglement_entropy, cos_theta_power, time_average
 from .trajectory import (
     DEFAULT_STEPS,
@@ -169,14 +176,29 @@ def _check_path(spec: ModelSpec, path: str) -> None:
         raise ValidationError(f"sweep.path: 'analytic' exists only for jw_chain, not {spec.family}")
 
 
+def _analytic(spec: ModelSpec, path: str) -> bool:
+    """Whether a point goes to the free-fermion path rather than the dense one."""
+    return spec.family == "jw_chain" and (
+        path == "analytic" or (path == "auto" and spec.n_cells > MAX_QUBITS_CHAIN)
+    )
+
+
+def _check_size(spec: ModelSpec, path: str) -> None:
+    """The size rule of the path that evaluates a point, checked without running it."""
+    if _analytic(spec, path):
+        check_even_chain(spec.n_cells)
+    elif spec.family == "jw_chain":
+        check_chain_size(spec.n_cells)
+    elif spec.family in PARADIGMATIC_FAMILIES:
+        check_charger_size(spec.n_cells)
+
+
 def quantities_for(
     spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFAULT_STEPS, path: str = "auto"
 ) -> dict[str, float]:
     """Dispatch between dense and analytic evaluation of the sweep quantities."""
     _check_path(spec, path)
-    if spec.family == "jw_chain" and (
-        path == "analytic" or (path == "auto" and spec.n_cells > MAX_QUBITS_CHAIN)
-    ):
+    if _analytic(spec, path):
         return chain_analytic_quantities(spec, lam_t_max, steps)
     return trajectory_quantities(run_trajectory(spec, lam_t_max, steps))
 
@@ -206,8 +228,8 @@ def check_sweep(spec: ModelSpec, parameter: str, values, quantity: str, path: st
         raise ValidationError(f"sweep.values: an N sweep needs at least 4 values, got {len(values)}")
     for n in values:
         try:
-            _respecify(spec, int(n))
-        except ValidationError as exc:
+            _check_size(_respecify(spec, int(n)), path)
+        except (ValidationError, CapacityLimitError) as exc:
             raise ValidationError(f"sweep.values: N = {n}: {exc}") from exc
 
 

@@ -10,7 +10,7 @@ arithmetic path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +32,7 @@ from .models import (
     initial_state,
     model_basis,
 )
-from .observables import POPULATION_FLOOR, cos_theta_power
+from .observables import POPULATION_FLOOR, cos_theta_power, fisher_sum
 
 DEFAULT_STEPS = 2000
 DEFAULT_LAM_T_MAX = {
@@ -73,7 +73,6 @@ class Trajectory:
     fisher_state: np.ndarray
     cos_theta: np.ndarray
     fock_edge_population: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     @property
     def dt(self) -> float:
@@ -155,14 +154,12 @@ def _run_fixed(
     mean_c = charger.eigenvalues @ charger_weights
     var_charger = np.full(len(times), charger_weights @ (charger.eigenvalues - mean_c) ** 2)
 
-    masked = np.where(populations > POPULATION_FLOOR, populations, np.inf)
-    fisher_energy = (rates**2 / masked).sum(axis=0)
+    fisher_energy = fisher_sum(populations, rates, POPULATION_FLOOR)
     # Untruncated sum for bound certification: the floor drops a real Fisher
     # share (up to ~1e-7 of the total near full charge), which would break
     # saturated inequality checks at the 1e-8 tolerance.  Exact zeros are
     # masked; symmetry-protected zeros contribute only noise^2 terms.
-    unfloored = np.where(populations > 0.0, populations, np.inf)
-    fisher_energy_full = (rates**2 / unfloored).sum(axis=0)
+    fisher_energy_full = fisher_sum(populations, rates, 0.0)
     fisher_state = 4.0 * var_charger  # pure-state trajectories
 
     return Trajectory(

@@ -363,19 +363,18 @@ def chain_oracle_comparison(
     traj = run_trajectory(spec, lam_t_max=lam_t_max, steps=n_times)
     modes = freefermion.dispersion(spec)
     series = freefermion.observables_on_grid(modes, traj.times)
-    worst = {k: 0.0 for k in ("energy", "power", "var_battery", "p", "p_dot", "fisher", "odd_p")}
-    for key, dense in (("energy", traj.energy), ("power", traj.power), ("var_battery", traj.var_battery)):
-        worst[key] = float(np.abs(series[key] - dense).max())
-    for i, t in enumerate(traj.times):
-        dist = freefermion.pair_distribution(modes, float(t))
-        fisher = freefermion.fisher_energy_analytic(dist)
-        p_levels = traj.populations[:, i]
-        pdot_levels = traj.population_rates[:, i]
-        worst["p"] = max(worst["p"], np.abs(p_levels[::2] - dist.p).max())
-        worst["p_dot"] = max(worst["p_dot"], np.abs(pdot_levels[::2] - dist.p_dot).max())
-        worst["odd_p"] = max(worst["odd_p"], np.abs(p_levels[1::2]).max())
-        worst["fisher"] = max(worst["fisher"], abs(fisher - traj.fisher_energy[i]))
-    return worst
+    p, p_dot = freefermion.pair_distributions(modes, traj.times)
+    fisher = freefermion.fisher_energy_series(modes, traj.times)
+    deviations = {
+        "energy": series["energy"] - traj.energy,
+        "power": series["power"] - traj.power,
+        "var_battery": series["var_battery"] - traj.var_battery,
+        "p": traj.populations[::2] - p,
+        "p_dot": traj.population_rates[::2] - p_dot,
+        "fisher": fisher - traj.fisher_energy,
+        "odd_p": traj.populations[1::2],
+    }
+    return {key: float(np.abs(dev).max()) for key, dev in deviations.items()}
 
 
 def run_oracle_checks(seed: int = 1) -> list[OracleCheck]:

@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from qbattery import Basis, DensityMatrix, eigendecompose, evolve, group_levels
-from qbattery.models import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+
+# The Pauli algebra in the package's ordering: local index 0 is the cell
+# ground state, so sigma_z = diag(-1, +1).
+SIGMA_Z = np.diag([-1.0 + 0j, 1.0 + 0j])
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, 1j], [-1j, 0]], dtype=complex)
+IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def site_operator(n_cells: int, factors: dict[int, np.ndarray]) -> np.ndarray:

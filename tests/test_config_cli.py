@@ -408,8 +408,27 @@ class TestCli:
                 {"values": [4, 6, 8, 9], "quantity": "avg_power"},
                 "sweep.values: N = 9: hybrid block size r = 2 does not divide N",
             ),
+            (
+                {"family": "jw_chain", "N": 4, "variant": "xx_nn"},
+                {"values": [4, 6, 8, 13], "quantity": "avg_power"},
+                "sweep.values: N = 13: analytic chain solver requires even N, got 13",
+            ),
+            (
+                {"family": "jw_chain", "N": 4, "variant": "xx_nn"},
+                {"values": [4, 6, 8, 14], "quantity": "avg_power", "path": "dense"},
+                "sweep.values: N = 14: dense chain diagonalization capped at N = 12; got N = 14",
+            ),
+            (
+                {"family": "parallel", "N": 4},
+                {"values": [4, 6, 8, 15], "quantity": "avg_power"},
+                "sweep.values: N = 15: dense qubit-chain charger capped at N = 14 "
+                "(dim 2^N = 16384); got N = 15",
+            ),
         ],
-        ids=["three-n-values", "empty-gamma-list", "hybrid-r-not-dividing"],
+        ids=[
+            "three-n-values", "empty-gamma-list", "hybrid-r-not-dividing",
+            "auto-chain-odd-n-past-the-cap", "dense-chain-past-the-cap", "charger-past-the-cap",
+        ],
     )
     def test_rejected_sweep_runs_no_point(self, tmp_path, capsys, monkeypatch, model, sweep, message):
         calls = []
@@ -418,6 +437,19 @@ class TestCli:
         assert self.run("sweep", cfg) == 2
         assert f"config error: {message}\n" in capsys.readouterr().err
         assert calls == [] and not (tmp_path / "out").exists()
+
+    def test_capacity_with_an_unreachable_target_writes_nothing(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "capacity.json",
+            {
+                "model": {"family": "parallel", "N": 4},
+                "entropy_targets_bits": [1.0, 5.0],
+                "outputs": {"directory": str(tmp_path / "out")},
+            },
+        )
+        assert self.run("capacity", cfg) == 2
+        assert "target entropy 5.0 exceeds log2(dim)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_failing_at_its_first_point_writes_nothing(self, tmp_path, capsys):
         model = {"family": "parallel", "N": 2, "lam": 0}

@@ -10,18 +10,18 @@ from qbattery import (
     ValidationError,
     chain_spec,
     dispersion,
-    fisher_energy_analytic,
-    pair_distribution,
 )
 from qbattery import freefermion
 from qbattery.freefermion import (
-    PAIR_PROBABILITY_FLOOR,
     TIME_CHUNK,
     ModeSet,
+    fisher_energy_analytic,
     fisher_energy_series,
     observables_on_grid,
+    pair_distribution,
     pair_excitations,
 )
+from qbattery.observables import POPULATION_FLOOR
 from qbattery.trajectory import run_trajectory
 from qbattery.verification import chain_oracle_comparison
 
@@ -173,7 +173,7 @@ class TestForwardRecursion:
         for t in times:
             eps, eps_dot = pair_excitations(modes, float(t))
             p, p_dot = poisson_binomial_leave_one_out(eps / 2, eps_dot / 2)
-            keep = p > PAIR_PROBABILITY_FLOOR
+            keep = p > POPULATION_FLOOR
             expected.append((p_dot[keep] ** 2 / p[keep]).sum())
         dist = pair_distribution(modes, float(times[-1]))
         assert np.abs(dist.p - p).max() <= 1e-12 * np.abs(p).max()

@@ -25,8 +25,6 @@ from qbattery.freefermion import dispersion
 from qbattery.linalg import Basis
 from qbattery.models import (
     CHAIN_VARIANTS,
-    SIGMA_X,
-    SIGMA_Z,
     battery_cell_terms,
     build_battery_for,
     collective_spin_operators,
@@ -36,7 +34,14 @@ from qbattery.models import (
     register_spectrum,
 )
 
-from oracles import cyclic_shift, jw_chain_kron, paradigmatic_charger_kron, site_operator
+from oracles import (
+    SIGMA_X,
+    SIGMA_Z,
+    cyclic_shift,
+    jw_chain_kron,
+    paradigmatic_charger_kron,
+    site_operator,
+)
 
 
 def hermitian_deviation(mat):

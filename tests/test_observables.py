@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from qbattery import (
     Basis,
@@ -14,27 +12,29 @@ from qbattery import (
     battery_entanglement_entropy,
     build_battery,
     build_charger_paradigmatic,
-    bures_angle,
     chain_spec,
     cos_theta_power,
     eigendecompose,
     evolve,
     fisher_energy,
-    fubini_study,
     ghz_state,
     initial_state,
-    kl_divergence,
     populations_and_rates,
     power,
     qfi,
     stored_energy,
     time_average,
-    trajectory_length,
     variance,
     variance_decomposition,
 )
 from qbattery.models import battery_cell_terms
-from qbattery.observables import COS_THETA_DENOM_FLOOR, expectation, reduced_battery_state
+from qbattery.observables import (
+    COS_THETA_DENOM_FLOOR,
+    POPULATION_FLOOR,
+    expectation,
+    fisher_sum,
+    reduced_battery_state,
+)
 from qbattery.trajectory import find_tf, run_trajectory
 
 from oracles import dense_battery_observables, random_density_matrix
@@ -209,6 +209,31 @@ class TestFisherEnergy:
             assert np.all(traj.fisher_energy <= traj.fisher_state * (1 + 1e-8) + 1e-12)
 
 
+class TestFisherSum:
+    def test_level_at_the_floor_is_dropped(self):
+        p = np.array([POPULATION_FLOOR, 0.5, 0.5 - POPULATION_FLOOR])
+        p_dot = np.array([1e-3, 0.2, -0.2 - 1e-3])
+        expected = 0.2**2 / 0.5 + (0.2 + 1e-3) ** 2 / (0.5 - POPULATION_FLOOR)
+        assert fisher_sum(p, p_dot, POPULATION_FLOOR) == expected
+        above = np.nextafter(POPULATION_FLOOR, 1.0)
+        kept = fisher_sum(np.array([above, 0.5, 0.5 - above]), p_dot, POPULATION_FLOOR)
+        assert kept > expected + 1e3
+
+    def test_floor_zero_keeps_every_positive_level(self):
+        p = np.array([0.0, 1e-30, 1e-13, 1.0 - 1e-13 - 1e-30])
+        p_dot = np.array([0.0, 1e-16, 2e-7, -2e-7 - 1e-16])
+        expected = (p_dot[1:] ** 2 / p[1:]).sum()
+        assert fisher_sum(p, p_dot, 0.0) == pytest.approx(expected, rel=1e-15)
+        assert fisher_sum(p, p_dot, POPULATION_FLOOR) == pytest.approx(
+            p_dot[3] ** 2 / p[3], rel=1e-15
+        )
+
+    def test_single_occupied_level_at_rest(self):
+        p = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])  # (levels, times)
+        assert np.array_equal(fisher_sum(p, np.zeros_like(p), POPULATION_FLOOR), [0.0, 0.0])
+        assert np.array_equal(fisher_sum(p, np.zeros_like(p), 0.0), [0.0, 0.0])
+
+
 class TestStateSpaceFisher:
     def test_pure_state_equals_four_variances(self):
         rng = np.random.default_rng(4)
@@ -233,54 +258,6 @@ class TestStateSpaceFisher:
 
         rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex), B2)
         assert qfi(rho, SX2) == pytest.approx(1.0, rel=1e-12)
-
-
-class TestDistances:
-    def test_identical_states_are_at_zero(self):
-        rng = np.random.default_rng(9)
-        rho = random_density_matrix(3, rng)
-        assert bures_angle(rho, rho) < 1e-6
-        amp = rng.normal(size=3) + 1j * rng.normal(size=3)
-        psi = StateVector(amp / np.linalg.norm(amp), rho.basis)
-        assert fubini_study(psi, psi) == 0.0
-        assert kl_divergence([0.3, 0.7], [0.3, 0.7]) == 0.0
-
-    def test_orthogonal_pure_states(self):
-        b = Basis("collective_spin", 1)
-        up = StateVector(np.array([1.0, 0.0]), b)
-        dn = StateVector(np.array([0.0, 1.0]), b)
-        assert fubini_study(up, dn) == pytest.approx(math.pi / 2)
-        assert bures_angle(up.density_matrix(), dn.density_matrix()) == pytest.approx(
-            math.pi / 2, abs=1e-6
-        )
-
-    def test_kl_value(self):
-        assert kl_divergence([0.5, 0.5], [0.25, 0.75]) == pytest.approx(0.207519, abs=1e-6)
-
-    def test_kl_support_violation(self):
-        with pytest.raises(ValidationError):
-            kl_divergence([0.5, 0.5], [1.0, 0.0])
-
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_kl_nonnegative(self, seed):
-        rng = np.random.default_rng(seed)
-        p = rng.random(5) + 1e-3
-        q = rng.random(5) + 1e-3
-        assert kl_divergence(p / p.sum(), q / q.sum()) >= -1e-12
-
-    def test_trajectory_length_matches_speed_integral(self):
-        # constant speed: length = v * T
-        speeds = np.full(101, 0.7)
-        assert trajectory_length(speeds, 0.01) == pytest.approx(0.7)
-
-    def test_state_space_path_length_of_pure_trajectory(self):
-        # v(t) = sqrt(I_Q)/2 = charger std for a time-independent drive, so
-        # the path length is just std * T.
-        traj = run_trajectory(ModelSpec(family="lmg", n_cells=8, lam=5.0), steps=400)
-        speeds = 0.5 * np.sqrt(traj.fisher_state)
-        length = trajectory_length(speeds, traj.dt)
-        expected = math.sqrt(traj.var_charger[0]) * float(traj.times[-1])
-        assert length == pytest.approx(expected, rel=1e-9)
 
 
 class TestVarianceDecomposition:

@@ -1,8 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qbattery import ConfigError, ModelSpec, ValidationError, chain_spec, fit_exponent, sweep_scaling
+from qbattery import (
+    CapacityLimitError,
+    ConfigError,
+    ModelSpec,
+    ValidationError,
+    chain_spec,
+    dispersion,
+    fit_exponent,
+    sweep_scaling,
+)
 from qbattery import sweeps
+from qbattery.models import build_charger_for
 from qbattery.config import parse_scenario
 from qbattery.observables import COS_THETA_DENOM_FLOOR
 from qbattery.sweeps import (
@@ -84,6 +96,7 @@ class TestSweep:
 
 PARALLEL = {"family": "parallel", "N": 2}
 CUSTOM_CHAIN = {"family": "jw_chain", "N": 8, "lambdas": [0.3, 0.9], "gammas": [1.0, 0.1]}
+XX_NN = {"family": "jw_chain", "N": 4, "variant": "xx_nn"}
 
 
 class TestSweepRules:
@@ -111,8 +124,18 @@ class TestSweepRules:
                 "N = 9: hybrid block size r = 2 does not divide N",
             ),
             (CUSTOM_CHAIN, {"values": [8, 10, 12, 14], "quantity": "avg_power"}, "custom couplings"),
+            (XX_NN, {"values": [4, 6, 8, 13], "quantity": "avg_power"}, "N = 13: analytic"),
+            (
+                XX_NN,
+                {"values": [4, 6, 8, 14], "quantity": "avg_power", "path": "dense"},
+                "N = 14: dense chain",
+            ),
+            (PARALLEL, {"values": [4, 6, 8, 15], "quantity": "avg_power"}, "N = 15: dense qubit-chain"),
         ],
-        ids=["increasing", "four-values", "quantity", "path", "analytic-path", "hybrid", "chain"],
+        ids=[
+            "increasing", "four-values", "quantity", "path", "analytic-path", "hybrid", "chain",
+            "auto-odd-chain", "dense-chain-cap", "charger-cap",
+        ],
     )
     def test_n_sweep_rule_text_is_shared(self, monkeypatch, model, sweep, text):
         monkeypatch.setattr(sweeps, "quantities_for", lambda *a: pytest.fail("a point ran"))
@@ -123,6 +146,23 @@ class TestSweepRules:
             sweep_scaling(spec, sweep["values"], sweep["quantity"], path=sweep.get("path", "auto"))
         assert text in str(from_config.value)
         assert str(from_config.value) == str(from_api.value)
+
+    @pytest.mark.parametrize(
+        "base,path,n,solve",
+        [
+            (chain_spec("xx_nn", 4), "auto", 13, dispersion),
+            (chain_spec("xx_nn", 4), "dense", 14, build_charger_for),
+            (ModelSpec(family="parallel", n_cells=4), "auto", 15, build_charger_for),
+        ],
+        ids=["even-n", "chain-cap", "charger-cap"],
+    )
+    def test_point_rule_is_the_solvers_own(self, base, path, n, solve):
+        # check_sweep reports the error that the point's own builder or solver raises.
+        with pytest.raises((ValidationError, CapacityLimitError)) as from_solver:
+            solve(replace(base, n_cells=n))
+        with pytest.raises(ValidationError) as from_sweep:
+            check_sweep(base, "N", [4, 6, 8, n], "avg_power", path)
+        assert str(from_sweep.value) == f"sweep.values: N = {n}: {from_solver.value}"
 
     @pytest.mark.parametrize(
         "model,sweep,text",
