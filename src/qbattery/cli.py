@@ -223,6 +223,13 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all(c.passed for c in checks) else EXIT_VALIDATION
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, the seeds numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbattery",
@@ -243,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("table1", help="verify the closed-form benchmark table")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--json", help="optional JSON report path")
     p.set_defaults(func=cmd_table1)
@@ -253,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("validate", help="run all independent-oracle cross-checks")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.set_defaults(func=cmd_validate)
     return parser
 

@@ -152,6 +152,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     outputs = _require(
         raw["outputs"], "outputs", required={}, optional={"directory": "out", "series": []}
     )
+    steps = _typed(time_cfg["steps"], int, "time.steps")
     series = _typed_list(outputs["series"], str, "outputs.series")
     unknown = [name for name in series if name not in OUTPUT_SERIES]
     if unknown:
@@ -168,7 +169,9 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             sweep_raw["values"], int if sweep_raw["parameter"] == "N" else (int, float), "sweep.values"
         )
         try:
-            check_sweep(spec, sweep_raw["parameter"], values, sweep_raw["quantity"], sweep_raw["path"])
+            check_sweep(
+                spec, sweep_raw["parameter"], values, sweep_raw["quantity"], sweep_raw["path"], steps
+            )
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
         sweep = SweepConfig(
@@ -183,7 +186,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     return ScenarioConfig(
         spec=spec,
         lam_t_max=lam_t_max,
-        steps=_typed(time_cfg["steps"], int, "time.steps"),
+        steps=steps,
         output_dir=_typed(outputs["directory"], str, "outputs.directory"),
         series=series,
         sweep=sweep,

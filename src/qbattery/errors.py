@@ -10,7 +10,7 @@ class ValidationError(QBatteryError):
 
 
 class CapacityLimitError(QBatteryError):
-    """A requested system size exceeds the dense-solver cap."""
+    """A dense run's estimated allocation exceeds the dense limit."""
 
 
 class ConfigError(QBatteryError):

@@ -16,8 +16,7 @@ import numpy as np
 from .errors import CapacityLimitError, ValidationError
 from .linalg import Basis, HermitianOperator, StateVector
 
-MAX_QUBITS_CHARGER = 14
-MAX_QUBITS_CHAIN = 12
+DENSE_BYTES_MAX = 4 * 2**30  # admits N = 12 qubits at 2000 steps (1.3 GB max RSS)
 
 PARADIGMATIC_FAMILIES = ("parallel", "global", "hybrid")
 # The fields each family takes besides family, n_cells and lam.  Every
@@ -86,14 +85,9 @@ class ModelSpec:
         model_basis(self)  # rejects a Fock cutoff without headroom
 
 
-def default_power_law_range(n_cells: int) -> int:
-    """Longest coupling range free of double counting on the periodic chain."""
-    return max(n_cells // 2 - 1, 1)
-
-
 def power_law_couplings(n_cells: int, kind: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """gamma_m = m^-2 couplings; "xx" sets lambda_m = gamma_m, "xy" sets lambda_m = 0."""
-    m_max = default_power_law_range(n_cells)
+    m_max = max(n_cells // 2 - 1, 1)  # the longest range free of double counting on the ring
     gammas = tuple(float(m) ** -2 for m in range(1, m_max + 1))
     lambdas = gammas if kind == "xx" else tuple(0.0 for _ in gammas)
     return lambdas, gammas
@@ -191,21 +185,29 @@ def battery_cell_terms(n_cells: int) -> list[np.ndarray]:
     return [np.where(_site_values(n_cells, j) == 1, 0.5, -0.5) for j in range(n_cells)]
 
 
-def check_charger_size(n_cells: int) -> None:
-    """Raise CapacityLimitError unless a dense paradigmatic charger of N cells fits."""
-    if not 1 <= n_cells <= MAX_QUBITS_CHARGER:
-        raise CapacityLimitError(
-            f"dense qubit-chain charger capped at N = {MAX_QUBITS_CHARGER} "
-            f"(dim 2^N = {2**MAX_QUBITS_CHARGER}); got N = {n_cells}"
-        )
+def check_dense_size(spec: ModelSpec, steps: int = 0) -> int:
+    """The estimated bytes of a dense run of ``spec`` over ``steps`` times;
+    CapacityLimitError, before anything is allocated, if over DENSE_BYTES_MAX.
 
-
-def check_chain_size(n_cells: int) -> None:
-    """Raise CapacityLimitError unless a dense string-coupled chain of N cells fits."""
-    if not 2 <= n_cells <= MAX_QUBITS_CHAIN:
+    16 (7 dim^2 + 5 dim T) + 64 L T for dim basis states, L = N + 1 levels and
+    T steps covers the complex charger, its eigenvectors and LAPACK's workspace;
+    the states and propagation temporaries; the (levels x times) series (L = dim
+    for lmg).  It is 1.2-1.9x the max RSS growth over the post-import baseline
+    of run_trajectory + certify_trajectory (2 cores, OpenBLAS 0.3.31), in MB:
+    jw_chain xy_nn N = 10 at 2000 / 200 steps 164 / 85; parallel N = 10 at 2000
+    194; lmg N = 400 at 2000 78, N = 1000 at 200 115; auto-cutoff dicke at 2000,
+    N = 12 (n_max 128) 324, N = 20 (n_max 192) 1408.
+    """
+    basis = model_basis(spec)
+    need = 16 * (7 * basis.dim**2 + 5 * basis.dim * steps) + 64 * (spec.n_cells + 1) * steps
+    if need > DENSE_BYTES_MAX:
+        cutoff = f", n_max {basis.n_max}" if basis.kind == "spin_fock" else ""
         raise CapacityLimitError(
-            f"dense chain diagonalization capped at N = {MAX_QUBITS_CHAIN}; got N = {n_cells}"
+            f"dense run of {spec.family} N = {spec.n_cells} (dim {basis.dim}{cutoff}, "
+            f"{steps} steps) needs ~{need / 1e9:.3g} GB, over the "
+            f"{DENSE_BYTES_MAX / 1e9:.2g} GB dense limit"
         )
+    return need
 
 
 def build_charger_paradigmatic(spec: ModelSpec) -> HermitianOperator:
@@ -216,8 +218,8 @@ def build_charger_paradigmatic(spec: ModelSpec) -> HermitianOperator:
     """
     if spec.family not in PARADIGMATIC_FAMILIES:
         raise ValidationError(f"{spec.family!r} is not a paradigmatic family")
+    check_dense_size(spec)
     n = spec.n_cells
-    check_charger_size(n)
     if spec.family == "parallel":
         blocks = [[j] for j in range(n)]
     elif spec.family == "global":
@@ -243,10 +245,8 @@ def build_jw_chain(spec: ModelSpec) -> HermitianOperator:
     """
     if spec.family != "jw_chain":
         raise ValidationError("build_jw_chain needs a jw_chain spec")
+    check_dense_size(spec)
     n = spec.n_cells
-    check_chain_size(n)
-    if len(spec.lambdas) >= n:
-        raise ValidationError("coupling range m must stay below N")
     mat = np.diag(_ladder(Basis("qubit_chain", n)).astype(complex))
     occupation = [_site_values(n, site) for site in range(n)]
     for m, (lam_m, gam_m) in enumerate(zip(spec.lambdas, spec.gammas), start=1):
@@ -282,6 +282,7 @@ def build_lmg(spec: ModelSpec) -> HermitianOperator:
     """
     if spec.family != "lmg":
         raise ValidationError("build_lmg needs an lmg spec")
+    check_dense_size(spec)
     n = spec.n_cells
     ops = collective_spin_operators(n)
     jz, jp, jm = ops["jz"], ops["jp"], ops["jm"]
@@ -290,13 +291,6 @@ def build_lmg(spec: ModelSpec) -> HermitianOperator:
     pairing = jp @ jp + jm @ jm
     mat = spec.lam / (2 * n) * ((1 + spec.gamma) * mixing + (1 - spec.gamma) * pairing) + jz
     return HermitianOperator(mat, model_basis(spec))
-
-
-def fock_annihilation(n_max: int) -> np.ndarray:
-    a = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    n = np.arange(1, n_max + 1)
-    a[n - 1, n] = np.sqrt(n)
-    return a
 
 
 def build_dicke(spec: ModelSpec) -> HermitianOperator:
@@ -308,12 +302,13 @@ def build_dicke(spec: ModelSpec) -> HermitianOperator:
     """
     if spec.family != "dicke":
         raise ValidationError("build_dicke needs a dicke spec")
+    check_dense_size(spec)
     n = spec.n_cells
     basis = model_basis(spec)
     n_max = basis.n_max
     ops = collective_spin_operators(n)
     jx = (ops["jp"] + ops["jm"]) / 2
-    a = fock_annihilation(n_max)
+    a = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(complex)  # Fock annihilation
     number = a.conj().T @ a
     eye_spin = np.eye(n + 1)
     eye_fock = np.eye(n_max + 1)

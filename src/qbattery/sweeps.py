@@ -1,8 +1,9 @@
 """Parameter sweeps and log-log scaling fits.
 
 Quantities are time averages over the charging window [0, t_f], with t_f the
-refined time of maximal stored energy inside the configured grid.  Chains too
-large for dense diagonalization are evaluated through the free-fermion path.
+refined time of maximal stored energy inside the configured grid.  Even-N
+chains are evaluated through the free-fermion path unless the sweep asks for
+the dense one.
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ import numpy as np
 from .bounds import bound_ratio
 from .errors import CapacityLimitError, ValidationError
 from .freefermion import check_even_chain, dispersion, fisher_energy_series, observables_on_grid
-from .models import (
-    MAX_QUBITS_CHAIN,
-    PARADIGMATIC_FAMILIES,
-    ModelSpec,
-    check_chain_size,
-    check_charger_size,
-    power_law_couplings,
-)
+from .models import ModelSpec, check_dense_size, power_law_couplings
 from .observables import battery_entanglement_entropy, cos_theta_power, time_average
 from .trajectory import (
     DEFAULT_STEPS,
@@ -179,18 +173,8 @@ def _check_path(spec: ModelSpec, path: str) -> None:
 def _analytic(spec: ModelSpec, path: str) -> bool:
     """Whether a point goes to the free-fermion path rather than the dense one."""
     return spec.family == "jw_chain" and (
-        path == "analytic" or (path == "auto" and spec.n_cells > MAX_QUBITS_CHAIN)
+        path == "analytic" or (path == "auto" and spec.n_cells % 2 == 0)
     )
-
-
-def _check_size(spec: ModelSpec, path: str) -> None:
-    """The size rule of the path that evaluates a point, checked without running it."""
-    if _analytic(spec, path):
-        check_even_chain(spec.n_cells)
-    elif spec.family == "jw_chain":
-        check_chain_size(spec.n_cells)
-    elif spec.family in PARADIGMATIC_FAMILIES:
-        check_charger_size(spec.n_cells)
 
 
 def quantities_for(
@@ -203,9 +187,12 @@ def quantities_for(
     return trajectory_quantities(run_trajectory(spec, lam_t_max, steps))
 
 
-def check_sweep(spec: ModelSpec, parameter: str, values, quantity: str, path: str) -> None:
-    """Raise ValidationError, naming the config key, unless the sweep is well
-    formed and each of its points can be specified; no point is evaluated."""
+def check_sweep(
+    spec: ModelSpec, parameter: str, values, quantity: str, path: str, steps: int = DEFAULT_STEPS
+) -> None:
+    """Raise ValidationError, naming the config key, unless the sweep is well formed
+    and each point can be specified and passes its path's size rule over ``steps``
+    times (CapacityLimitError for a gamma sweep's base spec); no point runs."""
     if parameter not in ("N", "gamma"):
         raise ValidationError(f"sweep.parameter: expected 'N' or 'gamma', got {parameter!r}")
     if parameter == "gamma" and spec.family != "lmg":
@@ -221,14 +208,19 @@ def check_sweep(spec: ModelSpec, parameter: str, values, quantity: str, path: st
     if parameter == "gamma":
         if not values:
             raise ValidationError("sweep.values: a gamma sweep needs at least one value")
+        check_dense_size(spec, steps)
         return
     if values != sorted(set(values)):
         raise ValidationError("sweep.values: N list must be strictly increasing")
     if len(values) < 4:
         raise ValidationError(f"sweep.values: an N sweep needs at least 4 values, got {len(values)}")
     for n in values:
-        try:
-            _check_size(_respecify(spec, int(n)), path)
+        try:  # the size rule of the path that evaluates the point
+            point = _respecify(spec, int(n))
+            if _analytic(point, path):
+                check_even_chain(point.n_cells)
+            else:
+                check_dense_size(point, steps)
         except (ValidationError, CapacityLimitError) as exc:
             raise ValidationError(f"sweep.values: N = {n}: {exc}") from exc
 
@@ -254,7 +246,7 @@ def sweep_scaling(
     """Evaluate one quantity over an N sweep and fit its scaling exponent;
     returns the fit plus the per-N quantity dictionaries (one CSV row each)."""
     n_values = [int(n) for n in n_values]
-    check_sweep(base_spec, "N", n_values, quantity, path)
+    check_sweep(base_spec, "N", n_values, quantity, path, steps)
     rows = sweep(base_spec, "N", n_values, lam_t_max, steps, path)
     return fit_exponent(n_values, [row[quantity] for row in rows], quantity), rows
 

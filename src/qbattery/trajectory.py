@@ -28,6 +28,7 @@ from .models import (
     ModelSpec,
     build_battery_for,
     build_charger_for,
+    check_dense_size,
     excitation_counts,
     initial_state,
     model_basis,
@@ -72,7 +73,7 @@ class Trajectory:
     fisher_energy_full: np.ndarray  # untruncated, used by bound certification
     fisher_state: np.ndarray
     cos_theta: np.ndarray
-    fock_edge_population: float = 0.0
+    fock_edge_population: float  # max population within one level of a Fock cutoff; 0 without one
 
     @property
     def dt(self) -> float:
@@ -182,6 +183,9 @@ def _run_fixed(
         fisher_energy_full=fisher_energy_full,
         fisher_state=fisher_state,
         cos_theta=cos_theta_power(power, var_battery, fisher_energy),
+        fock_edge_population=(
+            _fock_edge_population(states, charger.basis) if charger.basis.kind == "spin_fock" else 0.0
+        ),
     )
 
 
@@ -210,22 +214,21 @@ def run_trajectory(
     on a strided subset of the grid: the subset's leak is at most the whole
     grid's, so a cutoff that fails the screen would fail the full run too,
     and only a cutoff that passes it is run (and checked) on the whole grid.
+    Each cutoff must pass :func:`models.check_dense_size` before it is built.
     """
+    check_dense_size(spec, steps)  # an automatic cutoff starts at model_basis's
     times = time_grid(spec, lam_t_max, steps)
     if spec.family != "dicke" or spec.n_max is not None:
-        traj = _run_fixed(spec, times, *_charger_and_state(spec))
-        if spec.family == "dicke":
-            traj.fock_edge_population = _fock_edge_population(traj.states, traj.psi0.basis)
-        return traj
+        return _run_fixed(spec, times, *_charger_and_state(spec))
 
     screen = _screen_times(times)
     cutoffs = [model_basis(spec).n_max * 2**k for k in range(MAX_FOCK_DOUBLINGS + 1)]
     for n_max in cutoffs:
         cutoff = replace(spec, n_max=n_max)
+        check_dense_size(cutoff, steps)
         charger, psi0, amplitudes = _charger_and_state(cutoff)
         if _fock_edge_population(evolve_batch(charger, amplitudes, screen), psi0.basis) < FOCK_LEAK_TOL:
             traj = _run_fixed(cutoff, times, charger, psi0, amplitudes)
-            traj.fock_edge_population = _fock_edge_population(traj.states, psi0.basis)
             if traj.fock_edge_population < FOCK_LEAK_TOL:
                 return traj
     raise ValidationError(

@@ -272,9 +272,7 @@ def run_trajectory_doubling(spec, lam_t_max=None, steps=2000):
         charger, psi0 = eigendecompose(models.build_charger_for(cutoff)), models.initial_state(cutoff)
         amplitudes = charger.eigenvectors.conj().T @ psi0.amplitudes
         traj = trajectory._run_fixed(cutoff, times, charger, psi0, amplitudes)
-        leak = trajectory._fock_edge_population(traj.states, traj.psi0.basis)
-        traj.fock_edge_population = leak
-        if leak < trajectory.FOCK_LEAK_TOL:
+        if traj.fock_edge_population < trajectory.FOCK_LEAK_TOL:
             return traj
         n_max *= 2
     raise AssertionError("Fock cutoff did not converge")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qbattery import ConfigError, ModelSpec, sweeps
+from qbattery import ConfigError, ModelSpec, sweeps, trajectory
 from qbattery.cli import main
 from qbattery.config import load_scenario, parse_capacity, parse_model, parse_scenario
 from qbattery.output import write_csv
@@ -411,18 +411,20 @@ class TestCli:
             (
                 {"family": "jw_chain", "N": 4, "variant": "xx_nn"},
                 {"values": [4, 6, 8, 13], "quantity": "avg_power"},
-                "sweep.values: N = 13: analytic chain solver requires even N, got 13",
+                "sweep.values: N = 13: dense run of jw_chain N = 13 (dim 8192, 120 steps) "
+                "needs ~7.59 GB, over the 4.3 GB dense limit",
             ),
             (
                 {"family": "jw_chain", "N": 4, "variant": "xx_nn"},
                 {"values": [4, 6, 8, 14], "quantity": "avg_power", "path": "dense"},
-                "sweep.values: N = 14: dense chain diagonalization capped at N = 12; got N = 14",
+                "sweep.values: N = 14: dense run of jw_chain N = 14 (dim 16384, 120 steps) "
+                "needs ~30.2 GB, over the 4.3 GB dense limit",
             ),
             (
                 {"family": "parallel", "N": 4},
                 {"values": [4, 6, 8, 15], "quantity": "avg_power"},
-                "sweep.values: N = 15: dense qubit-chain charger capped at N = 14 "
-                "(dim 2^N = 16384); got N = 15",
+                "sweep.values: N = 15: dense run of parallel N = 15 (dim 32768, 120 steps) "
+                "needs ~121 GB, over the 4.3 GB dense limit",
             ),
         ],
         ids=[
@@ -437,6 +439,50 @@ class TestCli:
         assert self.run("sweep", cfg) == 2
         assert f"config error: {message}\n" in capsys.readouterr().err
         assert calls == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,model,time,sweep,message",
+        [
+            ("simulate", {"family": "parallel", "N": 15}, {}, None,
+             "error: dense run of parallel N = 15 (dim 32768, 120 steps) needs ~121 GB"),
+            ("simulate", {"family": "jw_chain", "N": 14, "variant": "xy_nn"}, {}, None,
+             "error: dense run of jw_chain N = 14 (dim 16384, 120 steps) needs ~30.2 GB"),
+            ("simulate", {"family": "lmg", "N": 20000}, {}, None,
+             "error: dense run of lmg N = 20000 (dim 20001, 120 steps) needs ~45.2 GB"),
+            ("simulate", {"family": "parallel", "N": 2}, {"steps": 10**12}, None,
+             "error: dense run of parallel N = 2 (dim 4, 1000000000000 steps) needs ~5.12e+05 GB"),
+            ("sweep", {"family": "lmg", "N": 20}, {"steps": 10**12},
+             {"parameter": "gamma", "values": [-1.0, 0.0], "quantity": "energy_at_tf"},
+             "error: dense run of lmg N = 20 (dim 21, 1000000000000 steps) needs ~3.02e+06 GB"),
+            ("sweep", {"family": "lmg", "N": 10}, {},
+             {"values": [10, 20, 40, 20000], "quantity": "avg_power"},
+             "config error: sweep.values: N = 20000: dense run of lmg N = 20000 (dim 20001, "
+             "120 steps) needs ~45.2 GB"),
+        ],
+        ids=["parallel-n15", "dense-chain-n14", "lmg-n20000", "simulate-steps", "sweep-steps",
+             "lmg-sweep-point"],
+    )
+    def test_dense_run_over_the_limit_exits_2_and_builds_nothing(
+        self, tmp_path, capsys, monkeypatch, command, model, time, sweep, message
+    ):
+        def refuse(*args):
+            pytest.fail("a dense run was started")
+
+        for name in ("build_charger_for", "time_grid"):
+            monkeypatch.setattr(trajectory, name, refuse)
+        monkeypatch.setattr(sweeps, "quantities_for", refuse)
+        sections = {"sweep": sweep} if sweep else {}
+        cfg = self.scenario(tmp_path, model=model, time={"steps": 120, **time}, **sections)
+        assert self.run(command, cfg) == 2
+        assert f"{message}, over the 4.3 GB dense limit\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "table1"])
+    def test_negative_seed_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as usage:
+            self.run(command, "--seed", "-1")
+        assert usage.value.code == 2
+        assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
 
     def test_capacity_with_an_unreachable_target_writes_nothing(self, tmp_path, capsys):
         cfg = write_json(

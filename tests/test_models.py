@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbattery
 from qbattery import (
     CapacityLimitError,
     ModelSpec,
@@ -27,6 +33,7 @@ from qbattery.models import (
     CHAIN_VARIANTS,
     battery_cell_terms,
     build_battery_for,
+    check_dense_size,
     collective_spin_operators,
     excitation_counts,
     model_basis,
@@ -171,7 +178,9 @@ class TestParadigmaticChargers:
 
     def test_size_cap_names_limit(self):
         for family, kw in (("parallel", {}), ("hybrid", {"q": 5, "r": 3})):
-            with pytest.raises(CapacityLimitError, match="charger capped at N = 14"):
+            with pytest.raises(
+                CapacityLimitError, match=f"dense run of {family} N = 15 .* over the 4.3 GB dense limit"
+            ):
                 build_charger_paradigmatic(ModelSpec(family=family, n_cells=15, **kw))
 
     def test_hybrid_layout_validated(self):
@@ -241,7 +250,7 @@ class TestChain:
                 assert np.min(np.abs(combos - val)) < 1e-8
 
     def test_size_cap(self):
-        with pytest.raises(CapacityLimitError, match="12"):
+        with pytest.raises(CapacityLimitError, match="dense run of jw_chain N = 14 .* dense limit"):
             build_jw_chain(chain_spec("xx_nn", 14))
 
     def test_power_law_couplings(self):
@@ -399,3 +408,77 @@ class TestStateHelpers:
 def test_all_builders_hermitian(builder, spec):
     op = builder(spec)
     assert hermitian_deviation(op.matrix) < 1e-12
+
+
+# One dense run in a fresh interpreter: its max RSS growth over the
+# post-import baseline, and the size rule's estimate for the cutoff it ran.
+# The peak is the process's VmHWM: ru_maxrss would start from the forking
+# parent's peak.
+RSS_CHILD = """
+import sys
+from qbattery import models, trajectory, verification
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+spec, steps = eval(sys.argv[1], {"ModelSpec": models.ModelSpec}), int(sys.argv[2])
+base = peak_kib()
+traj = trajectory.run_trajectory(spec, steps=steps)
+verification.certify_trajectory(traj)
+print((peak_kib() - base) * 1024, models.check_dense_size(traj.spec, steps))
+"""
+
+
+class TestDenseSizeRule:
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc/self/status")
+    @pytest.mark.parametrize(
+        "spec,steps",
+        [
+            (chain_spec("xy_nn", 9), 2000),
+            (ModelSpec(family="parallel", n_cells=9), 500),
+            (ModelSpec(family="lmg", n_cells=400), 2000),
+            (ModelSpec(family="dicke", n_cells=6), 2000),  # automatic cutoff, ends at n_max 80
+        ],
+        ids=["chain", "parallel", "lmg", "dicke"],
+    )
+    def test_estimate_bounds_the_measured_growth(self, spec, steps):
+        # The rule was calibrated on 2 BLAS threads; more threads hold more buffers.
+        path = [str(Path(qbattery.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        out = subprocess.run(
+            [sys.executable, "-c", RSS_CHILD, repr(spec), str(steps)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        grown, estimate = map(int, out.split())
+        assert grown <= estimate <= 3 * grown
+
+    @pytest.mark.parametrize(
+        "build,spec",
+        [
+            (build_charger_paradigmatic, ModelSpec(family="global", n_cells=15)),
+            (build_jw_chain, chain_spec("xy_nn", 14)),
+            (build_lmg, ModelSpec(family="lmg", n_cells=20000)),
+            (build_dicke, ModelSpec(family="dicke", n_cells=100, n_max=200)),
+        ],
+        ids=["global", "chain", "lmg", "dicke"],
+    )
+    def test_builders_refuse_before_allocating(self, build, spec):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityLimitError, match=f"^dense run of {spec.family} N = "):
+                build(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # each refused operator alone would take 4-17 GB
+
+    def test_message_names_the_run(self):
+        spec = ModelSpec(family="dicke", n_cells=12, n_max=40)
+        with pytest.raises(CapacityLimitError) as refused:
+            check_dense_size(spec, 10**12)
+        assert str(refused.value) == (
+            "dense run of dicke N = 12 (dim 533, n_max 40, 1000000000000 steps) "
+            "needs ~4.35e+07 GB, over the 4.3 GB dense limit"
+        )

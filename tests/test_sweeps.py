@@ -14,7 +14,7 @@ from qbattery import (
     sweep_scaling,
 )
 from qbattery import sweeps
-from qbattery.models import build_charger_for
+from qbattery.models import check_dense_size
 from qbattery.config import parse_scenario
 from qbattery.observables import COS_THETA_DENOM_FLOOR
 from qbattery.sweeps import (
@@ -24,7 +24,11 @@ from qbattery.sweeps import (
     quantities_for,
     trajectory_quantities,
 )
-from qbattery.trajectory import PeakResult, run_trajectory
+from qbattery.trajectory import DEFAULT_STEPS, PeakResult, run_trajectory
+
+
+def dense_rule(spec):
+    return check_dense_size(spec, DEFAULT_STEPS)
 
 
 class TestExponentFit:
@@ -124,13 +128,13 @@ class TestSweepRules:
                 "N = 9: hybrid block size r = 2 does not divide N",
             ),
             (CUSTOM_CHAIN, {"values": [8, 10, 12, 14], "quantity": "avg_power"}, "custom couplings"),
-            (XX_NN, {"values": [4, 6, 8, 13], "quantity": "avg_power"}, "N = 13: analytic"),
+            (XX_NN, {"values": [4, 6, 8, 13], "quantity": "avg_power"}, "N = 13: dense run of jw_chain"),
             (
                 XX_NN,
                 {"values": [4, 6, 8, 14], "quantity": "avg_power", "path": "dense"},
-                "N = 14: dense chain",
+                "N = 14: dense run of jw_chain",
             ),
-            (PARALLEL, {"values": [4, 6, 8, 15], "quantity": "avg_power"}, "N = 15: dense qubit-chain"),
+            (PARALLEL, {"values": [4, 6, 8, 15], "quantity": "avg_power"}, "N = 15: dense run of parallel"),
         ],
         ids=[
             "increasing", "four-values", "quantity", "path", "analytic-path", "hybrid", "chain",
@@ -150,19 +154,34 @@ class TestSweepRules:
     @pytest.mark.parametrize(
         "base,path,n,solve",
         [
-            (chain_spec("xx_nn", 4), "auto", 13, dispersion),
-            (chain_spec("xx_nn", 4), "dense", 14, build_charger_for),
-            (ModelSpec(family="parallel", n_cells=4), "auto", 15, build_charger_for),
+            (chain_spec("xx_nn", 4), "analytic", 13, dispersion),
+            (chain_spec("xx_nn", 4), "dense", 14, dense_rule),
+            (ModelSpec(family="parallel", n_cells=4), "auto", 15, dense_rule),
         ],
         ids=["even-n", "chain-cap", "charger-cap"],
     )
     def test_point_rule_is_the_solvers_own(self, base, path, n, solve):
-        # check_sweep reports the error that the point's own builder or solver raises.
+        # check_sweep reports the error that the point's own solver or size rule
+        # raises: the free-fermion solver's, or the dense rule's over the sweep's steps.
         with pytest.raises((ValidationError, CapacityLimitError)) as from_solver:
             solve(replace(base, n_cells=n))
         with pytest.raises(ValidationError) as from_sweep:
             check_sweep(base, "N", [4, 6, 8, n], "avg_power", path)
         assert str(from_sweep.value) == f"sweep.values: N = {n}: {from_solver.value}"
+
+    @pytest.mark.parametrize(
+        "n,path,taken",
+        [(4, "auto", "analytic"), (14, "auto", "analytic"), (1000, "auto", "analytic"),
+         (9, "auto", "dense"), (13, "auto", "dense"), (10, "dense", "dense")],
+    )
+    def test_auto_path_follows_parity(self, monkeypatch, n, path, taken):
+        # Every even N goes to the free-fermion solver; odd N and "dense" stay dense.
+        calls = []
+        monkeypatch.setattr(sweeps, "chain_analytic_quantities", lambda *a: calls.append("analytic"))
+        monkeypatch.setattr(sweeps, "run_trajectory", lambda *a: calls.append("dense"))
+        monkeypatch.setattr(sweeps, "trajectory_quantities", lambda traj: None)
+        quantities_for(chain_spec("xy_nn", n), path=path)
+        assert calls == [taken]
 
     @pytest.mark.parametrize(
         "model,sweep,text",

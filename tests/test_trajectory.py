@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qbattery import (
+    CapacityLimitError,
     HermitianOperator,
     ModelSpec,
     ValidationError,
@@ -265,6 +266,23 @@ class TestFockTruncation:
         with pytest.raises(ValidationError, match=r"\(tried n_max = 12, 24, 48, 96, 192\)$"):
             run_trajectory(ModelSpec(family="dicke", n_cells=2, lam=0.3), steps=40)
         assert built == [12, 24, 48, 96, 192]
+
+    def test_doubling_over_the_dense_limit_is_refused_before_it_is_built(self, monkeypatch):
+        # At N = 2 even the 16th doubling fits 4 GiB; a limit that admits
+        # n_max = 48 over 200 steps refuses the doubling to 96.
+        monkeypatch.setattr(trajectory, "FOCK_LEAK_TOL", 0.0)  # no cutoff can pass
+        spec = ModelSpec(family="dicke", n_cells=2, lam=0.3)
+        limit = models.check_dense_size(replace(spec, n_max=48), 200)
+        monkeypatch.setattr(models, "DENSE_BYTES_MAX", limit)
+        built = []
+        original = models.build_dicke
+        monkeypatch.setattr(
+            models, "build_dicke", lambda *args: built.append(args[0].n_max) or original(*args)
+        )
+        refused = r"^dense run of dicke N = 2 \(dim 291, n_max 96, 200 steps\)"
+        with pytest.raises(CapacityLimitError, match=refused):
+            run_trajectory(spec, steps=200)
+        assert built == [12, 24, 48]
 
     def test_screen_is_a_subset_ending_on_the_last_time(self):
         times = time_grid(ModelSpec(family="dicke", n_cells=2), steps=2000)
