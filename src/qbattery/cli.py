@@ -78,7 +78,10 @@ def cmd_simulate(args) -> int:
     peak = find_tf(traj)
     report = certify_trajectory(traj)
     write_json(out_dir / "summary.json", simulation_summary(traj, peak, report))
-    print(f"wrote {out_dir / 'trajectory.csv'} and summary.json ({traj.n_steps} steps)")
+    print(
+        f"wrote {out_dir / 'trajectory.csv'} and summary.json "
+        f"({traj.n_steps} steps, {traj.backend} path)"
+    )
     if not report.ok:
         print(f"certification found {len(report.violations)} violation(s)", file=sys.stderr)
         return EXIT_VIOLATION

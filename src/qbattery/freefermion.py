@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .models import ModelSpec
+from .models import ModelSpec, check_run_bytes
 from .observables import POPULATION_FLOOR, fisher_sum
 
 # Times per block of the batched grid evaluations; bounds the (levels x times)
@@ -80,6 +80,28 @@ def check_even_chain(n_cells: int) -> None:
     """Raise ValidationError unless N is even, the mode grid's one size rule."""
     if n_cells % 2 != 0:
         raise ValidationError(f"analytic chain solver requires even N, got {n_cells}")
+
+
+def check_chain_size(n_cells: int, steps: int) -> int:
+    """The estimated bytes of a free-fermion chain run of N cells over ``steps``
+    times, after the even-N rule; CapacityLimitError, before anything is
+    allocated, if over the one run limit ``models.DENSE_BYTES_MAX``.
+
+    8 (160 T + 14 (N + 1) T + 10 (N/2 + 1) TIME_CHUNK) bytes covers the grid,
+    the per-step series and the CSV text of their columns; the (levels x
+    times) p and pdot with their certification copies and the CSV text of the
+    populations; and one block of the pair recursion.  It is 1.2-1.8x the max
+    RSS growth of run_trajectory + certify_trajectory + write_trajectory_csv
+    with populations (2 cores), in MB: xy_nn N = 2 / 10 at 20000 steps 25 / 39,
+    N = 200 at 4000 / 20000 79 / 397, N = 1000 at 500 / 2000 43 / 165, N = 4000
+    at 300 99; and 2.4-3.7x it without the CSV.  A sweep's windowed
+    evaluation holds less, so the rule is an upper bound there.
+    """
+    check_even_chain(n_cells)
+    need = 8 * (160 * steps + 14 * (n_cells + 1) * steps + 10 * (n_cells // 2 + 1) * TIME_CHUNK)
+    return check_run_bytes(
+        need, f"free-fermion run of jw_chain N = {n_cells} ({steps} steps)", "run limit"
+    )
 
 
 def dispersion(spec: ModelSpec) -> ModeSet:
@@ -156,11 +178,18 @@ def fisher_energy_analytic(dist: PairDistribution) -> float:
     return float(fisher_sum(dist.p, dist.p_dot, POPULATION_FLOOR))
 
 
+def distribution_blocks(modes: ModeSet, times: np.ndarray):
+    """Yield (block, p, pdot) of :func:`pair_distributions` for each
+    TIME_CHUNK-long slice ``block`` of the grid."""
+    for lo in range(0, len(times), TIME_CHUNK):
+        block = slice(lo, lo + TIME_CHUNK)
+        yield (block, *pair_distributions(modes, times[block]))
+
+
 def fisher_energy_series(modes: ModeSet, times: np.ndarray) -> np.ndarray:
     """Fisher information in energy space at each grid time (chunked in time)."""
     times = np.asarray(times, dtype=float)
     out = np.empty_like(times)
-    for lo in range(0, len(times), TIME_CHUNK):
-        p, p_dot = pair_distributions(modes, times[lo : lo + TIME_CHUNK])
-        out[lo : lo + TIME_CHUNK] = fisher_sum(p, p_dot, POPULATION_FLOOR)
+    for block, p, p_dot in distribution_blocks(modes, times):
+        out[block] = fisher_sum(p, p_dot, POPULATION_FLOOR)
     return out

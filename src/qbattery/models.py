@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CapacityLimitError, ValidationError
 from .linalg import Basis, HermitianOperator, StateVector
 
-DENSE_BYTES_MAX = 4 * 2**30  # admits N = 12 qubits at 2000 steps (1.3 GB max RSS)
+DENSE_BYTES_MAX = 4 * 2**30  # admits N = 12 qubits at 2000 steps
 
 PARADIGMATIC_FAMILIES = ("parallel", "global", "hybrid")
 # The fields each family takes besides family, n_cells and lam.  Every
@@ -185,6 +185,26 @@ def battery_cell_terms(n_cells: int) -> list[np.ndarray]:
     return [np.where(_site_values(n_cells, j) == 1, 0.5, -0.5) for j in range(n_cells)]
 
 
+def gigabytes(n_bytes: int) -> str:
+    """A byte count in GB to 3 significant digits.  A count past float range
+    (a dense run of ~500 qubits) is scaled exactly as a Decimal instead."""
+    if n_bytes < 1e300:
+        return f"{n_bytes / 1e9:.3g} GB"
+    from decimal import Decimal  # imported here: a 2 ms import no other path needs
+
+    return f"{Decimal(n_bytes).scaleb(-9):.2e} GB"
+
+
+def check_run_bytes(need: int, run: str, limit: str) -> int:
+    """``need``, the estimated bytes of ``run``; CapacityLimitError, naming the
+    run, the estimate and the ``limit`` kind, if it exceeds DENSE_BYTES_MAX."""
+    if need > DENSE_BYTES_MAX:
+        raise CapacityLimitError(
+            f"{run} needs ~{gigabytes(need)}, over the {DENSE_BYTES_MAX / 1e9:.2g} GB {limit}"
+        )
+    return need
+
+
 def check_dense_size(spec: ModelSpec, steps: int = 0) -> int:
     """The estimated bytes of a dense run of ``spec`` over ``steps`` times;
     CapacityLimitError, before anything is allocated, if over DENSE_BYTES_MAX.
@@ -192,22 +212,20 @@ def check_dense_size(spec: ModelSpec, steps: int = 0) -> int:
     16 (7 dim^2 + 5 dim T) + 64 L T for dim basis states, L = N + 1 levels and
     T steps covers the complex charger, its eigenvectors and LAPACK's workspace;
     the states and propagation temporaries; the (levels x times) series (L = dim
-    for lmg).  It is 1.2-1.9x the max RSS growth over the post-import baseline
+    for lmg).  It is 1.2-2.4x the max RSS growth over the post-import baseline
     of run_trajectory + certify_trajectory (2 cores, OpenBLAS 0.3.31), in MB:
-    jw_chain xy_nn N = 10 at 2000 / 200 steps 164 / 85; parallel N = 10 at 2000
-    194; lmg N = 400 at 2000 78, N = 1000 at 200 115; auto-cutoff dicke at 2000,
-    N = 12 (n_max 128) 324, N = 20 (n_max 192) 1408.
+    jw_chain xy_nn N = 10 at 2000 / 200 steps 119 / 89; parallel N = 10 at 2000
+    119; lmg N = 400 at 2000 69, N = 1000 at 200 120; auto-cutoff dicke at 2000,
+    N = 12 (n_max 128) 269.  A qubit dimension past int64 is written 2^N.
     """
     basis = model_basis(spec)
     need = 16 * (7 * basis.dim**2 + 5 * basis.dim * steps) + 64 * (spec.n_cells + 1) * steps
-    if need > DENSE_BYTES_MAX:
-        cutoff = f", n_max {basis.n_max}" if basis.kind == "spin_fock" else ""
-        raise CapacityLimitError(
-            f"dense run of {spec.family} N = {spec.n_cells} (dim {basis.dim}{cutoff}, "
-            f"{steps} steps) needs ~{need / 1e9:.3g} GB, over the "
-            f"{DENSE_BYTES_MAX / 1e9:.2g} GB dense limit"
-        )
-    return need
+    dim = f"2^{spec.n_cells}" if basis.dim > 2**63 else str(basis.dim)
+    cutoff = f", n_max {basis.n_max}" if basis.kind == "spin_fock" else ""
+    return check_run_bytes(
+        need, f"dense run of {spec.family} N = {spec.n_cells} (dim {dim}{cutoff}, {steps} steps)",
+        "dense limit",
+    )
 
 
 def build_charger_paradigmatic(spec: ModelSpec) -> HermitianOperator:

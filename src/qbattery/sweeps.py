@@ -1,9 +1,11 @@
 """Parameter sweeps and log-log scaling fits.
 
 Quantities are time averages over the charging window [0, t_f], with t_f the
-refined time of maximal stored energy inside the configured grid.  Even-N
-chains are evaluated through the free-fermion path unless the sweep asks for
-the dense one.
+refined time of maximal stored energy inside the configured grid.  A point
+takes the path that :func:`trajectory.analytic_path` picks for the sweep's
+``path``, the rule ``simulate`` follows too: an even-N chain is evaluated from
+its mode set, with the Fisher series only over the window, unless the sweep
+asks for the dense path; every other point is one dense run.
 """
 
 from __future__ import annotations
@@ -14,20 +16,20 @@ import numpy as np
 
 from .bounds import bound_ratio
 from .errors import CapacityLimitError, ValidationError
-from .freefermion import check_even_chain, dispersion, fisher_energy_series, observables_on_grid
+from .freefermion import check_chain_size, dispersion, fisher_energy_series, observables_on_grid
 from .models import ModelSpec, check_dense_size, power_law_couplings
 from .observables import battery_entanglement_entropy, cos_theta_power, time_average
 from .trajectory import (
     DEFAULT_STEPS,
     PeakResult,
     Trajectory,
+    analytic_path,
     find_peak_time,
     find_tf,
     run_trajectory,
     time_grid,
 )
 
-SWEEP_PATHS = ("auto", "dense", "analytic")
 SWEEP_QUANTITIES = (
     "energy_at_tf",
     "avg_power",
@@ -147,6 +149,7 @@ def chain_analytic_quantities(
     spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFAULT_STEPS
 ) -> dict[str, float]:
     """Sweep quantities for a chain through the free-fermion path (any even N)."""
+    check_chain_size(spec.n_cells, steps)
     modes = dispersion(spec)
     times = time_grid(spec, lam_t_max, steps)
     series = observables_on_grid(modes, times)
@@ -161,30 +164,21 @@ def chain_analytic_quantities(
     )
 
 
-def _check_path(spec: ModelSpec, path: str) -> None:
-    if path not in SWEEP_PATHS:
-        raise ValidationError(
-            f"sweep.path: unknown evaluation path {path!r} (expected one of {SWEEP_PATHS})"
-        )
-    if path == "analytic" and spec.family != "jw_chain":
-        raise ValidationError(f"sweep.path: 'analytic' exists only for jw_chain, not {spec.family}")
-
-
 def _analytic(spec: ModelSpec, path: str) -> bool:
-    """Whether a point goes to the free-fermion path rather than the dense one."""
-    return spec.family == "jw_chain" and (
-        path == "analytic" or (path == "auto" and spec.n_cells % 2 == 0)
-    )
+    """:func:`trajectory.analytic_path`, its errors naming the config key."""
+    try:
+        return analytic_path(spec, path)
+    except ValidationError as exc:
+        raise ValidationError(f"sweep.path: {exc}") from exc
 
 
 def quantities_for(
     spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFAULT_STEPS, path: str = "auto"
 ) -> dict[str, float]:
     """Dispatch between dense and analytic evaluation of the sweep quantities."""
-    _check_path(spec, path)
     if _analytic(spec, path):
         return chain_analytic_quantities(spec, lam_t_max, steps)
-    return trajectory_quantities(run_trajectory(spec, lam_t_max, steps))
+    return trajectory_quantities(run_trajectory(spec, lam_t_max, steps, "dense"))
 
 
 def check_sweep(
@@ -203,7 +197,7 @@ def check_sweep(
         raise ValidationError(
             f"sweep.quantity: unknown quantity {quantity!r} (expected one of {SWEEP_QUANTITIES})"
         )
-    _check_path(spec, path)
+    _analytic(spec, path)
     values = list(values)
     if parameter == "gamma":
         if not values:
@@ -218,7 +212,7 @@ def check_sweep(
         try:  # the size rule of the path that evaluates the point
             point = _respecify(spec, int(n))
             if _analytic(point, path):
-                check_even_chain(point.n_cells)
+                check_chain_size(point.n_cells, steps)
             else:
                 check_dense_size(point, steps)
         except (ValidationError, CapacityLimitError) as exc:

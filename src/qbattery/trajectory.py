@@ -1,21 +1,35 @@
-"""Exact trajectory runs: batch propagation plus vectorized observables.
+"""Charging runs: one record of per-step series from either of two backends.
 
-A trajectory holds the full time grid of states and the derived series
-(stored energy, power, variances, level populations and rates, Fisher
-informations, bound saturation ratio).  Scalar observables are computed from
-the battery level populations, so bound checks and reported values share one
-arithmetic path.
+A :class:`Trajectory` holds the time grid and the derived series (stored
+energy, power, variances, level populations and rates, Fisher informations,
+bound saturation ratio) plus an ``energy_at(t)`` callable for off-grid peak
+refinement; certification, the CSV writer, the peak search and the sweeps read
+only that.  The dense backend propagates the state vector in the model's basis
+and also keeps the states, the charger and psi0 for the oracles.  The
+free-fermion backend builds an even-N ``jw_chain`` run from its mode set
+(:mod:`freefermion`), with no state vector, at any N.  Scalar observables are
+computed from the battery level populations, so bound checks and reported
+values share one arithmetic path.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ValidationError
+from .freefermion import (
+    TIME_CHUNK,
+    check_chain_size,
+    dispersion,
+    distribution_blocks,
+    observables_on_grid,
+)
 from .linalg import (
     Basis,
     HermitianOperator,
@@ -47,21 +61,18 @@ DEFAULT_LAM_T_MAX = {
 FOCK_LEAK_TOL = 1e-8
 MAX_FOCK_DOUBLINGS = 4
 FOCK_SCREEN_STRIDE = 10
+PATHS = ("auto", "dense", "analytic")
 
 
 @dataclass
 class Trajectory:
     """Uniform-grid charging run with per-step derived series; ``spec`` is the
-    spec that ran, with the Fock cutoff a cavity run used."""
+    spec that ran, with the Fock cutoff a cavity run used.  The last five
+    fields belong to the dense backend and are None on a free-fermion run."""
 
     spec: ModelSpec
     times: np.ndarray
-    states: np.ndarray  # (dim, T), column per grid time
-    battery_order: np.ndarray  # basis indices in stable ladder order, level by level
-    charger: HermitianOperator
     levels: LevelStructure
-    psi0: StateVector
-    charger_amplitudes: np.ndarray  # V^dag psi0 on the charger eigenvectors, taken once
     initial_energy: float  # absolute <H_B> at t = 0
     populations: np.ndarray  # (L, T)
     population_rates: np.ndarray  # (L, T)
@@ -74,6 +85,12 @@ class Trajectory:
     fisher_state: np.ndarray
     cos_theta: np.ndarray
     fock_edge_population: float  # max population within one level of a Fock cutoff; 0 without one
+    energy_at: Callable[[float], float]  # exact stored energy at an arbitrary (off-grid) time
+    states: np.ndarray | None = None  # (dim, T), column per grid time
+    battery_order: np.ndarray | None = None  # basis indices in stable ladder order, level by level
+    charger: HermitianOperator | None = None
+    psi0: StateVector | None = None
+    charger_amplitudes: np.ndarray | None = None  # V^dag psi0 on the charger eigenvectors, taken once
 
     @property
     def dt(self) -> float:
@@ -83,21 +100,26 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.times)
 
+    @property
+    def backend(self) -> str:
+        return "dense" if self.states is not None else "free-fermion"
+
+    def _require_states(self, what: str) -> None:
+        if self.states is None:
+            raise ValidationError(
+                f"a free-fermion run holds no {what}; run the chain with path='dense'"
+            )
+
     def state_at(self, index: int) -> StateVector:
+        self._require_states("states")
         return StateVector(self.states[:, index], self.psi0.basis)
 
     @cached_property
     def battery(self) -> HermitianOperator:
         """The battery in the run's basis, built on first use; no step of the
         run reads it, only the independent oracles do."""
+        self._require_states("dense battery")
         return build_battery_for(self.spec)
-
-    def stored_energy_at(self, t: float) -> float:
-        """Exact stored energy at an arbitrary (off-grid) time."""
-        psi = evolve_batch(self.charger, self.charger_amplitudes, np.array([t]))[:, 0]
-        overlaps = psi[self.battery_order]
-        energies = np.repeat(self.levels.energies, self.levels.multiplicities)
-        return float(np.abs(overlaps) ** 2 @ energies - self.initial_energy)
 
 
 def time_grid(spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFAULT_STEPS) -> np.ndarray:
@@ -137,11 +159,20 @@ def _run_fixed(
         energies=np.arange(n + 1) - n / 2,
         starts=np.concatenate(([0], np.cumsum(np.bincount(counts, minlength=n + 1)))),
     )
-    overlaps = states[order]
-    driven = (charger.matrix @ states)[order]
+    # Level sums in TIME_CHUNK blocks of columns, so that the (dim x T)
+    # temporaries (gathered states, H_C psi, their products) never coexist at
+    # full size.  Each column is summed as on the whole grid; on OpenBLAS the
+    # blocked H_C products equal the whole-grid product bit for bit.
     starts = levels.starts[:-1]
-    populations = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
-    rates = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
+    matrix = charger.matrix
+    populations = np.empty((n + 1, len(times)))
+    rates = np.empty_like(populations)
+    for lo in range(0, len(times), TIME_CHUNK):
+        block = slice(lo, lo + TIME_CHUNK)
+        overlaps = states[order, block]
+        driven = (matrix @ states[:, block])[order]
+        populations[:, block] = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
+        rates[:, block] = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
 
     e_levels = levels.energies
     energy_abs = e_levels @ populations
@@ -163,15 +194,15 @@ def _run_fixed(
     fisher_energy_full = fisher_sum(populations, rates, 0.0)
     fisher_state = 4.0 * var_charger  # pure-state trajectories
 
+    def energy_at(t: float) -> float:
+        psi = evolve_batch(charger, amplitudes, np.array([t]))[:, 0]
+        energies = np.repeat(e_levels, levels.multiplicities)
+        return float(np.abs(psi[order]) ** 2 @ energies - initial_energy)
+
     return Trajectory(
         spec=spec,
         times=times,
-        states=states,
-        battery_order=order,
-        charger=charger,
         levels=levels,
-        psi0=psi0,
-        charger_amplitudes=amplitudes,
         initial_energy=initial_energy,
         populations=populations,
         population_rates=rates,
@@ -186,6 +217,60 @@ def _run_fixed(
         fock_edge_population=(
             _fock_edge_population(states, charger.basis) if charger.basis.kind == "spin_fock" else 0.0
         ),
+        energy_at=energy_at,
+        states=states,
+        battery_order=order,
+        charger=charger,
+        psi0=psi0,
+        charger_amplitudes=amplitudes,
+    )
+
+
+def _run_chain(spec: ModelSpec, lam_t_max: float | None, steps: int) -> Trajectory:
+    """The free-fermion backend: an even-N chain run from its mode set.
+
+    Particle number l is the battery level (k - N/2 at k = l), so the even
+    levels come from the pair recursion and the odd ones are exactly empty.
+    The two Fisher series use the dense backend's :func:`fisher_sum` floors.
+    """
+    check_chain_size(spec.n_cells, steps)
+    modes = dispersion(spec)
+    times = time_grid(spec, lam_t_max, steps)
+    series = observables_on_grid(modes, times)
+    n = spec.n_cells
+    populations = np.zeros((n + 1, len(times)))
+    rates = np.zeros_like(populations)
+    fisher_energy, fisher_energy_full = np.empty_like(times), np.empty_like(times)
+    for block, p, p_dot in distribution_blocks(modes, times):
+        populations[::2, block], rates[::2, block] = p, p_dot
+        fisher_energy[block] = fisher_sum(p, p_dot, POPULATION_FLOOR)
+        fisher_energy_full[block] = fisher_sum(p, p_dot, 0.0)
+    var_charger = np.full(len(times), modes.var_charger)  # H_C is conserved
+
+    def energy_at(t: float) -> float:
+        return float(observables_on_grid(modes, np.array([t]))["energy"][0])
+
+    return Trajectory(
+        spec=spec,
+        times=times,
+        # Level k holds C(N, k) basis states: exact integers, past int64 at N = 67.
+        levels=LevelStructure(
+            energies=np.arange(n + 1) - n / 2,
+            starts=np.array([0, *accumulate(math.comb(n, k) for k in range(n + 1))], dtype=object),
+        ),
+        initial_energy=-n / 2,
+        populations=populations,
+        population_rates=rates,
+        energy=series["energy"],
+        power=series["power"],
+        var_battery=series["var_battery"],
+        var_charger=var_charger,
+        fisher_energy=fisher_energy,
+        fisher_energy_full=fisher_energy_full,
+        fisher_state=4.0 * var_charger,
+        cos_theta=cos_theta_power(series["power"], series["var_battery"], fisher_energy),
+        fock_edge_population=0.0,
+        energy_at=energy_at,
     )
 
 
@@ -201,10 +286,24 @@ def _screen_times(times: np.ndarray) -> np.ndarray:
     return times[::-FOCK_SCREEN_STRIDE][::-1]
 
 
+def analytic_path(spec: ModelSpec, path: str = "auto") -> bool:
+    """Whether a run of ``spec`` on evaluation ``path`` (one of PATHS) takes the
+    free-fermion backend: a jw_chain on "analytic", or on "auto" when N is
+    even.  Odd N, "dense" and every other family run dense."""
+    if path not in PATHS:
+        raise ValidationError(f"unknown evaluation path {path!r} (expected one of {PATHS})")
+    if path == "analytic" and spec.family != "jw_chain":
+        raise ValidationError(f"'analytic' exists only for jw_chain, not {spec.family}")
+    return spec.family == "jw_chain" and (
+        path == "analytic" or (path == "auto" and spec.n_cells % 2 == 0)
+    )
+
+
 def run_trajectory(
-    spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFAULT_STEPS
+    spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFAULT_STEPS, path: str = "auto"
 ) -> Trajectory:
-    """Charge from the model's initial state over a uniform grid.
+    """Charge from the model's initial state over a uniform grid, on the
+    backend that :func:`analytic_path` picks.
 
     For the cavity model with no explicit n_max, the Fock cutoff starts at
     the default of :func:`models.model_basis` and doubles until the
@@ -216,6 +315,8 @@ def run_trajectory(
     and only a cutoff that passes it is run (and checked) on the whole grid.
     Each cutoff must pass :func:`models.check_dense_size` before it is built.
     """
+    if analytic_path(spec, path):
+        return _run_chain(spec, lam_t_max, steps)
     check_dense_size(spec, steps)  # an automatic cutoff starts at model_basis's
     times = time_grid(spec, lam_t_max, steps)
     if spec.family != "dicke" or spec.n_max is not None:
@@ -292,4 +393,4 @@ def find_peak_time(
 
 def find_tf(traj: Trajectory, rel_tol: float = 1e-6) -> PeakResult:
     """Refined time of maximal stored energy for a computed trajectory."""
-    return find_peak_time(traj.times, traj.energy, traj.stored_energy_at, rel_tol)
+    return find_peak_time(traj.times, traj.energy, traj.energy_at, rel_tol)

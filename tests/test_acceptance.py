@@ -206,7 +206,7 @@ def test_criterion_8_capacity_properties():
 def test_criterion_9_property_suite():
     checked = []
 
-    traj = run_trajectory(chain_spec("xy_pow", 8), steps=500)
+    traj = run_trajectory(chain_spec("xy_pow", 8), steps=500, path="dense")
     norms = np.abs(traj.states**2).sum(axis=0)
     assert np.abs(norms - 1).max() < 1e-10
     checked.append("norm")

@@ -277,7 +277,7 @@ class TestEnergyAmplitude:
         report = energy_amplitude_check(traj.energy, traj.levels.energies, traj.initial_energy)
         assert report.satisfied
         assert report.stored_fraction == pytest.approx(1.0, abs=1e-4)
-        exact_peak = traj.stored_energy_at(math.pi / 2)
+        exact_peak = traj.energy_at(math.pi / 2)
         assert exact_peak / report.storage_cap == pytest.approx(1.0, abs=1e-9)
 
     def test_frozen_chain_stores_nothing(self):

@@ -445,8 +445,8 @@ class TestCli:
         [
             ("simulate", {"family": "parallel", "N": 15}, {}, None,
              "error: dense run of parallel N = 15 (dim 32768, 120 steps) needs ~121 GB"),
-            ("simulate", {"family": "jw_chain", "N": 14, "variant": "xy_nn"}, {}, None,
-             "error: dense run of jw_chain N = 14 (dim 16384, 120 steps) needs ~30.2 GB"),
+            ("simulate", {"family": "jw_chain", "N": 15, "variant": "xy_nn"}, {}, None,
+             "error: dense run of jw_chain N = 15 (dim 32768, 120 steps) needs ~121 GB"),
             ("simulate", {"family": "lmg", "N": 20000}, {}, None,
              "error: dense run of lmg N = 20000 (dim 20001, 120 steps) needs ~45.2 GB"),
             ("simulate", {"family": "parallel", "N": 2}, {"steps": 10**12}, None,
@@ -458,9 +458,18 @@ class TestCli:
              {"values": [10, 20, 40, 20000], "quantity": "avg_power"},
              "config error: sweep.values: N = 20000: dense run of lmg N = 20000 (dim 20001, "
              "120 steps) needs ~45.2 GB"),
+            # Byte counts past float range: formatted, not converted.
+            ("simulate", {"family": "parallel", "N": 600}, {}, None,
+             "error: dense run of parallel N = 600 (dim 2^600, 120 steps) needs ~1.93e+354 GB"),
+            ("simulate", {"family": "jw_chain", "N": 1001, "variant": "xy_nn"}, {}, None,
+             "error: dense run of jw_chain N = 1001 (dim 2^1001, 120 steps) needs ~5.14e+595 GB"),
+            ("sweep", {"family": "jw_chain", "N": 4, "variant": "xy_nn"}, {},
+             {"values": [4, 6, 8, 601], "quantity": "avg_power", "path": "dense"},
+             "config error: sweep.values: N = 601: dense run of jw_chain N = 601 (dim 2^601, "
+             "120 steps) needs ~7.71e+354 GB"),
         ],
-        ids=["parallel-n15", "dense-chain-n14", "lmg-n20000", "simulate-steps", "sweep-steps",
-             "lmg-sweep-point"],
+        ids=["parallel-n15", "dense-chain-n15", "lmg-n20000", "simulate-steps", "sweep-steps",
+             "lmg-sweep-point", "parallel-n600", "odd-chain-n1001", "dense-sweep-n601"],
     )
     def test_dense_run_over_the_limit_exits_2_and_builds_nothing(
         self, tmp_path, capsys, monkeypatch, command, model, time, sweep, message
@@ -476,6 +485,44 @@ class TestCli:
         assert self.run(command, cfg) == 2
         assert f"{message}, over the 4.3 GB dense limit\n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,sweep,message",
+        [
+            ("simulate", None, "error: free-fermion run of jw_chain N = 8 (1000000000000 steps) "
+             "needs ~2.29e+06 GB"),
+            ("sweep", {"values": [4, 6, 8, 10], "quantity": "avg_power", "path": "analytic"},
+             "config error: sweep.values: N = 4: free-fermion run of jw_chain N = 4 "
+             "(1000000000000 steps) needs ~1.84e+06 GB"),
+        ],
+        ids=["simulate", "analytic-sweep"],
+    )
+    def test_free_fermion_run_over_the_limit_exits_2_and_builds_nothing(
+        self, tmp_path, capsys, monkeypatch, command, sweep, message
+    ):
+        def refuse(*args):
+            pytest.fail("a free-fermion run was started")
+
+        for name in ("dispersion", "time_grid"):
+            monkeypatch.setattr(trajectory, name, refuse)
+        monkeypatch.setattr(sweeps, "quantities_for", refuse)
+        sections = {"sweep": sweep} if sweep else {}
+        model = {"family": "jw_chain", "N": 8, "variant": "xy_nn"}
+        cfg = self.scenario(tmp_path, model=model, time={"steps": 10**12}, **sections)
+        assert self.run(command, cfg) == 2
+        assert f"{message}, over the 4.3 GB run limit\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "model,backend",
+        [({"family": "jw_chain", "N": 4, "variant": "xy_nn"}, "free-fermion"),
+         ({"family": "jw_chain", "N": 5, "variant": "xy_nn"}, "dense"),
+         ({"family": "parallel", "N": 3}, "dense")],
+        ids=["even-chain", "odd-chain", "parallel"],
+    )
+    def test_simulate_names_the_backend(self, tmp_path, capsys, model, backend):
+        assert self.run("simulate", self.scenario(tmp_path, model=model)) == 0
+        assert capsys.readouterr().out.endswith(f" (120 steps, {backend} path)\n")
 
     @pytest.mark.parametrize("command", ["validate", "table1"])
     def test_negative_seed_is_a_usage_error(self, capsys, command):

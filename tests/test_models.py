@@ -27,7 +27,7 @@ from qbattery import (
     initial_state,
     variance,
 )
-from qbattery.freefermion import dispersion
+from qbattery.freefermion import check_chain_size, dispersion
 from qbattery.linalg import Basis
 from qbattery.models import (
     CHAIN_VARIANTS,
@@ -36,6 +36,7 @@ from qbattery.models import (
     check_dense_size,
     collective_spin_operators,
     excitation_counts,
+    gigabytes,
     model_basis,
     power_law_couplings,
     register_spectrum,
@@ -410,24 +411,46 @@ def test_all_builders_hermitian(builder, spec):
     assert hermitian_deviation(op.matrix) < 1e-12
 
 
-# One dense run in a fresh interpreter: its max RSS growth over the
-# post-import baseline, and the size rule's estimate for the cutoff it ran.
-# The peak is the process's VmHWM: ru_maxrss would start from the forking
-# parent's peak.
-RSS_CHILD = """
+# One run in a fresh interpreter: its max RSS growth over the post-import
+# baseline, and the size rule's estimate for the run.  The peak is the
+# process's VmHWM: ru_maxrss would start from the forking parent's peak.
+PEAK_KIB = """
 import sys
-from qbattery import models, trajectory, verification
+from qbattery import freefermion, models, output, trajectory, verification
 
 def peak_kib():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
-spec, steps = eval(sys.argv[1], {"ModelSpec": models.ModelSpec}), int(sys.argv[2])
 base = peak_kib()
+"""
+# A dense run as run_trajectory + certify_trajectory, over the cutoff it ran.
+RSS_CHILD = PEAK_KIB + """
+spec, steps = eval(sys.argv[1], {"ModelSpec": models.ModelSpec}), int(sys.argv[2])
 traj = trajectory.run_trajectory(spec, steps=steps)
 verification.certify_trajectory(traj)
 print((peak_kib() - base) * 1024, models.check_dense_size(traj.spec, steps))
 """
+# A free-fermion chain run, certified and written with its populations.
+CHAIN_RSS_CHILD = PEAK_KIB + """
+n, steps = int(sys.argv[1]), int(sys.argv[2])
+traj = trajectory.run_trajectory(models.chain_spec("xy_nn", n), steps=steps)
+verification.certify_trajectory(traj)
+output.write_trajectory_csv(traj, sys.argv[3], include_populations=True)
+print((peak_kib() - base) * 1024, freefermion.check_chain_size(n, steps))
+"""
+
+
+def child_growth_and_estimate(script: str, *args: str) -> tuple[int, int]:
+    # The rules were calibrated on 2 BLAS threads; more threads hold more buffers.
+    path = [str(Path(qbattery.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    grown, estimate = map(int, out.split())
+    return grown, estimate
 
 
 class TestDenseSizeRule:
@@ -443,15 +466,7 @@ class TestDenseSizeRule:
         ids=["chain", "parallel", "lmg", "dicke"],
     )
     def test_estimate_bounds_the_measured_growth(self, spec, steps):
-        # The rule was calibrated on 2 BLAS threads; more threads hold more buffers.
-        path = [str(Path(qbattery.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
-               "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        out = subprocess.run(
-            [sys.executable, "-c", RSS_CHILD, repr(spec), str(steps)],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout
-        grown, estimate = map(int, out.split())
+        grown, estimate = child_growth_and_estimate(RSS_CHILD, repr(spec), str(steps))
         assert grown <= estimate <= 3 * grown
 
     @pytest.mark.parametrize(
@@ -481,4 +496,32 @@ class TestDenseSizeRule:
         assert str(refused.value) == (
             "dense run of dicke N = 12 (dim 533, n_max 40, 1000000000000 steps) "
             "needs ~4.35e+07 GB, over the 4.3 GB dense limit"
+        )
+
+    def test_counts_past_float_range_are_formatted_exactly(self):
+        assert gigabytes(5 * 10**14) == "5e+05 GB"
+        assert gigabytes(9996 * 10**397) == "1.00e+392 GB"
+        with pytest.raises(CapacityLimitError, match=r"\(dim 2\^600, 1 steps\) needs ~1\.93e\+354 GB"):
+            check_dense_size(ModelSpec(family="global", n_cells=600), 1)
+
+
+class TestChainSizeRule:
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc/self/status")
+    @pytest.mark.parametrize("n,steps", [(10, 20000), (200, 4000)], ids=["long-grid", "many-levels"])
+    def test_estimate_bounds_the_measured_growth(self, tmp_path, n, steps):
+        grown, estimate = child_growth_and_estimate(
+            CHAIN_RSS_CHILD, str(n), str(steps), str(tmp_path / "trajectory.csv")
+        )
+        assert grown <= estimate <= 3 * grown
+
+    def test_odd_n_fails_the_even_rule_first(self):
+        with pytest.raises(ValidationError, match="requires even N, got 9"):
+            check_chain_size(9, 10**12)
+
+    def test_message_names_the_run(self):
+        with pytest.raises(CapacityLimitError) as refused:
+            check_chain_size(10**4, 10**6)
+        assert str(refused.value) == (
+            "free-fermion run of jw_chain N = 10000 (1000000 steps) needs ~1.12e+03 GB, "
+            "over the 4.3 GB run limit"
         )

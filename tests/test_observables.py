@@ -83,10 +83,10 @@ class TestEnergyAndPower:
         assert abs(power(psi0, battery, charger)) < 1e-12
 
     def test_power_matches_finite_difference(self):
-        traj = run_trajectory(chain_spec("xx_nn", 6), steps=50)
+        traj = run_trajectory(chain_spec("xx_nn", 6), steps=50, path="dense")
         h = 1e-5
         for t in (0.8, 2.3, 5.1):
-            fd = (traj.stored_energy_at(t + h) - traj.stored_energy_at(t - h)) / (2 * h)
+            fd = (traj.energy_at(t + h) - traj.energy_at(t - h)) / (2 * h)
             psi = evolve(traj.charger, traj.psi0, t)
             assert power(psi, traj.battery, traj.charger) == pytest.approx(fd, abs=1e-6)
 
@@ -284,7 +284,7 @@ class TestVarianceDecomposition:
         assert corr == pytest.approx(1.0, abs=1e-10)  # N p (r-1)(1-p) at p = 1/2
 
     def test_closure_on_entangling_dynamics(self):
-        traj = run_trajectory(chain_spec("xx_nn", 6), steps=40)
+        traj = run_trajectory(chain_spec("xx_nn", 6), steps=40, path="dense")
         terms = battery_cell_terms(6)
         for i in (5, 17, 33):
             psi = traj.state_at(i)

@@ -17,9 +17,10 @@ from qbattery import (
     run_trajectory,
 )
 from qbattery import trajectory
+from qbattery.cli import simulation_summary
 from qbattery.observables import battery_entanglement_entropy, populations_and_rates
 from qbattery.config import load_scenario
-from qbattery.output import write_trajectory_csv
+from qbattery.output import trajectory_rows, write_trajectory_csv
 from qbattery.trajectory import DEFAULT_LAM_T_MAX, find_peak_time, time_grid
 from qbattery.verification import certify_trajectory
 
@@ -53,7 +54,7 @@ class TestTimeGrid:
 
 class TestRunTrajectory:
     def test_norm_conservation(self):
-        traj = run_trajectory(chain_spec("xx_pow", 8), steps=250)
+        traj = run_trajectory(chain_spec("xx_pow", 8), steps=250, path="dense")
         norms = np.abs(traj.states**2).sum(axis=0)
         assert np.abs(norms - 1).max() < 1e-10
 
@@ -89,7 +90,7 @@ class TestRunTrajectory:
     def test_exact_offgrid_energy(self):
         traj = run_trajectory(ModelSpec(family="parallel", n_cells=4), steps=60)
         t = 0.3137
-        assert traj.stored_energy_at(t) == pytest.approx(4 * math.sin(t) ** 2, abs=1e-10)
+        assert traj.energy_at(t) == pytest.approx(4 * math.sin(t) ** 2, abs=1e-10)
 
     def test_charger_amplitudes_taken_once_per_run(self, monkeypatch):
         calls = []
@@ -122,7 +123,7 @@ def test_run_path_builds_no_battery(spec, monkeypatch):
         raise AssertionError("the run path built the dense battery")
 
     monkeypatch.setattr(trajectory, "build_battery_for", refuse)
-    traj = run_trajectory(spec, steps=150)
+    traj = run_trajectory(spec, steps=150, path="dense")
     assert certify_trajectory(traj).ok
     assert find_tf(traj).energy_max >= traj.energy.max()
     with pytest.raises(AssertionError, match="dense battery"):
@@ -131,14 +132,23 @@ def test_run_path_builds_no_battery(spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", RUN_PATH_SPECS, ids=lambda s: s.family)
 def test_run_path_matches_permutation_products(spec):
-    traj = run_trajectory(spec, steps=150)
+    traj = run_trajectory(spec, steps=150, path="dense")
     populations, rates, var_charger = permutation_run_path(traj)
     assert np.array_equal(traj.populations, populations)
     assert np.array_equal(traj.population_rates, rates)
     assert np.abs(traj.var_charger - var_charger).max() <= 1e-10 * np.abs(var_charger).max()
     assert np.array_equal(traj.fisher_state, 4.0 * traj.var_charger)
     for t in (0.0, 0.3137 * traj.times[-1], 0.771 * traj.times[-1]):
-        assert traj.stored_energy_at(t) == stored_energy_by_permutation(traj, t)
+        assert traj.energy_at(t) == stored_energy_by_permutation(traj, t)
+
+
+def test_level_sums_in_time_blocks_match_the_whole_grid():
+    # Three blocks, the last one partial: the blocked sums equal the
+    # whole-grid permutation products.
+    traj = run_trajectory(chain_spec("xy_pow", 7), steps=2 * trajectory.TIME_CHUNK + 7)
+    populations, rates, _ = permutation_run_path(traj)
+    assert np.array_equal(traj.populations, populations)
+    assert np.abs(traj.population_rates - rates).max() <= 1e-14 * np.abs(rates).max()
 
 
 LADDER_SPECS = [
@@ -156,7 +166,7 @@ LADDER_SPECS = [
     "spec", LADDER_SPECS, ids=lambda s: f"{s.family}-N{s.n_cells}-nmax{s.n_max}"
 )
 def test_ladder_levels_match_battery_spectrum(spec):
-    traj = run_trajectory(spec, steps=20)
+    traj = run_trajectory(spec, steps=20, path="dense")
     battery = eigendecompose(traj.battery)
     levels = group_levels(battery.eigenvalues)
     assert np.array_equal(traj.levels.energies, levels.energies)
@@ -339,3 +349,86 @@ class TestDeterminism:
             write_trajectory_csv(traj, path, include_populations=True)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+
+SHIPPED_CHAINS = ["jw_xx_nn_n8", "jw_xx_pow_n8", "jw_xy_nn_n8", "jw_xy_pow_n8"]
+
+
+class TestFreeFermionBackend:
+    @pytest.mark.parametrize("name", SHIPPED_CHAINS)
+    def test_shipped_chain_outputs_match_the_dense_run(self, name):
+        # Every CSV column (populations included), the peak, the certification
+        # counts and the summary agree between the two backends.
+        cfg = load_scenario(f"configs/{name}.json")
+        runs = {}
+        for path in ("dense", "analytic"):
+            traj = run_trajectory(cfg.spec, cfg.lam_t_max, cfg.steps, path)
+            peak, report = find_tf(traj), certify_trajectory(traj)
+            runs[path] = traj, peak, report, simulation_summary(traj, peak, report)
+        (dense, dense_peak, dense_report, dense_summary) = runs["dense"]
+        (chain, chain_peak, chain_report, chain_summary) = runs["analytic"]
+        assert (dense.backend, chain.backend) == ("dense", "free-fermion")
+        header, dense_rows = trajectory_rows(dense, include_populations=True)
+        assert trajectory_rows(chain, include_populations=True)[0] == header
+        chain_rows = trajectory_rows(chain, include_populations=True)[1]
+        assert np.array_equal(np.isnan(dense_rows), np.isnan(chain_rows))
+        assert np.nanmax(np.abs(dense_rows - chain_rows)) <= 1e-10
+        assert chain_peak.t_f == dense_peak.t_f
+        assert chain_report.witness_block_max == dense_report.witness_block_max
+        assert chain_report.n_checks == dense_report.n_checks
+        assert chain_summary.keys() == dense_summary.keys()
+        for key, value in dense_summary.items():
+            if isinstance(value, float):
+                assert chain_summary[key] == pytest.approx(value, abs=1e-10), key
+            else:
+                assert chain_summary[key] == value, key
+
+    @pytest.mark.parametrize(
+        "n,path,backend",
+        [(8, "auto", "free-fermion"), (7, "analytic", None), (8, "analytic", "free-fermion"),
+         (8, "dense", "dense"), (7, "auto", "dense")],
+    )
+    def test_path_picks_the_backend(self, n, path, backend):
+        spec = chain_spec("xy_nn", n)
+        if backend is None:
+            with pytest.raises(ValidationError, match="requires even N, got 7"):
+                run_trajectory(spec, steps=20, path=path)
+        else:
+            assert run_trajectory(spec, steps=20, path=path).backend == backend
+
+    def test_analytic_path_is_only_for_chains(self):
+        with pytest.raises(ValidationError, match="'analytic' exists only for jw_chain"):
+            run_trajectory(ModelSpec(family="parallel", n_cells=2), steps=20, path="analytic")
+        with pytest.raises(ValidationError, match="unknown evaluation path 'fast'"):
+            run_trajectory(chain_spec("xx_nn", 4), steps=20, path="fast")
+
+    def test_chain_record_holds_no_states(self):
+        traj = run_trajectory(chain_spec("xx_nn", 6), steps=20)
+        assert traj.states is None and traj.charger is None and traj.psi0 is None
+        assert traj.battery_order is None and traj.charger_amplitudes is None
+        with pytest.raises(ValidationError, match="holds no states"):
+            traj.state_at(3)
+        with pytest.raises(ValidationError, match="path='dense'"):
+            traj.battery
+
+    def test_levels_stay_exact_past_int64(self):
+        n = 100
+        traj = run_trajectory(chain_spec("xx_nn", n), steps=20)
+        assert np.array_equal(traj.levels.energies, np.arange(n + 1) - n / 2)
+        assert traj.levels.multiplicities.tolist() == [math.comb(n, k) for k in range(n + 1)]
+        assert traj.levels.starts[-1] == 2**n
+        assert not traj.populations[1::2].any() and not traj.population_rates[1::2].any()
+        assert traj.initial_energy == -n / 2 and traj.fock_edge_population == 0.0
+
+    def test_off_grid_energy_matches_the_dense_run(self):
+        spec = chain_spec("xy_pow", 8)
+        chain = run_trajectory(spec, steps=50)
+        dense = run_trajectory(spec, steps=50, path="dense")
+        assert chain.energy_at(float(chain.times[17])) == chain.energy[17]
+        for t in (0.3137, 2.71, 7.77):
+            assert chain.energy_at(t) == pytest.approx(dense.energy_at(t), abs=1e-12)
+
+    def test_size_rule_runs_before_the_grid(self, monkeypatch):
+        monkeypatch.setattr(trajectory, "time_grid", lambda *a: pytest.fail("a grid was built"))
+        with pytest.raises(CapacityLimitError, match=r"^free-fermion run of jw_chain N = 8 "):
+            run_trajectory(chain_spec("xx_nn", 8), steps=10**12)
