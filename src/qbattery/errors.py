@@ -10,7 +10,7 @@ class ValidationError(QBatteryError):
 
 
 class CapacityLimitError(QBatteryError):
-    """A dense run's estimated allocation exceeds the dense limit."""
+    """A run's estimated allocation exceeds the run limit."""
 
 
 class ConfigError(QBatteryError):

@@ -82,26 +82,32 @@ def check_even_chain(n_cells: int) -> None:
         raise ValidationError(f"analytic chain solver requires even N, got {n_cells}")
 
 
-def check_chain_size(n_cells: int, steps: int) -> int:
-    """The estimated bytes of a free-fermion chain run of N cells over ``steps``
-    times, after the even-N rule; CapacityLimitError, before anything is
-    allocated, if over the one run limit ``models.DENSE_BYTES_MAX``.
+def check_chain_size(n_cells: int, steps: int, record: bool = True) -> int:
+    """The estimated bytes of a free-fermion chain evaluation of N cells over
+    ``steps`` times, after the even-N rule; CapacityLimitError, before anything
+    is allocated, if over the run limit ``models.RUN_BYTES_MAX``.
 
-    8 (160 T + 14 (N + 1) T + 10 (N/2 + 1) TIME_CHUNK) bytes covers the grid,
-    the per-step series and the CSV text of their columns; the (levels x
-    times) p and pdot with their certification copies and the CSV text of the
-    populations; and one block of the pair recursion.  It is 1.2-1.8x the max
-    RSS growth of run_trajectory + certify_trajectory + write_trajectory_csv
-    with populations (2 cores), in MB: xy_nn N = 2 / 10 at 20000 steps 25 / 39,
-    N = 200 at 4000 / 20000 79 / 397, N = 1000 at 500 / 2000 43 / 165, N = 4000
-    at 300 99; and 2.4-3.7x it without the CSV.  A sweep's windowed
-    evaluation holds less, so the rule is an upper bound there.
+    Both count 8 * 16 (N/2 + 1) TIME_CHUNK bytes for the pair recursion's
+    blocks (the allocator holds up to ~13 of its (N/2 + 1) x TIME_CHUNK arrays
+    over a long grid).  A sweep point (``record=False``) adds 8 * 16 T for its
+    grid and O(T) series; its estimate is 1.2-3.2x the max RSS growth of
+    sweeps.chain_analytic_quantities (2 cores), in MB: xy_nn N = 2 at 10^6
+    steps 64, N = 10 at 200000 14, N = 2000 at 1000 / 50000 / 200000
+    11 / 29 / 34, N = 10^4 at 800 / 20000 52 / 135; and 5.3x at N = 40000
+    over 300 steps (125).  A run record adds 8 (160 + 14 (N + 1)) T instead:
+    the grid, the series and the CSV text of their columns, and the (levels x
+    times) p and pdot with their certification copies and the CSV text of
+    the populations.  Its estimate is 1.2-2.0x the max RSS growth of
+    run_trajectory + certify_trajectory + write_trajectory_csv with
+    populations, in MB: xy_nn N = 2 / 10 at 20000 steps 25 / 39, N = 200 at
+    4000 / 20000 79 / 398, N = 1000 at 500 / 2000 43 / 165, N = 4000 at
+    300 / 1000 99 / 316; and 2.4-5.0x it without the CSV.
     """
     check_even_chain(n_cells)
-    need = 8 * (160 * steps + 14 * (n_cells + 1) * steps + 10 * (n_cells // 2 + 1) * TIME_CHUNK)
-    return check_run_bytes(
-        need, f"free-fermion run of jw_chain N = {n_cells} ({steps} steps)", "run limit"
-    )
+    per_step = 160 + 14 * (n_cells + 1) if record else 16
+    need = 8 * (per_step * steps + 16 * (n_cells // 2 + 1) * TIME_CHUNK)
+    kind = "run" if record else "sweep point"
+    return check_run_bytes(need, f"free-fermion {kind} of jw_chain N = {n_cells} ({steps} steps)")
 
 
 def dispersion(spec: ModelSpec) -> ModeSet:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CapacityLimitError, ValidationError
 from .linalg import Basis, HermitianOperator, StateVector
 
-DENSE_BYTES_MAX = 4 * 2**30  # admits N = 12 qubits at 2000 steps
+RUN_BYTES_MAX = 4 * 2**30  # admits a dense run of N = 12 qubits at 2000 steps
 
 PARADIGMATIC_FAMILIES = ("parallel", "global", "hybrid")
 # The fields each family takes besides family, n_cells and lam.  Every
@@ -195,19 +195,19 @@ def gigabytes(n_bytes: int) -> str:
     return f"{Decimal(n_bytes).scaleb(-9):.2e} GB"
 
 
-def check_run_bytes(need: int, run: str, limit: str) -> int:
+def check_run_bytes(need: int, run: str) -> int:
     """``need``, the estimated bytes of ``run``; CapacityLimitError, naming the
-    run, the estimate and the ``limit`` kind, if it exceeds DENSE_BYTES_MAX."""
-    if need > DENSE_BYTES_MAX:
+    run and the estimate, if it exceeds RUN_BYTES_MAX."""
+    if need > RUN_BYTES_MAX:
         raise CapacityLimitError(
-            f"{run} needs ~{gigabytes(need)}, over the {DENSE_BYTES_MAX / 1e9:.2g} GB {limit}"
+            f"{run} needs ~{gigabytes(need)}, over the {RUN_BYTES_MAX / 1e9:.2g} GB run limit"
         )
     return need
 
 
 def check_dense_size(spec: ModelSpec, steps: int = 0) -> int:
     """The estimated bytes of a dense run of ``spec`` over ``steps`` times;
-    CapacityLimitError, before anything is allocated, if over DENSE_BYTES_MAX.
+    CapacityLimitError, before anything is allocated, if over RUN_BYTES_MAX.
 
     16 (7 dim^2 + 5 dim T) + 64 L T for dim basis states, L = N + 1 levels and
     T steps covers the complex charger, its eigenvectors and LAPACK's workspace;
@@ -223,8 +223,7 @@ def check_dense_size(spec: ModelSpec, steps: int = 0) -> int:
     dim = f"2^{spec.n_cells}" if basis.dim > 2**63 else str(basis.dim)
     cutoff = f", n_max {basis.n_max}" if basis.kind == "spin_fock" else ""
     return check_run_bytes(
-        need, f"dense run of {spec.family} N = {spec.n_cells} (dim {dim}{cutoff}, {steps} steps)",
-        "dense limit",
+        need, f"dense run of {spec.family} N = {spec.n_cells} (dim {dim}{cutoff}, {steps} steps)"
     )
 
 

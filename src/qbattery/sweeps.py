@@ -149,7 +149,7 @@ def chain_analytic_quantities(
     spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFAULT_STEPS
 ) -> dict[str, float]:
     """Sweep quantities for a chain through the free-fermion path (any even N)."""
-    check_chain_size(spec.n_cells, steps)
+    check_chain_size(spec.n_cells, steps, record=False)
     modes = dispersion(spec)
     times = time_grid(spec, lam_t_max, steps)
     series = observables_on_grid(modes, times)
@@ -212,7 +212,7 @@ def check_sweep(
         try:  # the size rule of the path that evaluates the point
             point = _respecify(spec, int(n))
             if _analytic(point, path):
-                check_chain_size(point.n_cells, steps)
+                check_chain_size(point.n_cells, steps, record=False)
             else:
                 check_dense_size(point, steps)
         except (ValidationError, CapacityLimitError) as exc:

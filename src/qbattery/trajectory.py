@@ -161,8 +161,8 @@ def _run_fixed(
     )
     # Level sums in TIME_CHUNK blocks of columns, so that the (dim x T)
     # temporaries (gathered states, H_C psi, their products) never coexist at
-    # full size.  Each column is summed as on the whole grid; on OpenBLAS the
-    # blocked H_C products equal the whole-grid product bit for bit.
+    # full size.  Each column is summed in the whole grid's order; the blocked
+    # H_C products may differ from the whole-grid product in the last bit.
     starts = levels.starts[:-1]
     matrix = charger.matrix
     populations = np.empty((n + 1, len(times)))

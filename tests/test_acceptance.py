@@ -221,10 +221,11 @@ def test_criterion_9_property_suite():
         assert local + corr == pytest.approx(float(traj.var_battery[i]), abs=1e-9)
     checked.append("decomposition")
 
-    for spec in (chain_spec("xx_nn", 8),
-                 ModelSpec(family="lmg", n_cells=14, lam=5.0),
-                 ModelSpec(family="dicke", n_cells=6, lam=0.5)):
-        t = run_trajectory(spec, steps=400)
+    for spec, path in ((chain_spec("xx_nn", 8), "dense"),
+                       (chain_spec("xx_nn", 8), "auto"),
+                       (ModelSpec(family="lmg", n_cells=14, lam=5.0), "auto"),
+                       (ModelSpec(family="dicke", n_cells=6, lam=0.5), "auto")):
+        t = run_trajectory(spec, steps=400, path=path)
         assert np.all(t.fisher_energy <= t.fisher_state * (1 + 1e-8) + 1e-12)
         assert np.all(t.fisher_energy <= 4 * t.var_charger * (1 + 1e-8) + 1e-12)
     checked.append("fisher chain")

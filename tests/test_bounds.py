@@ -137,16 +137,17 @@ class TestPowerBounds:
         assert report.satisfied and report.lhs == 0.0
 
     def test_second_moment_bound_on_chain(self):
-        traj = run_trajectory(chain_spec("xx_nn", 6), steps=200)
-        for i in range(0, 200, 7):
-            report = moment_rate_bound(
-                float(traj.times[i]),
-                traj.levels.energies,
-                traj.populations[:, i],
-                traj.population_rates[:, i],
-                2,
-            )
-            assert report.satisfied
+        for path in ("dense", "auto"):
+            traj = run_trajectory(chain_spec("xx_nn", 6), steps=200, path=path)
+            for i in range(0, 200, 7):
+                report = moment_rate_bound(
+                    float(traj.times[i]),
+                    traj.levels.energies,
+                    traj.populations[:, i],
+                    traj.population_rates[:, i],
+                    2,
+                )
+                assert report.satisfied
 
     def test_moment_order_validated(self):
         with pytest.raises(ValidationError):
@@ -177,11 +178,12 @@ class TestHeisenbergComparison:
         assert report.satisfied and math.isnan(report.ratio)
 
     def test_chain_heisenberg_looser_than_fisher(self):
-        traj = run_trajectory(chain_spec("xy_nn", 8), steps=400)
-        mask = traj.var_battery * traj.fisher_energy > 1e-10
-        tight = traj.power[mask] ** 2 / (traj.var_battery[mask] * traj.fisher_energy[mask])
-        loose = traj.power[mask] ** 2 / (4 * traj.var_battery[mask] * traj.var_charger[mask])
-        assert np.all(loose <= tight * (1 + 1e-8) + 1e-12)
+        for path in ("dense", "auto"):
+            traj = run_trajectory(chain_spec("xy_nn", 8), steps=400, path=path)
+            mask = traj.var_battery * traj.fisher_energy > 1e-10
+            tight = traj.power[mask] ** 2 / (traj.var_battery[mask] * traj.fisher_energy[mask])
+            loose = traj.power[mask] ** 2 / (4 * traj.var_battery[mask] * traj.var_charger[mask])
+            assert np.all(loose <= tight * (1 + 1e-8) + 1e-12)
 
 
 class TestDephasing:

@@ -282,10 +282,11 @@ class TestEnergyAmplitude:
 
     def test_frozen_chain_stores_nothing(self):
         spec = ModelSpec(family="jw_chain", n_cells=4, lambdas=(0.8,), gammas=(0.0,))
-        traj = run_trajectory(spec, steps=50)
-        report = energy_amplitude_check(traj.energy, traj.levels.energies, traj.initial_energy)
-        assert report.satisfied
-        assert abs(report.stored_fraction) < 1e-12
+        for path in ("dense", "auto"):
+            traj = run_trajectory(spec, steps=50, path=path)
+            report = energy_amplitude_check(traj.energy, traj.levels.energies, traj.initial_energy)
+            assert report.satisfied
+            assert abs(report.stored_fraction) < 1e-12
 
     def test_half_capacity_chain(self):
         quantities = chain_analytic_quantities(chain_spec("xx_nn", 20), steps=1200)

@@ -412,19 +412,19 @@ class TestCli:
                 {"family": "jw_chain", "N": 4, "variant": "xx_nn"},
                 {"values": [4, 6, 8, 13], "quantity": "avg_power"},
                 "sweep.values: N = 13: dense run of jw_chain N = 13 (dim 8192, 120 steps) "
-                "needs ~7.59 GB, over the 4.3 GB dense limit",
+                "needs ~7.59 GB, over the 4.3 GB run limit",
             ),
             (
                 {"family": "jw_chain", "N": 4, "variant": "xx_nn"},
                 {"values": [4, 6, 8, 14], "quantity": "avg_power", "path": "dense"},
                 "sweep.values: N = 14: dense run of jw_chain N = 14 (dim 16384, 120 steps) "
-                "needs ~30.2 GB, over the 4.3 GB dense limit",
+                "needs ~30.2 GB, over the 4.3 GB run limit",
             ),
             (
                 {"family": "parallel", "N": 4},
                 {"values": [4, 6, 8, 15], "quantity": "avg_power"},
                 "sweep.values: N = 15: dense run of parallel N = 15 (dim 32768, 120 steps) "
-                "needs ~121 GB, over the 4.3 GB dense limit",
+                "needs ~121 GB, over the 4.3 GB run limit",
             ),
         ],
         ids=[
@@ -483,7 +483,7 @@ class TestCli:
         sections = {"sweep": sweep} if sweep else {}
         cfg = self.scenario(tmp_path, model=model, time={"steps": 120, **time}, **sections)
         assert self.run(command, cfg) == 2
-        assert f"{message}, over the 4.3 GB dense limit\n" in capsys.readouterr().err
+        assert f"{message}, over the 4.3 GB run limit\n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -492,8 +492,8 @@ class TestCli:
             ("simulate", None, "error: free-fermion run of jw_chain N = 8 (1000000000000 steps) "
              "needs ~2.29e+06 GB"),
             ("sweep", {"values": [4, 6, 8, 10], "quantity": "avg_power", "path": "analytic"},
-             "config error: sweep.values: N = 4: free-fermion run of jw_chain N = 4 "
-             "(1000000000000 steps) needs ~1.84e+06 GB"),
+             "config error: sweep.values: N = 4: free-fermion sweep point of jw_chain N = 4 "
+             "(1000000000000 steps) needs ~1.28e+05 GB"),
         ],
         ids=["simulate", "analytic-sweep"],
     )

@@ -81,7 +81,7 @@ class TestPairExcitations:
         # The dense run's charger variance is the same at every time and is
         # the modes' sum of sin^2(theta) omega^2.
         spec = chain_spec("xx_pow", 8)
-        traj = run_trajectory(spec, lam_t_max=5.0, steps=4)
+        traj = run_trajectory(spec, lam_t_max=5.0, steps=4, path="dense")
         assert np.ptp(traj.var_charger) == 0.0
         assert traj.var_charger[0] == pytest.approx(dispersion(spec).var_charger, rel=1e-12)
 

@@ -180,7 +180,7 @@ class TestParadigmaticChargers:
     def test_size_cap_names_limit(self):
         for family, kw in (("parallel", {}), ("hybrid", {"q": 5, "r": 3})):
             with pytest.raises(
-                CapacityLimitError, match=f"dense run of {family} N = 15 .* over the 4.3 GB dense limit"
+                CapacityLimitError, match=f"dense run of {family} N = 15 .* over the 4.3 GB run limit"
             ):
                 build_charger_paradigmatic(ModelSpec(family=family, n_cells=15, **kw))
 
@@ -251,7 +251,7 @@ class TestChain:
                 assert np.min(np.abs(combos - val)) < 1e-8
 
     def test_size_cap(self):
-        with pytest.raises(CapacityLimitError, match="dense run of jw_chain N = 14 .* dense limit"):
+        with pytest.raises(CapacityLimitError, match="dense run of jw_chain N = 14 .* run limit"):
             build_jw_chain(chain_spec("xx_nn", 14))
 
     def test_power_law_couplings(self):
@@ -439,6 +439,13 @@ verification.certify_trajectory(traj)
 output.write_trajectory_csv(traj, sys.argv[3], include_populations=True)
 print((peak_kib() - base) * 1024, freefermion.check_chain_size(n, steps))
 """
+# One analytic sweep point.
+SWEEP_RSS_CHILD = PEAK_KIB + """
+from qbattery import sweeps
+n, steps = int(sys.argv[1]), int(sys.argv[2])
+sweeps.chain_analytic_quantities(models.chain_spec("xy_nn", n), steps=steps)
+print((peak_kib() - base) * 1024, freefermion.check_chain_size(n, steps, record=False))
+"""
 
 
 def child_growth_and_estimate(script: str, *args: str) -> tuple[int, int]:
@@ -495,7 +502,7 @@ class TestDenseSizeRule:
             check_dense_size(spec, 10**12)
         assert str(refused.value) == (
             "dense run of dicke N = 12 (dim 533, n_max 40, 1000000000000 steps) "
-            "needs ~4.35e+07 GB, over the 4.3 GB dense limit"
+            "needs ~4.35e+07 GB, over the 4.3 GB run limit"
         )
 
     def test_counts_past_float_range_are_formatted_exactly(self):
@@ -512,6 +519,12 @@ class TestChainSizeRule:
         grown, estimate = child_growth_and_estimate(
             CHAIN_RSS_CHILD, str(n), str(steps), str(tmp_path / "trajectory.csv")
         )
+        assert grown <= estimate <= 3 * grown
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc/self/status")
+    @pytest.mark.parametrize("n,steps", [(10, 200000), (200, 20000)], ids=["long-grid", "many-modes"])
+    def test_sweep_point_estimate_bounds_the_measured_growth(self, n, steps):
+        grown, estimate = child_growth_and_estimate(SWEEP_RSS_CHILD, str(n), str(steps))
         assert grown <= estimate <= 3 * grown
 
     def test_odd_n_fails_the_even_rule_first(self):

@@ -155,9 +155,10 @@ class TestPopulations:
             assert np.abs((plus - minus) / (2 * h) - exact).max() < 1e-7
 
     def test_probability_conservation(self):
-        traj = run_trajectory(chain_spec("xy_pow", 8), steps=200)
-        assert np.abs(traj.populations.sum(axis=0) - 1).max() < 1e-9
-        assert np.abs(traj.population_rates.sum(axis=0)).max() < 1e-8
+        for path in ("dense", "auto"):
+            traj = run_trajectory(chain_spec("xy_pow", 8), steps=200, path=path)
+            assert np.abs(traj.populations.sum(axis=0) - 1).max() < 1e-9
+            assert np.abs(traj.population_rates.sum(axis=0)).max() < 1e-8
 
 
 DIAGONAL_ORACLE_SPECS = [
@@ -199,12 +200,17 @@ class TestFisherEnergy:
 
     def test_commuting_charger_freezes_distribution(self):
         spec = ModelSpec(family="jw_chain", n_cells=4, lambdas=(0.9,), gammas=(0.0,))
-        traj = run_trajectory(spec, steps=60)
-        assert np.abs(traj.fisher_energy).max() < 1e-12
+        for path in ("dense", "auto"):
+            traj = run_trajectory(spec, steps=60, path=path)
+            assert np.abs(traj.fisher_energy).max() < 1e-12
 
     def test_bounded_by_charger_variance(self):
-        for spec in (chain_spec("xx_nn", 6), ModelSpec(family="lmg", n_cells=12, lam=5.0)):
-            traj = run_trajectory(spec, steps=300)
+        for spec, path in (
+            (chain_spec("xx_nn", 6), "dense"),
+            (chain_spec("xx_nn", 6), "auto"),
+            (ModelSpec(family="lmg", n_cells=12, lam=5.0), "auto"),
+        ):
+            traj = run_trajectory(spec, steps=300, path=path)
             assert np.all(traj.fisher_energy <= 4 * traj.var_charger * (1 + 1e-8) + 1e-12)
             assert np.all(traj.fisher_energy <= traj.fisher_state * (1 + 1e-8) + 1e-12)
 

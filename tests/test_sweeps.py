@@ -14,6 +14,7 @@ from qbattery import (
     sweep_scaling,
 )
 from qbattery import sweeps
+from qbattery.freefermion import check_chain_size
 from qbattery.models import check_dense_size
 from qbattery.config import parse_scenario
 from qbattery.observables import COS_THETA_DENOM_FLOOR
@@ -168,6 +169,13 @@ class TestSweepRules:
         with pytest.raises(ValidationError) as from_sweep:
             check_sweep(base, "N", [4, 6, 8, n], "avg_power", path)
         assert str(from_sweep.value) == f"sweep.values: N = {n}: {from_solver.value}"
+
+    def test_analytic_point_is_sized_as_a_sweep_point(self):
+        # N = 10^4 over 4000 steps: a run record (p and pdot on all levels)
+        # would be refused; a sweep point holds O(T) series and one block.
+        with pytest.raises(CapacityLimitError, match="^free-fermion run of jw_chain N = 10000 "):
+            check_chain_size(10**4, 4000)
+        check_sweep(chain_spec("xx_nn", 4), "N", [4, 100, 1000, 10**4], "avg_power", "auto", 4000)
 
     @pytest.mark.parametrize(
         "n,path,taken",

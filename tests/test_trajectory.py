@@ -142,11 +142,17 @@ def test_run_path_matches_permutation_products(spec):
         assert traj.energy_at(t) == stored_energy_by_permutation(traj, t)
 
 
-def test_level_sums_in_time_blocks_match_the_whole_grid():
-    # Three blocks, the last one partial: the blocked sums equal the
-    # whole-grid permutation products.
-    traj = run_trajectory(chain_spec("xy_pow", 7), steps=2 * trajectory.TIME_CHUNK + 7)
-    populations, rates, _ = permutation_run_path(traj)
+@pytest.mark.parametrize("tail", [7, 1])
+def test_level_sums_in_time_blocks_match_the_whole_grid(tail):
+    # Three blocks, the last one partial (a single column at tail 1): the
+    # populations equal the whole-grid sums exactly, and the rates, whose H_C
+    # products are blocked, to rounding.
+    traj = run_trajectory(chain_spec("xy_pow", 9), steps=2 * trajectory.TIME_CHUNK + tail)
+    order, states = traj.battery_order, traj.states
+    starts = traj.levels.starts[:-1]
+    overlaps, driven = states[order], (traj.charger.matrix @ states)[order]
+    populations = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
+    rates = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
     assert np.array_equal(traj.populations, populations)
     assert np.abs(traj.population_rates - rates).max() <= 1e-14 * np.abs(rates).max()
 
@@ -283,7 +289,7 @@ class TestFockTruncation:
         monkeypatch.setattr(trajectory, "FOCK_LEAK_TOL", 0.0)  # no cutoff can pass
         spec = ModelSpec(family="dicke", n_cells=2, lam=0.3)
         limit = models.check_dense_size(replace(spec, n_max=48), 200)
-        monkeypatch.setattr(models, "DENSE_BYTES_MAX", limit)
+        monkeypatch.setattr(models, "RUN_BYTES_MAX", limit)
         built = []
         original = models.build_dicke
         monkeypatch.setattr(
@@ -319,9 +325,10 @@ class TestPeakSearch:
             assert peak.energy_max == pytest.approx(6.0, abs=1e-9)
 
     def test_never_below_grid_maximum(self):
-        traj = run_trajectory(chain_spec("xy_nn", 8), steps=300)
-        peak = find_tf(traj)
-        assert peak.energy_max >= traj.energy.max() - 1e-15
+        for path in ("dense", "auto"):
+            traj = run_trajectory(chain_spec("xy_nn", 8), steps=300, path=path)
+            peak = find_tf(traj)
+            assert peak.energy_max >= traj.energy.max() - 1e-15
 
     def test_boundary_flagged(self):
         # A window ending before the first peak puts the argmax on the edge.

@@ -32,7 +32,8 @@ from oracles import certify_stepwise
 ORACLE_SPECS = {
     "parallel": ModelSpec(family="parallel", n_cells=4),
     "hybrid": ModelSpec(family="hybrid", n_cells=6, q=3, r=2),
-    "chain": chain_spec("xy_pow", 6),
+    "chain": chain_spec("xy_pow", 6),  # even N: the free-fermion record
+    "chain_odd": chain_spec("xy_pow", 5),  # odd N: the dense chain
     "lmg": ModelSpec(family="lmg", n_cells=12, lam=5.0),
     "dicke": ModelSpec(family="dicke", n_cells=4, lam=0.5),
 }
@@ -70,12 +71,13 @@ def _violated_steps(report, label):
 
 class TestCertification:
     def test_reference_models_certify_clean(self):
-        for spec in (
-            ModelSpec(family="global", n_cells=5),
-            chain_spec("xx_nn", 6),
-            ModelSpec(family="lmg", n_cells=12, lam=5.0),
+        for spec, path in (
+            (ModelSpec(family="global", n_cells=5), "auto"),
+            (chain_spec("xx_nn", 6), "dense"),
+            (chain_spec("xx_nn", 6), "auto"),
+            (ModelSpec(family="lmg", n_cells=12, lam=5.0), "auto"),
         ):
-            traj = run_trajectory(spec, steps=300)
+            traj = run_trajectory(spec, steps=300, path=path)
             report = certify_trajectory(traj)
             assert report.ok, report.violations[:3]
             assert report.n_checks == 7 * traj.n_steps
