@@ -13,7 +13,7 @@ Emits, under results/scaling/:
 import sys
 from pathlib import Path
 
-from qbattery import ModelSpec, chain_spec, fit_exponent
+from qbattery import ModelSpec, ValidationError, chain_spec, fit_exponent
 from qbattery.output import write_csv, write_json, write_scaling_outputs
 from qbattery.sweeps import sweep, sweep_scaling
 
@@ -59,7 +59,7 @@ def cavity_scalings():
             values = [r[quantity] for r in rows]
             try:
                 fits[quantity] = fit_exponent(ns, values, quantity).exponent
-            except Exception:
+            except ValidationError:  # fewer than 3 positive values to fit
                 fits[quantity] = float("nan")
         write_scaling_outputs(result, ns, rows, OUT, stem=tag)
         write_json(OUT / f"{tag}_exponents.json", fits)

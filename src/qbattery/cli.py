@@ -65,7 +65,7 @@ def simulation_summary(traj: Trajectory, peak: PeakResult, report: Certification
     if spec.family == "dicke":
         summary["n_max_used"] = spec.n_max
         summary["fock_edge_population"] = traj.fock_edge_population
-        summary["initial_var_charger"] = float(traj.var_charger[0])
+        summary["initial_var_charger"] = traj.var_charger
     return summary
 
 

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError, ValidationError
 from .models import CHAIN_VARIANTS, FAMILIES, FAMILY_FIELDS, ModelSpec, chain_spec
 from .sweeps import check_sweep
-from .trajectory import DEFAULT_STEPS
+from .trajectory import DEFAULT_STEPS, PEAK_MIN_POINTS
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,8 @@ class ScenarioConfig:
     sweep: SweepConfig | None = None
 
     def __post_init__(self):
-        if self.steps < 2:
-            raise ConfigError("time.steps must be >= 2")
+        if self.steps < PEAK_MIN_POINTS:  # simulate and every sweep point locate a peak
+            raise ConfigError(f"time.steps must be >= {PEAK_MIN_POINTS}, the peak search's minimum")
 
 
 @dataclass(frozen=True)
@@ -65,11 +66,14 @@ def _require(mapping: dict, path: str, required: dict, optional: dict) -> dict:
 
 def _typed(value, types, path: str):
     """``value`` if it has one of ``types``; a JSON true/false is a bool only,
-    never an int or a number."""
+    never an int or a number, and an integer where a float is accepted must
+    fit a float."""
     types = types if isinstance(types, tuple) else (types,)
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         names = "/".join(t.__name__ for t in types)
         raise ConfigError(f"{path}: expected {names}, got {type(value).__name__}")
+    if float in types and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{path}: integer out of float range")
     return value
 
 
@@ -130,7 +134,7 @@ def parse_model(raw: dict, path: str = "model") -> ModelSpec:
         if variant is not None:
             return replace(chain_spec(variant, n), **given)
         return ModelSpec(family=family, n_cells=n, **given)
-    except Exception as exc:  # model invariant violations carry the config path
+    except ValidationError as exc:  # model invariant violations carry the config path
         raise ConfigError(f"{path}: {exc}") from exc
 
 

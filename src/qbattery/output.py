@@ -76,15 +76,15 @@ def trajectory_rows(traj: Trajectory, include_populations: bool = False):
         traj.energy,
         traj.power,
         traj.var_battery,
-        traj.var_charger,
+        np.full_like(traj.times, traj.var_charger),  # conserved
         traj.fisher_energy,
-        traj.fisher_state,
+        np.full_like(traj.times, 4.0 * traj.var_charger),  # I_Q of a pure state
         traj.cos_theta,
         ratio_cor1,
         ratio_heis,
     ])
     if include_populations:
-        header += [f"p_{k}" for k in range(traj.levels.n_levels)]
+        header += [f"p_{k}" for k in range(len(traj.populations))]
         columns = np.concatenate([columns, traj.populations])
     return header, columns.T
 

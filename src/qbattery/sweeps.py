@@ -99,16 +99,18 @@ def fit_exponent(n_values, values, quantity: str = "") -> ScalingResult:
 
 
 def _window(times: np.ndarray, t_f: float) -> int:
-    """Index of the last grid point inside the charging window (>= 1)."""
+    """Exclusive stop of the grid points inside the charging window [0, t_f],
+    at least 2 so that a time average has two samples."""
     return max(int(np.searchsorted(times, t_f, side="right")), 2)
 
 
 def _window_quantities(
     times: np.ndarray, peak: PeakResult, energy: np.ndarray, var_battery: np.ndarray,
-    fisher: np.ndarray, avg_var_charger: float, initial_var_charger: float,
+    fisher: np.ndarray, var_charger: float,
 ) -> dict[str, float]:
-    """Sweep quantities from series on a uniform time grid and its energy peak;
-    averages run over the window [0, t_f], which is all ``fisher`` must cover."""
+    """Sweep quantities from series on a uniform time grid, its energy peak and
+    the conserved var(H_C); averages run over the window [0, t_f], which is all
+    ``fisher`` must cover."""
     stop = _window(times, peak.t_f)
     dt = float(times[1] - times[0])
     avg_var = time_average(var_battery[:stop], dt)
@@ -122,23 +124,21 @@ def _window_quantities(
         "avg_fisher_energy": avg_fisher,
         "rel_final_std": bound_ratio(np.sqrt(max(var_battery[idx], 0.0)), energy[idx]),
         "cos_theta_timeavg": cos_theta_power(avg_power, avg_var, avg_fisher),
-        "cos_theta_timeavg_heis": cos_theta_power(avg_power, avg_var * 4.0, avg_var_charger),
-        "initial_var_charger": initial_var_charger,
+        "cos_theta_timeavg_heis": cos_theta_power(avg_power, avg_var * 4.0, var_charger),
+        "initial_var_charger": var_charger,
         "t_f": peak.t_f,
         "t_f_at_boundary": float(peak.at_boundary),
     }
 
 
-def trajectory_quantities(traj: Trajectory, peak: PeakResult | None = None) -> dict[str, float]:
-    """All sweep quantities derivable from one dense trajectory."""
-    peak = peak or find_tf(traj)
-    stop = _window(traj.times, peak.t_f)
+def trajectory_quantities(traj: Trajectory) -> dict[str, float]:
+    """All sweep quantities derivable from one run record, of either backend."""
+    peak = find_tf(traj)
     out = _window_quantities(
-        traj.times, peak, traj.energy, traj.var_battery, traj.fisher_energy,
-        time_average(traj.var_charger[:stop], traj.dt), float(traj.var_charger[0]),
+        traj.times, peak, traj.energy, traj.var_battery, traj.fisher_energy, traj.var_charger
     )
     if traj.spec.family == "dicke":
-        idx = min(stop - 1, traj.n_steps - 1)
+        idx = _window(traj.times, peak.t_f) - 1
         out["final_battery_entropy"] = float(
             battery_entanglement_entropy(traj.state_at(idx))
         )
@@ -159,8 +159,7 @@ def chain_analytic_quantities(
     )
     fisher = fisher_energy_series(modes, times[: _window(times, peak.t_f)])
     return _window_quantities(
-        times, peak, series["energy"], series["var_battery"], fisher,
-        modes.var_charger, modes.var_charger,
+        times, peak, series["energy"], series["var_battery"], fisher, modes.var_charger
     )
 
 

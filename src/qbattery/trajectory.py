@@ -1,12 +1,14 @@
 """Charging runs: one record of per-step series from either of two backends.
 
-A :class:`Trajectory` holds the time grid and the derived series (stored
-energy, power, variances, level populations and rates, Fisher informations,
-bound saturation ratio) plus an ``energy_at(t)`` callable for off-grid peak
-refinement; certification, the CSV writer, the peak search and the sweeps read
-only that.  The dense backend propagates the state vector in the model's basis
-and also keeps the states, the charger and psi0 for the oracles.  The
-free-fermion backend builds an even-N ``jw_chain`` run from its mode set
+A :class:`Trajectory` holds the time grid and the series a run computes
+(stored energy, power, battery variance, level populations and rates, Fisher
+informations, bound saturation ratio), the conserved charger variance and an
+``energy_at(t)`` callable for off-grid peak refinement; certification, the CSV
+writer, the peak search and the sweeps read only that.  One builder,
+:func:`_record`, derives the Fisher series and cos theta for both backends.
+The dense backend propagates the state vector in the model's basis and also
+keeps the states, the charger and psi0 for the oracles.  The free-fermion
+backend builds an even-N ``jw_chain`` run from its mode set
 (:mod:`freefermion`), with no state vector, at any N.  Scalar observables are
 computed from the battery level populations, so bound checks and reported
 values share one arithmetic path.
@@ -18,7 +20,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .freefermion import (
 from .linalg import (
     Basis,
     HermitianOperator,
-    LevelStructure,
     StateVector,
     eigendecompose,
     evolve_batch,
@@ -46,6 +46,7 @@ from .models import (
     excitation_counts,
     initial_state,
     model_basis,
+    register_spectrum,
 )
 from .observables import POPULATION_FLOOR, cos_theta_power, fisher_sum
 
@@ -62,39 +63,37 @@ FOCK_LEAK_TOL = 1e-8
 MAX_FOCK_DOUBLINGS = 4
 FOCK_SCREEN_STRIDE = 10
 PATHS = ("auto", "dense", "analytic")
+PEAK_MIN_POINTS = 3  # a grid peak needs a neighbour on each side to be refined
+PEAK_REL_TOL = 1e-6  # golden-section bracket width, relative to its scale
 
 
 @dataclass
 class Trajectory:
-    """Uniform-grid charging run with per-step derived series; ``spec`` is the
-    spec that ran, with the Fock cutoff a cavity run used.  The last five
-    fields belong to the dense backend and are None on a free-fermion run."""
+    """Uniform-grid charging run: what a run computes, built by :func:`_record`
+    for both backends.  ``spec`` is the spec that ran, with the Fock cutoff a
+    cavity run used; the battery levels are those of its N cells,
+    ``models.register_spectrum(spec.n_cells)``.  H_C is conserved, so its
+    variance is one number (and I_Q = 4 var(H_C) for these pure-state runs).
+    The last three fields belong to the dense backend and are None on a
+    free-fermion run."""
 
     spec: ModelSpec
     times: np.ndarray
-    levels: LevelStructure
     initial_energy: float  # absolute <H_B> at t = 0
-    populations: np.ndarray  # (L, T)
-    population_rates: np.ndarray  # (L, T)
+    populations: np.ndarray  # (N + 1, T), level k at energy k - N/2
+    population_rates: np.ndarray  # (N + 1, T)
     energy: np.ndarray  # stored energy, relative to t = 0
     power: np.ndarray
     var_battery: np.ndarray
-    var_charger: np.ndarray
+    var_charger: float
     fisher_energy: np.ndarray
     fisher_energy_full: np.ndarray  # untruncated, used by bound certification
-    fisher_state: np.ndarray
     cos_theta: np.ndarray
-    fock_edge_population: float  # max population within one level of a Fock cutoff; 0 without one
     energy_at: Callable[[float], float]  # exact stored energy at an arbitrary (off-grid) time
+    fock_edge_population: float = 0.0  # max population within one level of a Fock cutoff
     states: np.ndarray | None = None  # (dim, T), column per grid time
-    battery_order: np.ndarray | None = None  # basis indices in stable ladder order, level by level
     charger: HermitianOperator | None = None
     psi0: StateVector | None = None
-    charger_amplitudes: np.ndarray | None = None  # V^dag psi0 on the charger eigenvectors, taken once
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
     @property
     def n_steps(self) -> int:
@@ -141,6 +140,33 @@ def _fock_edge_population(states: np.ndarray, basis: Basis) -> float:
     return float(edge.sum(axis=(0, 1)).max())
 
 
+def _record(
+    spec: ModelSpec, times: np.ndarray, initial_energy: float, populations: np.ndarray,
+    rates: np.ndarray, energy: np.ndarray, power: np.ndarray, var_battery: np.ndarray,
+    var_charger: float, energy_at: Callable[[float], float], **dense,
+) -> Trajectory:
+    """The run record from what a backend computed: the level populations and
+    their rates on the whole grid, E, P, var(H_B) and var(H_C).  Both Fisher
+    series, cos theta and the clipped var(H_B) are derived here for either
+    backend; ``dense`` holds the dense backend's own fields."""
+    fisher_energy = fisher_sum(populations, rates, POPULATION_FLOOR)
+    return Trajectory(
+        spec, times, initial_energy, populations, rates, energy, power,
+        var_battery=np.maximum(var_battery, 0.0),
+        var_charger=float(var_charger),
+        fisher_energy=fisher_energy,
+        # Untruncated sum for bound certification: the floor drops a real
+        # Fisher share (up to 0.128 absolute, 1.9% of I_E, on the shipped
+        # jw_xx_pow_n8), which would break saturated inequality checks at the
+        # 1e-8 tolerance.  Exact zeros are masked; symmetry-protected zeros
+        # contribute only noise^2 terms.
+        fisher_energy_full=fisher_sum(populations, rates, 0.0),
+        cos_theta=cos_theta_power(power, var_battery, fisher_energy),
+        energy_at=energy_at,
+        **dense,
+    )
+
+
 def _run_fixed(
     spec: ModelSpec, times: np.ndarray, charger: HermitianOperator, psi0: StateVector,
     amplitudes: np.ndarray,
@@ -152,20 +178,16 @@ def _run_fixed(
     # The battery is an excitation ladder: level k, at energy k - N/2, holds
     # the basis states with k excited cells.  Its eigenbasis is a row gather
     # of the basis in stable level order, not a permutation-matrix product.
-    n = spec.n_cells
     counts = excitation_counts(charger.basis)
     order = np.argsort(counts, kind="stable")
-    levels = LevelStructure(
-        energies=np.arange(n + 1) - n / 2,
-        starts=np.concatenate(([0], np.cumsum(np.bincount(counts, minlength=n + 1)))),
-    )
+    e_levels = register_spectrum(spec.n_cells)[0]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(counts, minlength=len(e_levels)))[:-1]))
     # Level sums in TIME_CHUNK blocks of columns, so that the (dim x T)
     # temporaries (gathered states, H_C psi, their products) never coexist at
     # full size.  Each column is summed in the whole grid's order; the blocked
     # H_C products may differ from the whole-grid product in the last bit.
-    starts = levels.starts[:-1]
     matrix = charger.matrix
-    populations = np.empty((n + 1, len(times)))
+    populations = np.empty((len(e_levels), len(times)))
     rates = np.empty_like(populations)
     for lo in range(0, len(times), TIME_CHUNK):
         block = slice(lo, lo + TIME_CHUNK)
@@ -174,55 +196,30 @@ def _run_fixed(
         populations[:, block] = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
         rates[:, block] = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
 
-    e_levels = levels.energies
     energy_abs = e_levels @ populations
     initial_energy = float(energy_abs[0])
-    energy = energy_abs - initial_energy
-    power = e_levels @ rates
     var_battery = e_levels**2 @ populations - energy_abs**2
 
     # H_C is conserved, so its eigenbasis weights are those of psi0 at all times.
     charger_weights = np.abs(amplitudes) ** 2
     mean_c = charger.eigenvalues @ charger_weights
-    var_charger = np.full(len(times), charger_weights @ (charger.eigenvalues - mean_c) ** 2)
+    var_charger = charger_weights @ (charger.eigenvalues - mean_c) ** 2
 
-    fisher_energy = fisher_sum(populations, rates, POPULATION_FLOOR)
-    # Untruncated sum for bound certification: the floor drops a real Fisher
-    # share (up to ~1e-7 of the total near full charge), which would break
-    # saturated inequality checks at the 1e-8 tolerance.  Exact zeros are
-    # masked; symmetry-protected zeros contribute only noise^2 terms.
-    fisher_energy_full = fisher_sum(populations, rates, 0.0)
-    fisher_state = 4.0 * var_charger  # pure-state trajectories
+    ladder = e_levels[counts[order]]  # each basis state's energy, in level order
 
     def energy_at(t: float) -> float:
         psi = evolve_batch(charger, amplitudes, np.array([t]))[:, 0]
-        energies = np.repeat(e_levels, levels.multiplicities)
-        return float(np.abs(psi[order]) ** 2 @ energies - initial_energy)
+        return float(np.abs(psi[order]) ** 2 @ ladder - initial_energy)
 
-    return Trajectory(
-        spec=spec,
-        times=times,
-        levels=levels,
-        initial_energy=initial_energy,
-        populations=populations,
-        population_rates=rates,
-        energy=energy,
-        power=power,
-        var_battery=np.maximum(var_battery, 0.0),
-        var_charger=var_charger,
-        fisher_energy=fisher_energy,
-        fisher_energy_full=fisher_energy_full,
-        fisher_state=fisher_state,
-        cos_theta=cos_theta_power(power, var_battery, fisher_energy),
+    return _record(
+        spec, times, initial_energy, populations, rates, energy_abs - initial_energy,
+        e_levels @ rates, var_battery, var_charger, energy_at,
         fock_edge_population=(
             _fock_edge_population(states, charger.basis) if charger.basis.kind == "spin_fock" else 0.0
         ),
-        energy_at=energy_at,
         states=states,
-        battery_order=order,
         charger=charger,
         psi0=psi0,
-        charger_amplitudes=amplitudes,
     )
 
 
@@ -231,7 +228,6 @@ def _run_chain(spec: ModelSpec, lam_t_max: float | None, steps: int) -> Trajecto
 
     Particle number l is the battery level (k - N/2 at k = l), so the even
     levels come from the pair recursion and the odd ones are exactly empty.
-    The two Fisher series use the dense backend's :func:`fisher_sum` floors.
     """
     check_chain_size(spec.n_cells, steps)
     modes = dispersion(spec)
@@ -240,37 +236,15 @@ def _run_chain(spec: ModelSpec, lam_t_max: float | None, steps: int) -> Trajecto
     n = spec.n_cells
     populations = np.zeros((n + 1, len(times)))
     rates = np.zeros_like(populations)
-    fisher_energy, fisher_energy_full = np.empty_like(times), np.empty_like(times)
     for block, p, p_dot in distribution_blocks(modes, times):
         populations[::2, block], rates[::2, block] = p, p_dot
-        fisher_energy[block] = fisher_sum(p, p_dot, POPULATION_FLOOR)
-        fisher_energy_full[block] = fisher_sum(p, p_dot, 0.0)
-    var_charger = np.full(len(times), modes.var_charger)  # H_C is conserved
 
     def energy_at(t: float) -> float:
         return float(observables_on_grid(modes, np.array([t]))["energy"][0])
 
-    return Trajectory(
-        spec=spec,
-        times=times,
-        # Level k holds C(N, k) basis states: exact integers, past int64 at N = 67.
-        levels=LevelStructure(
-            energies=np.arange(n + 1) - n / 2,
-            starts=np.array([0, *accumulate(math.comb(n, k) for k in range(n + 1))], dtype=object),
-        ),
-        initial_energy=-n / 2,
-        populations=populations,
-        population_rates=rates,
-        energy=series["energy"],
-        power=series["power"],
-        var_battery=series["var_battery"],
-        var_charger=var_charger,
-        fisher_energy=fisher_energy,
-        fisher_energy_full=fisher_energy_full,
-        fisher_state=4.0 * var_charger,
-        cos_theta=cos_theta_power(series["power"], series["var_battery"], fisher_energy),
-        fock_edge_population=0.0,
-        energy_at=energy_at,
+    return _record(
+        spec, times, -n / 2, populations, rates, series["energy"], series["power"],
+        series["var_battery"], modes.var_charger, energy_at,
     )
 
 
@@ -345,13 +319,13 @@ class PeakResult:
     at_boundary: bool
 
 
-def _golden_maximize(f, a: float, b: float, rel_tol: float) -> tuple[float, float]:
+def _golden_maximize(f, a: float, b: float) -> tuple[float, float]:
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
     scale = max(abs(a), abs(b), 1e-12)
-    while (b - a) > rel_tol * scale:
+    while (b - a) > PEAK_REL_TOL * scale:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -364,13 +338,9 @@ def _golden_maximize(f, a: float, b: float, rel_tol: float) -> tuple[float, floa
     return mid, f(mid)
 
 
-def find_peak_time(
-    times: np.ndarray,
-    energies: np.ndarray,
-    evaluator,
-    rel_tol: float = 1e-6,
-) -> PeakResult:
-    """Grid argmax of the stored energy refined by golden-section search.
+def find_peak_time(times: np.ndarray, energies: np.ndarray, evaluator) -> PeakResult:
+    """Grid argmax of the stored energy refined by golden-section search to
+    PEAK_REL_TOL of the bracket's scale.
 
     ``evaluator(t)`` must return the exact stored energy at arbitrary t.  The
     refined value never falls below the grid maximum; a peak sitting on the
@@ -378,19 +348,19 @@ def find_peak_time(
     """
     times = np.asarray(times, dtype=float)
     energies = np.asarray(energies, dtype=float)
-    if len(times) < 3:
-        raise ValidationError("need at least 3 grid points to locate a peak")
+    if len(times) < PEAK_MIN_POINTS:
+        raise ValidationError(f"need at least {PEAK_MIN_POINTS} grid points to locate a peak")
     idx = int(np.argmax(energies))
     if idx == len(times) - 1:
         return PeakResult(t_f=float(times[idx]), energy_max=float(energies[idx]), at_boundary=True)
     if idx == 0:
         return PeakResult(t_f=float(times[0]), energy_max=float(energies[0]), at_boundary=False)
-    t_ref, e_ref = _golden_maximize(evaluator, times[idx - 1], times[idx + 1], rel_tol)
+    t_ref, e_ref = _golden_maximize(evaluator, times[idx - 1], times[idx + 1])
     if e_ref < energies[idx]:
         t_ref, e_ref = float(times[idx]), float(energies[idx])
     return PeakResult(t_f=float(t_ref), energy_max=float(e_ref), at_boundary=False)
 
 
-def find_tf(traj: Trajectory, rel_tol: float = 1e-6) -> PeakResult:
+def find_tf(traj: Trajectory) -> PeakResult:
     """Refined time of maximal stored energy for a computed trajectory."""
-    return find_peak_time(traj.times, traj.energy, traj.energy_at, rel_tol)
+    return find_peak_time(traj.times, traj.energy, traj.energy_at)

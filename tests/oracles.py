@@ -145,13 +145,14 @@ def certify_stepwise(traj):
     from qbattery import bounds
 
     n = traj.spec.n_cells
-    energies = traj.levels.energies
+    energies = np.arange(n + 1) - n / 2
+    var_c = traj.var_charger
     reports, ks = [], []
     for i in range(traj.n_steps):
         t = float(traj.times[i])
         p, p_dot = traj.populations[:, i], traj.population_rates[:, i]
         pw, var_b = float(traj.power[i]), float(traj.var_battery[i])
-        var_c, fisher = float(traj.var_charger[i]), float(traj.fisher_energy_full[i])
+        fisher = float(traj.fisher_energy_full[i])
         k = bounds.witness_entangled_block_size(var_b, n)
         ks.append(k)
         reports += [
@@ -160,7 +161,7 @@ def certify_stepwise(traj):
             bounds.moment_rate_bound(t, energies, p, p_dot, 2),
             bounds.heisenberg_power_bound(t, pw, var_b, var_c),
             dephasing_fisher_report(t, fisher, var_c),
-            bounds.check_inequality(t, fisher, float(traj.fisher_state[i]), "fisher_vs_state"),
+            bounds.check_inequality(t, fisher, 4.0 * var_c, "fisher_vs_state"),  # I_Q, pure state
             bounds.check_inequality(
                 t, pw**2, bounds.entanglement_power_bound(n, k, fisher), "entanglement_power"
             ),

@@ -21,6 +21,7 @@ from qbattery import (
     populations_and_rates,
     power,
     producibility_variance_cap,
+    register_spectrum,
     variance,
     witness_entangled_block_size,
 )
@@ -123,7 +124,7 @@ class TestPowerBounds:
         for i in (10, 40, 80):
             report = moment_rate_bound(
                 float(traj.times[i]),
-                traj.levels.energies,
+                register_spectrum(4)[0],
                 traj.populations[:, i],
                 traj.population_rates[:, i],
                 1,
@@ -142,7 +143,7 @@ class TestPowerBounds:
             for i in range(0, 200, 7):
                 report = moment_rate_bound(
                     float(traj.times[i]),
-                    traj.levels.energies,
+                    register_spectrum(6)[0],
                     traj.populations[:, i],
                     traj.population_rates[:, i],
                     2,
@@ -163,7 +164,7 @@ class TestHeisenbergComparison:
                 float(traj.times[i]),
                 float(traj.power[i]),
                 float(traj.var_battery[i]),
-                float(traj.var_charger[i]),
+                traj.var_charger,
             )
             assert report.satisfied
             # I_E = 4 var(H_C) for independent-cell charging: same bound.
@@ -182,7 +183,7 @@ class TestHeisenbergComparison:
             traj = run_trajectory(chain_spec("xy_nn", 8), steps=400, path=path)
             mask = traj.var_battery * traj.fisher_energy > 1e-10
             tight = traj.power[mask] ** 2 / (traj.var_battery[mask] * traj.fisher_energy[mask])
-            loose = traj.power[mask] ** 2 / (4 * traj.var_battery[mask] * traj.var_charger[mask])
+            loose = traj.power[mask] ** 2 / (4 * traj.var_battery[mask] * traj.var_charger)
             assert np.all(loose <= tight * (1 + 1e-8) + 1e-12)
 
 
@@ -195,7 +196,7 @@ class TestDephasing:
             traj = run_trajectory(spec, steps=300)
             for i in range(0, 300, 23):
                 assert dephasing_fisher_report(
-                    float(traj.times[i]), float(traj.fisher_energy[i]), float(traj.var_charger[i])
+                    float(traj.times[i]), float(traj.fisher_energy[i]), traj.var_charger
                 ).satisfied
 
 

@@ -274,7 +274,7 @@ class TestEnergyAmplitude:
     def test_paradigmatic_full_fraction(self):
         spec = ModelSpec(family="parallel", n_cells=4, lam=1.0)
         traj = run_trajectory(spec, steps=800)
-        report = energy_amplitude_check(traj.energy, traj.levels.energies, traj.initial_energy)
+        report = energy_amplitude_check(traj.energy, register_spectrum(4)[0], traj.initial_energy)
         assert report.satisfied
         assert report.stored_fraction == pytest.approx(1.0, abs=1e-4)
         exact_peak = traj.energy_at(math.pi / 2)
@@ -284,7 +284,7 @@ class TestEnergyAmplitude:
         spec = ModelSpec(family="jw_chain", n_cells=4, lambdas=(0.8,), gammas=(0.0,))
         for path in ("dense", "auto"):
             traj = run_trajectory(spec, steps=50, path=path)
-            report = energy_amplitude_check(traj.energy, traj.levels.energies, traj.initial_energy)
+            report = energy_amplitude_check(traj.energy, register_spectrum(4)[0], traj.initial_energy)
             assert report.satisfied
             assert abs(report.stored_fraction) < 1e-12
 

@@ -282,6 +282,15 @@ class TestCli:
         cfg = write_json(tmp_path / "bad.json", {"model": {"family": "nope", "N": 2}})
         assert self.run("simulate", cfg) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_too_few_steps_for_a_peak_exit_2_and_write_nothing(self, tmp_path, capsys, command):
+        cfg = self.scenario(
+            tmp_path, time={"steps": 2}, sweep={"values": [2, 3, 4, 5], "quantity": "avg_power"}
+        )
+        assert self.run(command, cfg) == 2
+        assert "time.steps must be >= 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("lam", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_non_finite_number_exit_code(self, tmp_path, capsys, lam):
         # Written as text: json.dumps cannot produce the overflowing literal 1e400.
@@ -289,6 +298,18 @@ class TestCli:
         cfg.write_text('{"model": {"family": "lmg", "N": 6, "lam": %s}}' % lam)
         assert self.run("simulate", str(cfg)) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model,key",
+        [
+            ({"family": "lmg", "N": 4, "gamma": 10**400}, "model.gamma"),
+            ({"family": "lmg", "N": 4, "lam": -(10**400)}, "model.lam"),
+            ({"family": "jw_chain", "N": 4, "lambdas": [10**400], "gammas": [1]}, "model.lambdas[0]"),
+        ],
+    )
+    def test_integer_past_float_range_exit_code(self, tmp_path, capsys, model, key):
+        assert self.run("simulate", self.scenario(tmp_path, model=model)) == 2
+        assert f"config error: {key}: integer out of float range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lam", [0, -1])
     @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -212,7 +212,6 @@ class TestFisherEnergy:
         ):
             traj = run_trajectory(spec, steps=300, path=path)
             assert np.all(traj.fisher_energy <= 4 * traj.var_charger * (1 + 1e-8) + 1e-12)
-            assert np.all(traj.fisher_energy <= traj.fisher_state * (1 + 1e-8) + 1e-12)
 
 
 class TestFisherSum:

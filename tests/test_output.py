@@ -71,9 +71,9 @@ class TestWriter:
     def test_ratio_columns_undefined_at_the_floor(self):
         traj = copy.copy(run_trajectory(ModelSpec(family="parallel", n_cells=2), steps=2))
         traj.power = np.array([1e-7, 1e-7])
-        traj.var_battery = np.ones(2)
-        traj.fisher_energy_full = np.array([ABSOLUTE_FLOOR, 2 * ABSOLUTE_FLOOR])
-        traj.var_charger = traj.fisher_energy_full / 4
+        traj.var_battery = np.array([1.0, 2.0])
+        traj.fisher_energy_full = np.full(2, ABSOLUTE_FLOOR)
+        traj.var_charger = ABSOLUTE_FLOOR / 4
         header, block = trajectory_rows(traj)
         for column in ("bound_ratio_cor1", "bound_ratio_heis"):
             ratios = block[:, header.index(column)]

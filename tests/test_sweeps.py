@@ -15,7 +15,7 @@ from qbattery import (
 )
 from qbattery import sweeps
 from qbattery.freefermion import check_chain_size
-from qbattery.models import check_dense_size
+from qbattery.models import CHAIN_VARIANTS, check_dense_size
 from qbattery.config import parse_scenario
 from qbattery.observables import COS_THETA_DENOM_FLOOR
 from qbattery.sweeps import (
@@ -234,14 +234,12 @@ class TestQuantities:
         times = np.array([0.0, 1.0, 2.0])
         peak = PeakResult(t_f=1.0, energy_max=1.0, at_boundary=False)
         out = _window_quantities(
-            times, peak, np.array([0.0, 1.0, 0.5]), np.ones(3), np.full(3, floor_sq),
-            floor_sq / 4, floor_sq / 4,
+            times, peak, np.array([0.0, 1.0, 0.5]), np.ones(3), np.full(3, floor_sq), floor_sq / 4
         )
         assert out["avg_var_battery"] == 1.0 and out["avg_fisher_energy"] == floor_sq
         assert np.isnan(out["cos_theta_timeavg"]) and np.isnan(out["cos_theta_timeavg_heis"])
         out = _window_quantities(
-            times, peak, np.array([0.0, 1.0, 0.5]), np.ones(3), np.full(3, 4 * floor_sq),
-            floor_sq, floor_sq,
+            times, peak, np.array([0.0, 1.0, 0.5]), np.ones(3), np.full(3, 4 * floor_sq), floor_sq
         )
         assert out["cos_theta_timeavg"] == out["cos_theta_timeavg_heis"] == pytest.approx(0.5e12)
 
@@ -258,6 +256,19 @@ class TestQuantities:
             ModelSpec(family="dicke", n_cells=3, lam=0.5), lam_t_max=3.0, steps=200
         )
         assert 0.0 <= out["final_battery_entropy"] <= 1.0
+
+    @pytest.mark.parametrize("steps", [200, 801])
+    @pytest.mark.parametrize("n", [8, 20, 50])
+    @pytest.mark.parametrize("variant", CHAIN_VARIANTS)
+    def test_analytic_point_equals_the_run_record(self, variant, n, steps):
+        # The windowed sweep point and the free-fermion run record agree bit
+        # for bit, key for key.
+        spec = chain_spec(variant, n)
+        point = chain_analytic_quantities(spec, None, steps)
+        record = trajectory_quantities(run_trajectory(spec, None, steps, "analytic"))
+        assert list(point) == list(record)
+        for key in point:
+            assert point[key] == record[key] or np.isnan(point[key]) and np.isnan(record[key]), key
 
     def test_chain_quantities_at_scale(self):
         out = chain_analytic_quantities(chain_spec("xx_nn", 100), steps=400)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -101,10 +101,10 @@ class TestRunTrajectory:
         traj = run_trajectory(ModelSpec(family="lmg", n_cells=6, lam=5.0), steps=200)
         find_tf(traj)
         assert len(calls) == 1
+        # The run propagates V^dag psi0 on the charger eigenvectors.
         charger = traj.charger
-        assert np.array_equal(
-            traj.charger_amplitudes, charger.eigenvectors.conj().T @ traj.psi0.amplitudes
-        )
+        amplitudes = charger.eigenvectors.conj().T @ traj.psi0.amplitudes
+        assert np.array_equal(traj.states, trajectory.evolve_batch(charger, amplitudes, traj.times))
 
 
 RUN_PATH_SPECS = [
@@ -137,7 +137,6 @@ def test_run_path_matches_permutation_products(spec):
     assert np.array_equal(traj.populations, populations)
     assert np.array_equal(traj.population_rates, rates)
     assert np.abs(traj.var_charger - var_charger).max() <= 1e-10 * np.abs(var_charger).max()
-    assert np.array_equal(traj.fisher_state, 4.0 * traj.var_charger)
     for t in (0.0, 0.3137 * traj.times[-1], 0.771 * traj.times[-1]):
         assert traj.energy_at(t) == stored_energy_by_permutation(traj, t)
 
@@ -148,8 +147,8 @@ def test_level_sums_in_time_blocks_match_the_whole_grid(tail):
     # populations equal the whole-grid sums exactly, and the rates, whose H_C
     # products are blocked, to rounding.
     traj = run_trajectory(chain_spec("xy_pow", 9), steps=2 * trajectory.TIME_CHUNK + tail)
-    order, states = traj.battery_order, traj.states
-    starts = traj.levels.starts[:-1]
+    battery, states = eigendecompose(traj.battery), traj.states
+    order, starts = battery.order, group_levels(battery.eigenvalues).starts[:-1]
     overlaps, driven = states[order], (traj.charger.matrix @ states)[order]
     populations = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
     rates = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
@@ -172,15 +171,21 @@ LADDER_SPECS = [
     "spec", LADDER_SPECS, ids=lambda s: f"{s.family}-N{s.n_cells}-nmax{s.n_max}"
 )
 def test_ladder_levels_match_battery_spectrum(spec):
+    # The run's levels are the register's, k - N/2 with the basis states of k
+    # excited cells, in the stable order of their excitation counts.
     traj = run_trajectory(spec, steps=20, path="dense")
     battery = eigendecompose(traj.battery)
     levels = group_levels(battery.eigenvalues)
-    assert np.array_equal(traj.levels.energies, levels.energies)
-    assert np.array_equal(traj.levels.starts, levels.starts)
+    n = spec.n_cells
+    assert np.array_equal(models.register_spectrum(n)[0], levels.energies)
+    assert len(traj.populations) == levels.n_levels
+    counts = models.excitation_counts(traj.charger.basis)
+    assert np.array_equal(np.bincount(counts, minlength=n + 1), levels.multiplicities)
     # A diagonal operator's k-th eigenvector is the unit vector at order[k].
-    assert np.array_equal(traj.battery_order, battery.order)
+    order = np.argsort(counts, kind="stable")
+    assert np.array_equal(order, battery.order)
     stable = np.argsort(np.diagonal(battery.matrix).real, kind="stable")
-    assert np.array_equal(traj.battery_order, stable)
+    assert np.array_equal(order, stable)
 
 
 @pytest.mark.parametrize(
@@ -412,18 +417,28 @@ class TestFreeFermionBackend:
     def test_chain_record_holds_no_states(self):
         traj = run_trajectory(chain_spec("xx_nn", 6), steps=20)
         assert traj.states is None and traj.charger is None and traj.psi0 is None
-        assert traj.battery_order is None and traj.charger_amplitudes is None
         with pytest.raises(ValidationError, match="holds no states"):
             traj.state_at(3)
         with pytest.raises(ValidationError, match="path='dense'"):
             traj.battery
 
+    def test_record_holds_each_fact_once(self):
+        # The levels follow from N, and I_Q from the conserved var(H_C).
+        names = {f.name for f in fields(trajectory.Trajectory)}
+        assert not names & {"levels", "fisher_state", "battery_order", "charger_amplitudes"}
+        for path in ("dense", "analytic"):
+            traj = run_trajectory(chain_spec("xx_nn", 6), steps=20, path=path)
+            assert type(traj.var_charger) is float
+
     def test_levels_stay_exact_past_int64(self):
+        # C(N, k) passes int64 at N = 67; the levels come from N alone.
         n = 100
         traj = run_trajectory(chain_spec("xx_nn", n), steps=20)
-        assert np.array_equal(traj.levels.energies, np.arange(n + 1) - n / 2)
-        assert traj.levels.multiplicities.tolist() == [math.comb(n, k) for k in range(n + 1)]
-        assert traj.levels.starts[-1] == 2**n
+        levels = models.register_spectrum(n)[0]
+        assert np.array_equal(levels, np.arange(n + 1) - n / 2)
+        assert traj.populations.shape == traj.population_rates.shape == (n + 1, 20)
+        stored = levels @ traj.populations - traj.initial_energy
+        assert np.abs(stored - traj.energy).max() <= 1e-10 * n
         assert not traj.populations[1::2].any() and not traj.population_rates[1::2].any()
         assert traj.initial_energy == -n / 2 and traj.fock_edge_population == 0.0
 
