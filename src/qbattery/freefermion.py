@@ -16,9 +16,14 @@ builds both for a block of times at once, O(N^2) per time and never by
 configuration enumeration.  A discrete Fourier transform would be cheaper, but
 its ~1e-16 absolute error is amplified by pdot^2 / p where p is small.
 
-The mode grid k = (2m+1) pi / N pairs all modes and describes the
-even-fermion-parity sector that contains the initial vacuum; it reproduces
-dense diagonalization to machine precision.
+The mode grid follows N's parity.  The Jordan-Wigner boundary term carries
+the sign (-1)^(ground cells) (Lieb, Schultz & Mattis 1961), which on the
+all-ground initial state is (-1)^N: antiperiodic fermions k = (2m+1) pi / N
+at even N, where every mode is paired, and periodic fermions k = 2 pi m / N,
+m = 1..(N-1)/2, at odd N, where the unpaired k = 0 mode is never filled from
+the vacuum and drops out.  Either way there are N // 2 pairs, the particle
+number stays even, and the grid reproduces dense diagonalization to machine
+precision.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ class ModeSet:
 
 @dataclass(frozen=True)
 class PairDistribution:
-    """Particle-number distribution p_l over even l = 0, 2, ..., N and its rate."""
+    """Particle-number distribution p_l over even l = 0, 2, ..., 2 (N // 2) and its rate."""
 
     l_values: np.ndarray
     p: np.ndarray
@@ -76,16 +81,10 @@ def _check_distributions(p: np.ndarray, p_dot: np.ndarray) -> None:
         raise ValidationError(f"negative probability {p.min():.3e}")
 
 
-def check_even_chain(n_cells: int) -> None:
-    """Raise ValidationError unless N is even, the mode grid's one size rule."""
-    if n_cells % 2 != 0:
-        raise ValidationError(f"analytic chain solver requires even N, got {n_cells}")
-
-
 def check_chain_size(n_cells: int, steps: int, record: bool = True) -> int:
     """The estimated bytes of a free-fermion chain evaluation of N cells over
-    ``steps`` times, after the even-N rule; CapacityLimitError, before anything
-    is allocated, if over the run limit ``models.RUN_BYTES_MAX``.
+    ``steps`` times; CapacityLimitError, before anything is allocated, if over
+    the run limit ``models.RUN_BYTES_MAX``.
 
     Both count 8 * 16 (N/2 + 1) TIME_CHUNK bytes for the pair recursion's
     blocks (the allocator holds up to ~13 of its (N/2 + 1) x TIME_CHUNK arrays
@@ -103,7 +102,6 @@ def check_chain_size(n_cells: int, steps: int, record: bool = True) -> int:
     4000 / 20000 79 / 398, N = 1000 at 500 / 2000 43 / 165, N = 4000 at
     300 / 1000 99 / 316; and 2.4-5.0x it without the CSV.
     """
-    check_even_chain(n_cells)
     per_step = 160 + 14 * (n_cells + 1) if record else 16
     need = 8 * (per_step * steps + 16 * (n_cells // 2 + 1) * TIME_CHUNK)
     kind = "run" if record else "sweep point"
@@ -111,12 +109,12 @@ def check_chain_size(n_cells: int, steps: int, record: bool = True) -> int:
 
 
 def dispersion(spec: ModelSpec) -> ModeSet:
-    """Mode grid, omega_k, and sin(theta_k) for a chain spec (even N only)."""
+    """The N // 2 paired modes k of the grid for N's parity (module docstring),
+    with omega_k and sin(theta_k), for a chain spec."""
     if spec.family != "jw_chain":
         raise ValidationError("dispersion needs a jw_chain spec")
     n = spec.n_cells
-    check_even_chain(n)
-    k = (2 * np.arange(n // 2) + 1) * np.pi / n
+    k = (2 * np.arange(n // 2) + 1 + n % 2) * np.pi / n
     m = np.arange(1, len(spec.lambdas) + 1)
     cos_part = 0.5 - np.cos(np.outer(k, m)) @ np.asarray(spec.lambdas)
     sin_part = np.sin(np.outer(k, m)) @ np.asarray(spec.gammas)

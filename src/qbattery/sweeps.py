@@ -3,9 +3,9 @@
 Quantities are time averages over the charging window [0, t_f], with t_f the
 refined time of maximal stored energy inside the configured grid.  A point
 takes the path that :func:`trajectory.analytic_path` picks for the sweep's
-``path``, the rule ``simulate`` follows too: an even-N chain is evaluated from
-its mode set, with the Fisher series only over the window, unless the sweep
-asks for the dense path; every other point is one dense run.
+``path``, the rule ``simulate`` follows too: a chain, at any N, is evaluated
+from its mode set, with the Fisher series only over the window, unless the
+sweep asks for the dense path; every other point is one dense run.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def trajectory_quantities(traj: Trajectory) -> dict[str, float]:
 def chain_analytic_quantities(
     spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFAULT_STEPS
 ) -> dict[str, float]:
-    """Sweep quantities for a chain through the free-fermion path (any even N)."""
+    """Sweep quantities for a chain through the free-fermion path (any N)."""
     check_chain_size(spec.n_cells, steps, record=False)
     modes = dispersion(spec)
     times = time_grid(spec, lam_t_max, steps)
@@ -195,6 +195,10 @@ def check_sweep(
     if quantity not in SWEEP_QUANTITIES:
         raise ValidationError(
             f"sweep.quantity: unknown quantity {quantity!r} (expected one of {SWEEP_QUANTITIES})"
+        )
+    if quantity == "final_battery_entropy" and spec.family != "dicke":
+        raise ValidationError(
+            f"sweep.quantity: 'final_battery_entropy' exists only for dicke, not {spec.family}"
         )
     _analytic(spec, path)
     values = list(values)

@@ -8,8 +8,8 @@ writer, the peak search and the sweeps read only that.  One builder,
 :func:`_record`, derives the Fisher series and cos theta for both backends.
 The dense backend propagates the state vector in the model's basis and also
 keeps the states, the charger and psi0 for the oracles.  The free-fermion
-backend builds an even-N ``jw_chain`` run from its mode set
-(:mod:`freefermion`), with no state vector, at any N.  Scalar observables are
+backend builds a ``jw_chain`` run of any N from its mode set
+(:mod:`freefermion`), with no state vector.  Scalar observables are
 computed from the battery level populations, so bound checks and reported
 values share one arithmetic path.
 """
@@ -149,18 +149,25 @@ def _record(
     their rates on the whole grid, E, P, var(H_B) and var(H_C).  Both Fisher
     series, cos theta and the clipped var(H_B) are derived here for either
     backend; ``dense`` holds the dense backend's own fields."""
-    fisher_energy = fisher_sum(populations, rates, POPULATION_FLOOR)
+    # Both Fisher series are summed in TIME_CHUNK blocks of columns, so that
+    # fisher_sum's (levels x times) temporaries stay one block wide; each
+    # column's sum is the whole grid's, bit for bit.  The untruncated series
+    # is for bound certification: the floor drops a real Fisher share (up to
+    # 0.128 absolute, 1.9% of I_E, on the shipped jw_xx_pow_n8), which would
+    # break saturated inequality checks at the 1e-8 tolerance.  Exact zeros
+    # are masked; symmetry-protected zeros contribute only noise^2 terms.
+    fisher_energy, fisher_energy_full = np.empty((2, len(times)))
+    for lo in range(0, len(times), TIME_CHUNK):
+        block = slice(lo, lo + TIME_CHUNK)
+        p, p_dot = populations[:, block], rates[:, block]
+        fisher_energy[block] = fisher_sum(p, p_dot, POPULATION_FLOOR)
+        fisher_energy_full[block] = fisher_sum(p, p_dot, 0.0)
     return Trajectory(
         spec, times, initial_energy, populations, rates, energy, power,
         var_battery=np.maximum(var_battery, 0.0),
         var_charger=float(var_charger),
         fisher_energy=fisher_energy,
-        # Untruncated sum for bound certification: the floor drops a real
-        # Fisher share (up to 0.128 absolute, 1.9% of I_E, on the shipped
-        # jw_xx_pow_n8), which would break saturated inequality checks at the
-        # 1e-8 tolerance.  Exact zeros are masked; symmetry-protected zeros
-        # contribute only noise^2 terms.
-        fisher_energy_full=fisher_sum(populations, rates, 0.0),
+        fisher_energy_full=fisher_energy_full,
         cos_theta=cos_theta_power(power, var_battery, fisher_energy),
         energy_at=energy_at,
         **dense,
@@ -224,10 +231,11 @@ def _run_fixed(
 
 
 def _run_chain(spec: ModelSpec, lam_t_max: float | None, steps: int) -> Trajectory:
-    """The free-fermion backend: an even-N chain run from its mode set.
+    """The free-fermion backend: a chain run from its mode set, at any N.
 
     Particle number l is the battery level (k - N/2 at k = l), so the even
-    levels come from the pair recursion and the odd ones are exactly empty.
+    levels come from the pair recursion over the N // 2 pairs and the odd ones
+    are exactly empty; at odd N, level N is odd and stays empty too.
     """
     check_chain_size(spec.n_cells, steps)
     modes = dispersion(spec)
@@ -262,15 +270,13 @@ def _screen_times(times: np.ndarray) -> np.ndarray:
 
 def analytic_path(spec: ModelSpec, path: str = "auto") -> bool:
     """Whether a run of ``spec`` on evaluation ``path`` (one of PATHS) takes the
-    free-fermion backend: a jw_chain on "analytic", or on "auto" when N is
-    even.  Odd N, "dense" and every other family run dense."""
+    free-fermion backend: a jw_chain does, at any N, unless ``path`` is
+    "dense"; every other family runs dense."""
     if path not in PATHS:
         raise ValidationError(f"unknown evaluation path {path!r} (expected one of {PATHS})")
     if path == "analytic" and spec.family != "jw_chain":
         raise ValidationError(f"'analytic' exists only for jw_chain, not {spec.family}")
-    return spec.family == "jw_chain" and (
-        path == "analytic" or (path == "auto" and spec.n_cells % 2 == 0)
-    )
+    return spec.family == "jw_chain" and path != "dense"
 
 
 def run_trajectory(

@@ -356,10 +356,11 @@ def chain_oracle_comparison(
 ) -> dict[str, float]:
     """Max deviation between the free-fermion and the dense run of a chain.
 
-    Compares the two run records on a shared grid: stored energy, power,
-    battery variance, the level populations and their rates (the odd levels
-    are exactly empty on the free-fermion run, so this also checks that they
-    stay unpopulated in the dense one), the Fisher information and the
+    Compares every column of the two run records on a shared grid: the
+    initial energy, stored energy, power, battery variance, the level
+    populations and their rates (the odd levels are exactly empty on the
+    free-fermion run, so this also checks that they stay unpopulated in the
+    dense one), the floored and the untruncated Fisher information and the
     charger variance.
     """
     spec = chain_spec(variant, n_cells)
@@ -367,12 +368,14 @@ def chain_oracle_comparison(
         run_trajectory(spec, lam_t_max, n_times, path) for path in ("dense", "analytic")
     )
     deviations = {
+        "initial_energy": chain.initial_energy - dense.initial_energy,
         "energy": chain.energy - dense.energy,
         "power": chain.power - dense.power,
         "var_battery": chain.var_battery - dense.var_battery,
         "p": chain.populations - dense.populations,
         "p_dot": chain.population_rates - dense.population_rates,
         "fisher": chain.fisher_energy - dense.fisher_energy,
+        "fisher_full": chain.fisher_energy_full - dense.fisher_energy_full,
         "var_charger": chain.var_charger - dense.var_charger,
     }
     return {key: float(np.abs(dev).max()) for key, dev in deviations.items()}
@@ -429,11 +432,11 @@ def run_oracle_checks(seed: int = 1) -> list[OracleCheck]:
 
     worst_all = 0.0
     for variant in CHAIN_VARIANTS:
-        for n in (4, 6, 8, 10):
+        for n in range(3, 11):
             worst = chain_oracle_comparison(n, variant)
             worst_all = max(worst_all, max(worst.values()))
     checks.append(
-        OracleCheck("chain_analytic_vs_dense", worst_all < 1e-6, f"max dev {worst_all:.2e}")
+        OracleCheck("chain_analytic_vs_dense", worst_all < 1e-10, f"max dev {worst_all:.2e}")
     )
 
     spec = ModelSpec(family="hybrid", n_cells=6, lam=1.0, q=3, r=2)

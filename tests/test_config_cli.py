@@ -431,9 +431,9 @@ class TestCli:
             ),
             (
                 {"family": "jw_chain", "N": 4, "variant": "xx_nn"},
-                {"values": [4, 6, 8, 13], "quantity": "avg_power"},
-                "sweep.values: N = 13: dense run of jw_chain N = 13 (dim 8192, 120 steps) "
-                "needs ~7.59 GB, over the 4.3 GB run limit",
+                {"values": [4, 6, 8, 2000001], "quantity": "avg_power"},
+                "sweep.values: N = 2000001: free-fermion sweep point of jw_chain N = 2000001 "
+                "(120 steps) needs ~32.8 GB, over the 4.3 GB run limit",
             ),
             (
                 {"family": "jw_chain", "N": 4, "variant": "xx_nn"},
@@ -447,10 +447,16 @@ class TestCli:
                 "sweep.values: N = 15: dense run of parallel N = 15 (dim 32768, 120 steps) "
                 "needs ~121 GB, over the 4.3 GB run limit",
             ),
+            (
+                {"family": "lmg", "N": 10},
+                {"values": [10, 12, 14, 16], "quantity": "final_battery_entropy"},
+                "sweep.quantity: 'final_battery_entropy' exists only for dicke, not lmg",
+            ),
         ],
         ids=[
             "three-n-values", "empty-gamma-list", "hybrid-r-not-dividing",
             "auto-chain-odd-n-past-the-cap", "dense-chain-past-the-cap", "charger-past-the-cap",
+            "entropy-off-dicke",
         ],
     )
     def test_rejected_sweep_runs_no_point(self, tmp_path, capsys, monkeypatch, model, sweep, message):
@@ -466,8 +472,10 @@ class TestCli:
         [
             ("simulate", {"family": "parallel", "N": 15}, {}, None,
              "error: dense run of parallel N = 15 (dim 32768, 120 steps) needs ~121 GB"),
-            ("simulate", {"family": "jw_chain", "N": 15, "variant": "xy_nn"}, {}, None,
-             "error: dense run of jw_chain N = 15 (dim 32768, 120 steps) needs ~121 GB"),
+            ("sweep", {"family": "jw_chain", "N": 4, "variant": "xy_nn"}, {},
+             {"values": [4, 6, 8, 15], "quantity": "avg_power", "path": "dense"},
+             "config error: sweep.values: N = 15: dense run of jw_chain N = 15 (dim 32768, "
+             "120 steps) needs ~121 GB"),
             ("simulate", {"family": "lmg", "N": 20000}, {}, None,
              "error: dense run of lmg N = 20000 (dim 20001, 120 steps) needs ~45.2 GB"),
             ("simulate", {"family": "parallel", "N": 2}, {"steps": 10**12}, None,
@@ -482,8 +490,10 @@ class TestCli:
             # Byte counts past float range: formatted, not converted.
             ("simulate", {"family": "parallel", "N": 600}, {}, None,
              "error: dense run of parallel N = 600 (dim 2^600, 120 steps) needs ~1.93e+354 GB"),
-            ("simulate", {"family": "jw_chain", "N": 1001, "variant": "xy_nn"}, {}, None,
-             "error: dense run of jw_chain N = 1001 (dim 2^1001, 120 steps) needs ~5.14e+595 GB"),
+            ("sweep", {"family": "jw_chain", "N": 5, "variant": "xy_nn"}, {},
+             {"values": [5, 7, 9, 1001], "quantity": "avg_power", "path": "dense"},
+             "config error: sweep.values: N = 1001: dense run of jw_chain N = 1001 (dim 2^1001, "
+             "120 steps) needs ~5.14e+595 GB"),
             ("sweep", {"family": "jw_chain", "N": 4, "variant": "xy_nn"}, {},
              {"values": [4, 6, 8, 601], "quantity": "avg_power", "path": "dense"},
              "config error: sweep.values: N = 601: dense run of jw_chain N = 601 (dim 2^601, "
@@ -537,13 +547,15 @@ class TestCli:
     @pytest.mark.parametrize(
         "model,backend",
         [({"family": "jw_chain", "N": 4, "variant": "xy_nn"}, "free-fermion"),
-         ({"family": "jw_chain", "N": 5, "variant": "xy_nn"}, "dense"),
+         ({"family": "jw_chain", "N": 5, "variant": "xy_nn"}, "free-fermion"),
+         ({"family": "jw_chain", "N": 1001, "variant": "xy_nn"}, "free-fermion"),
          ({"family": "parallel", "N": 3}, "dense")],
-        ids=["even-chain", "odd-chain", "parallel"],
+        ids=["even-chain", "odd-chain", "odd-chain-n1001", "parallel"],
     )
     def test_simulate_names_the_backend(self, tmp_path, capsys, model, backend):
         assert self.run("simulate", self.scenario(tmp_path, model=model)) == 0
         assert capsys.readouterr().out.endswith(f" (120 steps, {backend} path)\n")
+        assert self.run("certify", str(tmp_path / "out" / "trajectory.csv")) == 0
 
     @pytest.mark.parametrize("command", ["validate", "table1"])
     def test_negative_seed_is_a_usage_error(self, capsys, command):

@@ -51,14 +51,17 @@ class TestDispersion:
         spec = chain_spec("xx_nn", 10)
         assert dispersion(spec).n_modes == 5
 
-    def test_rejects_odd_sizes(self):
-        with pytest.raises(ValidationError):
-            dispersion(ModelSpec(family="jw_chain", n_cells=5, lambdas=(1.0,), gammas=(1.0,)))
+    def test_odd_sizes_take_the_periodic_grid(self):
+        # The boundary sign (-1)^N picks periodic fermions at odd N: the
+        # (N - 1)/2 pairs k = 2 pi m / N, without the unpaired k = 0 mode.
+        for n in (3, 5, 9):
+            spec = ModelSpec(family="jw_chain", n_cells=n, lambdas=(1.0,), gammas=(1.0,))
+            expected = 2 * np.pi * np.arange(1, n // 2 + 1) / n
+            np.testing.assert_allclose(dispersion(spec).k, expected, rtol=1e-15)
 
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
-    def test_dispersion_ranges(self, half_n, seed):
+    @given(st.integers(min_value=3, max_value=14), st.integers(min_value=0, max_value=2**31 - 1))
+    def test_dispersion_ranges(self, n, seed):
         rng = np.random.default_rng(seed)
-        n = 2 * half_n + 2
         m_max = max(n // 2 - 1, 1)
         spec = ModelSpec(
             family="jw_chain",
@@ -67,6 +70,8 @@ class TestDispersion:
             gammas=tuple(rng.normal(size=m_max)),
         )
         modes = dispersion(spec)
+        assert modes.n_modes == n // 2
+        assert np.all((modes.k > 0) & (modes.k < np.pi))
         assert np.all(modes.omega >= 0)
         assert np.abs(modes.sin_theta).max() <= 1 + 1e-12
 
@@ -206,6 +211,26 @@ class TestDenseEquivalence:
     def test_power_law_variant_matches(self):
         worst = chain_oracle_comparison(8, "xy_pow", n_times=20)
         assert max(worst.values()) < 1e-8
+
+    @given(st.sampled_from([3, 5, 7, 9]), st.integers(min_value=0, max_value=2**31 - 1))
+    def test_random_odd_chain_matches_the_dense_run(self, n, seed):
+        # Any couplings of range M <= N - 1 on the periodic grid: every column
+        # of the record, to 1e-11 of 1 + 4 var(H_C), the scale that bounds I_E.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, n))
+        spec = ModelSpec(
+            family="jw_chain", n_cells=n,
+            lambdas=tuple(rng.normal(size=m)), gammas=tuple(rng.normal(size=m)),
+        )
+        dense, chain = (run_trajectory(spec, 10.0, 60, path) for path in ("dense", "auto"))
+        assert chain.backend == "free-fermion"
+        scale = 1.0 + 4.0 * dense.var_charger
+        for name in (
+            "initial_energy", "energy", "power", "var_battery", "populations",
+            "population_rates", "fisher_energy", "fisher_energy_full", "var_charger",
+        ):
+            deviation = np.abs(np.subtract(getattr(chain, name), getattr(dense, name))).max()
+            assert deviation <= 1e-11 * scale, (name, deviation)
 
     def test_linear_scaling_of_intensive_quantities(self):
         # Stored-energy peak per cell and windowed variance per cell are

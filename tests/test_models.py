@@ -427,7 +427,7 @@ base = peak_kib()
 # A dense run as run_trajectory + certify_trajectory, over the cutoff it ran.
 RSS_CHILD = PEAK_KIB + """
 spec, steps = eval(sys.argv[1], {"ModelSpec": models.ModelSpec}), int(sys.argv[2])
-traj = trajectory.run_trajectory(spec, steps=steps)
+traj = trajectory.run_trajectory(spec, steps=steps, path="dense")
 verification.certify_trajectory(traj)
 print((peak_kib() - base) * 1024, models.check_dense_size(traj.spec, steps))
 """
@@ -527,8 +527,11 @@ class TestChainSizeRule:
         grown, estimate = child_growth_and_estimate(SWEEP_RSS_CHILD, str(n), str(steps))
         assert grown <= estimate <= 3 * grown
 
-    def test_odd_n_fails_the_even_rule_first(self):
-        with pytest.raises(ValidationError, match="requires even N, got 9"):
+    def test_odd_n_is_sized_by_its_pairs(self):
+        # N // 2 + 1 rows size the recursion's blocks and N + 1 levels the
+        # record, at either parity.
+        assert check_chain_size(8, 1000) < check_chain_size(9, 1000) < check_chain_size(10, 1000)
+        with pytest.raises(CapacityLimitError, match="^free-fermion run of jw_chain N = 9 "):
             check_chain_size(9, 10**12)
 
     def test_message_names_the_run(self):

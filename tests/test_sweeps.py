@@ -9,7 +9,6 @@ from qbattery import (
     ModelSpec,
     ValidationError,
     chain_spec,
-    dispersion,
     fit_exponent,
     sweep_scaling,
 )
@@ -30,6 +29,10 @@ from qbattery.trajectory import DEFAULT_STEPS, PeakResult, run_trajectory
 
 def dense_rule(spec):
     return check_dense_size(spec, DEFAULT_STEPS)
+
+
+def chain_point_rule(spec):
+    return check_chain_size(spec.n_cells, DEFAULT_STEPS, record=False)
 
 
 class TestExponentFit:
@@ -129,17 +132,26 @@ class TestSweepRules:
                 "N = 9: hybrid block size r = 2 does not divide N",
             ),
             (CUSTOM_CHAIN, {"values": [8, 10, 12, 14], "quantity": "avg_power"}, "custom couplings"),
-            (XX_NN, {"values": [4, 6, 8, 13], "quantity": "avg_power"}, "N = 13: dense run of jw_chain"),
+            (
+                XX_NN,
+                {"values": [4, 6, 8, 2 * 10**6 + 1], "quantity": "avg_power"},
+                "N = 2000001: free-fermion sweep point of jw_chain",
+            ),
             (
                 XX_NN,
                 {"values": [4, 6, 8, 14], "quantity": "avg_power", "path": "dense"},
                 "N = 14: dense run of jw_chain",
             ),
             (PARALLEL, {"values": [4, 6, 8, 15], "quantity": "avg_power"}, "N = 15: dense run of parallel"),
+            (
+                {"family": "lmg", "N": 10},
+                {"values": [10, 12, 14, 16], "quantity": "final_battery_entropy"},
+                "sweep.quantity: 'final_battery_entropy' exists only for dicke, not lmg",
+            ),
         ],
         ids=[
             "increasing", "four-values", "quantity", "path", "analytic-path", "hybrid", "chain",
-            "auto-odd-chain", "dense-chain-cap", "charger-cap",
+            "auto-odd-chain", "dense-chain-cap", "charger-cap", "entropy-off-dicke",
         ],
     )
     def test_n_sweep_rule_text_is_shared(self, monkeypatch, model, sweep, text):
@@ -155,15 +167,16 @@ class TestSweepRules:
     @pytest.mark.parametrize(
         "base,path,n,solve",
         [
-            (chain_spec("xx_nn", 4), "analytic", 13, dispersion),
+            (chain_spec("xx_nn", 4), "analytic", 2 * 10**6, chain_point_rule),
+            (chain_spec("xx_nn", 4), "auto", 2 * 10**6 + 1, chain_point_rule),
             (chain_spec("xx_nn", 4), "dense", 14, dense_rule),
             (ModelSpec(family="parallel", n_cells=4), "auto", 15, dense_rule),
         ],
-        ids=["even-n", "chain-cap", "charger-cap"],
+        ids=["even-n", "odd-n", "chain-cap", "charger-cap"],
     )
     def test_point_rule_is_the_solvers_own(self, base, path, n, solve):
-        # check_sweep reports the error that the point's own solver or size rule
-        # raises: the free-fermion solver's, or the dense rule's over the sweep's steps.
+        # check_sweep reports the error that the point's own size rule raises
+        # over the sweep's steps: the free-fermion point's, or the dense run's.
         with pytest.raises((ValidationError, CapacityLimitError)) as from_solver:
             solve(replace(base, n_cells=n))
         with pytest.raises(ValidationError) as from_sweep:
@@ -180,10 +193,10 @@ class TestSweepRules:
     @pytest.mark.parametrize(
         "n,path,taken",
         [(4, "auto", "analytic"), (14, "auto", "analytic"), (1000, "auto", "analytic"),
-         (9, "auto", "dense"), (13, "auto", "dense"), (10, "dense", "dense")],
+         (9, "auto", "analytic"), (13, "auto", "analytic"), (10, "dense", "dense")],
     )
-    def test_auto_path_follows_parity(self, monkeypatch, n, path, taken):
-        # Every even N goes to the free-fermion solver; odd N and "dense" stay dense.
+    def test_auto_path_sends_every_chain_to_the_solver(self, monkeypatch, n, path, taken):
+        # A chain of either parity goes to the free-fermion solver; "dense" stays dense.
         calls = []
         monkeypatch.setattr(sweeps, "chain_analytic_quantities", lambda *a: calls.append("analytic"))
         monkeypatch.setattr(sweeps, "run_trajectory", lambda *a: calls.append("dense"))

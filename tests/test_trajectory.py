@@ -146,7 +146,8 @@ def test_level_sums_in_time_blocks_match_the_whole_grid(tail):
     # Three blocks, the last one partial (a single column at tail 1): the
     # populations equal the whole-grid sums exactly, and the rates, whose H_C
     # products are blocked, to rounding.
-    traj = run_trajectory(chain_spec("xy_pow", 9), steps=2 * trajectory.TIME_CHUNK + tail)
+    steps = 2 * trajectory.TIME_CHUNK + tail
+    traj = run_trajectory(chain_spec("xy_pow", 9), steps=steps, path="dense")
     battery, states = eigendecompose(traj.battery), traj.states
     order, starts = battery.order, group_levels(battery.eigenvalues).starts[:-1]
     overlaps, driven = states[order], (traj.charger.matrix @ states)[order]
@@ -397,16 +398,12 @@ class TestFreeFermionBackend:
 
     @pytest.mark.parametrize(
         "n,path,backend",
-        [(8, "auto", "free-fermion"), (7, "analytic", None), (8, "analytic", "free-fermion"),
-         (8, "dense", "dense"), (7, "auto", "dense")],
+        [(8, "auto", "free-fermion"), (7, "analytic", "free-fermion"),
+         (8, "analytic", "free-fermion"), (8, "dense", "dense"), (7, "auto", "free-fermion")],
     )
     def test_path_picks_the_backend(self, n, path, backend):
-        spec = chain_spec("xy_nn", n)
-        if backend is None:
-            with pytest.raises(ValidationError, match="requires even N, got 7"):
-                run_trajectory(spec, steps=20, path=path)
-        else:
-            assert run_trajectory(spec, steps=20, path=path).backend == backend
+        # A chain of either parity runs free-fermion unless the path is "dense".
+        assert run_trajectory(chain_spec("xy_nn", n), steps=20, path=path).backend == backend
 
     def test_analytic_path_is_only_for_chains(self):
         with pytest.raises(ValidationError, match="'analytic' exists only for jw_chain"):

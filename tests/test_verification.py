@@ -28,14 +28,15 @@ from qbattery.verification import (
 
 from oracles import certify_stepwise
 
-# The cases the series certifier is compared with the stepwise oracle on.
+# The cases the series certifier is compared with the stepwise oracle on,
+# each with the path it runs on.
 ORACLE_SPECS = {
-    "parallel": ModelSpec(family="parallel", n_cells=4),
-    "hybrid": ModelSpec(family="hybrid", n_cells=6, q=3, r=2),
-    "chain": chain_spec("xy_pow", 6),  # even N: the free-fermion record
-    "chain_odd": chain_spec("xy_pow", 5),  # odd N: the dense chain
-    "lmg": ModelSpec(family="lmg", n_cells=12, lam=5.0),
-    "dicke": ModelSpec(family="dicke", n_cells=4, lam=0.5),
+    "parallel": (ModelSpec(family="parallel", n_cells=4), "auto"),
+    "hybrid": (ModelSpec(family="hybrid", n_cells=6, q=3, r=2), "auto"),
+    "chain": (chain_spec("xy_pow", 6), "auto"),  # the free-fermion record
+    "chain_odd": (chain_spec("xy_pow", 5), "dense"),  # the dense chain
+    "lmg": (ModelSpec(family="lmg", n_cells=12, lam=5.0), "auto"),
+    "dicke": (ModelSpec(family="dicke", n_cells=4, lam=0.5), "auto"),
 }
 CORRUPTIONS = {
     "clean": None,
@@ -56,7 +57,9 @@ SHARED_BOUNDS = (
 
 @pytest.fixture(scope="module")
 def oracle_trajectories():
-    return {name: run_trajectory(spec, steps=150) for name, spec in ORACLE_SPECS.items()}
+    return {
+        name: run_trajectory(spec, steps=150, path=path) for name, (spec, path) in ORACLE_SPECS.items()
+    }
 
 
 def _csv_round_trip(traj, tmp_path):
