@@ -197,7 +197,7 @@ def _read_trajectory_csv(path: str) -> dict[str, np.ndarray]:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             header = handle.readline().rstrip("\r\n").split(",")
             body = handle.read()
-        if not body:
+        if not body.strip():
             raise ConfigError(f"{path}: trajectory CSV has no data rows")
         data = np.loadtxt(_undefined_as_nan(body), delimiter=",", ndmin=2)
     except OSError as exc:

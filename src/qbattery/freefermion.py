@@ -33,12 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .models import ModelSpec, check_run_bytes
+from .models import TIME_CHUNK, ModelSpec, check_run_bytes
 from .observables import POPULATION_FLOOR, fisher_sum
-
-# Times per block of the batched grid evaluations; bounds the (levels x times)
-# work arrays to about 10 MB each at N = 10^4.
-TIME_CHUNK = 256
 
 
 @dataclass(frozen=True)

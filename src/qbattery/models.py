@@ -17,6 +17,9 @@ from .errors import CapacityLimitError, ValidationError
 from .linalg import Basis, HermitianOperator, StateVector
 
 RUN_BYTES_MAX = 4 * 2**30  # admits a dense run of N = 12 qubits at 2000 steps
+# Times per block of the dense and free-fermion grid evaluations; keeps each
+# (rows x times) work array to about 10 MB for the pair recursion at N = 10^4.
+TIME_CHUNK = 256
 
 PARADIGMATIC_FAMILIES = ("parallel", "global", "hybrid")
 # The fields each family takes besides family, n_cells and lam.  Every
@@ -209,17 +212,19 @@ def check_dense_size(spec: ModelSpec, steps: int = 0) -> int:
     """The estimated bytes of a dense run of ``spec`` over ``steps`` times;
     CapacityLimitError, before anything is allocated, if over RUN_BYTES_MAX.
 
-    16 (7 dim^2 + 5 dim T) + 64 L T for dim basis states, L = N + 1 levels and
-    T steps covers the complex charger, its eigenvectors and LAPACK's workspace;
-    the states and propagation temporaries; the (levels x times) series (L = dim
-    for lmg).  It is 1.2-2.4x the max RSS growth over the post-import baseline
-    of run_trajectory + certify_trajectory (2 cores, OpenBLAS 0.3.31), in MB:
-    jw_chain xy_nn N = 10 at 2000 / 200 steps 119 / 89; parallel N = 10 at 2000
-    119; lmg N = 400 at 2000 69, N = 1000 at 200 120; auto-cutoff dicke at 2000,
-    N = 12 (n_max 128) 269.  A qubit dimension past int64 is written 2^N.
+    16 (7 dim^2 + 5 dim B) + 64 L T for dim basis states, L = N + 1 levels, T
+    steps and B = min(T, TIME_CHUNK) covers the complex charger, its
+    eigenvectors and LAPACK's workspace; one block of states and propagation
+    temporaries; the (levels x times) series (L = dim for lmg).  It is 1.2-1.8x
+    the max RSS growth over the post-import baseline of run_trajectory +
+    certify_trajectory (2 cores, OpenBLAS 0.3.31), in MB: xy_nn N = 9 / 10 at
+    2000 steps 27 / 89; parallel N = 9 at 500 / 20000 25 / 30; lmg N = 400 at
+    2000 50, N = 1000 at 200 120; auto-cutoff dicke at 2000, N = 6 (n_max 80)
+    31, N = 12 (n_max 128) 255.  A qubit dimension past int64 is written 2^N.
     """
     basis = model_basis(spec)
-    need = 16 * (7 * basis.dim**2 + 5 * basis.dim * steps) + 64 * (spec.n_cells + 1) * steps
+    block = min(steps, TIME_CHUNK)
+    need = 16 * (7 * basis.dim**2 + 5 * basis.dim * block) + 64 * (spec.n_cells + 1) * steps
     dim = f"2^{spec.n_cells}" if basis.dim > 2**63 else str(basis.dim)
     cutoff = f", n_max {basis.n_max}" if basis.kind == "spin_fock" else ""
     return check_run_bytes(

@@ -6,8 +6,9 @@ informations, bound saturation ratio), the conserved charger variance and an
 ``energy_at(t)`` callable for off-grid peak refinement; certification, the CSV
 writer, the peak search and the sweeps read only that.  One builder,
 :func:`_record`, derives the Fisher series and cos theta for both backends.
-The dense backend propagates the state vector in the model's basis and also
-keeps the states, the charger and psi0 for the oracles.  The free-fermion
+The dense backend propagates the state vector in the model's basis, one
+TIME_CHUNK block of times at a time, and keeps the charger and psi0, not the
+states: ``state_at`` re-propagates the block that holds a time.  The free-fermion
 backend builds a ``jw_chain`` run of any N from its mode set
 (:mod:`freefermion`), with no state vector.  Scalar observables are
 computed from the battery level populations, so bound checks and reported
@@ -25,7 +26,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .freefermion import (
-    TIME_CHUNK,
     check_chain_size,
     dispersion,
     distribution_blocks,
@@ -39,6 +39,7 @@ from .linalg import (
     evolve_batch,
 )
 from .models import (
+    TIME_CHUNK,
     ModelSpec,
     build_battery_for,
     build_charger_for,
@@ -61,7 +62,6 @@ DEFAULT_LAM_T_MAX = {
 }
 FOCK_LEAK_TOL = 1e-8
 MAX_FOCK_DOUBLINGS = 4
-FOCK_SCREEN_STRIDE = 10
 PATHS = ("auto", "dense", "analytic")
 PEAK_MIN_POINTS = 3  # a grid peak needs a neighbour on each side to be refined
 PEAK_REL_TOL = 1e-6  # golden-section bracket width, relative to its scale
@@ -74,8 +74,8 @@ class Trajectory:
     cavity run used; the battery levels are those of its N cells,
     ``models.register_spectrum(spec.n_cells)``.  H_C is conserved, so its
     variance is one number (and I_Q = 4 var(H_C) for these pure-state runs).
-    The last three fields belong to the dense backend and are None on a
-    free-fermion run."""
+    The last two fields belong to the dense backend and are None on a
+    free-fermion run; no backend keeps the states."""
 
     spec: ModelSpec
     times: np.ndarray
@@ -91,7 +91,6 @@ class Trajectory:
     cos_theta: np.ndarray
     energy_at: Callable[[float], float]  # exact stored energy at an arbitrary (off-grid) time
     fock_edge_population: float = 0.0  # max population within one level of a Fock cutoff
-    states: np.ndarray | None = None  # (dim, T), column per grid time
     charger: HermitianOperator | None = None
     psi0: StateVector | None = None
 
@@ -101,23 +100,29 @@ class Trajectory:
 
     @property
     def backend(self) -> str:
-        return "dense" if self.states is not None else "free-fermion"
+        return "dense" if self.charger is not None else "free-fermion"
 
-    def _require_states(self, what: str) -> None:
-        if self.states is None:
+    def _require_dense(self, what: str) -> None:
+        if self.charger is None:
             raise ValidationError(
                 f"a free-fermion run holds no {what}; run the chain with path='dense'"
             )
 
     def state_at(self, index: int) -> StateVector:
-        self._require_states("states")
-        return StateVector(self.states[:, index], self.psi0.basis)
+        """The run's state at grid time ``index``, bit for bit: the block of
+        times that holds it, propagated again as the run propagated it."""
+        self._require_dense("states")
+        index = range(self.n_steps)[index]
+        block = next(b for b in _time_blocks(self.n_steps) if index < b.stop)
+        amplitudes = self.charger.to_eigenbasis(self.psi0.amplitudes)
+        states = evolve_batch(self.charger, amplitudes, self.times[block])
+        return StateVector(states[:, index - block.start], self.psi0.basis)
 
     @cached_property
     def battery(self) -> HermitianOperator:
         """The battery in the run's basis, built on first use; no step of the
         run reads it, only the independent oracles do."""
-        self._require_states("dense battery")
+        self._require_dense("dense battery")
         return build_battery_for(self.spec)
 
 
@@ -132,6 +137,14 @@ def time_grid(spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFA
     if lam_t_max <= 0:
         raise ValidationError("lam_t_max must be positive")
     return np.linspace(0.0, lam_t_max / spec.lam, steps)
+
+
+def _time_blocks(n_steps: int) -> list[slice]:
+    """The grid in TIME_CHUNK-long blocks of times.  A last time alone joins
+    the block before: one time propagates by a matrix-vector product, whose
+    rounding differs from a column of the matrix product."""
+    edges = [*range(0, n_steps - 1, TIME_CHUNK), n_steps]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def _fock_edge_population(states: np.ndarray, basis: Basis) -> float:
@@ -157,8 +170,7 @@ def _record(
     # break saturated inequality checks at the 1e-8 tolerance.  Exact zeros
     # are masked; symmetry-protected zeros contribute only noise^2 terms.
     fisher_energy, fisher_energy_full = np.empty((2, len(times)))
-    for lo in range(0, len(times), TIME_CHUNK):
-        block = slice(lo, lo + TIME_CHUNK)
+    for block in _time_blocks(len(times)):
         p, p_dot = populations[:, block], rates[:, block]
         fisher_energy[block] = fisher_sum(p, p_dot, POPULATION_FLOOR)
         fisher_energy_full[block] = fisher_sum(p, p_dot, 0.0)
@@ -174,14 +186,12 @@ def _record(
     )
 
 
-def _run_fixed(
-    spec: ModelSpec, times: np.ndarray, charger: HermitianOperator, psi0: StateVector,
-    amplitudes: np.ndarray,
-) -> Trajectory:
-    """The run on the grid under an eigendecomposed charger, in its basis,
-    from psi0's ``amplitudes`` on the charger eigenvectors."""
-    states = evolve_batch(charger, amplitudes, times)
-
+def _run_fixed(spec: ModelSpec, times: np.ndarray, leak_tol: float = math.inf) -> Trajectory | None:
+    """The dense run of ``spec`` on the grid, in its model basis, from psi0's
+    amplitudes on the eigenvectors of its charger; None as soon as the
+    Fock-edge leak of a cavity run reaches ``leak_tol``."""
+    charger, psi0 = eigendecompose(build_charger_for(spec)), initial_state(spec)
+    amplitudes = charger.to_eigenbasis(psi0.amplitudes)
     # The battery is an excitation ladder: level k, at energy k - N/2, holds
     # the basis states with k excited cells.  Its eigenbasis is a row gather
     # of the basis in stable level order, not a permutation-matrix product.
@@ -189,17 +199,22 @@ def _run_fixed(
     order = np.argsort(counts, kind="stable")
     e_levels = register_spectrum(spec.n_cells)[0]
     starts = np.concatenate(([0], np.cumsum(np.bincount(counts, minlength=len(e_levels)))[:-1]))
-    # Level sums in TIME_CHUNK blocks of columns, so that the (dim x T)
-    # temporaries (gathered states, H_C psi, their products) never coexist at
-    # full size.  Each column is summed in the whole grid's order; the blocked
-    # H_C products may differ from the whole-grid product in the last bit.
-    matrix = charger.matrix
+    # Each block of times is propagated, checked for Fock-edge leak and
+    # summed into levels on its own, so no (dim x T) array exists.  Each
+    # column is summed in the whole grid's order; the blocked H_C products
+    # may differ from a whole-grid product in the last bit.
+    matrix, basis = charger.matrix, charger.basis
+    leak = 0.0
     populations = np.empty((len(e_levels), len(times)))
     rates = np.empty_like(populations)
-    for lo in range(0, len(times), TIME_CHUNK):
-        block = slice(lo, lo + TIME_CHUNK)
-        overlaps = states[order, block]
-        driven = (matrix @ states[:, block])[order]
+    for block in _time_blocks(len(times)):
+        states = evolve_batch(charger, amplitudes, times[block])
+        if basis.kind == "spin_fock":
+            leak = max(leak, _fock_edge_population(states, basis))
+            if leak >= leak_tol:
+                return None
+        overlaps = states[order]
+        driven = (matrix @ states)[order]
         populations[:, block] = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
         rates[:, block] = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
 
@@ -221,10 +236,7 @@ def _run_fixed(
     return _record(
         spec, times, initial_energy, populations, rates, energy_abs - initial_energy,
         e_levels @ rates, var_battery, var_charger, energy_at,
-        fock_edge_population=(
-            _fock_edge_population(states, charger.basis) if charger.basis.kind == "spin_fock" else 0.0
-        ),
-        states=states,
+        fock_edge_population=leak,
         charger=charger,
         psi0=psi0,
     )
@@ -256,18 +268,6 @@ def _run_chain(spec: ModelSpec, lam_t_max: float | None, steps: int) -> Trajecto
     )
 
 
-def _charger_and_state(spec: ModelSpec):
-    """The eigendecomposed charger, the initial state and its amplitudes on
-    the charger eigenvectors, for a spec."""
-    charger, psi0 = eigendecompose(build_charger_for(spec)), initial_state(spec)
-    return charger, psi0, charger.to_eigenbasis(psi0.amplitudes)
-
-
-def _screen_times(times: np.ndarray) -> np.ndarray:
-    """Every FOCK_SCREEN_STRIDE-th grid time, counted back from the last."""
-    return times[::-FOCK_SCREEN_STRIDE][::-1]
-
-
 def analytic_path(spec: ModelSpec, path: str = "auto") -> bool:
     """Whether a run of ``spec`` on evaluation ``path`` (one of PATHS) takes the
     free-fermion backend: a jw_chain does, at any N, unless ``path`` is
@@ -287,31 +287,28 @@ def run_trajectory(
 
     For the cavity model with no explicit n_max, the Fock cutoff starts at
     the default of :func:`models.model_basis` and doubles until the
-    population within one level of the cutoff stays below 1e-8 over the
-    whole window; each cutoff runs as the spec with that n_max, and the one
-    that converges is the trajectory's spec.  Each cutoff is screened first
-    on a strided subset of the grid: the subset's leak is at most the whole
-    grid's, so a cutoff that fails the screen would fail the full run too,
-    and only a cutoff that passes it is run (and checked) on the whole grid.
-    Each cutoff must pass :func:`models.check_dense_size` before it is built.
+    population within one level of the cutoff stays below FOCK_LEAK_TOL over
+    the whole window; each cutoff runs as the spec with that n_max, and the
+    one that converges is the trajectory's spec.  The run is the check: a
+    cutoff's run stops at the first TIME_CHUNK block of times whose leak
+    reaches the tolerance, and the next doubling starts.  Each cutoff must
+    pass :func:`models.check_dense_size` before it is built.  An explicit
+    n_max runs in full and reports its leak in ``fock_edge_population``.
     """
     if analytic_path(spec, path):
         return _run_chain(spec, lam_t_max, steps)
     check_dense_size(spec, steps)  # an automatic cutoff starts at model_basis's
     times = time_grid(spec, lam_t_max, steps)
     if spec.family != "dicke" or spec.n_max is not None:
-        return _run_fixed(spec, times, *_charger_and_state(spec))
+        return _run_fixed(spec, times)
 
-    screen = _screen_times(times)
     cutoffs = [model_basis(spec).n_max * 2**k for k in range(MAX_FOCK_DOUBLINGS + 1)]
     for n_max in cutoffs:
         cutoff = replace(spec, n_max=n_max)
         check_dense_size(cutoff, steps)
-        charger, psi0, amplitudes = _charger_and_state(cutoff)
-        if _fock_edge_population(evolve_batch(charger, amplitudes, screen), psi0.basis) < FOCK_LEAK_TOL:
-            traj = _run_fixed(cutoff, times, charger, psi0, amplitudes)
-            if traj.fock_edge_population < FOCK_LEAK_TOL:
-                return traj
+        traj = _run_fixed(cutoff, times, FOCK_LEAK_TOL)
+        if traj is not None:
+            return traj
     raise ValidationError(
         f"Fock cutoff did not converge below leakage {FOCK_LEAK_TOL} "
         f"after {MAX_FOCK_DOUBLINGS} doublings (tried n_max = {', '.join(map(str, cutoffs))})"

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from qbattery import Basis, DensityMatrix, eigendecompose, evolve, group_levels
+from qbattery.linalg import evolve_batch
 
 # The Pauli algebra in the package's ordering: local index 0 is the cell
 # ground state, so sigma_z = diag(-1, +1).
@@ -177,14 +178,24 @@ def permutation_matrix(order) -> np.ndarray:
     return vecs
 
 
+def whole_grid_states(traj) -> np.ndarray:
+    """A dense run's states as (dim, T) columns, from one propagation of the
+    whole grid under the record's charger from V^dag psi0: the reference for
+    the run's propagation in blocks of times."""
+    charger = traj.charger
+    amplitudes = charger.eigenvectors.conj().T @ traj.psi0.amplitudes
+    return evolve_batch(charger, amplitudes, traj.times)
+
+
 def permutation_run_path(traj):
     """Populations, rates and charger variance of a trajectory's states, with
-    the battery eigenbasis applied as a permutation-matrix product and the
-    charger weights taken afresh at every time (the raw second moment minus
-    the squared mean): the reference for the row gather and the conserved
+    the states propagated over the whole grid at once, the battery eigenbasis
+    applied as a permutation-matrix product and the charger weights taken
+    afresh at every time (the raw second moment minus the squared mean): the
+    reference for the blocked propagation, the row gather and the conserved
     psi0 weights of ``trajectory``.
     """
-    battery, charger, states = eigendecompose(traj.battery), traj.charger, traj.states
+    battery, charger, states = eigendecompose(traj.battery), traj.charger, whole_grid_states(traj)
     vecs = permutation_matrix(battery.order)
     overlaps = vecs.conj().T @ states
     driven = vecs.conj().T @ (charger.matrix @ states)
@@ -261,18 +272,16 @@ def read_csv_with_converter(path) -> dict:
 
 
 def run_trajectory_doubling(spec, lam_t_max=None, steps=2000):
-    """The automatic Fock cutoff with no screen: the full run at 2N+8 and at
-    each doubling until the edge leak is below tolerance.  The reference
-    for the screened cutoff choice of ``run_trajectory``."""
+    """The automatic Fock cutoff with every cutoff run in full: the run at
+    2N+8 and at each doubling until the edge leak is below tolerance.  The
+    reference for ``run_trajectory``'s search, which stops a cutoff's run at
+    its first leaking block of times."""
     from qbattery import models, trajectory
 
     times = trajectory.time_grid(spec, lam_t_max, steps)
     n_max = models.model_basis(spec).n_max
     for _ in range(trajectory.MAX_FOCK_DOUBLINGS + 1):
-        cutoff = replace(spec, n_max=n_max)
-        charger, psi0 = eigendecompose(models.build_charger_for(cutoff)), models.initial_state(cutoff)
-        amplitudes = charger.eigenvectors.conj().T @ psi0.amplitudes
-        traj = trajectory._run_fixed(cutoff, times, charger, psi0, amplitudes)
+        traj = trajectory._run_fixed(replace(spec, n_max=n_max), times)
         if traj.fock_edge_population < trajectory.FOCK_LEAK_TOL:
             return traj
         n_max *= 2

@@ -32,7 +32,7 @@ from qbattery.sweeps import chain_analytic_quantities
 from qbattery.trajectory import find_tf
 from qbattery.verification import chain_oracle_comparison
 
-from oracles import haar_orthonormal_columns, shannon_bits
+from oracles import haar_orthonormal_columns, shannon_bits, whole_grid_states
 
 CONFIG_GLOB = "configs/*_n8.json"
 
@@ -207,7 +207,7 @@ def test_criterion_9_property_suite():
     checked = []
 
     traj = run_trajectory(chain_spec("xy_pow", 8), steps=500, path="dense")
-    norms = np.abs(traj.states**2).sum(axis=0)
+    norms = (np.abs(whole_grid_states(traj)) ** 2).sum(axis=0)
     assert np.abs(norms - 1).max() < 1e-10
     checked.append("norm")
     assert np.abs(traj.populations.sum(axis=0) - 1).max() < 1e-9

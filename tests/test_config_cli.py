@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -479,10 +480,10 @@ class TestCli:
             ("simulate", {"family": "lmg", "N": 20000}, {}, None,
              "error: dense run of lmg N = 20000 (dim 20001, 120 steps) needs ~45.2 GB"),
             ("simulate", {"family": "parallel", "N": 2}, {"steps": 10**12}, None,
-             "error: dense run of parallel N = 2 (dim 4, 1000000000000 steps) needs ~5.12e+05 GB"),
+             "error: dense run of parallel N = 2 (dim 4, 1000000000000 steps) needs ~1.92e+05 GB"),
             ("sweep", {"family": "lmg", "N": 20}, {"steps": 10**12},
              {"parameter": "gamma", "values": [-1.0, 0.0], "quantity": "energy_at_tf"},
-             "error: dense run of lmg N = 20 (dim 21, 1000000000000 steps) needs ~3.02e+06 GB"),
+             "error: dense run of lmg N = 20 (dim 21, 1000000000000 steps) needs ~1.34e+06 GB"),
             ("sweep", {"family": "lmg", "N": 10}, {},
              {"values": [10, 20, 40, 20000], "quantity": "avg_power"},
              "config error: sweep.values: N = 20000: dense run of lmg N = 20000 (dim 20001, "
@@ -719,9 +720,14 @@ class TestCli:
         self.assert_certify_config_error(csv_path, capsys, "malformed")
 
     def test_certify_header_only(self, tmp_path, capsys):
+        # A body of blank lines holds no rows either.
         csv_path = self.simulated_csv(tmp_path)
-        csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")
-        self.assert_certify_config_error(csv_path, capsys, "no data rows")
+        header = csv_path.read_text().splitlines()[0]
+        for body in ("", "\n\n \r\n"):
+            csv_path.write_text(header + "\n" + body)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                self.assert_certify_config_error(csv_path, capsys, "no data rows")
 
     def test_missing_command_column(self, tmp_path):
         bad = tmp_path / "partial.csv"

@@ -467,10 +467,11 @@ class TestDenseSizeRule:
         [
             (chain_spec("xy_nn", 9), 2000),
             (ModelSpec(family="parallel", n_cells=9), 500),
+            (ModelSpec(family="parallel", n_cells=9), 20000),  # no (dim x T) array is held
             (ModelSpec(family="lmg", n_cells=400), 2000),
             (ModelSpec(family="dicke", n_cells=6), 2000),  # automatic cutoff, ends at n_max 80
         ],
-        ids=["chain", "parallel", "lmg", "dicke"],
+        ids=["chain", "parallel", "long-grid", "lmg", "dicke"],
     )
     def test_estimate_bounds_the_measured_growth(self, spec, steps):
         grown, estimate = child_growth_and_estimate(RSS_CHILD, repr(spec), str(steps))
@@ -502,7 +503,7 @@ class TestDenseSizeRule:
             check_dense_size(spec, 10**12)
         assert str(refused.value) == (
             "dense run of dicke N = 12 (dim 533, n_max 40, 1000000000000 steps) "
-            "needs ~4.35e+07 GB, over the 4.3 GB run limit"
+            "needs ~8.32e+05 GB, over the 4.3 GB run limit"
         )
 
     def test_counts_past_float_range_are_formatted_exactly(self):

@@ -24,7 +24,12 @@ from qbattery.output import trajectory_rows, write_trajectory_csv
 from qbattery.trajectory import DEFAULT_LAM_T_MAX, find_peak_time, time_grid
 from qbattery.verification import certify_trajectory
 
-from oracles import permutation_run_path, run_trajectory_doubling, stored_energy_by_permutation
+from oracles import (
+    permutation_run_path,
+    run_trajectory_doubling,
+    stored_energy_by_permutation,
+    whole_grid_states,
+)
 
 
 class TestTimeGrid:
@@ -55,7 +60,7 @@ class TestTimeGrid:
 class TestRunTrajectory:
     def test_norm_conservation(self):
         traj = run_trajectory(chain_spec("xx_pow", 8), steps=250, path="dense")
-        norms = np.abs(traj.states**2).sum(axis=0)
+        norms = (np.abs(whole_grid_states(traj)) ** 2).sum(axis=0)
         assert np.abs(norms - 1).max() < 1e-10
 
     def test_population_conservation(self):
@@ -98,13 +103,17 @@ class TestRunTrajectory:
         monkeypatch.setattr(
             HermitianOperator, "to_eigenbasis", lambda op, amp: calls.append(op) or original(op, amp)
         )
-        traj = run_trajectory(ModelSpec(family="lmg", n_cells=6, lam=5.0), steps=200)
+        steps = 2 * trajectory.TIME_CHUNK + 1  # the last time joins the second block
+        traj = run_trajectory(ModelSpec(family="lmg", n_cells=6, lam=5.0), steps=steps)
         find_tf(traj)
         assert len(calls) == 1
-        # The run propagates V^dag psi0 on the charger eigenvectors.
-        charger = traj.charger
-        amplitudes = charger.eigenvectors.conj().T @ traj.psi0.amplitudes
-        assert np.array_equal(traj.states, trajectory.evolve_batch(charger, amplitudes, traj.times))
+        # The run propagates V^dag psi0 on the charger eigenvectors, block by
+        # block, and state_at gives back its states.
+        states = np.column_stack([traj.state_at(i).amplitudes for i in range(steps)])
+        assert np.array_equal(states, whole_grid_states(traj))
+        assert np.array_equal(traj.state_at(-1).amplitudes, states[:, -1])
+        with pytest.raises(IndexError):
+            traj.state_at(steps)
 
 
 RUN_PATH_SPECS = [
@@ -143,12 +152,12 @@ def test_run_path_matches_permutation_products(spec):
 
 @pytest.mark.parametrize("tail", [7, 1])
 def test_level_sums_in_time_blocks_match_the_whole_grid(tail):
-    # Three blocks, the last one partial (a single column at tail 1): the
-    # populations equal the whole-grid sums exactly, and the rates, whose H_C
-    # products are blocked, to rounding.
+    # Three blocks, the last one partial (at tail 1, the last time joins the
+    # second block): the populations equal the sums over whole-grid states
+    # exactly, and the rates, whose H_C products are blocked, to rounding.
     steps = 2 * trajectory.TIME_CHUNK + tail
     traj = run_trajectory(chain_spec("xy_pow", 9), steps=steps, path="dense")
-    battery, states = eigendecompose(traj.battery), traj.states
+    battery, states = eigendecompose(traj.battery), whole_grid_states(traj)
     order, starts = battery.order, group_levels(battery.eigenvalues).starts[:-1]
     overlaps, driven = states[order], (traj.charger.matrix @ states)[order]
     populations = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
@@ -217,6 +226,34 @@ def test_charger_built_once_per_cutoff(spec, builder, monkeypatch):
     assert len(cutoffs) > 1 and cutoffs[-1] == traj.spec.n_max
 
 
+def spy_propagated_columns(monkeypatch) -> dict[int, int]:
+    """Grid times propagated by the run path, per Fock cutoff, filled in as
+    the run propagates."""
+    columns: dict[int, int] = {}
+    original = trajectory.evolve_batch
+
+    def counting(charger, amplitudes, times):
+        n_max = charger.basis.n_max
+        columns[n_max] = columns.get(n_max, 0) + len(times)
+        return original(charger, amplitudes, times)
+
+    monkeypatch.setattr(trajectory, "evolve_batch", counting)
+    return columns
+
+
+def assert_matches_full_doubling(traj, spec, steps, tmp_path):
+    """The automatic cutoff's run equals the reference that runs every
+    cutoff in full: cutoff, leak, level series and CSV bytes."""
+    oracle = run_trajectory_doubling(spec, steps=steps)
+    assert traj.spec == oracle.spec
+    assert traj.fock_edge_population == oracle.fock_edge_population
+    assert np.array_equal(traj.populations, oracle.populations)
+    assert np.array_equal(traj.population_rates, oracle.population_rates)
+    write_trajectory_csv(traj, tmp_path / "searched.csv", include_populations=True)
+    write_trajectory_csv(oracle, tmp_path / "oracle.csv", include_populations=True)
+    assert (tmp_path / "searched.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
 class TestFockTruncation:
     def test_auto_cutoff_converges(self):
         traj = run_trajectory(ModelSpec(family="dicke", n_cells=4, lam=0.5), steps=200)
@@ -224,9 +261,13 @@ class TestFockTruncation:
         assert traj.fock_edge_population < 1e-8
 
     def test_explicit_cutoff_respected(self):
+        # An explicit cutoff runs in full and reports its leak, even one over
+        # the automatic search's tolerance.
         traj = run_trajectory(ModelSpec(family="dicke", n_cells=3, lam=0.2, n_max=9), steps=100)
         assert traj.spec.n_max == 9
-        assert traj.states.shape[0] == 4 * 10
+        assert traj.charger.basis.dim == traj.state_at(99).amplitudes.shape[0] == 4 * 10
+        assert traj.fock_edge_population > trajectory.FOCK_LEAK_TOL
+        assert np.abs(traj.populations.sum(axis=0) - 1).max() < 1e-9
 
     @pytest.mark.parametrize(
         "make_spec,steps,n_max_used",
@@ -236,16 +277,18 @@ class TestFockTruncation:
         ],
         ids=["dicke_n8_strong", "doubles-twice"],
     )
-    def test_screen_picks_the_doubling_cutoff(self, tmp_path, make_spec, steps, n_max_used):
+    def test_search_picks_the_doubling_cutoff(self, tmp_path, make_spec, steps, n_max_used):
         spec = make_spec()
         traj = run_trajectory(spec, steps=steps)
-        oracle = run_trajectory_doubling(spec, steps=steps)
-        assert traj.spec.n_max == oracle.spec.n_max == n_max_used
-        assert traj.fock_edge_population == oracle.fock_edge_population
-        assert traj.states.tobytes() == oracle.states.tobytes()
-        write_trajectory_csv(traj, tmp_path / "screened.csv", include_populations=True)
-        write_trajectory_csv(oracle, tmp_path / "oracle.csv", include_populations=True)
-        assert (tmp_path / "screened.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert traj.spec.n_max == n_max_used
+        assert_matches_full_doubling(traj, spec, steps, tmp_path)
+
+    def test_cutoff_leaking_in_block_0_propagates_only_that_block(self, monkeypatch):
+        spec = load_scenario("configs/dicke_n8_strong.json").spec
+        columns = spy_propagated_columns(monkeypatch)
+        traj = run_trajectory(spec, steps=2000)
+        assert traj.spec.n_max == 48
+        assert columns == {24: trajectory.TIME_CHUNK, 48: 2000}
 
     @pytest.mark.parametrize(
         "make_spec,steps",
@@ -262,21 +305,16 @@ class TestFockTruncation:
         assert traj.spec.n_max == traj.charger.basis.n_max
         assert traj.battery.basis == traj.charger.basis == traj.psi0.basis
 
-    def test_screen_that_misses_the_leak_still_doubles(self, monkeypatch):
-        # A sub-grid of t = 0 alone sees no leak, so every cutoff passes the
-        # screen; the full-grid check must still reject 12 and 24.
+    def test_leak_in_a_later_block_still_doubles(self, monkeypatch, tmp_path):
+        # In blocks of 4 times, n_max 12 first leaks at grid index 5 (block 1)
+        # and 24 at index 15 (block 3): each stops after the block that leaks.
         spec = ModelSpec(family="dicke", n_cells=2, lam=1.0)
-        monkeypatch.setattr(trajectory, "_screen_times", lambda times: times[:1])
-        built = []
-        original = models.build_dicke
-        monkeypatch.setattr(
-            models, "build_dicke", lambda *args: built.append(args[0].n_max) or original(*args)
-        )
+        monkeypatch.setattr(trajectory, "TIME_CHUNK", 4)
+        columns = spy_propagated_columns(monkeypatch)
         traj = run_trajectory(spec, steps=200)
-        assert built == [12, 24, 48]
+        assert columns == {12: 8, 24: 16, 48: 200}
         assert traj.spec.n_max == 48 and traj.fock_edge_population < trajectory.FOCK_LEAK_TOL
-        oracle = run_trajectory_doubling(spec, steps=200)
-        assert traj.states.tobytes() == oracle.states.tobytes()
+        assert_matches_full_doubling(traj, spec, 200, tmp_path)
 
     def test_non_convergence_names_the_cutoffs_tried(self, monkeypatch):
         monkeypatch.setattr(trajectory, "FOCK_LEAK_TOL", 0.0)  # no cutoff can pass
@@ -305,12 +343,6 @@ class TestFockTruncation:
         with pytest.raises(CapacityLimitError, match=refused):
             run_trajectory(spec, steps=200)
         assert built == [12, 24, 48]
-
-    def test_screen_is_a_subset_ending_on_the_last_time(self):
-        times = time_grid(ModelSpec(family="dicke", n_cells=2), steps=2000)
-        screen = trajectory._screen_times(times)
-        assert screen[-1] == times[-1]
-        assert np.isin(screen, times).all() and len(screen) == 200
 
     def test_entropy_series_shape(self):
         traj = run_trajectory(ModelSpec(family="dicke", n_cells=2, lam=0.3), steps=40)
@@ -413,7 +445,7 @@ class TestFreeFermionBackend:
 
     def test_chain_record_holds_no_states(self):
         traj = run_trajectory(chain_spec("xx_nn", 6), steps=20)
-        assert traj.states is None and traj.charger is None and traj.psi0 is None
+        assert traj.charger is None and traj.psi0 is None
         with pytest.raises(ValidationError, match="holds no states"):
             traj.state_at(3)
         with pytest.raises(ValidationError, match="path='dense'"):
