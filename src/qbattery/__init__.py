@@ -54,7 +54,6 @@ from .observables import (
     PopulationRecord,
     battery_entanglement_entropy,
     cos_theta_power,
-    fisher_energy,
     populations_and_rates,
     power,
     qfi,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .capacity import capacity_at_entropy, solve_beta_for_entropy, thermal_curve
-from .config import load_capacity, load_scenario
+from .config import load_capacity, load_scenario, repeated, target_key
 from .errors import ConfigError, QBatteryError
 from .models import register_spectrum
 # No command uses these two; they are kept only for the benchmark tracer,
@@ -126,7 +126,7 @@ def cmd_capacity(args) -> int:
     for s_bits in cfg.entropy_targets_bits:
         low = solve_beta_for_entropy(battery, s_bits, "positive_beta")
         high = solve_beta_for_entropy(battery, s_bits, "negative_beta")
-        targets[format(s_bits, ".6g")] = {
+        targets[target_key(s_bits)] = {
             "E_min": low.energy,
             "E_max": high.energy,
             "beta_positive": low.beta,
@@ -206,6 +206,9 @@ def _read_trajectory_csv(path: str) -> dict[str, np.ndarray]:
         raise ConfigError(f"{path}: malformed trajectory CSV ({exc})") from exc
     if data.shape[1] != len(header):
         raise ConfigError(f"{path}: rows have {data.shape[1]} fields, the header {len(header)}")
+    clashes = repeated(header)
+    if clashes:
+        raise ConfigError(f"{path}: repeated columns {clashes}")
     missing = [c for c in TRAJECTORY_COLUMNS if c not in header]
     if missing:
         raise ConfigError(f"{path}: missing trajectory columns {missing}")

@@ -1,8 +1,8 @@
 """JSON scenario configuration.
 
 Configs are plain JSON with a fixed schema (documented in the README);
-unknown keys are rejected with the offending path so typos fail loudly
-instead of silently falling back to defaults.
+unknown keys (with the offending path) and repeated keys are rejected, so
+typos fail loudly instead of silently falling back to defaults.
 """
 
 from __future__ import annotations
@@ -48,6 +48,12 @@ class CapacityConfig:
     points_per_branch: int = 200
     entropy_targets_bits: tuple[float, ...] = ()
     output_dir: str = "out"
+
+
+def repeated(items) -> list:
+    """The items that occur more than once, sorted."""
+    items = list(items)
+    return sorted({item for item in items if items.count(item) > 1})
 
 
 def _require(mapping: dict, path: str, required: dict, optional: dict) -> dict:
@@ -197,6 +203,11 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     )
 
 
+def target_key(s_bits: float) -> str:
+    """The capacity.json key of an entropy target: 6 significant digits."""
+    return format(s_bits, ".6g")
+
+
 def parse_capacity(raw: dict) -> CapacityConfig:
     raw = _require(
         raw,
@@ -216,6 +227,9 @@ def parse_capacity(raw: dict) -> CapacityConfig:
     if points_per_branch < 1:
         raise ConfigError(f"beta.points_per_branch: must be >= 1, got {points_per_branch}")
     targets = _typed_list(raw["entropy_targets_bits"], (int, float), "entropy_targets_bits")
+    clashes = repeated(map(target_key, targets))
+    if clashes:
+        raise ConfigError(f"entropy_targets_bits: targets {clashes} coincide as capacity.json keys")
     return CapacityConfig(
         spec=spec,
         beta_max_abs=beta_max_abs,
@@ -236,11 +250,21 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    clashes = repeated(key for key, _ in pairs)
+    if clashes:
+        raise ValueError(f"repeated keys {clashes} in one object")
+    return dict(pairs)
+
+
 def load_json(path: str | Path) -> dict:
-    """Parse a config file; NaN, Infinity and overflowing numbers are rejected."""
+    """Parse a config file; NaN, Infinity, overflowing numbers and repeated keys are rejected."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, parse_float=_finite_float, parse_constant=_reject_constant)
+            return json.load(
+                handle, parse_float=_finite_float, parse_constant=_reject_constant,
+                object_pairs_hook=_unique_keys,
+            )
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except ValueError as exc:  # json.JSONDecodeError or a non-finite number

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .models import TIME_CHUNK, ModelSpec, check_run_bytes
-from .observables import POPULATION_FLOOR, fisher_sum
+from .models import TIME_CHUNK, ModelSpec, check_run_bytes, time_blocks
+from .observables import POPULATION_FLOOR, check_distributions, fisher_sum
 
 
 @dataclass(frozen=True)
@@ -62,19 +62,6 @@ class PairDistribution:
     l_values: np.ndarray
     p: np.ndarray
     p_dot: np.ndarray
-
-
-def _check_distributions(p: np.ndarray, p_dot: np.ndarray) -> None:
-    """Raise unless each column of p is a distribution and of p_dot a conserving rate."""
-    total, rate = p.sum(axis=0), p_dot.sum(axis=0)
-    worst = np.argmax(np.abs(total - 1.0))  # argmax picks a NaN first
-    if not abs(total[worst] - 1.0) <= 1e-10:
-        raise ValidationError(f"pair distribution sums to {total[worst]!r}")
-    worst = np.argmax(np.abs(rate))
-    if not abs(rate[worst]) <= 1e-9:
-        raise ValidationError(f"pair distribution rates sum to {rate[worst]!r}")
-    if p.min() < -1e-12:
-        raise ValidationError(f"negative probability {p.min():.3e}")
 
 
 def check_chain_size(n_cells: int, steps: int, record: bool = True) -> int:
@@ -129,17 +116,22 @@ def pair_excitations(modes: ModeSet, t: float | np.ndarray) -> tuple[np.ndarray,
 
 
 def observables_on_grid(modes: ModeSet, times: np.ndarray) -> dict[str, np.ndarray]:
-    """Vectorized E, P, var(H_B) series over a time grid (chunked in time)."""
+    """Vectorized E, P, var(H_B) series over a time grid, in time blocks."""
     times = np.asarray(times, dtype=float)
     energy = np.empty_like(times)
     pw = np.empty_like(times)
     var_battery = np.empty_like(times)
-    for lo in range(0, len(times), TIME_CHUNK):
-        eps, eps_dot = pair_excitations(modes, times[lo : lo + TIME_CHUNK, None])
-        energy[lo : lo + TIME_CHUNK] = eps.sum(axis=1)
-        pw[lo : lo + TIME_CHUNK] = eps_dot.sum(axis=1)
-        var_battery[lo : lo + TIME_CHUNK] = (eps * (2.0 - eps)).sum(axis=1)
+    for block in time_blocks(len(times)):
+        eps, eps_dot = pair_excitations(modes, times[block, None])
+        energy[block] = eps.sum(axis=1)
+        pw[block] = eps_dot.sum(axis=1)
+        var_battery[block] = (eps * (2.0 - eps)).sum(axis=1)
     return {"energy": energy, "power": pw, "var_battery": var_battery}
+
+
+def energy_at(modes: ModeSet, t: float) -> float:
+    """The stored energy E of :func:`observables_on_grid` at one (off-grid) time t."""
+    return float(observables_on_grid(modes, np.array([t]))["energy"][0])
 
 
 def pair_distributions(modes: ModeSet, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +151,7 @@ def pair_distributions(modes: ModeSet, times: np.ndarray) -> tuple[np.ndarray, n
         s[: c + 1] += rate[: c + 1]
     p_dot = -s
     p_dot[1:] += s[:-1]
-    _check_distributions(p, p_dot)
+    check_distributions(p, p_dot)
     return p, p_dot
 
 
@@ -179,15 +171,14 @@ def fisher_energy_analytic(dist: PairDistribution) -> float:
 
 
 def distribution_blocks(modes: ModeSet, times: np.ndarray):
-    """Yield (block, p, pdot) of :func:`pair_distributions` for each
-    TIME_CHUNK-long slice ``block`` of the grid."""
-    for lo in range(0, len(times), TIME_CHUNK):
-        block = slice(lo, lo + TIME_CHUNK)
+    """Yield (block, p, pdot) of :func:`pair_distributions` for each slice
+    ``block`` of :func:`models.time_blocks`."""
+    for block in time_blocks(len(times)):
         yield (block, *pair_distributions(modes, times[block]))
 
 
 def fisher_energy_series(modes: ModeSet, times: np.ndarray) -> np.ndarray:
-    """Fisher information in energy space at each grid time (chunked in time)."""
+    """Fisher information in energy space at each grid time, in time blocks."""
     times = np.asarray(times, dtype=float)
     out = np.empty_like(times)
     for block, p, p_dot in distribution_blocks(modes, times):

@@ -243,10 +243,6 @@ class LevelStructure:
     starts: np.ndarray
 
     @property
-    def n_levels(self) -> int:
-        return len(self.energies)
-
-    @property
     def multiplicities(self) -> np.ndarray:
         return np.diff(self.starts)
 
@@ -316,17 +312,17 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-(probs * np.log2(probs)).sum())
 
 
-def group_levels(eigenvalues: np.ndarray, rel_tol: float = LEVEL_REL_TOL) -> LevelStructure:
+def group_levels(eigenvalues: np.ndarray) -> LevelStructure:
     """Merge ascending eigenvalues into degenerate levels.
 
     Consecutive eigenvalues are merged whenever their gap is at most
-    ``rel_tol`` times the spectral range; each level carries the group-mean
+    LEVEL_REL_TOL times the spectral range; each level carries the group-mean
     energy and the contiguous slice of its members (eigenvector columns of
     an eigendecomposed operator).
     """
     vals = np.asarray(eigenvalues, dtype=float)
     span = float(vals[-1] - vals[0])
-    gap = rel_tol * span
+    gap = LEVEL_REL_TOL * span
     breaks = np.flatnonzero(np.diff(vals) > gap) + 1
     starts = np.concatenate(([0], breaks, [len(vals)]))
     energies = np.array([vals[a:b].mean() for a, b in zip(starts[:-1], starts[1:])])

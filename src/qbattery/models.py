@@ -21,6 +21,18 @@ RUN_BYTES_MAX = 4 * 2**30  # admits a dense run of N = 12 qubits at 2000 steps
 # (rows x times) work array to about 10 MB for the pair recursion at N = 10^4.
 TIME_CHUNK = 256
 
+
+def time_blocks(n_steps: int) -> list[slice]:
+    """The grid in TIME_CHUNK-long blocks of times, the one block rule of
+    both backends.  A last time alone joins the block before: one time
+    propagates by a matrix-vector product, whose rounding differs from a
+    column of the matrix product.  A grid of one time is one block."""
+    starts = list(range(0, n_steps, TIME_CHUNK))
+    if len(starts) > 1 and n_steps - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_steps])]
+
+
 PARADIGMATIC_FAMILIES = ("parallel", "global", "hybrid")
 # The fields each family takes besides family, n_cells and lam.  Every
 # other field must keep its default.

@@ -40,12 +40,21 @@ class PopulationRecord:
     p_dot: np.ndarray
 
     def __post_init__(self):
-        if abs(self.p.sum() - 1.0) > 1e-9:
-            raise ValidationError(f"populations sum to {self.p.sum()!r}")
-        if abs(self.p_dot.sum()) > 1e-8:
-            raise ValidationError(f"population rates sum to {self.p_dot.sum()!r}")
-        if self.p.min() < -1e-12:
-            raise ValidationError(f"negative population {self.p.min():.3e}")
+        check_distributions(self.p, self.p_dot)
+
+
+def check_distributions(p: np.ndarray, p_dot: np.ndarray) -> None:
+    """Raise ValidationError unless each column (axis 0: levels) of p sums to 1
+    within 1e-10 with no entry below -1e-12, and of p_dot to 0 within 1e-9; a NaN fails."""
+    total, rate = np.atleast_1d(p.sum(axis=0)), np.atleast_1d(p_dot.sum(axis=0))
+    worst = float(total[np.argmax(np.abs(total - 1.0))])  # argmax picks a NaN first
+    if not abs(worst - 1.0) <= 1e-10:
+        raise ValidationError(f"populations sum to {worst!r}")
+    worst = float(rate[np.argmax(np.abs(rate))])
+    if not abs(worst) <= 1e-9:
+        raise ValidationError(f"population rates sum to {worst!r}")
+    if p.min() < -1e-12:
+        raise ValidationError(f"negative population {p.min():.3e}")
 
 
 def expectation(psi: StateVector, op: HermitianOperator) -> float:
@@ -106,12 +115,6 @@ def fisher_sum(p: np.ndarray, p_dot: np.ndarray, floor: float) -> np.ndarray:
     p_k > floor; an excluded level adds +0.0."""
     keep = p > floor
     return (np.where(keep, p_dot, 0.0) ** 2 / np.where(keep, p, 1.0)).sum(axis=0)
-
-
-def fisher_energy(record: PopulationRecord) -> float:
-    """sum_k pdot_k^2 / p_k over levels with p_k above the population floor."""
-    mask = record.p > POPULATION_FLOOR
-    return float((record.p_dot[mask] ** 2 / record.p[mask]).sum())
 
 
 def qfi(rho: DensityMatrix, drive: HermitianOperator) -> float:

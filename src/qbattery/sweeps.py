@@ -11,12 +11,15 @@ sweep asks for the dense path; every other point is one dense run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .bounds import bound_ratio
 from .errors import CapacityLimitError, ValidationError
-from .freefermion import check_chain_size, dispersion, fisher_energy_series, observables_on_grid
+from .freefermion import (
+    check_chain_size, dispersion, energy_at, fisher_energy_series, observables_on_grid,
+)
 from .models import ModelSpec, check_dense_size, power_law_couplings
 from .observables import battery_entanglement_entropy, cos_theta_power, time_average
 from .trajectory import (
@@ -154,9 +157,7 @@ def chain_analytic_quantities(
     times = time_grid(spec, lam_t_max, steps)
     series = observables_on_grid(modes, times)
 
-    peak = find_peak_time(
-        times, series["energy"], lambda t: observables_on_grid(modes, np.array([t]))["energy"][0]
-    )
+    peak = find_peak_time(times, series["energy"], partial(energy_at, modes))
     fisher = fisher_energy_series(modes, times[: _window(times, peak.t_f)])
     return _window_quantities(
         times, peak, series["energy"], series["var_battery"], fisher, modes.var_charger

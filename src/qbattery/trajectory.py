@@ -20,35 +20,21 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import partial
 
 import numpy as np
 
 from .errors import ValidationError
 from .freefermion import (
-    check_chain_size,
-    dispersion,
-    distribution_blocks,
-    observables_on_grid,
+    check_chain_size, dispersion, distribution_blocks, energy_at, observables_on_grid,
 )
-from .linalg import (
-    Basis,
-    HermitianOperator,
-    StateVector,
-    eigendecompose,
-    evolve_batch,
-)
+from .linalg import Basis, HermitianOperator, StateVector, eigendecompose, evolve_batch
 from .models import (
-    TIME_CHUNK,
-    ModelSpec,
-    build_battery_for,
-    build_charger_for,
-    check_dense_size,
-    excitation_counts,
-    initial_state,
-    model_basis,
-    register_spectrum,
+    ModelSpec, build_charger_for, check_dense_size, excitation_counts, initial_state, model_basis,
+    register_spectrum, time_blocks,
 )
+# No run builds the battery; the benchmark tracer patches this binding.
+from .models import build_battery_for  # noqa: F401
 from .observables import POPULATION_FLOOR, cos_theta_power, fisher_sum
 
 DEFAULT_STEPS = 2000
@@ -102,28 +88,18 @@ class Trajectory:
     def backend(self) -> str:
         return "dense" if self.charger is not None else "free-fermion"
 
-    def _require_dense(self, what: str) -> None:
-        if self.charger is None:
-            raise ValidationError(
-                f"a free-fermion run holds no {what}; run the chain with path='dense'"
-            )
-
     def state_at(self, index: int) -> StateVector:
         """The run's state at grid time ``index``, bit for bit: the block of
         times that holds it, propagated again as the run propagated it."""
-        self._require_dense("states")
+        if self.charger is None:
+            raise ValidationError(
+                "a free-fermion run holds no states; run the chain with path='dense'"
+            )
         index = range(self.n_steps)[index]
-        block = next(b for b in _time_blocks(self.n_steps) if index < b.stop)
+        block = next(b for b in time_blocks(self.n_steps) if index < b.stop)
         amplitudes = self.charger.to_eigenbasis(self.psi0.amplitudes)
         states = evolve_batch(self.charger, amplitudes, self.times[block])
         return StateVector(states[:, index - block.start], self.psi0.basis)
-
-    @cached_property
-    def battery(self) -> HermitianOperator:
-        """The battery in the run's basis, built on first use; no step of the
-        run reads it, only the independent oracles do."""
-        self._require_dense("dense battery")
-        return build_battery_for(self.spec)
 
 
 def time_grid(spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFAULT_STEPS) -> np.ndarray:
@@ -137,14 +113,6 @@ def time_grid(spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFA
     if lam_t_max <= 0:
         raise ValidationError("lam_t_max must be positive")
     return np.linspace(0.0, lam_t_max / spec.lam, steps)
-
-
-def _time_blocks(n_steps: int) -> list[slice]:
-    """The grid in TIME_CHUNK-long blocks of times.  A last time alone joins
-    the block before: one time propagates by a matrix-vector product, whose
-    rounding differs from a column of the matrix product."""
-    edges = [*range(0, n_steps - 1, TIME_CHUNK), n_steps]
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def _fock_edge_population(states: np.ndarray, basis: Basis) -> float:
@@ -170,7 +138,7 @@ def _record(
     # break saturated inequality checks at the 1e-8 tolerance.  Exact zeros
     # are masked; symmetry-protected zeros contribute only noise^2 terms.
     fisher_energy, fisher_energy_full = np.empty((2, len(times)))
-    for block in _time_blocks(len(times)):
+    for block in time_blocks(len(times)):
         p, p_dot = populations[:, block], rates[:, block]
         fisher_energy[block] = fisher_sum(p, p_dot, POPULATION_FLOOR)
         fisher_energy_full[block] = fisher_sum(p, p_dot, 0.0)
@@ -207,7 +175,7 @@ def _run_fixed(spec: ModelSpec, times: np.ndarray, leak_tol: float = math.inf) -
     leak = 0.0
     populations = np.empty((len(e_levels), len(times)))
     rates = np.empty_like(populations)
-    for block in _time_blocks(len(times)):
+    for block in time_blocks(len(times)):
         states = evolve_batch(charger, amplitudes, times[block])
         if basis.kind == "spin_fock":
             leak = max(leak, _fock_edge_population(states, basis))
@@ -229,42 +197,36 @@ def _run_fixed(spec: ModelSpec, times: np.ndarray, leak_tol: float = math.inf) -
 
     ladder = e_levels[counts[order]]  # each basis state's energy, in level order
 
-    def energy_at(t: float) -> float:
+    def stored_energy_at(t: float) -> float:
         psi = evolve_batch(charger, amplitudes, np.array([t]))[:, 0]
         return float(np.abs(psi[order]) ** 2 @ ladder - initial_energy)
 
     return _record(
         spec, times, initial_energy, populations, rates, energy_abs - initial_energy,
-        e_levels @ rates, var_battery, var_charger, energy_at,
+        e_levels @ rates, var_battery, var_charger, stored_energy_at,
         fock_edge_population=leak,
         charger=charger,
         psi0=psi0,
     )
 
 
-def _run_chain(spec: ModelSpec, lam_t_max: float | None, steps: int) -> Trajectory:
-    """The free-fermion backend: a chain run from its mode set, at any N.
+def _run_chain(spec: ModelSpec, times: np.ndarray) -> Trajectory:
+    """The free-fermion run of a chain on the grid, from its mode set, at any N.
 
     Particle number l is the battery level (k - N/2 at k = l), so the even
     levels come from the pair recursion over the N // 2 pairs and the odd ones
     are exactly empty; at odd N, level N is odd and stays empty too.
     """
-    check_chain_size(spec.n_cells, steps)
     modes = dispersion(spec)
-    times = time_grid(spec, lam_t_max, steps)
     series = observables_on_grid(modes, times)
     n = spec.n_cells
     populations = np.zeros((n + 1, len(times)))
     rates = np.zeros_like(populations)
     for block, p, p_dot in distribution_blocks(modes, times):
         populations[::2, block], rates[::2, block] = p, p_dot
-
-    def energy_at(t: float) -> float:
-        return float(observables_on_grid(modes, np.array([t]))["energy"][0])
-
     return _record(
         spec, times, -n / 2, populations, rates, series["energy"], series["power"],
-        series["var_battery"], modes.var_charger, energy_at,
+        series["var_battery"], modes.var_charger, partial(energy_at, modes),
     )
 
 
@@ -294,11 +256,16 @@ def run_trajectory(
     reaches the tolerance, and the next doubling starts.  Each cutoff must
     pass :func:`models.check_dense_size` before it is built.  An explicit
     n_max runs in full and reports its leak in ``fock_edge_population``.
+    Either path's size rule runs before the one grid is built.
     """
-    if analytic_path(spec, path):
-        return _run_chain(spec, lam_t_max, steps)
-    check_dense_size(spec, steps)  # an automatic cutoff starts at model_basis's
+    chain = analytic_path(spec, path)
+    if chain:
+        check_chain_size(spec.n_cells, steps)
+    else:
+        check_dense_size(spec, steps)  # an automatic cutoff starts at model_basis's
     times = time_grid(spec, lam_t_max, steps)
+    if chain:
+        return _run_chain(spec, times)
     if spec.family != "dicke" or spec.n_max is not None:
         return _run_fixed(spec, times)
 

@@ -14,12 +14,8 @@ from . import bounds, observables
 from .capacity import EnergyAmplitudeReport, energy_amplitude_check
 from .linalg import RECONSTRUCTION_ATOL, StateVector, eigendecompose, evolve
 from .models import (
-    CHAIN_VARIANTS,
-    ModelSpec,
-    build_charger_paradigmatic,
-    chain_spec,
-    battery_cell_terms,
-    register_spectrum,
+    CHAIN_VARIANTS, ModelSpec, battery_cell_terms, build_battery_for, build_charger_paradigmatic,
+    chain_spec, register_spectrum,
 )
 from .trajectory import Trajectory, find_tf, run_trajectory
 
@@ -57,15 +53,14 @@ CSV_BOUNDS = ("fisher_power_ratio", "heisenberg_ratio", "heisenberg_power",
 
 @dataclass
 class CertificationReport:
-    """Outcome of checking trajectory columns: per inequality its violated steps
-    (``masks``), its check and violation counts and its worst ratio, the largest
+    """Outcome of checking trajectory columns: the violations, and per
+    inequality its check and violation counts and its worst ratio, the largest
     finite ``bounds.bound_ratio`` or 0 (``per_bound``).  The
     amplitude and witness are known only in memory."""
 
     n_steps: int
     n_checks: int
     violations: list[Violation]  # ordered by step, then by inequality
-    masks: dict[str, np.ndarray]
     per_bound: dict[str, dict]
     amplitude: EnergyAmplitudeReport | None = None
     witness_block_max: int | None = None
@@ -101,19 +96,19 @@ def certify_series(
     A NaN on either side is a violation with ``undefined_fails`` (computed
     series), else a skipped, uncounted step (an empty CSV field)."""
     t = columns["t"]
-    masks, per_bound, found = {}, {}, []
+    per_bound, found = {}, []
     for j, label in enumerate(labels):
         with np.errstate(divide="ignore", invalid="ignore"):
             lhs, rhs = INEQUALITIES[label](columns)
         defined = np.ones(len(t), bool) if undefined_fails else ~(np.isnan(lhs) | np.isnan(rhs))
-        masks[label] = bad = defined & ~bounds.within_tolerance(lhs, rhs)
+        bad = defined & ~bounds.within_tolerance(lhs, rhs)
         found += [(i, j, Violation(label, float(t[i]), float(lhs[i]), float(rhs[i])))
                   for i in np.flatnonzero(bad)]
         ratios = bounds.bound_ratio(lhs, rhs)
         worst = float(ratios[np.isfinite(ratios)].max(initial=0.0))
         per_bound[label] = {"checks": int(defined.sum()), "violations": int(bad.sum()), "worst_ratio": worst}
     n_checks = sum(b["checks"] for b in per_bound.values())
-    return CertificationReport(len(t), n_checks, [v for *_, v in sorted(found)], masks, per_bound)
+    return CertificationReport(len(t), n_checks, [v for *_, v in sorted(found)], per_bound)
 
 
 def certify_trajectory(traj: Trajectory) -> CertificationReport:
@@ -147,6 +142,9 @@ def certify_trajectory(traj: Trajectory) -> CertificationReport:
 # certified entanglement block, and power-bound saturation) is compared
 # against simulation.
 # ---------------------------------------------------------------------------
+
+TABLE_REL_TOL = 1e-8  # relative tolerance of every cell but the peak time's and the witness's
+TABLE_TIMES = 20  # seeded random times per model for the time-dependent rows
 
 
 @dataclass(frozen=True)
@@ -211,16 +209,10 @@ def _expected_entries(spec: ModelSpec) -> dict[str, float]:
     }
 
 
-def verify_benchmark_table(
-    n_values=(2, 4, 6, 8),
-    lam: float = 1.0,
-    seed: int = 0,
-    rel_tol: float = 1e-8,
-    n_times: int = 20,
-) -> TableReport:
+def verify_benchmark_table(n_values=(2, 4, 6, 8), lam: float = 1.0, seed: int = 0) -> TableReport:
     """Check every closed-form table entry against simulation.
 
-    Time-dependent rows are checked at ``n_times`` seeded random times inside
+    Time-dependent rows are checked at TABLE_TIMES seeded random times inside
     the charging window; the peak-time row checks that the stored energy at
     lam*t = pi/2 equals N and that the refined peak agrees with pi/2 at the
     peak search's own resolution (function-value maximization cannot localize
@@ -230,16 +222,16 @@ def verify_benchmark_table(
     report = TableReport()
     for n in n_values:
         for spec in benchmark_specs(n, lam):
-            _verify_one_model(spec, rng, rel_tol, n_times, report)
+            _verify_one_model(spec, rng, report)
     return report
 
 
-def _verify_one_model(spec, rng, rel_tol, n_times, report: TableReport):
+def _verify_one_model(spec, rng, report: TableReport):
     n, lam = spec.n_cells, spec.lam
     expected = _expected_entries(spec)
     cells = []
 
-    def add(cell, exp, act, tol=rel_tol):
+    def add(cell, exp, act, tol=TABLE_REL_TOL):
         cells.append(
             CellCheck(
                 family=spec.family,
@@ -255,7 +247,7 @@ def _verify_one_model(spec, rng, rel_tol, n_times, report: TableReport):
 
     traj = run_trajectory(spec, steps=400)
     charger = traj.charger
-    battery = eigendecompose(traj.battery)
+    battery = eigendecompose(build_battery_for(spec))
     add("charger_norm", expected["charger_norm"], charger.norm())
     add("var_charger_t0", expected["var_charger"], traj.var_charger)
 
@@ -265,7 +257,7 @@ def _verify_one_model(spec, rng, rel_tol, n_times, report: TableReport):
     peak = find_tf(traj)
     add("lam_t_peak", math.pi / 2, lam * peak.t_f, tol=1e-5)
 
-    times = (0.02 + 0.96 * rng.random(n_times)) * t_star
+    times = (0.02 + 0.96 * rng.random(TABLE_TIMES)) * t_star
     cell_terms = battery_cell_terms(n)
     keys = ("energy", "var_battery", "fisher_energy", "corr", "power_ratio")
     worst = {key: (0.0, 1.0, -1.0) for key in keys}  # (expected, actual, margin)
@@ -276,7 +268,7 @@ def _verify_one_model(spec, rng, rel_tol, n_times, report: TableReport):
         measured = {
             "energy": observables.stored_energy(psi, battery, traj.psi0),
             "var_battery": observables.variance(psi, battery),
-            "fisher_energy": observables.fisher_energy(rec),
+            "fisher_energy": observables.fisher_sum(rec.p, rec.p_dot, observables.POPULATION_FLOOR),
         }
         expected_t = {
             "energy": n * p_exc,
@@ -293,7 +285,7 @@ def _verify_one_model(spec, rng, rel_tol, n_times, report: TableReport):
         expected_t["power_ratio"] = 1.0
         for key in keys:
             exp_k, act_k = expected_t[key], measured[key]
-            margin = abs(act_k - exp_k) - (rel_tol * abs(exp_k) + 1e-10)
+            margin = abs(act_k - exp_k) - (TABLE_REL_TOL * abs(exp_k) + 1e-10)
             if margin > worst[key][2]:
                 worst[key] = (exp_k, act_k, margin)
     for key in keys:
@@ -338,25 +330,25 @@ def rk4_evolve(matrix: np.ndarray, amplitudes: np.ndarray, t: float, steps: int)
     return psi
 
 
-def rk4_evolve_adaptive(matrix: np.ndarray, amplitudes: np.ndarray, t: float, tol: float = 1e-10) -> np.ndarray:
-    """Step-halving Runge-Kutta reference: refine until successive grids agree."""
+def rk4_evolve_adaptive(matrix: np.ndarray, amplitudes: np.ndarray, t: float) -> np.ndarray:
+    """Step-halving Runge-Kutta reference: refine until successive grids agree
+    to 1e-10."""
     steps = 64
     prev = rk4_evolve(matrix, amplitudes, t, steps)
     for _ in range(12):
         steps *= 2
         cur = rk4_evolve(matrix, amplitudes, t, steps)
-        if np.abs(cur - prev).max() < tol:
+        if np.abs(cur - prev).max() < 1e-10:
             return cur
         prev = cur
     return prev
 
 
-def chain_oracle_comparison(
-    n_cells: int, variant: str, n_times: int = 50, lam_t_max: float = 10.0
-) -> dict[str, float]:
+def chain_oracle_comparison(n_cells: int, variant: str, n_times: int = 50) -> dict[str, float]:
     """Max deviation between the free-fermion and the dense run of a chain.
 
-    Compares every column of the two run records on a shared grid: the
+    Compares every column of the two run records on a shared grid of the
+    chain's default window (``trajectory.DEFAULT_LAM_T_MAX``): the
     initial energy, stored energy, power, battery variance, the level
     populations and their rates (the odd levels are exactly empty on the
     free-fermion run, so this also checks that they stay unpopulated in the
@@ -365,7 +357,7 @@ def chain_oracle_comparison(
     """
     spec = chain_spec(variant, n_cells)
     dense, chain = (
-        run_trajectory(spec, lam_t_max, n_times, path) for path in ("dense", "analytic")
+        run_trajectory(spec, None, n_times, path) for path in ("dense", "analytic")
     )
     deviations = {
         "initial_energy": chain.initial_energy - dense.initial_energy,
@@ -404,28 +396,30 @@ def run_oracle_checks(seed: int = 1) -> list[OracleCheck]:
 
     spec = chain_spec("xx_nn", 6)
     traj = run_trajectory(spec, steps=40, path="dense")
+    battery = build_battery_for(spec)
     h = 1e-5
     dev = 0.0
     for t in traj.times[5:35:6]:
         fd = (traj.energy_at(t + h) - traj.energy_at(t - h)) / (2 * h)
         psi = evolve(traj.charger, traj.psi0, float(t))
-        dev = max(dev, abs(fd - observables.power(psi, traj.battery, traj.charger)))
+        dev = max(dev, abs(fd - observables.power(psi, battery, traj.charger)))
     checks.append(OracleCheck("power_vs_finite_difference", dev < 1e-6, f"max dev {dev:.2e}"))
 
     lmg = ModelSpec(family="lmg", n_cells=10, lam=5.0, gamma=-1.0)
     traj = run_trajectory(lmg, steps=60)
+    battery = build_battery_for(lmg)
     dev = 0.0
     for t in traj.times[4:56:7]:
         t = float(t)
         recs = [
             observables.populations_and_rates(
-                evolve(traj.charger, traj.psi0, t + s * h), traj.battery, traj.charger
+                evolve(traj.charger, traj.psi0, t + s * h), battery, traj.charger
             )
             for s in (-1, 1)
         ]
         fd = (recs[1].p - recs[0].p) / (2 * h)
         exact = observables.populations_and_rates(
-            evolve(traj.charger, traj.psi0, t), traj.battery, traj.charger
+            evolve(traj.charger, traj.psi0, t), battery, traj.charger
         ).p_dot
         dev = max(dev, np.abs(fd - exact).max())
     checks.append(OracleCheck("population_rate_vs_finite_difference", dev < 1e-7, f"max dev {dev:.2e}"))

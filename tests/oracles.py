@@ -15,6 +15,7 @@ import numpy as np
 
 from qbattery import Basis, DensityMatrix, eigendecompose, evolve, group_levels
 from qbattery.linalg import evolve_batch
+from qbattery.models import build_battery_for
 
 # The Pauli algebra in the package's ordering: local index 0 is the cell
 # ground state, so sigma_z = diag(-1, +1).
@@ -195,7 +196,8 @@ def permutation_run_path(traj):
     reference for the blocked propagation, the row gather and the conserved
     psi0 weights of ``trajectory``.
     """
-    battery, charger, states = eigendecompose(traj.battery), traj.charger, whole_grid_states(traj)
+    battery = eigendecompose(build_battery_for(traj.spec))
+    charger, states = traj.charger, whole_grid_states(traj)
     vecs = permutation_matrix(battery.order)
     overlaps = vecs.conj().T @ states
     driven = vecs.conj().T @ (charger.matrix @ states)
@@ -238,7 +240,7 @@ def dense_battery_observables(psi, battery, charger, m: int = 2) -> dict:
 def stored_energy_by_permutation(traj, t: float) -> float:
     """Off-grid stored energy with the battery eigenbasis as a matrix product."""
     psi = evolve(traj.charger, traj.psi0, t)
-    battery = eigendecompose(traj.battery)
+    battery = eigendecompose(build_battery_for(traj.spec))
     overlaps = permutation_matrix(battery.order).conj().T @ psi.amplitudes
     return float(np.abs(overlaps) ** 2 @ battery.eigenvalues - traj.initial_energy)
 

@@ -14,7 +14,6 @@ from qbattery import (
     eigendecompose,
     entanglement_power_bound,
     evolve,
-    fisher_energy,
     ghz_state,
     initial_state,
     moment_rate_bound,
@@ -32,6 +31,7 @@ from qbattery.bounds import (
     fisher_power_bound,
     heisenberg_power_bound,
 )
+from qbattery.observables import POPULATION_FLOOR, fisher_sum
 from qbattery.trajectory import run_trajectory
 
 from oracles import dephasing_fisher_report
@@ -103,7 +103,7 @@ class TestPowerBounds:
         battery = eigendecompose(build_battery(4))
         psi = evolve(charger, initial_state(spec), math.pi / 4)
         rec = populations_and_rates(psi, battery, charger)
-        fisher = fisher_energy(rec)
+        fisher = fisher_sum(rec.p, rec.p_dot, POPULATION_FLOOR)
         p_val = power(psi, battery, charger)
         cap = entanglement_power_bound(4, 2, fisher)
         assert p_val**2 == pytest.approx(cap, rel=1e-8)

@@ -188,6 +188,12 @@ class TestSchema:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_scenario(bad)
 
+    def test_capacity_targets_that_print_alike_rejected(self):
+        raw = {"model": {"family": "parallel", "N": 4}}
+        for targets in ([1.0, 2.0, 1.0000001], [0.5, 0.5]):
+            with pytest.raises(ConfigError, match=r"entropy_targets_bits: targets \['[0-9.]+'\] coincide"):
+                parse_capacity({**raw, "entropy_targets_bits": targets})
+
 
 class TestFormatting:
     def test_full_precision_roundtrip(self, tmp_path):
@@ -565,6 +571,31 @@ class TestCli:
         assert usage.value.code == 2
         assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
 
+    def test_repeated_config_key_exit_2_and_write_nothing(self, tmp_path, capsys):
+        # The object is written by hand: a dict cannot hold the repeated key.
+        cfg = tmp_path / "scenario.json"
+        out = tmp_path / "out"
+        cfg.write_text(
+            '{"model": {"family": "parallel", "N": 4, "lam": 1.0, "lam": 2.0}, '
+            f'"outputs": {{"directory": {json.dumps(str(out))}}}}}'
+        )
+        assert self.run("simulate", str(cfg)) == 2
+        assert "repeated keys ['lam']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_capacity_targets_that_print_alike_exit_2_and_write_nothing(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "capacity.json",
+            {
+                "model": {"family": "parallel", "N": 4},
+                "entropy_targets_bits": [1.0, 2.0, 1.0000001],
+                "outputs": {"directory": str(tmp_path / "out")},
+            },
+        )
+        assert self.run("capacity", cfg) == 2
+        assert "targets ['1'] coincide" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_capacity_with_an_unreachable_target_writes_nothing(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "capacity.json",
@@ -728,6 +759,15 @@ class TestCli:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 self.assert_certify_config_error(csv_path, capsys, "no data rows")
+
+    def test_certify_repeated_column(self, tmp_path, capsys):
+        # A second P column, equal to the first: read silently, the last P would win.
+        csv_path = self.simulated_csv(tmp_path)
+        lines = csv_path.read_text().splitlines()
+        p = lines[0].split(",").index("P")
+        lines = [line + "," + line.split(",")[p] for line in lines]
+        csv_path.write_text("\n".join(lines) + "\n")
+        self.assert_certify_config_error(csv_path, capsys, "repeated columns ['P']")
 
     def test_missing_command_column(self, tmp_path):
         bad = tmp_path / "partial.csv"

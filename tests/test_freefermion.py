@@ -11,9 +11,8 @@ from qbattery import (
     chain_spec,
     dispersion,
 )
-from qbattery import freefermion
+from qbattery import models
 from qbattery.freefermion import (
-    TIME_CHUNK,
     ModeSet,
     fisher_energy_analytic,
     fisher_energy_series,
@@ -97,7 +96,7 @@ class TestPairExcitations:
         assert observables_on_grid(modes, np.array([t]))["var_battery"][0] >= -1e-12
 
     def test_grid_evaluation_matches_scalar(self, monkeypatch):
-        monkeypatch.setattr(freefermion, "TIME_CHUNK", 16)
+        monkeypatch.setattr(models, "TIME_CHUNK", 16)
         modes = dispersion(chain_spec("xy_pow", 16))
         times = np.linspace(0, 8, 57)
         series = observables_on_grid(modes, times)
@@ -161,7 +160,7 @@ class TestAnalyticFisher:
     def test_series_evaluation(self):
         # Longer than one time block: the blocks must agree with single times.
         modes = dispersion(chain_spec("xy_nn", 8))
-        times = np.linspace(0.0, 4.0, TIME_CHUNK + 9)
+        times = np.linspace(0.0, 4.0, models.TIME_CHUNK + 9)
         series = fisher_energy_series(modes, times)
         single = [fisher_energy_analytic(pair_distribution(modes, float(t))) for t in times]
         np.testing.assert_allclose(series, single, rtol=1e-12, atol=0.0)
@@ -186,12 +185,14 @@ class TestForwardRecursion:
 
     def test_unphysical_pairing_rejected_in_every_block(self):
         # |sin theta| > 1 pushes the pair occupation above 1 near omega t = pi/2,
-        # which leaves a negative probability; that time sits in the second block.
+        # which leaves a negative probability; that time sits in the second
+        # block (two times long, since a lone last time would join the first).
         modes = ModeSet(k=np.array([0.3]), omega=np.array([1.0]), sin_theta=np.array([1.01]))
-        times = np.linspace(0.0, 1.0, TIME_CHUNK)
+        times = np.linspace(0.0, 1.0, models.TIME_CHUNK)
         assert np.all(np.isfinite(fisher_energy_series(modes, times)))
-        with pytest.raises(ValidationError):
-            fisher_energy_series(modes, np.append(times, np.pi / 2))
+        assert len(models.time_blocks(len(times) + 2)) == 2
+        with pytest.raises(ValidationError, match="negative population"):
+            fisher_energy_series(modes, np.append(times, [1.2, np.pi / 2]))
 
     def test_large_chain_obeys_dephasing_bound(self):
         # I_E <= 4 var(H_C): the energy-space Fisher information never exceeds

@@ -255,8 +255,8 @@ class TestGroupLevels:
         op = eigendecompose(
             HermitianOperator(np.diag([0.0, 1e-12, 1.0]).astype(complex), Basis("collective_spin", 2))
         )
-        levels = group_levels(op.eigenvalues, rel_tol=1e-9)
-        assert levels.n_levels == 2
+        levels = group_levels(op.eigenvalues)
+        assert len(levels.energies) == 2
         assert list(levels.multiplicities) == [2, 1]
 
     @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**31 - 1))

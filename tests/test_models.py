@@ -40,6 +40,7 @@ from qbattery.models import (
     model_basis,
     power_law_couplings,
     register_spectrum,
+    time_blocks,
 )
 
 from oracles import (
@@ -54,6 +55,22 @@ from oracles import (
 
 def hermitian_deviation(mat):
     return np.abs(mat - mat.conj().T).max()
+
+
+@pytest.mark.parametrize(
+    "n_steps,bounds",
+    [
+        (0, []),
+        (1, [(0, 1)]),
+        (2, [(0, 2)]),
+        (256, [(0, 256)]),
+        (257, [(0, 257)]),  # a lone last time joins the block before
+        (258, [(0, 256), (256, 258)]),
+        (513, [(0, 256), (256, 513)]),
+    ],
+)
+def test_time_blocks(n_steps, bounds):
+    assert [(b.start, b.stop) for b in time_blocks(n_steps)] == bounds
 
 
 class TestBattery:

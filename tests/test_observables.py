@@ -16,7 +16,6 @@ from qbattery import (
     cos_theta_power,
     eigendecompose,
     evolve,
-    fisher_energy,
     ghz_state,
     initial_state,
     populations_and_rates,
@@ -27,14 +26,17 @@ from qbattery import (
     variance,
     variance_decomposition,
 )
-from qbattery.models import battery_cell_terms
+from qbattery.models import battery_cell_terms, build_battery_for
 from qbattery.observables import (
     COS_THETA_DENOM_FLOOR,
     POPULATION_FLOOR,
+    PopulationRecord,
+    check_distributions,
     expectation,
     fisher_sum,
     reduced_battery_state,
 )
+from qbattery.freefermion import ModeSet, pair_distributions
 from qbattery.trajectory import find_tf, run_trajectory
 
 from oracles import dense_battery_observables, random_density_matrix
@@ -84,11 +86,12 @@ class TestEnergyAndPower:
 
     def test_power_matches_finite_difference(self):
         traj = run_trajectory(chain_spec("xx_nn", 6), steps=50, path="dense")
+        battery = build_battery_for(traj.spec)
         h = 1e-5
         for t in (0.8, 2.3, 5.1):
             fd = (traj.energy_at(t + h) - traj.energy_at(t - h)) / (2 * h)
             psi = evolve(traj.charger, traj.psi0, t)
-            assert power(psi, traj.battery, traj.charger) == pytest.approx(fd, abs=1e-6)
+            assert power(psi, battery, traj.charger) == pytest.approx(fd, abs=1e-6)
 
 
 class TestVariance:
@@ -141,16 +144,17 @@ class TestPopulations:
     def test_rates_match_finite_difference(self):
         spec = ModelSpec(family="lmg", n_cells=10, lam=5.0, gamma=-1.0)
         traj = run_trajectory(spec, steps=30)
+        battery = build_battery_for(traj.spec)
         h = 1e-6
         for t in (0.11, 0.47, 0.92):
             plus = populations_and_rates(
-                evolve(traj.charger, traj.psi0, t + h), traj.battery, traj.charger
+                evolve(traj.charger, traj.psi0, t + h), battery, traj.charger
             ).p
             minus = populations_and_rates(
-                evolve(traj.charger, traj.psi0, t - h), traj.battery, traj.charger
+                evolve(traj.charger, traj.psi0, t - h), battery, traj.charger
             ).p
             exact = populations_and_rates(
-                evolve(traj.charger, traj.psi0, t), traj.battery, traj.charger
+                evolve(traj.charger, traj.psi0, t), battery, traj.charger
             ).p_dot
             assert np.abs((plus - minus) / (2 * h) - exact).max() < 1e-7
 
@@ -171,7 +175,7 @@ DIAGONAL_ORACLE_SPECS = [
 @pytest.mark.parametrize("spec", DIAGONAL_ORACLE_SPECS, ids=lambda s: s.family)
 def test_diagonal_battery_observables_match_dense_reference(spec):
     traj = run_trajectory(spec, steps=50)
-    battery = eigendecompose(traj.battery)
+    battery = eigendecompose(build_battery_for(traj.spec))
     assert battery.is_diagonal and battery.eigenvectors is None
     for t in (0.0, 0.37 * traj.times[-1], 0.81 * traj.times[-1]):
         psi = evolve(traj.charger, traj.psi0, t)
@@ -191,12 +195,16 @@ class TestFisherEnergy:
         _, charger, battery, psi0 = paradigmatic("parallel", n, lam)
         for t in (0.2, 0.5, 1.0):
             rec = populations_and_rates(evolve(charger, psi0, t), battery, charger, t)
-            assert fisher_energy(rec) == pytest.approx(4 * n * lam**2, rel=1e-9)
+            assert fisher_sum(rec.p, rec.p_dot, POPULATION_FLOOR) == pytest.approx(
+                4 * n * lam**2, rel=1e-9
+            )
 
     def test_global_constant(self):
         _, charger, battery, psi0 = paradigmatic("global", 4, lam=0.8)
         rec = populations_and_rates(evolve(charger, psi0, 0.5), battery, charger)
-        assert fisher_energy(rec) == pytest.approx(4 * 0.8**2, rel=1e-9)
+        assert fisher_sum(rec.p, rec.p_dot, POPULATION_FLOOR) == pytest.approx(
+            4 * 0.8**2, rel=1e-9
+        )
 
     def test_commuting_charger_freezes_distribution(self):
         spec = ModelSpec(family="jw_chain", n_cells=4, lambdas=(0.9,), gammas=(0.0,))
@@ -237,6 +245,40 @@ class TestFisherSum:
         p = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])  # (levels, times)
         assert np.array_equal(fisher_sum(p, np.zeros_like(p), POPULATION_FLOOR), [0.0, 0.0])
         assert np.array_equal(fisher_sum(p, np.zeros_like(p), 0.0), [0.0, 0.0])
+
+
+# Each corruption of the two-level distribution (0.6, 0.4) with rates
+# (0.1, -0.1) that the one distribution check refuses, with its message.
+BAD_DISTRIBUTIONS = {
+    "nan_population": ([math.nan, 0.4], [0.1, -0.1], "populations sum to nan"),
+    "sum_off_by_2e-10": ([0.6, 0.4 + 2e-10], [0.1, -0.1], "populations sum to"),
+    "rate_sum_off_by_2e-9": ([0.6, 0.4], [0.1, -0.1 + 2e-9], "population rates sum to"),
+    "negative_population": ([1.0 + 1e-11, -1e-11], [0.1, -0.1], "negative population"),
+}
+
+
+class TestDistributionCheck:
+    @pytest.mark.parametrize("case", BAD_DISTRIBUTIONS)
+    def test_population_record_refuses(self, case):
+        p, p_dot, message = BAD_DISTRIBUTIONS[case]
+        with pytest.raises(ValidationError, match=message):
+            PopulationRecord(t=0.0, p=np.array(p), p_dot=np.array(p_dot))
+
+    @pytest.mark.parametrize("case", BAD_DISTRIBUTIONS)
+    def test_grid_columns_refused(self, case):
+        # The (levels x times) form the pair recursion checks: the corrupted
+        # pair in the middle of three columns.
+        p, p_dot, message = BAD_DISTRIBUTIONS[case]
+        good_p, good_rate = [0.6, 0.4], [0.1, -0.1]
+        with pytest.raises(ValidationError, match=message):
+            check_distributions(
+                np.array([good_p, p, good_p]).T, np.array([good_rate, p_dot, good_rate]).T
+            )
+
+    def test_pair_recursion_refuses_a_nan_mode(self):
+        modes = ModeSet(k=np.array([0.3]), omega=np.array([math.nan]), sin_theta=np.array([0.5]))
+        with pytest.raises(ValidationError, match="populations sum to nan"):
+            pair_distributions(modes, np.linspace(0.0, 1.0, 3))
 
 
 class TestStateSpaceFisher:

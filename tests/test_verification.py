@@ -68,8 +68,8 @@ def _csv_round_trip(traj, tmp_path):
     return certify_series(_read_trajectory_csv(str(path)), CSV_BOUNDS, undefined_fails=False)
 
 
-def _violated_steps(report, label):
-    return set(np.flatnonzero(report.masks[label]))
+def _violated_times(report, label):
+    return {v.t for v in report.violations if v.label == label}
 
 
 class TestCertification:
@@ -206,8 +206,8 @@ class TestCsvRecertification:
             assert csv.n_steps == memory.n_steps
             for mem_label, csv_label, column in SHARED_BOUNDS:
                 # Steps with an empty ratio field are skipped in the CSV.
-                defined = set(np.flatnonzero(~np.isnan(columns[column])))
-                assert _violated_steps(memory, mem_label) & defined == _violated_steps(
+                defined = set(columns["t"][~np.isnan(columns[column])].tolist())
+                assert _violated_times(memory, mem_label) & defined == _violated_times(
                     csv, csv_label
                 ), (path, csv_label)
             assert csv.ok == (corruption == "clean"), path
