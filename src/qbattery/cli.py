@@ -236,6 +236,17 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _lam(text: str) -> float:
+    """A --lam value: a finite positive charging frequency."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbattery",
@@ -257,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="verify the closed-form benchmark table")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--lam", type=float, default=1.0)
+    p.add_argument("--lam", type=_lam, default=1.0)
     p.add_argument("--json", help="optional JSON report path")
     p.set_defaults(func=cmd_table1)
 

@@ -160,9 +160,10 @@ def model_basis(spec: ModelSpec) -> Basis:
 
 
 def excitation_counts(basis: Basis) -> np.ndarray:
-    """Excited cells w of each basis index: the set bits of a qubit-chain
-    index, m + N/2 of a collective spin, the spin index of a spin-Fock one."""
-    idx = np.arange(basis.dim)
+    """Excited cells w of each basis state: the set bits of a qubit-chain
+    index, m + N/2 of a collective spin, the spin index of a spin-Fock one
+    (the full-basis index, for a sector's states)."""
+    idx = basis.indices
     if basis.kind == "qubit_chain":
         return sum((idx >> site) & 1 for site in range(basis.n_cells))
     return idx if basis.kind == "collective_spin" else idx // (basis.n_max + 1)
@@ -227,12 +228,18 @@ def check_dense_size(spec: ModelSpec, steps: int = 0) -> int:
     16 (7 dim^2 + 5 dim B) + 64 L T for dim basis states, L = N + 1 levels, T
     steps and B = min(T, TIME_CHUNK) covers the complex charger, its
     eigenvectors and LAPACK's workspace; one block of states and propagation
-    temporaries; the (levels x times) series (L = dim for lmg).  It is 1.2-1.8x
+    temporaries; the (levels x times) series (L = dim for lmg).  It was 1.2-1.8x
     the max RSS growth over the post-import baseline of run_trajectory +
-    certify_trajectory (2 cores, OpenBLAS 0.3.31), in MB: xy_nn N = 9 / 10 at
+    certify_trajectory when runs diagonalized the whole basis (2 cores,
+    OpenBLAS 0.3.31), in MB: xy_nn N = 9 / 10 at
     2000 steps 27 / 89; parallel N = 9 at 500 / 20000 25 / 30; lmg N = 400 at
     2000 50, N = 1000 at 200 120; auto-cutoff dicke at 2000, N = 6 (n_max 80)
     31, N = 12 (n_max 128) 255.  A qubit dimension past int64 is written 2^N.
+
+    The rule bounds the full-space build: the run diagonalizes and
+    propagates only psi0's invariant sector, so it over-estimates a run
+    whose sector is smaller (xy_nn N = 12 propagates 924 of 4096 states),
+    and more so a lumped sweep point (62 equitable groups of those states).
     """
     basis = model_basis(spec)
     block = min(steps, TIME_CHUNK)

@@ -175,10 +175,12 @@ def _analytic(spec: ModelSpec, path: str) -> bool:
 def quantities_for(
     spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFAULT_STEPS, path: str = "auto"
 ) -> dict[str, float]:
-    """Dispatch between dense and analytic evaluation of the sweep quantities."""
+    """Dispatch between dense and analytic evaluation of the sweep quantities;
+    a dense point runs lumped (:func:`trajectory.run_trajectory`)."""
     if _analytic(spec, path):
         return chain_analytic_quantities(spec, lam_t_max, steps)
-    return trajectory_quantities(run_trajectory(spec, lam_t_max, steps, "dense"))
+    lumped = True
+    return trajectory_quantities(run_trajectory(spec, lam_t_max, steps, "dense", lumped))
 
 
 def check_sweep(

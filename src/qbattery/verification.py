@@ -12,6 +12,7 @@ import numpy as np
 
 from . import bounds, observables
 from .capacity import EnergyAmplitudeReport, energy_amplitude_check
+from .errors import ValidationError
 from .linalg import RECONSTRUCTION_ATOL, StateVector, eigendecompose, evolve
 from .models import (
     CHAIN_VARIANTS, ModelSpec, battery_cell_terms, build_battery_for, build_charger_paradigmatic,
@@ -192,6 +193,8 @@ def benchmark_specs(n: int, lam: float) -> list[ModelSpec]:
 
 
 def _expected_entries(spec: ModelSpec) -> dict[str, float]:
+    """The closed-form table entries of ``spec``; ValidationError if lam
+    makes one overflow."""
     n, lam = spec.n_cells, spec.lam
     if spec.family == "parallel":
         blocks, block_size = n, 1
@@ -199,10 +202,16 @@ def _expected_entries(spec: ModelSpec) -> dict[str, float]:
         blocks, block_size = 1, n
     else:
         blocks, block_size = spec.q, spec.r
+    lam_sq = lam * lam  # overflows to inf, where lam**2 raises OverflowError
+    if not math.isfinite(4 * blocks * lam_sq):
+        raise ValidationError(
+            f"lam = {lam:g}: the closed-form entry I_E = 4 q lam^2 of {spec.family} N = {n} "
+            "overflows a float"
+        )
     return {
         "charger_norm": blocks * lam,
-        "var_charger": blocks * lam**2,
-        "fisher_energy": 4 * blocks * lam**2,
+        "var_charger": blocks * lam_sq,
+        "fisher_energy": 4 * blocks * lam_sq,
         "witness_block": block_size,
         "var_prefactor": n * block_size,  # var(H_B) = N r p (1-p)
         "corr_prefactor": n * (block_size - 1),  # correlation part
@@ -218,17 +227,17 @@ def verify_benchmark_table(n_values=(2, 4, 6, 8), lam: float = 1.0, seed: int = 
     peak search's own resolution (function-value maximization cannot localize
     a smooth peak beyond ~sqrt(machine epsilon)).
     """
+    # Every model's entries first, so that a lam they overflow fails before any run.
+    table = [(spec, _expected_entries(spec)) for n in n_values for spec in benchmark_specs(n, lam)]
     rng = np.random.default_rng(seed)
     report = TableReport()
-    for n in n_values:
-        for spec in benchmark_specs(n, lam):
-            _verify_one_model(spec, rng, report)
+    for spec, expected in table:
+        _verify_one_model(spec, expected, rng, report)
     return report
 
 
-def _verify_one_model(spec, rng, report: TableReport):
+def _verify_one_model(spec, expected, rng, report: TableReport):
     n, lam = spec.n_cells, spec.lam
-    expected = _expected_entries(spec)
     cells = []
 
     def add(cell, exp, act, tol=TABLE_REL_TOL):
@@ -246,7 +255,9 @@ def _verify_one_model(spec, rng, report: TableReport):
         )
 
     traj = run_trajectory(spec, steps=400)
-    charger = traj.charger
+    # The run propagated only psi0's sector; the table's states come from the
+    # full charger's own eigendecomposition, independent of it.
+    charger = eigendecompose(traj.charger)
     battery = eigendecompose(build_battery_for(spec))
     add("charger_norm", expected["charger_norm"], charger.norm())
     add("var_charger_t0", expected["var_charger"], traj.var_charger)
@@ -396,30 +407,32 @@ def run_oracle_checks(seed: int = 1) -> list[OracleCheck]:
 
     spec = chain_spec("xx_nn", 6)
     traj = run_trajectory(spec, steps=40, path="dense")
+    # The finite differences read the run's sector propagation; the exact
+    # values, the full charger's own eigendecomposition.
+    charger = eigendecompose(traj.charger)
     battery = build_battery_for(spec)
     h = 1e-5
     dev = 0.0
     for t in traj.times[5:35:6]:
         fd = (traj.energy_at(t + h) - traj.energy_at(t - h)) / (2 * h)
-        psi = evolve(traj.charger, traj.psi0, float(t))
-        dev = max(dev, abs(fd - observables.power(psi, battery, traj.charger)))
+        psi = evolve(charger, traj.psi0, float(t))
+        dev = max(dev, abs(fd - observables.power(psi, battery, charger)))
     checks.append(OracleCheck("power_vs_finite_difference", dev < 1e-6, f"max dev {dev:.2e}"))
 
     lmg = ModelSpec(family="lmg", n_cells=10, lam=5.0, gamma=-1.0)
     traj = run_trajectory(lmg, steps=60)
+    charger = eigendecompose(traj.charger)
     battery = build_battery_for(lmg)
     dev = 0.0
     for t in traj.times[4:56:7]:
         t = float(t)
         recs = [
-            observables.populations_and_rates(
-                evolve(traj.charger, traj.psi0, t + s * h), battery, traj.charger
-            )
+            observables.populations_and_rates(evolve(charger, traj.psi0, t + s * h), battery, charger)
             for s in (-1, 1)
         ]
         fd = (recs[1].p - recs[0].p) / (2 * h)
         exact = observables.populations_and_rates(
-            evolve(traj.charger, traj.psi0, t), battery, traj.charger
+            evolve(charger, traj.psi0, t), battery, charger
         ).p_dot
         dev = max(dev, np.abs(fd - exact).max())
     checks.append(OracleCheck("population_rate_vs_finite_difference", dev < 1e-7, f"max dev {dev:.2e}"))

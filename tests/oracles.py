@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qbattery import Basis, DensityMatrix, eigendecompose, evolve, group_levels
+from qbattery import Basis, DensityMatrix, StateVector, eigendecompose, evolve, group_levels
 from qbattery.linalg import evolve_batch
 from qbattery.models import build_battery_for
 
@@ -180,34 +180,98 @@ def permutation_matrix(order) -> np.ndarray:
 
 
 def whole_grid_states(traj) -> np.ndarray:
-    """A dense run's states as (dim, T) columns, from one propagation of the
-    whole grid under the record's charger from V^dag psi0: the reference for
-    the run's propagation in blocks of times."""
-    charger = traj.charger
-    amplitudes = charger.eigenvectors.conj().T @ traj.psi0.amplitudes
-    return evolve_batch(charger, amplitudes, traj.times)
+    """A dense run's states as (dim, T) columns of the full basis, from one
+    propagation of the whole grid under the record's sector charger from
+    V^dag psi0, exactly zero off the sector: the reference for the run's
+    propagation in blocks of times."""
+    sector = traj.sector
+    indices = sector.basis.indices
+    amplitudes = sector.eigenvectors.conj().T @ traj.psi0.amplitudes[indices]
+    states = np.zeros((traj.psi0.dim, traj.n_steps), dtype=complex)
+    states[indices] = evolve_batch(sector, amplitudes, traj.times)
+    return states
 
 
 def permutation_run_path(traj):
     """Populations, rates and charger variance of a trajectory's states, with
     the states propagated over the whole grid at once, the battery eigenbasis
-    applied as a permutation-matrix product and the charger weights taken
-    afresh at every time (the raw second moment minus the squared mean): the
-    reference for the blocked propagation, the row gather and the conserved
-    psi0 weights of ``trajectory``.
+    applied as a permutation-matrix product over the full basis and the
+    charger weights taken afresh at every time from the full charger's own
+    eigendecomposition (the raw second moment minus the squared mean): the
+    reference for the blocked propagation, the row gather over the sector and
+    the conserved psi0 weights of ``trajectory``.  H_C psi is the record's
+    sector charger applied to the sector's states, placed in the full basis.
+    The levels sum the sector's rows of the product (numpy sums eight or
+    more rows pairwise, so zero rows would move the rounding); a level with
+    none of them stays zero.
     """
     battery = eigendecompose(build_battery_for(traj.spec))
-    charger, states = traj.charger, whole_grid_states(traj)
+    states = whole_grid_states(traj)
+    indices = traj.sector.basis.indices
+    driven_states = np.zeros_like(states)
+    driven_states[indices] = traj.sector.matrix @ states[indices]
     vecs = permutation_matrix(battery.order)
-    overlaps = vecs.conj().T @ states
-    driven = vecs.conj().T @ (charger.matrix @ states)
-    starts = group_levels(battery.eigenvalues).starts[:-1]
-    populations = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
-    rates = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
+    in_sector = np.isin(battery.order, indices)
+    overlaps = (vecs.conj().T @ states)[in_sector]
+    driven = (vecs.conj().T @ driven_states)[in_sector]
+    levels = group_levels(battery.eigenvalues)
+    level_of_row = np.repeat(np.arange(len(levels.energies)), levels.multiplicities)[in_sector]
+    reached, starts = np.unique(level_of_row, return_index=True)
+    populations = np.zeros((len(levels.energies), traj.n_steps))
+    rates = np.zeros_like(populations)
+    populations[reached] = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
+    rates[reached] = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
+    charger = eigendecompose(traj.charger)
     weights = np.abs(charger.eigenvectors.conj().T @ states) ** 2
     mean_c = charger.eigenvalues @ weights
     var_charger = charger.eigenvalues**2 @ weights - mean_c**2
     return populations, rates, var_charger
+
+
+def full_space_run(spec, times):
+    """The dense run of ``spec`` in its whole model basis, the arithmetic of
+    the run before it kept to psi0's sector: the full charger's own
+    eigendecomposition, each TIME_CHUNK block of times propagated and summed
+    into levels over every basis state.  Returns the run record and the
+    (dim, T) states: the reference for the sector run.  ``spec`` must carry
+    its Fock cutoff, if any."""
+    from qbattery import models, trajectory
+
+    charger = eigendecompose(models.build_charger_for(spec))
+    psi0 = models.initial_state(spec)
+    amplitudes = charger.eigenvectors.conj().T @ psi0.amplitudes
+    battery = eigendecompose(build_battery_for(spec))
+    levels = group_levels(battery.eigenvalues)
+    e_levels, starts = levels.energies, levels.starts[:-1]
+    states = np.empty((charger.dim, len(times)), dtype=complex)
+    populations = np.empty((len(e_levels), len(times)))
+    rates = np.empty_like(populations)
+    for block in models.time_blocks(len(times)):
+        states[:, block] = evolve_batch(charger, amplitudes, times[block])
+        overlaps = states[battery.order, block]
+        driven = (charger.matrix @ states[:, block])[battery.order]
+        populations[:, block] = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
+        rates[:, block] = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
+    leak = 0.0
+    if charger.basis.kind == "spin_fock":
+        blocks = states.reshape(spec.n_cells + 1, spec.n_max + 1, -1)
+        leak = float((np.abs(blocks[:, spec.n_max - 1 :, :]) ** 2).sum(axis=(0, 1)).max())
+    energy_abs = e_levels @ populations
+    initial_energy = float(energy_abs[0])
+    weights = np.abs(amplitudes) ** 2
+    mean_c = charger.eigenvalues @ weights
+    var_charger = weights @ (charger.eigenvalues - mean_c) ** 2
+
+    def stored_energy_at(t: float) -> float:
+        psi = evolve_batch(charger, amplitudes, np.array([t]))[:, 0]
+        return float(np.abs(psi[battery.order]) ** 2 @ battery.eigenvalues - initial_energy)
+
+    record = trajectory._record(
+        spec, times, initial_energy, populations, rates, energy_abs - initial_energy,
+        e_levels @ rates, e_levels**2 @ populations - energy_abs**2, var_charger,
+        stored_energy_at, fock_edge_population=leak, charger=charger, psi0=psi0,
+    )
+    return record, states
 
 
 def dense_battery_observables(psi, battery, charger, m: int = 2) -> dict:
@@ -238,11 +302,17 @@ def dense_battery_observables(psi, battery, charger, m: int = 2) -> dict:
 
 
 def stored_energy_by_permutation(traj, t: float) -> float:
-    """Off-grid stored energy with the battery eigenbasis as a matrix product."""
-    psi = evolve(traj.charger, traj.psi0, t)
+    """Off-grid stored energy with the battery eigenbasis as a matrix product
+    over the full basis, of the state propagated under the record's sector
+    charger; the sum runs over the sector's rows of that product."""
+    sector = traj.sector
+    indices = sector.basis.indices
+    psi = np.zeros(traj.psi0.dim, dtype=complex)
+    psi[indices] = evolve(sector, StateVector(traj.psi0.amplitudes[indices], sector.basis), t).amplitudes
     battery = eigendecompose(build_battery_for(traj.spec))
-    overlaps = permutation_matrix(battery.order).conj().T @ psi.amplitudes
-    return float(np.abs(overlaps) ** 2 @ battery.eigenvalues - traj.initial_energy)
+    in_sector = np.isin(battery.order, indices)
+    overlaps = (permutation_matrix(battery.order).conj().T @ psi)[in_sector]
+    return float(np.abs(overlaps) ** 2 @ battery.eigenvalues[in_sector] - traj.initial_energy)
 
 
 def format_value(x) -> str:

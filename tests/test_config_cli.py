@@ -571,6 +571,21 @@ class TestCli:
         assert usage.value.code == 2
         assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", ["inf", "-inf", "nan", "-1", "0", "abc"])
+    def test_table1_lam_not_finite_positive_is_a_usage_error(self, capsys, lam):
+        with pytest.raises(SystemExit) as usage:
+            self.run("table1", f"--lam={lam}")  # "--lam -inf" would read -inf as an option
+        assert usage.value.code == 2
+        assert f"argument --lam: expected a finite positive number, got {lam!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["1e200", "1e154"])
+    def test_table1_lam_overflowing_the_closed_form_exits_2(self, capsys, lam):
+        # lam**2 raises OverflowError at 1e200; 4 q lam^2 overflows to inf at 1e154.
+        assert self.run("table1", "--lam", lam) == 2
+        err = capsys.readouterr().err
+        assert "the closed-form entry I_E = 4 q lam^2 of parallel N = 2 overflows a float" in err
+        assert "Traceback" not in err
+
     def test_repeated_config_key_exit_2_and_write_nothing(self, tmp_path, capsys):
         # The object is written by hand: a dict cannot hold the repeated key.
         cfg = tmp_path / "scenario.json"

@@ -175,6 +175,17 @@ class TestEvolve:
         for i, t in enumerate(times):
             assert np.abs(batch[:, i] - evolve(op, psi0, float(t)).amplitudes).max() < 1e-12
 
+    def test_batch_phases_are_the_complex_exp_bit_for_bit(self):
+        # The phases come from real cos and sin; the records keep the bits
+        # that np.exp(-1j * angles) gave them, over the angles runs reach.
+        rng = np.random.default_rng(7)
+        op = eigendecompose(random_hermitian(6, rng))
+        coeff = rng.normal(size=6) + 1j * rng.normal(size=6)
+        times = np.concatenate(([0.0], np.linspace(1e-3, 4e3, 3001)))
+        batch = evolve_batch(op, coeff, times)
+        phased = np.exp(-1j * np.outer(op.eigenvalues, times)) * coeff[:, None]
+        assert np.array_equal(batch, op.eigenvectors @ phased)
+
 
 class TestPartialTrace:
     def test_product_state_is_pure(self):
