@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error, 3 bound violation (certify),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -247,7 +248,10 @@ def _lam(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; it names each
+    command, and :func:`main` looks its ``cmd_<name>`` up when it runs."""
     parser = argparse.ArgumentParser(
         prog="qbattery",
         description="Quantum-battery charging simulations with power and capacity bound checks.",
@@ -256,37 +260,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one trajectory and emit CSV + summary JSON")
     p.add_argument("config", help="scenario JSON file")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="run an N or gamma sweep with a scaling fit")
     p.add_argument("config", help="scenario JSON file with a sweep section")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("capacity", help="emit the energy-entropy diagram and entropy targets")
     p.add_argument("config", help="capacity JSON file")
-    p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("table1", help="verify the closed-form benchmark table")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--lam", type=_lam, default=1.0)
     p.add_argument("--json", help="optional JSON report path")
-    p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("certify", help="re-check bound columns of an emitted trajectory CSV")
     p.add_argument("trajectory", help="trajectory.csv produced by simulate")
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("validate", help="run all independent-oracle cross-checks")
     p.add_argument("--seed", type=_seed, default=1)
-    p.set_defaults(func=cmd_validate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]  # at call time: a rebound cmd_* runs
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,10 +1,13 @@
-"""Hermitian linear algebra (dense complex matrices, or the real diagonal of
-a diagonal operator) and exact unitary propagation.
+"""Hermitian linear algebra (dense complex matrices, the real diagonal of a
+diagonal operator, or the nonzero entries of a model charger) and exact
+unitary propagation.
 
 Everything downstream (model builders, observables, bound checks) runs on the
-three value types defined here.  All propagation is spectral: a Hamiltonian is
-diagonalized once and ``exp(-i H t)`` is applied exactly for any ``t``, so no
-integrator tolerance enters the bound checks.
+value types defined here.  A charger is built as its entries
+(:class:`SparseHermitian`); the states a run reaches are found from them, and
+only the dense matrix on those states is built.  All propagation is
+spectral: a Hamiltonian is diagonalized once and ``exp(-i H t)`` is applied
+exactly for any ``t``, so no integrator tolerance enters the bound checks.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ class Basis:
     ``groups`` keeps only some states of that basis and groups them: its i-th
     state spreads evenly over the full basis's states ``groups[i]``, the sum
     of those unit vectors over sqrt(len(groups[i])) (see
-    :meth:`HermitianOperator.lump`).  A one-state group is that basis state.
+    :meth:`SparseHermitian.lump`).  A one-state group is that basis state.
     """
 
     kind: str
@@ -209,7 +212,85 @@ class HermitianOperator:
             return amplitudes[self.order]
         return self.eigenvectors.conj().T @ amplitudes
 
-    def lump(self, groups) -> "HermitianOperator":
+    def norm(self) -> float:
+        """Operator norm (largest singular value; max |eigenvalue| here)."""
+        op = self if self.has_eig else eigendecompose(self)
+        return float(np.abs(op.eigenvalues).max())
+
+
+@dataclass(frozen=True)
+class SparseHermitian:
+    """Hermitian operator on a whole basis as its nonzero entries: ``values[i]``
+    at row ``rows[i]`` and column ``cols[i]``, sorted row-major, one entry per
+    position.  A model charger is built in this form; only the small dense
+    matrix on the states a run reaches is ever formed from it
+    (:meth:`lump`), and :attr:`matrix` builds the whole dense matrix on
+    demand.  Entries are validated like a dense operator's (finite, and
+    Hermitian to HERMITICITY_ATOL, an entry whose transpose is missing
+    counting in full)."""
+
+    basis: Basis
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        if self.basis.groups is not None:
+            raise ValidationError("entries are on a whole basis")
+        rows, cols = (np.asarray(a, dtype=np.intp) for a in (self.rows, self.cols))
+        values = np.asarray(self.values, dtype=complex)
+        if not (rows.ndim == cols.ndim == values.ndim == 1
+                and len(rows) == len(cols) == len(values)):
+            raise ValidationError("rows, cols and values must be 1-d and of one length")
+        _require_finite(values, "entries")
+        dim = self.basis.dim
+        if len(rows) and not (min(rows.min(), cols.min()) >= 0
+                              and max(rows.max(), cols.max()) < dim):
+            raise ValidationError(f"entries lie outside the {dim}-state basis")
+        # Row-major keys, which fit int64 on any basis a size rule admits.
+        keys, transposed = rows * dim + cols, cols * dim + rows
+        if not (np.diff(keys) > 0).all() or not values.all():
+            raise ValidationError("entries must be nonzero, sorted row-major, one per position")
+        at = np.searchsorted(keys, transposed).clip(max=max(len(keys) - 1, 0))
+        partner = np.where(keys[at] == transposed, values[at], 0.0)
+        dev = float(np.abs(values - partner.conj()).max(initial=0.0))
+        if dev > HERMITICITY_ATOL:
+            raise ValidationError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+        for name, value in (("rows", rows), ("cols", cols), ("values", values)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray, basis: Basis) -> "SparseHermitian":
+        """The nonzero entries of a dense matrix."""
+        rows, cols = np.nonzero(matrix)
+        return cls(basis, rows, cols, np.asarray(matrix)[rows, cols])
+
+    @property
+    def dim(self) -> int:
+        return self.basis.dim
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense complex matrix, built on each call."""
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        mat[self.rows, self.cols] = self.values
+        return mat
+
+    def dense(self) -> HermitianOperator:
+        """The dense operator on the whole basis."""
+        return HermitianOperator(self.matrix, self.basis)
+
+    @cached_property
+    def _row_starts(self) -> np.ndarray:
+        return np.searchsorted(self.rows, np.arange(self.dim + 1))
+
+    def row_entries(self, rows: np.ndarray) -> np.ndarray:
+        """The positions of the entries of ``rows``, row by row."""
+        lo, hi = self._row_starts[rows], self._row_starts[np.asarray(rows) + 1]
+        counts = hi - lo
+        return np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+    def lump(self, groups) -> HermitianOperator:
         """The operator on the states that spread evenly over ``groups``
         (disjoint lists of basis indices), in that order, for groups that are
         equitable on an invariant sector, such as :func:`equitable_groups`
@@ -217,30 +298,35 @@ class HermitianOperator:
         op there, exactly.  Every state of group A has the same sum s_AB of
         entries into group B, so the entry of A and B is sqrt(|A| / |B|) s_AB,
         read off the row of A's first state.  With one index per group it is
-        the principal submatrix, and op itself when the groups cover the
-        basis."""
-        if self.basis.groups is not None:
-            raise ValidationError("only an operator on the whole basis can be lumped")
+        the principal submatrix, and :meth:`dense` when the groups cover the
+        basis.  The entries of the groups' first rows are placed in a dense
+        (groups x states) block and summed as the dense matrix's rows would
+        be, so the result has the bits of the same reduction over the whole
+        dense matrix."""
         groups = [np.asarray(group) for group in groups]
         idx = np.concatenate(groups)
         if len(idx) == len(groups) == self.dim:
-            return self
+            return self.dense()
         basis = replace(self.basis, groups=tuple(group.tolist() for group in groups))
-        if len(idx) == len(groups):
-            values = self.values[idx] if self.is_diagonal else self.values[np.ix_(idx, idx)]
-            return HermitianOperator(values, basis)
         first = basis.indices
-        if self.is_diagonal:
-            return HermitianOperator(self.values[first], basis)
+        entries = self.row_entries(first)
+        block = np.zeros((len(first), len(idx)), dtype=complex)
+        block[_positions(first, self.rows[entries]), _positions(idx, self.cols[entries])] = (
+            self.values[entries]
+        )
+        if len(idx) == len(groups):
+            return HermitianOperator(block, basis)
         sizes = basis._sizes
-        sums = np.add.reduceat(self.values[np.ix_(first, idx)], np.cumsum(sizes) - sizes, axis=1)
+        sums = np.add.reduceat(block, np.cumsum(sizes) - sizes, axis=1)
         values = sums * np.sqrt(np.outer(sizes, 1.0 / sizes))
         return HermitianOperator((values + values.conj().T) / 2, basis)
 
-    def norm(self) -> float:
-        """Operator norm (largest singular value; max |eigenvalue| here)."""
-        op = self if self.has_eig else eigendecompose(self)
-        return float(np.abs(op.eigenvalues).max())
+
+def _positions(idx: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The position in ``idx`` (distinct indices) of each of ``targets``, all
+    of which it holds."""
+    order = np.argsort(idx, kind="stable")
+    return order[np.searchsorted(idx, targets, sorter=order)]
 
 
 @dataclass(frozen=True)
@@ -352,25 +438,26 @@ def eigendecompose(op: HermitianOperator) -> HermitianOperator:
     return out
 
 
-def invariant_sector(op: HermitianOperator, amplitudes: np.ndarray) -> np.ndarray:
+def invariant_sector(op: SparseHermitian, amplitudes: np.ndarray) -> np.ndarray:
     """The basis indices that the support of ``amplitudes`` reaches through
     op's nonzero entries: its connected component in op's graph.
 
     op is Hermitian, so no entry couples the component to the rest of the
     basis: op maps it into itself and exp(-i op t) keeps a state there, with
     no symmetry argument.  Each pass of the frontier loop adds the states
-    linked to the last pass's new ones; the indices come in the reverse of
-    that order (a reverse Cuthill-McKee order from the support, neighbours
-    by index).  Any order spans the same sector.  The order sets only the
-    rounding of the sector's eigenvectors, and with it the rounding-level
-    battery variance a run reports at t = 0, which decides whether the
-    t = 0 Heisenberg ratio clears its 1e-12 guard."""
+    linked to the last pass's new ones, read off the entries of the
+    frontier's rows; the indices come in the reverse of that order (a
+    reverse Cuthill-McKee order from the support, neighbours by index).  Any
+    order spans the same sector.  The order sets only the rounding of the
+    sector's eigenvectors, and with it the rounding-level battery variance a
+    run reports at t = 0, which decides whether the t = 0 Heisenberg ratio
+    clears its 1e-12 guard."""
     reached = np.asarray(amplitudes) != 0
     frontier = np.flatnonzero(reached)
     passes = [frontier]
-    linked = op.matrix != 0
     while frontier.size:
-        frontier = np.flatnonzero(linked[frontier].any(axis=0) & ~reached)
+        linked = np.unique(op.cols[op.row_entries(frontier)])
+        frontier = linked[~reached[linked]]
         reached[frontier] = True
         passes.append(frontier)
     return np.concatenate(passes)[::-1]
@@ -384,7 +471,7 @@ def _row_ids(keys: np.ndarray) -> np.ndarray:
 
 
 def equitable_groups(
-    op: HermitianOperator, sector: np.ndarray, labels: np.ndarray
+    op: SparseHermitian, sector: np.ndarray, labels: np.ndarray
 ) -> list[np.ndarray]:
     """``sector`` cut into the coarsest groups whose states agree on their
     row of ``labels`` (integers per basis state) and on the multiset of
@@ -394,7 +481,7 @@ def equitable_groups(
     op_a'b over b in B are then the same numbers, so their sums agree
     exactly: op maps the even spreads over the groups into their span, and
     on an invariant sector (:func:`invariant_sector`) a state that starts
-    even over each group stays so (:meth:`HermitianOperator.lump`).  A
+    even over each group stays so (:meth:`SparseHermitian.lump`).  A
     symmetry of op that fixes the labels and the sector keeps each group, so
     the groups are at least as coarse as its orbits (translations and
     reflections of a ring of cells, permutations of independent cells); no
@@ -410,13 +497,9 @@ def equitable_groups(
     if n_colours < len(sector):
         # The entries within the sector as (row, column, entry code), rows
         # ascending: the rows of sector states link only to sector states.
-        position = np.full(op.dim, -1)
-        position[sector] = np.arange(len(sector))
-        rows, cols = np.nonzero(op.matrix)
-        inside = position[rows] >= 0
-        rows, cols = rows[inside], cols[inside]
-        entries = np.unique(op.matrix[rows, cols], return_inverse=True)[1].ravel()
-        rows, cols = position[rows], position[cols]
+        inside = op.row_entries(np.sort(sector))
+        entries = np.unique(op.values[inside], return_inverse=True)[1].ravel()
+        rows, cols = _positions(sector, op.rows[inside]), _positions(sector, op.cols[inside])
         by_row = np.argsort(rows, kind="stable")
         rows, cols, entries = rows[by_row], cols[by_row], entries[by_row]
         degree = np.bincount(rows, minlength=len(sector))

@@ -14,9 +14,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import CapacityLimitError, ValidationError
-from .linalg import Basis, HermitianOperator, StateVector
+from .linalg import Basis, HermitianOperator, SparseHermitian, StateVector
 
-RUN_BYTES_MAX = 4 * 2**30  # admits a dense run of N = 12 qubits at 2000 steps
+RUN_BYTES_MAX = 4 * 2**30  # admits a dense run on about 6000 states at 2000 steps
+# check_dense_size's first stage: bytes per basis state, per charger entry
+# a builder places, and for the first calls' buffers of any run.
+STATE_BYTES = 128
+ENTRY_BYTES = 160
+RUN_BASE_BYTES = 4 * 2**20
 # Times per block of the dense and free-fermion grid evaluations; keeps each
 # (rows x times) work array to about 10 MB for the pair recursion at N = 10^4.
 TIME_CHUNK = 256
@@ -134,12 +139,29 @@ def _site_values(n_cells: int, site: int) -> np.ndarray:
     return (np.arange(2**n_cells) >> (n_cells - 1 - site)) & 1
 
 
-def _place_flips(mat: np.ndarray, n_cells: int, cells, values) -> None:
+def _place_flips(flips: dict, n_cells: int, cells, values) -> None:
     """Add ``values`` at <idx ^ mask| . |idx> for every basis index idx, where
-    ``mask`` flips the bits of ``cells``."""
+    ``mask`` flips the bits of ``cells``: to ``flips[mask]``, that mask's
+    entries by column, so that the terms of one mask sum in the order they
+    are placed."""
     mask = sum(1 << (n_cells - 1 - site) for site in set(cells))
-    idx = np.arange(mat.shape[0])
-    mat[idx ^ mask, idx] += values
+    flips[mask] = flips.get(mask, 0.0) + values
+
+
+def _flip_entries(basis: Basis, flips: dict) -> SparseHermitian:
+    """The operator with ``flips[mask][idx]`` at <idx ^ mask| . |idx> (mask 0
+    is the diagonal): row r holds ``flips[mask][r ^ mask]`` at column
+    r ^ mask, each row's few entries sorted by column."""
+    idx = np.arange(basis.dim)
+    masks = list(flips)
+    cols = idx[:, None] ^ np.array(masks)
+    values = np.empty(cols.shape)
+    for k, mask in enumerate(masks):
+        values[:, k] = np.broadcast_to(flips[mask], idx.shape)[cols[:, k]]
+    by_col = np.argsort(cols, axis=1)
+    cols, values = np.take_along_axis(cols, by_col, 1), np.take_along_axis(values, by_col, 1)
+    keep = values != 0
+    return SparseHermitian(basis, np.nonzero(keep)[0], cols[keep], values[keep])
 
 
 def model_basis(spec: ModelSpec) -> Basis:
@@ -221,37 +243,59 @@ def check_run_bytes(need: int, run: str) -> int:
     return need
 
 
-def check_dense_size(spec: ModelSpec, steps: int = 0) -> int:
+def _entries_placed(spec: ModelSpec, dim: int) -> int:
+    """How many entries the charger's builder places, at most: dim per
+    bit-flip mask and one diagonal for a qubit chain, five per state for the
+    cavity, three per state for the collective spin."""
+    n = spec.n_cells
+    if spec.family == "jw_chain":
+        ranges = sum(1 for pair in zip(spec.lambdas, spec.gammas) if pair != (0.0, 0.0))
+        return (1 + n * ranges) * dim
+    per_state = {"parallel": n, "global": 1, "hybrid": spec.q, "lmg": 3, "dicke": 5}
+    return per_state[spec.family] * dim
+
+
+def check_dense_size(spec: ModelSpec, steps: int = 0, states: int | None = None) -> int:
     """The estimated bytes of a dense run of ``spec`` over ``steps`` times;
     CapacityLimitError, before anything is allocated, if over RUN_BYTES_MAX.
 
-    16 (7 dim^2 + 5 dim B) + 64 L T for dim basis states, L = N + 1 levels, T
-    steps and B = min(T, TIME_CHUNK) covers the complex charger, its
-    eigenvectors and LAPACK's workspace; one block of states and propagation
-    temporaries; the (levels x times) series (L = dim for lmg).  It was 1.2-1.8x
-    the max RSS growth over the post-import baseline of run_trajectory +
-    certify_trajectory when runs diagonalized the whole basis (2 cores,
-    OpenBLAS 0.3.31), in MB: xy_nn N = 9 / 10 at
-    2000 steps 27 / 89; parallel N = 9 at 500 / 20000 25 / 30; lmg N = 400 at
-    2000 50, N = 1000 at 200 120; auto-cutoff dicke at 2000, N = 6 (n_max 80)
-    31, N = 12 (n_max 128) 255.  A qubit dimension past int64 is written 2^N.
-
-    The rule bounds the full-space build: the run diagonalizes and
-    propagates only psi0's invariant sector, so it over-estimates a run
-    whose sector is smaller (xy_nn N = 12 propagates 924 of 4096 states),
-    and more so a lumped sweep point (62 equitable groups of those states).
+    The rule has two stages.  Before the charger is built (``states`` None),
+    RUN_BASE_BYTES, STATE_BYTES per basis state and ENTRY_BYTES per entry the
+    builder places (:func:`_entries_placed`) cover the entry list and its
+    build, psi0 and the sector search; 128 dim^2 more, LMG's dense build in
+    the collective-spin basis; and 64 L T the (levels x times) series of
+    L = N + 1 levels.  Once psi0's sector is found, before its dense matrix
+    is built, the run adds 16 (7 d^2 + 5 d B) for the ``states`` = d states
+    it runs on (the sector, or its equitable groups) and B =
+    min(T, TIME_CHUNK) times per block: the complex matrix, its eigenvectors
+    and LAPACK's workspace, one block of states and propagation temporaries.
+    The sum was 1.2-2.2x the max RSS growth over the post-import baseline of
+    run_trajectory + certify_trajectory (2 cores, OpenBLAS 0.3.31), in MB:
+    xy_nn N = 9 at 2000 steps 15; parallel N = 9 at 500 / 20000 27 / 32;
+    lmg N = 400 at 2000 46, N = 1000 at 200 120; auto-cutoff dicke N = 6 at
+    2000 (n_max 80) 17; global N = 16 / 20 at 2000 12 / 177; hybrid N = 16
+    (q = 4) at 2000 42.  A qubit dimension past int64 is written 2^N.
     """
     basis = model_basis(spec)
-    block = min(steps, TIME_CHUNK)
-    need = 16 * (7 * basis.dim**2 + 5 * basis.dim * block) + 64 * (spec.n_cells + 1) * steps
+    need = (
+        RUN_BASE_BYTES + STATE_BYTES * basis.dim + ENTRY_BYTES * _entries_placed(spec, basis.dim)
+        + 64 * (spec.n_cells + 1) * steps
+    )
+    if spec.family == "lmg":
+        need += 128 * basis.dim**2
+    run = ""
+    if states is not None:
+        need += 16 * (7 * states**2 + 5 * states * min(steps, TIME_CHUNK))
+        run = f" on {states} states"
     dim = f"2^{spec.n_cells}" if basis.dim > 2**63 else str(basis.dim)
     cutoff = f", n_max {basis.n_max}" if basis.kind == "spin_fock" else ""
     return check_run_bytes(
-        need, f"dense run of {spec.family} N = {spec.n_cells} (dim {dim}{cutoff}, {steps} steps)"
+        need,
+        f"dense run of {spec.family} N = {spec.n_cells} (dim {dim}{cutoff}, {steps} steps){run}",
     )
 
 
-def build_charger_paradigmatic(spec: ModelSpec) -> HermitianOperator:
+def build_charger_paradigmatic(spec: ModelSpec) -> SparseHermitian:
     """Parallel, global, or hybrid product-of-sigma_x charger.
 
     Each product of sigma_x over a set of cells flips those cells' bits, so
@@ -267,14 +311,14 @@ def build_charger_paradigmatic(spec: ModelSpec) -> HermitianOperator:
         blocks = [range(n)]
     else:
         blocks = [range(block * spec.r, (block + 1) * spec.r) for block in range(spec.q)]
-    mat = np.zeros((2**n, 2**n), dtype=complex)
+    flips = {}
     for cells in blocks:
-        _place_flips(mat, n, cells, spec.lam)
-    return HermitianOperator(mat, Basis("qubit_chain", n))
+        _place_flips(flips, n, cells, spec.lam)
+    return _flip_entries(Basis("qubit_chain", n), flips)
 
 
-def build_jw_chain(spec: ModelSpec) -> HermitianOperator:
-    """Periodic chain of string-coupled cells, dense form.
+def build_jw_chain(spec: ModelSpec) -> SparseHermitian:
+    """Periodic chain of string-coupled cells.
 
     H = H_B + (1/2) sum_{j, m} [(lambda_m + gamma_m) X_j Z...Z X_{j+m}
                                + (lambda_m - gamma_m) Y_j Z...Z Y_{j+m}]
@@ -288,7 +332,8 @@ def build_jw_chain(spec: ModelSpec) -> HermitianOperator:
         raise ValidationError("build_jw_chain needs a jw_chain spec")
     check_dense_size(spec)
     n = spec.n_cells
-    mat = np.diag(_ladder(Basis("qubit_chain", n)).astype(complex))
+    basis = Basis("qubit_chain", n)
+    flips = {0: _ladder(basis)}
     occupation = [_site_values(n, site) for site in range(n)]
     for m, (lam_m, gam_m) in enumerate(zip(spec.lambdas, spec.gammas), start=1):
         if lam_m == 0.0 and gam_m == 0.0:
@@ -298,28 +343,35 @@ def build_jw_chain(spec: ModelSpec) -> HermitianOperator:
             ground_on_string = sum(1 - occupation[(j + step) % n] for step in range(1, m))
             sign = np.where(ground_on_string % 2 == 0, 1.0, -1.0)
             yy_sign = np.where(occupation[j] == occupation[k], -1.0, 1.0)
-            _place_flips(mat, n, (j, k), 0.5 * (lam_m + gam_m) * sign)
-            _place_flips(mat, n, (j, k), 0.5 * (lam_m - gam_m) * sign * yy_sign)
-    return HermitianOperator(mat, Basis("qubit_chain", n))
+            _place_flips(flips, n, (j, k), 0.5 * (lam_m + gam_m) * sign)
+            _place_flips(flips, n, (j, k), 0.5 * (lam_m - gam_m) * sign * yy_sign)
+    return _flip_entries(basis, flips)
+
+
+def _spin_ladder(n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """m = -j..j, J_z's diagonal on the maximal spin j = N/2, and
+    <m+1|J_+|m> for m = -j..j-1."""
+    j = n_cells / 2
+    m = np.arange(-j, j + 1)
+    return m, np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
 
 
 def collective_spin_operators(n_cells: int) -> dict[str, np.ndarray]:
     """J_z, J_+, J_- in the maximal-spin sector basis |j, m>, m = -j..j."""
-    j = n_cells / 2
-    m = np.arange(-j, j + 1)
+    m, raising = _spin_ladder(n_cells)
     jz = np.diag(m.astype(complex))
     jp = np.zeros((n_cells + 1, n_cells + 1), dtype=complex)
-    raising = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
     jp[np.arange(1, n_cells + 1), np.arange(n_cells)] = raising
     return {"jz": jz, "jp": jp, "jm": jp.conj().T}
 
 
-def build_lmg(spec: ModelSpec) -> HermitianOperator:
+def build_lmg(spec: ModelSpec) -> SparseHermitian:
     """Infinite-range collective charger.
 
     H = (lam / 2N) [(1+gamma)(J+J- + J-J+ - N) + (1-gamma)(J+^2 + J-^2)] + J_z
     in the (N+1)-dimensional maximal-spin sector (the initial state lives
-    there and total spin is conserved).
+    there and total spin is conserved), built dense there and handed over as
+    its nonzero entries.
     """
     if spec.family != "lmg":
         raise ValidationError("build_lmg needs an lmg spec")
@@ -331,35 +383,44 @@ def build_lmg(spec: ModelSpec) -> HermitianOperator:
     mixing = jp @ jm + jm @ jp - n * eye
     pairing = jp @ jp + jm @ jm
     mat = spec.lam / (2 * n) * ((1 + spec.gamma) * mixing + (1 - spec.gamma) * pairing) + jz
-    return HermitianOperator(mat, model_basis(spec))
+    return SparseHermitian.from_matrix(mat, model_basis(spec))
 
 
-def build_dicke(spec: ModelSpec) -> HermitianOperator:
+def build_dicke(spec: ModelSpec) -> SparseHermitian:
     """Collective spin coupled to one truncated cavity mode.
 
     H = J_z + a^dag a + (2 lam / sqrt(N)) J_x (a^dag + a); with
     normalize_coupling False the 1/sqrt(N) factor is dropped.  The photon
     space is truncated at the cutoff n_max of :func:`model_basis`.
+
+    Built entry by entry in the spin-major basis: state (s, f) has the
+    diagonal m_s + f and couples to (s +- 1, f +- 1) through
+    c <s+1|J_x|s> sqrt(f+1), with the rounding of the Kronecker-product
+    form J_z x 1 + 1 x a^dag a + c J_x x (a^dag + a): a^dag a's diagonal is
+    sqrt(f) sqrt(f), not f, and each coupling is c times the product of its
+    two factors.
     """
     if spec.family != "dicke":
         raise ValidationError("build_dicke needs a dicke spec")
     check_dense_size(spec)
     n = spec.n_cells
     basis = model_basis(spec)
-    n_max = basis.n_max
-    ops = collective_spin_operators(n)
-    jx = (ops["jp"] + ops["jm"]) / 2
-    a = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(complex)  # Fock annihilation
-    number = a.conj().T @ a
-    eye_spin = np.eye(n + 1)
-    eye_fock = np.eye(n_max + 1)
+    n_fock = basis.n_max + 1
+    m, raising = _spin_ladder(n)
+    root = np.sqrt(np.arange(1, n_fock))  # <f|a|f+1>
     coupling = 2 * spec.lam / np.sqrt(n) if spec.normalize_coupling else 2 * spec.lam
-    mat = (
-        np.kron(ops["jz"], eye_fock)
-        + np.kron(eye_spin, number)
-        + coupling * np.kron(jx, a + a.conj().T)
-    )
-    return HermitianOperator(mat, basis)
+    hop = coupling * np.outer(raising / 2, root)  # spin s <-> s+1 with photon f <-> f+1
+    # The entries of row (s, f) at columns (s-1, f-1), (s-1, f+1), (s, f),
+    # (s+1, f-1), (s+1, f+1), in column order; a slot off the basis stays 0.
+    values = np.zeros((n + 1, n_fock, 5))
+    values[1:, 1:, 0] = values[:-1, 1:, 3] = hop
+    values[1:, :-1, 1] = values[:-1, :-1, 4] = hop
+    values[:, :, 2] = m[:, None] + np.concatenate(([0.0], root * root))
+    values = values.reshape(basis.dim, 5)
+    offsets = np.array([-n_fock - 1, -n_fock + 1, 0, n_fock - 1, n_fock + 1])
+    cols = np.arange(basis.dim)[:, None] + offsets
+    keep = values != 0
+    return SparseHermitian(basis, np.nonzero(keep)[0], cols[keep], values[keep])
 
 
 def build_battery_for(spec: ModelSpec) -> HermitianOperator:
@@ -370,8 +431,9 @@ def build_battery_for(spec: ModelSpec) -> HermitianOperator:
     return HermitianOperator(_ladder(basis), basis)
 
 
-def build_charger_for(spec: ModelSpec) -> HermitianOperator:
-    """The charging Hamiltonian of a model family in its own basis."""
+def build_charger_for(spec: ModelSpec) -> SparseHermitian:
+    """The charging Hamiltonian of a model family in its own basis, as its
+    nonzero entries."""
     if spec.family in PARADIGMATIC_FAMILIES:
         return build_charger_paradigmatic(spec)
     if spec.family == "jw_chain":

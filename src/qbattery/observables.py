@@ -45,14 +45,18 @@ class PopulationRecord:
 
 def check_distributions(p: np.ndarray, p_dot: np.ndarray) -> None:
     """Raise ValidationError unless each column (axis 0: levels) of p sums to 1
-    within 1e-10 with no entry below -1e-12, and of p_dot to 0 within 1e-9; a NaN fails."""
+    within 1e-10 with no entry below -1e-12, and of p_dot to 0 within 1e-9
+    times the column's sum of |p_dot| where that exceeds 1 (the rates scale
+    with the charging frequency, and their sum's rounding with them); a NaN
+    fails."""
     total, rate = np.atleast_1d(p.sum(axis=0)), np.atleast_1d(p_dot.sum(axis=0))
     worst = float(total[np.argmax(np.abs(total - 1.0))])  # argmax picks a NaN first
     if not abs(worst - 1.0) <= 1e-10:
         raise ValidationError(f"populations sum to {worst!r}")
-    worst = float(rate[np.argmax(np.abs(rate))])
-    if not abs(worst) <= 1e-9:
-        raise ValidationError(f"population rates sum to {worst!r}")
+    excess = np.abs(rate) / np.maximum(np.atleast_1d(np.abs(p_dot).sum(axis=0)), 1.0)
+    worst = np.argmax(excess)
+    if not excess[worst] <= 1e-9:
+        raise ValidationError(f"population rates sum to {float(rate[worst])!r}")
     if p.min() < -1e-12:
         raise ValidationError(f"negative population {p.min():.3e}")
 

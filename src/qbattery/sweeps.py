@@ -188,7 +188,10 @@ def check_sweep(
 ) -> None:
     """Raise ValidationError, naming the config key, unless the sweep is well formed
     and each point can be specified and passes its path's size rule over ``steps``
-    times (CapacityLimitError for a gamma sweep's base spec); no point runs."""
+    times (CapacityLimitError for a gamma sweep's base spec); no point runs.
+    A dense point's rule is the first stage of :func:`models.check_dense_size`,
+    the one that needs no charger: the point's run sizes its equitable groups
+    when it has found them."""
     if parameter not in ("N", "gamma"):
         raise ValidationError(f"sweep.parameter: expected 'N' or 'gamma', got {parameter!r}")
     if parameter == "gamma" and spec.family != "lmg":

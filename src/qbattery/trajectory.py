@@ -6,14 +6,17 @@ informations, bound saturation ratio), the conserved charger variance and an
 ``energy_at(t)`` callable for off-grid peak refinement; certification, the CSV
 writer, the peak search and the sweeps read only that.  One builder,
 :func:`_record`, derives the Fisher series and cos theta for both backends.
-The dense backend builds the charger in the model's basis and runs on psi0's
-invariant sector only (:func:`linalg.invariant_sector`): the principal
-submatrix on the states psi0 reaches through the charger's nonzero entries,
-diagonalized and propagated one TIME_CHUNK block of times at a time.  A
-``lumped`` run cuts the sector further into equitable groups
-(:func:`linalg.equitable_groups`) and runs on the even spreads over them: the
-same states, on far fewer of them where the charger has symmetries.  Either
-keeps the full charger, psi0 and the sector charger, not the states:
+The dense backend builds the charger in the model's basis as its nonzero
+entries (:class:`linalg.SparseHermitian`) and runs on psi0's invariant sector
+only (:func:`linalg.invariant_sector`): the states psi0 reaches through those
+entries, whose dense matrix alone is built, diagonalized and propagated one
+TIME_CHUNK block of times at a time.  A ``lumped`` run cuts the sector
+further into equitable groups (:func:`linalg.equitable_groups`) and runs on
+the even spreads over them: the same states, on far fewer of them where the
+charger has symmetries.  The size rule's second stage
+(:func:`models.check_dense_size`) sizes that dense run once the sector or
+its groups are known.  Either keeps the charger's entries, psi0 and the
+sector charger, not the states:
 ``state_at`` re-propagates the block that holds a time and places the state
 in the full basis.  The free-fermion backend builds a ``jw_chain`` run of any
 N from its mode set (:mod:`freefermion`), with no state vector.  Scalar
@@ -35,8 +38,8 @@ from .freefermion import (
     check_chain_size, dispersion, distribution_blocks, energy_at, observables_on_grid,
 )
 from .linalg import (
-    Basis, HermitianOperator, StateVector, eigendecompose, equitable_groups, evolve_batch,
-    invariant_sector,
+    Basis, HermitianOperator, SparseHermitian, StateVector, eigendecompose, equitable_groups,
+    evolve_batch, invariant_sector,
 )
 from .models import (
     ModelSpec, build_charger_for, check_dense_size, excitation_counts, initial_state, model_basis,
@@ -70,7 +73,7 @@ class Trajectory:
     ``models.register_spectrum(spec.n_cells)``.  H_C is conserved, so its
     variance is one number (and I_Q = 4 var(H_C) for these pure-state runs).
     The last three fields belong to the dense backend and are None on a
-    free-fermion run: the full-space charger (not diagonalized) and psi0,
+    free-fermion run: the charger's entries on the whole basis and psi0,
     and ``sector``, the charger on psi0's invariant sector (lumped into
     equitable groups on a lumped run) with its eigendecomposition, the
     operator the run propagated under.  No backend keeps the states."""
@@ -89,7 +92,7 @@ class Trajectory:
     cos_theta: np.ndarray
     energy_at: Callable[[float], float]  # exact stored energy at an arbitrary (off-grid) time
     fock_edge_population: float = 0.0  # max population within one level of a Fock cutoff
-    charger: HermitianOperator | None = None
+    charger: SparseHermitian | None = None
     psi0: StateVector | None = None
     sector: HermitianOperator | None = None
 
@@ -137,7 +140,7 @@ def _sector_amplitudes(sector: HermitianOperator, psi0: StateVector) -> np.ndarr
     return sector.to_eigenbasis(sector.basis.project(psi0.amplitudes))
 
 
-def _group_labels(charger: HermitianOperator, psi0: StateVector) -> np.ndarray:
+def _group_labels(charger: SparseHermitian, psi0: StateVector) -> np.ndarray:
     """What the states of one group share: the battery level (the level sums
     read it), the photon number of a spin-Fock state (the Fock-edge leak
     reads it) and psi0's amplitude (psi0 is even over each group)."""
@@ -202,6 +205,7 @@ def _run_fixed(
         groups = equitable_groups(charger, states_reached, _group_labels(charger, psi0))
     else:
         groups = states_reached[:, None]  # one state per group
+    check_dense_size(spec, len(times), len(groups))
     sector = eigendecompose(charger.lump(groups))
     amplitudes = _sector_amplitudes(sector, psi0)
     # The battery is an excitation ladder: level k, at energy k - N/2, holds
@@ -319,9 +323,11 @@ def run_trajectory(
     one that converges is the trajectory's spec.  The run is the check: a
     cutoff's run stops at the first TIME_CHUNK block of times whose leak
     reaches the tolerance, and the next doubling starts.  Each cutoff must
-    pass :func:`models.check_dense_size` before it is built.  An explicit
+    pass :func:`models.check_dense_size` before its charger is built, and
+    again on its sector before that sector's dense matrix is.  An explicit
     n_max runs in full and reports its leak in ``fock_edge_population``.
-    Either path's size rule runs before the one grid is built.
+    Either path's size rule runs before the one grid is built; the dense
+    rule's second stage, once the sector is known.
     """
     chain = analytic_path(spec, path)
     if chain:

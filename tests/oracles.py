@@ -13,7 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from qbattery import Basis, DensityMatrix, StateVector, eigendecompose, evolve, group_levels
+from qbattery import (
+    Basis, DensityMatrix, HermitianOperator, StateVector, eigendecompose, evolve, group_levels,
+)
 from qbattery.linalg import evolve_batch
 from qbattery.models import build_battery_for
 
@@ -221,7 +223,7 @@ def permutation_run_path(traj):
     rates = np.zeros_like(populations)
     populations[reached] = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
     rates[reached] = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
-    charger = eigendecompose(traj.charger)
+    charger = eigendecompose(traj.charger.dense())
     weights = np.abs(charger.eigenvectors.conj().T @ states) ** 2
     mean_c = charger.eigenvalues @ weights
     var_charger = charger.eigenvalues**2 @ weights - mean_c**2
@@ -230,14 +232,15 @@ def permutation_run_path(traj):
 
 def full_space_run(spec, times):
     """The dense run of ``spec`` in its whole model basis, the arithmetic of
-    the run before it kept to psi0's sector: the full charger's own
+    the run before it kept to psi0's sector: the dense charger's
+    (:func:`dense_charger`) own
     eigendecomposition, each TIME_CHUNK block of times propagated and summed
     into levels over every basis state.  Returns the run record and the
     (dim, T) states: the reference for the sector run.  ``spec`` must carry
     its Fock cutoff, if any."""
     from qbattery import models, trajectory
 
-    charger = eigendecompose(models.build_charger_for(spec))
+    charger = eigendecompose(HermitianOperator(dense_charger(spec), models.model_basis(spec)))
     psi0 = models.initial_state(spec)
     amplitudes = charger.eigenvectors.conj().T @ psi0.amplitudes
     battery = eigendecompose(build_battery_for(spec))
@@ -395,3 +398,136 @@ def register_capacity_closed_form(n_cells: int, s_bits: float) -> float:
     states are products, each cell excited with the probability p whose
     binary entropy is S / N, so E_max - E_min = N (1/2 - p) - N (p - 1/2)."""
     return n_cells * (1.0 - 2.0 * binary_entropy_inverse(s_bits / n_cells))
+
+
+# -- The dense chargers and sector scans that the entry lists replaced ---------
+
+
+def _place_flips_dense(mat, n_cells: int, cells, values) -> None:
+    """Add ``values`` at <idx ^ mask| . |idx> of a dense matrix for every basis
+    index idx, where ``mask`` flips the bits of ``cells``."""
+    mask = sum(1 << (n_cells - 1 - site) for site in set(cells))
+    idx = np.arange(mat.shape[0])
+    mat[idx ^ mask, idx] += values
+
+
+def dense_charger(spec) -> np.ndarray:
+    """The charger of ``spec`` as the dense matrix the builders once returned,
+    with their arithmetic: bit-flip terms added into a dense array in term
+    order, LMG from its dense collective-spin operators, and Dicke as a sum
+    of Kronecker products.  The reference for the entry lists."""
+    from qbattery import models
+
+    n = spec.n_cells
+    basis = models.model_basis(spec)
+    if spec.family in models.PARADIGMATIC_FAMILIES:
+        if spec.family == "parallel":
+            blocks = [[j] for j in range(n)]
+        elif spec.family == "global":
+            blocks = [range(n)]
+        else:
+            blocks = [range(block * spec.r, (block + 1) * spec.r) for block in range(spec.q)]
+        mat = np.zeros((2**n, 2**n), dtype=complex)
+        for cells in blocks:
+            _place_flips_dense(mat, n, cells, spec.lam)
+        return mat
+    if spec.family == "jw_chain":
+        mat = np.diag(models._ladder(basis).astype(complex))
+        occupation = [models._site_values(n, site) for site in range(n)]
+        for m, (lam_m, gam_m) in enumerate(zip(spec.lambdas, spec.gammas), start=1):
+            if lam_m == 0.0 and gam_m == 0.0:
+                continue
+            for j in range(n):
+                k = (j + m) % n
+                ground_on_string = sum(1 - occupation[(j + step) % n] for step in range(1, m))
+                sign = np.where(ground_on_string % 2 == 0, 1.0, -1.0)
+                yy_sign = np.where(occupation[j] == occupation[k], -1.0, 1.0)
+                _place_flips_dense(mat, n, (j, k), 0.5 * (lam_m + gam_m) * sign)
+                _place_flips_dense(mat, n, (j, k), 0.5 * (lam_m - gam_m) * sign * yy_sign)
+        return mat
+    ops = models.collective_spin_operators(n)
+    if spec.family == "lmg":
+        jz, jp, jm = ops["jz"], ops["jp"], ops["jm"]
+        mixing = jp @ jm + jm @ jp - n * np.eye(n + 1)
+        pairing = jp @ jp + jm @ jm
+        return spec.lam / (2 * n) * ((1 + spec.gamma) * mixing + (1 - spec.gamma) * pairing) + jz
+    n_max = basis.n_max
+    jx = (ops["jp"] + ops["jm"]) / 2
+    a = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(complex)
+    coupling = 2 * spec.lam / np.sqrt(n) if spec.normalize_coupling else 2 * spec.lam
+    return (
+        np.kron(ops["jz"], np.eye(n_max + 1))
+        + np.kron(np.eye(n + 1), a.conj().T @ a)
+        + coupling * np.kron(jx, a + a.conj().T)
+    )
+
+
+def dense_invariant_sector(matrix: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """psi0's sector by frontier passes over the dense matrix's nonzero
+    pattern: the reference for ``linalg.invariant_sector``."""
+    reached = np.asarray(amplitudes) != 0
+    frontier = np.flatnonzero(reached)
+    passes = [frontier]
+    linked = matrix != 0
+    while frontier.size:
+        frontier = np.flatnonzero(linked[frontier].any(axis=0) & ~reached)
+        reached[frontier] = True
+        passes.append(frontier)
+    return np.concatenate(passes)[::-1]
+
+
+def dense_equitable_groups(matrix: np.ndarray, sector: np.ndarray, labels: np.ndarray) -> list:
+    """Colour refinement over the dense matrix's nonzero entries: the
+    reference for ``linalg.equitable_groups``."""
+    from qbattery.linalg import _row_ids
+
+    sector = np.asarray(sector)
+    labels = np.asarray(labels).reshape(matrix.shape[0], -1)[sector]
+    colours = _row_ids(labels)
+    n_colours = colours.max() + 1
+    if n_colours < len(sector):
+        position = np.full(matrix.shape[0], -1)
+        position[sector] = np.arange(len(sector))
+        rows, cols = np.nonzero(matrix)
+        inside = position[rows] >= 0
+        rows, cols = rows[inside], cols[inside]
+        entries = np.unique(matrix[rows, cols], return_inverse=True)[1].ravel()
+        rows, cols = position[rows], position[cols]
+        by_row = np.argsort(rows, kind="stable")
+        rows, cols, entries = rows[by_row], cols[by_row], entries[by_row]
+        degree = np.bincount(rows, minlength=len(sector))
+        slot = np.arange(len(rows)) - np.repeat(np.cumsum(degree) - degree, degree)
+        signature = np.empty((len(sector), degree.max() + 1), dtype=np.int64)
+        while True:
+            signature[:, 0] = colours
+            signature[:, 1:] = -1
+            signature[rows, 1 + slot] = colours[cols] * (entries.max() + 1) + entries
+            signature[:, 1:].sort(axis=1)
+            refined = _row_ids(signature)
+            if refined.max() + 1 == n_colours:
+                break
+            colours, n_colours = refined, refined.max() + 1
+    first = np.full(n_colours, len(sector))
+    np.minimum.at(first, colours, np.arange(len(sector)))
+    rank = np.argsort(np.argsort(first))[colours]
+    order = np.argsort(rank, kind="stable")
+    return np.split(sector[order], np.flatnonzero(np.diff(rank[order])) + 1)
+
+
+def dense_lump(matrix: np.ndarray, groups) -> np.ndarray:
+    """The charger on the even spreads over ``groups`` from the whole dense
+    matrix: its principal submatrix for one-state groups, else the row sums
+    of each group's first state over every group, scaled and symmetrized;
+    the matrix itself when the groups cover its basis one state each.
+    The reference for ``SparseHermitian.lump``."""
+    groups = [np.asarray(group) for group in groups]
+    idx = np.concatenate(groups)
+    if len(idx) == len(groups) == len(matrix):
+        return matrix  # the whole basis, in its own order
+    if len(idx) == len(groups):
+        return matrix[np.ix_(idx, idx)]
+    sizes = np.array([len(group) for group in groups])
+    first = np.array([group[0] for group in groups])
+    sums = np.add.reduceat(matrix[np.ix_(first, idx)], np.cumsum(sizes) - sizes, axis=1)
+    values = sums * np.sqrt(np.outer(sizes, 1.0 / sizes))
+    return (values + values.conj().T) / 2

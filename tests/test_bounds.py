@@ -86,7 +86,7 @@ class TestWitness:
     def test_witness_tracks_hybrid_blocks(self):
         for q, r in ((1, 8), (2, 4), (4, 2), (8, 1)):
             spec = ModelSpec(family="hybrid", n_cells=8, lam=1.0, q=q, r=r)
-            charger = eigendecompose(build_charger_paradigmatic(spec))
+            charger = eigendecompose(build_charger_paradigmatic(spec).dense())
             psi = evolve(charger, initial_state(spec), math.pi / 4)
             var = variance(psi, build_battery(8))
             assert witness_entangled_block_size(var, 8) == r
@@ -99,7 +99,7 @@ class TestPowerBounds:
 
     def test_hybrid_saturates_block_bound_at_half_charge(self):
         spec = ModelSpec(family="hybrid", n_cells=4, lam=1.0, q=2, r=2)
-        charger = eigendecompose(build_charger_paradigmatic(spec))
+        charger = eigendecompose(build_charger_paradigmatic(spec).dense())
         battery = eigendecompose(build_battery(4))
         psi = evolve(charger, initial_state(spec), math.pi / 4)
         rec = populations_and_rates(psi, battery, charger)
@@ -111,7 +111,7 @@ class TestPowerBounds:
     def test_parallel_peak_power_hits_product_bound(self):
         n, lam = 5, 1.0
         spec = ModelSpec(family="parallel", n_cells=n, lam=lam)
-        charger = eigendecompose(build_charger_paradigmatic(spec))
+        charger = eigendecompose(build_charger_paradigmatic(spec).dense())
         battery = eigendecompose(build_battery(n))
         psi = evolve(charger, initial_state(spec), math.pi / 4)
         p_val = power(psi, battery, charger)

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from qbattery import ConfigError, ModelSpec, sweeps, trajectory
+from qbattery import ConfigError, ModelSpec, cli, models, sweeps, trajectory
 from qbattery.cli import main
 from qbattery.config import load_scenario, parse_capacity, parse_model, parse_scenario
+from qbattery.linalg import SparseHermitian
 from qbattery.output import write_csv
 
 
@@ -444,15 +445,15 @@ class TestCli:
             ),
             (
                 {"family": "jw_chain", "N": 4, "variant": "xx_nn"},
-                {"values": [4, 6, 8, 14], "quantity": "avg_power", "path": "dense"},
-                "sweep.values: N = 14: dense run of jw_chain N = 14 (dim 16384, 120 steps) "
-                "needs ~30.2 GB, over the 4.3 GB run limit",
+                {"values": [4, 6, 8, 22], "quantity": "avg_power", "path": "dense"},
+                "sweep.values: N = 22: dense run of jw_chain N = 22 (dim 4194304, 120 steps) "
+                "needs ~16 GB, over the 4.3 GB run limit",
             ),
             (
                 {"family": "parallel", "N": 4},
-                {"values": [4, 6, 8, 15], "quantity": "avg_power"},
-                "sweep.values: N = 15: dense run of parallel N = 15 (dim 32768, 120 steps) "
-                "needs ~121 GB, over the 4.3 GB run limit",
+                {"values": [4, 6, 8, 24], "quantity": "avg_power"},
+                "sweep.values: N = 24: dense run of parallel N = 24 (dim 16777216, 120 steps) "
+                "needs ~66.6 GB, over the 4.3 GB run limit",
             ),
             (
                 {"family": "lmg", "N": 10},
@@ -474,17 +475,31 @@ class TestCli:
         assert f"config error: {message}\n" in capsys.readouterr().err
         assert calls == [] and not (tmp_path / "out").exists()
 
+    def test_a_sweep_point_refused_on_its_sector_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # Every point passes the first stage at parse time; the N = 10 point's
+        # 226-state sector is known only when it runs, after N = 4, 6 and 8.
+        model = {"family": "dicke", "N": 4, "lam": 0.01, "n_max": 40}
+        last = ModelSpec(family="dicke", n_cells=10, lam=0.01, n_max=40)
+        monkeypatch.setattr(models, "RUN_BYTES_MAX", models.check_dense_size(last, 120, 200))
+        cfg = self.scenario(tmp_path, model=model, sweep={"values": [4, 6, 8, 10], "quantity": "avg_power"})
+        assert self.run("sweep", cfg) == 2
+        err = capsys.readouterr().err
+        assert "error: dense run of dicke N = 10 (dim 451, n_max 40, 120 steps) on 226 states" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "command,model,time,sweep,message",
         [
+            # Refused on psi0's 32768-state sector, after its entry list is built.
             ("simulate", {"family": "parallel", "N": 15}, {}, None,
-             "error: dense run of parallel N = 15 (dim 32768, 120 steps) needs ~121 GB"),
+             "error: dense run of parallel N = 15 (dim 32768, 120 steps) on 32768 states "
+             "needs ~121 GB"),
             ("sweep", {"family": "jw_chain", "N": 4, "variant": "xy_nn"}, {},
-             {"values": [4, 6, 8, 15], "quantity": "avg_power", "path": "dense"},
-             "config error: sweep.values: N = 15: dense run of jw_chain N = 15 (dim 32768, "
-             "120 steps) needs ~121 GB"),
+             {"values": [4, 6, 8, 22], "quantity": "avg_power", "path": "dense"},
+             "config error: sweep.values: N = 22: dense run of jw_chain N = 22 (dim 4194304, "
+             "120 steps) needs ~16 GB"),
             ("simulate", {"family": "lmg", "N": 20000}, {}, None,
-             "error: dense run of lmg N = 20000 (dim 20001, 120 steps) needs ~45.2 GB"),
+             "error: dense run of lmg N = 20000 (dim 20001, 120 steps) needs ~51.4 GB"),
             ("simulate", {"family": "parallel", "N": 2}, {"steps": 10**12}, None,
              "error: dense run of parallel N = 2 (dim 4, 1000000000000 steps) needs ~1.92e+05 GB"),
             ("sweep", {"family": "lmg", "N": 20}, {"steps": 10**12},
@@ -493,20 +508,20 @@ class TestCli:
             ("sweep", {"family": "lmg", "N": 10}, {},
              {"values": [10, 20, 40, 20000], "quantity": "avg_power"},
              "config error: sweep.values: N = 20000: dense run of lmg N = 20000 (dim 20001, "
-             "120 steps) needs ~45.2 GB"),
+             "120 steps) needs ~51.4 GB"),
             # Byte counts past float range: formatted, not converted.
             ("simulate", {"family": "parallel", "N": 600}, {}, None,
-             "error: dense run of parallel N = 600 (dim 2^600, 120 steps) needs ~1.93e+354 GB"),
+             "error: dense run of parallel N = 600 (dim 2^600, 120 steps) needs ~3.99e+176 GB"),
             ("sweep", {"family": "jw_chain", "N": 5, "variant": "xy_nn"}, {},
              {"values": [5, 7, 9, 1001], "quantity": "avg_power", "path": "dense"},
              "config error: sweep.values: N = 1001: dense run of jw_chain N = 1001 (dim 2^1001, "
-             "120 steps) needs ~5.14e+595 GB"),
+             "120 steps) needs ~3.44e+297 GB"),
             ("sweep", {"family": "jw_chain", "N": 4, "variant": "xy_nn"}, {},
              {"values": [4, 6, 8, 601], "quantity": "avg_power", "path": "dense"},
              "config error: sweep.values: N = 601: dense run of jw_chain N = 601 (dim 2^601, "
-             "120 steps) needs ~7.71e+354 GB"),
+             "120 steps) needs ~8e+176 GB"),
         ],
-        ids=["parallel-n15", "dense-chain-n15", "lmg-n20000", "simulate-steps", "sweep-steps",
+        ids=["parallel-n15", "dense-chain-n22", "lmg-n20000", "simulate-steps", "sweep-steps",
              "lmg-sweep-point", "parallel-n600", "odd-chain-n1001", "dense-sweep-n601"],
     )
     def test_dense_run_over_the_limit_exits_2_and_builds_nothing(
@@ -515,8 +530,13 @@ class TestCli:
         def refuse(*args):
             pytest.fail("a dense run was started")
 
-        for name in ("build_charger_for", "time_grid"):
-            monkeypatch.setattr(trajectory, name, refuse)
+        # A run refused on its sector has built the charger's entries, and
+        # nothing dense; any other is refused before the charger and the grid.
+        if " states needs" not in message:
+            for name in ("build_charger_for", "time_grid"):
+                monkeypatch.setattr(trajectory, name, refuse)
+        monkeypatch.setattr(SparseHermitian, "lump", refuse)
+        monkeypatch.setattr(trajectory, "eigendecompose", refuse)
         monkeypatch.setattr(sweeps, "quantities_for", refuse)
         sections = {"sweep": sweep} if sweep else {}
         cfg = self.scenario(tmp_path, model=model, time={"steps": 120, **time}, **sections)
@@ -585,6 +605,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "the closed-form entry I_E = 4 q lam^2 of parallel N = 2 overflows a float" in err
         assert "Traceback" not in err
+
+    def test_table1_at_a_large_lam_exits_0(self, capsys):
+        # The population rates grow as N lam, and so does their sum's rounding.
+        assert self.run("table1", "--lam", "1e8") == 0
+        assert capsys.readouterr().out.endswith("210/210 cells passed\n")
+
+    def test_the_parser_is_built_once_and_dispatches_at_call_time(self, tmp_path, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setattr(cli, "cmd_certify", lambda args: 7 if args.trajectory == "x.csv" else 0)
+        assert self.run("certify", "x.csv") == 7
 
     def test_repeated_config_key_exit_2_and_write_nothing(self, tmp_path, capsys):
         # The object is written by hand: a dict cannot hold the repeated key.

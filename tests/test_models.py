@@ -177,29 +177,29 @@ class TestParadigmaticChargers:
     def test_parallel_ground_state_moments(self):
         lam, n = 0.7, 5
         spec = ModelSpec(family="parallel", n_cells=n, lam=lam)
-        charger = build_charger_paradigmatic(spec)
+        charger = build_charger_paradigmatic(spec).dense()
         psi0 = initial_state(spec)
         assert variance(psi0, charger) == pytest.approx(n * lam**2, rel=1e-12)
         assert charger.norm() == pytest.approx(n * lam, rel=1e-12)
 
     def test_global_ground_state_variance(self):
         spec = ModelSpec(family="global", n_cells=4, lam=1.3)
-        assert variance(initial_state(spec), build_charger_paradigmatic(spec)) == pytest.approx(
+        assert variance(initial_state(spec), build_charger_paradigmatic(spec).dense()) == pytest.approx(
             1.3**2, rel=1e-12
         )
 
     def test_hybrid_ground_state_variance(self):
         spec = ModelSpec(family="hybrid", n_cells=4, lam=1.0, q=2, r=2)
-        assert variance(initial_state(spec), build_charger_paradigmatic(spec)) == pytest.approx(
+        assert variance(initial_state(spec), build_charger_paradigmatic(spec).dense()) == pytest.approx(
             2.0, rel=1e-12
         )
 
     def test_size_cap_names_limit(self):
-        for family, kw in (("parallel", {}), ("hybrid", {"q": 5, "r": 3})):
+        for family, kw in (("parallel", {}), ("hybrid", {"q": 8, "r": 3})):
             with pytest.raises(
-                CapacityLimitError, match=f"dense run of {family} N = 15 .* over the 4.3 GB run limit"
+                CapacityLimitError, match=f"dense run of {family} N = 24 .* over the 4.3 GB run limit"
             ):
-                build_charger_paradigmatic(ModelSpec(family=family, n_cells=15, **kw))
+                build_charger_paradigmatic(ModelSpec(family=family, n_cells=24, **kw))
 
     def test_hybrid_layout_validated(self):
         with pytest.raises(ValidationError):
@@ -212,7 +212,7 @@ class TestParadigmaticChargers:
     def test_full_charge_at_quarter_period(self, family, kw):
         n = 6
         spec = ModelSpec(family=family, n_cells=n, lam=1.0, **kw)
-        charger = eigendecompose(build_charger_paradigmatic(spec))
+        charger = eigendecompose(build_charger_paradigmatic(spec).dense())
         battery = build_battery(n)
         psi = evolve(charger, initial_state(spec), np.pi / 2)
         top = np.zeros(2**n)
@@ -253,7 +253,7 @@ class TestChain:
         # are sums of one +-omega_k choice per mode pair.
         n = 8
         spec = chain_spec("xy_nn", n)
-        op = eigendecompose(build_jw_chain(spec))
+        op = eigendecompose(build_jw_chain(spec).dense())
         psi0 = initial_state(spec)
         weights = np.abs(op.eigenvectors.conj().T @ psi0.amplitudes) ** 2
         omega = dispersion(spec).omega
@@ -268,8 +268,8 @@ class TestChain:
                 assert np.min(np.abs(combos - val)) < 1e-8
 
     def test_size_cap(self):
-        with pytest.raises(CapacityLimitError, match="dense run of jw_chain N = 14 .* run limit"):
-            build_jw_chain(chain_spec("xx_nn", 14))
+        with pytest.raises(CapacityLimitError, match="dense run of jw_chain N = 22 .* run limit"):
+            build_jw_chain(chain_spec("xx_nn", 22))
 
     def test_power_law_couplings(self):
         lambdas, gammas = power_law_couplings(10, "xy")
@@ -285,7 +285,7 @@ class TestCollective:
     def test_no_charging_at_unit_anisotropy(self):
         spec = ModelSpec(family="lmg", n_cells=6, lam=2.0, gamma=1.0)
         charger, battery = build_lmg(spec), build_battery_for(spec)
-        charger = eigendecompose(charger)
+        charger = eigendecompose(charger.dense())
         psi0 = initial_state(spec)
         e0 = np.vdot(psi0.amplitudes, battery.matrix @ psi0.amplitudes).real
         for t in (0.3, 1.1, 4.0):
@@ -296,7 +296,7 @@ class TestCollective:
     def test_charger_variance_large_size_limit(self):
         lam, gamma, n = 1.0, -1.0, 200
         spec = ModelSpec(family="lmg", n_cells=n, lam=lam, gamma=gamma)
-        charger = build_lmg(spec)
+        charger = build_lmg(spec).dense()
         var = variance(initial_state(spec), charger)
         limit = lam**2 / 2 * (1 - gamma) ** 2
         assert abs(var - limit) < 5 * limit / n  # O(1/N) corrections
@@ -335,7 +335,7 @@ class TestCavity:
         ratios = []
         for n in (2, 4, 8, 12):
             spec = ModelSpec(family="dicke", n_cells=n, lam=lam)
-            charger = build_dicke(spec)
+            charger = build_dicke(spec).dense()
             var = variance(initial_state(spec), charger)
             ratios.append(var / (2 * lam**2 * (2 * n + 1)))
         assert np.std(ratios) < 1e-9 * np.mean(ratios)
@@ -344,10 +344,10 @@ class TestCavity:
         lam, n = 0.2, 3
         base = variance(
             initial_state(ModelSpec(family="dicke", n_cells=n, lam=lam)),
-            build_dicke(ModelSpec(family="dicke", n_cells=n, lam=lam)),
+            build_dicke(ModelSpec(family="dicke", n_cells=n, lam=lam)).dense(),
         )
         spec = ModelSpec(family="dicke", n_cells=n, lam=lam, normalize_coupling=False)
-        unnorm = variance(initial_state(spec), build_dicke(spec))
+        unnorm = variance(initial_state(spec), build_dicke(spec).dense())
         assert unnorm == pytest.approx(n * base, rel=1e-10)
 
     def test_fock_headroom_required(self):
@@ -446,7 +446,7 @@ RSS_CHILD = PEAK_KIB + """
 spec, steps = eval(sys.argv[1], {"ModelSpec": models.ModelSpec}), int(sys.argv[2])
 traj = trajectory.run_trajectory(spec, steps=steps, path="dense")
 verification.certify_trajectory(traj)
-print((peak_kib() - base) * 1024, models.check_dense_size(traj.spec, steps))
+print((peak_kib() - base) * 1024, models.check_dense_size(traj.spec, steps, traj.sector.dim))
 """
 # A free-fermion chain run, certified and written with its populations.
 CHAIN_RSS_CHILD = PEAK_KIB + """
@@ -487,8 +487,11 @@ class TestDenseSizeRule:
             (ModelSpec(family="parallel", n_cells=9), 20000),  # no (dim x T) array is held
             (ModelSpec(family="lmg", n_cells=400), 2000),
             (ModelSpec(family="dicke", n_cells=6), 2000),  # automatic cutoff, ends at n_max 80
+            # The entry list of the whole basis dominates: sectors of 2 and 16 states.
+            (ModelSpec(family="global", n_cells=16), 2000),
+            (ModelSpec(family="hybrid", n_cells=16, q=4, r=4), 2000),
         ],
-        ids=["chain", "parallel", "long-grid", "lmg", "dicke"],
+        ids=["chain", "parallel", "long-grid", "lmg", "dicke", "global", "hybrid"],
     )
     def test_estimate_bounds_the_measured_growth(self, spec, steps):
         grown, estimate = child_growth_and_estimate(RSS_CHILD, repr(spec), str(steps))
@@ -497,10 +500,10 @@ class TestDenseSizeRule:
     @pytest.mark.parametrize(
         "build,spec",
         [
-            (build_charger_paradigmatic, ModelSpec(family="global", n_cells=15)),
-            (build_jw_chain, chain_spec("xy_nn", 14)),
+            (build_charger_paradigmatic, ModelSpec(family="global", n_cells=25)),
+            (build_jw_chain, chain_spec("xy_nn", 22)),
             (build_lmg, ModelSpec(family="lmg", n_cells=20000)),
-            (build_dicke, ModelSpec(family="dicke", n_cells=100, n_max=200)),
+            (build_dicke, ModelSpec(family="dicke", n_cells=2000, n_max=3000)),
         ],
         ids=["global", "chain", "lmg", "dicke"],
     )
@@ -512,7 +515,7 @@ class TestDenseSizeRule:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20  # each refused operator alone would take 4-17 GB
+        assert peak < 2**20  # each refused entry list or LMG build would take 5-51 GB
 
     def test_message_names_the_run(self):
         spec = ModelSpec(family="dicke", n_cells=12, n_max=40)
@@ -526,7 +529,7 @@ class TestDenseSizeRule:
     def test_counts_past_float_range_are_formatted_exactly(self):
         assert gigabytes(5 * 10**14) == "5e+05 GB"
         assert gigabytes(9996 * 10**397) == "1.00e+392 GB"
-        with pytest.raises(CapacityLimitError, match=r"\(dim 2\^600, 1 steps\) needs ~1\.93e\+354 GB"):
+        with pytest.raises(CapacityLimitError, match=r"\(dim 2\^600, 1 steps\) needs ~1\.2e\+174 GB"):
             check_dense_size(ModelSpec(family="global", n_cells=600), 1)
 
 

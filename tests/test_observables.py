@@ -47,7 +47,7 @@ SX2 = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex), B2)
 
 def paradigmatic(family, n, lam=1.0, **kw):
     spec = ModelSpec(family=family, n_cells=n, lam=lam, **kw)
-    charger = eigendecompose(build_charger_paradigmatic(spec))
+    charger = eigendecompose(build_charger_paradigmatic(spec).dense())
     battery = eigendecompose(build_battery(n))
     return spec, charger, battery, initial_state(spec)
 
@@ -86,7 +86,7 @@ class TestEnergyAndPower:
 
     def test_power_matches_finite_difference(self):
         traj = run_trajectory(chain_spec("xx_nn", 6), steps=50, path="dense")
-        charger = eigendecompose(traj.charger)  # the full space's own eigenbasis
+        charger = eigendecompose(traj.charger.dense())  # the full space's own eigenbasis
         battery = build_battery_for(traj.spec)
         h = 1e-5
         for t in (0.8, 2.3, 5.1):
@@ -145,7 +145,7 @@ class TestPopulations:
     def test_rates_match_finite_difference(self):
         spec = ModelSpec(family="lmg", n_cells=10, lam=5.0, gamma=-1.0)
         traj = run_trajectory(spec, steps=30)
-        charger = eigendecompose(traj.charger)
+        charger = eigendecompose(traj.charger.dense())
         battery = build_battery_for(traj.spec)
         h = 1e-6
         for t in (0.11, 0.47, 0.92):
@@ -171,7 +171,7 @@ DIAGONAL_ORACLE_SPECS = [
 @pytest.mark.parametrize("spec", DIAGONAL_ORACLE_SPECS, ids=lambda s: s.family)
 def test_diagonal_battery_observables_match_dense_reference(spec):
     traj = run_trajectory(spec, steps=50)
-    charger = eigendecompose(traj.charger)
+    charger = eigendecompose(traj.charger.dense())
     battery = eigendecompose(build_battery_for(traj.spec))
     assert battery.is_diagonal and battery.eigenvectors is None
     for t in (0.0, 0.37 * traj.times[-1], 0.81 * traj.times[-1]):
@@ -271,6 +271,15 @@ class TestDistributionCheck:
             check_distributions(
                 np.array([good_p, p, good_p]).T, np.array([good_rate, p_dot, good_rate]).T
             )
+
+    def test_rate_sum_tolerance_scales_with_the_rates(self):
+        # Rates of 1e8 sum to zero only to their rounding: 1e-9 of sum |p_dot|.
+        p = np.array([0.5, 0.5])
+        check_distributions(p, np.array([1e8, -1e8 + 7.45e-9]))
+        with pytest.raises(ValidationError, match="population rates sum to 0.2"):
+            check_distributions(p, np.array([1e8, -1e8 + 0.2]))
+        with pytest.raises(ValidationError, match="population rates sum to nan"):
+            check_distributions(p, np.array([1e8, math.nan]))
 
     def test_pair_recursion_refuses_a_nan_mode(self):
         modes = ModeSet(k=np.array([0.3]), omega=np.array([math.nan]), sin_theta=np.array([0.5]))

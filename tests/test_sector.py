@@ -9,7 +9,7 @@ import pytest
 
 from qbattery import ModelSpec, ValidationError, chain_spec, models, run_trajectory
 from qbattery.config import load_scenario
-from qbattery.linalg import Basis, HermitianOperator, equitable_groups, invariant_sector
+from qbattery.linalg import Basis, SparseHermitian, equitable_groups, invariant_sector
 from qbattery.sweeps import quantities_for, trajectory_quantities
 from qbattery.trajectory import _group_labels
 
@@ -191,22 +191,21 @@ def test_equitable_groups(spec, groups):
 def test_lump_keeps_the_parent_indices():
     values = np.diag([1.0, 2.0, 3.0, 4.0]) + 0j
     values[0, 3] = values[3, 0] = 0.5
-    op = HermitianOperator(values, Basis("qubit_chain", 2))
+    op = SparseHermitian.from_matrix(values, Basis("qubit_chain", 2))
     sector = invariant_sector(op, np.array([1.0, 0, 0, 0]))
     assert sector.tolist() == [3, 0]
     sub = op.lump(sector[:, None])
     assert sub.basis.groups == ((3,), (0,)) and sub.basis.dim == 2 and sub.basis.full_dim == 4
     assert np.array_equal(sub.matrix, [[4.0, 0.5], [0.5, 1.0]])
-    assert op.lump(np.arange(4)[::-1, None]) is op  # the whole basis, in any order
+    whole = op.lump(np.arange(4)[::-1, None])  # the whole basis, in any order
+    assert whole.basis == op.basis and np.array_equal(whole.matrix, values)
     assert np.array_equal(models.excitation_counts(sub.basis), [2, 0])
-    with pytest.raises(ValidationError, match="only an operator on the whole basis"):
-        sub.lump([[0]])
 
 
 def test_a_group_is_an_even_spread():
     # Two groups, {1, 2} and {0}: 1 and 2 couple alike to 0 and to each other.
     values = np.array([[0.0, 1, 1, 0], [1, 2, 0.5, 0], [1, 0.5, 2, 0], [0, 0, 0, 5]]) + 0j
-    op = HermitianOperator(values, Basis("qubit_chain", 2))
+    op = SparseHermitian.from_matrix(values, Basis("qubit_chain", 2))
     groups = equitable_groups(op, np.array([0, 1, 2]), np.array([0, 1, 1, 2]))
     assert [group.tolist() for group in groups] == [[0], [1, 2]]
     lumped = op.lump(groups)
@@ -229,6 +228,19 @@ def test_dense_sweep_points_run_lumped(spec):
     plain = trajectory_quantities(run_trajectory(spec, steps=400, path="dense"))
     for key, value in trajectory_quantities(lumped).items():
         assert value == pytest.approx(plain[key], rel=1e-9, abs=1e-12), key
+
+
+@pytest.mark.parametrize("variant", ["xy_nn", "xx_nn"])
+def test_a_dense_sweep_point_is_sized_by_its_groups(variant):
+    # N = 13 builds the 8192-state charger's entries; its run propagates 190
+    # equitable groups of a 4096-state sector, which a rule sizing the whole
+    # basis refused at ~7.7 GB.
+    spec = chain_spec(variant, 13)
+    traj = run_trajectory(spec, steps=300, path="dense", lumped=True)
+    assert traj.sector.dim == 190 and models.check_dense_size(spec, 300, 190) < 2**26
+    dense = trajectory_quantities(traj)
+    for key, value in quantities_for(spec, steps=300, path="analytic").items():
+        assert dense[key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
 
 
 @pytest.mark.parametrize("groups", [(), ((0,), (0,)), ((4,),), ((-1,),), ((1,), ())])

@@ -139,10 +139,10 @@ class TestSweepRules:
             ),
             (
                 XX_NN,
-                {"values": [4, 6, 8, 14], "quantity": "avg_power", "path": "dense"},
-                "N = 14: dense run of jw_chain",
+                {"values": [4, 6, 8, 22], "quantity": "avg_power", "path": "dense"},
+                "N = 22: dense run of jw_chain",
             ),
-            (PARALLEL, {"values": [4, 6, 8, 15], "quantity": "avg_power"}, "N = 15: dense run of parallel"),
+            (PARALLEL, {"values": [4, 6, 8, 24], "quantity": "avg_power"}, "N = 24: dense run of parallel"),
             (
                 {"family": "lmg", "N": 10},
                 {"values": [10, 12, 14, 16], "quantity": "final_battery_entropy"},
@@ -169,8 +169,8 @@ class TestSweepRules:
         [
             (chain_spec("xx_nn", 4), "analytic", 2 * 10**6, chain_point_rule),
             (chain_spec("xx_nn", 4), "auto", 2 * 10**6 + 1, chain_point_rule),
-            (chain_spec("xx_nn", 4), "dense", 14, dense_rule),
-            (ModelSpec(family="parallel", n_cells=4), "auto", 15, dense_rule),
+            (chain_spec("xx_nn", 4), "dense", 22, dense_rule),
+            (ModelSpec(family="parallel", n_cells=4), "auto", 24, dense_rule),
         ],
         ids=["even-n", "odd-n", "chain-cap", "charger-cap"],
     )

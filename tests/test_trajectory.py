@@ -18,6 +18,7 @@ from qbattery import (
 )
 from qbattery import trajectory
 from qbattery.cli import simulation_summary
+from qbattery.linalg import SparseHermitian
 from qbattery.observables import battery_entanglement_entropy, populations_and_rates
 from qbattery.config import load_scenario
 from qbattery.output import trajectory_rows, write_trajectory_csv
@@ -87,7 +88,7 @@ class TestRunTrajectory:
         traj = run_trajectory(ModelSpec(family="parallel", n_cells=3), steps=50)
         psi = traj.state_at(20)
         battery = models.build_battery_for(traj.spec)
-        record = populations_and_rates(psi, battery, traj.charger, float(traj.times[20]))
+        record = populations_and_rates(psi, battery, traj.charger.dense(), float(traj.times[20]))
         assert record.t == float(traj.times[20])
         assert np.abs(record.p - traj.populations[:, 20]).max() < 1e-12
         assert np.abs(record.p_dot - traj.population_rates[:, 20]).max() < 1e-12
@@ -329,21 +330,27 @@ class TestFockTruncation:
         assert built == [12, 24, 48, 96, 192]
 
     def test_doubling_over_the_dense_limit_is_refused_before_it_is_built(self, monkeypatch):
-        # At N = 2 even the 16th doubling fits 4 GiB; a limit that admits
-        # n_max = 48 over 200 steps refuses the doubling to 96.
+        # At N = 2 even the 16th doubling fits 4 GiB; a limit that admits the
+        # whole run at n_max = 48 over 200 steps refuses the doubling to 96
+        # on its sector: its entry list is built, its dense matrix is not.
         monkeypatch.setattr(trajectory, "FOCK_LEAK_TOL", 0.0)  # no cutoff can pass
         spec = ModelSpec(family="dicke", n_cells=2, lam=0.3)
-        limit = models.check_dense_size(replace(spec, n_max=48), 200)
+        at_48 = replace(spec, n_max=48)
+        sector = run_trajectory(at_48, steps=200).sector.dim
+        limit = models.check_dense_size(at_48, 200, sector)
         monkeypatch.setattr(models, "RUN_BYTES_MAX", limit)
-        built = []
-        original = models.build_dicke
+        built, lumped = [], []
+        original, lump = models.build_dicke, SparseHermitian.lump
         monkeypatch.setattr(
             models, "build_dicke", lambda *args: built.append(args[0].n_max) or original(*args)
         )
-        refused = r"^dense run of dicke N = 2 \(dim 291, n_max 96, 200 steps\)"
+        monkeypatch.setattr(
+            SparseHermitian, "lump", lambda op, groups: lumped.append(op.basis.n_max) or lump(op, groups)
+        )
+        refused = r"^dense run of dicke N = 2 \(dim 291, n_max 96, 200 steps\) on \d+ states"
         with pytest.raises(CapacityLimitError, match=refused):
             run_trajectory(spec, steps=200)
-        assert built == [12, 24, 48]
+        assert built == [12, 24, 48, 96] and lumped == [12, 24, 48]
 
     def test_entropy_series_shape(self):
         traj = run_trajectory(ModelSpec(family="dicke", n_cells=2, lam=0.3), steps=40)
