@@ -7,7 +7,11 @@ reduced mode grid, the dispersion
     sin(theta_k) = 2 sum_m gamma_m sin(k m) / omega_k
 
 and the per-pair excitation eps_k(t) = 2 sin^2(theta_k) sin^2(omega_k t)
-give every observable as a sum over modes, at any N.  The particle-number
+give every observable as a sum over modes, at any N.  On a uniform time
+grid the sines and cosines of omega_k t come from the grid's phase table
+(:func:`linalg.grid_phases`: one exact cos and sin per mode every
+PHASE_STRIDE grid times, a complex product between), and E, P and var(H_B)
+are contractions over the modes of one block of times.  The particle-number
 distribution is the Poisson binomial p(z) = prod_k (1 - q_k + q_k z) of the
 pair occupations q_k = eps_k/2, and its rate is pdot(z) = (z - 1) S(z) with
 S(z) = sum_k qdot_k prod_{j != k} (1 - q_j + q_j z).  One forward recursion
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .linalg import grid_phases, grid_step
 from .models import TIME_CHUNK, ModelSpec, check_run_bytes, time_blocks
 from .observables import POPULATION_FLOOR, check_distributions, fisher_sum
 
@@ -115,23 +120,59 @@ def pair_excitations(modes: ModeSet, t: float | np.ndarray) -> tuple[np.ndarray,
     return eps, eps_dot
 
 
-def observables_on_grid(modes: ModeSet, times: np.ndarray) -> dict[str, np.ndarray]:
-    """Vectorized E, P, var(H_B) series over a time grid, in time blocks."""
-    times = np.asarray(times, dtype=float)
-    energy = np.empty_like(times)
-    pw = np.empty_like(times)
-    var_battery = np.empty_like(times)
+def _series(modes: ModeSet, times: np.ndarray, step: float | None) -> dict[str, np.ndarray]:
+    """E, P and var(H_B) at ``times`` from the phases of :func:`linalg.grid_phases`
+    (a uniform grid's table with its ``step``, else each time's own cos and
+    sin), one TIME_CHUNK block at a time (:func:`_block_series`)."""
+    out = {name: np.empty(len(times)) for name in ("energy", "power", "var_battery")}
     for block in time_blocks(len(times)):
-        eps, eps_dot = pair_excitations(modes, times[block, None])
-        energy[block] = eps.sum(axis=1)
-        pw[block] = eps_dot.sum(axis=1)
-        var_battery[block] = (eps * (2.0 - eps)).sum(axis=1)
-    return {"energy": energy, "power": pw, "var_battery": var_battery}
+        for name, values in _block_series(modes, times[block], step).items():
+            out[name][block] = values
+    return out
+
+
+def _block_series(modes: ModeSet, times: np.ndarray, step: float | None) -> dict[str, np.ndarray]:
+    """:func:`_series` on one block of times.  With a = sin^2(theta) and the
+    sine s and cosine c of omega t, eps = 2 a s^2, its rate is 4 a omega s c
+    and eps (2 - eps) = 4 a s^2 c^2 + 4 a (1 - a) s^4, two terms that are
+    each >= 0.  Each series contracts a (times x modes) array with one
+    weight per mode, row by row, so a time's value does not depend on the
+    rows around it."""
+    a = modes.sin_theta**2
+    phases = grid_phases(modes.omega, times, step, times_first=True)
+    sin, cos = phases.imag, phases.real  # phases.imag is -sin(omega t)
+    sin2, sin_cos = sin * sin, sin * cos
+    return {
+        "energy": np.einsum("tk,k->t", sin2, 2.0 * a),
+        "power": np.einsum("tk,k->t", sin_cos, -4.0 * a * modes.omega),
+        "var_battery": (
+            np.einsum("tk,k->t", np.square(sin_cos, out=sin_cos), 4.0 * a)
+            + np.einsum("tk,k->t", np.square(sin2, out=sin2), 4.0 * a * (1.0 - a))
+        ),
+    }
+
+
+def observables_on_grid(modes: ModeSet, times: np.ndarray) -> dict[str, np.ndarray]:
+    """E, P and var(H_B) series over a uniform grid of times t_j = j * step,
+    its step taken once from the whole grid (:func:`linalg.grid_step`; a
+    single time takes its own cos and sin); a ValidationError if ``times``
+    are not consecutive points of that grid.  One cos and sin per mode
+    serves every PHASE_STRIDE grid times (:func:`linalg.grid_phases`), and a
+    block of the grid has the bits of the whole grid there."""
+    times = np.asarray(times, dtype=float)
+    return _series(modes, times, grid_step(times) if len(times) > 1 else None)
 
 
 def energy_at(modes: ModeSet, t: float) -> float:
-    """The stored energy E of :func:`observables_on_grid` at one (off-grid) time t."""
-    return float(observables_on_grid(modes, np.array([t]))["energy"][0])
+    """The stored energy E at one (off-grid) time t, from its own cos and sin:
+    at a grid time j * step with j a multiple of PHASE_STRIDE, the bits of
+    :func:`observables_on_grid` there."""
+    return float(_series(modes, np.array([float(t)]), None)["energy"][0])
+
+
+def power_at(modes: ModeSet, t: float) -> float:
+    """The power P = dE/dt at one (off-grid) time t, as :func:`energy_at`."""
+    return float(_series(modes, np.array([float(t)]), None)["power"][0])
 
 
 def pair_distributions(modes: ModeSet, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

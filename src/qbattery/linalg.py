@@ -28,6 +28,9 @@ EIGENVALUE_FLOOR = -1e-10
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 LEVEL_REL_TOL = 1e-9
 HERMITICITY_BLOCK = 64
+# Grid times per exact cos and sin of a phase table (grid_phases); it divides
+# models.TIME_CHUNK, so every block of a grid starts at a table row.
+PHASE_STRIDE = 16
 
 
 @dataclass(frozen=True)
@@ -531,21 +534,88 @@ def evolve(hamiltonian: HermitianOperator, psi0: StateVector, t: float) -> State
     return StateVector(evolve_batch(hamiltonian, coeff, np.array([t]))[:, 0], psi0.basis)
 
 
-def evolve_batch(hamiltonian: HermitianOperator, coeff: np.ndarray, times: np.ndarray) -> np.ndarray:
+def grid_step(times: np.ndarray) -> float:
+    """The step of a uniform grid of times from its ends: bit for bit the
+    step of ``np.linspace(0, t_max, T)``."""
+    return float((times[-1] - times[0]) / (len(times) - 1))
+
+
+def _phases(angles: np.ndarray) -> np.ndarray:
+    """exp(-i x) as cos x - i sin x of the real angles: numpy's complex exp of
+    a purely imaginary argument evaluates the same cos and sin, so these are
+    its bits, in about half the time."""
+    out = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return out
+
+
+def _grid_indices(times: np.ndarray, step: float) -> np.ndarray:
+    """The index j of each time t_j = j * step of a uniform grid; a
+    ValidationError unless ``times`` are such times, to 4 ulp, for
+    consecutive j."""
+    if not (np.isfinite(step) and step > 0):
+        raise ValidationError(f"a grid step must be positive and finite, got {step!r}")
+    index = np.rint(times / step)
+    ulps = 4 * np.spacing(np.maximum(np.abs(times), step))
+    if not ((np.diff(index) == 1).all() and (np.abs(times - index * step) <= ulps).all()):
+        raise ValidationError(
+            f"times are not consecutive points of a uniform grid of step {step!r}"
+        )
+    return index.astype(np.int64)
+
+
+def grid_phases(
+    freqs: np.ndarray, times: np.ndarray, step: float | None = None, times_first: bool = False
+) -> np.ndarray:
+    """exp(-i f t) for each frequency f and time t: a (frequencies x times)
+    complex array, or (times x frequencies) if ``times_first``.
+
+    With no ``step``, each phase is cos(f t) - i sin(f t) of its own angle
+    (:func:`_phases`), for arbitrary times.  With the ``step`` D of a uniform
+    grid t_j = j D, ``times`` must be grid points of consecutive j (a
+    ValidationError otherwise), and only every PHASE_STRIDE-th grid time,
+    t_qS = (q S) D, and the offsets r D, 0 < r < S, take a cos and a sin:
+    the phase of t_j, j = q S + r, is the product of theirs.  So the phase
+    of grid index j is the same bits in every call that holds it, a block
+    of the grid or the whole grid, the phase of t_0 is exactly 1, and at
+    j = q S it is the direct phase of t_j.  The product adds a few ulp of
+    error to the angle's own rounding of f t."""
+    freqs, times = np.asarray(freqs, dtype=float), np.asarray(times, dtype=float)
+    if step is None or not len(times):
+        return _phases(np.multiply.outer(times, freqs) if times_first else np.outer(freqs, times))
+    index = _grid_indices(times, float(step))
+    first = index[0] - index[0] % PHASE_STRIDE
+    base_times = np.arange(first, index[-1] + 1, PHASE_STRIDE) * step
+    # The table in its layout, and a (rows, PHASE_STRIDE, frequencies) view.
+    if times_first:
+        table = rows = np.empty((len(base_times), PHASE_STRIDE, len(freqs)), dtype=complex)
+    else:
+        table = np.empty((len(freqs), len(base_times), PHASE_STRIDE), dtype=complex)
+        rows = table.transpose(1, 2, 0)
+    rows[:, 0] = _phases(np.multiply.outer(base_times, freqs))
+    offsets = _phases(np.multiply.outer(np.arange(1, PHASE_STRIDE) * step, freqs))
+    np.multiply(rows[:, :1], offsets, out=rows[:, 1:])
+    window = slice(index[0] - first, index[0] - first + len(times))
+    if times_first:
+        return table.reshape(-1, len(freqs))[window]
+    return table.reshape(len(freqs), -1)[:, window]
+
+
+def evolve_batch(
+    hamiltonian: HermitianOperator, coeff: np.ndarray, times: np.ndarray, step: float | None = None
+) -> np.ndarray:
     """States at all ``times`` as columns of a (dim, T) array, by exact spectral
     propagation V exp(-i L t) coeff under an eigendecomposed Hamiltonian, in
     one BLAS call.  ``coeff`` = V^dag psi0 is ``hamiltonian.to_eigenbasis`` of
-    the initial amplitudes, which a run computes once for all its time grids."""
+    the initial amplitudes, which a run computes once for all its time grids.
+    The phases are :func:`grid_phases` of the eigenvalues: with the ``step``
+    of a uniform grid, every time's phase comes from the grid's table, the
+    same bits in any block of it."""
     if not hamiltonian.has_eig:
         raise ValidationError("evolve_batch requires an eigendecomposed Hamiltonian")
-    # exp(-i x) as cos x - i sin x of the real angles: numpy's complex exp of
-    # a purely imaginary argument evaluates the same cos and sin, so the
-    # phases keep their bits, in about half the time.
-    angles = np.outer(hamiltonian.eigenvalues, np.asarray(times))
-    phased = np.empty(angles.shape, dtype=complex)
-    np.cos(angles, out=phased.real)
-    np.sin(angles, out=phased.imag)
-    np.negative(phased.imag, out=phased.imag)
+    phased = grid_phases(hamiltonian.eigenvalues, times, step)
     phased *= coeff[:, None]
     if hamiltonian.is_diagonal:
         states = np.empty_like(phased)

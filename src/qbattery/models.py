@@ -356,34 +356,34 @@ def _spin_ladder(n_cells: int) -> tuple[np.ndarray, np.ndarray]:
     return m, np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
 
 
-def collective_spin_operators(n_cells: int) -> dict[str, np.ndarray]:
-    """J_z, J_+, J_- in the maximal-spin sector basis |j, m>, m = -j..j."""
-    m, raising = _spin_ladder(n_cells)
-    jz = np.diag(m.astype(complex))
-    jp = np.zeros((n_cells + 1, n_cells + 1), dtype=complex)
-    jp[np.arange(1, n_cells + 1), np.arange(n_cells)] = raising
-    return {"jz": jz, "jp": jp, "jm": jp.conj().T}
-
-
 def build_lmg(spec: ModelSpec) -> SparseHermitian:
     """Infinite-range collective charger.
 
     H = (lam / 2N) [(1+gamma)(J+J- + J-J+ - N) + (1-gamma)(J+^2 + J-^2)] + J_z
     in the (N+1)-dimensional maximal-spin sector (the initial state lives
-    there and total spin is conserved), built dense there and handed over as
-    its nonzero entries.
+    there and total spin is conserved), built entry by entry: with
+    r_i = <i+1|J_+|i>, J+J- and J-J+ are diagonal, r_{i-1}^2 and r_i^2 at
+    state i, and J+^2 and J-^2 place r_i r_{i+1} two states off it.  Each
+    entry of those products is that one product of two ladder factors, and
+    the sums and scalings follow the operator form's order, so the entries
+    are the bits of the dense (N+1)^2 products.
     """
     if spec.family != "lmg":
         raise ValidationError("build_lmg needs an lmg spec")
     check_dense_size(spec)
     n = spec.n_cells
-    ops = collective_spin_operators(n)
-    jz, jp, jm = ops["jz"], ops["jp"], ops["jm"]
-    eye = np.eye(n + 1)
-    mixing = jp @ jm + jm @ jp - n * eye
-    pairing = jp @ jp + jm @ jm
-    mat = spec.lam / (2 * n) * ((1 + spec.gamma) * mixing + (1 - spec.gamma) * pairing) + jz
-    return SparseHermitian.from_matrix(mat, model_basis(spec))
+    m, raising = _spin_ladder(n)
+    squares = raising * raising
+    mixing = (np.concatenate(([0.0], squares)) + np.concatenate((squares, [0.0]))) - n
+    pairing = raising[:-1] * raising[1:]
+    scale = spec.lam / (2 * n)
+    # The entries of row i at columns i - 2, i and i + 2; a slot off the basis stays 0.
+    values = np.zeros((n + 1, 3))
+    values[:, 1] = scale * ((1 + spec.gamma) * mixing) + m
+    values[2:, 0] = values[:-2, 2] = scale * ((1 - spec.gamma) * pairing)
+    cols = np.arange(n + 1)[:, None] + np.array([-2, 0, 2])
+    keep = values != 0
+    return SparseHermitian(model_basis(spec), np.nonzero(keep)[0], cols[keep], values[keep])
 
 
 def build_dicke(spec: ModelSpec) -> SparseHermitian:

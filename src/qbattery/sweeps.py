@@ -18,7 +18,7 @@ import numpy as np
 from .bounds import bound_ratio
 from .errors import CapacityLimitError, ValidationError
 from .freefermion import (
-    check_chain_size, dispersion, energy_at, fisher_energy_series, observables_on_grid,
+    check_chain_size, dispersion, energy_at, fisher_energy_series, observables_on_grid, power_at,
 )
 from .models import ModelSpec, check_dense_size, power_law_couplings
 from .observables import battery_entanglement_entropy, cos_theta_power, time_average
@@ -157,7 +157,9 @@ def chain_analytic_quantities(
     times = time_grid(spec, lam_t_max, steps)
     series = observables_on_grid(modes, times)
 
-    peak = find_peak_time(times, series["energy"], partial(energy_at, modes))
+    peak = find_peak_time(
+        times, series["energy"], series["power"], partial(energy_at, modes), partial(power_at, modes)
+    )
     fisher = fisher_energy_series(modes, times[: _window(times, peak.t_f)])
     return _window_quantities(
         times, peak, series["energy"], series["var_battery"], fisher, modes.var_charger

@@ -2,15 +2,17 @@
 
 A :class:`Trajectory` holds the time grid and the series a run computes
 (stored energy, power, battery variance, level populations and rates, Fisher
-informations, bound saturation ratio), the conserved charger variance and an
-``energy_at(t)`` callable for off-grid peak refinement; certification, the CSV
-writer, the peak search and the sweeps read only that.  One builder,
-:func:`_record`, derives the Fisher series and cos theta for both backends.
+informations, bound saturation ratio), the conserved charger variance and
+``energy_at(t)`` and ``power_at(t)`` callables for off-grid peak refinement;
+certification, the CSV writer, the peak search and the sweeps read only
+that.  One builder, :func:`_record`, derives the Fisher series and cos theta
+for both backends.
 The dense backend builds the charger in the model's basis as its nonzero
 entries (:class:`linalg.SparseHermitian`) and runs on psi0's invariant sector
 only (:func:`linalg.invariant_sector`): the states psi0 reaches through those
 entries, whose dense matrix alone is built, diagonalized and propagated one
-TIME_CHUNK block of times at a time.  A ``lumped`` run cuts the sector
+TIME_CHUNK block of times at a time, on the grid's phase table
+(:func:`linalg.grid_phases`).  A ``lumped`` run cuts the sector
 further into equitable groups (:func:`linalg.equitable_groups`) and runs on
 the even spreads over them: the same states, on far fewer of them where the
 charger has symmetries.  The size rule's second stage
@@ -35,11 +37,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .freefermion import (
-    check_chain_size, dispersion, distribution_blocks, energy_at, observables_on_grid,
+    check_chain_size, dispersion, distribution_blocks, energy_at, observables_on_grid, power_at,
 )
 from .linalg import (
     Basis, HermitianOperator, SparseHermitian, StateVector, eigendecompose, equitable_groups,
-    evolve_batch, invariant_sector,
+    evolve_batch, grid_step, invariant_sector,
 )
 from .models import (
     ModelSpec, build_charger_for, check_dense_size, excitation_counts, initial_state, model_basis,
@@ -62,7 +64,7 @@ FOCK_LEAK_TOL = 1e-8
 MAX_FOCK_DOUBLINGS = 4
 PATHS = ("auto", "dense", "analytic")
 PEAK_MIN_POINTS = 3  # a grid peak needs a neighbour on each side to be refined
-PEAK_REL_TOL = 1e-6  # golden-section bracket width, relative to its scale
+PEAK_REL_TOL = 1e-10  # the power root's bracket, relative to its later end
 
 
 @dataclass
@@ -91,6 +93,7 @@ class Trajectory:
     fisher_energy_full: np.ndarray  # untruncated, used by bound certification
     cos_theta: np.ndarray
     energy_at: Callable[[float], float]  # exact stored energy at an arbitrary (off-grid) time
+    power_at: Callable[[float], float]  # exact power dE/dt at an arbitrary (off-grid) time
     fock_edge_population: float = 0.0  # max population within one level of a Fock cutoff
     charger: SparseHermitian | None = None
     psi0: StateVector | None = None
@@ -99,6 +102,11 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return len(self.times)
+
+    @property
+    def step(self) -> float:
+        """The grid's step, which the grid's phase tables are built on."""
+        return grid_step(self.times)
 
     @property
     def backend(self) -> str:
@@ -116,7 +124,7 @@ class Trajectory:
         block = next(b for b in time_blocks(self.n_steps) if index < b.stop)
         basis = self.sector.basis
         amplitudes = _sector_amplitudes(self.sector, self.psi0)
-        states = evolve_batch(self.sector, amplitudes, self.times[block])
+        states = evolve_batch(self.sector, amplitudes, self.times[block], self.step)
         state = np.zeros(self.psi0.dim, dtype=complex)
         state[basis.members] = basis.expand(states[:, index - block.start])
         return StateVector(state, self.psi0.basis)
@@ -162,7 +170,8 @@ def _fock_edge_population(states: np.ndarray, basis: Basis) -> float:
 def _record(
     spec: ModelSpec, times: np.ndarray, initial_energy: float, populations: np.ndarray,
     rates: np.ndarray, energy: np.ndarray, power: np.ndarray, var_battery: np.ndarray,
-    var_charger: float, energy_at: Callable[[float], float], **dense,
+    var_charger: float, energy_at: Callable[[float], float], power_at: Callable[[float], float],
+    **dense,
 ) -> Trajectory:
     """The run record from what a backend computed: the level populations and
     their rates on the whole grid, E, P, var(H_B) and var(H_C).  Both Fisher
@@ -188,6 +197,7 @@ def _record(
         fisher_energy_full=fisher_energy_full,
         cos_theta=cos_theta_power(power, var_battery, fisher_energy),
         energy_at=energy_at,
+        power_at=power_at,
         **dense,
     )
 
@@ -228,11 +238,11 @@ def _run_fixed(
     # population is its state's |amplitude|^2, spread or not.  Each column
     # is summed in the whole grid's order; the blocked H_C products may
     # differ from a whole-grid product in the last bit.
-    leak = 0.0
+    leak, step = 0.0, grid_step(times)
     populations = np.zeros((len(e_levels), len(times)))
     rates = np.zeros_like(populations)
     for block in time_blocks(len(times)):
-        states = evolve_batch(sector, amplitudes, times[block])
+        states = evolve_batch(sector, amplitudes, times[block], step)
         if basis.kind == "spin_fock":
             leak = max(leak, _fock_edge_population(states, basis))
             if leak >= leak_tol:
@@ -253,13 +263,19 @@ def _run_fixed(
 
     ladder = e_levels[counts[order]]  # each group's energy, in level order
 
+    def psi_at(t: float) -> np.ndarray:
+        return evolve_batch(sector, amplitudes, np.array([t]))[:, 0]
+
     def stored_energy_at(t: float) -> float:
-        psi = evolve_batch(sector, amplitudes, np.array([t]))[:, 0]
-        return float(np.abs(psi[order]) ** 2 @ ladder - initial_energy)
+        return float(np.abs(psi_at(t)[order]) ** 2 @ ladder - initial_energy)
+
+    def power_at(t: float) -> float:
+        psi = psi_at(t)
+        return float(2.0 * (psi.conj() * (sector.matrix @ psi)).imag[order] @ ladder)
 
     return _record(
         spec, times, initial_energy, populations, rates, energy_abs - initial_energy,
-        e_levels @ rates, var_battery, var_charger, stored_energy_at,
+        e_levels @ rates, var_battery, var_charger, stored_energy_at, power_at,
         fock_edge_population=leak,
         charger=charger,
         psi0=psi0,
@@ -284,6 +300,7 @@ def _run_chain(spec: ModelSpec, times: np.ndarray) -> Trajectory:
     return _record(
         spec, times, -n / 2, populations, rates, series["energy"], series["power"],
         series["var_battery"], modes.var_charger, partial(energy_at, modes),
+        partial(power_at, modes),
     )
 
 
@@ -360,48 +377,60 @@ class PeakResult:
     at_boundary: bool
 
 
-def _golden_maximize(f, a: float, b: float) -> tuple[float, float]:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    scale = max(abs(a), abs(b), 1e-12)
-    while (b - a) > PEAK_REL_TOL * scale:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    mid = 0.5 * (a + b)
-    return mid, f(mid)
+def _power_root(power_at, a: float, b: float) -> float:
+    """The time in [a, b] at which the power turns from positive at a to
+    negative at b, by bisection on the sign of ``power_at`` until the bracket
+    is PEAK_REL_TOL of its later end: a relative stop, which holds at any
+    time scale.  Each step is decided by a sign alone, so two runs whose
+    powers differ only by rounding take the same steps to the same time
+    unless a midpoint falls within that rounding of the root."""
+    while b - a > PEAK_REL_TOL * b:
+        mid = 0.5 * (a + b)
+        p = power_at(mid)
+        if p == 0.0:
+            return mid
+        a, b = (mid, b) if p > 0.0 else (a, mid)
+    return 0.5 * (a + b)
 
 
-def find_peak_time(times: np.ndarray, energies: np.ndarray, evaluator) -> PeakResult:
-    """Grid argmax of the stored energy refined by golden-section search to
-    PEAK_REL_TOL of the bracket's scale.
+def find_peak_time(
+    times: np.ndarray, energies: np.ndarray, powers: np.ndarray,
+    energy_at: Callable[[float], float], power_at: Callable[[float], float],
+) -> PeakResult:
+    """Grid argmax of the stored energy, refined to the root of the power P.
 
-    ``evaluator(t)`` must return the exact stored energy at arbitrary t.  The
-    refined value never falls below the grid maximum; a peak sitting on the
-    final grid point is flagged instead of refined.
+    Of the grid neighbours, the one on the side where the grid's ``powers``
+    say P changes sign brackets the peak with the argmax, and
+    :func:`_power_root` finds the sign change of ``power_at(t)`` (exact P at
+    any t) there; ``energy_at(t)`` (exact E) gives the peak energy.  The sign
+    of P, unlike a comparison of two nearly equal energies, is decided
+    wherever P exceeds rounding, so a peak midway between two grid points
+    refines to the same time whichever of them is the argmax.  With no sign
+    change beside the argmax, or a refined value below the grid maximum, the
+    grid point stands; a peak on the final grid point is flagged instead of
+    refined.
     """
     times = np.asarray(times, dtype=float)
     energies = np.asarray(energies, dtype=float)
+    powers = np.asarray(powers, dtype=float)
     if len(times) < PEAK_MIN_POINTS:
         raise ValidationError(f"need at least {PEAK_MIN_POINTS} grid points to locate a peak")
     idx = int(np.argmax(energies))
+    grid_peak = PeakResult(t_f=float(times[idx]), energy_max=float(energies[idx]), at_boundary=False)
     if idx == len(times) - 1:
-        return PeakResult(t_f=float(times[idx]), energy_max=float(energies[idx]), at_boundary=True)
+        return replace(grid_peak, at_boundary=True)
     if idx == 0:
-        return PeakResult(t_f=float(times[0]), energy_max=float(energies[0]), at_boundary=False)
-    t_ref, e_ref = _golden_maximize(evaluator, times[idx - 1], times[idx + 1])
+        return grid_peak
+    lo = idx if powers[idx] > 0 else idx - 1
+    if not powers[lo] > 0 > powers[lo + 1]:
+        return grid_peak
+    t_ref = _power_root(power_at, times[lo], times[lo + 1])
+    e_ref = energy_at(t_ref)
     if e_ref < energies[idx]:
-        t_ref, e_ref = float(times[idx]), float(energies[idx])
+        return grid_peak
     return PeakResult(t_f=float(t_ref), energy_max=float(e_ref), at_boundary=False)
 
 
 def find_tf(traj: Trajectory) -> PeakResult:
     """Refined time of maximal stored energy for a computed trajectory."""
-    return find_peak_time(traj.times, traj.energy, traj.energy_at)
+    return find_peak_time(traj.times, traj.energy, traj.power, traj.energy_at, traj.power_at)

@@ -16,7 +16,7 @@ import numpy as np
 from qbattery import (
     Basis, DensityMatrix, HermitianOperator, StateVector, eigendecompose, evolve, group_levels,
 )
-from qbattery.linalg import evolve_batch
+from qbattery.linalg import evolve_batch, grid_step
 from qbattery.models import build_battery_for
 
 # The Pauli algebra in the package's ordering: local index 0 is the cell
@@ -190,7 +190,7 @@ def whole_grid_states(traj) -> np.ndarray:
     indices = sector.basis.indices
     amplitudes = sector.eigenvectors.conj().T @ traj.psi0.amplitudes[indices]
     states = np.zeros((traj.psi0.dim, traj.n_steps), dtype=complex)
-    states[indices] = evolve_batch(sector, amplitudes, traj.times)
+    states[indices] = evolve_batch(sector, amplitudes, traj.times, traj.step)
     return states
 
 
@@ -234,8 +234,8 @@ def full_space_run(spec, times):
     """The dense run of ``spec`` in its whole model basis, the arithmetic of
     the run before it kept to psi0's sector: the dense charger's
     (:func:`dense_charger`) own
-    eigendecomposition, each TIME_CHUNK block of times propagated and summed
-    into levels over every basis state.  Returns the run record and the
+    eigendecomposition, each TIME_CHUNK block of times propagated on the
+    grid's phase table and summed into levels over every basis state.  Returns the run record and the
     (dim, T) states: the reference for the sector run.  ``spec`` must carry
     its Fock cutoff, if any."""
     from qbattery import models, trajectory
@@ -250,7 +250,7 @@ def full_space_run(spec, times):
     populations = np.empty((len(e_levels), len(times)))
     rates = np.empty_like(populations)
     for block in models.time_blocks(len(times)):
-        states[:, block] = evolve_batch(charger, amplitudes, times[block])
+        states[:, block] = evolve_batch(charger, amplitudes, times[block], grid_step(times))
         overlaps = states[battery.order, block]
         driven = (charger.matrix @ states[:, block])[battery.order]
         populations[:, block] = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
@@ -269,10 +269,15 @@ def full_space_run(spec, times):
         psi = evolve_batch(charger, amplitudes, np.array([t]))[:, 0]
         return float(np.abs(psi[battery.order]) ** 2 @ battery.eigenvalues - initial_energy)
 
+    def power_at(t: float) -> float:
+        psi = evolve_batch(charger, amplitudes, np.array([t]))[:, 0]
+        rates = 2.0 * (psi.conj() * (charger.matrix @ psi)).imag
+        return float(rates[battery.order] @ battery.eigenvalues)
+
     record = trajectory._record(
         spec, times, initial_energy, populations, rates, energy_abs - initial_energy,
         e_levels @ rates, e_levels**2 @ populations - energy_abs**2, var_charger,
-        stored_energy_at, fock_edge_population=leak, charger=charger, psi0=psi0,
+        stored_energy_at, power_at, fock_edge_population=leak, charger=charger, psi0=psi0,
     )
     return record, states
 
@@ -411,6 +416,18 @@ def _place_flips_dense(mat, n_cells: int, cells, values) -> None:
     mat[idx ^ mask, idx] += values
 
 
+def collective_spin_operators(n_cells: int) -> dict[str, np.ndarray]:
+    """J_z, J_+, J_- in the maximal-spin sector basis |j, m>, m = -j..j, as
+    dense complex matrices: the operators of the LMG and Dicke references."""
+    from qbattery import models
+
+    m, raising = models._spin_ladder(n_cells)
+    jz = np.diag(m.astype(complex))
+    jp = np.zeros((n_cells + 1, n_cells + 1), dtype=complex)
+    jp[np.arange(1, n_cells + 1), np.arange(n_cells)] = raising
+    return {"jz": jz, "jp": jp, "jm": jp.conj().T}
+
+
 def dense_charger(spec) -> np.ndarray:
     """The charger of ``spec`` as the dense matrix the builders once returned,
     with their arithmetic: bit-flip terms added into a dense array in term
@@ -445,7 +462,7 @@ def dense_charger(spec) -> np.ndarray:
                 _place_flips_dense(mat, n, (j, k), 0.5 * (lam_m + gam_m) * sign)
                 _place_flips_dense(mat, n, (j, k), 0.5 * (lam_m - gam_m) * sign * yy_sign)
         return mat
-    ops = models.collective_spin_operators(n)
+    ops = collective_spin_operators(n)
     if spec.family == "lmg":
         jz, jp, jm = ops["jz"], ops["jp"], ops["jm"]
         mixing = jp @ jm + jm @ jp - n * np.eye(n + 1)

@@ -72,6 +72,13 @@ def test_lmg_entries(n, gamma, lam):
     assert_entries_are_the_dense_charger(ModelSpec(family="lmg", n_cells=n, lam=lam, gamma=gamma))
 
 
+@pytest.mark.parametrize("gamma", [-1.0, 0.3, 1.0, 2.5])
+def test_lmg_entries_at_a_large_n(gamma):
+    # The entry-wise build is O(N); the dense oracle's four (N+1)^2 products
+    # are what it reproduces.
+    assert_entries_are_the_dense_charger(ModelSpec(family="lmg", n_cells=400, lam=5.0, gamma=gamma))
+
+
 @given(
     n=st.integers(min_value=1, max_value=8),
     headroom=st.none() | st.integers(min_value=2, max_value=40),

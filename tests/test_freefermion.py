@@ -14,12 +14,15 @@ from qbattery import (
 from qbattery import models
 from qbattery.freefermion import (
     ModeSet,
+    energy_at,
     fisher_energy_analytic,
     fisher_energy_series,
     observables_on_grid,
     pair_distribution,
     pair_excitations,
+    power_at,
 )
+from qbattery.linalg import PHASE_STRIDE
 from qbattery.observables import POPULATION_FLOOR
 from qbattery.trajectory import run_trajectory
 from qbattery.verification import chain_oracle_comparison
@@ -108,6 +111,35 @@ class TestPairExcitations:
             one = observables_on_grid(modes, times[i : i + 1])
             for key, column in series.items():
                 assert one[key][0] == pytest.approx(column[i], abs=1e-12)
+
+
+    @pytest.mark.parametrize("tail", [1, 7])
+    def test_blocks_have_the_bits_of_the_whole_grid(self, tail, monkeypatch):
+        modes = dispersion(chain_spec("xy_pow", 30))
+        times = np.linspace(0.0, 12.0, 2 * models.TIME_CHUNK + tail)
+        blocked = observables_on_grid(modes, times)
+        monkeypatch.setattr(models, "TIME_CHUNK", len(times))
+        whole = observables_on_grid(modes, times)
+        for key, column in blocked.items():
+            assert np.array_equal(column, whole[key]), key
+        assert blocked["energy"][0] == blocked["power"][0] == blocked["var_battery"][0] == 0.0
+
+    def test_off_grid_values_are_the_grid_at_table_rows(self):
+        modes = dispersion(chain_spec("xx_pow", 12))
+        times = np.linspace(0.0, 9.0, 200)
+        series = observables_on_grid(modes, times)
+        for i in (16, 48, 160, 5, 101):
+            eps, eps_dot = pair_excitations(modes, float(times[i]))
+            energy, power = energy_at(modes, times[i]), power_at(modes, times[i])
+            assert energy == pytest.approx(eps.sum(), abs=1e-13)
+            assert power == pytest.approx(eps_dot.sum(), abs=1e-13)
+            if i % PHASE_STRIDE == 0:
+                assert (energy, power) == (series["energy"][i], series["power"][i])
+
+    def test_a_grid_must_be_uniform(self):
+        modes = dispersion(chain_spec("xy_nn", 8))
+        with pytest.raises(ValidationError, match="not consecutive points of a uniform grid"):
+            observables_on_grid(modes, np.array([0.0, 0.5, 1.5, 2.0]))
 
 
 class TestPairDistribution:
@@ -250,7 +282,11 @@ class TestDenseEquivalence:
                 eps, _ = pair_excitations(modes, t)
                 return float(eps.sum())
 
-            peak = find_peak_time(times, series["energy"], energy_at)
+            def power_at(t):
+                _, eps_dot = pair_excitations(modes, t)
+                return float(eps_dot.sum())
+
+            peak = find_peak_time(times, series["energy"], series["power"], energy_at, power_at)
             stop = max(int(np.searchsorted(times, peak.t_f, side="right")), 2)
             avg_var = time_average(series["var_battery"][:stop], float(times[1] - times[0]))
             values[n] = (peak.energy_max / n, avg_var / n)

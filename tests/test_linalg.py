@@ -187,6 +187,110 @@ class TestEvolve:
         assert np.array_equal(batch, op.eigenvectors @ phased)
 
 
+def phase_error(phases: np.ndarray, freqs: np.ndarray, index: np.ndarray, step: float) -> float:
+    """Largest deviation of ``phases`` (frequencies x times) from exp(-i f j step)
+    evaluated in extended precision at the exact product of f, j and step."""
+    angles = np.multiply.outer(freqs.astype(np.longdouble), index * np.longdouble(step))
+    return float(max(np.abs(phases.real - np.cos(angles)).max(),
+                     np.abs(phases.imag + np.sin(angles)).max()))
+
+
+class TestGridPhases:
+    STRIDE = linalg.PHASE_STRIDE
+
+    def test_the_stride_divides_the_time_block(self):
+        # Every block of the grid starts at a table row.
+        from qbattery import models
+
+        assert models.TIME_CHUNK % self.STRIDE == 0
+
+    @pytest.mark.parametrize("tail", [1, 7])
+    def test_blocks_and_the_whole_grid_share_their_bits(self, tail):
+        from qbattery import models
+
+        rng = np.random.default_rng(3)
+        freqs = rng.normal(scale=5.0, size=9)
+        times = np.linspace(0.0, 40.0, 2 * models.TIME_CHUNK + tail)
+        step = linalg.grid_step(times)
+        whole = linalg.grid_phases(freqs, times, step)
+        for block in models.time_blocks(len(times)):
+            assert np.array_equal(linalg.grid_phases(freqs, times[block], step), whole[:, block])
+        # The same bits in either layout.
+        assert np.array_equal(linalg.grid_phases(freqs, times, step, times_first=True), whole.T)
+
+    def test_table_rows_are_the_direct_phases_and_t0_is_exact(self):
+        rng = np.random.default_rng(4)
+        freqs = rng.normal(scale=3.0, size=7)
+        times = np.linspace(0.0, 25.0, 300)
+        table = linalg.grid_phases(freqs, times, linalg.grid_step(times))
+        direct = linalg.grid_phases(freqs, times)
+        rows = slice(0, len(times) - 1, self.STRIDE)  # the last time is linspace's end point
+        # Byte for byte, so the signed zeros of sin(f * 0) too.
+        assert np.ascontiguousarray(table[:, rows]).tobytes() == direct[:, rows].tobytes()
+        assert (table[:, 0] == 1.0).all()
+        assert not np.array_equal(table[:, 17], direct[:, 17])  # a table product
+
+    @pytest.mark.parametrize(
+        "scale,t_max,steps",
+        # |f| t up to 2e4, 6.4e4 (dicke_n8_weak reaches 5.6e4) and 40.
+        [(10.0, 2000.0, 4001), (32.0, 2000.0, 2000), (4.0, 10.0, 2001)],
+    )
+    def test_table_error_is_within_twice_the_direct_error(self, scale, t_max, steps):
+        rng = np.random.default_rng(11)
+        freqs = np.concatenate(([scale, -scale], rng.uniform(-scale, scale, 62)))
+        times = np.linspace(0.0, t_max, steps)
+        step = linalg.grid_step(times)
+        index = np.arange(steps)
+        table = phase_error(linalg.grid_phases(freqs, times, step), freqs, index, step)
+        direct = phase_error(linalg.grid_phases(freqs, index * step), freqs, index, step)
+        assert table <= 2.0 * direct
+
+    @given(
+        freqs=st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=6),
+        step=st.floats(min_value=1e-6, max_value=10.0),
+        first=st.integers(min_value=0, max_value=3000),
+        count=st.integers(min_value=1, max_value=70),
+    )
+    def test_any_run_of_grid_times(self, freqs, step, first, count):
+        # A run of consecutive grid times, from any index: each time's phase
+        # is its grid index's, and within a few ulp of the angle's rounding.
+        freqs = np.array(freqs)
+        index = np.arange(first, first + count)
+        times = index * step
+        got = linalg.grid_phases(freqs, times, step)
+        start = first - first % self.STRIDE
+        wider = linalg.grid_phases(freqs, np.arange(start, first + count) * step, step)
+        assert np.array_equal(got, wider[:, first - start:])
+        on_rows = index % self.STRIDE == 0
+        assert np.array_equal(got[:, on_rows], linalg.grid_phases(freqs, times[on_rows]))
+        bound = 8 * np.finfo(float).eps * (1.0 + np.abs(freqs).max() * times[-1])
+        assert phase_error(got, freqs, index, step) <= bound
+
+    @pytest.mark.parametrize(
+        "times",
+        [np.array([0.0, 0.1, 0.25, 0.3]), np.array([0.0, 0.2, 0.1]), np.array([0.05, 0.15, 0.25])],
+        ids=["uneven", "reversed", "off-grid"],
+    )
+    def test_a_grid_step_needs_grid_times(self, times):
+        with pytest.raises(ValidationError, match="not consecutive points of a uniform grid"):
+            linalg.grid_phases(np.ones(2), times, 0.1)
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, np.nan, np.inf])
+    def test_a_grid_step_is_positive_and_finite(self, step):
+        with pytest.raises(ValidationError, match="must be positive and finite"):
+            linalg.grid_phases(np.ones(2), np.array([0.0]), step)
+
+    def test_grid_propagation_matches_direct_propagation(self):
+        rng = np.random.default_rng(5)
+        op = eigendecompose(random_hermitian(8, rng))
+        coeff = op.to_eigenbasis(state(rng.normal(size=8) + 1j * rng.normal(size=8), op.basis).amplitudes)
+        times = np.linspace(0.0, 300.0, 1001)
+        table = evolve_batch(op, coeff, times, linalg.grid_step(times))
+        direct = evolve_batch(op, coeff, times)
+        assert np.array_equal(table[:, 0], direct[:, 0])
+        assert np.abs(table - direct).max() <= 1e-12
+
+
 class TestPartialTrace:
     def test_product_state_is_pure(self):
         basis = Basis("spin_fock", 2, 5)

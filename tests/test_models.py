@@ -34,7 +34,6 @@ from qbattery.models import (
     battery_cell_terms,
     build_battery_for,
     check_dense_size,
-    collective_spin_operators,
     excitation_counts,
     gigabytes,
     model_basis,
@@ -46,6 +45,7 @@ from qbattery.models import (
 from oracles import (
     SIGMA_X,
     SIGMA_Z,
+    collective_spin_operators,
     cyclic_shift,
     jw_chain_kron,
     paradigmatic_charger_kron,

@@ -234,10 +234,10 @@ def spy_propagated_columns(monkeypatch) -> dict[int, int]:
     columns: dict[int, int] = {}
     original = trajectory.evolve_batch
 
-    def counting(charger, amplitudes, times):
+    def counting(charger, amplitudes, times, *step):
         n_max = charger.basis.n_max
         columns[n_max] = columns.get(n_max, 0) + len(times)
-        return original(charger, amplitudes, times)
+        return original(charger, amplitudes, times, *step)
 
     monkeypatch.setattr(trajectory, "evolve_batch", counting)
     return columns
@@ -388,9 +388,41 @@ class TestPeakSearch:
         peak = find_tf(traj)
         assert peak.energy_max == pytest.approx(0.0, abs=1e-12)
 
+    def test_a_peak_midway_between_grid_points_refines_alike_from_either(self):
+        # At 400 steps pi/2 lies midway between t_332 and t_333, whose
+        # energies tie up to rounding; either argmax refines to one time.
+        traj = run_trajectory(ModelSpec(family="parallel", n_cells=6), steps=400)
+        assert abs(traj.times[332] + traj.times[333] - math.pi) < 1e-12
+        peaks = []
+        for argmax in (332, 333):
+            energies = traj.energy.copy()
+            energies[argmax] += 1e-12
+            peaks.append(
+                find_peak_time(traj.times, energies, traj.power, traj.energy_at, traj.power_at)
+            )
+        assert peaks[0].t_f == pytest.approx(peaks[1].t_f, rel=2 * trajectory.PEAK_REL_TOL)
+        assert peaks[0].t_f == pytest.approx(math.pi / 2, rel=2 * trajectory.PEAK_REL_TOL)
+
+    @pytest.mark.parametrize("lam", [1e-8, 1.0, 1e16, 1e20])
+    def test_the_refinement_is_relative(self, lam):
+        traj = run_trajectory(ModelSpec(family="global", n_cells=4, lam=lam), steps=300)
+        peak = find_tf(traj)
+        assert lam * peak.t_f == pytest.approx(math.pi / 2, rel=2 * trajectory.PEAK_REL_TOL)
+        assert peak.energy_max == pytest.approx(4.0, rel=1e-12)
+
+    def test_no_sign_change_keeps_the_grid_point(self):
+        times = np.linspace(0.0, 1.0, 5)
+        energies = np.array([0.0, 1.0, 3.0, 2.0, 2.5])
+        refine = lambda t: pytest.fail("refined without a sign change")  # noqa: E731
+        peak = find_peak_time(times, energies, np.ones(5), refine, refine)
+        assert (peak.t_f, peak.energy_max, peak.at_boundary) == (0.5, 3.0, False)
+
     def test_needs_three_points(self):
         with pytest.raises(ValidationError):
-            find_peak_time(np.array([0.0, 1.0]), np.array([0.0, 1.0]), lambda t: t)
+            find_peak_time(
+                np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]),
+                lambda t: t, lambda t: 1.0,
+            )
 
 
 class TestDeterminism:
@@ -481,7 +513,11 @@ class TestFreeFermionBackend:
         spec = chain_spec("xy_pow", 8)
         chain = run_trajectory(spec, steps=50)
         dense = run_trajectory(spec, steps=50, path="dense")
-        assert chain.energy_at(float(chain.times[17])) == chain.energy[17]
+        # The grid takes cos and sin at every PHASE_STRIDE-th time and a
+        # table product between; energy_at takes them at its own time.
+        assert chain.energy_at(float(chain.times[16])) == chain.energy[16]
+        off_table = [chain.energy_at(float(t)) for t in chain.times] - chain.energy
+        assert np.abs(off_table).max() <= 16 * np.spacing(float(spec.n_cells))
         for t in (0.3137, 2.71, 7.77):
             assert chain.energy_at(t) == pytest.approx(dense.energy_at(t), abs=1e-12)
 
