@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .observables import fisher_sum
 
 RELATIVE_TOL = 1e-8
 ABSOLUTE_FLOOR = 1e-12
@@ -79,13 +80,12 @@ def moment_rate_bound(t: float, level_energies: np.ndarray, p: np.ndarray, p_dot
 
 
 def moment_rate_series(level_energies: np.ndarray, p: np.ndarray, p_dot: np.ndarray, m: int):
-    """(lhs, rhs) of ``moment_rate_bound`` at every step.  ``p`` and ``p_dot``
-    are C-contiguous (T, L), so each row sums in the scalar function's order."""
-    powers = level_energies**m
-    rate = np.sum(powers * p_dot, axis=1)
-    var_m = np.sum(p * (powers - np.sum(p * powers, axis=1)[:, None]) ** 2, axis=1)
-    fisher = np.sum(np.divide(p_dot**2, p, out=np.zeros_like(p), where=p > 0.0), axis=1)
-    return rate**2, var_m * fisher
+    """(lhs, rhs) of ``moment_rate_bound`` at every time: each column of a record's (levels
+    x times) ``p`` and ``p_dot`` reduced over the levels, I_E recomputed by its fisher_sum."""
+    powers = (level_energies**m)[:, None]
+    rate = np.sum(powers * p_dot, axis=0)
+    var_m = np.sum(p * (powers - np.sum(p * powers, axis=0)) ** 2, axis=0)
+    return rate**2, var_m * fisher_sum(p, p_dot, 0.0)
 
 
 def fisher_power_bound(t: float, power_value: float, var_battery: float, fisher: float) -> BoundReport:

@@ -83,12 +83,12 @@ def check_chain_size(n_cells: int, steps: int, record: bool = True) -> int:
     11 / 29 / 34, N = 10^4 at 800 / 20000 52 / 135; and 5.3x at N = 40000
     over 300 steps (125).  A run record adds 8 (160 + 14 (N + 1)) T instead:
     the grid, the series and the CSV text of their columns, and the (levels x
-    times) p and pdot with their certification copies and the CSV text of
-    the populations.  Its estimate is 1.2-2.0x the max RSS growth of
-    run_trajectory + certify_trajectory + write_trajectory_csv with
+    times) p and pdot, the certifier's moment-sum temporaries over them and
+    the CSV text of the populations.  Its estimate is 1.2-2.0x the max RSS
+    growth of run_trajectory + certify_trajectory + write_trajectory_csv with
     populations, in MB: xy_nn N = 2 / 10 at 20000 steps 25 / 39, N = 200 at
     4000 / 20000 79 / 398, N = 1000 at 500 / 2000 43 / 165, N = 4000 at
-    300 / 1000 99 / 316; and 2.4-5.0x it without the CSV.
+    300 / 1000 99 / 316; and 2.9-5.2x it without the CSV.
     """
     per_step = 160 + 14 * (n_cells + 1) if record else 16
     need = 8 * (per_step * steps + 16 * (n_cells // 2 + 1) * TIME_CHUNK)

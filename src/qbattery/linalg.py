@@ -262,12 +262,6 @@ class SparseHermitian:
         for name, value in (("rows", rows), ("cols", cols), ("values", values)):
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, basis: Basis) -> "SparseHermitian":
-        """The nonzero entries of a dense matrix."""
-        rows, cols = np.nonzero(matrix)
-        return cls(basis, rows, cols, np.asarray(matrix)[rows, cols])
-
     @property
     def dim(self) -> int:
         return self.basis.dim

@@ -262,27 +262,25 @@ def check_dense_size(spec: ModelSpec, steps: int = 0, states: int | None = None)
     The rule has two stages.  Before the charger is built (``states`` None),
     RUN_BASE_BYTES, STATE_BYTES per basis state and ENTRY_BYTES per entry the
     builder places (:func:`_entries_placed`) cover the entry list and its
-    build, psi0 and the sector search; 128 dim^2 more, LMG's dense build in
-    the collective-spin basis; and 64 L T the (levels x times) series of
-    L = N + 1 levels.  Once psi0's sector is found, before its dense matrix
-    is built, the run adds 16 (7 d^2 + 5 d B) for the ``states`` = d states
-    it runs on (the sector, or its equitable groups) and B =
-    min(T, TIME_CHUNK) times per block: the complex matrix, its eigenvectors
-    and LAPACK's workspace, one block of states and propagation temporaries.
-    The sum was 1.2-2.2x the max RSS growth over the post-import baseline of
-    run_trajectory + certify_trajectory (2 cores, OpenBLAS 0.3.31), in MB:
-    xy_nn N = 9 at 2000 steps 15; parallel N = 9 at 500 / 20000 27 / 32;
-    lmg N = 400 at 2000 46, N = 1000 at 200 120; auto-cutoff dicke N = 6 at
-    2000 (n_max 80) 17; global N = 16 / 20 at 2000 12 / 177; hybrid N = 16
-    (q = 4) at 2000 42.  A qubit dimension past int64 is written 2^N.
+    build, psi0 and the sector search, and 64 L T the (levels x times) series
+    of L = N + 1 levels; no family adds a term of its own.  Once psi0's sector
+    is found, before its dense matrix is built, the run adds 16 (7 d^2 + 5 d B)
+    for the ``states`` = d states it runs on (the sector, or its equitable
+    groups) and B = min(T, TIME_CHUNK) times per block: the complex matrix, its
+    eigenvectors and LAPACK's workspace, one block of states and propagation
+    temporaries.  The sum was 1.3-2.3x the max RSS growth over the post-import
+    baseline of run_trajectory + certify_trajectory (2 cores, OpenBLAS 0.3.31),
+    in MB: xy_nn N = 9 at 2000 steps 14; parallel N = 9 at 500 / 20000 28 / 30;
+    lmg N = 400 at 2000 39, N = 1000 at 200 26, N = 2000 at 2000 175;
+    auto-cutoff dicke N = 6 at 2000 (n_max 80) 15; global N = 16 / 20 at 2000
+    12 / 177; hybrid N = 16 (q = 4) at 2000 42.  A qubit dimension past int64
+    is written 2^N.
     """
     basis = model_basis(spec)
     need = (
         RUN_BASE_BYTES + STATE_BYTES * basis.dim + ENTRY_BYTES * _entries_placed(spec, basis.dim)
         + 64 * (spec.n_cells + 1) * steps
     )
-    if spec.family == "lmg":
-        need += 128 * basis.dim**2
     run = ""
     if states is not None:
         need += 16 * (7 * states**2 + 5 * states * min(steps, TIME_CHUNK))

@@ -65,6 +65,7 @@ MAX_FOCK_DOUBLINGS = 4
 PATHS = ("auto", "dense", "analytic")
 PEAK_MIN_POINTS = 3  # a grid peak needs a neighbour on each side to be refined
 PEAK_REL_TOL = 1e-10  # the power root's bracket, relative to its later end
+FLAT_ENERGY_PER_CELL = 1e-12  # a grid storing no more than this times N charges nothing
 
 
 @dataclass
@@ -432,5 +433,9 @@ def find_peak_time(
 
 
 def find_tf(traj: Trajectory) -> PeakResult:
-    """Refined time of maximal stored energy for a computed trajectory."""
+    """Refined time of maximal stored energy for a computed trajectory; a run
+    storing at most FLAT_ENERGY_PER_CELL N (LMG at gamma = 1: rounding noise)
+    has no peak, and gets the grid start with no search."""
+    if traj.energy.max() <= FLAT_ENERGY_PER_CELL * traj.spec.n_cells:
+        return PeakResult(float(traj.times[0]), float(traj.energy[0]), at_boundary=False)
     return find_peak_time(traj.times, traj.energy, traj.power, traj.energy_at, traj.power_at)

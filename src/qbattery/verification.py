@@ -127,8 +127,7 @@ def certify_trajectory(traj: Trajectory) -> CertificationReport:
         "t": traj.times, "P": traj.power, "var_HB": traj.var_battery,
         "var_HC": np.full_like(traj.times, traj.var_charger), "I_E": traj.fisher_energy_full,
         "I_Q": np.full_like(traj.times, 4.0 * traj.var_charger), "producibility_cap": cap,
-        "levels": levels, "p": np.ascontiguousarray(traj.populations.T),
-        "p_dot": np.ascontiguousarray(traj.population_rates.T),
+        "levels": levels, "p": traj.populations, "p_dot": traj.population_rates,
     }
     report = certify_series(columns, MEMORY_BOUNDS, undefined_fails=True)
     report.amplitude = energy_amplitude_check(traj.energy, levels, traj.initial_energy)

@@ -498,17 +498,19 @@ class TestCli:
              {"values": [4, 6, 8, 22], "quantity": "avg_power", "path": "dense"},
              "config error: sweep.values: N = 22: dense run of jw_chain N = 22 (dim 4194304, "
              "120 steps) needs ~16 GB"),
+            # LMG's entry list is O(N); its 10001-state sector is what is refused.
             ("simulate", {"family": "lmg", "N": 20000}, {}, None,
-             "error: dense run of lmg N = 20000 (dim 20001, 120 steps) needs ~51.4 GB"),
+             "error: dense run of lmg N = 20000 (dim 20001, 120 steps) on 10001 states "
+             "needs ~11.5 GB"),
             ("simulate", {"family": "parallel", "N": 2}, {"steps": 10**12}, None,
              "error: dense run of parallel N = 2 (dim 4, 1000000000000 steps) needs ~1.92e+05 GB"),
             ("sweep", {"family": "lmg", "N": 20}, {"steps": 10**12},
              {"parameter": "gamma", "values": [-1.0, 0.0], "quantity": "energy_at_tf"},
              "error: dense run of lmg N = 20 (dim 21, 1000000000000 steps) needs ~1.34e+06 GB"),
             ("sweep", {"family": "lmg", "N": 10}, {},
-             {"values": [10, 20, 40, 20000], "quantity": "avg_power"},
-             "config error: sweep.values: N = 20000: dense run of lmg N = 20000 (dim 20001, "
-             "120 steps) needs ~51.4 GB"),
+             {"values": [10, 20, 40, 10**7], "quantity": "avg_power"},
+             "config error: sweep.values: N = 10000000: dense run of lmg N = 10000000 "
+             "(dim 10000001, 120 steps) needs ~82.9 GB"),
             # Byte counts past float range: formatted, not converted.
             ("simulate", {"family": "parallel", "N": 600}, {}, None,
              "error: dense run of parallel N = 600 (dim 2^600, 120 steps) needs ~3.99e+176 GB"),

@@ -184,9 +184,10 @@ class TestValidation:
         with pytest.raises(ValidationError, match="non-finite"):
             self.entries([0], [0], [np.nan])
 
-    def test_from_matrix_and_back(self):
+    def test_entries_and_back(self):
         values = np.array([[1, 2j, 0, 0], [-2j, 0, 0, 0], [0, 0, 0, 3], [0, 0, 3, 0]], dtype=complex)
-        op = SparseHermitian.from_matrix(values, self.BASIS)
+        rows, cols = np.nonzero(values)
+        op = self.entries(rows, cols, values[rows, cols])
         assert op.rows.tolist() == [0, 0, 1, 2, 3] and op.cols.tolist() == [0, 1, 0, 3, 2]
         assert_same_bits(op.matrix, values)
         assert op.dense().basis == self.BASIS and np.array_equal(op.dense().matrix, values)

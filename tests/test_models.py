@@ -28,7 +28,7 @@ from qbattery import (
     variance,
 )
 from qbattery.freefermion import check_chain_size, dispersion
-from qbattery.linalg import Basis
+from qbattery.linalg import Basis, invariant_sector
 from qbattery.models import (
     CHAIN_VARIANTS,
     battery_cell_terms,
@@ -502,7 +502,7 @@ class TestDenseSizeRule:
         [
             (build_charger_paradigmatic, ModelSpec(family="global", n_cells=25)),
             (build_jw_chain, chain_spec("xy_nn", 22)),
-            (build_lmg, ModelSpec(family="lmg", n_cells=20000)),
+            (build_lmg, ModelSpec(family="lmg", n_cells=10**7)),
             (build_dicke, ModelSpec(family="dicke", n_cells=2000, n_max=3000)),
         ],
         ids=["global", "chain", "lmg", "dicke"],
@@ -515,7 +515,16 @@ class TestDenseSizeRule:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20  # each refused entry list or LMG build would take 5-51 GB
+        assert peak < 2**20  # each refused entry list would take 5.6-16 GB
+
+    def test_lmg_admits_its_sector_run_at_n5800(self):
+        # No family-specific term: the entry-by-entry build and psi0's sector
+        # of N/2 + 1 states fit at the default 2000 steps.
+        spec = ModelSpec(family="lmg", n_cells=5800, lam=5.0, gamma=-1.0)
+        check_dense_size(spec, 2000)
+        sector = invariant_sector(build_lmg(spec), initial_state(spec).amplitudes)
+        assert len(sector) == 2901
+        check_dense_size(spec, 2000, len(sector))
 
     def test_message_names_the_run(self):
         spec = ModelSpec(family="dicke", n_cells=12, n_max=40)

@@ -191,7 +191,8 @@ def test_equitable_groups(spec, groups):
 def test_lump_keeps_the_parent_indices():
     values = np.diag([1.0, 2.0, 3.0, 4.0]) + 0j
     values[0, 3] = values[3, 0] = 0.5
-    op = SparseHermitian.from_matrix(values, Basis("qubit_chain", 2))
+    rows, cols = np.nonzero(values)
+    op = SparseHermitian(Basis("qubit_chain", 2), rows, cols, values[rows, cols])
     sector = invariant_sector(op, np.array([1.0, 0, 0, 0]))
     assert sector.tolist() == [3, 0]
     sub = op.lump(sector[:, None])
@@ -205,7 +206,8 @@ def test_lump_keeps_the_parent_indices():
 def test_a_group_is_an_even_spread():
     # Two groups, {1, 2} and {0}: 1 and 2 couple alike to 0 and to each other.
     values = np.array([[0.0, 1, 1, 0], [1, 2, 0.5, 0], [1, 0.5, 2, 0], [0, 0, 0, 5]]) + 0j
-    op = SparseHermitian.from_matrix(values, Basis("qubit_chain", 2))
+    rows, cols = np.nonzero(values)
+    op = SparseHermitian(Basis("qubit_chain", 2), rows, cols, values[rows, cols])
     groups = equitable_groups(op, np.array([0, 1, 2]), np.array([0, 1, 1, 2]))
     assert [group.tolist() for group in groups] == [[0], [1, 2]]
     lumped = op.lump(groups)

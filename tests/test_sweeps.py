@@ -15,7 +15,7 @@ from qbattery import (
 from qbattery import sweeps
 from qbattery.freefermion import check_chain_size
 from qbattery.models import CHAIN_VARIANTS, check_dense_size
-from qbattery.config import parse_scenario
+from qbattery.config import load_scenario, parse_scenario
 from qbattery.observables import COS_THETA_DENOM_FLOOR
 from qbattery.sweeps import (
     _window_quantities,
@@ -240,6 +240,16 @@ class TestSweepRules:
 
 
 class TestQuantities:
+    @pytest.mark.parametrize("gamma", [0.75, 0.99, 1.0])
+    def test_a_run_with_nothing_to_charge_has_no_peak(self, gamma):
+        # At gamma = 1 H_C commutes with J_z, and E(t) is rounding noise.
+        cfg = load_scenario("configs/lmg_gamma_scan.json")
+        row = quantities_for(replace(cfg.spec, gamma=gamma), cfg.lam_t_max, cfg.steps)
+        if gamma == 1.0:
+            assert row["t_f"] == 0 and row["avg_power"] == 0 and row["energy_at_tf"] == 0
+        else:
+            assert row["t_f"] > 0 and row["avg_power"] > 0
+
     def test_ratio_denominator_at_the_floor_is_undefined(self):
         # One unit-step window [0, 1] of constant series: the averages are
         # the constants, so each ratio's var * I product is exactly the floor.

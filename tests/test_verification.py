@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import glob
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,18 @@ class TestSeriesCertifier:
             assert entry["worst_ratio"] == pytest.approx(want, rel=1e-15, abs=0.0)
         if corruption != "clean":
             assert not report.ok
+
+    def test_reads_the_record_without_copying_it(self):
+        # The moment-rate sums reduce the (levels x times) p and pdot as they
+        # lie; a transposed copy of both would put the peak at 2x.
+        traj = run_trajectory(chain_spec("xy_nn", 400), steps=1000)
+        tracemalloc.start()
+        try:
+            certify_trajectory(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (traj.populations.nbytes + traj.population_rates.nbytes)
 
     def test_nan_in_memory_is_a_violation(self, oracle_trajectories):
         traj = copy.copy(oracle_trajectories["parallel"])
