@@ -14,11 +14,21 @@ PHASE_STRIDE grid times, a complex product between), and E, P and var(H_B)
 are contractions over the modes of one block of times.  The particle-number
 distribution is the Poisson binomial p(z) = prod_k (1 - q_k + q_k z) of the
 pair occupations q_k = eps_k/2, and its rate is pdot(z) = (z - 1) S(z) with
-S(z) = sum_k qdot_k prod_{j != k} (1 - q_j + q_j z).  One forward recursion
-over modes, S <- S (1 - q_k + q_k z) + qdot_k P and then P <- P (1 - q_k + q_k z),
-builds both for a block of times at once, O(N^2) per time and never by
-configuration enumeration.  A discrete Fourier transform would be cheaper, but
-its ~1e-16 absolute error is amplified by pdot^2 / p where p is small.
+S(z) = sum_k qdot_k prod_{j != k} (1 - q_j + q_j z).  Both are built for a
+block of times at once, never by configuration enumeration.  The modes go in
+groups of GROUP_MODES; the forward recursion over a group's modes,
+S <- S (1 - q_k + q_k z) + qdot_k P and then P <- P (1 - q_k + q_k z) from
+P = 1, S = 0, gives its factor Q_g (its own P) and R_g (its own S), for all
+groups at once.  The first group seeds the product and each later one folds
+in as P <- P * Q_g and S <- S * Q_g + P * R_g, where each polynomial
+product is one contiguous dot of GROUP_MODES + 1 terms per time and level
+(``np.einsum`` over a sliding window of the zero-padded product).  The cost
+stays O(N^2) multiply-adds per time, but in a few calls per group instead of
+several array passes per mode; at most GROUP_MODES modes (N <= 65) are the
+plain recursion, bit for bit.  On the products every coefficient of P is >= 0,
+so no cancellation enters P.  A discrete Fourier transform would be cheaper,
+but its ~1e-16 absolute error is amplified by pdot^2 / p where p is small
+(Hong, Comput. Stat. Data Anal. 59, 41 (2013)).
 
 The mode grid follows N's parity.  The Jordan-Wigner boundary term carries
 the sign (-1)^(ground cells) (Lieb, Schultz & Mattis 1961), which on the
@@ -35,11 +45,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .linalg import grid_phases, grid_step
 from .models import TIME_CHUNK, ModelSpec, check_run_bytes, time_blocks
 from .observables import POPULATION_FLOOR, check_distributions, fisher_sum
+
+# Modes per factor of the blocked Poisson-binomial recursion (module docstring).
+GROUP_MODES = 32
 
 
 @dataclass(frozen=True)
@@ -74,24 +88,28 @@ def check_chain_size(n_cells: int, steps: int, record: bool = True) -> int:
     ``steps`` times; CapacityLimitError, before anything is allocated, if over
     the run limit ``models.RUN_BYTES_MAX``.
 
-    Both count 8 * 16 (N/2 + 1) TIME_CHUNK bytes for the pair recursion's
-    blocks (the allocator holds up to ~13 of its (N/2 + 1) x TIME_CHUNK arrays
-    over a long grid).  A sweep point (``record=False``) adds 8 * 16 T for its
-    grid and O(T) series; its estimate is 1.2-3.2x the max RSS growth of
+    Both count 8 * 16 (N/2 + 1 + 2 GROUP_MODES) TIME_CHUNK bytes for the
+    pair recursion's blocks (the allocator holds up to ~16 arrays of
+    (N/2 + 1) x TIME_CHUNK over a long grid, and the fold's products are
+    padded by GROUP_MODES levels on each side).  A sweep point
+    (``record=False``) adds 8 * 16 T for its grid and O(T) series; its
+    estimate is 1.2-2.0x the max RSS growth of
     sweeps.chain_analytic_quantities (2 cores), in MB: xy_nn N = 2 at 10^6
-    steps 64, N = 10 at 200000 14, N = 2000 at 1000 / 50000 / 200000
-    11 / 29 / 34, N = 10^4 at 800 / 20000 52 / 135; and 5.3x at N = 40000
-    over 300 steps (125).  A run record adds 8 (160 + 14 (N + 1)) T instead:
-    the grid, the series and the CSV text of their columns, and the (levels x
-    times) p and pdot, the certifier's moment-sum temporaries over them and
-    the CSV text of the populations.  Its estimate is 1.2-2.0x the max RSS
-    growth of run_trajectory + certify_trajectory + write_trajectory_csv with
+    steps 65, N = 10 at 200000 14, N = 200 at 20000 5.3, N = 2000 at 50000 /
+    200000 32 / 37, N = 10^4 at 20000 137; and 3.7-3.8x on short grids,
+    N = 2000 at 1000 steps 9.5, N = 10^4 at 800 44, N = 40000 at 300 173.
+    A run record adds 8 (160 + 14 (N + 1)) T instead: the grid, the series
+    and the CSV text of their columns, and the (levels x times) p and pdot,
+    the certifier's moment-sum temporaries over them and the CSV text of the
+    populations.  Its estimate is 1.2-2.2x the max RSS growth of
+    run_trajectory + certify_trajectory + write_trajectory_csv with
     populations, in MB: xy_nn N = 2 / 10 at 20000 steps 25 / 39, N = 200 at
-    4000 / 20000 79 / 398, N = 1000 at 500 / 2000 43 / 165, N = 4000 at
-    300 / 1000 99 / 316; and 2.9-5.2x it without the CSV.
+    4000 / 20000 80 / 397, N = 1000 at 500 / 2000 45 / 165, N = 4000 at
+    300 / 1000 106 / 315, N = 10^4 at 256 203; and 2.9-4.4x it without the
+    CSV.
     """
     per_step = 160 + 14 * (n_cells + 1) if record else 16
-    need = 8 * (per_step * steps + 16 * (n_cells // 2 + 1) * TIME_CHUNK)
+    need = 8 * (per_step * steps + 16 * (n_cells // 2 + 1 + 2 * GROUP_MODES) * TIME_CHUNK)
     kind = "run" if record else "sweep point"
     return check_run_bytes(need, f"free-fermion {kind} of jw_chain N = {n_cells} ({steps} steps)")
 
@@ -175,23 +193,67 @@ def power_at(modes: ModeSet, t: float) -> float:
     return float(_series(modes, np.array([float(t)]), None)["power"][0])
 
 
-def pair_distributions(modes: ModeSet, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Checked p_l and pdot_l as (levels x times) arrays by the module docstring's recursion."""
-    eps, eps_dot = pair_excitations(modes, times[:, None])
-    q, q_dot = eps.T / 2.0, eps_dot.T / 2.0
-    r = 1.0 - q
-    p = np.zeros((modes.n_modes + 1, len(times)))
-    p[0] = 1.0
-    s, rate, work = np.zeros_like(p), np.empty_like(p), np.empty_like(p)
-    for c in range(modes.n_modes):
-        np.multiply(p[: c + 1], q_dot[c], out=rate[: c + 1])
-        for x in (s, p):  # row c of S is still zero
-            np.multiply(x[: c + 1], q[c], out=work[: c + 1])
-            x[: c + 1] *= r[c]
-            x[1 : c + 2] += work[: c + 1]
-        s[: c + 1] += rate[: c + 1]
+def _group_factors(q: np.ndarray, q_dot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (groups x levels x times) P and S of each group of GROUP_MODES
+    consecutive modes (the last may be short), by the forward recursion on
+    every group at once: step c takes mode c of each group that has one."""
+    n_modes, n_times = q.shape
+    n_groups, width = max(-(-n_modes // GROUP_MODES), 1), min(n_modes, GROUP_MODES) + 1
+    p = np.zeros((n_groups, width, n_times))
+    p[:, 0] = 1.0
+    s, work = np.zeros_like(p), np.empty_like(p)
+    for c in range(width - 1):
+        q_c = q[c::GROUP_MODES, None]
+        r_c = 1.0 - q_c
+        at = (slice(len(q_c)), slice(c + 1))  # the groups with a mode c; row c of S is still zero
+        np.multiply(s[at], q_c, out=work[at])
+        s[at] *= r_c
+        s[at[0], 1 : c + 2] += work[at]
+        s[at] += np.multiply(p[at], q_dot[c::GROUP_MODES, None], out=work[at])
+        np.multiply(p[at], q_c, out=work[at])
+        p[at] *= r_c
+        p[at[0], 1 : c + 2] += work[at]
+    return p, s
+
+
+def _fold_groups(p: np.ndarray, s: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """p_l and pdot_l over ``n_levels`` levels from the groups' factors P and
+    S of :func:`_group_factors`; one group's factor is the result."""
+    if len(p) == 1:
+        p, s = p[0], s[0]
+    else:
+        g, n_times = GROUP_MODES, p.shape[2]
+        # Two (P, S) x times x levels products, each level row padded by g
+        # zeros on both sides, read and written in turn.
+        now, nxt = np.zeros((2, 2, n_times, len(p) * g + 1 + 2 * g))
+        now[0, :, g : 2 * g + 1], now[1, :, g : 2 * g + 1] = p[0].T, s[0].T
+        factor = np.empty((2, n_times, g + 1))  # Q and R, reversed along the levels
+        for length in range(g + 1, n_levels, g):  # the product's levels before group i
+            i, width = length // g, min(n_levels - length, g) + 1  # the group's degree + 1
+            factor[0, :, :width] = p[i, width - 1 :: -1].T
+            factor[1, :, :width] = s[i, width - 1 :: -1].T
+            window = sliding_window_view(now[..., g + 1 - width : length + 2 * g], width, axis=-1)
+            out, f = nxt[..., g : length + 2 * g], factor[..., :width]
+            np.einsum("tlj,tj->tl", window[0], f[0], out=out[0])  # P * Q
+            np.einsum("ktlj,ktj->tl", window[::-1], f, out=out[1])  # S * Q + P * R
+            now, nxt = nxt, now
+        p = np.ascontiguousarray(now[0, :, g : g + n_levels].T)
+        s = np.ascontiguousarray(now[1, :, g : g + n_levels].T)
     p_dot = -s
     p_dot[1:] += s[:-1]
+    return p, p_dot
+
+
+def pair_distributions(modes: ModeSet, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked p_l and pdot_l as (levels x times) arrays by the module docstring's
+    blocked recursion.  The occupations (two (modes x times) arrays, 10 MB per
+    block at N = 10^4) are freed before the fold."""
+    eps, eps_dot = pair_excitations(modes, times[:, None])
+    eps /= 2.0
+    eps_dot /= 2.0
+    factors = _group_factors(eps.T, eps_dot.T)  # the occupations q = eps / 2 and their rates
+    del eps, eps_dot
+    p, p_dot = _fold_groups(*factors, modes.n_modes + 1)
     check_distributions(p, p_dot)
     return p, p_dot
 

@@ -121,6 +121,28 @@ def poisson_binomial_leave_one_out(
     return prefix[-1], p_dot
 
 
+def poisson_binomial_forward(q: np.ndarray, q_dot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (levels x times) distribution and rate of (modes x times) occupations
+    by the plain forward recursion, one mode at a time over the whole product:
+    S <- S (1 - q_k + q_k z) + qdot_k P, then P <- P (1 - q_k + q_k z), and
+    pdot = (z - 1) S.  The package's recursion before it was blocked."""
+    n_modes, n_times = q.shape
+    r = 1.0 - q
+    p = np.zeros((n_modes + 1, n_times))
+    p[0] = 1.0
+    s, rate, work = np.zeros_like(p), np.empty_like(p), np.empty_like(p)
+    for c in range(n_modes):
+        np.multiply(p[: c + 1], q_dot[c], out=rate[: c + 1])
+        for x in (s, p):  # row c of S is still zero
+            np.multiply(x[: c + 1], q[c], out=work[: c + 1])
+            x[: c + 1] *= r[c]
+            x[1 : c + 2] += work[: c + 1]
+        s[: c + 1] += rate[: c + 1]
+    p_dot = -s
+    p_dot[1:] += s[:-1]
+    return p, p_dot
+
+
 def random_density_matrix(dim: int, rng: np.random.Generator, basis: Basis | None = None) -> DensityMatrix:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = a @ a.conj().T

@@ -13,22 +13,27 @@ from qbattery import (
 )
 from qbattery import models
 from qbattery.freefermion import (
+    GROUP_MODES,
+    _fold_groups,
+    _group_factors,
     ModeSet,
     energy_at,
     fisher_energy_analytic,
     fisher_energy_series,
     observables_on_grid,
     pair_distribution,
+    pair_distributions,
     pair_excitations,
     power_at,
 )
 from qbattery.linalg import PHASE_STRIDE
-from qbattery.observables import POPULATION_FLOOR
+from qbattery.observables import POPULATION_FLOOR, fisher_sum
 from qbattery.trajectory import run_trajectory
 from qbattery.verification import chain_oracle_comparison
 
 from oracles import (
     poisson_binomial_enumerated,
+    poisson_binomial_forward,
     poisson_binomial_leave_one_out,
     poisson_binomial_rate_enumerated,
 )
@@ -233,6 +238,91 @@ class TestForwardRecursion:
         fisher = fisher_energy_series(modes, np.array([1.3, 3.7, 6.1]))
         assert np.all(np.isfinite(fisher)) and np.all(fisher > 0)
         assert np.all(fisher <= 4.0 * modes.var_charger)
+
+
+G = GROUP_MODES
+
+
+def _occupations(modes, times):
+    eps, eps_dot = pair_excitations(modes, np.asarray(times)[:, None])
+    return eps.T / 2, eps_dot.T / 2
+
+
+def _blocked(q, q_dot):
+    # The unchecked kernel of pair_distributions on (modes x times) occupations.
+    return _fold_groups(*_group_factors(q, q_dot), len(q) + 1)
+
+
+def _relative(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestBlockedRecursion:
+    @pytest.mark.parametrize("n", [2, 9, 40, 64, 65])
+    def test_one_group_is_the_plain_recursion_bit_for_bit(self, n):
+        # N <= 2G + 1 has at most G pairs: the one group's factor is the result.
+        modes = dispersion(chain_spec("xy_pow", n))
+        times = np.linspace(0.0, 9.0, 37)
+        q, q_dot = _occupations(modes, times)
+        p, p_dot = poisson_binomial_forward(q, q_dot)
+        got_p, got_p_dot = pair_distributions(modes, times)
+        assert np.array_equal(got_p, p) and np.array_equal(got_p_dot, p_dot)
+
+    @pytest.mark.parametrize("n_modes", [G + 1, 2 * G, 2 * G + 1, 3 * G + 5])
+    @pytest.mark.parametrize("odd", [0, 1])
+    def test_groups_match_leave_one_out_oracle(self, n_modes, odd):
+        modes = dispersion(chain_spec("xy_nn", 2 * n_modes + odd))
+        assert modes.n_modes == n_modes
+        times = np.array([0.4, 1.9, 5.3])
+        p, p_dot = pair_distributions(modes, times)
+        for j, t in enumerate(times):
+            eps, eps_dot = pair_excitations(modes, float(t))
+            want_p, want_p_dot = poisson_binomial_leave_one_out(eps / 2, eps_dot / 2)
+            assert _relative(p[:, j], want_p) <= 1e-12
+            assert _relative(p_dot[:, j], want_p_dot) <= 1e-12
+            keep = want_p > POPULATION_FLOOR
+            want_fisher = (want_p_dot[keep] ** 2 / want_p[keep]).sum()
+            assert fisher_sum(p[:, j], p_dot[:, j], POPULATION_FLOOR) == pytest.approx(
+                want_fisher, rel=1e-12
+            )
+
+    @pytest.mark.parametrize("n, n_times", [(2000, 12), (10_000, 4)])
+    def test_large_chains_match_the_plain_recursion(self, n, n_times):
+        # Floored and unfloored Fisher sums, and every population above the
+        # floor, to 1e-12 relative.
+        modes = dispersion(chain_spec("xy_nn", n))
+        times = np.linspace(0.7, 11.0, n_times)
+        p, p_dot = poisson_binomial_forward(*_occupations(modes, times))
+        got_p, got_p_dot = pair_distributions(modes, times)
+        for floor in (POPULATION_FLOOR, 0.0):
+            np.testing.assert_allclose(
+                fisher_sum(got_p, got_p_dot, floor), fisher_sum(p, p_dot, floor), rtol=1e-12
+            )
+        keep = p > POPULATION_FLOOR
+        np.testing.assert_allclose(got_p[keep], p[keep], rtol=1e-12)
+
+    @given(
+        st.integers(min_value=0, max_value=4 * G + 3),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_random_occupations_match_the_plain_recursion(self, n_modes, n_times, seed):
+        # Any q in [0, 1], with exact 0s and 1s, and any signed rates.
+        rng = np.random.default_rng(seed)
+        q = rng.choice([0.0, 1.0, 0.5], size=(n_modes, n_times), p=[0.1, 0.1, 0.8])
+        q[q == 0.5] = rng.random(int((q == 0.5).sum()))
+        q_dot = rng.normal(size=(n_modes, n_times)) * rng.choice([0.0, 1.0, 1e3], size=n_modes)[:, None]
+        p, p_dot = poisson_binomial_forward(q, q_dot)
+        got_p, got_p_dot = _blocked(q, q_dot)
+        if n_modes <= G:
+            assert np.array_equal(got_p, p) and np.array_equal(got_p_dot, p_dot)
+        assert got_p.shape == got_p_dot.shape == (n_modes + 1, n_times)
+        assert np.abs(got_p - p).max() <= 1e-12 * np.abs(p).max()
+        assert np.abs(got_p_dot - p_dot).max() <= 1e-12 * np.abs(p_dot).max()
+
+    def test_no_modes_leave_the_vacuum(self):
+        p, p_dot = _blocked(np.empty((0, 3)), np.empty((0, 3)))
+        assert np.array_equal(p, np.ones((1, 3))) and np.array_equal(p_dot, np.zeros((1, 3)))
 
 
 class TestDenseEquivalence:
