@@ -9,9 +9,11 @@ reduced mode grid, the dispersion
 and the per-pair excitation eps_k(t) = 2 sin^2(theta_k) sin^2(omega_k t)
 give every observable as a sum over modes, at any N.  On a uniform time
 grid the sines and cosines of omega_k t come from the grid's phase table
-(:func:`linalg.grid_phases`: one exact cos and sin per mode every
-PHASE_STRIDE grid times, a complex product between), and E, P and var(H_B)
-are contractions over the modes of one block of times.  The particle-number
+(:class:`linalg.PhaseTable`: the offsets' cos and sin once per grid, one
+exact cos and sin per mode every PHASE_STRIDE grid times, a complex product
+between, written block by block into one buffer), and E, P and var(H_B)
+are contractions over the modes of one block of times, through two work
+arrays made once per grid.  The particle-number
 distribution is the Poisson binomial p(z) = prod_k (1 - q_k + q_k z) of the
 pair occupations q_k = eps_k/2, and its rate is pdot(z) = (z - 1) S(z) with
 S(z) = sum_k qdot_k prod_{j != k} (1 - q_j + q_j z).  Both are built for a
@@ -48,7 +50,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
-from .linalg import grid_phases, grid_step
+from .linalg import PhaseTable, grid_phases, grid_step
 from .models import TIME_CHUNK, ModelSpec, check_run_bytes, time_blocks
 from .observables import POPULATION_FLOOR, check_distributions, fisher_sum
 
@@ -139,35 +141,37 @@ def pair_excitations(modes: ModeSet, t: float | np.ndarray) -> tuple[np.ndarray,
 
 
 def _series(modes: ModeSet, times: np.ndarray, step: float | None) -> dict[str, np.ndarray]:
-    """E, P and var(H_B) at ``times`` from the phases of :func:`linalg.grid_phases`
-    (a uniform grid's table with its ``step``, else each time's own cos and
-    sin), one TIME_CHUNK block at a time (:func:`_block_series`)."""
-    out = {name: np.empty(len(times)) for name in ("energy", "power", "var_battery")}
-    for block in time_blocks(len(times)):
-        for name, values in _block_series(modes, times[block], step).items():
-            out[name][block] = values
-    return out
-
-
-def _block_series(modes: ModeSet, times: np.ndarray, step: float | None) -> dict[str, np.ndarray]:
-    """:func:`_series` on one block of times.  With a = sin^2(theta) and the
-    sine s and cosine c of omega t, eps = 2 a s^2, its rate is 4 a omega s c
-    and eps (2 - eps) = 4 a s^2 c^2 + 4 a (1 - a) s^4, two terms that are
-    each >= 0.  Each series contracts a (times x modes) array with one
-    weight per mode, row by row, so a time's value does not depend on the
-    rows around it."""
+    """E, P and var(H_B) at ``times``, one TIME_CHUNK block at a time, with
+    the phases of each block from the grid's :class:`linalg.PhaseTable` (a
+    uniform grid with its ``step``; else each time's own cos and sin, by
+    :func:`linalg.grid_phases`).  With a = sin^2(theta) and the sine s and
+    cosine c of omega t, eps = 2 a s^2, its rate is 4 a omega s c and
+    eps (2 - eps) = 4 a s^2 c^2 + 4 a (1 - a) s^4, two terms that are each
+    >= 0.  A block's s^2 and s c go into two (times x modes) work arrays
+    made once for the grid, and each series contracts them with one weight
+    per mode, row by row, so a time's value does not depend on the rows
+    around it."""
+    blocks = time_blocks(len(times))
+    table = None if step is None else PhaseTable(modes.omega, times, step, blocks, times_first=True)
     a = modes.sin_theta**2
-    phases = grid_phases(modes.omega, times, step, times_first=True)
-    sin, cos = phases.imag, phases.real  # phases.imag is -sin(omega t)
-    sin2, sin_cos = sin * sin, sin * cos
-    return {
-        "energy": np.einsum("tk,k->t", sin2, 2.0 * a),
-        "power": np.einsum("tk,k->t", sin_cos, -4.0 * a * modes.omega),
-        "var_battery": (
+    width = max((b.stop - b.start for b in blocks), default=0)
+    sin2_rows, sin_cos_rows = np.empty((width, modes.n_modes)), np.empty((width, modes.n_modes))
+    out = {name: np.empty(len(times)) for name in ("energy", "power", "var_battery")}
+    for block in blocks:
+        if table is None:
+            phases = grid_phases(modes.omega, times[block], times_first=True)
+        else:
+            phases = table(block)
+        sin, cos = phases.imag, phases.real  # phases.imag is -sin(omega t)
+        sin2 = np.multiply(sin, sin, out=sin2_rows[: len(phases)])
+        sin_cos = np.multiply(sin, cos, out=sin_cos_rows[: len(phases)])
+        out["energy"][block] = np.einsum("tk,k->t", sin2, 2.0 * a)
+        out["power"][block] = np.einsum("tk,k->t", sin_cos, -4.0 * a * modes.omega)
+        out["var_battery"][block] = (
             np.einsum("tk,k->t", np.square(sin_cos, out=sin_cos), 4.0 * a)
             + np.einsum("tk,k->t", np.square(sin2, out=sin2), 4.0 * a * (1.0 - a))
-        ),
-    }
+        )
+    return out
 
 
 def observables_on_grid(modes: ModeSet, times: np.ndarray) -> dict[str, np.ndarray]:
@@ -175,8 +179,8 @@ def observables_on_grid(modes: ModeSet, times: np.ndarray) -> dict[str, np.ndarr
     its step taken once from the whole grid (:func:`linalg.grid_step`; a
     single time takes its own cos and sin); a ValidationError if ``times``
     are not consecutive points of that grid.  One cos and sin per mode
-    serves every PHASE_STRIDE grid times (:func:`linalg.grid_phases`), and a
-    block of the grid has the bits of the whole grid there."""
+    serves every PHASE_STRIDE grid times (the grid's :class:`linalg.PhaseTable`),
+    and a block of the grid has the bits of the whole grid there."""
     times = np.asarray(times, dtype=float)
     return _series(modes, times, grid_step(times) if len(times) > 1 else None)
 

@@ -28,7 +28,7 @@ EIGENVALUE_FLOOR = -1e-10
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 LEVEL_REL_TOL = 1e-9
 HERMITICITY_BLOCK = 64
-# Grid times per exact cos and sin of a phase table (grid_phases); it divides
+# Grid times per exact cos and sin of a PhaseTable; it divides
 # models.TIME_CHUNK, so every block of a grid starts at a table row.
 PHASE_STRIDE = 16
 
@@ -525,7 +525,8 @@ def evolve(hamiltonian: HermitianOperator, psi0: StateVector, t: float) -> State
     if hamiltonian.basis != psi0.basis:
         raise ValidationError("Hamiltonian and state bases do not match")
     coeff = hamiltonian.to_eigenbasis(psi0.amplitudes)
-    return StateVector(evolve_batch(hamiltonian, coeff, np.array([t]))[:, 0], psi0.basis)
+    phases = grid_phases(hamiltonian.eigenvalues, np.array([t]))
+    return StateVector(evolve_batch(hamiltonian, coeff, phases)[:, 0], psi0.basis)
 
 
 def grid_step(times: np.ndarray) -> float:
@@ -560,62 +561,86 @@ def _grid_indices(times: np.ndarray, step: float) -> np.ndarray:
     return index.astype(np.int64)
 
 
+class PhaseTable:
+    """exp(-i f t) for each frequency f and time t of one uniform grid
+    t_j = j D, one block of times at a time.
+
+    Made once per grid: it checks that ``times`` are grid points of
+    consecutive j (a ValidationError otherwise) and takes the cos and sin
+    of the offsets r D, 0 < r < S = PHASE_STRIDE, once.  Each call
+    ``table(block)`` takes a cos and a sin only at the block's every S-th
+    grid time, t_qS = (q S) D, and fills the times between with the product
+    of their phases and the offsets', in one buffer sized for the longest of
+    ``blocks`` (slices of ``times``; the whole grid if none are given).  It
+    returns a (frequencies x times) view of that buffer, or (times x
+    frequencies) if ``times_first``, which the next call overwrites.  So the
+    phase of grid index j is the same bits in every table and block that
+    holds it, the phase of t_0 is exactly 1, and at j = q S it is the direct
+    phase of t_j.  The product adds a few ulp of error to the angle's own
+    rounding of f t."""
+
+    def __init__(
+        self, freqs: np.ndarray, times: np.ndarray, step: float,
+        blocks: list[slice] | None = None, times_first: bool = False,
+    ):
+        self.freqs, self.step = np.asarray(freqs, dtype=float), float(step)
+        self.index = _grid_indices(np.asarray(times, dtype=float), self.step)
+        self.times_first = times_first
+        self.offsets = _phases(np.multiply.outer(np.arange(1, PHASE_STRIDE) * self.step, self.freqs))
+        spans = [self.index[block] for block in blocks or [slice(None)]]
+        rows = max((j[-1] // PHASE_STRIDE - j[0] // PHASE_STRIDE + 1 for j in spans if len(j)), default=0)
+        self._buffer = np.empty(rows * PHASE_STRIDE * len(self.freqs), dtype=complex)
+
+    def __call__(self, block: slice) -> np.ndarray:
+        index, n_freqs = self.index[block], len(self.freqs)
+        first = index[0] - index[0] % PHASE_STRIDE
+        base_times = np.arange(first, index[-1] + 1, PHASE_STRIDE) * self.step
+        # The block's table in its layout, on the buffer's first entries, and
+        # a (rows, PHASE_STRIDE, frequencies) view.
+        table = self._buffer[: len(base_times) * PHASE_STRIDE * n_freqs]
+        if self.times_first:
+            table = rows = table.reshape(len(base_times), PHASE_STRIDE, n_freqs)
+        else:
+            table = table.reshape(n_freqs, len(base_times), PHASE_STRIDE)
+            rows = table.transpose(1, 2, 0)
+        rows[:, 0] = _phases(np.multiply.outer(base_times, self.freqs))
+        np.multiply(rows[:, :1], self.offsets, out=rows[:, 1:])
+        window = slice(index[0] - first, index[0] - first + len(index))
+        if self.times_first:
+            return table.reshape(-1, n_freqs)[window]
+        return table.reshape(n_freqs, -1)[:, window]
+
+
 def grid_phases(
     freqs: np.ndarray, times: np.ndarray, step: float | None = None, times_first: bool = False
 ) -> np.ndarray:
     """exp(-i f t) for each frequency f and time t: a (frequencies x times)
-    complex array, or (times x frequencies) if ``times_first``.
-
-    With no ``step``, each phase is cos(f t) - i sin(f t) of its own angle
-    (:func:`_phases`), for arbitrary times.  With the ``step`` D of a uniform
-    grid t_j = j D, ``times`` must be grid points of consecutive j (a
-    ValidationError otherwise), and only every PHASE_STRIDE-th grid time,
-    t_qS = (q S) D, and the offsets r D, 0 < r < S, take a cos and a sin:
-    the phase of t_j, j = q S + r, is the product of theirs.  So the phase
-    of grid index j is the same bits in every call that holds it, a block
-    of the grid or the whole grid, the phase of t_0 is exactly 1, and at
-    j = q S it is the direct phase of t_j.  The product adds a few ulp of
-    error to the angle's own rounding of f t."""
+    complex array, or (times x frequencies) if ``times_first``.  With no
+    ``step``, each phase is cos(f t) - i sin(f t) of its own angle
+    (:func:`_phases`), for arbitrary times; with the ``step`` of a uniform
+    grid, the :class:`PhaseTable` of ``times`` as one block."""
     freqs, times = np.asarray(freqs, dtype=float), np.asarray(times, dtype=float)
     if step is None or not len(times):
         return _phases(np.multiply.outer(times, freqs) if times_first else np.outer(freqs, times))
-    index = _grid_indices(times, float(step))
-    first = index[0] - index[0] % PHASE_STRIDE
-    base_times = np.arange(first, index[-1] + 1, PHASE_STRIDE) * step
-    # The table in its layout, and a (rows, PHASE_STRIDE, frequencies) view.
-    if times_first:
-        table = rows = np.empty((len(base_times), PHASE_STRIDE, len(freqs)), dtype=complex)
-    else:
-        table = np.empty((len(freqs), len(base_times), PHASE_STRIDE), dtype=complex)
-        rows = table.transpose(1, 2, 0)
-    rows[:, 0] = _phases(np.multiply.outer(base_times, freqs))
-    offsets = _phases(np.multiply.outer(np.arange(1, PHASE_STRIDE) * step, freqs))
-    np.multiply(rows[:, :1], offsets, out=rows[:, 1:])
-    window = slice(index[0] - first, index[0] - first + len(times))
-    if times_first:
-        return table.reshape(-1, len(freqs))[window]
-    return table.reshape(len(freqs), -1)[:, window]
+    return PhaseTable(freqs, times, step, times_first=times_first)(slice(None))
 
 
-def evolve_batch(
-    hamiltonian: HermitianOperator, coeff: np.ndarray, times: np.ndarray, step: float | None = None
-) -> np.ndarray:
-    """States at all ``times`` as columns of a (dim, T) array, by exact spectral
-    propagation V exp(-i L t) coeff under an eigendecomposed Hamiltonian, in
-    one BLAS call.  ``coeff`` = V^dag psi0 is ``hamiltonian.to_eigenbasis`` of
-    the initial amplitudes, which a run computes once for all its time grids.
-    The phases are :func:`grid_phases` of the eigenvalues: with the ``step``
-    of a uniform grid, every time's phase comes from the grid's table, the
-    same bits in any block of it."""
+def evolve_batch(hamiltonian: HermitianOperator, coeff: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """States at a block of times as columns of a new (dim, T) array, by exact
+    spectral propagation V exp(-i L t) coeff under an eigendecomposed
+    Hamiltonian, in one BLAS call.  ``phases`` are exp(-i L t) of its
+    eigenvalues L as (dim, T): a block of the grid's :class:`PhaseTable`, or
+    :func:`grid_phases` of arbitrary times.  They are multiplied by
+    ``coeff`` in place.  ``coeff`` = V^dag psi0 is ``hamiltonian.to_eigenbasis``
+    of the initial amplitudes, which a run computes once for all its times."""
     if not hamiltonian.has_eig:
         raise ValidationError("evolve_batch requires an eigendecomposed Hamiltonian")
-    phased = grid_phases(hamiltonian.eigenvalues, times, step)
-    phased *= coeff[:, None]
+    phases *= coeff[:, None]
     if hamiltonian.is_diagonal:
-        states = np.empty_like(phased)
-        states[hamiltonian.order] = phased
+        states = np.empty_like(phases)
+        states[hamiltonian.order] = phases
         return states
-    return hamiltonian.eigenvectors @ phased
+    return hamiltonian.eigenvectors @ phases
 
 
 def partial_trace_cavity(rho: DensityMatrix) -> DensityMatrix:

@@ -12,7 +12,7 @@ entries (:class:`linalg.SparseHermitian`) and runs on psi0's invariant sector
 only (:func:`linalg.invariant_sector`): the states psi0 reaches through those
 entries, whose dense matrix alone is built, diagonalized and propagated one
 TIME_CHUNK block of times at a time, on the grid's phase table
-(:func:`linalg.grid_phases`).  A ``lumped`` run cuts the sector
+(:class:`linalg.PhaseTable`).  A ``lumped`` run cuts the sector
 further into equitable groups (:func:`linalg.equitable_groups`) and runs on
 the even spreads over them: the same states, on far fewer of them where the
 charger has symmetries.  The size rule's second stage
@@ -41,7 +41,7 @@ from .freefermion import (
 )
 from .linalg import (
     Basis, HermitianOperator, SparseHermitian, StateVector, eigendecompose, equitable_groups,
-    evolve_batch, grid_step, invariant_sector,
+    PhaseTable, evolve_batch, grid_phases, grid_step, invariant_sector,
 )
 from .models import (
     ModelSpec, build_charger_for, check_dense_size, excitation_counts, initial_state, model_basis,
@@ -125,7 +125,8 @@ class Trajectory:
         block = next(b for b in time_blocks(self.n_steps) if index < b.stop)
         basis = self.sector.basis
         amplitudes = _sector_amplitudes(self.sector, self.psi0)
-        states = evolve_batch(self.sector, amplitudes, self.times[block], self.step)
+        phases = PhaseTable(self.sector.eigenvalues, self.times, self.step, [block])(block)
+        states = evolve_batch(self.sector, amplitudes, phases)
         state = np.zeros(self.psi0.dim, dtype=complex)
         state[basis.members] = basis.expand(states[:, index - block.start])
         return StateVector(state, self.psi0.basis)
@@ -236,22 +237,26 @@ def _run_fixed(
     starts = (np.cumsum(sizes) - sizes)[reached]
     # Each block of times is propagated, checked for Fock-edge leak and
     # summed into levels on its own, so no (dim x T) array exists: a group's
-    # population is its state's |amplitude|^2, spread or not.  Each column
+    # population is its state's |amplitude|^2, spread or not.  The rows
+    # gathered into level order are the real |psi|^2 and Im(psi* H_C psi),
+    # not complex copies of the states, and psi* H_C psi is formed in place,
+    # because the grid's phase table stays allocated across blocks.  Each column
     # is summed in the whole grid's order; the blocked H_C products may
     # differ from a whole-grid product in the last bit.
-    leak, step = 0.0, grid_step(times)
+    leak, blocks = 0.0, time_blocks(len(times))
+    table = PhaseTable(sector.eigenvalues, times, grid_step(times), blocks)
     populations = np.zeros((len(e_levels), len(times)))
     rates = np.zeros_like(populations)
-    for block in time_blocks(len(times)):
-        states = evolve_batch(sector, amplitudes, times[block], step)
+    for block in blocks:
+        states = evolve_batch(sector, amplitudes, table(block))
         if basis.kind == "spin_fock":
             leak = max(leak, _fock_edge_population(states, basis))
             if leak >= leak_tol:
                 return None
-        overlaps = states[order]
-        driven = (sector.matrix @ states)[order]
-        populations[reached, block] = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
-        rates[reached, block] = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
+        driven = sector.matrix @ states
+        np.multiply(states.conj(), driven, out=driven)
+        populations[reached, block] = np.add.reduceat((np.abs(states) ** 2)[order], starts, axis=0)
+        rates[reached, block] = 2.0 * np.add.reduceat(driven.imag[order], starts, axis=0)
 
     energy_abs = e_levels @ populations
     initial_energy = float(energy_abs[0])
@@ -265,7 +270,7 @@ def _run_fixed(
     ladder = e_levels[counts[order]]  # each group's energy, in level order
 
     def psi_at(t: float) -> np.ndarray:
-        return evolve_batch(sector, amplitudes, np.array([t]))[:, 0]
+        return evolve_batch(sector, amplitudes, grid_phases(sector.eigenvalues, np.array([t])))[:, 0]
 
     def stored_energy_at(t: float) -> float:
         return float(np.abs(psi_at(t)[order]) ** 2 @ ladder - initial_energy)

@@ -16,7 +16,7 @@ import numpy as np
 from qbattery import (
     Basis, DensityMatrix, HermitianOperator, StateVector, eigendecompose, evolve, group_levels,
 )
-from qbattery.linalg import evolve_batch, grid_step
+from qbattery.linalg import PHASE_STRIDE, _grid_indices, _phases, grid_step
 from qbattery.models import build_battery_for
 
 # The Pauli algebra in the package's ordering: local index 0 is the cell
@@ -203,6 +203,94 @@ def permutation_matrix(order) -> np.ndarray:
     return vecs
 
 
+def grid_phases_per_call(freqs, times, step=None, times_first=False) -> np.ndarray:
+    """exp(-i f t) as (frequencies x times), or (times x frequencies) if
+    ``times_first``, from a table made for this call alone: with the ``step``
+    of a uniform grid, a cos and a sin at every PHASE_STRIDE-th grid index
+    and at the offsets, and their products between; else each time's own
+    cos and sin.  The reference for ``linalg.PhaseTable``'s reused buffer
+    and its once-per-grid offsets."""
+    freqs, times = np.asarray(freqs, dtype=float), np.asarray(times, dtype=float)
+    if step is None or not len(times):
+        return _phases(np.multiply.outer(times, freqs) if times_first else np.outer(freqs, times))
+    index = _grid_indices(times, float(step))
+    first = index[0] - index[0] % PHASE_STRIDE
+    base_times = np.arange(first, index[-1] + 1, PHASE_STRIDE) * step
+    if times_first:
+        table = rows = np.empty((len(base_times), PHASE_STRIDE, len(freqs)), dtype=complex)
+    else:
+        table = np.empty((len(freqs), len(base_times), PHASE_STRIDE), dtype=complex)
+        rows = table.transpose(1, 2, 0)
+    rows[:, 0] = _phases(np.multiply.outer(base_times, freqs))
+    offsets = _phases(np.multiply.outer(np.arange(1, PHASE_STRIDE) * step, freqs))
+    np.multiply(rows[:, :1], offsets, out=rows[:, 1:])
+    window = slice(index[0] - first, index[0] - first + len(times))
+    if times_first:
+        return table.reshape(-1, len(freqs))[window]
+    return table.reshape(len(freqs), -1)[:, window]
+
+
+def evolve_batch_per_call(hamiltonian, coeff, times, step=None) -> np.ndarray:
+    """The states V exp(-i L t) coeff at ``times`` as (dim, T) columns, on
+    the phases of :func:`grid_phases_per_call`."""
+    phased = grid_phases_per_call(hamiltonian.eigenvalues, times, step)
+    phased *= coeff[:, None]
+    if hamiltonian.is_diagonal:
+        states = np.empty_like(phased)
+        states[hamiltonian.order] = phased
+        return states
+    return hamiltonian.eigenvectors @ phased
+
+
+def chain_series_per_block(modes, times) -> dict:
+    """E, P and var(H_B) of a chain on a grid, each TIME_CHUNK block from
+    its own phase table (:func:`grid_phases_per_call`) and its own sin^2 and
+    sin cos arrays: the reference for ``freefermion.observables_on_grid``."""
+    from qbattery import models
+
+    times = np.asarray(times, dtype=float)
+    step = grid_step(times) if len(times) > 1 else None
+    a = modes.sin_theta**2
+    out = {name: np.empty(len(times)) for name in ("energy", "power", "var_battery")}
+    for block in models.time_blocks(len(times)):
+        phases = grid_phases_per_call(modes.omega, times[block], step, times_first=True)
+        sin, cos = phases.imag, phases.real
+        sin2, sin_cos = sin * sin, sin * cos
+        out["energy"][block] = np.einsum("tk,k->t", sin2, 2.0 * a)
+        out["power"][block] = np.einsum("tk,k->t", sin_cos, -4.0 * a * modes.omega)
+        out["var_battery"][block] = (
+            np.einsum("tk,k->t", np.square(sin_cos, out=sin_cos), 4.0 * a)
+            + np.einsum("tk,k->t", np.square(sin2, out=sin2), 4.0 * a * (1.0 - a))
+        )
+    return out
+
+
+def dense_level_sums_per_block(traj) -> tuple[np.ndarray, np.ndarray]:
+    """A dense record's populations and rates again, each TIME_CHUNK block
+    propagated by :func:`evolve_batch_per_call` under the record's sector
+    charger and summed into levels as the run sums them: the reference for
+    the run's shared phase table."""
+    from qbattery import models
+    from qbattery.models import excitation_counts, register_spectrum
+
+    sector = traj.sector
+    amplitudes = sector.to_eigenbasis(sector.basis.project(traj.psi0.amplitudes))
+    counts = excitation_counts(sector.basis)
+    order = np.lexsort((sector.basis.indices, counts))
+    sizes = np.bincount(counts, minlength=len(register_spectrum(traj.spec.n_cells)[0]))
+    reached = np.flatnonzero(sizes)
+    starts = (np.cumsum(sizes) - sizes)[reached]
+    populations = np.zeros((len(sizes), traj.n_steps))
+    rates = np.zeros_like(populations)
+    for block in models.time_blocks(traj.n_steps):
+        states = evolve_batch_per_call(sector, amplitudes, traj.times[block], traj.step)
+        overlaps = states[order]
+        driven = (sector.matrix @ states)[order]
+        populations[reached, block] = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
+        rates[reached, block] = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
+    return populations, rates
+
+
 def whole_grid_states(traj) -> np.ndarray:
     """A dense run's states as (dim, T) columns of the full basis, from one
     propagation of the whole grid under the record's sector charger from
@@ -212,7 +300,7 @@ def whole_grid_states(traj) -> np.ndarray:
     indices = sector.basis.indices
     amplitudes = sector.eigenvectors.conj().T @ traj.psi0.amplitudes[indices]
     states = np.zeros((traj.psi0.dim, traj.n_steps), dtype=complex)
-    states[indices] = evolve_batch(sector, amplitudes, traj.times, traj.step)
+    states[indices] = evolve_batch_per_call(sector, amplitudes, traj.times, traj.step)
     return states
 
 
@@ -272,7 +360,7 @@ def full_space_run(spec, times):
     populations = np.empty((len(e_levels), len(times)))
     rates = np.empty_like(populations)
     for block in models.time_blocks(len(times)):
-        states[:, block] = evolve_batch(charger, amplitudes, times[block], grid_step(times))
+        states[:, block] = evolve_batch_per_call(charger, amplitudes, times[block], grid_step(times))
         overlaps = states[battery.order, block]
         driven = (charger.matrix @ states[:, block])[battery.order]
         populations[:, block] = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
@@ -288,11 +376,11 @@ def full_space_run(spec, times):
     var_charger = weights @ (charger.eigenvalues - mean_c) ** 2
 
     def stored_energy_at(t: float) -> float:
-        psi = evolve_batch(charger, amplitudes, np.array([t]))[:, 0]
+        psi = evolve_batch_per_call(charger, amplitudes, np.array([t]))[:, 0]
         return float(np.abs(psi[battery.order]) ** 2 @ battery.eigenvalues - initial_energy)
 
     def power_at(t: float) -> float:
-        psi = evolve_batch(charger, amplitudes, np.array([t]))[:, 0]
+        psi = evolve_batch_per_call(charger, amplitudes, np.array([t]))[:, 0]
         rates = 2.0 * (psi.conj() * (charger.matrix @ psi)).imag
         return float(rates[battery.order] @ battery.eigenvalues)
 

@@ -171,7 +171,7 @@ class TestEvolve:
         op = eigendecompose(random_hermitian(6, rng))
         psi0 = state(rng.normal(size=6) + 1j * rng.normal(size=6), op.basis)
         times = np.linspace(0, 3, 7)
-        batch = evolve_batch(op, op.to_eigenbasis(psi0.amplitudes), times)
+        batch = evolve_batch(op, op.to_eigenbasis(psi0.amplitudes), linalg.grid_phases(op.eigenvalues, times))
         for i, t in enumerate(times):
             assert np.abs(batch[:, i] - evolve(op, psi0, float(t)).amplitudes).max() < 1e-12
 
@@ -182,7 +182,7 @@ class TestEvolve:
         op = eigendecompose(random_hermitian(6, rng))
         coeff = rng.normal(size=6) + 1j * rng.normal(size=6)
         times = np.concatenate(([0.0], np.linspace(1e-3, 4e3, 3001)))
-        batch = evolve_batch(op, coeff, times)
+        batch = evolve_batch(op, coeff, linalg.grid_phases(op.eigenvalues, times))
         phased = np.exp(-1j * np.outer(op.eigenvalues, times)) * coeff[:, None]
         assert np.array_equal(batch, op.eigenvectors @ phased)
 
@@ -285,8 +285,8 @@ class TestGridPhases:
         op = eigendecompose(random_hermitian(8, rng))
         coeff = op.to_eigenbasis(state(rng.normal(size=8) + 1j * rng.normal(size=8), op.basis).amplitudes)
         times = np.linspace(0.0, 300.0, 1001)
-        table = evolve_batch(op, coeff, times, linalg.grid_step(times))
-        direct = evolve_batch(op, coeff, times)
+        table = evolve_batch(op, coeff, linalg.grid_phases(op.eigenvalues, times, linalg.grid_step(times)))
+        direct = evolve_batch(op, coeff, linalg.grid_phases(op.eigenvalues, times))
         assert np.array_equal(table[:, 0], direct[:, 0])
         assert np.abs(table - direct).max() <= 1e-12
 

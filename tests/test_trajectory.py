@@ -234,10 +234,10 @@ def spy_propagated_columns(monkeypatch) -> dict[int, int]:
     columns: dict[int, int] = {}
     original = trajectory.evolve_batch
 
-    def counting(charger, amplitudes, times, *step):
+    def counting(charger, amplitudes, phases):
         n_max = charger.basis.n_max
-        columns[n_max] = columns.get(n_max, 0) + len(times)
-        return original(charger, amplitudes, times, *step)
+        columns[n_max] = columns.get(n_max, 0) + phases.shape[1]
+        return original(charger, amplitudes, phases)
 
     monkeypatch.setattr(trajectory, "evolve_batch", counting)
     return columns
