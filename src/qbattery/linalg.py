@@ -1,5 +1,5 @@
-"""Hermitian linear algebra (dense complex matrices, the real diagonal of a
-diagonal operator, or the nonzero entries of a model charger) and exact
+"""Hermitian linear algebra (dense matrices held as complex, the real diagonal
+of a diagonal operator, or the nonzero entries of a model charger) and exact
 unitary propagation.
 
 Everything downstream (model builders, observables, bound checks) runs on the
@@ -8,6 +8,11 @@ value types defined here.  A charger is built as its entries
 only the dense matrix on those states is built.  All propagation is
 spectral: a Hamiltonian is diagonalized once and ``exp(-i H t)`` is applied
 exactly for any ``t``, so no integrator tolerance enters the bound checks.
+The eigensolver always runs on the complex matrix.  What comes after it runs
+in real arithmetic wherever the data are exactly real (:func:`real_if_exact`,
+:func:`matmul`): every model charger is a real matrix, and the eigensolver
+returns its eigenvectors with an imaginary part of exactly zero.  Data with
+any nonzero imaginary part take the complex products.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ HERMITICITY_BLOCK = 64
 # Grid times per exact cos and sin of a PhaseTable; it divides
 # models.TIME_CHUNK, so every block of a grid starts at a table row.
 PHASE_STRIDE = 16
+# matmul pads a real product to whole tiles of this many float64 columns,
+# which OpenBLAS rounds alike wherever they fall in the product.
+PRODUCT_TILE = 8
 
 
 @dataclass(frozen=True)
@@ -146,7 +154,8 @@ class HermitianOperator:
     it is built anew on each access, for code that asks for the dense form.
 
     When present, ``eigenvalues`` are ascending.  A dense operator's
-    ``eigenvectors`` holds the matching orthonormal eigenvectors as columns; a
+    ``eigenvectors`` holds the matching orthonormal eigenvectors as columns,
+    float64 when they are exactly real (:func:`eigendecompose`); a
     diagonal operator's ``order`` holds the basis index of each eigenvalue
     (the stable sort of its diagonal), its k-th eigenvector being the unit
     vector at ``order[k]``.  Instances are immutable; :func:`eigendecompose`
@@ -213,7 +222,7 @@ class HermitianOperator:
             raise ValidationError("the eigenbasis needs an eigendecomposed operator")
         if self.is_diagonal:
             return amplitudes[self.order]
-        return self.eigenvectors.conj().T @ amplitudes
+        return matmul(self.eigenvectors.conj().T, amplitudes)
 
     def norm(self) -> float:
         """Operator norm (largest singular value; max |eigenvalue| here)."""
@@ -415,6 +424,11 @@ class LevelStructure:
 def eigendecompose(op: HermitianOperator) -> HermitianOperator:
     """Return a copy of ``op`` with ascending eigenvalues and their eigenbasis.
 
+    A dense operator goes to LAPACK's complex Hermitian solver as stored.
+    Its eigenvectors are kept as float64 when their imaginary part is
+    exactly zero, as it is for every charger the models build, so that the
+    products after it are real (:func:`matmul`); otherwise they stay complex,
+    bit for bit as returned.
     A diagonal operator's diagonal is stable-sorted instead of handed to
     LAPACK, which keeps model spectra (integer ladders) exact, and its
     eigenbasis is the sort order, not a permutation matrix.
@@ -431,8 +445,41 @@ def eigendecompose(op: HermitianOperator) -> HermitianOperator:
     else:
         vals, vecs = np.linalg.eigh(op.values)
         object.__setattr__(out, "eigenvalues", vals)
-        object.__setattr__(out, "eigenvectors", vecs)
+        object.__setattr__(out, "eigenvectors", real_if_exact(vecs))
     return out
+
+
+def real_if_exact(mat: np.ndarray) -> np.ndarray:
+    """``mat``'s real part as a float64 array when its imaginary part is
+    exactly zero (signed zeros included), else ``mat`` unchanged."""
+    return mat if mat.imag.any() else np.ascontiguousarray(mat.real)
+
+
+def matmul(mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``mat @ cols`` for a vector or (rows x k) columns ``cols``.
+
+    A float64 ``mat`` takes complex128 ``cols`` in real arithmetic, half the
+    flops of the complex product: one real product with ``cols`` read as
+    float64 rows of interleaved real and imaginary parts, with no copy when
+    their last axis is contiguous (a :class:`PhaseTable` block).  A partial
+    tile of PRODUCT_TILE float64 columns is zero-padded, because OpenBLAS
+    rounds such columns by where they fall; so a block of a grid keeps the
+    whole grid product's bits.  A single column takes two real vector
+    products, as numpy's complex product takes one.  The result differs
+    from the complex product only in the order of rounding.  Any other pair
+    of dtypes is numpy's product."""
+    if not (mat.dtype == np.float64 and cols.dtype == np.complex128):
+        return mat @ cols
+    columns = cols.reshape(len(cols), -1)
+    if columns.shape[1] == 1:
+        out = np.empty(len(mat), dtype=complex)
+        out.real, out.imag = mat @ columns[:, 0].real, mat @ columns[:, 0].imag
+        return out.reshape(mat.shape[:1] + cols.shape[1:])
+    planes = (columns if columns.strides[-1] == columns.itemsize else columns.copy()).view(np.float64)
+    width = planes.shape[1]
+    if width % PRODUCT_TILE:
+        planes = np.pad(planes, ((0, 0), (0, -width % PRODUCT_TILE)))
+    return np.ascontiguousarray((mat @ planes)[:, :width]).view(np.complex128)
 
 
 def invariant_sector(op: SparseHermitian, amplitudes: np.ndarray) -> np.ndarray:
@@ -577,7 +624,11 @@ class PhaseTable:
     phase of grid index j is the same bits in every table and block that
     holds it, the phase of t_0 is exactly 1, and at j = q S it is the direct
     phase of t_j.  The product adds a few ulp of error to the angle's own
-    rounding of f t."""
+    rounding of f t.  Each layout is filled along its contiguous axis, with
+    the offsets kept once in the table's own layout: a frequencies-first
+    table writes each frequency's base phases and their products along its
+    rows of S times.  Both layouts hold the same products of the same
+    numbers, so one is the other's transpose, bit for bit."""
 
     def __init__(
         self, freqs: np.ndarray, times: np.ndarray, step: float,
@@ -586,7 +637,8 @@ class PhaseTable:
         self.freqs, self.step = np.asarray(freqs, dtype=float), float(step)
         self.index = _grid_indices(np.asarray(times, dtype=float), self.step)
         self.times_first = times_first
-        self.offsets = _phases(np.multiply.outer(np.arange(1, PHASE_STRIDE) * self.step, self.freqs))
+        offsets = _phases(np.multiply.outer(np.arange(1, PHASE_STRIDE) * self.step, self.freqs))
+        self.offsets = offsets if times_first else np.ascontiguousarray(offsets.T)
         spans = [self.index[block] for block in blocks or [slice(None)]]
         rows = max((j[-1] // PHASE_STRIDE - j[0] // PHASE_STRIDE + 1 for j in spans if len(j)), default=0)
         self._buffer = np.empty(rows * PHASE_STRIDE * len(self.freqs), dtype=complex)
@@ -595,16 +647,17 @@ class PhaseTable:
         index, n_freqs = self.index[block], len(self.freqs)
         first = index[0] - index[0] % PHASE_STRIDE
         base_times = np.arange(first, index[-1] + 1, PHASE_STRIDE) * self.step
-        # The block's table in its layout, on the buffer's first entries, and
-        # a (rows, PHASE_STRIDE, frequencies) view.
+        # The block's table in its layout, on the buffer's first entries:
+        # (rows, PHASE_STRIDE, frequencies) or (frequencies, rows, PHASE_STRIDE).
         table = self._buffer[: len(base_times) * PHASE_STRIDE * n_freqs]
         if self.times_first:
-            table = rows = table.reshape(len(base_times), PHASE_STRIDE, n_freqs)
+            table = table.reshape(len(base_times), PHASE_STRIDE, n_freqs)
+            table[:, 0] = _phases(np.multiply.outer(base_times, self.freqs))
+            np.multiply(table[:, :1], self.offsets, out=table[:, 1:])
         else:
             table = table.reshape(n_freqs, len(base_times), PHASE_STRIDE)
-            rows = table.transpose(1, 2, 0)
-        rows[:, 0] = _phases(np.multiply.outer(base_times, self.freqs))
-        np.multiply(rows[:, :1], self.offsets, out=rows[:, 1:])
+            table[:, :, 0] = _phases(np.multiply.outer(base_times, self.freqs)).T
+            np.multiply(table[:, :, :1], self.offsets[:, None], out=table[:, :, 1:])
         window = slice(index[0] - first, index[0] - first + len(index))
         if self.times_first:
             return table.reshape(-1, n_freqs)[window]
@@ -626,13 +679,15 @@ def grid_phases(
 
 
 def evolve_batch(hamiltonian: HermitianOperator, coeff: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """States at a block of times as columns of a new (dim, T) array, by exact
-    spectral propagation V exp(-i L t) coeff under an eigendecomposed
-    Hamiltonian, in one BLAS call.  ``phases`` are exp(-i L t) of its
-    eigenvalues L as (dim, T): a block of the grid's :class:`PhaseTable`, or
-    :func:`grid_phases` of arbitrary times.  They are multiplied by
-    ``coeff`` in place.  ``coeff`` = V^dag psi0 is ``hamiltonian.to_eigenbasis``
-    of the initial amplitudes, which a run computes once for all its times."""
+    """States at a block of times as columns of a new (dim, T) complex array,
+    by exact spectral propagation V exp(-i L t) coeff under an
+    eigendecomposed Hamiltonian, in one product (:func:`matmul`: a real
+    one when V is real, the complex one otherwise).  ``phases`` are
+    exp(-i L t) of its eigenvalues L as (dim, T): a block of the grid's
+    :class:`PhaseTable`, or :func:`grid_phases` of arbitrary times.  They are
+    multiplied by ``coeff`` in place.  ``coeff`` = V^dag psi0 is
+    ``hamiltonian.to_eigenbasis`` of the initial amplitudes, which a run
+    computes once for all its times."""
     if not hamiltonian.has_eig:
         raise ValidationError("evolve_batch requires an eigendecomposed Hamiltonian")
     phases *= coeff[:, None]
@@ -640,7 +695,7 @@ def evolve_batch(hamiltonian: HermitianOperator, coeff: np.ndarray, phases: np.n
         states = np.empty_like(phases)
         states[hamiltonian.order] = phases
         return states
-    return hamiltonian.eigenvectors @ phases
+    return matmul(hamiltonian.eigenvectors, phases)
 
 
 def partial_trace_cavity(rho: DensityMatrix) -> DensityMatrix:

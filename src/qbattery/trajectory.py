@@ -12,10 +12,14 @@ entries (:class:`linalg.SparseHermitian`) and runs on psi0's invariant sector
 only (:func:`linalg.invariant_sector`): the states psi0 reaches through those
 entries, whose dense matrix alone is built, diagonalized and propagated one
 TIME_CHUNK block of times at a time, on the grid's phase table
-(:class:`linalg.PhaseTable`).  A ``lumped`` run cuts the sector
-further into equitable groups (:func:`linalg.equitable_groups`) and runs on
-the even spreads over them: the same states, on far fewer of them where the
-charger has symmetries.  The size rule's second stage
+(:class:`linalg.PhaseTable`).  After the eigensolver it runs in real
+arithmetic: every model charger is real and the eigensolver returns its
+eigenvectors exactly real, so they and a copy of the sector matrix are held
+as float64 and each product is a real one (:func:`linalg.matmul`); a
+complex matrix would keep the complex products.  A ``lumped`` run cuts the
+sector further into equitable groups (:func:`linalg.equitable_groups`) and
+runs on the even spreads over them: the same states, on far fewer of them
+where the charger has symmetries.  The size rule's second stage
 (:func:`models.check_dense_size`) sizes that dense run once the sector or
 its groups are known.  Either keeps the charger's entries, psi0 and the
 sector charger, not the states:
@@ -41,7 +45,7 @@ from .freefermion import (
 )
 from .linalg import (
     Basis, HermitianOperator, SparseHermitian, StateVector, eigendecompose, equitable_groups,
-    PhaseTable, evolve_batch, grid_phases, grid_step, invariant_sector,
+    PhaseTable, evolve_batch, grid_phases, grid_step, invariant_sector, matmul, real_if_exact,
 )
 from .models import (
     ModelSpec, build_charger_for, check_dense_size, excitation_counts, initial_state, model_basis,
@@ -49,7 +53,7 @@ from .models import (
 )
 # No run builds the battery; the benchmark tracer patches this binding.
 from .models import build_battery_for  # noqa: F401
-from .observables import POPULATION_FLOOR, cos_theta_power, fisher_sum
+from .observables import POPULATION_FLOOR, cos_theta_power
 
 DEFAULT_STEPS = 2000
 DEFAULT_LAM_T_MAX = {
@@ -161,12 +165,12 @@ def _group_labels(charger: SparseHermitian, psi0: StateVector) -> np.ndarray:
     return np.column_stack(labels)
 
 
-def _fock_edge_population(states: np.ndarray, basis: Basis) -> float:
-    """The largest population, over the columns of ``states``, within one
-    level of the Fock cutoff (each group at one photon number)."""
+def _fock_edge_population(density: np.ndarray, basis: Basis) -> float:
+    """The largest population, over the columns of ``density`` (each group's
+    |amplitude|^2 at a time), within one level of the Fock cutoff (each
+    group at one photon number)."""
     photons = basis.indices % (basis.n_max + 1)
-    edge = np.abs(states[photons >= basis.n_max - 1]) ** 2
-    return float(edge.sum(axis=0).max())
+    return float(density[photons >= basis.n_max - 1].sum(axis=0).max())
 
 
 def _record(
@@ -180,17 +184,22 @@ def _record(
     series, cos theta and the clipped var(H_B) are derived here for either
     backend; ``dense`` holds the dense backend's own fields."""
     # Both Fisher series are summed in TIME_CHUNK blocks of columns, so that
-    # fisher_sum's (levels x times) temporaries stay one block wide; each
-    # column's sum is the whole grid's, bit for bit.  The untruncated series
-    # is for bound certification: the floor drops a real Fisher share (up to
-    # 0.128 absolute, 1.9% of I_E, on the shipped jw_xx_pow_n8), which would
-    # break saturated inequality checks at the 1e-8 tolerance.  Exact zeros
-    # are masked; symmetry-protected zeros contribute only noise^2 terms.
+    # the (levels x times) terms stay one block wide; each column's sum is
+    # the whole grid's, bit for bit.  The untruncated series is for bound
+    # certification: the floor drops a real Fisher share (up to 0.128
+    # absolute, 1.9% of I_E, on the shipped jw_xx_pow_n8), which would break
+    # saturated inequality checks at the 1e-8 tolerance.  Exact zeros are
+    # masked; symmetry-protected zeros contribute only noise^2 terms.  The
+    # terms pdot^2 / p are formed once for both series: each series has the
+    # bits of observables.fisher_sum at its floor, whose excluded levels add
+    # +0.0 as the masked terms here do.
     fisher_energy, fisher_energy_full = np.empty((2, len(times)))
     for block in time_blocks(len(times)):
         p, p_dot = populations[:, block], rates[:, block]
-        fisher_energy[block] = fisher_sum(p, p_dot, POPULATION_FLOOR)
-        fisher_energy_full[block] = fisher_sum(p, p_dot, 0.0)
+        filled = p > 0.0
+        terms = np.where(filled, p_dot, 0.0) ** 2 / np.where(filled, p, 1.0)
+        fisher_energy_full[block] = terms.sum(axis=0)
+        fisher_energy[block] = np.where(p > POPULATION_FLOOR, terms, 0.0).sum(axis=0)
     return Trajectory(
         spec, times, initial_energy, populations, rates, energy, power,
         var_battery=np.maximum(var_battery, 0.0),
@@ -210,7 +219,10 @@ def _run_fixed(
     """The dense run of ``spec`` on the grid, on psi0's invariant sector of
     the charger (cut into equitable groups if ``lumped``), from psi0's
     amplitudes on the eigenvectors of the charger there; None as soon as the
-    Fock-edge leak of a cavity run reaches ``leak_tol``."""
+    Fock-edge leak of a cavity run reaches ``leak_tol``.  The products after
+    the eigendecomposition, H_C psi included, are real ones on a real
+    sector (:func:`linalg.matmul` with float64 eigenvectors and a float64
+    copy of the sector matrix)."""
     charger, psi0 = build_charger_for(spec), initial_state(spec)
     states_reached = invariant_sector(charger, psi0.amplitudes)
     if lumped:
@@ -237,26 +249,46 @@ def _run_fixed(
     starts = (np.cumsum(sizes) - sizes)[reached]
     # Each block of times is propagated, checked for Fock-edge leak and
     # summed into levels on its own, so no (dim x T) array exists: a group's
-    # population is its state's |amplitude|^2, spread or not.  The rows
-    # gathered into level order are the real |psi|^2 and Im(psi* H_C psi),
-    # not complex copies of the states, and psi* H_C psi is formed in place,
-    # because the grid's phase table stays allocated across blocks.  Each column
-    # is summed in the whole grid's order; the blocked H_C products may
-    # differ from a whole-grid product in the last bit.
-    leak, blocks = 0.0, time_blocks(len(times))
+    # population is its state's |amplitude|^2, spread or not.  |psi|^2 =
+    # re^2 + im^2 and Im(psi* H_C psi) = re Im(H_C psi) - im Re(H_C psi) are
+    # written over the block's own states and H_C psi, and only these real
+    # rows are gathered into level order, through one buffer per run sized
+    # for the longest block.  Each column is summed in the whole grid's order;
+    # the blocked H_C products may differ from a whole-grid product in the
+    # last bit.
+    blocks = time_blocks(len(times))
     table = PhaseTable(sector.eigenvalues, times, grid_step(times), blocks)
+    drive = real_if_exact(sector.values)
+    gathered_buffer = np.empty(basis.dim * max(len(times[block]) for block in blocks))
     populations = np.zeros((len(e_levels), len(times)))
     rates = np.zeros_like(populations)
-    for block in blocks:
+
+    def sum_into_levels(block: slice) -> float:
+        """One block's populations and rates, summed into levels; returns
+        the block's Fock-edge leak.  Its states and H_C psi are freed on
+        return, before the next block's are made."""
         states = evolve_batch(sector, amplitudes, table(block))
-        if basis.kind == "spin_fock":
-            leak = max(leak, _fock_edge_population(states, basis))
-            if leak >= leak_tol:
-                return None
-        driven = sector.matrix @ states
-        np.multiply(states.conj(), driven, out=driven)
-        populations[reached, block] = np.add.reduceat((np.abs(states) ** 2)[order], starts, axis=0)
-        rates[reached, block] = 2.0 * np.add.reduceat(driven.imag[order], starts, axis=0)
+        driven = matmul(drive, states)
+        re, im = states.real, states.imag
+        flux = np.multiply(re, driven.imag, out=driven.imag)
+        flux -= np.multiply(im, driven.real, out=driven.real)
+        density = np.square(re, out=re)
+        density += np.square(im, out=im)
+        gathered = gathered_buffer[: density.size].reshape(density.shape)
+        # mode="clip" writes the gather straight into the buffer (numpy's
+        # default mode writes to a copy first); order's indices are all valid.
+        for series, rows in ((populations, density), (rates, flux)):
+            series[reached, block] = np.add.reduceat(
+                np.take(rows, order, axis=0, out=gathered, mode="clip"), starts, axis=0
+            )
+        return _fock_edge_population(density, basis) if basis.kind == "spin_fock" else 0.0
+
+    leak = 0.0
+    for block in blocks:
+        leak = max(leak, sum_into_levels(block))
+        if leak >= leak_tol:
+            return None
+    rates *= 2.0
 
     energy_abs = e_levels @ populations
     initial_energy = float(energy_abs[0])
@@ -269,6 +301,7 @@ def _run_fixed(
 
     ladder = e_levels[counts[order]]  # each group's energy, in level order
 
+    # The off-grid closures take the block loop's products.
     def psi_at(t: float) -> np.ndarray:
         return evolve_batch(sector, amplitudes, grid_phases(sector.eigenvalues, np.array([t])))[:, 0]
 
@@ -277,7 +310,7 @@ def _run_fixed(
 
     def power_at(t: float) -> float:
         psi = psi_at(t)
-        return float(2.0 * (psi.conj() * (sector.matrix @ psi)).imag[order] @ ladder)
+        return float(2.0 * (psi.conj() * matmul(drive, psi)).imag[order] @ ladder)
 
     return _record(
         spec, times, initial_energy, populations, rates, energy_abs - initial_energy,

@@ -16,7 +16,7 @@ import numpy as np
 from qbattery import (
     Basis, DensityMatrix, HermitianOperator, StateVector, eigendecompose, evolve, group_levels,
 )
-from qbattery.linalg import PHASE_STRIDE, _grid_indices, _phases, grid_step
+from qbattery.linalg import PHASE_STRIDE, _grid_indices, _phases, grid_step, matmul, real_if_exact
 from qbattery.models import build_battery_for
 
 # The Pauli algebra in the package's ordering: local index 0 is the cell
@@ -232,14 +232,26 @@ def grid_phases_per_call(freqs, times, step=None, times_first=False) -> np.ndarr
 
 def evolve_batch_per_call(hamiltonian, coeff, times, step=None) -> np.ndarray:
     """The states V exp(-i L t) coeff at ``times`` as (dim, T) columns, on
-    the phases of :func:`grid_phases_per_call`."""
+    the phases of :func:`grid_phases_per_call`, with the package's product
+    (``linalg.matmul``: real arithmetic for real eigenvectors)."""
     phased = grid_phases_per_call(hamiltonian.eigenvalues, times, step)
     phased *= coeff[:, None]
     if hamiltonian.is_diagonal:
         states = np.empty_like(phased)
         states[hamiltonian.order] = phased
         return states
-    return hamiltonian.eigenvectors @ phased
+    return matmul(hamiltonian.eigenvectors, phased)
+
+
+def squared_moduli(amplitudes: np.ndarray) -> np.ndarray:
+    """|z|^2 of each amplitude in the dense run's form, re^2 + im^2."""
+    return amplitudes.real**2 + amplitudes.imag**2
+
+
+def probability_flux(amplitudes: np.ndarray, driven: np.ndarray) -> np.ndarray:
+    """Im(conj(z) w) of each amplitude z and its entry w of H_C psi, in the
+    dense run's form re(z) im(w) - im(z) re(w)."""
+    return amplitudes.real * driven.imag - amplitudes.imag * driven.real
 
 
 def chain_series_per_block(modes, times) -> dict:
@@ -268,8 +280,9 @@ def chain_series_per_block(modes, times) -> dict:
 def dense_level_sums_per_block(traj) -> tuple[np.ndarray, np.ndarray]:
     """A dense record's populations and rates again, each TIME_CHUNK block
     propagated by :func:`evolve_batch_per_call` under the record's sector
-    charger and summed into levels as the run sums them: the reference for
-    the run's shared phase table."""
+    charger and summed into levels as the run sums them, with its products
+    and forms: the reference for the run's shared phase table and its block
+    buffers."""
     from qbattery import models
     from qbattery.models import excitation_counts, register_spectrum
 
@@ -285,9 +298,9 @@ def dense_level_sums_per_block(traj) -> tuple[np.ndarray, np.ndarray]:
     for block in models.time_blocks(traj.n_steps):
         states = evolve_batch_per_call(sector, amplitudes, traj.times[block], traj.step)
         overlaps = states[order]
-        driven = (sector.matrix @ states)[order]
-        populations[reached, block] = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
-        rates[reached, block] = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
+        driven = matmul(real_if_exact(sector.matrix), states)[order]
+        populations[reached, block] = np.add.reduceat(squared_moduli(overlaps), starts, axis=0)
+        rates[reached, block] = 2.0 * np.add.reduceat(probability_flux(overlaps, driven), starts, axis=0)
     return populations, rates
 
 
@@ -298,7 +311,7 @@ def whole_grid_states(traj) -> np.ndarray:
     propagation in blocks of times."""
     sector = traj.sector
     indices = sector.basis.indices
-    amplitudes = sector.eigenvectors.conj().T @ traj.psi0.amplitudes[indices]
+    amplitudes = matmul(sector.eigenvectors.conj().T, traj.psi0.amplitudes[indices])
     states = np.zeros((traj.psi0.dim, traj.n_steps), dtype=complex)
     states[indices] = evolve_batch_per_call(sector, amplitudes, traj.times, traj.step)
     return states
@@ -321,7 +334,7 @@ def permutation_run_path(traj):
     states = whole_grid_states(traj)
     indices = traj.sector.basis.indices
     driven_states = np.zeros_like(states)
-    driven_states[indices] = traj.sector.matrix @ states[indices]
+    driven_states[indices] = matmul(real_if_exact(traj.sector.matrix), states[indices])
     vecs = permutation_matrix(battery.order)
     in_sector = np.isin(battery.order, indices)
     overlaps = (vecs.conj().T @ states)[in_sector]
@@ -331,8 +344,8 @@ def permutation_run_path(traj):
     reached, starts = np.unique(level_of_row, return_index=True)
     populations = np.zeros((len(levels.energies), traj.n_steps))
     rates = np.zeros_like(populations)
-    populations[reached] = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
-    rates[reached] = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
+    populations[reached] = np.add.reduceat(squared_moduli(overlaps), starts, axis=0)
+    rates[reached] = 2.0 * np.add.reduceat(probability_flux(overlaps, driven), starts, axis=0)
     charger = eigendecompose(traj.charger.dense())
     weights = np.abs(charger.eigenvectors.conj().T @ states) ** 2
     mean_c = charger.eigenvalues @ weights
@@ -352,7 +365,8 @@ def full_space_run(spec, times):
 
     charger = eigendecompose(HermitianOperator(dense_charger(spec), models.model_basis(spec)))
     psi0 = models.initial_state(spec)
-    amplitudes = charger.eigenvectors.conj().T @ psi0.amplitudes
+    amplitudes = matmul(charger.eigenvectors.conj().T, psi0.amplitudes)
+    drive = real_if_exact(charger.matrix)
     battery = eigendecompose(build_battery_for(spec))
     levels = group_levels(battery.eigenvalues)
     e_levels, starts = levels.energies, levels.starts[:-1]
@@ -362,13 +376,13 @@ def full_space_run(spec, times):
     for block in models.time_blocks(len(times)):
         states[:, block] = evolve_batch_per_call(charger, amplitudes, times[block], grid_step(times))
         overlaps = states[battery.order, block]
-        driven = (charger.matrix @ states[:, block])[battery.order]
-        populations[:, block] = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
-        rates[:, block] = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
+        driven = matmul(drive, states[:, block])[battery.order]
+        populations[:, block] = np.add.reduceat(squared_moduli(overlaps), starts, axis=0)
+        rates[:, block] = 2.0 * np.add.reduceat(probability_flux(overlaps, driven), starts, axis=0)
     leak = 0.0
     if charger.basis.kind == "spin_fock":
         blocks = states.reshape(spec.n_cells + 1, spec.n_max + 1, -1)
-        leak = float((np.abs(blocks[:, spec.n_max - 1 :, :]) ** 2).sum(axis=(0, 1)).max())
+        leak = float(squared_moduli(blocks[:, spec.n_max - 1 :, :]).sum(axis=(0, 1)).max())
     energy_abs = e_levels @ populations
     initial_energy = float(energy_abs[0])
     weights = np.abs(amplitudes) ** 2
@@ -381,7 +395,7 @@ def full_space_run(spec, times):
 
     def power_at(t: float) -> float:
         psi = evolve_batch_per_call(charger, amplitudes, np.array([t]))[:, 0]
-        rates = 2.0 * (psi.conj() * (charger.matrix @ psi)).imag
+        rates = 2.0 * (psi.conj() * matmul(drive, psi)).imag
         return float(rates[battery.order] @ battery.eigenvalues)
 
     record = trajectory._record(

@@ -17,7 +17,7 @@ from qbattery import (
 )
 from qbattery import linalg
 from qbattery.linalg import evolve_batch, random_hermitian
-from qbattery.models import build_battery
+from qbattery.models import build_battery, time_blocks
 
 from oracles import random_density_matrix
 
@@ -185,6 +185,63 @@ class TestEvolve:
         batch = evolve_batch(op, coeff, linalg.grid_phases(op.eigenvalues, times))
         phased = np.exp(-1j * np.outer(op.eigenvalues, times)) * coeff[:, None]
         assert np.array_equal(batch, op.eigenvectors @ phased)
+
+
+class TestRealProducts:
+    """linalg.matmul's real arithmetic against numpy's complex product, and
+    the data choosing it: exactly real eigenvectors are kept as float64,
+    complex ones keep the complex products, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 61, 100, 215, 256, 300])
+    def test_the_real_product_is_the_complex_one_within_the_gemm_bound(self, dim):
+        # Elementwise |got - A @ B| <= 4 d eps (|A| @ |B|), the standard
+        # bound on two computed products of the same numbers.
+        rng = np.random.default_rng(dim)
+        mat = rng.normal(size=(dim, dim))
+        for k in (1, 2, 3, 4, 7, 256):
+            cols = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+            got = linalg.matmul(mat, cols)
+            bound = 4 * dim * np.finfo(float).eps * (np.abs(mat) @ np.abs(cols))
+            assert got.shape == (dim, k) and got.dtype == complex
+            assert (np.abs(got - mat.astype(complex) @ cols) <= bound).all(), k
+
+    def test_vectors_windows_and_strided_columns_take_the_same_product(self):
+        rng = np.random.default_rng(2)
+        mat = rng.normal(size=(9, 9))
+        wide = rng.normal(size=(9, 40)) + 1j * rng.normal(size=(9, 40))
+        window = wide[:, 5:17]  # rows of a wider array, as a phase-table block
+        expected = linalg.matmul(mat, window.copy())
+        assert np.array_equal(linalg.matmul(mat, window), expected)
+        assert np.array_equal(linalg.matmul(mat, np.asfortranarray(window)), expected)
+        vector = wide[:, 3]
+        assert np.array_equal(linalg.matmul(mat, vector), linalg.matmul(mat, vector[:, None])[:, 0])
+
+    @pytest.mark.parametrize("steps", [2, 258, 263, 519, 1030, 2000])
+    def test_a_block_of_a_grid_has_the_whole_products_bits(self, steps):
+        rng = np.random.default_rng(steps)
+        vecs = np.linalg.qr(rng.normal(size=(215, 215)))[0]
+        cols = rng.normal(size=(215, steps)) + 1j * rng.normal(size=(215, steps))
+        whole = linalg.matmul(vecs, cols)
+        for block in time_blocks(steps):
+            assert np.array_equal(linalg.matmul(vecs, cols[:, block]), whole[:, block])
+
+    def test_real_matrices_get_float64_eigenvectors(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(30, 30))
+        op = eigendecompose(HermitianOperator((a + a.T) / 2, Basis("collective_spin", 29)))
+        raw = np.linalg.eigh(op.matrix)[1]
+        assert op.eigenvectors.dtype == np.float64 and not raw.imag.any()
+        assert np.array_equal(op.eigenvectors, raw.real)
+
+    def test_complex_matrices_keep_complex_eigenvectors_and_products(self):
+        rng = np.random.default_rng(6)
+        op = eigendecompose(random_hermitian(40, rng))
+        assert op.eigenvectors.dtype == complex and op.eigenvectors.imag.any()
+        coeff = rng.normal(size=40) + 1j * rng.normal(size=40)
+        for times in (np.array([0.7]), np.linspace(0.0, 3.0, 37)):
+            phases = linalg.grid_phases(op.eigenvalues, times)
+            expected = op.eigenvectors @ (phases * coeff[:, None])
+            assert evolve_batch(op, coeff, phases).tobytes() == expected.tobytes()
 
 
 def phase_error(phases: np.ndarray, freqs: np.ndarray, index: np.ndarray, step: float) -> float:

@@ -45,6 +45,20 @@ class TestTable:
             expected = grid_phases_per_call(freqs, times[block], 0.0625, times_first)
             assert table(block).tobytes() == np.ascontiguousarray(expected).tobytes()
 
+    @pytest.mark.parametrize("n_freqs", [1, 11, 215, 1000])
+    def test_the_two_layouts_are_transposes_bit_for_bit(self, n_freqs):
+        # The frequencies-first table fills along its rows of PHASE_STRIDE
+        # times, the times-first one along its frequencies: the same
+        # products of the same numbers.
+        freqs = np.random.default_rng(n_freqs).normal(scale=4.0, size=n_freqs)
+        for steps in (1, 15, 16, 17, 257, 2000):
+            times = np.linspace(0.0, 10.0, steps)
+            step = grid_step(times) if steps > 1 else 0.1
+            blocks = models.time_blocks(steps)
+            by_freq, by_time = (PhaseTable(freqs, times, step, blocks, first) for first in (False, True))
+            for block in blocks:
+                assert np.array_equal(by_freq(block), by_time(block).T), (steps, block)
+
     def test_every_block_is_written_into_one_buffer(self):
         freqs = np.linspace(0.5, 3.0, 6)
         times = np.linspace(0.0, 10.0, 600)

@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from qbattery import ModelSpec, ValidationError, chain_spec, models, run_trajectory
+from qbattery import ModelSpec, ValidationError, chain_spec, linalg, models, run_trajectory, trajectory
 from qbattery.config import load_scenario
 from qbattery.linalg import Basis, SparseHermitian, equitable_groups, invariant_sector
-from qbattery.sweeps import quantities_for, trajectory_quantities
+from qbattery.sweeps import quantities_for, sweep, trajectory_quantities
 from qbattery.trajectory import _group_labels
 
 from oracles import full_space_run
@@ -24,6 +24,12 @@ EXACT_COLUMNS = ("populations", "population_rates", "energy", "power", "var_batt
 # (lmg, gamma = -1), cos theta 9.7e-10 (xx_nn N = 3).
 FISHER_BOUND = 1e-10
 COS_THETA_BOUND = 1e-8
+
+
+SHIPPED_SCENARIOS = (
+    "parallel_n8", "global_n8", "hybrid_n8", "jw_xx_nn_n8", "jw_xy_nn_n8", "jw_xx_pow_n8",
+    "jw_xy_pow_n8", "lmg_n20_lam5", "lmg_n20_lam20", "dicke_n8_weak", "dicke_n8_strong",
+)
 
 
 def _shipped(name):
@@ -249,3 +255,24 @@ def test_a_dense_sweep_point_is_sized_by_its_groups(variant):
 def test_basis_groups_are_disjoint_sets_of_its_indices(groups):
     with pytest.raises(ValidationError, match="basis groups are nonempty, disjoint sets"):
         Basis("qubit_chain", 2, groups=groups)
+
+
+def test_every_shipped_dense_sector_has_float64_eigenvectors(monkeypatch):
+    # The shipped scenarios (the chains on the dense path) and the shipped
+    # dense sweeps: the eigensolver returns each sector's eigenvectors with
+    # an imaginary part of exactly zero, so every run takes the real products.
+    decomposed = []
+
+    def recording(op):
+        decomposed.append(linalg.eigendecompose(op))
+        return decomposed[-1]
+
+    monkeypatch.setattr(trajectory, "eigendecompose", recording)
+    for name in SHIPPED_SCENARIOS:
+        cfg = load_scenario(f"configs/{name}.json")
+        run_trajectory(cfg.spec, cfg.lam_t_max, cfg.steps, path="dense")
+    for name in ("sweep_dicke_weak_power", "sweep_lmg_var", "lmg_gamma_scan"):
+        cfg = load_scenario(f"configs/{name}.json")
+        sweep(cfg.spec, cfg.sweep.parameter, cfg.sweep.values, cfg.lam_t_max, cfg.steps, cfg.sweep.path)
+    assert len(decomposed) > len(SHIPPED_SCENARIOS)
+    assert all(op.eigenvectors.dtype == np.float64 for op in decomposed)

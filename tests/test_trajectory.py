@@ -19,7 +19,9 @@ from qbattery import (
 from qbattery import trajectory
 from qbattery.cli import simulation_summary
 from qbattery.linalg import SparseHermitian
-from qbattery.observables import battery_entanglement_entropy, populations_and_rates
+from qbattery.observables import (
+    POPULATION_FLOOR, battery_entanglement_entropy, fisher_sum, populations_and_rates,
+)
 from qbattery.config import load_scenario
 from qbattery.output import trajectory_rows, write_trajectory_csv
 from qbattery.trajectory import DEFAULT_LAM_T_MAX, find_peak_time, time_grid
@@ -27,7 +29,9 @@ from qbattery.verification import certify_trajectory
 
 from oracles import (
     permutation_run_path,
+    probability_flux,
     run_trajectory_doubling,
+    squared_moduli,
     stored_energy_by_permutation,
     whole_grid_states,
 )
@@ -162,10 +166,34 @@ def test_level_sums_in_time_blocks_match_the_whole_grid(tail):
     battery, states = eigendecompose(models.build_battery_for(traj.spec)), whole_grid_states(traj)
     order, starts = battery.order, group_levels(battery.eigenvalues).starts[:-1]
     overlaps, driven = states[order], (traj.charger.matrix @ states)[order]
-    populations = np.add.reduceat(np.abs(overlaps) ** 2, starts, axis=0)
-    rates = 2.0 * np.add.reduceat((overlaps.conj() * driven).imag, starts, axis=0)
+    populations = np.add.reduceat(squared_moduli(overlaps), starts, axis=0)
+    rates = 2.0 * np.add.reduceat(probability_flux(overlaps, driven), starts, axis=0)
     assert np.array_equal(traj.populations, populations)
     assert np.abs(traj.population_rates - rates).max() <= 1e-14 * np.abs(rates).max()
+
+
+def test_both_fisher_series_are_the_fisher_sums_at_their_floors():
+    # The record forms pdot^2 / p once for both series; each must keep the
+    # bits of observables.fisher_sum at its floor, over levels exactly at 0,
+    # at the floor, just above it, subnormal, negative by rounding and near
+    # 1, across three blocks of times.
+    rng = np.random.default_rng(12)
+    steps, levels = 2 * models.TIME_CHUNK + 9, 7
+    special = np.array([0.0, -0.0, POPULATION_FLOOR, np.nextafter(POPULATION_FLOOR, 1.0), 5e-324,
+                        1e-310, -1e-17, 1.0 - 2**-52, 1.0])
+    p = np.where(rng.random((levels, steps)) < 0.5, rng.choice(special, (levels, steps)),
+                 rng.random((levels, steps)))
+    # Rates scale as sqrt(p), as a level's amplitude does.
+    p_dot = np.where(rng.random((levels, steps)) < 0.2, 0.0,
+                     rng.normal(size=(levels, steps)) * np.sqrt(np.abs(p)))
+    times = np.linspace(0.0, 1.0, steps)
+    zeros = np.zeros(steps)
+    traj = trajectory._record(
+        ModelSpec(family="parallel", n_cells=levels - 1), times, 0.0, p, p_dot, zeros, zeros, zeros,
+        0.0, None, None,
+    )
+    assert traj.fisher_energy.tobytes() == fisher_sum(p, p_dot, POPULATION_FLOOR).tobytes()
+    assert traj.fisher_energy_full.tobytes() == fisher_sum(p, p_dot, 0.0).tobytes()
 
 
 LADDER_SPECS = [
