@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from qbattery import capacity_at_entropy, register_spectrum, solve_beta_for_entropy
-from qbattery.capacity import thermal_curve
+from qbattery.capacity import capacity_from_points, thermal_curve
 from qbattery.output import write_csv, write_diagram_csv
 
 
@@ -32,7 +32,7 @@ def main() -> int:
         s_bits = frac * n
         low = solve_beta_for_entropy(battery, s_bits, "positive_beta")
         high = solve_beta_for_entropy(battery, s_bits, "negative_beta")
-        cap = capacity_at_entropy(battery, s_bits)
+        cap = capacity_from_points(battery, s_bits, low, high)
         rows.append([s_bits, low.energy, high.energy, cap, low.beta])
         print(f"S={s_bits:6.3f} bits: E_min={low.energy:+.4f} E_max={high.energy:+.4f} "
               f"C(S)={cap:.4f}")

@@ -188,6 +188,16 @@ def solve_beta_for_entropy(battery, s_target_bits: float, branch: str) -> Diagra
     raise ValidationError(f"unknown branch {branch!r}")
 
 
+def capacity_from_points(battery, s_bits: float, low, high) -> float:
+    """E_max(S) - E_min(S) at entropy ``s_bits`` from the boundary points
+    solved there, ``low`` (positive beta) and ``high`` (negative beta); at
+    s_bits <= 0, the spectral range exactly, with the points unread."""
+    if s_bits <= 0.0:
+        energies = _level_spectrum(battery)[0]
+        return float(energies[-1] - energies[0])
+    return high.energy - low.energy
+
+
 def capacity_at_entropy(battery, s_bits: float) -> float:
     """Energetic amplitude E_max(S) - E_min(S) at fixed entropy."""
     spectrum = _level_spectrum(battery)
@@ -195,10 +205,10 @@ def capacity_at_entropy(battery, s_bits: float) -> float:
     if not -slack <= s_bits <= s_max + slack:
         raise ValidationError(f"entropy {s_bits} outside [0, log2(dim) = {s_max}]")
     if s_bits <= 0.0:
-        return float(spectrum[0][-1] - spectrum[0][0])
+        return capacity_from_points(spectrum, s_bits, None, None)
     high = solve_beta_for_entropy(spectrum, s_bits, "negative_beta")
     low = solve_beta_for_entropy(spectrum, s_bits, "positive_beta")
-    return high.energy - low.energy
+    return capacity_from_points(spectrum, s_bits, low, high)
 
 
 def energy_amplitude_check(

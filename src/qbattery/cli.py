@@ -16,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .capacity import capacity_at_entropy, solve_beta_for_entropy, thermal_curve
+from .capacity import capacity_from_points, solve_beta_for_entropy, thermal_curve
 from .config import load_capacity, load_scenario, repeated, target_key
 from .errors import ConfigError, QBatteryError
 from .models import register_spectrum
-# No command uses these two; they are kept only for the benchmark tracer,
-# which patches qbattery.cli.build_battery_for and qbattery.cli.eigendecompose.
+# No command uses these three: the benchmark tracer patches them here.
+from .capacity import capacity_at_entropy  # noqa: F401
 from .linalg import eigendecompose  # noqa: F401
 from .models import build_battery_for  # noqa: F401
 from .output import (
@@ -132,7 +132,7 @@ def cmd_capacity(args) -> int:
             "E_max": high.energy,
             "beta_positive": low.beta,
             "beta_negative": high.beta,
-            "capacity": capacity_at_entropy(battery, s_bits),
+            "capacity": capacity_from_points(battery, s_bits, low, high),
         }
     summary = {
         "N": n,

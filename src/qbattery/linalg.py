@@ -1,6 +1,5 @@
-"""Hermitian linear algebra (dense matrices held as complex, the real diagonal
-of a diagonal operator, or the nonzero entries of a model charger) and exact
-unitary propagation.
+"""Hermitian linear algebra (dense matrices, the real diagonal of a diagonal
+operator, or a charger's nonzero entries) and exact unitary propagation.
 
 Everything downstream (model builders, observables, bound checks) runs on the
 value types defined here.  A charger is built as its entries
@@ -8,13 +7,13 @@ value types defined here.  A charger is built as its entries
 only the dense matrix on those states is built.  All propagation is
 spectral: a Hamiltonian is diagonalized once and ``exp(-i H t)`` is applied
 exactly for any ``t``, so no integrator tolerance enters the bound checks.
-The eigensolver always runs on the complex matrix.  What comes after it runs
-in real arithmetic wherever the data are exactly real (:func:`real_if_exact`,
-:func:`matmul`): every model charger is a real matrix, and the eigensolver
-returns its eigenvectors with an imaginary part of exactly zero.  Data with
-any nonzero imaginary part take the complex products.
+An operator keeps its data's dtype: float64 for real data, as every model
+charger is, complex128 for complex data.  The eigensolver runs on the complex
+matrix, which :func:`eigendecompose` alone builds from a real one, and
+returns a real matrix's eigenvectors exactly real; what comes after it runs
+in real arithmetic wherever the data are (:func:`real_if_exact`,
+:func:`matmul`).  Data with a nonzero imaginary part take complex products.
 """
-
 from __future__ import annotations
 
 import copy
@@ -148,10 +147,10 @@ class HermitianOperator:
     """Hermitian operator over a labeled basis with an optional cached
     eigendecomposition.
 
-    ``values`` is the dense (dim, dim) matrix, or a (dim,) vector for an
-    exactly diagonal operator: its real diagonal, kept as float64 and nothing
-    more.  ``matrix`` is the dense matrix either way; for a diagonal operator
-    it is built anew on each access, for code that asks for the dense form.
+    ``values`` is the dense (dim, dim) matrix in its data's dtype (float64 or
+    complex128), or a (dim,) vector for an exactly diagonal operator: its
+    real diagonal, kept as float64.  ``matrix`` is the dense matrix either
+    way; a diagonal operator builds it anew on each access.
 
     When present, ``eigenvalues`` are ascending.  A dense operator's
     ``eigenvectors`` holds the matching orthonormal eigenvectors as columns,
@@ -175,7 +174,7 @@ class HermitianOperator:
             dev = 2.0 * np.abs(values.imag).max(initial=0.0)
             values = np.ascontiguousarray(values.real, dtype=float)
         elif values.ndim == 2 and values.shape[0] == values.shape[1]:
-            values = np.asarray(values, dtype=complex)
+            values = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
             _require_finite(values, "matrix")
             dev = _hermiticity_deviation(values)
         else:
@@ -197,8 +196,8 @@ class HermitianOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense complex matrix; a diagonal operator builds it on each call."""
-        return np.diag(self.values.astype(complex)) if self.is_diagonal else self.values
+        """The dense matrix; a diagonal operator builds it on each call."""
+        return np.diag(self.values) if self.is_diagonal else self.values
 
     @property
     def dim(self) -> int:
@@ -237,7 +236,8 @@ class SparseHermitian:
     position.  A model charger is built in this form; only the small dense
     matrix on the states a run reaches is ever formed from it
     (:meth:`lump`), and :attr:`matrix` builds the whole dense matrix on
-    demand.  Entries are validated like a dense operator's (finite, and
+    demand, both in the entries' dtype (float64 or complex128).  Entries are
+    validated like a dense operator's (finite, and
     Hermitian to HERMITICITY_ATOL, an entry whose transpose is missing
     counting in full)."""
 
@@ -250,7 +250,7 @@ class SparseHermitian:
         if self.basis.groups is not None:
             raise ValidationError("entries are on a whole basis")
         rows, cols = (np.asarray(a, dtype=np.intp) for a in (self.rows, self.cols))
-        values = np.asarray(self.values, dtype=complex)
+        values = np.asarray(self.values, dtype=complex if np.iscomplexobj(self.values) else float)
         if not (rows.ndim == cols.ndim == values.ndim == 1
                 and len(rows) == len(cols) == len(values)):
             raise ValidationError("rows, cols and values must be 1-d and of one length")
@@ -277,8 +277,8 @@ class SparseHermitian:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense complex matrix, built on each call."""
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        """The dense matrix, built on each call."""
+        mat = np.zeros((self.dim, self.dim), dtype=self.values.dtype)
         mat[self.rows, self.cols] = self.values
         return mat
 
@@ -308,7 +308,7 @@ class SparseHermitian:
         basis.  The entries of the groups' first rows are placed in a dense
         (groups x states) block and summed as the dense matrix's rows would
         be, so the result has the bits of the same reduction over the whole
-        dense matrix."""
+        dense matrix of the entries' dtype."""
         groups = [np.asarray(group) for group in groups]
         idx = np.concatenate(groups)
         if len(idx) == len(groups) == self.dim:
@@ -316,7 +316,7 @@ class SparseHermitian:
         basis = replace(self.basis, groups=tuple(group.tolist() for group in groups))
         first = basis.indices
         entries = self.row_entries(first)
-        block = np.zeros((len(first), len(idx)), dtype=complex)
+        block = np.zeros((len(first), len(idx)), dtype=self.values.dtype)
         block[_positions(first, self.rows[entries]), _positions(idx, self.cols[entries])] = (
             self.values[entries]
         )
@@ -424,11 +424,11 @@ class LevelStructure:
 def eigendecompose(op: HermitianOperator) -> HermitianOperator:
     """Return a copy of ``op`` with ascending eigenvalues and their eigenbasis.
 
-    A dense operator goes to LAPACK's complex Hermitian solver as stored.
-    Its eigenvectors are kept as float64 when their imaginary part is
-    exactly zero, as it is for every charger the models build, so that the
-    products after it are real (:func:`matmul`); otherwise they stay complex,
-    bit for bit as returned.
+    A dense operator goes to LAPACK's complex Hermitian solver (zheevd), a
+    real one as a complex128 copy.  Its eigenvectors are kept as float64 when
+    their imaginary part is exactly zero, as for every charger the models
+    build, so that the products after it are real (:func:`matmul`);
+    otherwise they stay complex, bit for bit as returned.
     A diagonal operator's diagonal is stable-sorted instead of handed to
     LAPACK, which keeps model spectra (integer ladders) exact, and its
     eigenbasis is the sort order, not a permutation matrix.
@@ -443,7 +443,10 @@ def eigendecompose(op: HermitianOperator) -> HermitianOperator:
         object.__setattr__(out, "eigenvalues", op.values[order])
         object.__setattr__(out, "order", order)
     else:
-        vals, vecs = np.linalg.eigh(op.values)
+        # The one complex cast of real operator data.  The real solver's
+        # (dsyevd's) rounding, through the one-pass var(H_B), puts the dense
+        # jw_xy_nn_n8 run 1.12e-10 from the chain's, over the 1e-10 gate.
+        vals, vecs = np.linalg.eigh(np.asarray(op.values, dtype=complex))
         object.__setattr__(out, "eigenvalues", vals)
         object.__setattr__(out, "eigenvectors", real_if_exact(vecs))
     return out

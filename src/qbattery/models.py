@@ -266,9 +266,10 @@ def check_dense_size(spec: ModelSpec, steps: int = 0, states: int | None = None)
     of L = N + 1 levels; no family adds a term of its own.  Once psi0's sector
     is found, before its dense matrix is built, the run adds 16 (7 d^2 + 5 d B)
     for the ``states`` = d states it runs on (the sector, or its equitable
-    groups) and B = min(T, TIME_CHUNK) times per block: the complex matrix, its
-    eigenvectors and LAPACK's workspace, one block of states and propagation
-    temporaries.  The sum was 1.3-2.3x the max RSS growth over the post-import
+    groups) and B = min(T, TIME_CHUNK) times per block: the matrix, its
+    complex copy for the eigensolver, the eigenvectors and LAPACK's
+    workspace, one block of states and propagation temporaries.  The sum was
+    1.3-2.3x the max RSS growth over the post-import
     baseline of run_trajectory + certify_trajectory (2 cores, OpenBLAS 0.3.31),
     in MB: xy_nn N = 9 at 2000 steps 14; parallel N = 9 at 500 / 20000 28 / 30;
     lmg N = 400 at 2000 39, N = 1000 at 200 26, N = 2000 at 2000 175;

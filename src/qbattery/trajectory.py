@@ -12,20 +12,18 @@ entries (:class:`linalg.SparseHermitian`) and runs on psi0's invariant sector
 only (:func:`linalg.invariant_sector`): the states psi0 reaches through those
 entries, whose dense matrix alone is built, diagonalized and propagated one
 TIME_CHUNK block of times at a time, on the grid's phase table
-(:class:`linalg.PhaseTable`).  After the eigensolver it runs in real
-arithmetic: every model charger is real and the eigensolver returns its
-eigenvectors exactly real, so they and a copy of the sector matrix are held
-as float64 and each product is a real one (:func:`linalg.matmul`); a
-complex matrix would keep the complex products.  A ``lumped`` run cuts the
-sector further into equitable groups (:func:`linalg.equitable_groups`) and
-runs on the even spreads over them: the same states, on far fewer of them
-where the charger has symmetries.  The size rule's second stage
+(:class:`linalg.PhaseTable`).  Every model charger is real: its sector
+matrix and eigenvectors are float64 and each product after the eigensolver
+is a real one (:func:`linalg.matmul`).  A ``lumped`` run cuts the sector
+further into equitable groups (:func:`linalg.equitable_groups`) and runs on
+the even spreads over them: the same states, on far fewer of them where the
+charger has symmetries.  The size rule's second stage
 (:func:`models.check_dense_size`) sizes that dense run once the sector or
-its groups are known.  Either keeps the charger's entries, psi0 and the
-sector charger, not the states:
-``state_at`` re-propagates the block that holds a time and places the state
-in the full basis.  The free-fermion backend builds a ``jw_chain`` run of any
-N from its mode set (:mod:`freefermion`), with no state vector.  Scalar
+its groups are known.  Either keeps the sector charger and psi0's
+amplitudes on its eigenvectors, not the states; ``state_at`` re-propagates
+the block that holds a time and places the state in the full basis.  The
+free-fermion backend builds a ``jw_chain`` run of any N from its mode set
+(:mod:`freefermion`), with no state vector.  Scalar
 observables are computed from the battery level populations, so bound checks
 and reported values share one arithmetic path.
 """
@@ -45,7 +43,7 @@ from .freefermion import (
 )
 from .linalg import (
     Basis, HermitianOperator, SparseHermitian, StateVector, eigendecompose, equitable_groups,
-    PhaseTable, evolve_batch, grid_phases, grid_step, invariant_sector, matmul, real_if_exact,
+    PhaseTable, evolve_batch, grid_phases, grid_step, invariant_sector, matmul,
 )
 from .models import (
     ModelSpec, build_charger_for, check_dense_size, excitation_counts, initial_state, model_basis,
@@ -79,11 +77,13 @@ class Trajectory:
     cavity run used; the battery levels are those of its N cells,
     ``models.register_spectrum(spec.n_cells)``.  H_C is conserved, so its
     variance is one number (and I_Q = 4 var(H_C) for these pure-state runs).
-    The last three fields belong to the dense backend and are None on a
-    free-fermion run: the charger's entries on the whole basis and psi0,
-    and ``sector``, the charger on psi0's invariant sector (lumped into
-    equitable groups on a lumped run) with its eigendecomposition, the
-    operator the run propagated under.  No backend keeps the states."""
+    The last two fields belong to the dense backend and are None on a
+    free-fermion run: ``sector``, the charger on psi0's invariant sector
+    (lumped into equitable groups on a lumped run) with its
+    eigendecomposition, the operator the run propagated under, and
+    ``coefficients``, psi0's amplitudes on its eigenvectors.  The whole-basis
+    charger and psi0 follow from ``spec`` (``models.build_charger_for`` and
+    ``models.initial_state``).  No backend keeps the states."""
 
     spec: ModelSpec
     times: np.ndarray
@@ -100,9 +100,8 @@ class Trajectory:
     energy_at: Callable[[float], float]  # exact stored energy at an arbitrary (off-grid) time
     power_at: Callable[[float], float]  # exact power dE/dt at an arbitrary (off-grid) time
     fock_edge_population: float = 0.0  # max population within one level of a Fock cutoff
-    charger: SparseHermitian | None = None
-    psi0: StateVector | None = None
     sector: HermitianOperator | None = None
+    coefficients: np.ndarray | None = None
 
     @property
     def n_steps(self) -> int:
@@ -115,25 +114,24 @@ class Trajectory:
 
     @property
     def backend(self) -> str:
-        return "dense" if self.charger is not None else "free-fermion"
+        return "dense" if self.sector is not None else "free-fermion"
 
     def state_at(self, index: int) -> StateVector:
         """The run's state at grid time ``index``, bit for bit: the block of
         times that holds it, propagated again as the run propagated it, in
         the full basis (exactly zero off the sector)."""
-        if self.charger is None:
+        if self.sector is None:
             raise ValidationError(
                 "a free-fermion run holds no states; run the chain with path='dense'"
             )
         index = range(self.n_steps)[index]
         block = next(b for b in time_blocks(self.n_steps) if index < b.stop)
         basis = self.sector.basis
-        amplitudes = _sector_amplitudes(self.sector, self.psi0)
         phases = PhaseTable(self.sector.eigenvalues, self.times, self.step, [block])(block)
-        states = evolve_batch(self.sector, amplitudes, phases)
-        state = np.zeros(self.psi0.dim, dtype=complex)
+        states = evolve_batch(self.sector, self.coefficients, phases)
+        state = np.zeros(basis.full_dim, dtype=complex)
         state[basis.members] = basis.expand(states[:, index - block.start])
-        return StateVector(state, self.psi0.basis)
+        return StateVector(state, replace(basis, groups=None))
 
 
 def time_grid(spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFAULT_STEPS) -> np.ndarray:
@@ -147,11 +145,6 @@ def time_grid(spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFA
     if lam_t_max <= 0:
         raise ValidationError("lam_t_max must be positive")
     return np.linspace(0.0, lam_t_max / spec.lam, steps)
-
-
-def _sector_amplitudes(sector: HermitianOperator, psi0: StateVector) -> np.ndarray:
-    """psi0's amplitudes on the eigenvectors of the charger's sector."""
-    return sector.to_eigenbasis(sector.basis.project(psi0.amplitudes))
 
 
 def _group_labels(charger: SparseHermitian, psi0: StateVector) -> np.ndarray:
@@ -219,10 +212,8 @@ def _run_fixed(
     """The dense run of ``spec`` on the grid, on psi0's invariant sector of
     the charger (cut into equitable groups if ``lumped``), from psi0's
     amplitudes on the eigenvectors of the charger there; None as soon as the
-    Fock-edge leak of a cavity run reaches ``leak_tol``.  The products after
-    the eigendecomposition, H_C psi included, are real ones on a real
-    sector (:func:`linalg.matmul` with float64 eigenvectors and a float64
-    copy of the sector matrix)."""
+    Fock-edge leak of a cavity run reaches ``leak_tol``.  On a real sector
+    each product after the eigensolver, H_C psi included, is a real one."""
     charger, psi0 = build_charger_for(spec), initial_state(spec)
     states_reached = invariant_sector(charger, psi0.amplitudes)
     if lumped:
@@ -231,7 +222,7 @@ def _run_fixed(
         groups = states_reached[:, None]  # one state per group
     check_dense_size(spec, len(times), len(groups))
     sector = eigendecompose(charger.lump(groups))
-    amplitudes = _sector_amplitudes(sector, psi0)
+    amplitudes = sector.to_eigenbasis(sector.basis.project(psi0.amplitudes))
     # The battery is an excitation ladder: level k, at energy k - N/2, holds
     # the states with k excited cells, and each group lies in one level.  Its
     # eigenbasis is a row gather of the groups by level and, within a level,
@@ -258,7 +249,6 @@ def _run_fixed(
     # last bit.
     blocks = time_blocks(len(times))
     table = PhaseTable(sector.eigenvalues, times, grid_step(times), blocks)
-    drive = real_if_exact(sector.values)
     gathered_buffer = np.empty(basis.dim * max(len(times[block]) for block in blocks))
     populations = np.zeros((len(e_levels), len(times)))
     rates = np.zeros_like(populations)
@@ -268,7 +258,7 @@ def _run_fixed(
         the block's Fock-edge leak.  Its states and H_C psi are freed on
         return, before the next block's are made."""
         states = evolve_batch(sector, amplitudes, table(block))
-        driven = matmul(drive, states)
+        driven = matmul(sector.values, states)
         re, im = states.real, states.imag
         flux = np.multiply(re, driven.imag, out=driven.imag)
         flux -= np.multiply(im, driven.real, out=driven.real)
@@ -310,15 +300,14 @@ def _run_fixed(
 
     def power_at(t: float) -> float:
         psi = psi_at(t)
-        return float(2.0 * (psi.conj() * matmul(drive, psi)).imag[order] @ ladder)
+        return float(2.0 * (psi.conj() * matmul(sector.values, psi)).imag[order] @ ladder)
 
     return _record(
         spec, times, initial_energy, populations, rates, energy_abs - initial_energy,
         e_levels @ rates, var_battery, var_charger, stored_energy_at, power_at,
         fock_edge_population=leak,
-        charger=charger,
-        psi0=psi0,
         sector=sector,
+        coefficients=amplitudes,
     )
 
 

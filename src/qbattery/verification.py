@@ -13,10 +13,10 @@ import numpy as np
 from . import bounds, observables
 from .capacity import EnergyAmplitudeReport, energy_amplitude_check
 from .errors import ValidationError
-from .linalg import RECONSTRUCTION_ATOL, StateVector, eigendecompose, evolve
+from .linalg import RECONSTRUCTION_ATOL, StateVector, eigendecompose, evolve, random_hermitian
 from .models import (
-    CHAIN_VARIANTS, ModelSpec, battery_cell_terms, build_battery_for, build_charger_paradigmatic,
-    chain_spec, register_spectrum,
+    CHAIN_VARIANTS, ModelSpec, battery_cell_terms, build_battery, build_battery_for,
+    build_charger_for, build_charger_paradigmatic, chain_spec, initial_state, register_spectrum,
 )
 from .trajectory import Trajectory, find_tf, run_trajectory
 
@@ -256,7 +256,7 @@ def _verify_one_model(spec, expected, rng, report: TableReport):
     traj = run_trajectory(spec, steps=400)
     # The run propagated only psi0's sector; the table's states come from the
     # full charger's own eigendecomposition, independent of it.
-    charger = eigendecompose(traj.charger.dense())
+    charger, psi0 = eigendecompose(build_charger_for(traj.spec).dense()), initial_state(traj.spec)
     battery = eigendecompose(build_battery_for(spec))
     add("charger_norm", expected["charger_norm"], charger.norm())
     add("var_charger_t0", expected["var_charger"], traj.var_charger)
@@ -274,11 +274,11 @@ def _verify_one_model(spec, expected, rng, report: TableReport):
     # -(tolerance) at best, which scales with the cell, so none is too low.
     worst = {key: (0.0, 0.0, -math.inf) for key in keys}
     for t in times:
-        psi = evolve(charger, traj.psi0, t)
+        psi = evolve(charger, psi0, t)
         p_exc = math.sin(lam * t) ** 2
         rec = observables.populations_and_rates(psi, battery, charger, t)
         measured = {
-            "energy": observables.stored_energy(psi, battery, traj.psi0),
+            "energy": observables.stored_energy(psi, battery, psi0),
             "var_battery": observables.variance(psi, battery),
             "fisher_energy": observables.fisher_sum(rec.p, rec.p_dot, observables.POPULATION_FLOOR),
         }
@@ -305,7 +305,7 @@ def _verify_one_model(spec, expected, rng, report: TableReport):
         add(key + "_sampled", exp_k, act_k)
 
     # Entanglement witness at the half-charged point, where the blocks are GHZ.
-    psi_half = evolve(charger, traj.psi0, math.pi / (4 * lam))
+    psi_half = evolve(charger, psi0, math.pi / (4 * lam))
     var_half = observables.variance(psi_half, battery)
     k = bounds.witness_entangled_block_size(var_half, n)
     add("witness_block", expected["witness_block"], k, tol=0.0)
@@ -387,8 +387,6 @@ def chain_oracle_comparison(n_cells: int, variant: str, n_times: int = 50) -> di
 
 def run_oracle_checks(seed: int = 1) -> list[OracleCheck]:
     """The full independent-oracle battery behind the ``validate`` command."""
-    from .linalg import random_hermitian
-
     checks = []
     rng = np.random.default_rng(seed)
 
@@ -410,30 +408,30 @@ def run_oracle_checks(seed: int = 1) -> list[OracleCheck]:
     traj = run_trajectory(spec, steps=40, path="dense")
     # The finite differences read the run's sector propagation; the exact
     # values, the full charger's own eigendecomposition.
-    charger = eigendecompose(traj.charger.dense())
+    charger, psi0 = eigendecompose(build_charger_for(spec).dense()), initial_state(spec)
     battery = build_battery_for(spec)
     h = 1e-5
     dev = 0.0
     for t in traj.times[5:35:6]:
         fd = (traj.energy_at(t + h) - traj.energy_at(t - h)) / (2 * h)
-        psi = evolve(charger, traj.psi0, float(t))
+        psi = evolve(charger, psi0, float(t))
         dev = max(dev, abs(fd - observables.power(psi, battery, charger)))
     checks.append(OracleCheck("power_vs_finite_difference", dev < 1e-6, f"max dev {dev:.2e}"))
 
     lmg = ModelSpec(family="lmg", n_cells=10, lam=5.0, gamma=-1.0)
     traj = run_trajectory(lmg, steps=60)
-    charger = eigendecompose(traj.charger.dense())
+    charger, psi0 = eigendecompose(build_charger_for(lmg).dense()), initial_state(lmg)
     battery = build_battery_for(lmg)
     dev = 0.0
     for t in traj.times[4:56:7]:
         t = float(t)
         recs = [
-            observables.populations_and_rates(evolve(charger, traj.psi0, t + s * h), battery, charger)
+            observables.populations_and_rates(evolve(charger, psi0, t + s * h), battery, charger)
             for s in (-1, 1)
         ]
         fd = (recs[1].p - recs[0].p) / (2 * h)
         exact = observables.populations_and_rates(
-            evolve(charger, traj.psi0, t), battery, charger
+            evolve(charger, psi0, t), battery, charger
         ).p_dot
         dev = max(dev, np.abs(fd - exact).max())
     checks.append(OracleCheck("population_rate_vs_finite_difference", dev < 1e-7, f"max dev {dev:.2e}"))
@@ -449,8 +447,6 @@ def run_oracle_checks(seed: int = 1) -> list[OracleCheck]:
 
     spec = ModelSpec(family="hybrid", n_cells=6, lam=1.0, q=3, r=2)
     charger = eigendecompose(build_charger_paradigmatic(spec).dense())
-    from .models import build_battery, initial_state
-
     battery = eigendecompose(build_battery(6))
     psi = evolve(charger, initial_state(spec), 0.6)
     local, corr = observables.variance_decomposition(psi, battery_cell_terms(6))

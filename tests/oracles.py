@@ -17,7 +17,7 @@ from qbattery import (
     Basis, DensityMatrix, HermitianOperator, StateVector, eigendecompose, evolve, group_levels,
 )
 from qbattery.linalg import PHASE_STRIDE, _grid_indices, _phases, grid_step, matmul, real_if_exact
-from qbattery.models import build_battery_for
+from qbattery.models import build_battery_for, build_charger_for, initial_state
 
 # The Pauli algebra in the package's ordering: local index 0 is the cell
 # ground state, so sigma_z = diag(-1, +1).
@@ -287,7 +287,7 @@ def dense_level_sums_per_block(traj) -> tuple[np.ndarray, np.ndarray]:
     from qbattery.models import excitation_counts, register_spectrum
 
     sector = traj.sector
-    amplitudes = sector.to_eigenbasis(sector.basis.project(traj.psi0.amplitudes))
+    amplitudes = sector.to_eigenbasis(sector.basis.project(initial_state(traj.spec).amplitudes))
     counts = excitation_counts(sector.basis)
     order = np.lexsort((sector.basis.indices, counts))
     sizes = np.bincount(counts, minlength=len(register_spectrum(traj.spec.n_cells)[0]))
@@ -309,10 +309,10 @@ def whole_grid_states(traj) -> np.ndarray:
     propagation of the whole grid under the record's sector charger from
     V^dag psi0, exactly zero off the sector: the reference for the run's
     propagation in blocks of times."""
-    sector = traj.sector
+    sector, psi0 = traj.sector, initial_state(traj.spec)
     indices = sector.basis.indices
-    amplitudes = matmul(sector.eigenvectors.conj().T, traj.psi0.amplitudes[indices])
-    states = np.zeros((traj.psi0.dim, traj.n_steps), dtype=complex)
+    amplitudes = matmul(sector.eigenvectors.conj().T, psi0.amplitudes[indices])
+    states = np.zeros((psi0.dim, traj.n_steps), dtype=complex)
     states[indices] = evolve_batch_per_call(sector, amplitudes, traj.times, traj.step)
     return states
 
@@ -346,7 +346,7 @@ def permutation_run_path(traj):
     rates = np.zeros_like(populations)
     populations[reached] = np.add.reduceat(squared_moduli(overlaps), starts, axis=0)
     rates[reached] = 2.0 * np.add.reduceat(probability_flux(overlaps, driven), starts, axis=0)
-    charger = eigendecompose(traj.charger.dense())
+    charger = eigendecompose(build_charger_for(traj.spec).dense())
     weights = np.abs(charger.eigenvectors.conj().T @ states) ** 2
     mean_c = charger.eigenvalues @ weights
     var_charger = charger.eigenvalues**2 @ weights - mean_c**2
@@ -401,7 +401,8 @@ def full_space_run(spec, times):
     record = trajectory._record(
         spec, times, initial_energy, populations, rates, energy_abs - initial_energy,
         e_levels @ rates, e_levels**2 @ populations - energy_abs**2, var_charger,
-        stored_energy_at, power_at, fock_edge_population=leak, charger=charger, psi0=psi0,
+        stored_energy_at, power_at, fock_edge_population=leak, sector=charger,
+        coefficients=amplitudes,
     )
     return record, states
 
@@ -437,10 +438,10 @@ def stored_energy_by_permutation(traj, t: float) -> float:
     """Off-grid stored energy with the battery eigenbasis as a matrix product
     over the full basis, of the state propagated under the record's sector
     charger; the sum runs over the sector's rows of that product."""
-    sector = traj.sector
+    sector, psi0 = traj.sector, initial_state(traj.spec)
     indices = sector.basis.indices
-    psi = np.zeros(traj.psi0.dim, dtype=complex)
-    psi[indices] = evolve(sector, StateVector(traj.psi0.amplitudes[indices], sector.basis), t).amplitudes
+    psi = np.zeros(psi0.dim, dtype=complex)
+    psi[indices] = evolve(sector, StateVector(psi0.amplitudes[indices], sector.basis), t).amplitudes
     battery = eigendecompose(build_battery_for(traj.spec))
     in_sector = np.isin(battery.order, indices)
     overlaps = (permutation_matrix(battery.order).conj().T @ psi)[in_sector]

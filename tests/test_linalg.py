@@ -16,7 +16,7 @@ from qbattery import (
     von_neumann_entropy,
 )
 from qbattery import linalg
-from qbattery.linalg import evolve_batch, random_hermitian
+from qbattery.linalg import SparseHermitian, evolve_batch, random_hermitian
 from qbattery.models import build_battery, time_blocks
 
 from oracles import random_density_matrix
@@ -229,19 +229,28 @@ class TestRealProducts:
         rng = np.random.default_rng(4)
         a = rng.normal(size=(30, 30))
         op = eigendecompose(HermitianOperator((a + a.T) / 2, Basis("collective_spin", 29)))
-        raw = np.linalg.eigh(op.matrix)[1]
-        assert op.eigenvectors.dtype == np.float64 and not raw.imag.any()
+        raw = np.linalg.eigh(op.matrix.astype(complex))[1]  # the complex solver's own output
+        assert op.matrix.dtype == op.eigenvectors.dtype == np.float64 and not raw.imag.any()
         assert np.array_equal(op.eigenvectors, raw.real)
 
     def test_complex_matrices_keep_complex_eigenvectors_and_products(self):
         rng = np.random.default_rng(6)
-        op = eigendecompose(random_hermitian(40, rng))
-        assert op.eigenvectors.dtype == complex and op.eigenvectors.imag.any()
-        coeff = rng.normal(size=40) + 1j * rng.normal(size=40)
-        for times in (np.array([0.7]), np.linspace(0.0, 3.0, 37)):
-            phases = linalg.grid_phases(op.eigenvalues, times)
-            expected = op.eigenvectors @ (phases * coeff[:, None])
-            assert evolve_batch(op, coeff, phases).tobytes() == expected.tobytes()
+        dense = random_hermitian(40, rng)
+        matrix = dense.matrix
+        rows, cols = np.nonzero(matrix)
+        entries = SparseHermitian(Basis("collective_spin", 39), rows, cols, matrix[rows, cols])
+        # Entries with nonzero imaginary parts keep complex storage, in the
+        # entries, the dense matrix and a sector's lumped matrix alike.
+        assert entries.values.dtype == complex and entries.values.imag.any()
+        assert entries.matrix.tobytes() == matrix.tobytes()
+        assert entries.lump(np.arange(0, 40, 3)[:, None]).values.dtype == complex
+        for op in (eigendecompose(dense), eigendecompose(entries.dense())):
+            assert op.values.dtype == op.eigenvectors.dtype == complex and op.eigenvectors.imag.any()
+            coeff = rng.normal(size=40) + 1j * rng.normal(size=40)
+            for times in (np.array([0.7]), np.linspace(0.0, 3.0, 37)):
+                phases = linalg.grid_phases(op.eigenvalues, times)
+                expected = op.eigenvectors @ (phases * coeff[:, None])
+                assert evolve_batch(op, coeff, phases).tobytes() == expected.tobytes()
 
 
 def phase_error(phases: np.ndarray, freqs: np.ndarray, index: np.ndarray, step: float) -> float:

@@ -227,7 +227,7 @@ class TestChain:
         n = 5
         spec = ModelSpec(family="jw_chain", n_cells=n, lambdas=(1.0,), gammas=(1.0,))
         built = build_jw_chain(spec).matrix
-        expected = build_battery(n).matrix.copy()
+        expected = build_battery(n).matrix.astype(complex)
         for j in range(n):
             expected += site_operator(n, {j: SIGMA_X, (j + 1) % n: SIGMA_X})
         assert np.abs(built - expected).max() < 1e-12

@@ -26,7 +26,7 @@ from qbattery import (
     variance,
     variance_decomposition,
 )
-from qbattery.models import battery_cell_terms, build_battery_for
+from qbattery.models import battery_cell_terms, build_battery_for, build_charger_for
 from qbattery.observables import (
     COS_THETA_DENOM_FLOOR,
     POPULATION_FLOOR,
@@ -86,12 +86,12 @@ class TestEnergyAndPower:
 
     def test_power_matches_finite_difference(self):
         traj = run_trajectory(chain_spec("xx_nn", 6), steps=50, path="dense")
-        charger = eigendecompose(traj.charger.dense())  # the full space's own eigenbasis
-        battery = build_battery_for(traj.spec)
+        charger = eigendecompose(build_charger_for(traj.spec).dense())  # the full space's own eigenbasis
+        psi0, battery = initial_state(traj.spec), build_battery_for(traj.spec)
         h = 1e-5
         for t in (0.8, 2.3, 5.1):
             fd = (traj.energy_at(t + h) - traj.energy_at(t - h)) / (2 * h)
-            psi = evolve(charger, traj.psi0, t)
+            psi = evolve(charger, psi0, t)
             assert power(psi, battery, charger) == pytest.approx(fd, abs=1e-6)
 
 
@@ -145,13 +145,13 @@ class TestPopulations:
     def test_rates_match_finite_difference(self):
         spec = ModelSpec(family="lmg", n_cells=10, lam=5.0, gamma=-1.0)
         traj = run_trajectory(spec, steps=30)
-        charger = eigendecompose(traj.charger.dense())
-        battery = build_battery_for(traj.spec)
+        charger = eigendecompose(build_charger_for(traj.spec).dense())
+        psi0, battery = initial_state(traj.spec), build_battery_for(traj.spec)
         h = 1e-6
         for t in (0.11, 0.47, 0.92):
-            plus = populations_and_rates(evolve(charger, traj.psi0, t + h), battery, charger).p
-            minus = populations_and_rates(evolve(charger, traj.psi0, t - h), battery, charger).p
-            exact = populations_and_rates(evolve(charger, traj.psi0, t), battery, charger).p_dot
+            plus = populations_and_rates(evolve(charger, psi0, t + h), battery, charger).p
+            minus = populations_and_rates(evolve(charger, psi0, t - h), battery, charger).p
+            exact = populations_and_rates(evolve(charger, psi0, t), battery, charger).p_dot
             assert np.abs((plus - minus) / (2 * h) - exact).max() < 1e-7
 
     def test_probability_conservation(self):
@@ -171,11 +171,11 @@ DIAGONAL_ORACLE_SPECS = [
 @pytest.mark.parametrize("spec", DIAGONAL_ORACLE_SPECS, ids=lambda s: s.family)
 def test_diagonal_battery_observables_match_dense_reference(spec):
     traj = run_trajectory(spec, steps=50)
-    charger = eigendecompose(traj.charger.dense())
+    charger, psi0 = eigendecompose(build_charger_for(traj.spec).dense()), initial_state(traj.spec)
     battery = eigendecompose(build_battery_for(traj.spec))
     assert battery.is_diagonal and battery.eigenvectors is None
     for t in (0.0, 0.37 * traj.times[-1], 0.81 * traj.times[-1]):
-        psi = evolve(charger, traj.psi0, t)
+        psi = evolve(charger, psi0, t)
         ref = dense_battery_observables(psi, battery, charger)
         rec = populations_and_rates(psi, battery, charger, t)
         assert expectation(psi, battery) == pytest.approx(ref["energy"], abs=1e-12)

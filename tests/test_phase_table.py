@@ -145,13 +145,14 @@ class TestDenseRuns:
 
     def test_state_at_keeps_the_per_block_bits(self, dense_run):
         sector = dense_run.sector
-        amplitudes = sector.to_eigenbasis(sector.basis.project(dense_run.psi0.amplitudes))
+        psi0 = models.initial_state(dense_run.spec)
+        amplitudes = sector.to_eigenbasis(sector.basis.project(psi0.amplitudes))
         blocks = models.time_blocks(dense_run.n_steps)
         assert len(blocks) > 2
         for index in (0, dense_run.n_steps // 2, dense_run.n_steps - 1):  # first, middle, last block
             block = next(b for b in blocks if index < b.stop)
             states = evolve_batch_per_call(sector, amplitudes, dense_run.times[block], dense_run.step)
-            expected = np.zeros(dense_run.psi0.dim, dtype=complex)
+            expected = np.zeros(psi0.dim, dtype=complex)
             expected[sector.basis.members] = sector.basis.expand(states[:, index - block.start])
             assert dense_run.state_at(index).amplitudes.tobytes() == expected.tobytes()
 

@@ -102,7 +102,7 @@ def test_parallel_sector_is_the_whole_basis_and_the_record_is_unchanged():
     spec = ModelSpec(family="parallel", n_cells=8)
     steps = 2 * models.TIME_CHUNK + 7
     traj = run_trajectory(spec, steps=steps)
-    assert traj.sector.basis == traj.charger.basis and traj.sector.basis.groups is None
+    assert traj.sector.basis == models.model_basis(spec) and traj.sector.basis.groups is None
     oracle, states = full_space_run(spec, traj.times)
     for name in (*EXACT_COLUMNS, "fisher_energy", "fisher_energy_full"):
         assert np.array_equal(getattr(traj, name), getattr(oracle, name)), name
@@ -259,12 +259,19 @@ def test_basis_groups_are_disjoint_sets_of_its_indices(groups):
 
 def test_every_shipped_dense_sector_has_float64_eigenvectors(monkeypatch):
     # The shipped scenarios (the chains on the dense path) and the shipped
-    # dense sweeps: the eigensolver returns each sector's eigenvectors with
-    # an imaginary part of exactly zero, so every run takes the real products.
+    # dense sweeps: each sector matrix is held as float64, and the
+    # eigensolver returns its eigenvectors with an imaginary part of exactly
+    # zero, so every run takes the real products.  They are the complex
+    # solver's (zheevd's) bits on the matrix's complex form.
     decomposed = []
 
     def recording(op):
         decomposed.append(linalg.eigendecompose(op))
+        assert op.values.dtype == np.float64
+        values, vectors = np.linalg.eigh(op.values.astype(complex))
+        assert decomposed[-1].eigenvalues.tobytes() == values.tobytes()
+        assert not vectors.imag.any()
+        assert decomposed[-1].eigenvectors.tobytes() == np.ascontiguousarray(vectors.real).tobytes()
         return decomposed[-1]
 
     monkeypatch.setattr(trajectory, "eigendecompose", recording)

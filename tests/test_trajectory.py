@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -92,7 +94,8 @@ class TestRunTrajectory:
         traj = run_trajectory(ModelSpec(family="parallel", n_cells=3), steps=50)
         psi = traj.state_at(20)
         battery = models.build_battery_for(traj.spec)
-        record = populations_and_rates(psi, battery, traj.charger.dense(), float(traj.times[20]))
+        charger = models.build_charger_for(traj.spec).dense()
+        record = populations_and_rates(psi, battery, charger, float(traj.times[20]))
         assert record.t == float(traj.times[20])
         assert np.abs(record.p - traj.populations[:, 20]).max() < 1e-12
         assert np.abs(record.p_dot - traj.population_rates[:, 20]).max() < 1e-12
@@ -165,7 +168,7 @@ def test_level_sums_in_time_blocks_match_the_whole_grid(tail):
     traj = run_trajectory(chain_spec("xy_pow", 9), steps=steps, path="dense")
     battery, states = eigendecompose(models.build_battery_for(traj.spec)), whole_grid_states(traj)
     order, starts = battery.order, group_levels(battery.eigenvalues).starts[:-1]
-    overlaps, driven = states[order], (traj.charger.matrix @ states)[order]
+    overlaps, driven = states[order], (models.build_charger_for(traj.spec).matrix @ states)[order]
     populations = np.add.reduceat(squared_moduli(overlaps), starts, axis=0)
     rates = 2.0 * np.add.reduceat(probability_flux(overlaps, driven), starts, axis=0)
     assert np.array_equal(traj.populations, populations)
@@ -219,7 +222,7 @@ def test_ladder_levels_match_battery_spectrum(spec):
     n = spec.n_cells
     assert np.array_equal(models.register_spectrum(n)[0], levels.energies)
     assert len(traj.populations) == len(levels.energies)
-    counts = models.excitation_counts(traj.charger.basis)
+    counts = models.excitation_counts(models.model_basis(traj.spec))
     assert np.array_equal(np.bincount(counts, minlength=n + 1), levels.multiplicities)
     # A diagonal operator's k-th eigenvector is the unit vector at order[k].
     order = np.argsort(counts, kind="stable")
@@ -295,7 +298,7 @@ class TestFockTruncation:
         # the automatic search's tolerance.
         traj = run_trajectory(ModelSpec(family="dicke", n_cells=3, lam=0.2, n_max=9), steps=100)
         assert traj.spec.n_max == 9
-        assert traj.charger.basis.dim == traj.state_at(99).amplitudes.shape[0] == 4 * 10
+        assert models.model_basis(traj.spec).dim == traj.state_at(99).amplitudes.shape[0] == 4 * 10
         assert traj.fock_edge_population > trajectory.FOCK_LEAK_TOL
         assert np.abs(traj.populations.sum(axis=0) - 1).max() < 1e-9
 
@@ -332,8 +335,9 @@ class TestFockTruncation:
         spec = make_spec()
         traj = run_trajectory(spec, steps=steps)
         assert spec.n_max is None and traj.spec == replace(spec, n_max=48)
-        assert traj.spec.n_max == traj.charger.basis.n_max
-        assert models.build_battery_for(traj.spec).basis == traj.charger.basis == traj.psi0.basis
+        assert traj.spec.n_max == traj.sector.basis.n_max
+        full_basis = replace(traj.sector.basis, groups=None)
+        assert models.build_battery_for(traj.spec).basis == full_basis == traj.state_at(0).basis
 
     def test_leak_in_a_later_block_still_doubles(self, monkeypatch, tmp_path):
         # In blocks of 4 times, n_max 12 first leaks at grid index 5 (block 1)
@@ -513,17 +517,41 @@ class TestFreeFermionBackend:
 
     def test_chain_record_holds_no_states(self):
         traj = run_trajectory(chain_spec("xx_nn", 6), steps=20)
-        assert traj.charger is None and traj.psi0 is None
+        assert traj.sector is None and traj.coefficients is None
         with pytest.raises(ValidationError, match="holds no states; run the chain with path='dense'"):
             traj.state_at(3)
 
     def test_record_holds_each_fact_once(self):
         # The levels follow from N, and I_Q from the conserved var(H_C).
         names = {f.name for f in fields(trajectory.Trajectory)}
-        assert not names & {"levels", "fisher_state", "battery_order", "charger_amplitudes"}
+        # The whole-basis charger and psi0 are build_charger_for and
+        # initial_state of the spec.
+        assert not names & {
+            "levels", "fisher_state", "battery_order", "charger_amplitudes", "charger", "psi0",
+        }
         for path in ("dense", "analytic"):
             traj = run_trajectory(chain_spec("xx_nn", 6), steps=20, path=path)
             assert type(traj.var_charger) is float
+
+    def test_a_dense_record_retains_its_sector_and_series_alone(self):
+        # The float64 sector matrix and eigenvectors, 2 x 8 d^2 bytes, and the
+        # series; the whole-basis charger, psi0 or a complex sector matrix
+        # would add 8 d^2 bytes or more.  The first run makes the one-time
+        # allocations of the path.
+        spec = ModelSpec(family="dicke", n_cells=12, lam=0.5)
+        run_trajectory(spec, steps=200)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            traj = run_trajectory(spec, steps=200)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        d = traj.sector.dim
+        series = sum(value.nbytes for value in vars(traj).values() if isinstance(value, np.ndarray))
+        assert traj.sector.values.dtype == traj.sector.eigenvectors.dtype == np.float64
+        assert retained <= 2 * 8 * d**2 + series + 128 * 1024
 
     def test_levels_stay_exact_past_int64(self):
         # C(N, k) passes int64 at N = 67; the levels come from N alone.
