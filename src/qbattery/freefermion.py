@@ -1,4 +1,13 @@
-"""Closed-form solver for the string-coupled periodic chains.
+"""Closed-form solver for runs of independent units: the string-coupled
+periodic chains and the parallel, global and hybrid chargers.
+
+A unit is excited with occupation q(t) = sin^2(theta) sin^2(omega t) and,
+when excited, raises the battery by its level step: 2 for a chain's
+(k, -k) pair, r for a paradigmatic unit of r cells (q units of r cells,
+q r = N: parallel q = N, r = 1; global q = 1, r = N; hybrid q, r), which
+rotates all-ground <-> all-excited at omega = lam with sin(theta) = 1
+(Binder et al., New J. Phys. 17, 075015 (2015); Campaioli et al., PRL 118,
+150601 (2017)).
 
 The chain maps to free fermions with independent (k, -k) pair subspaces; the
 reduced mode grid, the dispersion
@@ -7,15 +16,18 @@ reduced mode grid, the dispersion
     sin(theta_k) = 2 sum_m gamma_m sin(k m) / omega_k
 
 and the per-pair excitation eps_k(t) = 2 sin^2(theta_k) sin^2(omega_k t)
-give every observable as a sum over modes, at any N.  On a uniform time
+give every observable as a sum over modes, at any N; a paradigmatic
+unit enters every formula below as a mode with omega = lam, sin(theta) = 1
+and its own level step.  On a uniform time
 grid the sines and cosines of omega_k t come from the grid's phase table
 (:class:`linalg.PhaseTable`: the offsets' cos and sin once per grid, one
 exact cos and sin per mode every PHASE_STRIDE grid times, a complex product
 between, written block by block into one buffer), and E, P and var(H_B)
 are contractions over the modes of one block of times, through two work
 arrays made once per grid.  The particle-number
-distribution is the Poisson binomial p(z) = prod_k (1 - q_k + q_k z) of the
-pair occupations q_k = eps_k/2, and its rate is pdot(z) = (z - 1) S(z) with
+distribution (excited units, each worth one level step) is the Poisson
+binomial p(z) = prod_k (1 - q_k + q_k z) of the unit occupations
+q_k = eps_k/2, and its rate is pdot(z) = (z - 1) S(z) with
 S(z) = sum_k qdot_k prod_{j != k} (1 - q_j + q_j z).  Both are built for a
 block of times at once, never by configuration enumeration.  The modes go in
 groups of GROUP_MODES; the forward recursion over a group's modes,
@@ -28,9 +40,13 @@ product is one contiguous dot of GROUP_MODES + 1 terms per time and level
 stays O(N^2) multiply-adds per time, but in a few calls per group instead of
 several array passes per mode; at most GROUP_MODES modes (N <= 65) are the
 plain recursion, bit for bit.  On the products every coefficient of P is >= 0,
-so no cancellation enters P.  A discrete Fourier transform would be cheaper,
-but its ~1e-16 absolute error is amplified by pdot^2 / p where p is small
-(Hong, Comput. Stat. Data Anal. 59, 41 (2013)).
+so no cancellation enters P.  The complement 1 - q_k of a unit that rotates
+fully (sin(theta_k) = 1, every paradigmatic unit) is cos^2(omega_k t): near
+omega_k t = pi/2, 1 - sin^2 would carry an absolute rounding of 1e-16 into a
+level whose population, and pdot^2 / p with it, rests on values of 1e-18.
+A discrete Fourier transform would be cheaper, but its ~1e-16 absolute
+error is amplified by pdot^2 / p where p is small (Hong, Comput. Stat.
+Data Anal. 59, 41 (2013)).
 
 The mode grid follows N's parity.  The Jordan-Wigner boundary term carries
 the sign (-1)^(ground cells) (Lieb, Schultz & Mattis 1961), which on the
@@ -51,20 +67,26 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .linalg import PhaseTable, grid_phases, grid_step
-from .models import TIME_CHUNK, ModelSpec, check_run_bytes, time_blocks
+from .models import PARADIGMATIC_FAMILIES, TIME_CHUNK, ModelSpec, check_run_bytes, time_blocks
 from .observables import POPULATION_FLOOR, check_distributions, fisher_sum
 
 # Modes per factor of the blocked Poisson-binomial recursion (module docstring).
 GROUP_MODES = 32
+# The families this backend runs: the chains and the paradigmatic chargers.
+UNIT_FAMILIES = ("jw_chain",) + PARADIGMATIC_FAMILIES
 
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Reduced-zone momenta with dispersion and pairing amplitude per mode."""
+    """Independent units: reduced-zone momenta with dispersion and pairing
+    amplitude per mode, and ``step``, the battery levels that one excited
+    unit adds: 2 for a chain's pairs, r for a paradigmatic charger's units of
+    r cells (which have k = 0, omega = lam and sin(theta) = 1)."""
 
     k: np.ndarray
     omega: np.ndarray
     sin_theta: np.ndarray
+    step: int = 2
 
     @property
     def n_modes(self) -> int:
@@ -72,29 +94,40 @@ class ModeSet:
 
     @property
     def var_charger(self) -> float:
-        """Variance of the chain Hamiltonian on the vacuum: sum sin^2(theta) omega^2."""
+        """Variance of the charger on the all-ground state: sum sin^2(theta) omega^2."""
         return float((self.sin_theta**2 * self.omega**2).sum())
 
 
 @dataclass(frozen=True)
 class PairDistribution:
-    """Particle-number distribution p_l over even l = 0, 2, ..., 2 (N // 2) and its rate."""
+    """Level distribution p_l over l = 0, step, ..., step (units) and its rate."""
 
     l_values: np.ndarray
     p: np.ndarray
     p_dot: np.ndarray
 
 
-def check_chain_size(n_cells: int, steps: int, record: bool = True) -> int:
-    """The estimated bytes of a free-fermion chain evaluation of N cells over
+def unit_count(spec: ModelSpec) -> int:
+    """The independent units of ``spec``'s run on this backend: the N // 2
+    pairs of a chain, and q of a paradigmatic charger (N for parallel, 1 for
+    global charging)."""
+    n = spec.n_cells
+    units = {"jw_chain": n // 2, "parallel": n, "global": 1, "hybrid": spec.q}
+    if spec.family not in units:
+        raise ValidationError(f"{spec.family} is not a run of independent units")
+    return units[spec.family]
+
+
+def check_chain_size(spec: ModelSpec, steps: int, record: bool = True) -> int:
+    """The estimated bytes of an evaluation of ``spec`` on this backend over
     ``steps`` times; CapacityLimitError, before anything is allocated, if over
     the run limit ``models.RUN_BYTES_MAX``.
 
-    Both count 8 * 16 (N/2 + 1 + 2 GROUP_MODES) TIME_CHUNK bytes for the
-    pair recursion's blocks (the allocator holds up to ~16 arrays of
-    (N/2 + 1) x TIME_CHUNK over a long grid, and the fold's products are
-    padded by GROUP_MODES levels on each side).  A sweep point
-    (``record=False``) adds 8 * 16 T for its grid and O(T) series; its
+    Both count 8 * 16 (q + 1 + 2 GROUP_MODES) TIME_CHUNK bytes for the
+    recursion's blocks over its q units (:func:`unit_count`; the allocator
+    holds up to ~16 arrays of (q + 1) x TIME_CHUNK over a long grid, and the
+    fold's products are padded by GROUP_MODES levels on each side).  A sweep
+    point (``record=False``) adds 8 * 16 T for its grid and O(T) series; its
     estimate is 1.2-2.0x the max RSS growth of
     sweeps.chain_analytic_quantities (2 cores), in MB: xy_nn N = 2 at 10^6
     steps 65, N = 10 at 200000 14, N = 200 at 20000 5.3, N = 2000 at 50000 /
@@ -108,19 +141,29 @@ def check_chain_size(n_cells: int, steps: int, record: bool = True) -> int:
     populations, in MB: xy_nn N = 2 / 10 at 20000 steps 25 / 39, N = 200 at
     4000 / 20000 80 / 397, N = 1000 at 500 / 2000 45 / 165, N = 4000 at
     300 / 1000 106 / 315, N = 10^4 at 256 203; and 2.9-4.4x it without the
-    CSV.
+    CSV.  The paradigmatic chargers fit the same bands at 2000 steps:
+    parallel N = 1000 grows 220 MB with populations (1.2x), and 67 MB
+    without them (3.9x), as global N = 10^4 grows 519 MB (4.3x).
     """
-    per_step = 160 + 14 * (n_cells + 1) if record else 16
-    need = 8 * (per_step * steps + 16 * (n_cells // 2 + 1 + 2 * GROUP_MODES) * TIME_CHUNK)
+    n = spec.n_cells
+    per_step = 160 + 14 * (n + 1) if record else 16
+    need = 8 * (per_step * steps + 16 * (unit_count(spec) + 1 + 2 * GROUP_MODES) * TIME_CHUNK)
+    backend = "free-fermion" if spec.family == "jw_chain" else "closed-form"
     kind = "run" if record else "sweep point"
-    return check_run_bytes(need, f"free-fermion {kind} of jw_chain N = {n_cells} ({steps} steps)")
+    return check_run_bytes(need, f"{backend} {kind} of {spec.family} N = {n} ({steps} steps)")
 
 
 def dispersion(spec: ModelSpec) -> ModeSet:
-    """The N // 2 paired modes k of the grid for N's parity (module docstring),
-    with omega_k and sin(theta_k), for a chain spec."""
+    """The units of ``spec`` (module docstring): for a chain, the N // 2
+    paired modes k of the grid for N's parity, with omega_k and
+    sin(theta_k); for a parallel, global or hybrid charger, its q units of
+    r cells, each at omega = lam with sin(theta) = 1 and level step r."""
+    if spec.family in PARADIGMATIC_FAMILIES:
+        units = unit_count(spec)
+        ones = np.ones(units)
+        return ModeSet(np.zeros(units), spec.lam * ones, ones, step=spec.n_cells // units)
     if spec.family != "jw_chain":
-        raise ValidationError("dispersion needs a jw_chain spec")
+        raise ValidationError("dispersion needs a jw_chain, parallel, global or hybrid spec")
     n = spec.n_cells
     k = (2 * np.arange(n // 2) + 1 + n % 2) * np.pi / n
     m = np.arange(1, len(spec.lambdas) + 1)
@@ -134,7 +177,8 @@ def dispersion(spec: ModelSpec) -> ModeSet:
 
 
 def pair_excitations(modes: ModeSet, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair energy eps_k(t) in [0, 2] and its time derivative; t may be a (T, 1) column."""
+    """Twice each unit's occupation, eps_k(t) in [0, 2] (a chain pair's
+    energy), and its time derivative; t may be a (T, 1) column."""
     eps = 2.0 * modes.sin_theta**2 * np.sin(modes.omega * t) ** 2
     eps_dot = 2.0 * modes.sin_theta**2 * modes.omega * np.sin(2.0 * modes.omega * t)
     return eps, eps_dot
@@ -144,16 +188,18 @@ def _series(modes: ModeSet, times: np.ndarray, step: float | None) -> dict[str, 
     """E, P and var(H_B) at ``times``, one TIME_CHUNK block at a time, with
     the phases of each block from the grid's :class:`linalg.PhaseTable` (a
     uniform grid with its ``step``; else each time's own cos and sin, by
-    :func:`linalg.grid_phases`).  With a = sin^2(theta) and the sine s and
-    cosine c of omega t, eps = 2 a s^2, its rate is 4 a omega s c and
-    eps (2 - eps) = 4 a s^2 c^2 + 4 a (1 - a) s^4, two terms that are each
-    >= 0.  A block's s^2 and s c go into two (times x modes) work arrays
+    :func:`linalg.grid_phases`).  With a = sin^2(theta), the sine s and
+    cosine c of omega t and the level step h, a unit stores h a s^2, its
+    rate is 2 h a omega s c and its variance h^2 a s^2 (1 - a s^2) =
+    h^2 a s^2 c^2 + h^2 a (1 - a) s^4, two terms that are each >= 0 (at
+    h = 2, the floats 2a, 4 a omega, 4a and 4a (1 - a) of a chain pair).
+    A block's s^2 and s c go into two (times x modes) work arrays
     made once for the grid, and each series contracts them with one weight
     per mode, row by row, so a time's value does not depend on the rows
     around it."""
     blocks = time_blocks(len(times))
     table = None if step is None else PhaseTable(modes.omega, times, step, blocks, times_first=True)
-    a = modes.sin_theta**2
+    a, h = modes.sin_theta**2, modes.step
     width = max((b.stop - b.start for b in blocks), default=0)
     sin2_rows, sin_cos_rows = np.empty((width, modes.n_modes)), np.empty((width, modes.n_modes))
     out = {name: np.empty(len(times)) for name in ("energy", "power", "var_battery")}
@@ -165,11 +211,11 @@ def _series(modes: ModeSet, times: np.ndarray, step: float | None) -> dict[str, 
         sin, cos = phases.imag, phases.real  # phases.imag is -sin(omega t)
         sin2 = np.multiply(sin, sin, out=sin2_rows[: len(phases)])
         sin_cos = np.multiply(sin, cos, out=sin_cos_rows[: len(phases)])
-        out["energy"][block] = np.einsum("tk,k->t", sin2, 2.0 * a)
-        out["power"][block] = np.einsum("tk,k->t", sin_cos, -4.0 * a * modes.omega)
+        out["energy"][block] = np.einsum("tk,k->t", sin2, h * a)
+        out["power"][block] = np.einsum("tk,k->t", sin_cos, -2 * h * a * modes.omega)
         out["var_battery"][block] = (
-            np.einsum("tk,k->t", np.square(sin_cos, out=sin_cos), 4.0 * a)
-            + np.einsum("tk,k->t", np.square(sin2, out=sin2), 4.0 * a * (1.0 - a))
+            np.einsum("tk,k->t", np.square(sin_cos, out=sin_cos), h**2 * a)
+            + np.einsum("tk,k->t", np.square(sin2, out=sin2), h**2 * a * (1.0 - a))
         )
     return out
 
@@ -197,10 +243,13 @@ def power_at(modes: ModeSet, t: float) -> float:
     return float(_series(modes, np.array([float(t)]), None)["power"][0])
 
 
-def _group_factors(q: np.ndarray, q_dot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _group_factors(
+    q: np.ndarray, q_dot: np.ndarray, q_rest: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The (groups x levels x times) P and S of each group of GROUP_MODES
     consecutive modes (the last may be short), by the forward recursion on
-    every group at once: step c takes mode c of each group that has one."""
+    every group at once: step c takes mode c of each group that has one.
+    ``q_rest`` is each occupation's complement 1 - q, which the caller forms."""
     n_modes, n_times = q.shape
     n_groups, width = max(-(-n_modes // GROUP_MODES), 1), min(n_modes, GROUP_MODES) + 1
     p = np.zeros((n_groups, width, n_times))
@@ -208,7 +257,7 @@ def _group_factors(q: np.ndarray, q_dot: np.ndarray) -> tuple[np.ndarray, np.nda
     s, work = np.zeros_like(p), np.empty_like(p)
     for c in range(width - 1):
         q_c = q[c::GROUP_MODES, None]
-        r_c = 1.0 - q_c
+        r_c = q_rest[c::GROUP_MODES, None]
         at = (slice(len(q_c)), slice(c + 1))  # the groups with a mode c; row c of S is still zero
         np.multiply(s[at], q_c, out=work[at])
         s[at] *= r_c
@@ -249,14 +298,21 @@ def _fold_groups(p: np.ndarray, s: np.ndarray, n_levels: int) -> tuple[np.ndarra
 
 
 def pair_distributions(modes: ModeSet, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Checked p_l and pdot_l as (levels x times) arrays by the module docstring's
-    blocked recursion.  The occupations (two (modes x times) arrays, 10 MB per
-    block at N = 10^4) are freed before the fold."""
+    """Checked p_l and pdot_l as (units + 1 levels x times) arrays by the
+    module docstring's blocked recursion, level l holding l excited units.
+    Each complement is 1.0 - q, or cos^2(omega t) for a unit with
+    sin(theta) = 1.  The occupations (three (modes x times) arrays, 10 MB
+    each per block at N = 10^4) are freed before the fold."""
     eps, eps_dot = pair_excitations(modes, times[:, None])
     eps /= 2.0
     eps_dot /= 2.0
-    factors = _group_factors(eps.T, eps_dot.T)  # the occupations q = eps / 2 and their rates
-    del eps, eps_dot
+    rest = 1.0 - eps
+    full = modes.sin_theta == 1.0
+    if full.any():
+        rest[:, full] = np.cos(modes.omega[full] * times[:, None]) ** 2
+    # The occupations q = eps / 2, their rates and their complements.
+    factors = _group_factors(eps.T, eps_dot.T, rest.T)
+    del eps, eps_dot, rest
     p, p_dot = _fold_groups(*factors, modes.n_modes + 1)
     check_distributions(p, p_dot)
     return p, p_dot
@@ -267,9 +323,10 @@ def pair_distributions(modes: ModeSet, times: np.ndarray) -> tuple[np.ndarray, n
 # pair_distribution and fisher_energy_analytic at single times.
 def pair_distribution(modes: ModeSet, t: float) -> PairDistribution:
     """The checked p_l and pdot_l of :func:`pair_distributions` at one time;
-    l counts particles, so l = 2 * (occupied pairs)."""
+    l is the battery level, the level step times the excited units (on a
+    chain, the particle number)."""
     p, p_dot = pair_distributions(modes, np.array([float(t)]))
-    return PairDistribution(2 * np.arange(modes.n_modes + 1), p[:, 0], p_dot[:, 0])
+    return PairDistribution(modes.step * np.arange(modes.n_modes + 1), p[:, 0], p_dot[:, 0])
 
 
 def fisher_energy_analytic(dist: PairDistribution) -> float:

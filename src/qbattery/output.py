@@ -37,10 +37,12 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
     ``rows`` is a 2-D float array or a sequence of equal-length rows.  A
     column that holds str cells is written as ``str(cell)``; every other
     cell is a number written as ``'%.17g' % float(x)``, and NaN or None as an
-    empty field.
+    empty field.  A numeric column whose cells all have the same float64
+    bits (so -0.0 and 0.0 differ) is formatted once, as a literal of the
+    row format.
     """
     if isinstance(rows, np.ndarray):
-        numbers, text_columns, texts = rows, (), ()
+        numbers, text_columns, texts = np.asarray(rows, dtype=float), (), ()
     else:
         rows = [list(row) for row in rows]
         text_columns = sorted(
@@ -52,10 +54,19 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
                 del row[j]
         width = len(rows[0]) if rows else 0
         numbers = np.array(rows, dtype=float).reshape(len(rows), width)
-    n_fields = numbers.shape[1] + len(text_columns)
-    # A text column is a "%%s" slot that the numeric pass turns into "%s".
-    fields = ["%%s" if j in text_columns else "%.17g" for j in range(n_fields)]
-    block = (",".join(fields) + "\n") * len(numbers) % tuple(numbers.ravel().tolist())
+    # A column of one bit pattern is formatted once, into the row format.
+    bits = numbers.view(np.int64)
+    constant = (bits == bits[:1]).all(axis=0) & (len(numbers) > 0)
+    fields = [
+        ("%.17g" % numbers[0, j]).replace("nan", "") if same else "%.17g"
+        for j, same in enumerate(constant)
+    ]
+    # A text column is a "%%s" slot that the numeric pass turns into "%s";
+    # in ascending order, each slot lands at its own index.
+    for j in text_columns:
+        fields.insert(j, "%%s")
+    values = numbers[:, ~constant].ravel().tolist()
+    block = (",".join(fields) + "\n") * len(numbers) % tuple(values)
     # '%.17g' writes NaN of either sign as "nan", a text no other number
     # contains, so every "nan" is one whole undefined field.
     block = block.replace("nan", "")

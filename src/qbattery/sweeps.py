@@ -3,10 +3,11 @@
 Quantities are time averages over the charging window [0, t_f], with t_f the
 refined time of maximal stored energy inside the configured grid.  A point
 takes the path that :func:`trajectory.analytic_path` picks for the sweep's
-``path``, the rule ``simulate`` follows too: a chain, at any N, is evaluated
-from its mode set, with the Fisher series only over the window, unless the
-sweep asks for the dense path; every other point is one dense run.
-A chain point keeps that window path, not a run record, whose level distribution
+``path``, the rule ``simulate`` follows too: a chain, or a parallel, global
+or hybrid charger, at any N, is evaluated from its independent units
+(:func:`freefermion.dispersion`), with the Fisher series only over the
+window, unless the sweep asks for the dense path; every other point is one
+dense run.  Such a point keeps that window path, not a run record, whose level distribution
 at every grid time took the shipped ``sweep_jw_costheta`` points (N = 20..200, 800
 steps, t_f at 7.6% of the grid) from 26 to 90-115 ms (2 cores), with equal quantities.
 """
@@ -154,8 +155,9 @@ def trajectory_quantities(traj: Trajectory) -> dict[str, float]:
 def chain_analytic_quantities(
     spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFAULT_STEPS
 ) -> dict[str, float]:
-    """Sweep quantities for a chain through the free-fermion path (any N)."""
-    check_chain_size(spec.n_cells, steps, record=False)
+    """Sweep quantities for a chain, or a parallel, global or hybrid charger,
+    through its units (any N)."""
+    check_chain_size(spec, steps, record=False)
     modes = dispersion(spec)
     times = time_grid(spec, lam_t_max, steps)
     series = observables_on_grid(modes, times)
@@ -226,7 +228,7 @@ def check_sweep(
         try:  # the size rule of the path that evaluates the point
             point = _respecify(spec, int(n))
             if _analytic(point, path):
-                check_chain_size(point.n_cells, steps, record=False)
+                check_chain_size(point, steps, record=False)
             else:
                 check_dense_size(point, steps)
         except (ValidationError, CapacityLimitError) as exc:

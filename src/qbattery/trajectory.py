@@ -23,7 +23,10 @@ its groups are known.  Either keeps the sector charger and psi0's
 amplitudes on its eigenvectors, not the states; ``state_at`` re-propagates
 the block that holds a time and places the state in the full basis.  The
 free-fermion backend builds a ``jw_chain`` run of any N from its mode set
-(:mod:`freefermion`), with no state vector.  Scalar
+(:mod:`freefermion`), with no state vector, and its kernel for independent
+units runs the parallel, global and hybrid chargers in closed form at any N
+too: q units of r cells, each excited with probability sin^2(lam t) and
+worth r levels, where a chain pair is worth 2.  Scalar
 observables are computed from the battery level populations, so bound checks
 and reported values share one arithmetic path.
 """
@@ -39,7 +42,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .freefermion import (
-    check_chain_size, dispersion, distribution_blocks, energy_at, observables_on_grid, power_at,
+    UNIT_FAMILIES, check_chain_size, dispersion, distribution_blocks, energy_at,
+    observables_on_grid, power_at,
 )
 from .linalg import (
     Basis, HermitianOperator, SparseHermitian, StateVector, eigendecompose, equitable_groups,
@@ -68,6 +72,7 @@ PATHS = ("auto", "dense", "analytic")
 PEAK_MIN_POINTS = 3  # a grid peak needs a neighbour on each side to be refined
 PEAK_REL_TOL = 1e-10  # the power root's bracket, relative to its later end
 FLAT_ENERGY_PER_CELL = 1e-12  # a grid storing no more than this times N charges nothing
+UNIT_NAMES = ", ".join(UNIT_FAMILIES[:-1]) + f" and {UNIT_FAMILIES[-1]}"
 
 
 @dataclass
@@ -78,8 +83,8 @@ class Trajectory:
     ``models.register_spectrum(spec.n_cells)``.  H_C is conserved, so its
     variance is one number (and I_Q = 4 var(H_C) for these pure-state runs).
     The last two fields belong to the dense backend and are None on a
-    free-fermion run: ``sector``, the charger on psi0's invariant sector
-    (lumped into equitable groups on a lumped run) with its
+    free-fermion or closed-form run: ``sector``, the charger on psi0's
+    invariant sector (lumped into equitable groups on a lumped run) with its
     eigendecomposition, the operator the run propagated under, and
     ``coefficients``, psi0's amplitudes on its eigenvectors.  The whole-basis
     charger and psi0 follow from ``spec`` (``models.build_charger_for`` and
@@ -114,7 +119,11 @@ class Trajectory:
 
     @property
     def backend(self) -> str:
-        return "dense" if self.sector is not None else "free-fermion"
+        """"dense", or the unit kernel's "free-fermion" (a chain) or
+        "closed-form" (a parallel, global or hybrid charger)."""
+        if self.sector is not None:
+            return "dense"
+        return "free-fermion" if self.spec.family == "jw_chain" else "closed-form"
 
     def state_at(self, index: int) -> StateVector:
         """The run's state at grid time ``index``, bit for bit: the block of
@@ -122,7 +131,8 @@ class Trajectory:
         the full basis (exactly zero off the sector)."""
         if self.sector is None:
             raise ValidationError(
-                "a free-fermion run holds no states; run the chain with path='dense'"
+                f"a {self.backend} run holds no states; run {self.spec.family} with "
+                f"path='dense' ({UNIT_NAMES} take the unit kernel on 'auto')"
             )
         index = range(self.n_steps)[index]
         block = next(b for b in time_blocks(self.n_steps) if index < b.stop)
@@ -312,19 +322,24 @@ def _run_fixed(
 
 
 def _run_chain(spec: ModelSpec, times: np.ndarray) -> Trajectory:
-    """The free-fermion run of a chain on the grid, from its mode set, at any N.
+    """The run of a chain, or of a parallel, global or hybrid charger, on
+    the grid, from its independent units (:func:`freefermion.dispersion`),
+    at any N.
 
-    Particle number l is the battery level (k - N/2 at k = l), so the even
-    levels come from the pair recursion over the N // 2 pairs and the odd ones
-    are exactly empty; at odd N, level N is odd and stays empty too.
+    With u units excited the battery is at level u h (k - N/2 at k = u h)
+    for the units' level step h, so every h-th level comes from the
+    recursion over the units and the others are exactly empty.  On a chain
+    (h = 2) particle number is the level, and at odd N level N is odd and
+    stays empty too.
     """
     modes = dispersion(spec)
     series = observables_on_grid(modes, times)
     n = spec.n_cells
     populations = np.zeros((n + 1, len(times)))
     rates = np.zeros_like(populations)
+    levels = slice(None, None, modes.step)
     for block, p, p_dot in distribution_blocks(modes, times):
-        populations[::2, block], rates[::2, block] = p, p_dot
+        populations[levels, block], rates[levels, block] = p, p_dot
     return _record(
         spec, times, -n / 2, populations, rates, series["energy"], series["power"],
         series["var_battery"], modes.var_charger, partial(energy_at, modes),
@@ -334,13 +349,14 @@ def _run_chain(spec: ModelSpec, times: np.ndarray) -> Trajectory:
 
 def analytic_path(spec: ModelSpec, path: str = "auto") -> bool:
     """Whether a run of ``spec`` on evaluation ``path`` (one of PATHS) takes the
-    free-fermion backend: a jw_chain does, at any N, unless ``path`` is
-    "dense"; every other family runs dense."""
+    unit kernel (:func:`_run_chain`): a jw_chain (free-fermion) and a
+    parallel, global or hybrid charger (closed-form) do, at any N, unless
+    ``path`` is "dense"; LMG and Dicke run dense."""
     if path not in PATHS:
         raise ValidationError(f"unknown evaluation path {path!r} (expected one of {PATHS})")
-    if path == "analytic" and spec.family != "jw_chain":
-        raise ValidationError(f"'analytic' exists only for jw_chain, not {spec.family}")
-    return spec.family == "jw_chain" and path != "dense"
+    if path == "analytic" and spec.family not in UNIT_FAMILIES:
+        raise ValidationError(f"'analytic' exists only for {UNIT_NAMES}, not {spec.family}")
+    return spec.family in UNIT_FAMILIES and path != "dense"
 
 
 def run_trajectory(
@@ -358,8 +374,8 @@ def run_trajectory(
     states, xx_nn: 44 of 512).  Its rounding differs from the sector run's,
     which moves the rounding-level battery variance at t = 0 and with it
     the guarded ratios there; the sweeps, which read time averages and the
-    peak, run lumped, and ``simulate`` keeps the sector run.  The free-fermion
-    backend ignores it.
+    peak, run lumped, and ``simulate`` keeps the sector run.  The unit
+    kernel ignores it.
 
     For the cavity model with no explicit n_max, the Fock cutoff starts at
     the default of :func:`models.model_basis` and doubles until the
@@ -376,7 +392,7 @@ def run_trajectory(
     """
     chain = analytic_path(spec, path)
     if chain:
-        check_chain_size(spec.n_cells, steps)
+        check_chain_size(spec, steps)
     else:
         check_dense_size(spec, steps)  # an automatic cutoff starts at model_basis's
     times = time_grid(spec, lam_t_max, steps)

@@ -253,9 +253,11 @@ def _verify_one_model(spec, expected, rng, report: TableReport):
             )
         )
 
-    traj = run_trajectory(spec, steps=400)
-    # The run propagated only psi0's sector; the table's states come from the
-    # full charger's own eigendecomposition, independent of it.
+    # The dense run keeps the table independent of the closed-form run that
+    # the family takes on "auto".  It propagated only psi0's sector; the
+    # table's states come from the full charger's own eigendecomposition,
+    # independent of it.
+    traj = run_trajectory(spec, steps=400, path="dense")
     charger, psi0 = eigendecompose(build_charger_for(traj.spec).dense()), initial_state(traj.spec)
     battery = eigendecompose(build_battery_for(spec))
     add("charger_norm", expected["charger_norm"], charger.norm())

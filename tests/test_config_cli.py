@@ -370,7 +370,10 @@ class TestCli:
             ),
             (
                 "sweep",
-                {"sweep": {"values": [2, 3, 4, 5], "quantity": "avg_power", "path": "analytic"}},
+                {
+                    "model": {"family": "lmg", "N": 2},
+                    "sweep": {"values": [2, 3, 4, 5], "quantity": "avg_power", "path": "analytic"},
+                },
                 "sweep.path: 'analytic' exists only for jw_chain",
             ),
             (
@@ -451,7 +454,7 @@ class TestCli:
             ),
             (
                 {"family": "parallel", "N": 4},
-                {"values": [4, 6, 8, 24], "quantity": "avg_power"},
+                {"values": [4, 6, 8, 24], "quantity": "avg_power", "path": "dense"},
                 "sweep.values: N = 24: dense run of parallel N = 24 (dim 16777216, 120 steps) "
                 "needs ~66.6 GB, over the 4.3 GB run limit",
             ),
@@ -490,10 +493,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "command,model,time,sweep,message",
         [
-            # Refused on psi0's 32768-state sector, after its entry list is built.
-            ("simulate", {"family": "parallel", "N": 15}, {}, None,
-             "error: dense run of parallel N = 15 (dim 32768, 120 steps) on 32768 states "
-             "needs ~121 GB"),
+            # Refused on psi0's 6507-state sector, after its entry list is built.
+            ("simulate", {"family": "dicke", "N": 12, "n_max": 1000}, {}, None,
+             "error: dense run of dicke N = 12 (dim 13013, n_max 1000, 120 steps) on 6507 states "
+             "needs ~4.82 GB"),
             ("sweep", {"family": "jw_chain", "N": 4, "variant": "xy_nn"}, {},
              {"values": [4, 6, 8, 22], "quantity": "avg_power", "path": "dense"},
              "config error: sweep.values: N = 22: dense run of jw_chain N = 22 (dim 4194304, "
@@ -502,8 +505,8 @@ class TestCli:
             ("simulate", {"family": "lmg", "N": 20000}, {}, None,
              "error: dense run of lmg N = 20000 (dim 20001, 120 steps) on 10001 states "
              "needs ~11.5 GB"),
-            ("simulate", {"family": "parallel", "N": 2}, {"steps": 10**12}, None,
-             "error: dense run of parallel N = 2 (dim 4, 1000000000000 steps) needs ~1.92e+05 GB"),
+            ("simulate", {"family": "lmg", "N": 2}, {"steps": 10**12}, None,
+             "error: dense run of lmg N = 2 (dim 3, 1000000000000 steps) needs ~1.92e+05 GB"),
             ("sweep", {"family": "lmg", "N": 20}, {"steps": 10**12},
              {"parameter": "gamma", "values": [-1.0, 0.0], "quantity": "energy_at_tf"},
              "error: dense run of lmg N = 20 (dim 21, 1000000000000 steps) needs ~1.34e+06 GB"),
@@ -512,8 +515,10 @@ class TestCli:
              "config error: sweep.values: N = 10000000: dense run of lmg N = 10000000 "
              "(dim 10000001, 120 steps) needs ~82.9 GB"),
             # Byte counts past float range: formatted, not converted.
-            ("simulate", {"family": "parallel", "N": 600}, {}, None,
-             "error: dense run of parallel N = 600 (dim 2^600, 120 steps) needs ~3.99e+176 GB"),
+            ("sweep", {"family": "parallel", "N": 2}, {},
+             {"values": [2, 3, 4, 600], "quantity": "avg_power", "path": "dense"},
+             "config error: sweep.values: N = 600: dense run of parallel N = 600 (dim 2^600, "
+             "120 steps) needs ~3.99e+176 GB"),
             ("sweep", {"family": "jw_chain", "N": 5, "variant": "xy_nn"}, {},
              {"values": [5, 7, 9, 1001], "quantity": "avg_power", "path": "dense"},
              "config error: sweep.values: N = 1001: dense run of jw_chain N = 1001 (dim 2^1001, "
@@ -523,8 +528,8 @@ class TestCli:
              "config error: sweep.values: N = 601: dense run of jw_chain N = 601 (dim 2^601, "
              "120 steps) needs ~8e+176 GB"),
         ],
-        ids=["parallel-n15", "dense-chain-n22", "lmg-n20000", "simulate-steps", "sweep-steps",
-             "lmg-sweep-point", "parallel-n600", "odd-chain-n1001", "dense-sweep-n601"],
+        ids=["dicke-n12-sector", "dense-chain-n22", "lmg-n20000", "simulate-steps", "sweep-steps",
+             "lmg-sweep-point", "dense-parallel-sweep-n600", "odd-chain-n1001", "dense-sweep-n601"],
     )
     def test_dense_run_over_the_limit_exits_2_and_builds_nothing(
         self, tmp_path, capsys, monkeypatch, command, model, time, sweep, message
@@ -574,12 +579,46 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "command,model,sweep,message",
+        [
+            ("simulate", {"family": "parallel", "N": 8}, None,
+             "error: closed-form run of parallel N = 8 (1000000000000 steps) needs ~2.29e+06 GB"),
+            ("simulate", {"family": "global", "N": 8}, None,
+             "error: closed-form run of global N = 8 (1000000000000 steps) needs ~2.29e+06 GB"),
+            ("sweep", {"family": "hybrid", "N": 4, "q": 2, "r": 2},
+             {"values": [4, 6, 8, 10], "quantity": "avg_power", "path": "analytic"},
+             "config error: sweep.values: N = 4: closed-form sweep point of hybrid N = 4 "
+             "(1000000000000 steps) needs ~1.28e+05 GB"),
+        ],
+        ids=["parallel", "global", "hybrid-sweep"],
+    )
+    def test_closed_form_run_over_the_limit_exits_2_and_builds_nothing(
+        self, tmp_path, capsys, monkeypatch, command, model, sweep, message
+    ):
+        def refuse(*args):
+            pytest.fail("a closed-form run was started")
+
+        for name in ("dispersion", "time_grid"):
+            monkeypatch.setattr(trajectory, name, refuse)
+        monkeypatch.setattr(sweeps, "quantities_for", refuse)
+        sections = {"sweep": sweep} if sweep else {}
+        cfg = self.scenario(tmp_path, model=model, time={"steps": 10**12}, **sections)
+        assert self.run(command, cfg) == 2
+        assert f"{message}, over the 4.3 GB run limit\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "model,backend",
         [({"family": "jw_chain", "N": 4, "variant": "xy_nn"}, "free-fermion"),
          ({"family": "jw_chain", "N": 5, "variant": "xy_nn"}, "free-fermion"),
          ({"family": "jw_chain", "N": 1001, "variant": "xy_nn"}, "free-fermion"),
-         ({"family": "parallel", "N": 3}, "dense")],
-        ids=["even-chain", "odd-chain", "odd-chain-n1001", "parallel"],
+         ({"family": "parallel", "N": 3}, "closed-form"),
+         ({"family": "parallel", "N": 600}, "closed-form"),
+         ({"family": "global", "N": 5}, "closed-form"),
+         ({"family": "hybrid", "N": 6, "q": 3, "r": 2}, "closed-form"),
+         ({"family": "lmg", "N": 3}, "dense")],
+        ids=["even-chain", "odd-chain", "odd-chain-n1001", "parallel", "parallel-n600", "global",
+             "hybrid", "lmg"],
     )
     def test_simulate_names_the_backend(self, tmp_path, capsys, model, backend):
         assert self.run("simulate", self.scenario(tmp_path, model=model)) == 0
@@ -664,7 +703,7 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_model_limit_exit_code(self, tmp_path):
-        cfg = self.scenario(tmp_path, model={"family": "parallel", "N": 20})
+        cfg = self.scenario(tmp_path, model={"family": "lmg", "N": 20000})
         assert self.run("simulate", cfg) == 2
 
     def test_sweep_command(self, tmp_path):

@@ -141,7 +141,7 @@ def test_n16_runs_on_its_sector_without_a_dense_charger(spec, states):
     # The whole charger would be a 65536 x 65536 complex matrix, 68.7 GB.
     tracemalloc.start()
     try:
-        traj = run_trajectory(spec, steps=400)
+        traj = run_trajectory(spec, steps=400, path="dense")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -26,8 +26,12 @@ from qbattery.freefermion import (
     pair_excitations,
     power_at,
 )
+from qbattery.errors import CapacityLimitError
+from qbattery.freefermion import check_chain_size, unit_count
 from qbattery.linalg import PHASE_STRIDE
 from qbattery.observables import POPULATION_FLOOR, fisher_sum
+from qbattery.output import trajectory_rows
+from qbattery.sweeps import quantities_for
 from qbattery.trajectory import run_trajectory
 from qbattery.verification import chain_oracle_comparison
 
@@ -250,7 +254,7 @@ def _occupations(modes, times):
 
 def _blocked(q, q_dot):
     # The unchecked kernel of pair_distributions on (modes x times) occupations.
-    return _fold_groups(*_group_factors(q, q_dot), len(q) + 1)
+    return _fold_groups(*_group_factors(q, q_dot, 1.0 - q), len(q) + 1)
 
 
 def _relative(got, want):
@@ -382,3 +386,126 @@ class TestDenseEquivalence:
             values[n] = (peak.energy_max / n, avg_var / n)
         for a, b in zip(values[1000], values[10000]):
             assert abs(a - b) / abs(b) < 0.01
+
+
+def unit_splits(n, lam):
+    """Every q x r = N split as its family: parallel at r = 1, global at q = 1."""
+    for q in (q for q in range(1, n + 1) if n % q == 0):
+        if n // q == 1:
+            yield ModelSpec(family="parallel", n_cells=n, lam=lam)
+        elif q == 1:
+            yield ModelSpec(family="global", n_cells=n, lam=lam)
+        else:
+            yield ModelSpec(family="hybrid", n_cells=n, lam=lam, q=q, r=n // q)
+
+
+class TestParadigmaticUnits:
+    """The parallel, global and hybrid chargers as q units of r cells on the
+    free-fermion kernel, against the dense run and the closed forms
+    E = q r sin^2(lam t) and I_E = 4 q lam^2."""
+
+    @pytest.mark.parametrize(
+        "spec,units,step",
+        [
+            (ModelSpec(family="parallel", n_cells=5, lam=0.7), 5, 1),
+            (ModelSpec(family="global", n_cells=6, lam=3.0), 1, 6),
+            (ModelSpec(family="hybrid", n_cells=12, q=4, r=3), 4, 3),
+            (chain_spec("xy_nn", 9), 4, 2),
+        ],
+        ids=["parallel", "global", "hybrid", "chain"],
+    )
+    def test_units_and_level_steps(self, spec, units, step):
+        modes = dispersion(spec)
+        assert unit_count(spec) == modes.n_modes == units and modes.step == step
+        if spec.family != "jw_chain":
+            assert np.array_equal(modes.omega, np.full(units, spec.lam))
+            assert np.array_equal(modes.sin_theta, np.ones(units))
+            assert modes.var_charger == units * spec.lam**2
+
+    def test_other_families_have_no_units(self):
+        for spec in (ModelSpec(family="lmg", n_cells=4), ModelSpec(family="dicke", n_cells=2)):
+            with pytest.raises(ValidationError, match="dispersion needs a jw_chain"):
+                dispersion(spec)
+            with pytest.raises(ValidationError, match="not a run of independent units"):
+                unit_count(spec)
+
+    @pytest.mark.parametrize("lam", [0.7, 1.0, 3.0])
+    def test_every_split_matches_the_dense_run(self, lam):
+        # The dense run is on psi0's sector of 2^q states, lumped into
+        # q + 1 groups past q = 8.
+        for n in range(1, 13):
+            for spec in unit_splits(n, lam):
+                units = run_trajectory(spec, steps=200)
+                lumped = unit_count(spec) > 8
+                dense = run_trajectory(spec, steps=200, path="dense", lumped=lumped)
+                assert (units.backend, dense.backend) == ("closed-form", "dense")
+                for name in ("populations", "population_rates", "energy", "power", "var_battery"):
+                    deviation = np.abs(getattr(units, name) - getattr(dense, name)).max()
+                    assert deviation <= 1e-13, (spec, name, deviation)
+                assert units.initial_energy == -n / 2
+                assert abs(dense.initial_energy - units.initial_energy) <= 1e-13
+                undefined, dense_undefined = (
+                    np.isnan(trajectory_rows(traj, True)[1]) for traj in (units, dense)
+                )
+                assert np.array_equal(undefined[1:], dense_undefined[1:]), spec
+                # At t = 0 the dense var(H_B) may be rounding noise (up to
+                # 4.3e-14 here) that passes the ratios' absolute floor where
+                # the exact 0 / 0 is undefined: a ratio of 0.0, not empty.
+                assert (undefined[0] >= dense_undefined[0]).all(), spec
+                if not np.array_equal(undefined[0], dense_undefined[0]):
+                    assert 0.0 < dense.var_battery[0] <= 1e-13 and units.var_battery[0] == 0.0
+
+    @pytest.mark.parametrize("lam", [0.7, 1.0, 3.0])
+    @pytest.mark.parametrize(
+        "family,n,q,r", [("parallel", 8, None, None), ("global", 8, None, None), ("hybrid", 12, 4, 3),
+                         ("parallel", 1000, None, None)],
+        ids=["parallel", "global", "hybrid", "parallel-n1000"],
+    )
+    def test_fisher_information_is_exact_through_the_full_charge(self, family, n, q, r, lam):
+        # Grid point 100 is lam t = pi/2 to rounding: there sin^2(lam t)
+        # rounds to 1, so a complement taken as 1 - sin^2 is 0 and drops
+        # the level below the full charge, which carries all of I_E.  The
+        # off-grid points are 1e-9 and 1e-6 from pi/2.
+        spec = ModelSpec(family=family, n_cells=n, lam=lam, q=q, r=r)
+        modes = dispersion(spec)
+        exact = 4 * modes.n_modes * lam**2
+        grid = run_trajectory(spec, math.pi, 201)
+        assert abs(lam * grid.times[100] - math.pi / 2) <= 1e-15
+        assert np.abs(grid.fisher_energy_full[1:] / exact - 1.0).max() <= 1e-12
+        for offset in (-1e-9, 1e-9, 1e-6):
+            p, p_dot = pair_distributions(modes, np.array([(math.pi / 2 + offset) / lam]))
+            assert abs(fisher_sum(p, p_dot, 0.0)[0] / exact - 1.0) <= 1e-12, offset
+        energy = grid.energy - n * np.sin(lam * grid.times) ** 2
+        assert np.abs(energy).max() <= 1e-13 * n
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ModelSpec(family="parallel", n_cells=6, lam=0.7), ModelSpec(family="global", n_cells=5),
+         ModelSpec(family="hybrid", n_cells=8, lam=3.0, q=2, r=4)],
+        ids=["parallel", "global", "hybrid"],
+    )
+    def test_sweep_quantities_match_the_dense_point(self, spec):
+        units, dense = (quantities_for(spec, steps=400, path=path) for path in ("auto", "dense"))
+        assert units.keys() == dense.keys()
+        for key, value in dense.items():
+            assert units[key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
+
+    def test_size_rule_counts_the_units(self):
+        # q + 1 levels size the recursion: global's single unit is sized
+        # below parallel's N units at the same N.
+        parallel, global_ = (ModelSpec(family=f, n_cells=1000) for f in ("parallel", "global"))
+        assert check_chain_size(global_, 1000) < check_chain_size(parallel, 1000)
+        with pytest.raises(CapacityLimitError, match="^closed-form run of parallel N = 8 "):
+            check_chain_size(ModelSpec(family="parallel", n_cells=8), 10**12)
+        with pytest.raises(CapacityLimitError, match="^closed-form sweep point of global N = 8 "):
+            check_chain_size(ModelSpec(family="global", n_cells=8), 10**14, record=False)
+
+    def test_a_run_far_past_the_dense_limit_certifies(self):
+        from qbattery.verification import certify_trajectory
+
+        spec = ModelSpec(family="parallel", n_cells=600)
+        traj = run_trajectory(spec, steps=300)
+        assert traj.backend == "closed-form" and traj.sector is None
+        assert certify_trajectory(traj).ok
+        with pytest.raises(ValidationError, match="holds no states; run parallel with path='dense'"):
+            traj.state_at(3)

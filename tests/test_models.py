@@ -454,14 +454,14 @@ n, steps = int(sys.argv[1]), int(sys.argv[2])
 traj = trajectory.run_trajectory(models.chain_spec("xy_nn", n), steps=steps)
 verification.certify_trajectory(traj)
 output.write_trajectory_csv(traj, sys.argv[3], include_populations=True)
-print((peak_kib() - base) * 1024, freefermion.check_chain_size(n, steps))
+print((peak_kib() - base) * 1024, freefermion.check_chain_size(models.chain_spec("xy_nn", n), steps))
 """
 # One analytic sweep point.
 SWEEP_RSS_CHILD = PEAK_KIB + """
 from qbattery import sweeps
 n, steps = int(sys.argv[1]), int(sys.argv[2])
 sweeps.chain_analytic_quantities(models.chain_spec("xy_nn", n), steps=steps)
-print((peak_kib() - base) * 1024, freefermion.check_chain_size(n, steps, record=False))
+print((peak_kib() - base) * 1024, freefermion.check_chain_size(models.chain_spec("xy_nn", n), steps, record=False))
 """
 
 
@@ -560,13 +560,14 @@ class TestChainSizeRule:
     def test_odd_n_is_sized_by_its_pairs(self):
         # N // 2 + 1 rows size the recursion's blocks and N + 1 levels the
         # record, at either parity.
-        assert check_chain_size(8, 1000) < check_chain_size(9, 1000) < check_chain_size(10, 1000)
+        sizes = [check_chain_size(chain_spec("xy_nn", n), 1000) for n in (8, 9, 10)]
+        assert sizes[0] < sizes[1] < sizes[2]
         with pytest.raises(CapacityLimitError, match="^free-fermion run of jw_chain N = 9 "):
-            check_chain_size(9, 10**12)
+            check_chain_size(chain_spec("xy_nn", 9), 10**12)
 
     def test_message_names_the_run(self):
         with pytest.raises(CapacityLimitError) as refused:
-            check_chain_size(10**4, 10**6)
+            check_chain_size(chain_spec("xy_nn", 10**4), 10**6)
         assert str(refused.value) == (
             "free-fermion run of jw_chain N = 10000 (1000000 steps) needs ~1.12e+03 GB, "
             "over the 4.3 GB run limit"

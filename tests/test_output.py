@@ -130,3 +130,32 @@ class TestReader:
         write_csv(tmp_path / "trajectory.csv", header, block)
         columns = self.both(tmp_path, (tmp_path / "trajectory.csv").read_text())
         assert np.array_equal(np.stack(list(columns.values()), axis=1), block, equal_nan=True)
+
+
+class TestConstantColumns:
+    """A column of one float64 bit pattern is formatted once; the text is
+    the per-value writer's."""
+
+    @pytest.mark.parametrize(
+        "value", [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1 / 3, 2.0**60]
+    )
+    def test_each_constant_is_the_per_value_text(self, tmp_path, value):
+        rows = np.column_stack([np.full(5, value), np.arange(5.0), np.full(5, value)])
+        assert_same_bytes(tmp_path, ["a", "b", "c"], rows)
+        assert_same_bytes(tmp_path, ["a", "b", "c"], rows.tolist())
+
+    def test_signed_zeros_and_nans_are_not_one_constant(self, tmp_path):
+        # -0.0 == 0.0 and NaN != NaN as floats; the bits decide.
+        rows = [[0.0, math.nan, 1.0], [-0.0, -math.nan, 1.0], [0.0, math.nan, 1.0]]
+        assert_same_bytes(tmp_path, ["a", "b", "c"], rows)
+        write_csv(tmp_path / "out.csv", ["a", "b", "c"], rows)
+        assert (tmp_path / "out.csv").read_text() == "a,b,c\n0,,1\n-0,,1\n0,,1\n"
+
+    def test_constant_columns_beside_text_columns(self, tmp_path):
+        rows = [["x", 2.5, math.nan, 1], ["y", 2.5, math.nan, 2]]
+        write_csv(tmp_path / "out.csv", ["s", "a", "b", "c"], rows)
+        assert (tmp_path / "out.csv").read_text() == "s,a,b,c\nx,2.5,,1\ny,2.5,,2\n"
+
+    def test_no_rows(self, tmp_path):
+        write_csv(tmp_path / "out.csv", ["a", "b"], np.empty((0, 2)))
+        assert (tmp_path / "out.csv").read_text() == "a,b\n"

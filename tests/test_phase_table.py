@@ -134,7 +134,7 @@ SCENARIOS = ("parallel_n8", "hybrid_n8", "lmg_n20_lam5", "dicke_n8_strong")
 @pytest.fixture(scope="module", params=SCENARIOS)
 def dense_run(request):
     cfg = load_scenario(f"configs/{request.param}.json")
-    return run_trajectory(cfg.spec, cfg.lam_t_max, cfg.steps)
+    return run_trajectory(cfg.spec, cfg.lam_t_max, cfg.steps, "dense")
 
 
 class TestDenseRuns:

@@ -101,7 +101,7 @@ def test_parallel_sector_is_the_whole_basis_and_the_record_is_unchanged():
     # itself and its record is the full-space run's, bit for bit.
     spec = ModelSpec(family="parallel", n_cells=8)
     steps = 2 * models.TIME_CHUNK + 7
-    traj = run_trajectory(spec, steps=steps)
+    traj = run_trajectory(spec, steps=steps, path="dense")
     assert traj.sector.basis == models.model_basis(spec) and traj.sector.basis.groups is None
     oracle, states = full_space_run(spec, traj.times)
     for name in (*EXACT_COLUMNS, "fisher_energy", "fisher_energy_full"):

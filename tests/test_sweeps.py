@@ -32,7 +32,7 @@ def dense_rule(spec):
 
 
 def chain_point_rule(spec):
-    return check_chain_size(spec.n_cells, DEFAULT_STEPS, record=False)
+    return check_chain_size(spec, DEFAULT_STEPS, record=False)
 
 
 class TestExponentFit:
@@ -103,6 +103,7 @@ class TestSweep:
 
 
 PARALLEL = {"family": "parallel", "N": 2}
+LMG = {"family": "lmg", "N": 2}
 CUSTOM_CHAIN = {"family": "jw_chain", "N": 8, "lambdas": [0.3, 0.9], "gammas": [1.0, 0.1]}
 XX_NN = {"family": "jw_chain", "N": 4, "variant": "xx_nn"}
 
@@ -122,7 +123,7 @@ class TestSweepRules:
                 "unknown evaluation path",
             ),
             (
-                PARALLEL,
+                LMG,
                 {"values": [2, 4, 6, 8], "quantity": "avg_power", "path": "analytic"},
                 "exists only for jw_chain",
             ),
@@ -142,7 +143,11 @@ class TestSweepRules:
                 {"values": [4, 6, 8, 22], "quantity": "avg_power", "path": "dense"},
                 "N = 22: dense run of jw_chain",
             ),
-            (PARALLEL, {"values": [4, 6, 8, 24], "quantity": "avg_power"}, "N = 24: dense run of parallel"),
+            (
+                PARALLEL,
+                {"values": [4, 6, 8, 24], "quantity": "avg_power", "path": "dense"},
+                "N = 24: dense run of parallel",
+            ),
             (
                 {"family": "lmg", "N": 10},
                 {"values": [10, 12, 14, 16], "quantity": "final_battery_entropy"},
@@ -170,13 +175,14 @@ class TestSweepRules:
             (chain_spec("xx_nn", 4), "analytic", 2 * 10**6, chain_point_rule),
             (chain_spec("xx_nn", 4), "auto", 2 * 10**6 + 1, chain_point_rule),
             (chain_spec("xx_nn", 4), "dense", 22, dense_rule),
-            (ModelSpec(family="parallel", n_cells=4), "auto", 24, dense_rule),
+            (ModelSpec(family="parallel", n_cells=4), "dense", 24, dense_rule),
+            (ModelSpec(family="parallel", n_cells=4), "auto", 2 * 10**5, chain_point_rule),
         ],
-        ids=["even-n", "odd-n", "chain-cap", "charger-cap"],
+        ids=["even-n", "odd-n", "chain-cap", "charger-cap", "closed-form-cap"],
     )
     def test_point_rule_is_the_solvers_own(self, base, path, n, solve):
         # check_sweep reports the error that the point's own size rule raises
-        # over the sweep's steps: the free-fermion point's, or the dense run's.
+        # over the sweep's steps: the unit kernel's point, or the dense run's.
         with pytest.raises((ValidationError, CapacityLimitError)) as from_solver:
             solve(replace(base, n_cells=n))
         with pytest.raises(ValidationError) as from_sweep:
@@ -187,7 +193,7 @@ class TestSweepRules:
         # N = 10^4 over 4000 steps: a run record (p and pdot on all levels)
         # would be refused; a sweep point holds O(T) series and one block.
         with pytest.raises(CapacityLimitError, match="^free-fermion run of jw_chain N = 10000 "):
-            check_chain_size(10**4, 4000)
+            check_chain_size(chain_spec("xx_nn", 10**4), 4000)
         check_sweep(chain_spec("xx_nn", 4), "N", [4, 100, 1000, 10**4], "avg_power", "auto", 4000)
 
     @pytest.mark.parametrize(

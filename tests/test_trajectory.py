@@ -91,7 +91,7 @@ class TestRunTrajectory:
         assert traj.var_battery.max() < 2 * n  # independent-cell-like spread
 
     def test_record_accessors(self):
-        traj = run_trajectory(ModelSpec(family="parallel", n_cells=3), steps=50)
+        traj = run_trajectory(ModelSpec(family="parallel", n_cells=3), steps=50, path="dense")
         psi = traj.state_at(20)
         battery = models.build_battery_for(traj.spec)
         charger = models.build_charger_for(traj.spec).dense()
@@ -509,16 +509,16 @@ class TestFreeFermionBackend:
         # A chain of either parity runs free-fermion unless the path is "dense".
         assert run_trajectory(chain_spec("xy_nn", n), steps=20, path=path).backend == backend
 
-    def test_analytic_path_is_only_for_chains(self):
+    def test_analytic_path_is_only_for_unit_families(self):
         with pytest.raises(ValidationError, match="'analytic' exists only for jw_chain"):
-            run_trajectory(ModelSpec(family="parallel", n_cells=2), steps=20, path="analytic")
+            run_trajectory(ModelSpec(family="lmg", n_cells=2), steps=20, path="analytic")
         with pytest.raises(ValidationError, match="unknown evaluation path 'fast'"):
             run_trajectory(chain_spec("xx_nn", 4), steps=20, path="fast")
 
     def test_chain_record_holds_no_states(self):
         traj = run_trajectory(chain_spec("xx_nn", 6), steps=20)
         assert traj.sector is None and traj.coefficients is None
-        with pytest.raises(ValidationError, match="holds no states; run the chain with path='dense'"):
+        with pytest.raises(ValidationError, match="holds no states; run jw_chain with path='dense'"):
             traj.state_at(3)
 
     def test_record_holds_each_fact_once(self):

@@ -20,6 +20,7 @@ from qbattery.bounds import ABSOLUTE_FLOOR, producibility_variance_cap, witness_
 from qbattery.cli import _read_trajectory_csv
 from qbattery.config import load_scenario
 from qbattery.output import write_trajectory_csv
+from qbattery import verification
 from qbattery.verification import (
     CSV_BOUNDS,
     MEMORY_BOUNDS,
@@ -33,7 +34,8 @@ from oracles import certify_stepwise
 # each with the path it runs on.
 ORACLE_SPECS = {
     "parallel": (ModelSpec(family="parallel", n_cells=4), "auto"),
-    "hybrid": (ModelSpec(family="hybrid", n_cells=6, q=3, r=2), "auto"),
+    "hybrid": (ModelSpec(family="hybrid", n_cells=6, q=3, r=2), "auto"),  # closed-form
+    "hybrid_dense": (ModelSpec(family="hybrid", n_cells=6, q=3, r=2), "dense"),
     "chain": (chain_spec("xy_pow", 6), "auto"),  # the free-fermion record
     "chain_odd": (chain_spec("xy_pow", 5), "dense"),  # the dense chain
     "lmg": (ModelSpec(family="lmg", n_cells=12, lam=5.0), "auto"),
@@ -264,6 +266,21 @@ class TestBenchmarkTable:
     def test_rescaled_coupling_passes(self):
         report = verify_benchmark_table(n_values=(4,), lam=0.8)
         assert report.all_passed, report.failed()[:5]
+
+    def test_table_is_checked_against_dense_runs(self, monkeypatch):
+        # The table's entries are the closed forms, so its runs must not be
+        # the closed-form runs that these families take on "auto".
+        backends = []
+
+        def run(spec, *args, **kwargs):
+            traj = run_trajectory(spec, *args, **kwargs)
+            backends.append(traj.backend)
+            return traj
+
+        monkeypatch.setattr(verification, "run_trajectory", run)
+        report = verify_benchmark_table(n_values=(2, 3))
+        specs = [s for n in (2, 3) for s in verification.benchmark_specs(n, 1.0)]
+        assert report.all_passed and backends == ["dense"] * len(specs)
 
     def test_cells_cover_all_layouts(self):
         report = verify_benchmark_table(n_values=(6,))
