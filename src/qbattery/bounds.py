@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .observables import fisher_sum
 
 RELATIVE_TOL = 1e-8
 ABSOLUTE_FLOOR = 1e-12
@@ -50,8 +49,7 @@ def bound_ratio(lhs, rhs):
     """lhs / rhs, elementwise on scalars or arrays; NaN where rhs <= ABSOLUTE_FLOOR."""
     lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float))
     out = np.full(rhs.shape, np.nan)
-    defined = rhs > ABSOLUTE_FLOOR
-    out[defined] = lhs[defined] / rhs[defined]
+    np.divide(lhs, rhs, out=out, where=rhs > ABSOLUTE_FLOOR)
     return out if out.ndim else float(out)
 
 
@@ -79,13 +77,14 @@ def moment_rate_bound(t: float, level_energies: np.ndarray, p: np.ndarray, p_dot
     return check_inequality(t, float(rate**2), float(var_m * fisher), label=f"moment_rate_m{m}")
 
 
-def moment_rate_series(level_energies: np.ndarray, p: np.ndarray, p_dot: np.ndarray, m: int):
-    """(lhs, rhs) of ``moment_rate_bound`` at every time: each column of a record's (levels
-    x times) ``p`` and ``p_dot`` reduced over the levels, I_E recomputed by its fisher_sum."""
+def moment_rate_series(level_energies: np.ndarray, p: np.ndarray, p_dot: np.ndarray, m: int, fisher):
+    """(lhs, rhs) of ``moment_rate_bound`` at every time: each column of (levels x
+    times) ``p`` and ``p_dot`` reduced over the levels, against ``fisher``, the
+    untruncated I_E of the same columns (``observables.fisher_sum`` at floor 0)."""
     powers = (level_energies**m)[:, None]
     rate = np.sum(powers * p_dot, axis=0)
     var_m = np.sum(p * (powers - np.sum(p * powers, axis=0)) ** 2, axis=0)
-    return rate**2, var_m * fisher_sum(p, p_dot, 0.0)
+    return rate**2, var_m * fisher
 
 
 def fisher_power_bound(t: float, power_value: float, var_battery: float, fisher: float) -> BoundReport:
@@ -133,15 +132,17 @@ def witness_entangled_block_size(var_battery: float, n_cells: int) -> int:
 
 
 def witness_block_sizes(var_battery: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """``witness_entangled_block_size`` and its producibility cap at every step, by one
-    comparison against the N caps; raises as the scalar does on the first bad variance."""
+    """``witness_entangled_block_size`` and its producibility cap at every step, by a
+    binary search of the N caps; raises as the scalar does on the first bad variance.
+    The caps grow with k (a k-producible state is also (k + 1)-producible), so the
+    first cap that admits a variance is the search's; NaN, or a variance above every
+    cap, gets N."""
     var = np.asarray(var_battery, dtype=float)
     bad = (var < 0) | (var > n_cells**2 / 4.0 * (1 + WITNESS_PHYSICAL_SLACK))
     if bad.any():
         witness_entangled_block_size(float(var[np.argmax(bad)]), n_cells)
     caps = np.array([producibility_variance_cap(n_cells, k) for k in range(1, n_cells + 1)])
-    admitted = var[:, None] <= caps * (1 + WITNESS_SLACK)
-    k = np.where(admitted.any(axis=1), admitted.argmax(axis=1) + 1, n_cells)
+    k = np.minimum(np.searchsorted(caps * (1 + WITNESS_SLACK), var) + 1, n_cells)
     return k, caps[k - 1]
 
 

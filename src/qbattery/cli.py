@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -160,25 +161,10 @@ def cmd_table1(args) -> int:
     n_fail = len(report.failed())
     print(f"{len(report.cells) - n_fail}/{len(report.cells)} cells passed")
     if args.json:
-        write_json(
-            args.json,
-            {
-                "all_passed": report.all_passed,
-                "cells": [
-                    {
-                        "family": c.family,
-                        "N": c.n_cells,
-                        "q": c.q,
-                        "r": c.r,
-                        "cell": c.cell,
-                        "expected": c.expected,
-                        "actual": c.actual,
-                        "passed": c.passed,
-                    }
-                    for c in report.cells
-                ],
-            },
-        )
+        cells = [asdict(c) for c in report.cells]
+        for cell in cells:
+            cell["N"] = cell.pop("n_cells")
+        write_json(args.json, {"all_passed": report.all_passed, "cells": cells})
     return EXIT_OK if report.all_passed else EXIT_VALIDATION
 
 

@@ -67,7 +67,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .linalg import PhaseTable, grid_phases, grid_step
-from .models import PARADIGMATIC_FAMILIES, TIME_CHUNK, ModelSpec, check_run_bytes, time_blocks
+from .models import (
+    PARADIGMATIC_FAMILIES, RUN_BASE_BYTES, TIME_CHUNK, ModelSpec, check_run_bytes, time_blocks,
+)
 from .observables import POPULATION_FLOOR, check_distributions, fisher_sum
 
 # Modes per factor of the blocked Poisson-binomial recursion (module docstring).
@@ -118,39 +120,31 @@ def unit_count(spec: ModelSpec) -> int:
     return units[spec.family]
 
 
-def check_chain_size(spec: ModelSpec, steps: int, record: bool = True) -> int:
-    """The estimated bytes of an evaluation of ``spec`` on this backend over
-    ``steps`` times; CapacityLimitError, before anything is allocated, if over
-    the run limit ``models.RUN_BYTES_MAX``.
+def check_chain_size(spec: ModelSpec, steps: int) -> int:
+    """The estimated bytes of a run of ``spec`` on this backend over
+    ``steps`` times, a sweep point's included; CapacityLimitError, before
+    anything is allocated, if over the run limit ``models.RUN_BYTES_MAX``.
 
-    Both count 8 * 16 (q + 1 + 2 GROUP_MODES) TIME_CHUNK bytes for the
+    It counts 8 * 16 (q + 1 + 2 GROUP_MODES) TIME_CHUNK bytes for the
     recursion's blocks over its q units (:func:`unit_count`; the allocator
     holds up to ~16 arrays of (q + 1) x TIME_CHUNK over a long grid, and the
-    fold's products are padded by GROUP_MODES levels on each side).  A sweep
-    point (``record=False``) adds 8 * 16 T for its grid and O(T) series; its
-    estimate is 1.2-2.0x the max RSS growth of
-    sweeps.chain_analytic_quantities (2 cores), in MB: xy_nn N = 2 at 10^6
-    steps 65, N = 10 at 200000 14, N = 200 at 20000 5.3, N = 2000 at 50000 /
-    200000 32 / 37, N = 10^4 at 20000 137; and 3.7-3.8x on short grids,
-    N = 2000 at 1000 steps 9.5, N = 10^4 at 800 44, N = 40000 at 300 173.
-    A run record adds 8 (160 + 14 (N + 1)) T instead: the grid, the series
-    and the CSV text of their columns, and the (levels x times) p and pdot,
-    the certifier's moment-sum temporaries over them and the CSV text of the
-    populations.  Its estimate is 1.2-2.2x the max RSS growth of
-    run_trajectory + certify_trajectory + write_trajectory_csv with
-    populations, in MB: xy_nn N = 2 / 10 at 20000 steps 25 / 39, N = 200 at
-    4000 / 20000 80 / 397, N = 1000 at 500 / 2000 45 / 165, N = 4000 at
-    300 / 1000 106 / 315, N = 10^4 at 256 203; and 2.9-4.4x it without the
-    CSV.  The paradigmatic chargers fit the same bands at 2000 steps:
-    parallel N = 1000 grows 220 MB with populations (1.2x), and 67 MB
-    without them (3.9x), as global N = 10^4 grows 519 MB (4.3x).
+    fold's products are padded by GROUP_MODES levels on each side), 8 * 18 T
+    for the grid, the record's O(T) series and the certifier's columns, and
+    ``models.RUN_BASE_BYTES`` for the first calls' buffers and one CSV block.
+    Measured max RSS growth (2 cores) of run_trajectory + certify_trajectory
+    + write_trajectory_csv, in MiB (the estimate's multiple): xy_nn N = 10 /
+    200 at 20000 steps with populations 3.3 / 9.7 (2.7x / 1.2x), N = 200 at
+    4000 7.9 (1.2x), N = 1000 at 2000 20 (1.1x), N = 10^4 at 256 102 (1.6x),
+    and without them N = 2 at 10^6 127 (1.1x), N = 1000 at 20000 20 (1.2x);
+    parallel N = 1000 at 2000 34 (1.1x); global N = 10^4 at 2000 3.1 (2.1x).
+    Of sweeps.quantities_for: N = 2 at 10^6 steps 62 (2.3x), N = 10 at
+    200000 13 (2.6x), N = 200 at 20000 5.1 (2.3x), N = 2000 at 50000 34
+    (1.3x); and 3.8-4.3x on grids of at most 1000 steps at N >= 2000.
     """
     n = spec.n_cells
-    per_step = 160 + 14 * (n + 1) if record else 16
-    need = 8 * (per_step * steps + 16 * (unit_count(spec) + 1 + 2 * GROUP_MODES) * TIME_CHUNK)
+    need = RUN_BASE_BYTES + 8 * (18 * steps + 16 * (unit_count(spec) + 1 + 2 * GROUP_MODES) * TIME_CHUNK)
     backend = "free-fermion" if spec.family == "jw_chain" else "closed-form"
-    kind = "run" if record else "sweep point"
-    return check_run_bytes(need, f"{backend} {kind} of {spec.family} N = {n} ({steps} steps)")
+    return check_run_bytes(need, f"{backend} run of {spec.family} N = {n} ({steps} steps)")
 
 
 def dispersion(spec: ModelSpec) -> ModeSet:

@@ -667,18 +667,13 @@ class PhaseTable:
         return table.reshape(n_freqs, -1)[:, window]
 
 
-def grid_phases(
-    freqs: np.ndarray, times: np.ndarray, step: float | None = None, times_first: bool = False
-) -> np.ndarray:
+def grid_phases(freqs: np.ndarray, times: np.ndarray, times_first: bool = False) -> np.ndarray:
     """exp(-i f t) for each frequency f and time t: a (frequencies x times)
-    complex array, or (times x frequencies) if ``times_first``.  With no
-    ``step``, each phase is cos(f t) - i sin(f t) of its own angle
-    (:func:`_phases`), for arbitrary times; with the ``step`` of a uniform
-    grid, the :class:`PhaseTable` of ``times`` as one block."""
+    complex array, or (times x frequencies) if ``times_first``, each phase
+    cos(f t) - i sin(f t) of its own angle (:func:`_phases`), for arbitrary
+    times; a uniform grid's phases come from its :class:`PhaseTable`."""
     freqs, times = np.asarray(freqs, dtype=float), np.asarray(times, dtype=float)
-    if step is None or not len(times):
-        return _phases(np.multiply.outer(times, freqs) if times_first else np.outer(freqs, times))
-    return PhaseTable(freqs, times, step, times_first=times_first)(slice(None))
+    return _phases(np.multiply.outer(times, freqs) if times_first else np.outer(freqs, times))
 
 
 def evolve_batch(hamiltonian: HermitianOperator, coeff: np.ndarray, phases: np.ndarray) -> np.ndarray:

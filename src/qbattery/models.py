@@ -262,25 +262,26 @@ def check_dense_size(spec: ModelSpec, steps: int = 0, states: int | None = None)
     The rule has two stages.  Before the charger is built (``states`` None),
     RUN_BASE_BYTES, STATE_BYTES per basis state and ENTRY_BYTES per entry the
     builder places (:func:`_entries_placed`) cover the entry list and its
-    build, psi0 and the sector search, and 64 L T the (levels x times) series
-    of L = N + 1 levels; no family adds a term of its own.  Once psi0's sector
+    build, psi0 and the sector search, and 24 L T the (levels x times)
+    populations and rates of L = N + 1 levels and one product over them (the
+    certifier reduces them block by block); no family adds a term of its own.  Once psi0's sector
     is found, before its dense matrix is built, the run adds 16 (7 d^2 + 5 d B)
     for the ``states`` = d states it runs on (the sector, or its equitable
     groups) and B = min(T, TIME_CHUNK) times per block: the matrix, its
     complex copy for the eigensolver, the eigenvectors and LAPACK's
     workspace, one block of states and propagation temporaries.  The sum was
-    1.3-2.3x the max RSS growth over the post-import
+    1.5-2.7x the max RSS growth over the post-import
     baseline of run_trajectory + certify_trajectory (2 cores, OpenBLAS 0.3.31),
-    in MB: xy_nn N = 9 at 2000 steps 14; parallel N = 9 at 500 / 20000 28 / 30;
-    lmg N = 400 at 2000 39, N = 1000 at 200 26, N = 2000 at 2000 175;
-    auto-cutoff dicke N = 6 at 2000 (n_max 80) 15; global N = 16 / 20 at 2000
-    12 / 177; hybrid N = 16 (q = 4) at 2000 42.  A qubit dimension past int64
+    in MB: xy_nn N = 9 at 2000 steps 11; parallel N = 9 at 500 / 20000 28 / 28;
+    lmg N = 400 at 2000 22, N = 1000 at 200 28, N = 2000 at 2000 103;
+    auto-cutoff dicke N = 6 at 2000 (n_max 80) 13; global N = 16 / 20 at 2000
+    8.7 / 127; hybrid N = 16 (q = 4) at 2000 30.  A qubit dimension past int64
     is written 2^N.
     """
     basis = model_basis(spec)
     need = (
         RUN_BASE_BYTES + STATE_BYTES * basis.dim + ENTRY_BYTES * _entries_placed(spec, basis.dim)
-        + 64 * (spec.n_cells + 1) * steps
+        + 24 * (spec.n_cells + 1) * steps
     )
     run = ""
     if states is not None:

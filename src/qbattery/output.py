@@ -14,6 +14,7 @@ import numpy as np
 
 from .bounds import bound_ratio
 from .capacity import DiagramPoint
+from .models import time_blocks
 from .sweeps import ScalingResult
 from .trajectory import Trajectory
 
@@ -29,6 +30,8 @@ TRAJECTORY_COLUMNS = (
     "bound_ratio_cor1",
     "bound_ratio_heis",
 )
+# The most cells of the trajectory CSV that one block of lines holds.
+CSV_CELLS = 2**16
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
@@ -54,6 +57,11 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
                 del row[j]
         width = len(rows[0]) if rows else 0
         numbers = np.array(rows, dtype=float).reshape(len(rows), width)
+    _write_blocks(path, header, [_csv_block(numbers, text_columns, texts)])
+
+
+def _csv_block(numbers: np.ndarray, text_columns=(), texts=()) -> str:
+    """The CSV lines of a numeric block, with row-major ``texts`` in its ``text_columns``."""
     # A column of one bit pattern is formatted once, into the row format.
     bits = numbers.view(np.int64)
     constant = (bits == bits[:1]).all(axis=0) & (len(numbers) > 0)
@@ -72,37 +80,64 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
     block = block.replace("nan", "")
     if text_columns:
         block %= texts
-    Path(path).write_text(",".join(header) + "\n" + block, encoding="utf-8", newline="\n")
+    return block
+
+
+def _write_blocks(path: str | Path, header: list[str], blocks) -> None:
+    """The header line, then each block of CSV lines as it comes: UTF-8, LF."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(blocks)
+
+
+def _trajectory_blocks(traj: Trajectory, include_populations: bool):
+    """The column header and the (times x columns) value blocks of the
+    trajectory CSV schema, one per ``models.time_blocks`` slice, the p_k
+    columns from ``traj.level_blocks``: no (N + 1) x T array is built."""
+
+    def series(block: slice) -> np.ndarray:
+        power, var = traj.power[block], traj.var_battery[block]
+        return np.stack([
+            traj.times[block], traj.energy[block], power, var,
+            np.full_like(power, traj.var_charger),  # conserved
+            traj.fisher_energy[block],
+            np.full_like(power, 4.0 * traj.var_charger),  # I_Q of a pure state
+            traj.cos_theta[block],
+            # Ratio columns come from the untruncated Fisher sum (the
+            # certification arithmetic); the I_E column is the floored one.
+            bound_ratio(power**2, var * traj.fisher_energy_full[block]),
+            bound_ratio(power**2, 4.0 * var * traj.var_charger),
+        ], axis=1)
+
+    header = list(TRAJECTORY_COLUMNS)
+    if not include_populations:
+        return header, map(series, time_blocks(traj.n_steps))
+    header += [f"p_{k}" for k in range(traj.spec.n_cells + 1)]
+    rows = max(CSV_CELLS // len(header), 1)  # so that no block's text grows with N
+
+    def blocks():
+        for block, levels, p, _ in traj.level_blocks():
+            values = series(block)
+            for lo in range(0, len(values), rows):
+                part = slice(lo, lo + rows)
+                columns = np.zeros((len(values[part]), len(header)))
+                columns[:, : len(TRAJECTORY_COLUMNS)] = values[part]
+                columns[:, len(TRAJECTORY_COLUMNS) :][:, levels] = p[:, part].T
+                yield columns
+
+    return header, blocks()
 
 
 def trajectory_rows(traj: Trajectory, include_populations: bool = False):
     """Column header and (T, columns) value block of the trajectory CSV schema."""
-    header = list(TRAJECTORY_COLUMNS)
-    # Ratio columns come from the untruncated Fisher sum (the certification
-    # arithmetic); the I_E column itself is the floored observable.
-    ratio_cor1 = bound_ratio(traj.power**2, traj.var_battery * traj.fisher_energy_full)
-    ratio_heis = bound_ratio(traj.power**2, 4.0 * traj.var_battery * traj.var_charger)
-    columns = np.stack([
-        traj.times,
-        traj.energy,
-        traj.power,
-        traj.var_battery,
-        np.full_like(traj.times, traj.var_charger),  # conserved
-        traj.fisher_energy,
-        np.full_like(traj.times, 4.0 * traj.var_charger),  # I_Q of a pure state
-        traj.cos_theta,
-        ratio_cor1,
-        ratio_heis,
-    ])
-    if include_populations:
-        header += [f"p_{k}" for k in range(len(traj.populations))]
-        columns = np.concatenate([columns, traj.populations])
-    return header, columns.T
+    header, blocks = _trajectory_blocks(traj, include_populations)
+    return header, np.concatenate(list(blocks))
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path, include_populations: bool = False) -> None:
-    header, rows = trajectory_rows(traj, include_populations)
-    write_csv(path, header, rows)
+    """The trajectory CSV, written one time block at a time."""
+    header, blocks = _trajectory_blocks(traj, include_populations)
+    _write_blocks(path, header, map(_csv_block, blocks))
 
 
 def write_json(path: str | Path, payload: dict) -> None:

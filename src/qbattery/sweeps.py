@@ -1,41 +1,34 @@
 """Parameter sweeps and log-log scaling fits.
 
 Quantities are time averages over the charging window [0, t_f], with t_f the
-refined time of maximal stored energy inside the configured grid.  A point
-takes the path that :func:`trajectory.analytic_path` picks for the sweep's
-``path``, the rule ``simulate`` follows too: a chain, or a parallel, global
-or hybrid charger, at any N, is evaluated from its independent units
-(:func:`freefermion.dispersion`), with the Fisher series only over the
-window, unless the sweep asks for the dense path; every other point is one
-dense run.  Such a point keeps that window path, not a run record, whose level distribution
-at every grid time took the shipped ``sweep_jw_costheta`` points (N = 20..200, 800
-steps, t_f at 7.6% of the grid) from 26 to 90-115 ms (2 cores), with equal quantities.
+refined time of maximal stored energy inside the configured grid.  Every
+point is one run record (:func:`trajectory.run_trajectory`) on the path
+that :func:`trajectory.analytic_path` picks for the sweep's ``path``, the
+rule ``simulate`` follows too: a chain, or a parallel, global or hybrid
+charger, at any N, on its independent units (:func:`freefermion.dispersion`)
+unless the sweep asks for the dense path, and every other point dense,
+lumped.  The window's Fisher series is reduced from the record's level
+blocks up to t_f only, so a unit-kernel point computes the level
+distribution over the window alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from .bounds import bound_ratio
 from .errors import CapacityLimitError, ValidationError
-from .freefermion import (
-    check_chain_size, dispersion, energy_at, fisher_energy_series, observables_on_grid, power_at,
-)
+from .freefermion import check_chain_size
 from .models import ModelSpec, check_dense_size, power_law_couplings
-from .observables import battery_entanglement_entropy, cos_theta_power, time_average
-from .trajectory import (
-    DEFAULT_STEPS,
-    PeakResult,
-    Trajectory,
-    analytic_path,
-    find_peak_time,
-    find_tf,
-    run_trajectory,
-    time_grid,
+from .observables import (
+    POPULATION_FLOOR, battery_entanglement_entropy, cos_theta_power, fisher_sum, time_average,
 )
+from .trajectory import DEFAULT_STEPS, Trajectory, analytic_path, find_tf, run_trajectory
+# No sweep calls these four: the benchmark tracer patches them here.
+from .freefermion import dispersion, fisher_energy_series, observables_on_grid  # noqa: F401
+from .trajectory import find_peak_time  # noqa: F401
 
 SWEEP_QUANTITIES = (
     "energy_at_tf",
@@ -105,70 +98,35 @@ def fit_exponent(n_values, values, quantity: str = "") -> ScalingResult:
     )
 
 
-def _window(times: np.ndarray, t_f: float) -> int:
-    """Exclusive stop of the grid points inside the charging window [0, t_f],
-    at least 2 so that a time average has two samples."""
-    return max(int(np.searchsorted(times, t_f, side="right")), 2)
-
-
-def _window_quantities(
-    times: np.ndarray, peak: PeakResult, energy: np.ndarray, var_battery: np.ndarray,
-    fisher: np.ndarray, var_charger: float,
-) -> dict[str, float]:
-    """Sweep quantities from series on a uniform time grid, its energy peak and
-    the conserved var(H_C); averages run over the window [0, t_f], which is all
-    ``fisher`` must cover."""
-    stop = _window(times, peak.t_f)
+def trajectory_quantities(traj: Trajectory) -> dict[str, float]:
+    """All sweep quantities derivable from one run record, of either backend;
+    the Fisher series is reduced over the window's level blocks only."""
+    peak = find_tf(traj)
+    times, var_battery, var_charger = traj.times, traj.var_battery, traj.var_charger
+    stop = max(int(np.searchsorted(times, peak.t_f, side="right")), 2)  # [0, t_f], 2 points at least
+    fisher = np.concatenate(
+        [fisher_sum(p, p_dot, POPULATION_FLOOR) for *_, p, p_dot in traj.level_blocks(stop)]
+    )
     dt = float(times[1] - times[0])
     avg_var = time_average(var_battery[:stop], dt)
-    avg_fisher = time_average(fisher[:stop], dt)
+    avg_fisher = time_average(fisher, dt)
     avg_power = peak.energy_max / peak.t_f if peak.t_f > 0 else 0.0
     idx = int(np.argmin(np.abs(times - peak.t_f)))
-    return {
+    out = {
         "energy_at_tf": peak.energy_max,
         "avg_power": avg_power,
         "avg_var_battery": avg_var,
         "avg_fisher_energy": avg_fisher,
-        "rel_final_std": bound_ratio(np.sqrt(max(var_battery[idx], 0.0)), energy[idx]),
+        "rel_final_std": bound_ratio(np.sqrt(max(var_battery[idx], 0.0)), traj.energy[idx]),
         "cos_theta_timeavg": cos_theta_power(avg_power, avg_var, avg_fisher),
         "cos_theta_timeavg_heis": cos_theta_power(avg_power, avg_var * 4.0, var_charger),
         "initial_var_charger": var_charger,
         "t_f": peak.t_f,
         "t_f_at_boundary": float(peak.at_boundary),
     }
-
-
-def trajectory_quantities(traj: Trajectory) -> dict[str, float]:
-    """All sweep quantities derivable from one run record, of either backend."""
-    peak = find_tf(traj)
-    out = _window_quantities(
-        traj.times, peak, traj.energy, traj.var_battery, traj.fisher_energy, traj.var_charger
-    )
     if traj.spec.family == "dicke":
-        idx = _window(traj.times, peak.t_f) - 1
-        out["final_battery_entropy"] = float(
-            battery_entanglement_entropy(traj.state_at(idx))
-        )
+        out["final_battery_entropy"] = float(battery_entanglement_entropy(traj.state_at(stop - 1)))
     return out
-
-
-def chain_analytic_quantities(
-    spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFAULT_STEPS
-) -> dict[str, float]:
-    """Sweep quantities for a chain, or a parallel, global or hybrid charger,
-    through its units (any N)."""
-    check_chain_size(spec, steps, record=False)
-    modes = dispersion(spec)
-    times = time_grid(spec, lam_t_max, steps)
-    series = observables_on_grid(modes, times)
-
-    peak = find_peak_time(
-        times, series["energy"], series["power"], partial(energy_at, modes), partial(power_at, modes)
-    )
-    fisher = fisher_energy_series(modes, times[: _window(times, peak.t_f)])
-    return _window_quantities(
-        times, peak, series["energy"], series["var_battery"], fisher, modes.var_charger
-    )
 
 
 def _analytic(spec: ModelSpec, path: str) -> bool:
@@ -182,12 +140,10 @@ def _analytic(spec: ModelSpec, path: str) -> bool:
 def quantities_for(
     spec: ModelSpec, lam_t_max: float | None = None, steps: int = DEFAULT_STEPS, path: str = "auto"
 ) -> dict[str, float]:
-    """Dispatch between dense and analytic evaluation of the sweep quantities;
-    a dense point runs lumped (:func:`trajectory.run_trajectory`)."""
-    if _analytic(spec, path):
-        return chain_analytic_quantities(spec, lam_t_max, steps)
-    lumped = True
-    return trajectory_quantities(run_trajectory(spec, lam_t_max, steps, "dense", lumped))
+    """The sweep quantities of one point's run record on ``path``; a dense
+    point runs lumped (:func:`trajectory.run_trajectory`)."""
+    _analytic(spec, path)
+    return trajectory_quantities(run_trajectory(spec, lam_t_max, steps, path, lumped=True))
 
 
 def check_sweep(
@@ -228,7 +184,7 @@ def check_sweep(
         try:  # the size rule of the path that evaluates the point
             point = _respecify(spec, int(n))
             if _analytic(point, path):
-                check_chain_size(point, steps, record=False)
+                check_chain_size(point, steps)
             else:
                 check_dense_size(point, steps)
         except (ValidationError, CapacityLimitError) as exc:

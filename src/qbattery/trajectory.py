@@ -1,12 +1,13 @@
 """Charging runs: one record of per-step series from either of two backends.
 
-A :class:`Trajectory` holds the time grid and the series a run computes
-(stored energy, power, battery variance, level populations and rates, Fisher
-informations, bound saturation ratio), the conserved charger variance and
-``energy_at(t)`` and ``power_at(t)`` callables for off-grid peak refinement;
-certification, the CSV writer, the peak search and the sweeps read only
-that.  One builder, :func:`_record`, derives the Fisher series and cos theta
-for both backends.
+A :class:`Trajectory` holds the time grid, the O(T) series a run computes
+(stored energy, power, battery variance), the conserved charger variance,
+``energy_at(t)`` and ``power_at(t)`` callables for off-grid peak refinement
+and one per-level source, :meth:`Trajectory.level_blocks` (the battery level
+populations and rates, one ``models.time_blocks`` slice at a time).  One
+cached reduction over that source gives both Fisher series and the
+moment-rate operands on either backend; certification, the CSV writer, the
+peak search and the sweeps read only the record.
 The dense backend builds the charger in the model's basis as its nonzero
 entries (:class:`linalg.SparseHermitian`) and runs on psi0's invariant sector
 only (:func:`linalg.invariant_sector`): the states psi0 reaches through those
@@ -19,30 +20,34 @@ further into equitable groups (:func:`linalg.equitable_groups`) and runs on
 the even spreads over them: the same states, on far fewer of them where the
 charger has symmetries.  The size rule's second stage
 (:func:`models.check_dense_size`) sizes that dense run once the sector or
-its groups are known.  Either keeps the sector charger and psi0's
-amplitudes on its eigenvectors, not the states; ``state_at`` re-propagates
-the block that holds a time and places the state in the full basis.  The
-free-fermion backend builds a ``jw_chain`` run of any N from its mode set
-(:mod:`freefermion`), with no state vector, and its kernel for independent
-units runs the parallel, global and hybrid chargers in closed form at any N
-too: q units of r cells, each excited with probability sin^2(lam t) and
-worth r levels, where a chain pair is worth 2.  Scalar
-observables are computed from the battery level populations, so bound checks
-and reported values share one arithmetic path.
+its groups are known.  Either keeps the (levels x T) populations and rates,
+the sector charger and psi0's amplitudes on its eigenvectors, not the
+states; ``state_at`` re-propagates the block that holds a time and places
+the state in the full basis.  The free-fermion backend builds a
+``jw_chain`` run of any N from its mode set (:mod:`freefermion`), with no
+state vector, and its kernel for independent units runs the parallel,
+global and hybrid chargers in closed form at any N too: q units of r cells,
+each excited with probability sin^2(lam t) and worth r levels, where a
+chain pair is worth 2.  Its record keeps the mode set: each pass over its
+level blocks recomputes the distribution on the q + 1 levels reached, so it
+holds no per-level array.  Scalar observables are computed from the battery
+level populations, so bound checks and reported values share one arithmetic
+path.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
+from .bounds import moment_rate_series
 from .errors import ValidationError
 from .freefermion import (
-    UNIT_FAMILIES, check_chain_size, dispersion, distribution_blocks, energy_at,
+    UNIT_FAMILIES, ModeSet, check_chain_size, dispersion, distribution_blocks, energy_at,
     observables_on_grid, power_at,
 )
 from .linalg import (
@@ -77,11 +82,13 @@ UNIT_NAMES = ", ".join(UNIT_FAMILIES[:-1]) + f" and {UNIT_FAMILIES[-1]}"
 
 @dataclass
 class Trajectory:
-    """Uniform-grid charging run: what a run computes, built by :func:`_record`
-    for both backends.  ``spec`` is the spec that ran, with the Fock cutoff a
-    cavity run used; the battery levels are those of its N cells,
-    ``models.register_spectrum(spec.n_cells)``.  H_C is conserved, so its
-    variance is one number (and I_Q = 4 var(H_C) for these pure-state runs).
+    """Uniform-grid charging run: what a run computes.  ``spec`` is the spec
+    that ran, with the Fock cutoff a cavity run used; the battery levels are
+    those of its N cells, ``models.register_spectrum(spec.n_cells)``.  H_C
+    is conserved, so its variance is one number (and I_Q = 4 var(H_C) for
+    these pure-state runs).  ``source`` is what :meth:`level_blocks` reads:
+    the dense backend's (levels x T) populations and rates, or the unit
+    kernel's :class:`freefermion.ModeSet`, whose distribution it recomputes.
     The last two fields belong to the dense backend and are None on a
     free-fermion or closed-form run: ``sector``, the charger on psi0's
     invariant sector (lumped into equitable groups on a lumped run) with its
@@ -93,20 +100,20 @@ class Trajectory:
     spec: ModelSpec
     times: np.ndarray
     initial_energy: float  # absolute <H_B> at t = 0
-    populations: np.ndarray  # (N + 1, T), level k at energy k - N/2
-    population_rates: np.ndarray  # (N + 1, T)
     energy: np.ndarray  # stored energy, relative to t = 0
     power: np.ndarray
-    var_battery: np.ndarray
+    var_battery: np.ndarray  # clipped at 0
     var_charger: float
-    fisher_energy: np.ndarray
-    fisher_energy_full: np.ndarray  # untruncated, used by bound certification
-    cos_theta: np.ndarray
     energy_at: Callable[[float], float]  # exact stored energy at an arbitrary (off-grid) time
     power_at: Callable[[float], float]  # exact power dE/dt at an arbitrary (off-grid) time
+    source: tuple[np.ndarray, np.ndarray] | ModeSet
     fock_edge_population: float = 0.0  # max population within one level of a Fock cutoff
     sector: HermitianOperator | None = None
     coefficients: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.var_battery = np.maximum(self.var_battery, 0.0)
+        self.var_charger = float(self.var_charger)
 
     @property
     def n_steps(self) -> int:
@@ -124,6 +131,76 @@ class Trajectory:
         if self.sector is not None:
             return "dense"
         return "free-fermion" if self.spec.family == "jw_chain" else "closed-form"
+
+    def level_blocks(self, stop: int | None = None) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray]]:
+        """Yield (block, levels, p, pdot) for each ``models.time_blocks``
+        slice ``block`` of ``times[:stop]``: the (rows x times) p and pdot of
+        the levels that ``levels`` selects out of the N + 1, every other one
+        exactly empty.  The dense backend slices the arrays it holds; the
+        unit kernel recomputes :func:`freefermion.distribution_blocks` on
+        every ``step``-th level, the ones its units reach."""
+        times = self.times[:stop]
+        if isinstance(self.source, ModeSet):
+            levels = slice(None, None, self.source.step)
+            for block, p, p_dot in distribution_blocks(self.source, times):
+                yield block, levels, p, p_dot
+            return
+        for block in time_blocks(len(times)):
+            yield block, slice(None), self.source[0][:, block], self.source[1][:, block]
+
+    @cached_property
+    def _level_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The one reduction of :meth:`level_blocks`: I_E above
+        POPULATION_FLOOR, I_E untruncated, which certification reads (the
+        floor drops up to 0.128, 1.9% of I_E, on the shipped jw_xx_pow_n8),
+        and the (m, lhs / rhs, T) moment-rate operands against the latter.
+        The terms pdot^2 / p are formed once: each series has the bits of
+        observables.fisher_sum at its floor, whose excluded levels add +0.0
+        as the masked ones do, over the levels held or reached alone."""
+        e_levels = register_spectrum(self.spec.n_cells)[0]
+        fisher, moments = np.empty((2, self.n_steps)), np.empty((2, 2, self.n_steps))
+        for block, levels, p, p_dot in self.level_blocks():
+            filled = p > 0.0
+            terms = np.where(filled, p_dot, 0.0) ** 2 / np.where(filled, p, 1.0)
+            fisher[1, block] = terms.sum(axis=0)
+            fisher[0, block] = np.where(p > POPULATION_FLOOR, terms, 0.0).sum(axis=0)
+            for m in (1, 2):
+                moments[m - 1, :, block] = moment_rate_series(
+                    e_levels[levels], p, p_dot, m, fisher[1, block]
+                )
+        return fisher[0], fisher[1], moments
+
+    # The reduction's series, and cos theta from them; each can be set on a copy.
+    @cached_property
+    def fisher_energy(self) -> np.ndarray:
+        return self._level_sums[0]
+
+    @cached_property
+    def fisher_energy_full(self) -> np.ndarray:
+        """Untruncated, used by bound certification."""
+        return self._level_sums[1]
+
+    @cached_property
+    def moment_rates(self) -> np.ndarray:
+        """(lhs, rhs) of the moment-rate bounds for m = 1 and m = 2."""
+        return self._level_sums[2]
+
+    @cached_property
+    def cos_theta(self) -> np.ndarray:
+        return cos_theta_power(self.power, self.var_battery, self.fisher_energy)
+
+    # The (N + 1, T) populations and rates, level k at energy k - N/2; on the
+    # unit kernel, computed from the level blocks each time they are read.
+    populations = property(lambda self: self._on_grid()[0])
+    population_rates = property(lambda self: self._on_grid()[1])
+
+    def _on_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        if not isinstance(self.source, ModeSet):
+            return self.source
+        on_grid = np.zeros((2, self.spec.n_cells + 1, self.n_steps))
+        for block, levels, p, p_dot in self.level_blocks():
+            on_grid[:, levels, block] = p, p_dot
+        return on_grid[0], on_grid[1]
 
     def state_at(self, index: int) -> StateVector:
         """The run's state at grid time ``index``, bit for bit: the block of
@@ -174,46 +251,6 @@ def _fock_edge_population(density: np.ndarray, basis: Basis) -> float:
     group at one photon number)."""
     photons = basis.indices % (basis.n_max + 1)
     return float(density[photons >= basis.n_max - 1].sum(axis=0).max())
-
-
-def _record(
-    spec: ModelSpec, times: np.ndarray, initial_energy: float, populations: np.ndarray,
-    rates: np.ndarray, energy: np.ndarray, power: np.ndarray, var_battery: np.ndarray,
-    var_charger: float, energy_at: Callable[[float], float], power_at: Callable[[float], float],
-    **dense,
-) -> Trajectory:
-    """The run record from what a backend computed: the level populations and
-    their rates on the whole grid, E, P, var(H_B) and var(H_C).  Both Fisher
-    series, cos theta and the clipped var(H_B) are derived here for either
-    backend; ``dense`` holds the dense backend's own fields."""
-    # Both Fisher series are summed in TIME_CHUNK blocks of columns, so that
-    # the (levels x times) terms stay one block wide; each column's sum is
-    # the whole grid's, bit for bit.  The untruncated series is for bound
-    # certification: the floor drops a real Fisher share (up to 0.128
-    # absolute, 1.9% of I_E, on the shipped jw_xx_pow_n8), which would break
-    # saturated inequality checks at the 1e-8 tolerance.  Exact zeros are
-    # masked; symmetry-protected zeros contribute only noise^2 terms.  The
-    # terms pdot^2 / p are formed once for both series: each series has the
-    # bits of observables.fisher_sum at its floor, whose excluded levels add
-    # +0.0 as the masked terms here do.
-    fisher_energy, fisher_energy_full = np.empty((2, len(times)))
-    for block in time_blocks(len(times)):
-        p, p_dot = populations[:, block], rates[:, block]
-        filled = p > 0.0
-        terms = np.where(filled, p_dot, 0.0) ** 2 / np.where(filled, p, 1.0)
-        fisher_energy_full[block] = terms.sum(axis=0)
-        fisher_energy[block] = np.where(p > POPULATION_FLOOR, terms, 0.0).sum(axis=0)
-    return Trajectory(
-        spec, times, initial_energy, populations, rates, energy, power,
-        var_battery=np.maximum(var_battery, 0.0),
-        var_charger=float(var_charger),
-        fisher_energy=fisher_energy,
-        fisher_energy_full=fisher_energy_full,
-        cos_theta=cos_theta_power(power, var_battery, fisher_energy),
-        energy_at=energy_at,
-        power_at=power_at,
-        **dense,
-    )
 
 
 def _run_fixed(
@@ -312,9 +349,9 @@ def _run_fixed(
         psi = psi_at(t)
         return float(2.0 * (psi.conj() * matmul(sector.values, psi)).imag[order] @ ladder)
 
-    return _record(
-        spec, times, initial_energy, populations, rates, energy_abs - initial_energy,
-        e_levels @ rates, var_battery, var_charger, stored_energy_at, power_at,
+    return Trajectory(
+        spec, times, initial_energy, energy_abs - initial_energy, e_levels @ rates, var_battery,
+        var_charger, stored_energy_at, power_at, (populations, rates),
         fock_edge_population=leak,
         sector=sector,
         coefficients=amplitudes,
@@ -324,26 +361,20 @@ def _run_fixed(
 def _run_chain(spec: ModelSpec, times: np.ndarray) -> Trajectory:
     """The run of a chain, or of a parallel, global or hybrid charger, on
     the grid, from its independent units (:func:`freefermion.dispersion`),
-    at any N.
+    at any N; the units are the record's level source.
 
     With u units excited the battery is at level u h (k - N/2 at k = u h)
     for the units' level step h, so every h-th level comes from the
     recursion over the units and the others are exactly empty.  On a chain
     (h = 2) particle number is the level, and at odd N level N is odd and
-    stays empty too.
+    stays empty too.  A pass over the level blocks computes the recursion
+    as far as it reads.
     """
     modes = dispersion(spec)
     series = observables_on_grid(modes, times)
-    n = spec.n_cells
-    populations = np.zeros((n + 1, len(times)))
-    rates = np.zeros_like(populations)
-    levels = slice(None, None, modes.step)
-    for block, p, p_dot in distribution_blocks(modes, times):
-        populations[levels, block], rates[levels, block] = p, p_dot
-    return _record(
-        spec, times, -n / 2, populations, rates, series["energy"], series["power"],
-        series["var_battery"], modes.var_charger, partial(energy_at, modes),
-        partial(power_at, modes),
+    return Trajectory(
+        spec, times, -spec.n_cells / 2, series["energy"], series["power"], series["var_battery"],
+        modes.var_charger, partial(energy_at, modes), partial(power_at, modes), modes,
     )
 
 

@@ -30,15 +30,16 @@ class Violation:
 
 
 # Every inequality as (lhs, rhs) over named trajectory columns; in memory I_E
-# is the untruncated Fisher sum.  The CSV path has no rates or N, so it cannot
-# re-check the moment-rate or producibility bounds, and its I_E column is
-# floored (a lower bound), so it checks the power bounds from the emitted
+# is the untruncated Fisher sum, and the moment-rate pairs are the record's
+# own (``Trajectory.moment_rates``).  The CSV path has no rates or N, so it
+# cannot re-check the moment-rate or producibility bounds, and its I_E column
+# is floored (a lower bound), so it checks the power bounds from the emitted
 # ratio columns, with rhs = P^2 / ratio.
 INEQUALITIES = {
     "fisher_power": lambda c: (c["P"] ** 2, c["var_HB"] * c["I_E"]),
     "fisher_power_ratio": lambda c: (c["P"] ** 2, c["P"] ** 2 / c["bound_ratio_cor1"]),
-    "moment_rate_m1": lambda c: bounds.moment_rate_series(c["levels"], c["p"], c["p_dot"], 1),
-    "moment_rate_m2": lambda c: bounds.moment_rate_series(c["levels"], c["p"], c["p_dot"], 2),
+    "moment_rate_m1": lambda c: c["moment_rates"][0],
+    "moment_rate_m2": lambda c: c["moment_rates"][1],
     "heisenberg_power": lambda c: (c["P"] ** 2, 4.0 * c["var_HB"] * c["var_HC"]),
     "heisenberg_ratio": lambda c: (c["P"] ** 2, c["P"] ** 2 / c["bound_ratio_heis"]),
     "dephasing_fisher": lambda c: (c["I_E"], 4.0 * c["var_HC"]),
@@ -125,9 +126,9 @@ def certify_trajectory(traj: Trajectory) -> CertificationReport:
     levels = register_spectrum(traj.spec.n_cells)[0]
     columns = {
         "t": traj.times, "P": traj.power, "var_HB": traj.var_battery,
-        "var_HC": np.full_like(traj.times, traj.var_charger), "I_E": traj.fisher_energy_full,
-        "I_Q": np.full_like(traj.times, 4.0 * traj.var_charger), "producibility_cap": cap,
-        "levels": levels, "p": traj.populations, "p_dot": traj.population_rates,
+        "var_HC": np.broadcast_to(traj.var_charger, traj.times.shape), "I_E": traj.fisher_energy_full,
+        "I_Q": np.broadcast_to(4.0 * traj.var_charger, traj.times.shape), "producibility_cap": cap,
+        "moment_rates": traj.moment_rates,
     }
     report = certify_series(columns, MEMORY_BOUNDS, undefined_fails=True)
     report.amplitude = energy_amplitude_check(traj.energy, levels, traj.initial_energy)

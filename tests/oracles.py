@@ -398,11 +398,10 @@ def full_space_run(spec, times):
         rates = 2.0 * (psi.conj() * matmul(drive, psi)).imag
         return float(rates[battery.order] @ battery.eigenvalues)
 
-    record = trajectory._record(
-        spec, times, initial_energy, populations, rates, energy_abs - initial_energy,
-        e_levels @ rates, e_levels**2 @ populations - energy_abs**2, var_charger,
-        stored_energy_at, power_at, fock_edge_population=leak, sector=charger,
-        coefficients=amplitudes,
+    record = trajectory.Trajectory(
+        spec, times, initial_energy, energy_abs - initial_energy, e_levels @ rates,
+        e_levels**2 @ populations - energy_abs**2, var_charger, stored_energy_at, power_at,
+        (populations, rates), fock_edge_population=leak, sector=charger, coefficients=amplitudes,
     )
     return record, states
 

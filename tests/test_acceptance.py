@@ -28,7 +28,7 @@ from qbattery.linalg import random_hermitian
 from qbattery.models import CHAIN_VARIANTS, battery_cell_terms, ghz_state
 from qbattery.observables import variance, variance_decomposition
 from qbattery.bounds import producibility_variance_cap
-from qbattery.sweeps import chain_analytic_quantities
+from qbattery.sweeps import quantities_for
 from qbattery.trajectory import find_tf
 from qbattery.verification import chain_oracle_comparison
 
@@ -91,7 +91,7 @@ def test_criterion_3_chain_oracle_equivalence():
 def test_criterion_4_stored_fraction_at_n20():
     fractions = {}
     for variant in ("xx_nn", "xy_nn"):
-        q = chain_analytic_quantities(chain_spec(variant, 20), steps=2000)
+        q = quantities_for(chain_spec(variant, 20), steps=2000)
         fractions[variant] = q["energy_at_tf"] / 20
         assert 0.40 <= fractions[variant] <= 0.60, fractions
     report("criterion 4 (half-capacity storage at N=20)",
@@ -102,7 +102,7 @@ def test_criterion_5_saturation_ratios_large_chains():
     values = {}
     for variant in CHAIN_VARIANTS:
         for n in (20, 50, 100, 200):
-            q = chain_analytic_quantities(chain_spec(variant, n), steps=600)
+            q = quantities_for(chain_spec(variant, n), steps=600)
             assert 0.73 <= q["cos_theta_timeavg"] <= 0.87, (variant, n, q["cos_theta_timeavg"])
             assert 0.53 <= q["cos_theta_timeavg_heis"] <= 0.67, (variant, n, q["cos_theta_timeavg_heis"])
             values[(variant, n)] = (q["cos_theta_timeavg"], q["cos_theta_timeavg_heis"])

@@ -24,7 +24,7 @@ from qbattery import capacity, linalg
 from qbattery.capacity import thermal_point
 from qbattery.linalg import random_hermitian
 from qbattery.models import ModelSpec
-from qbattery.sweeps import chain_analytic_quantities
+from qbattery.sweeps import quantities_for
 from qbattery.trajectory import run_trajectory
 
 from oracles import haar_orthonormal_columns, register_capacity_closed_form, shannon_bits
@@ -289,5 +289,5 @@ class TestEnergyAmplitude:
             assert abs(report.stored_fraction) < 1e-12
 
     def test_half_capacity_chain(self):
-        quantities = chain_analytic_quantities(chain_spec("xx_nn", 20), steps=1200)
+        quantities = quantities_for(chain_spec("xx_nn", 20), steps=1200)
         assert 0.40 <= quantities["energy_at_tf"] / 20 <= 0.60

@@ -443,7 +443,7 @@ class TestCli:
             (
                 {"family": "jw_chain", "N": 4, "variant": "xx_nn"},
                 {"values": [4, 6, 8, 2000001], "quantity": "avg_power"},
-                "sweep.values: N = 2000001: free-fermion sweep point of jw_chain N = 2000001 "
+                "sweep.values: N = 2000001: free-fermion run of jw_chain N = 2000001 "
                 "(120 steps) needs ~32.8 GB, over the 4.3 GB run limit",
             ),
             (
@@ -504,16 +504,16 @@ class TestCli:
             # LMG's entry list is O(N); its 10001-state sector is what is refused.
             ("simulate", {"family": "lmg", "N": 20000}, {}, None,
              "error: dense run of lmg N = 20000 (dim 20001, 120 steps) on 10001 states "
-             "needs ~11.5 GB"),
+             "needs ~11.4 GB"),
             ("simulate", {"family": "lmg", "N": 2}, {"steps": 10**12}, None,
-             "error: dense run of lmg N = 2 (dim 3, 1000000000000 steps) needs ~1.92e+05 GB"),
+             "error: dense run of lmg N = 2 (dim 3, 1000000000000 steps) needs ~7.2e+04 GB"),
             ("sweep", {"family": "lmg", "N": 20}, {"steps": 10**12},
              {"parameter": "gamma", "values": [-1.0, 0.0], "quantity": "energy_at_tf"},
-             "error: dense run of lmg N = 20 (dim 21, 1000000000000 steps) needs ~1.34e+06 GB"),
+             "error: dense run of lmg N = 20 (dim 21, 1000000000000 steps) needs ~5.04e+05 GB"),
             ("sweep", {"family": "lmg", "N": 10}, {},
              {"values": [10, 20, 40, 10**7], "quantity": "avg_power"},
              "config error: sweep.values: N = 10000000: dense run of lmg N = 10000000 "
-             "(dim 10000001, 120 steps) needs ~82.9 GB"),
+             "(dim 10000001, 120 steps) needs ~34.9 GB"),
             # Byte counts past float range: formatted, not converted.
             ("sweep", {"family": "parallel", "N": 2}, {},
              {"values": [2, 3, 4, 600], "quantity": "avg_power", "path": "dense"},
@@ -555,10 +555,10 @@ class TestCli:
         "command,sweep,message",
         [
             ("simulate", None, "error: free-fermion run of jw_chain N = 8 (1000000000000 steps) "
-             "needs ~2.29e+06 GB"),
+             "needs ~1.44e+05 GB"),
             ("sweep", {"values": [4, 6, 8, 10], "quantity": "avg_power", "path": "analytic"},
-             "config error: sweep.values: N = 4: free-fermion sweep point of jw_chain N = 4 "
-             "(1000000000000 steps) needs ~1.28e+05 GB"),
+             "config error: sweep.values: N = 4: free-fermion run of jw_chain N = 4 "
+             "(1000000000000 steps) needs ~1.44e+05 GB"),
         ],
         ids=["simulate", "analytic-sweep"],
     )
@@ -582,13 +582,13 @@ class TestCli:
         "command,model,sweep,message",
         [
             ("simulate", {"family": "parallel", "N": 8}, None,
-             "error: closed-form run of parallel N = 8 (1000000000000 steps) needs ~2.29e+06 GB"),
+             "error: closed-form run of parallel N = 8 (1000000000000 steps) needs ~1.44e+05 GB"),
             ("simulate", {"family": "global", "N": 8}, None,
-             "error: closed-form run of global N = 8 (1000000000000 steps) needs ~2.29e+06 GB"),
+             "error: closed-form run of global N = 8 (1000000000000 steps) needs ~1.44e+05 GB"),
             ("sweep", {"family": "hybrid", "N": 4, "q": 2, "r": 2},
              {"values": [4, 6, 8, 10], "quantity": "avg_power", "path": "analytic"},
-             "config error: sweep.values: N = 4: closed-form sweep point of hybrid N = 4 "
-             "(1000000000000 steps) needs ~1.28e+05 GB"),
+             "config error: sweep.values: N = 4: closed-form run of hybrid N = 4 "
+             "(1000000000000 steps) needs ~1.44e+05 GB"),
         ],
         ids=["parallel", "global", "hybrid-sweep"],
     )

@@ -497,8 +497,8 @@ class TestParadigmaticUnits:
         assert check_chain_size(global_, 1000) < check_chain_size(parallel, 1000)
         with pytest.raises(CapacityLimitError, match="^closed-form run of parallel N = 8 "):
             check_chain_size(ModelSpec(family="parallel", n_cells=8), 10**12)
-        with pytest.raises(CapacityLimitError, match="^closed-form sweep point of global N = 8 "):
-            check_chain_size(ModelSpec(family="global", n_cells=8), 10**14, record=False)
+        with pytest.raises(CapacityLimitError, match="^closed-form run of global N = 8 "):
+            check_chain_size(ModelSpec(family="global", n_cells=8), 10**14)
 
     def test_a_run_far_past_the_dense_limit_certifies(self):
         from qbattery.verification import certify_trajectory

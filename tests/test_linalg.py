@@ -278,17 +278,17 @@ class TestGridPhases:
         freqs = rng.normal(scale=5.0, size=9)
         times = np.linspace(0.0, 40.0, 2 * models.TIME_CHUNK + tail)
         step = linalg.grid_step(times)
-        whole = linalg.grid_phases(freqs, times, step)
+        whole = linalg.PhaseTable(freqs, times, step)(slice(None))
         for block in models.time_blocks(len(times)):
-            assert np.array_equal(linalg.grid_phases(freqs, times[block], step), whole[:, block])
+            assert np.array_equal(linalg.PhaseTable(freqs, times[block], step)(slice(None)), whole[:, block])
         # The same bits in either layout.
-        assert np.array_equal(linalg.grid_phases(freqs, times, step, times_first=True), whole.T)
+        assert np.array_equal(linalg.PhaseTable(freqs, times, step, times_first=True)(slice(None)), whole.T)
 
     def test_table_rows_are_the_direct_phases_and_t0_is_exact(self):
         rng = np.random.default_rng(4)
         freqs = rng.normal(scale=3.0, size=7)
         times = np.linspace(0.0, 25.0, 300)
-        table = linalg.grid_phases(freqs, times, linalg.grid_step(times))
+        table = linalg.PhaseTable(freqs, times, linalg.grid_step(times))(slice(None))
         direct = linalg.grid_phases(freqs, times)
         rows = slice(0, len(times) - 1, self.STRIDE)  # the last time is linspace's end point
         # Byte for byte, so the signed zeros of sin(f * 0) too.
@@ -307,7 +307,7 @@ class TestGridPhases:
         times = np.linspace(0.0, t_max, steps)
         step = linalg.grid_step(times)
         index = np.arange(steps)
-        table = phase_error(linalg.grid_phases(freqs, times, step), freqs, index, step)
+        table = phase_error(linalg.PhaseTable(freqs, times, step)(slice(None)), freqs, index, step)
         direct = phase_error(linalg.grid_phases(freqs, index * step), freqs, index, step)
         assert table <= 2.0 * direct
 
@@ -323,9 +323,9 @@ class TestGridPhases:
         freqs = np.array(freqs)
         index = np.arange(first, first + count)
         times = index * step
-        got = linalg.grid_phases(freqs, times, step)
+        got = linalg.PhaseTable(freqs, times, step)(slice(None))
         start = first - first % self.STRIDE
-        wider = linalg.grid_phases(freqs, np.arange(start, first + count) * step, step)
+        wider = linalg.PhaseTable(freqs, np.arange(start, first + count) * step, step)(slice(None))
         assert np.array_equal(got, wider[:, first - start:])
         on_rows = index % self.STRIDE == 0
         assert np.array_equal(got[:, on_rows], linalg.grid_phases(freqs, times[on_rows]))
@@ -339,19 +339,19 @@ class TestGridPhases:
     )
     def test_a_grid_step_needs_grid_times(self, times):
         with pytest.raises(ValidationError, match="not consecutive points of a uniform grid"):
-            linalg.grid_phases(np.ones(2), times, 0.1)
+            linalg.PhaseTable(np.ones(2), times, 0.1)
 
     @pytest.mark.parametrize("step", [0.0, -0.1, np.nan, np.inf])
     def test_a_grid_step_is_positive_and_finite(self, step):
         with pytest.raises(ValidationError, match="must be positive and finite"):
-            linalg.grid_phases(np.ones(2), np.array([0.0]), step)
+            linalg.PhaseTable(np.ones(2), np.array([0.0]), step)
 
     def test_grid_propagation_matches_direct_propagation(self):
         rng = np.random.default_rng(5)
         op = eigendecompose(random_hermitian(8, rng))
         coeff = op.to_eigenbasis(state(rng.normal(size=8) + 1j * rng.normal(size=8), op.basis).amplitudes)
         times = np.linspace(0.0, 300.0, 1001)
-        table = evolve_batch(op, coeff, linalg.grid_phases(op.eigenvalues, times, linalg.grid_step(times)))
+        table = evolve_batch(op, coeff, linalg.PhaseTable(op.eigenvalues, times, linalg.grid_step(times))(slice(None)))
         direct = evolve_batch(op, coeff, linalg.grid_phases(op.eigenvalues, times))
         assert np.array_equal(table[:, 0], direct[:, 0])
         assert np.abs(table - direct).max() <= 1e-12

@@ -460,8 +460,8 @@ print((peak_kib() - base) * 1024, freefermion.check_chain_size(models.chain_spec
 SWEEP_RSS_CHILD = PEAK_KIB + """
 from qbattery import sweeps
 n, steps = int(sys.argv[1]), int(sys.argv[2])
-sweeps.chain_analytic_quantities(models.chain_spec("xy_nn", n), steps=steps)
-print((peak_kib() - base) * 1024, freefermion.check_chain_size(models.chain_spec("xy_nn", n), steps, record=False))
+sweeps.quantities_for(models.chain_spec("xy_nn", n), steps=steps)
+print((peak_kib() - base) * 1024, freefermion.check_chain_size(models.chain_spec("xy_nn", n), steps))
 """
 
 
@@ -532,7 +532,7 @@ class TestDenseSizeRule:
             check_dense_size(spec, 10**12)
         assert str(refused.value) == (
             "dense run of dicke N = 12 (dim 533, n_max 40, 1000000000000 steps) "
-            "needs ~8.32e+05 GB, over the 4.3 GB run limit"
+            "needs ~3.12e+05 GB, over the 4.3 GB run limit"
         )
 
     def test_counts_past_float_range_are_formatted_exactly(self):
@@ -558,17 +558,17 @@ class TestChainSizeRule:
         assert grown <= estimate <= 3 * grown
 
     def test_odd_n_is_sized_by_its_pairs(self):
-        # N // 2 + 1 rows size the recursion's blocks and N + 1 levels the
-        # record, at either parity.
+        # N // 2 + 1 rows size the recursion's blocks at either parity; the
+        # record holds no per-level array.
         sizes = [check_chain_size(chain_spec("xy_nn", n), 1000) for n in (8, 9, 10)]
-        assert sizes[0] < sizes[1] < sizes[2]
+        assert sizes[0] == sizes[1] < sizes[2]
         with pytest.raises(CapacityLimitError, match="^free-fermion run of jw_chain N = 9 "):
             check_chain_size(chain_spec("xy_nn", 9), 10**12)
 
     def test_message_names_the_run(self):
         with pytest.raises(CapacityLimitError) as refused:
-            check_chain_size(chain_spec("xy_nn", 10**4), 10**6)
+            check_chain_size(chain_spec("xy_nn", 10**4), 10**8)
         assert str(refused.value) == (
-            "free-fermion run of jw_chain N = 10000 (1000000 steps) needs ~1.12e+03 GB, "
+            "free-fermion run of jw_chain N = 10000 (100000000 steps) needs ~14.6 GB, "
             "over the 4.3 GB run limit"
         )

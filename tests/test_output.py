@@ -8,11 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from qbattery import ModelSpec
+from qbattery import ModelSpec, chain_spec
 from qbattery.bounds import ABSOLUTE_FLOOR
 from qbattery.cli import _read_trajectory_csv
 from qbattery.config import load_scenario
-from qbattery.output import TRAJECTORY_COLUMNS, trajectory_rows, write_csv
+from qbattery.output import TRAJECTORY_COLUMNS, trajectory_rows, write_csv, write_trajectory_csv
 from qbattery.trajectory import run_trajectory
 
 from oracles import read_csv_with_converter, write_csv_per_value
@@ -41,6 +41,23 @@ class TestWriter:
             header, block = trajectory_rows(traj, populations)
             assert_same_bytes(tmp_path, header, block)
             assert_same_bytes(tmp_path, header, block.tolist())
+
+    @pytest.mark.parametrize(
+        "spec,path",
+        [(chain_spec("xy_pow", 300), "auto"), (ModelSpec(family="global", n_cells=400), "auto"),
+         (chain_spec("xx_nn", 7), "dense")],
+        ids=["wide-chain", "wide-closed-form", "dense"],
+    )
+    def test_trajectory_csv_is_written_block_by_block(self, tmp_path, spec, path):
+        # One TIME_CHUNK block of times, or fewer rows where N + 11 columns
+        # would pass CSV_CELLS, at a time: the text of the whole table.
+        traj = run_trajectory(spec, steps=600, path=path)
+        for populations in (False, True):
+            write_trajectory_csv(traj, tmp_path / "trajectory.csv", populations)
+            write_csv_per_value(tmp_path / "oracle.csv", *trajectory_rows(traj, populations))
+            assert (
+                (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+            )
 
     def test_edge_values(self, tmp_path):
         edges = [

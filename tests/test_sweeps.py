@@ -17,14 +17,8 @@ from qbattery.freefermion import check_chain_size
 from qbattery.models import CHAIN_VARIANTS, check_dense_size
 from qbattery.config import load_scenario, parse_scenario
 from qbattery.observables import COS_THETA_DENOM_FLOOR
-from qbattery.sweeps import (
-    _window_quantities,
-    chain_analytic_quantities,
-    check_sweep,
-    quantities_for,
-    trajectory_quantities,
-)
-from qbattery.trajectory import DEFAULT_STEPS, PeakResult, run_trajectory
+from qbattery.sweeps import check_sweep, quantities_for, trajectory_quantities
+from qbattery.trajectory import DEFAULT_STEPS, Trajectory, run_trajectory
 
 
 def dense_rule(spec):
@@ -32,7 +26,7 @@ def dense_rule(spec):
 
 
 def chain_point_rule(spec):
-    return check_chain_size(spec, DEFAULT_STEPS, record=False)
+    return check_chain_size(spec, DEFAULT_STEPS)
 
 
 class TestExponentFit:
@@ -136,7 +130,7 @@ class TestSweepRules:
             (
                 XX_NN,
                 {"values": [4, 6, 8, 2 * 10**6 + 1], "quantity": "avg_power"},
-                "N = 2000001: free-fermion sweep point of jw_chain",
+                "N = 2000001: free-fermion run of jw_chain",
             ),
             (
                 XX_NN,
@@ -190,10 +184,9 @@ class TestSweepRules:
         assert str(from_sweep.value) == f"sweep.values: N = {n}: {from_solver.value}"
 
     def test_analytic_point_is_sized_as_a_sweep_point(self):
-        # N = 10^4 over 4000 steps: a run record (p and pdot on all levels)
-        # would be refused; a sweep point holds O(T) series and one block.
-        with pytest.raises(CapacityLimitError, match="^free-fermion run of jw_chain N = 10000 "):
-            check_chain_size(chain_spec("xx_nn", 10**4), 4000)
+        # N = 10^4 over 4000 steps: a run record holds O(T) series and one
+        # block of levels, so a sweep point and a run share one rule.
+        check_chain_size(chain_spec("xx_nn", 10**4), 4000)
         check_sweep(chain_spec("xx_nn", 4), "N", [4, 100, 1000, 10**4], "avg_power", "auto", 4000)
 
     @pytest.mark.parametrize(
@@ -204,9 +197,10 @@ class TestSweepRules:
     def test_auto_path_sends_every_chain_to_the_solver(self, monkeypatch, n, path, taken):
         # A chain of either parity goes to the free-fermion solver; "dense" stays dense.
         calls = []
-        monkeypatch.setattr(sweeps, "chain_analytic_quantities", lambda *a: calls.append("analytic"))
-        monkeypatch.setattr(sweeps, "run_trajectory", lambda *a: calls.append("dense"))
-        monkeypatch.setattr(sweeps, "trajectory_quantities", lambda traj: None)
+        monkeypatch.setattr(
+            sweeps, "trajectory_quantities",
+            lambda traj: calls.append("analytic" if traj.sector is None else "dense"),
+        )
         quantities_for(chain_spec("xy_nn", n), path=path)
         assert calls == [taken]
 
@@ -259,17 +253,24 @@ class TestQuantities:
     def test_ratio_denominator_at_the_floor_is_undefined(self):
         # One unit-step window [0, 1] of constant series: the averages are
         # the constants, so each ratio's var * I product is exactly the floor.
+        # The record's one level carries I_E = pdot^2 / p = rate^2; its grid
+        # peak, where P is 0, is t = 1.
         floor_sq = COS_THETA_DENOM_FLOOR**2
-        times = np.array([0.0, 1.0, 2.0])
-        peak = PeakResult(t_f=1.0, energy_max=1.0, at_boundary=False)
-        out = _window_quantities(
-            times, peak, np.array([0.0, 1.0, 0.5]), np.ones(3), np.full(3, floor_sq), floor_sq / 4
-        )
+
+        def record(rate, var_charger):
+            p, p_dot = np.repeat([[1.0], [0.0]], 3, axis=1), np.repeat([[rate], [-rate]], 3, axis=1)
+            return Trajectory(
+                ModelSpec(family="parallel", n_cells=1), np.array([0.0, 1.0, 2.0]), -0.5,
+                np.array([0.0, 1.0, 0.5]), np.array([1.0, 0.0, -1.0]), np.ones(3), var_charger,
+                None, None, (p, p_dot),
+            )
+
+        out = trajectory_quantities(record(COS_THETA_DENOM_FLOOR, floor_sq / 4))
+        assert out["t_f"] == 1.0 and out["energy_at_tf"] == 1.0
         assert out["avg_var_battery"] == 1.0 and out["avg_fisher_energy"] == floor_sq
         assert np.isnan(out["cos_theta_timeavg"]) and np.isnan(out["cos_theta_timeavg_heis"])
-        out = _window_quantities(
-            times, peak, np.array([0.0, 1.0, 0.5]), np.ones(3), np.full(3, 4 * floor_sq), floor_sq
-        )
+        out = trajectory_quantities(record(2 * COS_THETA_DENOM_FLOOR, floor_sq))
+        assert out["avg_fisher_energy"] == 4 * floor_sq
         assert out["cos_theta_timeavg"] == out["cos_theta_timeavg_heis"] == pytest.approx(0.5e12)
 
     def test_trajectory_quantities_consistency(self):
@@ -290,17 +291,19 @@ class TestQuantities:
     @pytest.mark.parametrize("n", [8, 20, 50])
     @pytest.mark.parametrize("variant", CHAIN_VARIANTS)
     def test_analytic_point_equals_the_run_record(self, variant, n, steps):
-        # The windowed sweep point and the free-fermion run record agree bit
-        # for bit, key for key.
+        # The sweep point, whose level distribution stops at the window, and
+        # the free-fermion run record with its whole-grid populations held
+        # agree bit for bit, key for key.
         spec = chain_spec(variant, n)
-        point = chain_analytic_quantities(spec, None, steps)
-        record = trajectory_quantities(run_trajectory(spec, None, steps, "analytic"))
+        point = quantities_for(spec, None, steps)
+        traj = run_trajectory(spec, None, steps, "analytic")
+        record = trajectory_quantities(replace(traj, source=(traj.populations, traj.population_rates)))
         assert list(point) == list(record)
         for key in point:
             assert point[key] == record[key] or np.isnan(point[key]) and np.isnan(record[key]), key
 
     def test_chain_quantities_at_scale(self):
-        out = chain_analytic_quantities(chain_spec("xx_nn", 100), steps=400)
+        out = quantities_for(chain_spec("xx_nn", 100), steps=400)
         assert out["energy_at_tf"] > 0
         assert np.isfinite(out["avg_fisher_energy"])
 
@@ -308,7 +311,7 @@ class TestQuantities:
         ns = [20, 50, 100, 200]
         for variant in ("xx_nn", "xy_nn"):
             rels = [
-                chain_analytic_quantities(chain_spec(variant, n), steps=600)["rel_final_std"]
+                quantities_for(chain_spec(variant, n), steps=600)["rel_final_std"]
                 for n in ns
             ]
             fit = fit_exponent(ns, rels, "rel_final_std")

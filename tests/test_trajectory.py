@@ -191,9 +191,9 @@ def test_both_fisher_series_are_the_fisher_sums_at_their_floors():
                      rng.normal(size=(levels, steps)) * np.sqrt(np.abs(p)))
     times = np.linspace(0.0, 1.0, steps)
     zeros = np.zeros(steps)
-    traj = trajectory._record(
-        ModelSpec(family="parallel", n_cells=levels - 1), times, 0.0, p, p_dot, zeros, zeros, zeros,
-        0.0, None, None,
+    traj = trajectory.Trajectory(
+        ModelSpec(family="parallel", n_cells=levels - 1), times, 0.0, zeros, zeros, zeros, 0.0,
+        None, None, (p, p_dot),
     )
     assert traj.fisher_energy.tobytes() == fisher_sum(p, p_dot, POPULATION_FLOOR).tobytes()
     assert traj.fisher_energy_full.tobytes() == fisher_sum(p, p_dot, 0.0).tobytes()
@@ -552,6 +552,32 @@ class TestFreeFermionBackend:
         series = sum(value.nbytes for value in vars(traj).values() if isinstance(value, np.ndarray))
         assert traj.sector.values.dtype == traj.sector.eigenvectors.dtype == np.float64
         assert retained <= 2 * 8 * d**2 + series + 128 * 1024
+
+    def test_a_unit_kernel_record_retains_only_its_series(self, tmp_path):
+        # After run, certify and the CSV, the record holds O(T) series (the
+        # grid, E, P, var(H_B), both Fisher series, cos theta and the four
+        # moment-rate operands) and its mode set, not the 2 x 1001 x 4000
+        # float64 (64 MB) of p and pdot.  The first run makes the one-time
+        # allocations of the path.
+        spec, steps = chain_spec("xy_nn", 1000), 4000
+
+        def run():
+            traj = run_trajectory(spec, steps=steps)
+            certify_trajectory(traj)
+            write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+            return traj
+
+        run()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            traj = run()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert traj.backend == "free-fermion"
+        assert retained <= 16 * 8 * steps + 128 * 1024
 
     def test_levels_stay_exact_past_int64(self):
         # C(N, k) passes int64 at N = 67; the levels come from N alone.
