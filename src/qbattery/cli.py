@@ -234,6 +234,13 @@ def _lam(text: str) -> float:
     return value
 
 
+def _json_path(text: str) -> str:
+    """A --json value: a file path in an existing directory, checked before the table runs."""
+    if Path(text).is_dir() or not Path(text).parent.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a file path in an existing directory")
+    return text
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; it names each
@@ -256,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", help="verify the closed-form benchmark table")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--lam", type=_lam, default=1.0)
-    p.add_argument("--json", help="optional JSON report path")
+    p.add_argument("--json", type=_json_path, help="optional JSON report path")
 
     p = sub.add_parser("certify", help="re-check bound columns of an emitted trajectory CSV")
     p.add_argument("trajectory", help="trajectory.csv produced by simulate")
@@ -274,7 +281,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except QBatteryError as exc:
+    except (QBatteryError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -267,6 +267,8 @@ def load_json(path: str | Path) -> dict:
             )
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:  # a directory, or a file it may not read
+        raise ConfigError(f"{path}: cannot read config ({exc.strerror})") from exc
     except ValueError as exc:  # json.JSONDecodeError or a non-finite number
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 

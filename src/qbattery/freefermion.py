@@ -15,10 +15,10 @@ reduced mode grid, the dispersion
     omega_k = 2 sqrt[(1/2 - sum_m lambda_m cos(k m))^2 + (sum_m gamma_m sin(k m))^2]
     sin(theta_k) = 2 sum_m gamma_m sin(k m) / omega_k
 
-and the per-pair excitation eps_k(t) = 2 sin^2(theta_k) sin^2(omega_k t)
-give every observable as a sum over modes, at any N; a paradigmatic
-unit enters every formula below as a mode with omega = lam, sin(theta) = 1
-and its own level step.  On a uniform time
+and the unit occupation q_k(t) = sin^2(theta_k) sin^2(omega_k t) (a
+chain pair stores 2 q_k) give every observable as a sum over modes, at
+any N; a paradigmatic unit enters every formula below as a mode with
+omega = lam, sin(theta) = 1 and its own level step.  On a uniform time
 grid the sines and cosines of omega_k t come from the grid's phase table
 (:class:`linalg.PhaseTable`: the offsets' cos and sin once per grid, one
 exact cos and sin per mode every PHASE_STRIDE grid times, a complex product
@@ -26,8 +26,8 @@ between, written block by block into one buffer), and E, P and var(H_B)
 are contractions over the modes of one block of times, through two work
 arrays made once per grid.  The particle-number
 distribution (excited units, each worth one level step) is the Poisson
-binomial p(z) = prod_k (1 - q_k + q_k z) of the unit occupations
-q_k = eps_k/2, and its rate is pdot(z) = (z - 1) S(z) with
+binomial p(z) = prod_k (1 - q_k + q_k z) of the unit occupations q_k
+(:func:`unit_occupations`), and its rate is pdot(z) = (z - 1) S(z) with
 S(z) = sum_k qdot_k prod_{j != k} (1 - q_j + q_j z).  Both are built for a
 block of times at once, never by configuration enumeration.  The modes go in
 groups of GROUP_MODES; the forward recursion over a group's modes,
@@ -170,19 +170,24 @@ def dispersion(spec: ModelSpec) -> ModeSet:
     return ModeSet(k=k, omega=omega, sin_theta=sin_theta)
 
 
-def pair_excitations(modes: ModeSet, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Twice each unit's occupation, eps_k(t) in [0, 2] (a chain pair's
-    energy), and its time derivative; t may be a (T, 1) column."""
-    eps = 2.0 * modes.sin_theta**2 * np.sin(modes.omega * t) ** 2
-    eps_dot = 2.0 * modes.sin_theta**2 * modes.omega * np.sin(2.0 * modes.omega * t)
-    return eps, eps_dot
+def unit_occupations(modes: ModeSet, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each unit's occupation q = sin^2(theta) sin^2(omega t) in [0, 1], its
+    rate qdot and its complement 1 - q, or cos^2(omega t) for a unit with
+    sin(theta) = 1 (module docstring), as three contiguous (units x times)
+    arrays over the 1-d ``times``."""
+    angles, full = np.outer(modes.omega, times), modes.sin_theta == 1.0
+    a = modes.sin_theta[:, None] ** 2
+    q = a * np.sin(angles) ** 2
+    rest = 1.0 - q
+    rest[full] = np.cos(angles[full]) ** 2
+    return q, a * modes.omega[:, None] * np.sin(2.0 * angles), rest
 
 
-def _series(modes: ModeSet, times: np.ndarray, step: float | None) -> dict[str, np.ndarray]:
+def _series(modes: ModeSet, times: np.ndarray) -> dict[str, np.ndarray]:
     """E, P and var(H_B) at ``times``, one TIME_CHUNK block at a time, with
-    the phases of each block from the grid's :class:`linalg.PhaseTable` (a
-    uniform grid with its ``step``; else each time's own cos and sin, by
-    :func:`linalg.grid_phases`).  With a = sin^2(theta), the sine s and
+    the phases of each block from the grid's :class:`linalg.PhaseTable` of
+    step :func:`linalg.grid_step` (a single time takes its own cos and sin,
+    by :func:`linalg.grid_phases`).  With a = sin^2(theta), the sine s and
     cosine c of omega t and the level step h, a unit stores h a s^2, its
     rate is 2 h a omega s c and its variance h^2 a s^2 (1 - a s^2) =
     h^2 a s^2 c^2 + h^2 a (1 - a) s^4, two terms that are each >= 0 (at
@@ -192,16 +197,13 @@ def _series(modes: ModeSet, times: np.ndarray, step: float | None) -> dict[str, 
     per mode, row by row, so a time's value does not depend on the rows
     around it."""
     blocks = time_blocks(len(times))
-    table = None if step is None else PhaseTable(modes.omega, times, step, blocks, times_first=True)
+    table = None if len(times) < 2 else PhaseTable(modes.omega, times, grid_step(times), blocks, times_first=True)
     a, h = modes.sin_theta**2, modes.step
     width = max((b.stop - b.start for b in blocks), default=0)
     sin2_rows, sin_cos_rows = np.empty((width, modes.n_modes)), np.empty((width, modes.n_modes))
     out = {name: np.empty(len(times)) for name in ("energy", "power", "var_battery")}
     for block in blocks:
-        if table is None:
-            phases = grid_phases(modes.omega, times[block], times_first=True)
-        else:
-            phases = table(block)
+        phases = grid_phases(modes.omega, times).T if table is None else table(block)
         sin, cos = phases.imag, phases.real  # phases.imag is -sin(omega t)
         sin2 = np.multiply(sin, sin, out=sin2_rows[: len(phases)])
         sin_cos = np.multiply(sin, cos, out=sin_cos_rows[: len(phases)])
@@ -221,20 +223,19 @@ def observables_on_grid(modes: ModeSet, times: np.ndarray) -> dict[str, np.ndarr
     are not consecutive points of that grid.  One cos and sin per mode
     serves every PHASE_STRIDE grid times (the grid's :class:`linalg.PhaseTable`),
     and a block of the grid has the bits of the whole grid there."""
-    times = np.asarray(times, dtype=float)
-    return _series(modes, times, grid_step(times) if len(times) > 1 else None)
+    return _series(modes, np.asarray(times, dtype=float))
 
 
 def energy_at(modes: ModeSet, t: float) -> float:
     """The stored energy E at one (off-grid) time t, from its own cos and sin:
     at a grid time j * step with j a multiple of PHASE_STRIDE, the bits of
     :func:`observables_on_grid` there."""
-    return float(_series(modes, np.array([float(t)]), None)["energy"][0])
+    return float(_series(modes, np.array([float(t)]))["energy"][0])
 
 
 def power_at(modes: ModeSet, t: float) -> float:
     """The power P = dE/dt at one (off-grid) time t, as :func:`energy_at`."""
-    return float(_series(modes, np.array([float(t)]), None)["power"][0])
+    return float(_series(modes, np.array([float(t)]))["power"][0])
 
 
 def _group_factors(
@@ -243,7 +244,8 @@ def _group_factors(
     """The (groups x levels x times) P and S of each group of GROUP_MODES
     consecutive modes (the last may be short), by the forward recursion on
     every group at once: step c takes mode c of each group that has one.
-    ``q_rest`` is each occupation's complement 1 - q, which the caller forms."""
+    ``q``, ``q_dot`` and ``q_rest`` are (modes x times) arrays of
+    :func:`unit_occupations`."""
     n_modes, n_times = q.shape
     n_groups, width = max(-(-n_modes // GROUP_MODES), 1), min(n_modes, GROUP_MODES) + 1
     p = np.zeros((n_groups, width, n_times))
@@ -293,20 +295,10 @@ def _fold_groups(p: np.ndarray, s: np.ndarray, n_levels: int) -> tuple[np.ndarra
 
 def pair_distributions(modes: ModeSet, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Checked p_l and pdot_l as (units + 1 levels x times) arrays by the
-    module docstring's blocked recursion, level l holding l excited units.
-    Each complement is 1.0 - q, or cos^2(omega t) for a unit with
-    sin(theta) = 1.  The occupations (three (modes x times) arrays, 10 MB
-    each per block at N = 10^4) are freed before the fold."""
-    eps, eps_dot = pair_excitations(modes, times[:, None])
-    eps /= 2.0
-    eps_dot /= 2.0
-    rest = 1.0 - eps
-    full = modes.sin_theta == 1.0
-    if full.any():
-        rest[:, full] = np.cos(modes.omega[full] * times[:, None]) ** 2
-    # The occupations q = eps / 2, their rates and their complements.
-    factors = _group_factors(eps.T, eps_dot.T, rest.T)
-    del eps, eps_dot, rest
+    module docstring's blocked recursion over :func:`unit_occupations`,
+    level l holding l excited units.  The occupations (three (units x times)
+    arrays, 10 MB each per block at N = 10^4) are freed before the fold."""
+    factors = _group_factors(*unit_occupations(modes, times))
     p, p_dot = _fold_groups(*factors, modes.n_modes + 1)
     check_distributions(p, p_dot)
     return p, p_dot

@@ -667,13 +667,12 @@ class PhaseTable:
         return table.reshape(n_freqs, -1)[:, window]
 
 
-def grid_phases(freqs: np.ndarray, times: np.ndarray, times_first: bool = False) -> np.ndarray:
-    """exp(-i f t) for each frequency f and time t: a (frequencies x times)
-    complex array, or (times x frequencies) if ``times_first``, each phase
+def grid_phases(freqs: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i f t) for each frequency f and time t as a (frequencies x times)
+    complex array (its transpose: times x frequencies), each phase
     cos(f t) - i sin(f t) of its own angle (:func:`_phases`), for arbitrary
     times; a uniform grid's phases come from its :class:`PhaseTable`."""
-    freqs, times = np.asarray(freqs, dtype=float), np.asarray(times, dtype=float)
-    return _phases(np.multiply.outer(times, freqs) if times_first else np.outer(freqs, times))
+    return _phases(np.outer(np.asarray(freqs, dtype=float), np.asarray(times, dtype=float)))
 
 
 def evolve_batch(hamiltonian: HermitianOperator, coeff: np.ndarray, phases: np.ndarray) -> np.ndarray:

@@ -60,7 +60,7 @@ from .models import (
 )
 # No run builds the battery; the benchmark tracer patches this binding.
 from .models import build_battery_for  # noqa: F401
-from .observables import POPULATION_FLOOR, cos_theta_power
+from .observables import POPULATION_FLOOR, cos_theta_power, fisher_sum
 
 DEFAULT_STEPS = 2000
 DEFAULT_LAM_T_MAX = {
@@ -154,16 +154,13 @@ class Trajectory:
         POPULATION_FLOOR, I_E untruncated, which certification reads (the
         floor drops up to 0.128, 1.9% of I_E, on the shipped jw_xx_pow_n8),
         and the (m, lhs / rhs, T) moment-rate operands against the latter.
-        The terms pdot^2 / p are formed once: each series has the bits of
-        observables.fisher_sum at its floor, whose excluded levels add +0.0
-        as the masked ones do, over the levels held or reached alone."""
+        Both series are observables.fisher_sum, at POPULATION_FLOOR and at
+        0.0, over the levels held or reached alone."""
         e_levels = register_spectrum(self.spec.n_cells)[0]
         fisher, moments = np.empty((2, self.n_steps)), np.empty((2, 2, self.n_steps))
         for block, levels, p, p_dot in self.level_blocks():
-            filled = p > 0.0
-            terms = np.where(filled, p_dot, 0.0) ** 2 / np.where(filled, p, 1.0)
-            fisher[1, block] = terms.sum(axis=0)
-            fisher[0, block] = np.where(p > POPULATION_FLOOR, terms, 0.0).sum(axis=0)
+            fisher[0, block] = fisher_sum(p, p_dot, POPULATION_FLOOR)
+            fisher[1, block] = fisher_sum(p, p_dot, 0.0)
             for m in (1, 2):
                 moments[m - 1, :, block] = moment_rate_series(
                     e_levels[levels], p, p_dot, m, fisher[1, block]

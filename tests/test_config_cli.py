@@ -815,6 +815,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"config error: {path}: " in err and message in err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "capacity"])
+    def test_a_config_that_cannot_be_read_exits_2(self, tmp_path, capsys, command):
+        # A directory raises IsADirectoryError, an OSError but not FileNotFoundError.
+        assert self.run(command, str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {tmp_path}: cannot read config" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "capacity"])
+    def test_an_output_directory_that_cannot_be_made_exits_2(self, tmp_path, capsys, command):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        overrides = {"outputs": {"directory": str(blocker / "out")}}
+        if command == "sweep":
+            overrides["sweep"] = {"values": [2, 3, 4, 5], "quantity": "avg_power"}
+        if command == "capacity":
+            overrides["entropy_targets_bits"] = [1.0]
+        cfg = write_json(tmp_path / "config.json", {"model": {"family": "parallel", "N": 3}, **overrides})
+        assert self.run(command, cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Not a directory" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["missing/x.json", "."], ids=["missing-directory", "a-directory"])
+    def test_table1_json_that_cannot_be_written_is_a_usage_error(self, tmp_path, capsys, monkeypatch, where):
+        calls = []
+        monkeypatch.setattr(cli, "verify_benchmark_table", lambda **kwargs: calls.append(kwargs))
+        with pytest.raises(SystemExit) as usage:
+            self.run("table1", "--json", str(tmp_path / where))
+        assert usage.value.code == 2 and calls == []
+        message = f"argument --json: {str(tmp_path / where)!r} is not a file path in an existing directory"
+        assert message in capsys.readouterr().err
+
     def test_certify_missing_file(self, tmp_path, capsys):
         self.assert_certify_config_error(tmp_path / "absent.csv", capsys, "cannot read")
 

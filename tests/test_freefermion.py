@@ -23,8 +23,8 @@ from qbattery.freefermion import (
     observables_on_grid,
     pair_distribution,
     pair_distributions,
-    pair_excitations,
     power_at,
+    unit_occupations,
 )
 from qbattery.errors import CapacityLimitError
 from qbattery.freefermion import check_chain_size, unit_count
@@ -41,6 +41,12 @@ from oracles import (
     poisson_binomial_leave_one_out,
     poisson_binomial_rate_enumerated,
 )
+
+
+def _excitations(modes, t):
+    """eps_k = 2 q_k, a chain pair's energy, and its rate at one time t."""
+    q, q_dot, _ = unit_occupations(modes, np.array([float(t)]))
+    return 2.0 * q[:, 0], 2.0 * q_dot[:, 0]
 
 
 class TestDispersion:
@@ -103,7 +109,7 @@ class TestPairExcitations:
     @given(st.floats(min_value=0, max_value=50))
     def test_pair_energy_range(self, t):
         modes = dispersion(chain_spec("xx_nn", 10))
-        eps, _ = pair_excitations(modes, t)
+        eps, _ = _excitations(modes, t)
         assert np.all(eps >= 0) and np.all(eps <= 2)
         assert observables_on_grid(modes, np.array([t]))["var_battery"][0] >= -1e-12
 
@@ -113,7 +119,7 @@ class TestPairExcitations:
         times = np.linspace(0, 8, 57)
         series = observables_on_grid(modes, times)
         for i in (0, 13, 56):
-            eps, eps_dot = pair_excitations(modes, float(times[i]))
+            eps, eps_dot = _excitations(modes, float(times[i]))
             assert series["energy"][i] == pytest.approx(eps.sum(), abs=1e-12)
             assert series["power"][i] == pytest.approx(eps_dot.sum(), abs=1e-12)
             assert series["var_battery"][i] == pytest.approx((eps * (2.0 - eps)).sum(), abs=1e-12)
@@ -138,7 +144,7 @@ class TestPairExcitations:
         times = np.linspace(0.0, 9.0, 200)
         series = observables_on_grid(modes, times)
         for i in (16, 48, 160, 5, 101):
-            eps, eps_dot = pair_excitations(modes, float(times[i]))
+            eps, eps_dot = _excitations(modes, float(times[i]))
             energy, power = energy_at(modes, times[i]), power_at(modes, times[i])
             assert energy == pytest.approx(eps.sum(), abs=1e-13)
             assert power == pytest.approx(eps_dot.sum(), abs=1e-13)
@@ -151,11 +157,53 @@ class TestPairExcitations:
             observables_on_grid(modes, np.array([0.0, 0.5, 1.5, 2.0]))
 
 
+UNIT_SPECS = {
+    "xx_nn-40": chain_spec("xx_nn", 40),
+    "xy_nn-41": chain_spec("xy_nn", 41),
+    "xx_pow-40": chain_spec("xx_pow", 40),
+    "xy_pow-41": chain_spec("xy_pow", 41),
+    "parallel-7": ModelSpec(family="parallel", n_cells=7, lam=0.7),
+    "global-6": ModelSpec(family="global", n_cells=6, lam=3.0),
+    "hybrid-12": ModelSpec(family="hybrid", n_cells=12, lam=1.3, q=4, r=3),
+}
+unit_specs = pytest.mark.parametrize("spec", list(UNIT_SPECS.values()), ids=list(UNIT_SPECS))
+
+
+class TestUnitOccupations:
+    @unit_specs
+    @given(t=st.floats(min_value=0, max_value=50))
+    def test_occupations_are_probabilities(self, spec, t):
+        q, _, rest = unit_occupations(dispersion(spec), np.array([t]))
+        assert np.all((q >= 0) & (q <= 1)) and np.all((rest >= 0) & (rest <= 1))
+
+    @unit_specs
+    def test_the_complement_of_a_full_rotation_is_its_cosine_squared(self, spec):
+        # 1.0 - q bit for bit where sin(theta) < 1; cos^2(omega t) where a
+        # unit rotates fully, as every parallel, global and hybrid unit does.
+        modes = dispersion(spec)
+        times = np.linspace(0.0, 9.0, 301)
+        q, _, rest = unit_occupations(modes, times)
+        full = modes.sin_theta == 1.0
+        assert full.all() == (spec.family != "jw_chain")
+        assert np.array_equal(rest[~full], 1.0 - q[~full])
+        assert np.array_equal(rest[full], np.cos(np.outer(modes.omega[full], times)) ** 2)
+
+    @unit_specs
+    @given(start=st.integers(min_value=0, max_value=299), length=st.integers(min_value=1, max_value=300))
+    def test_a_slice_of_times_has_the_bits_of_the_whole_grid(self, spec, start, length):
+        modes = dispersion(spec)
+        times = np.linspace(0.0, 9.0, 300)
+        block = slice(start, min(start + length, len(times)))
+        for whole, part in zip(unit_occupations(modes, times), unit_occupations(modes, times[block])):
+            assert part.flags.c_contiguous and part.shape == (modes.n_modes, len(times[block]))
+            assert np.array_equal(part, whole[:, block])
+
+
 class TestPairDistribution:
     def test_single_pair(self):
         modes = dispersion(chain_spec("xx_nn", 2))
         t = 0.9
-        eps, _ = pair_excitations(modes, t)
+        eps, _ = _excitations(modes, t)
         dist = pair_distribution(modes, t)
         assert np.allclose(dist.p, [1 - eps[0] / 2, eps[0] / 2])
         assert np.array_equal(dist.l_values, [0, 2])
@@ -169,7 +217,7 @@ class TestPairDistribution:
     def test_matches_enumeration_oracle(self):
         modes = dispersion(chain_spec("xy_pow", 12))  # 6 pairs: enumerable
         for t in (0.35, 1.7):
-            eps, eps_dot = pair_excitations(modes, t)
+            eps, eps_dot = _excitations(modes, t)
             dist = pair_distribution(modes, t)
             assert np.abs(dist.p - poisson_binomial_enumerated(eps / 2)).max() < 1e-12
             rate = poisson_binomial_rate_enumerated(eps / 2, eps_dot / 2)
@@ -193,7 +241,7 @@ class TestAnalyticFisher:
     def test_single_pair_closed_form(self):
         modes = dispersion(chain_spec("xx_nn", 2))
         t = 0.7
-        eps, eps_dot = pair_excitations(modes, t)
+        eps, eps_dot = _excitations(modes, t)
         dist = pair_distribution(modes, t)
         closed = eps_dot[0] ** 2 / (eps[0] * (2 - eps[0]))
         assert fisher_energy_analytic(dist) == pytest.approx(closed, rel=1e-12)
@@ -215,7 +263,7 @@ class TestForwardRecursion:
         times = np.linspace(0.3, 9.7, 5)
         expected = []
         for t in times:
-            eps, eps_dot = pair_excitations(modes, float(t))
+            eps, eps_dot = _excitations(modes, float(t))
             p, p_dot = poisson_binomial_leave_one_out(eps / 2, eps_dot / 2)
             keep = p > POPULATION_FLOOR
             expected.append((p_dot[keep] ** 2 / p[keep]).sum())
@@ -248,8 +296,8 @@ G = GROUP_MODES
 
 
 def _occupations(modes, times):
-    eps, eps_dot = pair_excitations(modes, np.asarray(times)[:, None])
-    return eps.T / 2, eps_dot.T / 2
+    q, q_dot, _ = unit_occupations(modes, np.asarray(times))
+    return q, q_dot
 
 
 def _blocked(q, q_dot):
@@ -280,7 +328,7 @@ class TestBlockedRecursion:
         times = np.array([0.4, 1.9, 5.3])
         p, p_dot = pair_distributions(modes, times)
         for j, t in enumerate(times):
-            eps, eps_dot = pair_excitations(modes, float(t))
+            eps, eps_dot = _excitations(modes, float(t))
             want_p, want_p_dot = poisson_binomial_leave_one_out(eps / 2, eps_dot / 2)
             assert _relative(p[:, j], want_p) <= 1e-12
             assert _relative(p_dot[:, j], want_p_dot) <= 1e-12
@@ -373,11 +421,11 @@ class TestDenseEquivalence:
             series = observables_on_grid(modes, times)
 
             def energy_at(t):
-                eps, _ = pair_excitations(modes, t)
+                eps, _ = _excitations(modes, t)
                 return float(eps.sum())
 
             def power_at(t):
-                _, eps_dot = pair_excitations(modes, t)
+                _, eps_dot = _excitations(modes, t)
                 return float(eps_dot.sum())
 
             peak = find_peak_time(times, series["energy"], series["power"], energy_at, power_at)

@@ -20,7 +20,7 @@ from qbattery.bounds import ABSOLUTE_FLOOR, producibility_variance_cap, witness_
 from qbattery.cli import _read_trajectory_csv
 from qbattery.config import load_scenario
 from qbattery.output import write_trajectory_csv
-from qbattery import verification
+from qbattery import trajectory, verification
 from qbattery.verification import (
     CSV_BOUNDS,
     MEMORY_BOUNDS,
@@ -262,6 +262,14 @@ class TestBenchmarkTable:
     def test_small_sizes_pass(self):
         report = verify_benchmark_table(n_values=(2, 4), lam=1.0)
         assert report.all_passed, report.failed()[:5]
+
+    def test_the_peak_time_is_checked_at_the_peak_search_resolution(self, monkeypatch):
+        # A search that stops 10^4 times looser than the shipped one fails
+        # every peak-time cell and no other.
+        monkeypatch.setattr(trajectory, "PEAK_REL_TOL", 1e-6)
+        report = verify_benchmark_table(n_values=(2, 4), lam=1.0)
+        peaks = [c for c in report.cells if c.cell == "lam_t_peak"]
+        assert peaks and report.failed() == peaks
 
     def test_rescaled_coupling_passes(self):
         report = verify_benchmark_table(n_values=(4,), lam=0.8)
