@@ -502,9 +502,12 @@ def invariant_sector(op: SparseHermitian, amplitudes: np.ndarray) -> np.ndarray:
     reached = np.asarray(amplitudes) != 0
     frontier = np.flatnonzero(reached)
     passes = [frontier]
+    linked = np.zeros_like(reached)  # one pass's new states, cleared after it
     while frontier.size:
-        linked = np.unique(op.cols[op.row_entries(frontier)])
-        frontier = linked[~reached[linked]]
+        cols = op.cols[op.row_entries(frontier)]
+        linked[cols[~reached[cols]]] = True
+        frontier = np.flatnonzero(linked)
+        linked[frontier] = False
         reached[frontier] = True
         passes.append(frontier)
     return np.concatenate(passes)[::-1]

@@ -15,6 +15,7 @@ import numpy as np
 from .bounds import bound_ratio
 from .capacity import DiagramPoint
 from .models import time_blocks
+from .observables import cos_theta_power
 from .sweeps import ScalingResult
 from .trajectory import Trajectory
 
@@ -93,31 +94,33 @@ def _write_blocks(path: str | Path, header: list[str], blocks) -> None:
 def _trajectory_blocks(traj: Trajectory, include_populations: bool):
     """The column header and the (times x columns) value blocks of the
     trajectory CSV schema, one per ``models.time_blocks`` slice, the p_k
-    columns from ``traj.level_blocks``: no (N + 1) x T array is built."""
+    columns from ``traj.reduced_level_blocks``: no (N + 1) x T array is
+    built, and the p_k columns and the Fisher columns come from one pass."""
 
-    def series(block: slice) -> np.ndarray:
-        power, var = traj.power[block], traj.var_battery[block]
+    def series(block: slice, fisher: np.ndarray, fisher_full: np.ndarray) -> np.ndarray:
+        power, var, floored = traj.power[block], traj.var_battery[block], fisher[block]
         return np.stack([
             traj.times[block], traj.energy[block], power, var,
             np.full_like(power, traj.var_charger),  # conserved
-            traj.fisher_energy[block],
+            floored,
             np.full_like(power, 4.0 * traj.var_charger),  # I_Q of a pure state
-            traj.cos_theta[block],
+            cos_theta_power(power, var, floored),  # elementwise: traj.cos_theta's bits
             # Ratio columns come from the untruncated Fisher sum (the
             # certification arithmetic); the I_E column is the floored one.
-            bound_ratio(power**2, var * traj.fisher_energy_full[block]),
+            bound_ratio(power**2, var * fisher_full[block]),
             bound_ratio(power**2, 4.0 * var * traj.var_charger),
         ], axis=1)
 
     header = list(TRAJECTORY_COLUMNS)
     if not include_populations:
-        return header, map(series, time_blocks(traj.n_steps))
+        sums = traj.fisher_energy, traj.fisher_energy_full
+        return header, (series(block, *sums) for block in time_blocks(traj.n_steps))
     header += [f"p_{k}" for k in range(traj.spec.n_cells + 1)]
     rows = max(CSV_CELLS // len(header), 1)  # so that no block's text grows with N
 
     def blocks():
-        for block, levels, p, _ in traj.level_blocks():
-            values = series(block)
+        for block, levels, p, _, (fisher, fisher_full, _) in traj.reduced_level_blocks():
+            values = series(block, fisher, fisher_full)
             for lo in range(0, len(values), rows):
                 part = slice(lo, lo + rows)
                 columns = np.zeros((len(values[part]), len(header)))

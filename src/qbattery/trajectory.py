@@ -76,6 +76,8 @@ MAX_FOCK_DOUBLINGS = 4
 PATHS = ("auto", "dense", "analytic")
 PEAK_MIN_POINTS = 3  # a grid peak needs a neighbour on each side to be refined
 PEAK_REL_TOL = 1e-10  # the power root's bracket, relative to its later end
+PEAK_LOCATE_REL_TOL = 1e-13  # the located sign change's width, relative to its later end
+PEAK_LOCATE_STEPS = 12  # the most power evaluations the locate step makes
 FLAT_ENERGY_PER_CELL = 1e-12  # a grid storing no more than this times N charges nothing
 UNIT_NAMES = ", ".join(UNIT_FAMILIES[:-1]) + f" and {UNIT_FAMILIES[-1]}"
 
@@ -148,6 +150,30 @@ class Trajectory:
         for block in time_blocks(len(times)):
             yield block, slice(None), self.source[0][:, block], self.source[1][:, block]
 
+    def reduced_level_blocks(self) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray, tuple]]:
+        """:meth:`level_blocks`, each block yielded with the three arrays of
+        :attr:`_level_sums` filled through it: one pass that a reader of the
+        blocks, such as the populations CSV, shares with the reduction, which
+        is cached once the last block has passed.  Once cached, the record's
+        series are yielded whole with each block."""
+        if "_level_sums" in self.__dict__:
+            sums = self.fisher_energy, self.fisher_energy_full, self.moment_rates
+            for item in self.level_blocks():
+                yield (*item, sums)
+            return
+        e_levels = register_spectrum(self.spec.n_cells)[0]
+        fisher, moments = np.empty((2, self.n_steps)), np.empty((2, 2, self.n_steps))
+        sums = fisher[0], fisher[1], moments
+        for block, levels, p, p_dot in self.level_blocks():
+            fisher[0, block] = fisher_sum(p, p_dot, POPULATION_FLOOR)
+            fisher[1, block] = fisher_sum(p, p_dot, 0.0)
+            for m in (1, 2):
+                moments[m - 1, :, block] = moment_rate_series(
+                    e_levels[levels], p, p_dot, m, fisher[1, block]
+                )
+            yield block, levels, p, p_dot, sums
+        self.__dict__["_level_sums"] = sums
+
     @cached_property
     def _level_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The one reduction of :meth:`level_blocks`: I_E above
@@ -156,16 +182,9 @@ class Trajectory:
         and the (m, lhs / rhs, T) moment-rate operands against the latter.
         Both series are observables.fisher_sum, at POPULATION_FLOOR and at
         0.0, over the levels held or reached alone."""
-        e_levels = register_spectrum(self.spec.n_cells)[0]
-        fisher, moments = np.empty((2, self.n_steps)), np.empty((2, 2, self.n_steps))
-        for block, levels, p, p_dot in self.level_blocks():
-            fisher[0, block] = fisher_sum(p, p_dot, POPULATION_FLOOR)
-            fisher[1, block] = fisher_sum(p, p_dot, 0.0)
-            for m in (1, 2):
-                moments[m - 1, :, block] = moment_rate_series(
-                    e_levels[levels], p, p_dot, m, fisher[1, block]
-                )
-        return fisher[0], fisher[1], moments
+        for _ in self.reduced_level_blocks():
+            pass
+        return self.__dict__["_level_sums"]
 
     # The reduction's series, and cos theta from them; each can be set on a copy.
     @cached_property
@@ -449,19 +468,67 @@ class PeakResult:
     at_boundary: bool
 
 
-def _power_root(power_at, a: float, b: float) -> float:
-    """The time in [a, b] at which the power turns from positive at a to
-    negative at b, by bisection on the sign of ``power_at`` until the bracket
-    is PEAK_REL_TOL of its later end: a relative stop, which holds at any
-    time scale.  Each step is decided by a sign alone, so two runs whose
-    powers differ only by rounding take the same steps to the same time
-    unless a midpoint falls within that rounding of the root."""
+def _locate_root(power_at, a: float, b: float, p_a: float, p_b: float) -> tuple[float, float]:
+    """[a, b], on which the power turns from p_a > 0 to p_b < 0, narrowed by
+    Illinois steps (false position whose end kept twice in a row has its
+    power halved, so both ends close in) to PEAK_LOCATE_REL_TOL of b, or
+    for at most PEAK_LOCATE_STEPS evaluations.  A step lands at least half
+    that width inside either end, so an end that already sits on the root
+    is crossed at once.  Each end keeps a power of its sign, so the
+    narrowed interval still holds a sign change; an exact zero stops it
+    short."""
+    kept = 0  # +1 / -1 when the last step moved a / b
+    for _ in range(PEAK_LOCATE_STEPS):
+        width = PEAK_LOCATE_REL_TOL * b
+        if b - a <= width:
+            break
+        t = b - p_b * ((b - a) / (p_b - p_a))
+        t = min(max(t, a + 0.5 * width), b - 0.5 * width)
+        p = power_at(t)
+        if p > 0.0:
+            a, p_a = t, p
+            if kept == 1:
+                p_b *= 0.5
+            kept = 1
+        elif p < 0.0:
+            b, p_b = t, p
+            if kept == -1:
+                p_a *= 0.5
+            kept = -1
+        else:
+            break
+    return a, b
+
+
+def _power_root(power_at, a: float, b: float, p_a: float, p_b: float) -> float:
+    """The time in [a, b] at which the power turns from p_a > 0 at a to
+    p_b < 0 at b, on bisection's own steps: the midpoint of the bracket,
+    halved on the sign of the power there until the bracket is PEAK_REL_TOL
+    of its later end, a relative stop that holds at any time scale.
+
+    :func:`_locate_root` first narrows [a, b] to a sign change [r_a, r_b]
+    from the two ends' powers, in a few evaluations of ``power_at``.  The
+    bisection then evaluates only the midpoints inside [r_a, r_b]; one at or
+    below r_a is decided positive, one at or above r_b negative, the signs
+    that a smooth power with one root there takes, and the bracket keeps a
+    sign change either way.  Each decision is a sign alone, so two runs
+    whose powers differ only by rounding take the same steps to the same
+    time unless a midpoint falls within that rounding of the root."""
+    r_a, r_b = _locate_root(power_at, a, b, p_a, p_b)
     while b - a > PEAK_REL_TOL * b:
         mid = 0.5 * (a + b)
-        p = power_at(mid)
-        if p == 0.0:
-            return mid
-        a, b = (mid, b) if p > 0.0 else (a, mid)
+        if mid <= r_a:
+            a = mid
+        elif mid >= r_b:
+            b = mid
+        else:
+            p = power_at(mid)
+            if p == 0.0:
+                return mid
+            if p > 0.0:
+                a = r_a = mid
+            else:
+                b = r_b = mid
     return 0.5 * (a + b)
 
 
@@ -474,7 +541,8 @@ def find_peak_time(
     Of the grid neighbours, the one on the side where the grid's ``powers``
     say P changes sign brackets the peak with the argmax, and
     :func:`_power_root` finds the sign change of ``power_at(t)`` (exact P at
-    any t) there; ``energy_at(t)`` (exact E) gives the peak energy.  The sign
+    any t) there, located from the two grid powers and then bisected, in a
+    few evaluations; ``energy_at(t)`` (exact E) gives the peak energy.  The sign
     of P, unlike a comparison of two nearly equal energies, is decided
     wherever P exceeds rounding, so a peak midway between two grid points
     refines to the same time whichever of them is the argmax.  With no sign
@@ -496,7 +564,7 @@ def find_peak_time(
     lo = idx if powers[idx] > 0 else idx - 1
     if not powers[lo] > 0 > powers[lo + 1]:
         return grid_peak
-    t_ref = _power_root(power_at, times[lo], times[lo + 1])
+    t_ref = _power_root(power_at, times[lo], times[lo + 1], powers[lo], powers[lo + 1])
     e_ref = energy_at(t_ref)
     if e_ref < energies[idx]:
         return grid_peak

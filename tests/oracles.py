@@ -672,3 +672,118 @@ def dense_lump(matrix: np.ndarray, groups) -> np.ndarray:
     sums = np.add.reduceat(matrix[np.ix_(first, idx)], np.cumsum(sizes) - sizes, axis=1)
     values = sums * np.sqrt(np.outer(sizes, 1.0 / sizes))
     return (values + values.conj().T) / 2
+
+
+def power_root_bisection(power_at, a: float, b: float, p_a=None, p_b=None) -> float:
+    """The power's sign change in [a, b] by plain bisection, one evaluation
+    per midpoint until the bracket is PEAK_REL_TOL of its later end: the
+    reference for ``trajectory._power_root`` (the grid powers p_a and p_b
+    are accepted and unread)."""
+    from qbattery.trajectory import PEAK_REL_TOL
+
+    while b - a > PEAK_REL_TOL * b:
+        mid = 0.5 * (a + b)
+        p = power_at(mid)
+        if p == 0.0:
+            return mid
+        a, b = (mid, b) if p > 0.0 else (a, mid)
+    return 0.5 * (a + b)
+
+
+def thermal_point_per_beta(spectrum, beta: float):
+    """Energy and entropy (bits) of the Gibbs state of a level spectrum at one
+    beta, one argmax, exp and sum per call: the reference for the batched
+    ``capacity`` thermal kernel, bit for bit."""
+    from qbattery.capacity import LN2, DiagramPoint
+
+    energies, log_multiplicities = spectrum
+    if math.isinf(beta):
+        m = len(energies) - 1 if beta < 0 else 0
+        p = np.zeros(len(energies))
+        p[m] = 1.0
+        log_z = 0.0
+    else:
+        m = int(np.argmax(log_multiplicities - beta * energies))
+        w = np.exp((log_multiplicities - log_multiplicities[m]) - beta * (energies - energies[m]))
+        z = w.sum()
+        p, log_z = w / z, math.log(z)
+    offset = float(p @ (energies - energies[m]))
+    spread = 0.0 if math.isinf(beta) else beta * offset
+    entropy = (log_multiplicities[m] + log_z + spread) / LN2
+    return DiagramPoint(energy=float(p @ energies), entropy_bits=float(entropy), beta=beta)
+
+
+def thermal_curve_per_beta(spectrum, betas) -> list:
+    """``thermal_point_per_beta`` at each beta of the grid."""
+    return [thermal_point_per_beta(spectrum, float(b)) for b in betas]
+
+
+def solve_positive_branch_bisection(spectrum, s_target: float, counter=None):
+    """Bisect beta >= 0 so that S(beta) hits the target entropy (bits), one
+    thermal evaluation per midpoint: the reference for
+    ``capacity._solve_positive_branch``.  ``counter``, a one-item list, counts
+    the evaluations."""
+    from qbattery.capacity import (
+        BETA_BRACKET_CAP, BETA_BRACKET_HIGH, BETA_BRACKET_LOW, BISECTION_RESIDUAL, _entropy_range,
+    )
+    from qbattery.errors import ValidationError
+
+    def point_at(beta):
+        if counter is not None:
+            counter[0] += 1
+        return thermal_point_per_beta(spectrum, beta)
+
+    s_max, slack = _entropy_range(spectrum)
+    if s_target > s_max + slack or s_target < spectrum[1][0] / math.log(2.0) - slack:
+        raise ValidationError(f"target entropy {s_target} out of range")
+    if abs(s_target - s_max) <= slack:
+        return point_at(0.0)
+    lo, hi = BETA_BRACKET_LOW, BETA_BRACKET_HIGH
+    while point_at(hi).entropy_bits > s_target + BISECTION_RESIDUAL:
+        hi *= 10.0
+        if hi > BETA_BRACKET_CAP:
+            raise ValidationError(f"target entropy {s_target} not reachable")
+    if point_at(lo).entropy_bits < s_target - BISECTION_RESIDUAL:
+        return point_at(lo)
+    beta = lo
+    for _ in range(200):
+        beta = 0.5 * (lo + hi)
+        s_beta = point_at(beta).entropy_bits
+        if abs(s_beta - s_target) < BISECTION_RESIDUAL:
+            break
+        if s_beta > s_target:
+            lo = beta
+        else:
+            hi = beta
+    point = point_at(beta)
+    if abs(point.entropy_bits - s_target) > BISECTION_RESIDUAL:
+        raise ValidationError("bisection stalled")
+    return point
+
+
+def solve_beta_for_entropy_bisection(spectrum, s_target: float, branch: str, counter=None):
+    """``solve_positive_branch_bisection`` on either branch, the negative one
+    on the mirrored spectrum: the reference for ``capacity.solve_beta_for_entropy``."""
+    from qbattery.capacity import DiagramPoint
+
+    if branch == "positive_beta":
+        return solve_positive_branch_bisection(spectrum, s_target, counter)
+    energies, log_multiplicities = spectrum
+    mirrored = solve_positive_branch_bisection(
+        (-energies[::-1], log_multiplicities[::-1]), s_target, counter
+    )
+    return DiagramPoint(energy=-mirrored.energy, entropy_bits=mirrored.entropy_bits, beta=-mirrored.beta)
+
+
+def invariant_sector_unique(op, amplitudes) -> np.ndarray:
+    """``linalg.invariant_sector``'s frontier loop with each pass's linked
+    states taken by ``np.unique``: the reference for its order."""
+    reached = np.asarray(amplitudes) != 0
+    frontier = np.flatnonzero(reached)
+    passes = [frontier]
+    while frontier.size:
+        linked = np.unique(op.cols[op.row_entries(frontier)])
+        frontier = linked[~reached[linked]]
+        reached[frontier] = True
+        passes.append(frontier)
+    return np.concatenate(passes)[::-1]

@@ -8,12 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from qbattery import ModelSpec, chain_spec
+from qbattery import ModelSpec, chain_spec, trajectory
 from qbattery.bounds import ABSOLUTE_FLOOR
 from qbattery.cli import _read_trajectory_csv
 from qbattery.config import load_scenario
 from qbattery.output import TRAJECTORY_COLUMNS, trajectory_rows, write_csv, write_trajectory_csv
-from qbattery.trajectory import run_trajectory
+from qbattery.models import time_blocks
+from qbattery.trajectory import find_tf, run_trajectory
+from qbattery.verification import certify_trajectory
 
 from oracles import read_csv_with_converter, write_csv_per_value
 
@@ -99,6 +101,37 @@ class TestWriter:
     def test_empty_tables(self, tmp_path):
         assert_same_bytes(tmp_path, ["N"], [])
         assert_same_bytes(tmp_path, ["a", "b"], np.empty((0, 2)))
+
+
+@pytest.mark.parametrize(
+    "spec", [chain_spec("xy_nn", 40), ModelSpec(family="hybrid", n_cells=12, q=4, r=3)],
+    ids=["free-fermion", "closed-form"],
+)
+def test_populations_csv_and_certification_share_one_recursion_pass(tmp_path, spec, monkeypatch):
+    # simulate's order: the CSV with p_k columns, the peak, certification.
+    # The unit kernel recomputes its distribution on each pass over the level
+    # blocks, and here the CSV's pass also fills the cached level sums.
+    passed = []
+    blocks = trajectory.distribution_blocks
+
+    def counted(modes, times):
+        for item in blocks(modes, times):
+            passed.append(item[0])
+            yield item
+
+    monkeypatch.setattr(trajectory, "distribution_blocks", counted)
+    traj = run_trajectory(spec, steps=1100)
+    write_trajectory_csv(traj, tmp_path / "one_pass.csv", include_populations=True)
+    find_tf(traj)
+    certify_trajectory(traj)
+    assert passed == time_blocks(traj.n_steps) and len(passed) > 1
+    # The bytes of a record whose level sums were reduced before the write.
+    reduced_first = run_trajectory(spec, steps=1100)
+    reduced_first.fisher_energy_full
+    write_trajectory_csv(reduced_first, tmp_path / "two_passes.csv", include_populations=True)
+    assert (tmp_path / "one_pass.csv").read_bytes() == (tmp_path / "two_passes.csv").read_bytes()
+    for name in ("fisher_energy", "fisher_energy_full", "moment_rates"):
+        assert np.array_equal(getattr(traj, name), getattr(reduced_first, name))
 
 
 class TestReader:

@@ -3,17 +3,20 @@ equitable groups, against the run in the whole model basis
 (``oracles.full_space_run``)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qbattery import ModelSpec, ValidationError, chain_spec, linalg, models, run_trajectory, trajectory
+from qbattery import (
+    ModelSpec, ValidationError, chain_spec, linalg, models, run_trajectory, sweeps, trajectory,
+)
 from qbattery.config import load_scenario
 from qbattery.linalg import Basis, SparseHermitian, equitable_groups, invariant_sector
 from qbattery.sweeps import quantities_for, sweep, trajectory_quantities
 from qbattery.trajectory import _group_labels
 
-from oracles import full_space_run
+from oracles import full_space_run, invariant_sector_unique
 
 # Columns gated at 1e-12 absolute against the full-space run.
 EXACT_COLUMNS = ("populations", "population_rates", "energy", "power", "var_battery")
@@ -154,6 +157,38 @@ def test_sector_sizes(spec, size):
     # No entry couples the sector to the rest of the basis.
     outside = np.setdiff1d(np.arange(charger.dim), sector)
     assert not charger.matrix[np.ix_(outside, sector)].any()
+
+
+def shipped_dense_chargers():
+    """Every dense charger a shipped run builds: the 11 scenarios (the unit
+    kernel's families on the dense path), each Fock cutoff that a cavity
+    run may try, and every point of the dense N sweeps."""
+    specs = {name: load_scenario(f"configs/{name}.json").spec for name in SHIPPED_SCENARIOS}
+    for name in ("sweep_dicke_weak_power", "sweep_lmg_var"):
+        cfg = load_scenario(f"configs/{name}.json")
+        for n in cfg.sweep.values:
+            specs[f"{name}-N{n}"] = sweeps._respecify(cfg.spec, n)
+    for n in (4, 6, 8, 10, 12):
+        specs[f"dense_chain-N{n}"] = chain_spec("xy_nn", n)
+    for key, spec in list(specs.items()):
+        if spec.family == "dicke" and spec.n_max is None:
+            del specs[key]
+            first = models.model_basis(spec).n_max
+            for k in range(trajectory.MAX_FOCK_DOUBLINGS + 1):
+                specs[f"{key}-nmax{first * 2**k}"] = replace(spec, n_max=first * 2**k)
+    return specs
+
+
+DENSE_CHARGERS = shipped_dense_chargers()
+
+
+@pytest.mark.parametrize("key", DENSE_CHARGERS)
+def test_sector_order_is_the_unique_frontier_loops(key):
+    # The order sets the t = 0 rounding of a run, so it stays the reference's.
+    spec = DENSE_CHARGERS[key]
+    charger, psi0 = models.build_charger_for(spec), models.initial_state(spec)
+    sector = invariant_sector(charger, psi0.amplitudes)
+    assert np.array_equal(sector, invariant_sector_unique(charger, psi0.amplitudes))
 
 
 @pytest.mark.parametrize(
