@@ -23,8 +23,9 @@ grid the sines and cosines of omega_k t come from the grid's phase table
 (:class:`linalg.PhaseTable`: the offsets' cos and sin once per grid, one
 exact cos and sin per mode every PHASE_STRIDE grid times, a complex product
 between, written block by block into one buffer), and E, P and var(H_B)
-are contractions over the modes of one block of times, through two work
-arrays made once per grid.  The particle-number
+are contractions over the modes of one sub-block of times, of at most
+SERIES_CELLS (time x mode) cells, through two work arrays made once per
+grid.  The particle-number
 distribution (excited units, each worth one level step) is the Poisson
 binomial p(z) = prod_k (1 - q_k + q_k z) of the unit occupations q_k
 (:func:`unit_occupations`), and its rate is pdot(z) = (z - 1) S(z) with
@@ -66,14 +67,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
-from .linalg import PhaseTable, grid_phases, grid_step
+from .linalg import PHASE_STRIDE, PhaseTable, grid_phases, grid_step
 from .models import (
-    PARADIGMATIC_FAMILIES, RUN_BASE_BYTES, TIME_CHUNK, ModelSpec, check_run_bytes, time_blocks,
+    PARADIGMATIC_FAMILIES, RUN_BASE_BYTES, TIME_CHUNK, ModelSpec, check_run_bytes, split_block,
+    time_blocks,
 )
 from .observables import POPULATION_FLOOR, check_distributions, fisher_sum
 
 # Modes per factor of the blocked Poisson-binomial recursion (module docstring).
 GROUP_MODES = 32
+# (time x unit) cells per sub-block of the E, P and var(H_B) series (_series).
+SERIES_CELLS = 2**15
 # The families this backend runs: the chains and the paradigmatic chargers.
 UNIT_FAMILIES = ("jw_chain",) + PARADIGMATIC_FAMILIES
 
@@ -183,22 +187,39 @@ def unit_occupations(modes: ModeSet, times: np.ndarray) -> tuple[np.ndarray, np.
     return q, a * modes.omega[:, None] * np.sin(2.0 * angles), rest
 
 
+def _series_blocks(n_times: int, n_modes: int) -> list[slice]:
+    """Each :func:`models.time_blocks` block of ``n_times`` times cut by
+    :func:`models.split_block` into sub-blocks of the largest multiple of
+    PHASE_STRIDE rows whose rows x ``n_modes`` cells are at most
+    SERIES_CELLS, and of one stride at the least."""
+    rows = max(SERIES_CELLS // (max(n_modes, 1) * PHASE_STRIDE), 1) * PHASE_STRIDE
+    return [sub for block in time_blocks(n_times) for sub in split_block(block, rows)]
+
+
 def _series(modes: ModeSet, times: np.ndarray) -> dict[str, np.ndarray]:
-    """E, P and var(H_B) at ``times``, one TIME_CHUNK block at a time, with
-    the phases of each block from the grid's :class:`linalg.PhaseTable` of
-    step :func:`linalg.grid_step` (a single time takes its own cos and sin,
-    by :func:`linalg.grid_phases`).  With a = sin^2(theta), the sine s and
+    """E, P and var(H_B) at ``times``, one sub-block of a TIME_CHUNK block
+    at a time (:func:`_series_blocks`), with the phases of each sub-block
+    from the grid's :class:`linalg.PhaseTable` of step
+    :func:`linalg.grid_step` (a single time takes its own cos and sin, by
+    :func:`linalg.grid_phases`).  With a = sin^2(theta), the sine s and
     cosine c of omega t and the level step h, a unit stores h a s^2, its
     rate is 2 h a omega s c and its variance h^2 a s^2 (1 - a s^2) =
     h^2 a s^2 c^2 + h^2 a (1 - a) s^4, two terms that are each >= 0 (at
     h = 2, the floats 2a, 4 a omega, 4a and 4a (1 - a) of a chain pair).
-    A block's s^2 and s c go into two (times x modes) work arrays
-    made once for the grid, and each series contracts them with one weight
-    per mode, row by row, so a time's value does not depend on the rows
-    around it."""
-    blocks = time_blocks(len(times))
+    A sub-block's s^2 and s c go into two (times x modes) work arrays made
+    once for the grid, and each series contracts them with one weight per
+    mode, row by row, so a time's value does not depend on the rows around
+    it, nor on how the grid is cut.  The sub-block is bounded by its cells,
+    not its times: the phase table and both work arrays hold one sub-block,
+    at most SERIES_CELLS cells each up to 2048 units (one stride of times
+    beyond), where a whole block of 256 times would grow with the units
+    (8 MB at N = 2000, 42 MB at N = 10^4), so they are written and read
+    again while still in cache.  With at most SERIES_CELLS / TIME_CHUNK =
+    128 units a sub-block is the whole block."""
+    blocks = _series_blocks(len(times), modes.n_modes)
     table = None if len(times) < 2 else PhaseTable(modes.omega, times, grid_step(times), blocks, times_first=True)
     a, h = modes.sin_theta**2, modes.step
+    weights = h * a, -2 * h * a * modes.omega, h**2 * a, h**2 * a * (1.0 - a)
     width = max((b.stop - b.start for b in blocks), default=0)
     sin2_rows, sin_cos_rows = np.empty((width, modes.n_modes)), np.empty((width, modes.n_modes))
     out = {name: np.empty(len(times)) for name in ("energy", "power", "var_battery")}
@@ -207,11 +228,11 @@ def _series(modes: ModeSet, times: np.ndarray) -> dict[str, np.ndarray]:
         sin, cos = phases.imag, phases.real  # phases.imag is -sin(omega t)
         sin2 = np.multiply(sin, sin, out=sin2_rows[: len(phases)])
         sin_cos = np.multiply(sin, cos, out=sin_cos_rows[: len(phases)])
-        out["energy"][block] = np.einsum("tk,k->t", sin2, h * a)
-        out["power"][block] = np.einsum("tk,k->t", sin_cos, -2 * h * a * modes.omega)
+        out["energy"][block] = np.einsum("tk,k->t", sin2, weights[0])
+        out["power"][block] = np.einsum("tk,k->t", sin_cos, weights[1])
         out["var_battery"][block] = (
-            np.einsum("tk,k->t", np.square(sin_cos, out=sin_cos), h**2 * a)
-            + np.einsum("tk,k->t", np.square(sin2, out=sin2), h**2 * a * (1.0 - a))
+            np.einsum("tk,k->t", np.square(sin_cos, out=sin_cos), weights[2])
+            + np.einsum("tk,k->t", np.square(sin2, out=sin2), weights[3])
         )
     return out
 
@@ -222,7 +243,9 @@ def observables_on_grid(modes: ModeSet, times: np.ndarray) -> dict[str, np.ndarr
     single time takes its own cos and sin); a ValidationError if ``times``
     are not consecutive points of that grid.  One cos and sin per mode
     serves every PHASE_STRIDE grid times (the grid's :class:`linalg.PhaseTable`),
-    and a block of the grid has the bits of the whole grid there."""
+    the grid runs in sub-blocks of at most SERIES_CELLS (time x mode) cells
+    (:func:`_series`), and a block of the grid has the bits of the whole
+    grid there."""
     return _series(modes, np.asarray(times, dtype=float))
 
 

@@ -29,13 +29,19 @@ TIME_CHUNK = 256
 
 def time_blocks(n_steps: int) -> list[slice]:
     """The grid in TIME_CHUNK-long blocks of times, the one block rule of
-    both backends.  A last time alone joins the block before: one time
-    propagates by a matrix-vector product, whose rounding differs from a
-    column of the matrix product.  A grid of one time is one block."""
-    starts = list(range(0, n_steps, TIME_CHUNK))
-    if len(starts) > 1 and n_steps - starts[-1] == 1:
+    both backends (:func:`split_block`).  A grid of one time is one block."""
+    return split_block(slice(0, n_steps), TIME_CHUNK)
+
+
+def split_block(block: slice, width: int) -> list[slice]:
+    """``block`` of times cut into ``width``-long slices from its start.  A
+    last time alone joins the slice before: one time propagates by a
+    matrix-vector product, whose rounding differs from a column of the
+    matrix product."""
+    starts = list(range(block.start, block.stop, width))
+    if len(starts) > 1 and block.stop - starts[-1] == 1:
         starts.pop()
-    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_steps])]
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [block.stop])]
 
 
 PARADIGMATIC_FAMILIES = ("parallel", "global", "hybrid")

@@ -22,11 +22,12 @@ charger has symmetries.  The size rule's second stage
 (:func:`models.check_dense_size`) sizes that dense run once the sector or
 its groups are known.  Either keeps the (levels x T) populations and rates,
 the sector charger and psi0's amplitudes on its eigenvectors, not the
-states; ``state_at`` re-propagates the block that holds a time and places
-the state in the full basis.  The free-fermion backend builds a
-``jw_chain`` run of any N from its mode set (:mod:`freefermion`), with no
-state vector, and its kernel for independent units runs the parallel,
-global and hybrid chargers in closed form at any N too: q units of r cells,
+states; ``state_at`` re-propagates the tile of times in the block that
+holds a time and places the state in the full basis.  The free-fermion
+backend builds a ``jw_chain`` run of any N from its mode set
+(:mod:`freefermion`), with no state vector, and its kernel for
+independent units runs the parallel, global and hybrid chargers in
+closed form at any N too: q units of r cells,
 each excited with probability sin^2(lam t) and worth r levels, where a
 chain pair is worth 2.  Its record keeps the mode set: each pass over its
 level blocks recomputes the distribution on the q + 1 levels reached, so it
@@ -52,11 +53,11 @@ from .freefermion import (
 )
 from .linalg import (
     Basis, HermitianOperator, SparseHermitian, StateVector, eigendecompose, equitable_groups,
-    PhaseTable, evolve_batch, grid_phases, grid_step, invariant_sector, matmul,
+    PRODUCT_TILE, PhaseTable, evolve_batch, grid_phases, grid_step, invariant_sector, matmul,
 )
 from .models import (
     ModelSpec, build_charger_for, check_dense_size, excitation_counts, initial_state, model_basis,
-    register_spectrum, time_blocks,
+    register_spectrum, split_block, time_blocks,
 )
 # No run builds the battery; the benchmark tracer patches this binding.
 from .models import build_battery_for  # noqa: F401
@@ -219,9 +220,12 @@ class Trajectory:
         return on_grid[0], on_grid[1]
 
     def state_at(self, index: int) -> StateVector:
-        """The run's state at grid time ``index``, bit for bit: the block of
-        times that holds it, propagated again as the run propagated it, in
-        the full basis (exactly zero off the sector)."""
+        """The run's state at grid time ``index``, bit for bit, in the full
+        basis (exactly zero off the sector): of the block of times that
+        holds it, only its aligned group of PRODUCT_TILE // 2 times is
+        propagated again (:func:`models.split_block`, so never one time
+        alone), a whole tile of :func:`linalg.matmul`'s real product, which
+        rounds alike wherever it falls."""
         if self.sector is None:
             raise ValidationError(
                 f"a {self.backend} run holds no states; run {self.spec.family} with "
@@ -229,11 +233,12 @@ class Trajectory:
             )
         index = range(self.n_steps)[index]
         block = next(b for b in time_blocks(self.n_steps) if index < b.stop)
+        group = next(g for g in split_block(block, PRODUCT_TILE // 2) if index < g.stop)
         basis = self.sector.basis
-        phases = PhaseTable(self.sector.eigenvalues, self.times, self.step, [block])(block)
+        phases = PhaseTable(self.sector.eigenvalues, self.times[group], self.step)(slice(None))
         states = evolve_batch(self.sector, self.coefficients, phases)
         state = np.zeros(basis.full_dim, dtype=complex)
-        state[basis.members] = basis.expand(states[:, index - block.start])
+        state[basis.members] = basis.expand(states[:, index - group.start])
         return StateVector(state, replace(basis, groups=None))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from qbattery import (
     chain_spec,
     dispersion,
 )
-from qbattery import models
+from qbattery import freefermion, models
 from qbattery.freefermion import (
     GROUP_MODES,
     _fold_groups,
@@ -155,6 +156,66 @@ class TestPairExcitations:
         modes = dispersion(chain_spec("xy_nn", 8))
         with pytest.raises(ValidationError, match="not consecutive points of a uniform grid"):
             observables_on_grid(modes, np.array([0.0, 0.5, 1.5, 2.0]))
+
+
+SUB_BLOCK_SPECS = {
+    "xy_nn-257": chain_spec("xy_nn", 257),
+    "xy_nn-1000": chain_spec("xy_nn", 1000),
+    "xy_nn-2001": chain_spec("xy_nn", 2001),
+    "parallel-1000": ModelSpec(family="parallel", n_cells=1000, lam=0.7),
+}
+
+
+class TestSeriesSubBlocks:
+    @pytest.mark.parametrize("cells", [1, 2**40])
+    @pytest.mark.parametrize("spec", list(SUB_BLOCK_SPECS.values()), ids=list(SUB_BLOCK_SPECS))
+    def test_any_sub_block_size_has_the_same_bits(self, spec, cells, monkeypatch):
+        # One stride per sub-block (cells = 1) or whole TIME_CHUNK blocks:
+        # each row is contracted on its own, so the cut moves no bit.
+        modes = dispersion(spec)
+        for steps in (2000, 2001):  # 2001 ends in a lone time
+            times = np.linspace(0.0, 12.0, steps)
+            default = observables_on_grid(modes, times)
+            monkeypatch.setattr(freefermion, "SERIES_CELLS", cells)
+            cut = observables_on_grid(modes, times)
+            monkeypatch.undo()
+            for name, column in default.items():
+                assert column.tobytes() == cut[name].tobytes(), (steps, name)
+
+    @pytest.mark.parametrize("n_modes", [0, 1, 100, 128, 129, 1000, 5000])
+    @pytest.mark.parametrize("steps", [1, 2, 17, 257, 2000, 2001])
+    def test_sub_blocks_tile_each_block_in_strides(self, n_modes, steps):
+        blocks = models.time_blocks(steps)
+        subs = freefermion._series_blocks(steps, n_modes)
+        assert [i for sub in subs for i in range(sub.start, sub.stop)] == list(range(steps))
+        rows = subs[0].stop - subs[0].start
+        if n_modes <= freefermion.SERIES_CELLS // models.TIME_CHUNK:
+            assert subs == blocks
+        for sub in subs:
+            block = next(b for b in blocks if sub.start < b.stop)
+            assert block.start <= sub.start and sub.stop <= block.stop
+            assert (sub.start - block.start) % PHASE_STRIDE == 0
+            assert sub.stop - sub.start > 1 or steps == 1
+        if len(subs) > len(blocks):
+            assert rows % PHASE_STRIDE == 0
+            assert rows * n_modes <= freefermion.SERIES_CELLS or rows == PHASE_STRIDE
+
+    def test_a_large_chain_holds_one_sub_block_of_workspace(self):
+        # xy_nn N = 10^4 has 5000 modes, so a sub-block is one stride of 16
+        # times: its phase table (16 x 5000, complex), the s^2 and s c work
+        # arrays (2 x 16 x 5000 floats), the offsets (15 x 5000, complex) and
+        # a base row's angles and phases, with the weights (5 x 5000 floats)
+        # and outputs (3 x 512 floats): about 3.7 MB.  Whole blocks of 256
+        # times would take 42 MB.
+        modes = dispersion(chain_spec("xy_nn", 10_000))
+        times = np.linspace(0.0, 10.0, 512)
+        tracemalloc.start()
+        try:
+            observables_on_grid(modes, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 UNIT_SPECS = {

@@ -105,7 +105,9 @@ class TestChainSeries:
 
     def test_the_grid_holds_one_block_of_workspace(self):
         # xy_nn N = 2000 has 1000 modes; the grid has 8 blocks of 256 times
-        # (the last one 208).  One block's workspace is its phase table
+        # (the last one 208), each run in shorter sub-blocks (bounded in
+        # test_freefermion), so this block's bound is loose.  One block's
+        # workspace is its phase table
         # (256 times x 1000 modes, complex), the s^2 and s c work arrays
         # (2 x 256 x 1000 floats), the offsets (15 x 1000, complex) and one
         # block's base rows (16 x 1000 angles and their complex phases).  The
@@ -143,18 +145,41 @@ class TestDenseRuns:
         assert dense_run.populations.tobytes() == populations.tobytes()
         assert dense_run.population_rates.tobytes() == rates.tobytes()
 
-    def test_state_at_keeps_the_per_block_bits(self, dense_run):
-        sector = dense_run.sector
-        psi0 = models.initial_state(dense_run.spec)
-        amplitudes = sector.to_eigenbasis(sector.basis.project(psi0.amplitudes))
-        blocks = models.time_blocks(dense_run.n_steps)
-        assert len(blocks) > 2
-        for index in (0, dense_run.n_steps // 2, dense_run.n_steps - 1):  # first, middle, last block
-            block = next(b for b in blocks if index < b.stop)
-            states = evolve_batch_per_call(sector, amplitudes, dense_run.times[block], dense_run.step)
-            expected = np.zeros(psi0.dim, dtype=complex)
-            expected[sector.basis.members] = sector.basis.expand(states[:, index - block.start])
-            assert dense_run.state_at(index).amplitudes.tobytes() == expected.tobytes()
+    def test_state_at_keeps_the_per_block_bits(self, dense_run, monkeypatch):
+        # state_at propagates one tile of PRODUCT_TILE // 2 times, and a
+        # block's lone last time with the tile before it, never one time
+        # alone: each state is still the column of its whole block.
+        columns = []
+        original = trajectory.evolve_batch
+
+        def counting(hamiltonian, coeff, phases):
+            columns.append(phases.shape[1])
+            return original(hamiltonian, coeff, phases)
+
+        monkeypatch.setattr(trajectory, "evolve_batch", counting)
+        tile = linalg.PRODUCT_TILE // 2
+        runs = [(dense_run, (0, dense_run.n_steps // 2, dense_run.n_steps - 1))]  # first, middle, last block
+        lam_t_max = float(dense_run.times[-1] * dense_run.spec.lam)
+        for steps in (2000, 2001, 1502, 1503):  # last blocks of 208, 209, 222 and 223 times
+            run = run_trajectory(dense_run.spec, lam_t_max, steps, "dense")
+            runs.append((run, range(models.time_blocks(steps)[-1].start, steps)))
+        for run, indices in runs:
+            sector = run.sector
+            psi0 = models.initial_state(run.spec)
+            amplitudes = sector.to_eigenbasis(sector.basis.project(psi0.amplitudes))
+            blocks = models.time_blocks(run.n_steps)
+            assert len(blocks) > 2
+            states = {}
+            for index in indices:
+                block = next(b for b in blocks if index < b.stop)
+                if block.start not in states:
+                    states[block.start] = evolve_batch_per_call(sector, amplitudes, run.times[block], run.step)
+                expected = np.zeros(psi0.dim, dtype=complex)
+                expected[sector.basis.members] = sector.basis.expand(states[block.start][:, index - block.start])
+                columns.clear()
+                assert run.state_at(index).amplitudes.tobytes() == expected.tobytes(), (run.n_steps, index)
+                left = block.stop - (index - (index - block.start) % tile)  # from the index's tile on
+                assert columns == [tile + 1 if left in (1, tile + 1) else min(tile, left)]
 
     def test_a_dense_grid_takes_its_offsets_once(self, monkeypatch):
         calls = count_phase_calls(monkeypatch)
